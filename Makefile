@@ -3,10 +3,16 @@
 PY ?= python
 export PYTHONPATH := src:.
 
-.PHONY: test bench bench-full bench-parallel bench-placement bench-baseline bench-matcher bench-matcher-full bench-million bench-million-full bench-backend bench-backend-full bench-scenarios profile equivalence artifacts lint
+.PHONY: test test-ledger bench bench-full bench-parallel bench-baseline bench-matcher bench-matcher-full bench-million bench-million-full bench-backend bench-backend-full bench-scenarios profile artifacts lint
 
 test:
 	$(PY) -m pytest tests/ -q
+
+# The ledger's own tests: its traced-run test asserts that every seam
+# in the seam table still resolves (tracer.missing == []), the guard
+# that a refactor has not silently nulled a ledger layer.
+test-ledger:
+	$(PY) -m pytest benchmarks/ledger -q
 
 # Static checks (ruff, config in pyproject.toml).  CI installs ruff;
 # locally the target degrades to a no-op when ruff is unavailable.
@@ -30,10 +36,6 @@ bench-full:
 # to the committed serial baseline.
 bench-parallel:
 	$(PY) -m benchmarks.perf --workers 2
-
-# Placement-path micro-bench: eligible-node caching win at 16+ nodes.
-bench-placement:
-	$(PY) -m benchmarks.perf.micro_placement
 
 # Push-vs-pull dispatch A/B at 64 nodes (heterogeneous speeds, churn
 # waves, flash crowd): digest + wall gates against the matcher section
@@ -79,12 +81,6 @@ bench-scenarios:
 # top-25 cumulative functions (the kill-list workflow).
 profile:
 	$(PY) -m benchmarks.perf.profile
-
-# Old-vs-new engine equivalence: run every macro-scenario in compat
-# mode (scalar fill, no batch hooks) and default mode, compare outcome
-# counters and digests (the committed re-baseline evidence).
-equivalence:
-	$(PY) -m benchmarks.perf.equivalence
 
 # Re-record the committed baseline after an intentional perf change.
 bench-baseline:

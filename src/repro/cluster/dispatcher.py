@@ -298,12 +298,6 @@ class ClusterDispatcher:
         take the arrival.
     control_period:
         Seconds between dispatcher ticks (queue retry / poll cadence).
-    cache_eligible:
-        Keep the eligible-node list cached between placements,
-        invalidating only when a node's accepting bit flips (health
-        transition or ``max_outstanding`` edge crossing).  On by
-        default; disable to fall back to a full scan per placement
-        (the A/B knob the placement micro-bench uses).
     dispatch:
         ``"push"`` (default) or ``"pull"``; alternatively pass a
         pre-built :class:`BindingPolicy` via ``binding``.
@@ -328,7 +322,6 @@ class ClusterDispatcher:
         slas: Optional[SLASet] = None,
         max_queue_depth: Optional[int] = None,
         control_period: float = 1.0,
-        cache_eligible: bool = True,
         dispatch: str = "push",
         binding: Optional[BindingPolicy] = None,
         tenant_quotas: Optional[Dict[str, int]] = None,
@@ -366,7 +359,6 @@ class ClusterDispatcher:
         self.completions = 0
         self.rejections = 0
         self.resubmissions = 0
-        self._cache_eligible = cache_eligible
         self._eligible_cache: Optional[List[ClusterNode]] = None
         for node in self.nodes:
             node.manager.add_completion_listener(
@@ -465,14 +457,11 @@ class ClusterDispatcher:
         (health transitions, ``max_outstanding`` edge crossings), so the
         cached list is always equal to a fresh scan.
         """
-        if not self._cache_eligible:
-            eligible = [node for node in self.nodes if node.accepting]
-        else:
-            eligible = self._eligible_cache
-            if eligible is None:
-                eligible = self._eligible_cache = [
-                    node for node in self.nodes if node.accepting
-                ]
+        eligible = self._eligible_cache
+        if eligible is None:
+            eligible = self._eligible_cache = [
+                node for node in self.nodes if node.accepting
+            ]
         excluded = (
             self._excluded.get(query.query_id) if query is not None else None
         )
@@ -579,13 +568,6 @@ class ClusterDispatcher:
     @property
     def cluster_queue_depth(self) -> int:
         return self.binding.queue_depth
-
-    @property
-    def _queue(self):
-        """Back-compat view of the push binding's FIFO cluster queue."""
-        if isinstance(self.binding, PushBinding):
-            return self.binding.queue
-        return self.binding.queued_queries()
 
     def active_nodes(self) -> List[ClusterNode]:
         return [n for n in self.nodes if n.health is NodeHealth.UP]

@@ -62,7 +62,6 @@ def build_cluster(
     slas: Optional[SLASet] = None,
     control_period: float = 1.0,
     heartbeat_period: float = 1.0,
-    cache_eligible: bool = True,
     dispatch: str = "push",
     speed_factors: Optional[Sequence[float]] = None,
     scheduler_factory: Optional[Callable[[], object]] = None,
@@ -125,7 +124,6 @@ def build_cluster(
         slas=slas,
         max_queue_depth=max_queue_depth,
         control_period=control_period,
-        cache_eligible=cache_eligible,
         dispatch=dispatch,
         binding=binding,
         tenant_quotas=tenant_quotas,
@@ -177,7 +175,6 @@ def run_cluster_scenario(
     max_queue_depth: Optional[int] = None,
     fault_plan: Optional[FaultPlan] = None,
     sim: Optional[Simulator] = None,
-    cache_eligible: bool = True,
     dispatch: str = "push",
 ) -> ClusterDispatcher:
     """Run the canonical cluster demo end to end; returns the dispatcher.
@@ -192,7 +189,6 @@ def run_cluster_scenario(
         policy=policy,
         mpl=mpl,
         max_queue_depth=max_queue_depth,
-        cache_eligible=cache_eligible,
         dispatch=dispatch,
     )
     scenario = cluster_overload_scenario(

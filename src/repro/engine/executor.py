@@ -24,21 +24,20 @@ Hot-path layout (DESIGN.md §7): the running set lives in a columnar
 :class:`~repro.engine.runstore.RunStore`; per-query ``_Running`` handles
 carry only cold bookkeeping (the query object, lock points) and expose
 the array fields as properties.  The fluid advance, milestone selection
-and solve feed run vectorized over the arrays for large running sets and
-as plain scalar loops — performing bit-identical float arithmetic — for
-small ones (``EngineConfig.vectorize_min_running``).  The fair-share
-*fill* has two variants: the exact scalar fill shared with
-:func:`repro.engine.resources.fair_share_speeds`, and a numpy fill whose
-sum order differs in the last bits (``EngineConfig.vectorized_fill``;
-see BENCH_core.json's equivalence history for the digest re-baseline).
+and solve run vectorized over the arrays for running sets of at least
+``_VECTOR_MIN_RUNNING`` queries and as plain scalar loops below it.  The
+advance and milestone selection perform bit-identical float arithmetic
+on either side; the fair-share *fill* is the exact scalar
+:func:`~repro.engine.resources.fill_two_resource` below the cutover and
+the numpy :func:`~repro.engine.resources.fair_share_fill_vectorized`,
+whose sum order differs in the last bits, at or above it.
 """
 
 from __future__ import annotations
 
 import enum
-import os
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -47,7 +46,6 @@ from repro.engine.bufferpool import BufferPool
 from repro.engine.locks import LockManager, LockOutcome
 from repro.engine.query import Query, QueryState
 from repro.engine.resources import (
-    _EXACT_FILL_MAX_ACTIVE,
     MachineSpec,
     Resource,
     ResourceKind,
@@ -56,14 +54,13 @@ from repro.engine.resources import (
 )
 from repro.engine.runstore import RunStore
 from repro.engine.simulator import Simulator
-from repro.errors import QueryStateError
+from repro.errors import ConfigurationError, QueryStateError
 
 __all__ = [
     "CompletionOutcome",
     "CompletionCallback",
     "EngineConfig",
     "ExecutionEngine",
-    "compat_mode",
 ]
 
 
@@ -88,57 +85,31 @@ class EngineConfig:
     ``max_parallelism`` is the per-query ceiling on resource units,
     i.e. intra-query parallelism (1.0 = a query can at most keep one
     core and one disk unit busy).
-
-    Hot-path knobs:
-
-    ``vectorize_min_running``
-        Running-set size at which the advance/milestone/solve loops
-        switch from scalar Python to numpy array operations.  Both
-        perform identical float arithmetic; the scalar loops win below
-        ~16 entries on constant factors.  Set to ``0`` to force the
-        vectorized paths everywhere, or very large to force scalar.
-    ``vectorized_fill``
-        Allow the numpy fair-share fill (and dotted usage sums) for
-        running sets above the exact-fill threshold.  ``False`` keeps
-        the scalar fill whose results are bit-identical to the engine
-        before the columnar rework (the digest-compat oracle mode).
-    ``batch_dispatch``
-        Register same-timestamp batch hooks with the simulator so all
-        events at one instant share a single fair-share solve.
     """
 
     hot_set_size: int = 1000
     spill_penalty: float = 3.0
     max_parallelism: float = 1.0
-    vectorize_min_running: int = 17
-    vectorized_fill: bool = True
-    batch_dispatch: bool = True
+
+    def __post_init__(self) -> None:
+        if self.hot_set_size < 1:
+            raise ConfigurationError(
+                f"hot_set_size must be >= 1, got {self.hot_set_size}"
+            )
+        if self.max_parallelism <= 0:
+            raise ConfigurationError(
+                f"max_parallelism must be > 0, got {self.max_parallelism}"
+            )
+        if self.spill_penalty < 0:
+            raise ConfigurationError(
+                f"spill_penalty must be >= 0, got {self.spill_penalty}"
+            )
 
 
-#: Process-wide override installed by :func:`compat_mode`.
-_COMPAT_MODE = False
-
-
-@contextmanager
-def compat_mode():
-    """Force engines constructed inside the block into oracle mode.
-
-    Oracle mode (``vectorized_fill=False, batch_dispatch=False``)
-    reproduces the pre-columnar engine's float arithmetic and event
-    interleaving bit-for-bit, so runs under ``compat_mode`` must match
-    digests committed before the rework.  The equivalence harness
-    (``benchmarks/perf/equivalence.py``) uses this to compare old-vs-new
-    outcomes on every macro-scenario.  The environment variable
-    ``REPRO_ENGINE_COMPAT`` applies the same override (for subprocess
-    sweep workers).
-    """
-    global _COMPAT_MODE
-    previous = _COMPAT_MODE
-    _COMPAT_MODE = True
-    try:
-        yield
-    finally:
-        _COMPAT_MODE = previous
+#: Running-set size at which the advance, milestone selection and solve
+#: switch from scalar Python loops to numpy array operations; the scalar
+#: loops win below it on constant factors.
+_VECTOR_MIN_RUNNING = 17
 
 
 class _Running:
@@ -212,10 +183,7 @@ class ExecutionEngine:
     ) -> None:
         self.sim = sim
         self.machine = machine or MachineSpec()
-        config = config or EngineConfig()
-        if _COMPAT_MODE or os.environ.get("REPRO_ENGINE_COMPAT"):
-            config = replace(config, vectorized_fill=False, batch_dispatch=False)
-        self.config = config
+        self.config = config or EngineConfig()
         self.buffer_pool = BufferPool(
             capacity_mb=self.machine.memory_mb,
             spill_penalty=self.config.spill_penalty,
@@ -254,10 +222,7 @@ class ExecutionEngine:
         self._defer_depth = 0
         self._realloc_pending = False
         self._last_sync_time = -1.0
-        if self.config.batch_dispatch:
-            add_hooks = getattr(sim, "add_batch_hooks", None)
-            if add_hooks is not None:
-                add_hooks(self._batch_enter, self._batch_exit)
+        sim.add_batch_hooks(self._batch_enter, self._batch_exit)
 
     # ------------------------------------------------------------------
     # observers
@@ -469,7 +434,7 @@ class ExecutionEngine:
         if n == 0:
             return
         dt = now - previous
-        if n >= self.config.vectorize_min_running:
+        if n >= _VECTOR_MIN_RUNNING:
             speed = store.speed[idx]
             moving = speed > 0.0
             if not moving.any():
@@ -525,8 +490,7 @@ class ExecutionEngine:
     def _refresh_demands(self) -> None:
         """Recompute inflation-dependent columns for the current epoch.
 
-        Elementwise, so bit-identical to the per-entry scalar rebuild
-        the pre-columnar engine performed lazily per solve.
+        Elementwise, so bit-identical to a per-entry scalar rebuild.
         """
         store = self.store
         idx = store.live_indices()
@@ -601,11 +565,7 @@ class ExecutionEngine:
             self._refresh_demands()
         store = self.store
         idx = store.live_indices()
-        if (
-            self.config.vectorized_fill
-            and idx.size >= self.config.vectorize_min_running
-            and idx.size > _EXACT_FILL_MAX_ACTIVE
-        ):
+        if idx.size >= _VECTOR_MIN_RUNNING:
             usage_cpu, usage_disk = self._solve_vectorized(idx)
         else:
             usage_cpu, usage_disk = self._solve_scalar(idx)
@@ -617,10 +577,9 @@ class ExecutionEngine:
     def _solve_scalar(self, idx: np.ndarray):
         """Feed the exact scalar fill from the columnar store.
 
-        Iteration order, float arithmetic and accumulation order match
-        the pre-columnar engine's solve exactly (the fill core is the
-        shared :func:`fill_two_resource`), so scalar solves reproduce
-        committed digests bit-for-bit.
+        Iteration order and accumulation order follow the store's
+        insertion order — the float-accumulation contract the committed
+        digests pin.
         """
         store = self.store
         slots = idx.tolist()
@@ -667,8 +626,7 @@ class ExecutionEngine:
         """Vectorized solve: numpy fill + dotted usage sums.
 
         Results agree with :meth:`_solve_scalar` to solver tolerance
-        (1e-9 per speed) but not bit-for-bit — sum order differs — which
-        is why enabling it required the committed digest re-baseline.
+        (1e-9 per speed) but not bit-for-bit — sum order differs.
         """
         store = self.store
         bottleneck = store.bottleneck[idx]
@@ -710,7 +668,7 @@ class ExecutionEngine:
         now = self.sim.now
         best_time = None
         best_id = None
-        if n >= self.config.vectorize_min_running:
+        if n >= _VECTOR_MIN_RUNNING:
             progress = store.progress[idx]
             done = (progress >= 1.0 - 1e-12) & ~store.locks_pending[idx]
             if bool(done.any()):

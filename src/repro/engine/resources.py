@@ -25,8 +25,8 @@ per second and finishes in ``max(c, d)/s`` seconds.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Hashable, Iterable, List, Mapping
 
 import numpy as np
 
@@ -109,12 +109,22 @@ def allocate_fair_shares_reference(
 ) -> Dict[Hashable, Allocation]:
     """Reference weighted max-min fair allocation by progressive filling.
 
-    This is the original, obviously-correct implementation: one
-    constraint binds per round, so it runs O(active) rounds of O(active)
-    work each.  It is retained verbatim as the behavioural oracle for
-    the optimized :func:`allocate_fair_shares` (see the hypothesis
-    equivalence test in ``tests/engine/test_fair_share_equivalence.py``)
-    and as the exact inner loop for small active sets.
+    The obviously-correct implementation: one constraint binds per
+    round, so it runs O(active) rounds of O(active) work each.  No
+    engine calls it; it is the oracle the tests hold the two fills the
+    engine does run against (``tests/engine/test_fair_share_equivalence.py``).
+
+    Returns, for every request, the progress speed it receives and its
+    per-resource usage (server-units).  Guarantees:
+
+    * no resource is used beyond its capacity (within float tolerance);
+    * no request exceeds its ``speed_cap``;
+    * the allocation is weighted max-min fair: a request's speed can only
+      be below ``cap`` if some resource it uses is saturated, and at that
+      saturation speeds are proportional to weights.
+
+    Resources whose binding times tie within ``1e-15`` bind in the
+    iteration order of ``capacities``.
     """
     requests = list(requests)
     speeds: Dict[Hashable, float] = {}
@@ -129,22 +139,6 @@ def allocate_fair_shares_reference(
         active.append(ShareRequest(req.key, req.weight, positive, req.speed_cap))
         speeds[req.key] = 0.0
 
-    _fill_reference_rounds(active, capacities, speeds)
-
-    allocations: Dict[Hashable, Allocation] = {}
-    for req in requests:
-        speed = speeds.get(req.key, 0.0)
-        usage = {kind: speed * demand for kind, demand in req.demands.items() if demand > 0}
-        allocations[req.key] = Allocation(speed=speed, usage=usage)
-    return allocations
-
-
-def _fill_reference_rounds(
-    active: List[ShareRequest],
-    capacities: Mapping[ResourceKind, float],
-    speeds: Dict[Hashable, float],
-) -> None:
-    """The reference progressive-filling rounds (one binding per round)."""
     headroom = {kind: float(cap) for kind, cap in capacities.items()}
     remaining = list(active)
 
@@ -154,7 +148,7 @@ def _fill_reference_rounds(
         if not remaining:
             break
         # Usage growth per unit dt on each resource.
-        growth: Dict[ResourceKind, float] = {}
+        growth: Dict[ResourceKind, float] = dict.fromkeys(capacities, 0.0)
         for req in remaining:
             for kind, demand in req.demands.items():
                 growth[kind] = growth.get(kind, 0.0) + req.weight * demand
@@ -187,168 +181,6 @@ def _fill_reference_rounds(
         else:  # all caps reached simultaneously
             break
 
-
-#: Below this many active requests the exact reference rounds run (they
-#: are cheap there, and bit-identical results keep seeded trajectories
-#: stable); above it the batched rounds take over.
-_EXACT_FILL_MAX_ACTIVE = 16
-
-
-def _fill_batched_rounds(
-    active: List[ShareRequest],
-    capacities: Mapping[ResourceKind, float],
-    speeds: Dict[Hashable, float],
-) -> None:
-    """Progressive filling with batched constraint handling.
-
-    Two accelerations over the reference rounds, both preserving the
-    max-min fairness guarantees to within float tolerance:
-
-    * **early exit when no resource is near saturation** — if every
-      remaining request can reach its cap inside the current headroom,
-      finish them all in one step instead of one cap-binding per round;
-    * **batched cap removal** — when a cap binds, retire every request
-      whose cap is numerically reached, not just the first.
-
-    The saturated path (a resource binds) performs the identical
-    arithmetic in the identical order as the reference rounds.
-    """
-    headroom = {kind: float(cap) for kind, cap in capacities.items()}
-    remaining = list(active)
-
-    for _round in range(2 * len(active) + 2):
-        if not remaining:
-            break
-        # Early exit: total extra usage needed to lift every remaining
-        # request to its cap, per resource.
-        need: Dict[ResourceKind, float] = {}
-        for req in remaining:
-            gap = req.speed_cap - speeds[req.key]
-            if gap <= 0:
-                continue
-            for kind, demand in req.demands.items():
-                need[kind] = need.get(kind, 0.0) + gap * demand
-        if all(total <= headroom.get(kind, 0.0) for kind, total in need.items()):
-            for req in remaining:
-                if speeds[req.key] < req.speed_cap:
-                    speeds[req.key] = req.speed_cap
-            break
-
-        growth: Dict[ResourceKind, float] = {}
-        for req in remaining:
-            weight = req.weight
-            for kind, demand in req.demands.items():
-                growth[kind] = growth.get(kind, 0.0) + weight * demand
-
-        dt_best = float("inf")
-        binding_resource = None
-        cap_bound = False
-        for kind, rate in growth.items():
-            if rate <= 0:
-                continue
-            dt = headroom.get(kind, 0.0) / rate
-            if dt < dt_best - 1e-15:
-                dt_best, binding_resource, cap_bound = dt, kind, False
-        for req in remaining:
-            dt = (req.speed_cap - speeds[req.key]) / req.weight
-            if dt < dt_best - 1e-15:
-                dt_best, binding_resource, cap_bound = dt, None, True
-
-        dt_best = max(dt_best, 0.0)
-        for req in remaining:
-            grow = dt_best * req.weight
-            speeds[req.key] += grow
-            for kind, demand in req.demands.items():
-                headroom[kind] = headroom.get(kind, 0.0) - grow * demand
-
-        if binding_resource is not None:
-            remaining = [r for r in remaining if binding_resource not in r.demands]
-        elif cap_bound:
-            still = [
-                r
-                for r in remaining
-                if r.speed_cap - speeds[r.key]
-                > 1e-12 * max(1.0, abs(r.speed_cap))
-            ]
-            if len(still) == len(remaining):
-                # float tolerance missed the binder: drop the request
-                # closest to its cap so the loop always makes progress
-                binder = min(
-                    remaining,
-                    key=lambda r: (r.speed_cap - speeds[r.key]) / r.weight,
-                )
-                still = [r for r in remaining if r is not binder]
-            remaining = still
-        else:  # all caps reached simultaneously
-            break
-
-
-def _fill(
-    active: List[ShareRequest],
-    capacities: Mapping[ResourceKind, float],
-    speeds: Dict[Hashable, float],
-) -> None:
-    if not active:
-        return
-    if len(active) <= _EXACT_FILL_MAX_ACTIVE:
-        _fill_reference_rounds(active, capacities, speeds)
-    else:
-        _fill_batched_rounds(active, capacities, speeds)
-
-
-def _split_requests(
-    requests: List[ShareRequest],
-) -> Tuple[Dict[Hashable, float], List[ShareRequest]]:
-    """Trivial-request handling shared by both allocator entry points.
-
-    Requests that demand nothing run at their cap (completed instantly
-    by the executor); zero-weight or zero-cap requests get speed 0.
-    Request objects whose demands are already strictly positive are
-    reused as-is — the hot path hands in prefiltered, cached requests,
-    so this avoids re-validating and re-allocating every round.
-    """
-    speeds: Dict[Hashable, float] = {}
-    active: List[ShareRequest] = []
-    for req in requests:
-        demands = req.demands
-        if demands and all(v > 0 for v in demands.values()):
-            positive: Mapping[ResourceKind, float] = demands
-        else:
-            positive = {k: v for k, v in demands.items() if v > 0}
-        if not positive or req.weight == 0 or req.speed_cap == 0:
-            speeds[req.key] = req.speed_cap if not positive and req.weight > 0 else 0.0
-            continue
-        if positive is demands:
-            active.append(req)
-        else:
-            active.append(ShareRequest(req.key, req.weight, positive, req.speed_cap))
-        speeds[req.key] = 0.0
-    return speeds, active
-
-
-def allocate_fair_shares(
-    requests: Iterable[ShareRequest],
-    capacities: Mapping[ResourceKind, float],
-) -> Dict[Hashable, Allocation]:
-    """Weighted max-min fair allocation by progressive filling.
-
-    Returns, for every request, the progress speed it receives and its
-    per-resource usage (server-units).  Guarantees:
-
-    * no resource is used beyond its capacity (within float tolerance);
-    * no request exceeds its ``speed_cap``;
-    * the allocation is weighted max-min fair: a request's speed can only
-      be below ``cap`` if some resource it uses is saturated, and at that
-      saturation speeds are proportional to weights.
-
-    Small active sets run the exact reference rounds; larger ones take
-    the batched rounds of :func:`_fill_batched_rounds`, which agree with
-    :func:`allocate_fair_shares_reference` to within ``1e-9`` on every
-    speed (property-tested).
-    """
-    requests = list(requests)
-    speeds, active = _split_requests(requests)
-    _fill(active, capacities, speeds)
     allocations: Dict[Hashable, Allocation] = {}
     for req in requests:
         speed = speeds.get(req.key, 0.0)
@@ -357,135 +189,30 @@ def allocate_fair_shares(
     return allocations
 
 
-def fair_share_speeds(
-    requests: List[ShareRequest],
-    capacities: Mapping[ResourceKind, float],
-) -> Tuple[Dict[Hashable, float], Dict[ResourceKind, float]]:
-    """Low-level allocator for the executor hot path.
-
-    Same allocation as :func:`allocate_fair_shares`, but returns plain
-    ``(speeds, usage_totals)`` instead of building per-request
-    :class:`Allocation` objects — the executor only ever needs the speed
-    per query and the aggregate usage per resource.
-
-    When the capacity map is exactly {CPU, DISK} — the engine's machine
-    model — a scalar two-resource implementation runs instead of the
-    generic dict-based fill; enum-keyed dict operations dominate the
-    generic inner loop, and the scalar path performs the same float
-    operations on the same operands in the same order without them.
-    """
-    if (
-        len(capacities) == 2
-        and ResourceKind.CPU in capacities
-        and ResourceKind.DISK in capacities
-    ):
-        result = _fair_share_speeds_2r(
-            requests, capacities[ResourceKind.CPU], capacities[ResourceKind.DISK]
-        )
-        if result is not None:
-            return result
-    speeds, active = _split_requests(requests)
-    _fill(active, capacities, speeds)
-    usage_totals: Dict[ResourceKind, float] = {kind: 0.0 for kind in capacities}
-    for req in requests:
-        speed = speeds.get(req.key, 0.0)
-        if speed <= 0:
-            continue
-        for kind, demand in req.demands.items():
-            if demand > 0:
-                usage_totals[kind] = usage_totals.get(kind, 0.0) + speed * demand
-    return speeds, usage_totals
-
-
-def _fair_share_speeds_2r(
-    requests: List[ShareRequest], cpu_cap: float, disk_cap: float
-) -> Optional[Tuple[Dict[Hashable, float], Dict[ResourceKind, float]]]:
-    """Two-resource scalar progressive filling.
-
-    Mirrors the generic fill round for round: identical growth sums
-    accumulated in identical request order (absent demands contribute an
-    exact ``+ 0.0``), the same ``1e-15`` binding tolerances, one binding
-    constraint per round at or below the exact-fill threshold and the
-    batched accelerations above it.  Returns ``None`` when any request
-    demands a resource other than CPU/DISK (caller falls back to the
-    generic path).
-    """
-    cpu, disk = ResourceKind.CPU, ResourceKind.DISK
-    speeds: Dict[Hashable, float] = {}
-    # per active request: [key, weight, cpu_demand, disk_demand, cap]
-    active: List[List] = []
-    for req in requests:
-        demands = req.demands
-        if len(demands) - (cpu in demands) - (disk in demands) != 0:
-            return None
-        dc = demands.get(cpu, 0.0)
-        dd = demands.get(disk, 0.0)
-        if dc <= 0:
-            dc = 0.0
-        if dd <= 0:
-            dd = 0.0
-        if (dc == 0.0 and dd == 0.0) or req.weight == 0 or req.speed_cap == 0:
-            trivial = dc == 0.0 and dd == 0.0
-            speeds[req.key] = req.speed_cap if trivial and req.weight > 0 else 0.0
-            continue
-        speeds[req.key] = 0.0
-        active.append([req.key, req.weight, dc, dd, req.speed_cap])
-
-    fill_two_resource(active, speeds, cpu_cap, disk_cap)
-
-    usage_cpu = usage_disk = 0.0
-    for item in active:
-        speed = speeds[item[0]]
-        if speed <= 0:
-            continue
-        usage_cpu += speed * item[2]
-        usage_disk += speed * item[3]
-    return speeds, {cpu: usage_cpu, disk: usage_disk}
-
-
 def fill_two_resource(
     active: List[List],
     speeds: Dict[Hashable, float],
     cpu_cap: float,
     disk_cap: float,
 ) -> None:
-    """Scalar two-resource progressive-filling core.
+    """Scalar two-resource progressive filling: the engine's exact fill.
 
     ``active`` items are ``[key, weight, cpu_demand, disk_demand, cap]``
-    with positive weight, positive cap, and at least one positive
-    demand; ``speeds`` must be pre-seeded with ``0.0`` per key.  This is
-    the exact fill the executor's scalar path and
-    :func:`_fair_share_speeds_2r` share — the arithmetic, accumulation
-    order and tolerances are the generic fill's, so results stay
-    bit-identical to :func:`allocate_fair_shares` for the same inputs.
+    with positive weight, positive cap, at least one positive demand and
+    absent demands exactly ``0.0``; ``speeds`` must be pre-seeded with
+    ``0.0`` per key.  The rounds are the reference's — identical growth
+    sums accumulated in identical request order (an absent demand
+    contributes an exact ``+ 0.0``), the same ``1e-15`` binding
+    tolerances, one binding constraint per round — without its
+    enum-keyed dict operations, so results are bit-identical to
+    :func:`allocate_fair_shares_reference` over ``{CPU, DISK}``.
     """
     cpu, disk = ResourceKind.CPU, ResourceKind.DISK
     headroom_cpu, headroom_disk = float(cpu_cap), float(disk_cap)
     remaining = active
-    batched = len(active) > _EXACT_FILL_MAX_ACTIVE
     for _round in range(2 * len(active) + 2):
         if not remaining:
             break
-        if batched:
-            # Early exit: if every remaining request fits at its cap
-            # inside the headroom, finish them all in one step.  A need
-            # of exactly 0.0 means no remaining request demands that
-            # resource (matching the generic path's absent dict key).
-            need_cpu = need_disk = 0.0
-            for item in remaining:
-                gap = item[4] - speeds[item[0]]
-                if gap <= 0:
-                    continue
-                need_cpu += gap * item[2]
-                need_disk += gap * item[3]
-            if (need_cpu == 0.0 or need_cpu <= headroom_cpu) and (
-                need_disk == 0.0 or need_disk <= headroom_disk
-            ):
-                for item in remaining:
-                    if speeds[item[0]] < item[4]:
-                        speeds[item[0]] = item[4]
-                break
-
         growth_cpu = growth_disk = 0.0
         for item in remaining:
             weight = item[1]
@@ -521,22 +248,8 @@ def fill_two_resource(
         elif binding_resource is disk:
             remaining = [it for it in remaining if it[3] == 0.0]
         elif binding_item is not None:
-            if batched:
-                still = [
-                    it
-                    for it in remaining
-                    if it[4] - speeds[it[0]] > 1e-12 * max(1.0, abs(it[4]))
-                ]
-                if len(still) == len(remaining):
-                    binder = min(
-                        remaining,
-                        key=lambda it: (it[4] - speeds[it[0]]) / it[1],
-                    )
-                    still = [it for it in remaining if it is not binder]
-                remaining = still
-            else:
-                key = binding_item[0]
-                remaining = [it for it in remaining if it[0] != key]
+            key = binding_item[0]
+            remaining = [it for it in remaining if it[0] != key]
         else:  # all caps reached simultaneously
             break
 
@@ -555,15 +268,15 @@ def fair_share_fill_vectorized(
     (positive weight, positive cap, at least one positive demand, absent
     demands exactly ``0.0``).  Returns the speeds array in input order.
 
-    Mirrors the batched scalar rounds structurally — early exit when all
-    remaining requests fit at cap, one binding constraint per round with
-    ``1e-15`` comparison tolerance, batched cap retirement at relative
-    ``1e-12`` with a forced-progress fallback — but accumulates growth
-    and usage sums with :func:`numpy.dot` (pairwise summation), so
-    results agree with :func:`allocate_fair_shares_reference` to within
-    ``1e-9`` per speed rather than bit-for-bit.  Engines that need
-    bit-identity with committed digests use the scalar
-    :func:`fill_two_resource` instead (``EngineConfig.vectorized_fill``).
+    The engine's fill for running sets at or above its vector cutover.
+    Where the exact rounds retire one constraint per round, this one
+    finishes early when every remaining request fits at its cap inside
+    the headroom and retires every request within relative ``1e-12`` of
+    its cap at once (with a forced-progress fallback), and it
+    accumulates growth and usage sums with :func:`numpy.dot` (pairwise
+    summation) — so results agree with
+    :func:`allocate_fair_shares_reference` to within ``1e-9`` per speed
+    rather than bit-for-bit.
     """
     n = int(weights.shape[0])
     speeds = np.zeros(n, dtype=np.float64)
@@ -634,8 +347,8 @@ class Resource:
     """Utilization bookkeeping for one rate resource.
 
     The executor reports usage after every reallocation; this class
-    integrates usage over time so monitors can read average utilization
-    in a window — one of the "monitor metrics" indicator approaches
+    integrates usage over time so monitors can read the run's average
+    utilization — one of the "monitor metrics" indicator approaches
     (Table 2, [79][80]) consume.
     """
 
@@ -644,7 +357,6 @@ class Resource:
     _last_time: float = 0.0
     _last_usage: float = 0.0
     _busy_integral: float = 0.0
-    _window_marks: List[Tuple[float, float]] = field(default_factory=list)
 
     def record(self, now: float, usage: float) -> None:
         """Report that ``usage`` server-units are in use from ``now`` on."""
@@ -652,28 +364,12 @@ class Resource:
         self._last_time = now
         self._last_usage = min(usage, self.capacity)
 
-    def utilization(self, now: float, since: float = 0.0) -> float:
-        """Average utilization (0..1) over ``[since, now]``."""
-        if now <= since:
+    def utilization(self, now: float) -> float:
+        """Average utilization (0..1) over ``[0, now]``."""
+        if now <= 0.0:
             return self._last_usage / self.capacity if self.capacity else 0.0
         integral = self._busy_integral + self._last_usage * (now - self._last_time)
-        if since > 0.0:
-            # Subtract the portion before `since` using a linear rewind of
-            # the recorded marks; for simplicity we track from marks.
-            integral -= self._integral_until(since)
-        return max(0.0, min(1.0, integral / (self.capacity * (now - since))))
-
-    def mark(self, now: float) -> None:
-        """Record a window boundary so ``utilization(since=mark)`` is exact."""
-        integral = self._busy_integral + self._last_usage * (now - self._last_time)
-        self._window_marks.append((now, integral))
-
-    def _integral_until(self, time: float) -> float:
-        best = 0.0
-        for mark_time, integral in self._window_marks:
-            if mark_time <= time + 1e-12:
-                best = integral
-        return best
+        return max(0.0, min(1.0, integral / (self.capacity * now)))
 
     @property
     def instantaneous_usage(self) -> float:

@@ -74,19 +74,9 @@ class Event:
         if self.sim is not None:
             self.sim._live_events -= 1
 
-    @property
-    def event(self) -> "Event":
-        """Back-compat: the old handle exposed the event it guarded."""
-        return self
-
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else ("done" if self.done else "pending")
         return f"Event(t={self.time:.6f}, seq={self.seq}, {self.label!r}, {state})"
-
-
-#: Back-compat alias: ``schedule``/``schedule_at`` used to return a
-#: separate handle type; the event now plays both roles.
-_EventHandle = Event
 
 
 class Simulator:

@@ -1,11 +1,13 @@
-"""Eligible-node caching: invalidation edges and behavioral equivalence."""
+"""Eligible-node caching: invalidation edges and a whole-run audit."""
 
 from __future__ import annotations
 
+from unittest import mock
+
+from repro.cluster.dispatcher import ClusterDispatcher
 from repro.cluster.failover import FaultPlan
 from repro.cluster.scenario import build_cluster, run_cluster_scenario
 from repro.engine.simulator import Simulator
-from repro.parallel.digest import dispatcher_digest
 
 from tests.conftest import make_query
 
@@ -83,11 +85,11 @@ class TestCacheInvalidation:
         dispatcher.eligible_nodes()  # populate the cache
         dispatcher.submit(_query(1, cost=0.3))  # occupies the only slot
         dispatcher.submit(_query(2, cost=0.3))  # parks in the cluster queue
-        assert len(dispatcher._queue) == 1
+        assert dispatcher.cluster_queue_depth == 1
         while dispatcher.completions == 0:
             assert sim.step(), "first query never completed"
         # same event as the first completion: the queue already drained
-        assert not dispatcher._queue
+        assert dispatcher.cluster_queue_depth == 0
 
     def test_cached_set_always_equals_fresh_scan(self):
         # Interleave placements, faults and time; the cache must always
@@ -111,28 +113,39 @@ class TestCacheInvalidation:
         assert checks == 6
 
 
-class TestCacheEquivalence:
-    def test_scenario_digest_identical_with_cache_on_and_off(self):
-        digests = {
-            dispatcher_digest(
-                run_cluster_scenario(
-                    seed=11, nodes=4, policy="least", horizon=10.0,
-                    cache_eligible=flag,
-                )
-            )
-            for flag in (True, False)
-        }
-        assert len(digests) == 1
+def _audited_run(**scenario) -> int:
+    """Run a cluster scenario with every ``_eligible_for`` call checked
+    against a from-scratch accepting scan; returns the calls audited."""
+    cached_lookup = ClusterDispatcher._eligible_for
+    calls = 0
 
-    def test_faulted_scenario_digest_identical_with_cache_on_and_off(self):
+    def audited(dispatcher, query):
+        nonlocal calls
+        calls += 1
+        got = cached_lookup(dispatcher, query)
+        excluded = (
+            dispatcher._excluded.get(query.query_id, ())
+            if query is not None
+            else ()
+        )
+        assert [node.name for node in got] == [
+            node.name
+            for node in dispatcher.nodes
+            if node.accepting and node.name not in excluded
+        ], f"cache diverged from a fresh scan at t={dispatcher.sim.now}"
+        return got
+
+    with mock.patch.object(ClusterDispatcher, "_eligible_for", audited):
+        run_cluster_scenario(horizon=10.0, **scenario)
+    return calls
+
+
+class TestCacheAudit:
+    def test_clean_run_matches_fresh_scan(self):
+        # mpl=1 puts max_outstanding at 4, so nodes cross the saturation
+        # edge in both directions without any fault
+        assert _audited_run(seed=11, nodes=4, policy="least", mpl=1) > 0
+
+    def test_node_kill_run_matches_fresh_scan(self):
         plan = FaultPlan.node_kill("n1", at=3.0, recover_at=6.0)
-        digests = {
-            dispatcher_digest(
-                run_cluster_scenario(
-                    seed=13, nodes=3, policy="cost", horizon=10.0,
-                    fault_plan=plan, cache_eligible=flag,
-                )
-            )
-            for flag in (True, False)
-        }
-        assert len(digests) == 1
+        assert _audited_run(seed=13, nodes=3, policy="cost", fault_plan=plan) > 0

@@ -6,7 +6,7 @@ from repro.engine.executor import CompletionOutcome, EngineConfig, ExecutionEngi
 from repro.engine.query import QueryState
 from repro.engine.resources import MachineSpec, ResourceKind
 from repro.engine.simulator import Simulator
-from repro.errors import QueryStateError
+from repro.errors import ConfigurationError, QueryStateError
 
 from tests.conftest import make_query, submitted_query
 
@@ -17,6 +17,20 @@ def _engine(sim, cpu=4.0, disk=4.0, mem=4096.0, hot_set=500, spill=3.0):
         MachineSpec(cpu_capacity=cpu, disk_capacity=disk, memory_mb=mem),
         EngineConfig(hot_set_size=hot_set, spill_penalty=spill),
     )
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("hot_set_size", 0),
+        ("max_parallelism", 0.0),
+        ("max_parallelism", -1.0),
+        ("spill_penalty", -2.0),
+    ],
+)
+def test_engine_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        EngineConfig(**{field: value})
 
 
 class TestBasicExecution:

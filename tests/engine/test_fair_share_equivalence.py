@@ -1,26 +1,25 @@
-"""Property-based equivalence: optimized allocator vs the reference.
+"""Property-based equivalence: the fills an engine runs vs the reference.
 
-The optimized :func:`allocate_fair_shares` takes fast paths (early exit
-when no resource is near saturation, batched cap removal) above a small
-active-set threshold.  These tests pin it to the retained
-:func:`allocate_fair_shares_reference` oracle and to the fair-share
-invariants, across generated request mixes well beyond the threshold.
+An engine solves with :func:`fill_two_resource` below its vector cutover
+and with :func:`fair_share_fill_vectorized` at or above it.  These tests
+pin both to the :func:`allocate_fair_shares_reference` oracle — the
+scalar fill bit for bit, the numpy fill to solver tolerance — and to the
+fair-share invariants, across generated request mixes on both sides of
+the cutover.
 """
 
 import math
 
-import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.engine.resources import (
-    ResourceKind,
-    ShareRequest,
-    allocate_fair_shares,
-    allocate_fair_shares_reference,
-    fair_share_fill_vectorized,
-    fair_share_speeds,
-    fill_two_resource,
+from repro.engine.resources import ResourceKind, ShareRequest
+from tests.engine.fills import (
+    LIVE_FILLS,
+    exact_speeds,
+    reference_speeds,
+    usage,
+    vectorized_speeds,
 )
 
 SPEED_TOL = 1e-9
@@ -44,6 +43,13 @@ request_strategy = st.builds(
     ),
 )
 
+requests_strategy = st.lists(request_strategy, min_size=0, max_size=60).map(
+    lambda rows: [
+        ShareRequest(key=i, weight=w, demands=d, speed_cap=c)
+        for i, (w, d, c) in enumerate(rows)
+    ]
+)
+
 capacity_strategy = st.fixed_dictionaries(
     {
         ResourceKind.CPU: st.floats(min_value=0.1, max_value=64.0),
@@ -52,145 +58,81 @@ capacity_strategy = st.fixed_dictionaries(
 )
 
 
-def _build(rows):
-    return [
-        ShareRequest(key=i, weight=w, demands=d, speed_cap=c)
-        for i, (w, d, c) in enumerate(rows)
-    ]
-
-
-@given(
-    rows=st.lists(request_strategy, min_size=0, max_size=40),
-    capacities=capacity_strategy,
+@given(requests=requests_strategy, capacities=capacity_strategy)
+@example(
+    # CPU and disk bind within 1e-15 of each other and the first request
+    # demands disk only: the tie must break in capacity order in both.
+    requests=[
+        ShareRequest(0, 3.0, {ResourceKind.DISK: 0.1}, speed_cap=10.0),
+        ShareRequest(
+            1, 0.3, {ResourceKind.CPU: 1.1, ResourceKind.DISK: 0.1}, speed_cap=10.0
+        ),
+    ],
+    capacities={ResourceKind.CPU: 1.0, ResourceKind.DISK: 1.0},
 )
 @settings(max_examples=200, deadline=None)
-def test_optimized_matches_reference(rows, capacities):
-    requests = _build(rows)
-    got = allocate_fair_shares(requests, capacities)
-    want = allocate_fair_shares_reference(requests, capacities)
+def test_optimized_matches_reference(requests, capacities):
+    """The scalar fill mirrors the reference rounds, so at every size it
+    reproduces the reference bit for bit."""
+    assert exact_speeds(requests, capacities) == reference_speeds(
+        requests, capacities
+    )
+
+
+@given(requests=requests_strategy, capacities=capacity_strategy)
+@settings(max_examples=200, deadline=None)
+def test_numpy_fill_matches_reference(requests, capacities):
+    """The numpy water-fill agrees with the exact rounds to solver
+    tolerance on every request."""
+    got = vectorized_speeds(requests, capacities)
+    want = reference_speeds(requests, capacities)
     assert set(got) == set(want)
-    for key, ref_alloc in want.items():
-        assert got[key].speed == pytest_approx(ref_alloc.speed), (
-            f"request {key}: optimized speed {got[key].speed} vs "
-            f"reference {ref_alloc.speed}"
-        )
+    for key, speed in want.items():
+        assert math.isclose(
+            got[key], speed, rel_tol=SPEED_TOL, abs_tol=SPEED_TOL
+        ), f"request {key}: vectorized {got[key]} vs reference {speed}"
 
 
-def pytest_approx(value):
-    import pytest
-
-    return pytest.approx(value, abs=SPEED_TOL, rel=SPEED_TOL)
-
-
-@given(
-    rows=st.lists(request_strategy, min_size=0, max_size=40),
-    capacities=capacity_strategy,
-)
+@given(requests=requests_strategy, capacities=capacity_strategy)
 @settings(max_examples=200, deadline=None)
-def test_fair_share_invariants(rows, capacities):
-    requests = _build(rows)
-    allocations = allocate_fair_shares(requests, capacities)
+def test_fair_share_invariants(requests, capacities):
+    for fill in LIVE_FILLS:
+        speeds = fill(requests, capacities)
+        used = {kind: usage(requests, speeds, kind) for kind in capacities}
 
-    # Capacity: total usage never exceeds any resource's capacity.
-    for kind, capacity in capacities.items():
-        total = sum(a.usage.get(kind, 0.0) for a in allocations.values())
-        assert total <= capacity * (1 + 1e-9) + 1e-9
+        # Capacity: total usage never exceeds any resource's capacity.
+        for kind, capacity in capacities.items():
+            assert used[kind] <= capacity * (1 + 1e-9) + 1e-9, fill.__name__
 
-    saturated = {
-        kind
-        for kind, capacity in capacities.items()
-        if sum(a.usage.get(kind, 0.0) for a in allocations.values())
-        >= capacity * (1 - 1e-6)
-    }
-    for req in requests:
-        alloc = allocations[req.key]
-        # Cap: no request exceeds its speed cap.
-        assert alloc.speed <= req.speed_cap * (1 + 1e-9) + 1e-9
-        assert alloc.speed >= 0.0
-        # Max-min: a non-trivial request below its cap must be blocked
-        # by a saturated resource it demands.
-        positive = {k for k, v in req.demands.items() if v > 0}
-        if (
-            positive
-            and req.weight > 0
-            and req.speed_cap > 0
-            and alloc.speed < req.speed_cap * (1 - 1e-6)
-        ):
-            assert positive & saturated, (
-                f"request {req.key} runs below cap with no saturated "
-                f"resource among its demands"
-            )
-
-
-@given(
-    rows=st.lists(request_strategy, min_size=0, max_size=40),
-    capacities=capacity_strategy,
-)
-@settings(max_examples=100, deadline=None)
-def test_low_level_speeds_match_allocations(rows, capacities):
-    requests = _build(rows)
-    allocations = allocate_fair_shares(requests, capacities)
-    speeds, usage_totals = fair_share_speeds(list(requests), capacities)
-    for req in requests:
-        assert math.isclose(
-            speeds.get(req.key, 0.0),
-            allocations[req.key].speed,
-            rel_tol=SPEED_TOL,
-            abs_tol=SPEED_TOL,
-        )
-    for kind in capacities:
-        expected = sum(
-            a.usage.get(kind, 0.0) for a in allocations.values()
-        )
-        assert math.isclose(
-            usage_totals.get(kind, 0.0), expected, rel_tol=1e-9, abs_tol=1e-9
-        )
-
-
-active_row_strategy = st.builds(
-    lambda weight, dc, dd, cap: (weight, dc, dd, cap),
-    weight=st.floats(min_value=1e-6, max_value=100.0),
-    dc=st.floats(min_value=0.0, max_value=50.0),
-    dd=st.floats(min_value=0.0, max_value=50.0),
-    cap=st.floats(min_value=1e-6, max_value=10.0),
-)
-
-
-@given(
-    rows=st.lists(active_row_strategy, min_size=1, max_size=60),
-    cpu_cap=st.floats(min_value=0.1, max_value=64.0),
-    disk_cap=st.floats(min_value=0.1, max_value=64.0),
-)
-@settings(max_examples=200, deadline=None)
-def test_vectorized_fill_matches_exact_fill(rows, cpu_cap, disk_cap):
-    """The numpy water-fill agrees with the exact scalar fill to solver
-    tolerance on every active request (the executor's two solve paths)."""
-    # The executor only feeds rows with a positive bottleneck demand.
-    rows = [r for r in rows if max(r[1], r[2]) > 1e-6]
-    assume(rows)
-    active = [[i, w, dc, dd, cap] for i, (w, dc, dd, cap) in enumerate(rows)]
-    exact = {row[0]: 0.0 for row in active}
-    fill_two_resource(
-        [list(row) for row in active], exact, cpu_cap, disk_cap
-    )
-    vectorized = fair_share_fill_vectorized(
-        np.array([r[0] for r in rows]),
-        np.array([r[1] for r in rows]),
-        np.array([r[2] for r in rows]),
-        np.array([r[3] for r in rows]),
-        cpu_cap,
-        disk_cap,
-    )
-    for i in range(len(rows)):
-        assert math.isclose(
-            float(vectorized[i]), exact[i], rel_tol=1e-9, abs_tol=1e-9
-        ), f"row {i}: vectorized {vectorized[i]} vs exact {exact[i]}"
+        saturated = {
+            kind
+            for kind, capacity in capacities.items()
+            if used[kind] >= capacity * (1 - 1e-6)
+        }
+        for req in requests:
+            speed = speeds[req.key]
+            # Cap: no request exceeds its speed cap.
+            assert speed <= req.speed_cap * (1 + 1e-9) + 1e-9, fill.__name__
+            assert speed >= 0.0
+            # Max-min: a non-trivial request below its cap must be blocked
+            # by a saturated resource it demands.
+            positive = {k for k, v in req.demands.items() if v > 0}
+            if (
+                positive
+                and req.weight > 0
+                and req.speed_cap > 0
+                and speed < req.speed_cap * (1 - 1e-6)
+            ):
+                assert positive & saturated, (
+                    f"{fill.__name__}: request {req.key} runs below cap "
+                    f"with no saturated resource among its demands"
+                )
 
 
 def test_small_sets_are_bit_identical_to_reference():
-    """At or below the exact-fill threshold the optimized allocator must
-    reproduce the reference bit for bit (seeded trajectories depend on
-    it)."""
+    """A fixed set of the size the scalar fill sees in an engine (below
+    the vector cutover), both resources contended and caps binding:
+    seeded trajectories depend on these bits."""
     capacities = {ResourceKind.CPU: 4.0, ResourceKind.DISK: 2.0}
     requests = [
         ShareRequest(
@@ -204,8 +146,6 @@ def test_small_sets_are_bit_identical_to_reference():
         )
         for i in range(12)
     ]
-    got = allocate_fair_shares(requests, capacities)
-    want = allocate_fair_shares_reference(requests, capacities)
-    for key in want:
-        assert got[key].speed == want[key].speed  # exact, not approx
-        assert got[key].usage == want[key].usage
+    got = exact_speeds(requests, capacities)
+    want = reference_speeds(requests, capacities)
+    assert got == want  # exact, not approx

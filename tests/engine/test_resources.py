@@ -4,17 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.resources import (
-    MachineSpec,
-    Resource,
-    ResourceKind,
-    ShareRequest,
-    allocate_fair_shares,
-)
+from repro.engine.resources import MachineSpec, Resource, ShareRequest
 from repro.errors import CapacityError
-
-CPU = ResourceKind.CPU
-DISK = ResourceKind.DISK
+from tests.engine.fills import ALL_FILLS, CPU, DISK, LIVE_FILLS, usage
 
 
 def _caps(cpu=4.0, disk=4.0):
@@ -52,63 +44,69 @@ class TestShareRequest:
 
 
 class TestAllocation:
+    """Worked examples, each put to the reference and both live fills."""
+
     def test_single_request_runs_at_cap(self):
         req = ShareRequest("q", 1.0, {CPU: 4.0, DISK: 2.0}, speed_cap=0.25)
-        result = allocate_fair_shares([req], _caps())
-        assert result["q"].speed == pytest.approx(0.25)
-        assert result["q"].usage[CPU] == pytest.approx(1.0)
-        assert result["q"].usage[DISK] == pytest.approx(0.5)
+        for fill in ALL_FILLS:
+            speeds = fill([req], _caps())
+            assert speeds["q"] == pytest.approx(0.25)
+            assert usage([req], speeds, CPU) == pytest.approx(1.0)
+            assert usage([req], speeds, DISK) == pytest.approx(0.5)
 
     def test_equal_weights_equal_speeds_on_shared_bottleneck(self):
         requests = [
             ShareRequest(i, 1.0, {CPU: 8.0}, speed_cap=1.0) for i in range(4)
         ]
-        result = allocate_fair_shares(requests, _caps(cpu=4.0))
-        speeds = [result[i].speed for i in range(4)]
-        assert all(s == pytest.approx(speeds[0]) for s in speeds)
-        # total CPU usage == capacity
-        assert sum(result[i].usage[CPU] for i in range(4)) == pytest.approx(4.0)
+        for fill in ALL_FILLS:
+            speeds = fill(requests, _caps(cpu=4.0))
+            assert all(speeds[i] == pytest.approx(speeds[0]) for i in range(4))
+            # total CPU usage == capacity
+            assert usage(requests, speeds, CPU) == pytest.approx(4.0)
 
     def test_weights_proportional_when_saturated(self):
         requests = [
             ShareRequest("a", 3.0, {CPU: 10.0}, speed_cap=10.0),
             ShareRequest("b", 1.0, {CPU: 10.0}, speed_cap=10.0),
         ]
-        result = allocate_fair_shares(requests, _caps(cpu=4.0))
-        assert result["a"].speed / result["b"].speed == pytest.approx(3.0)
+        for fill in ALL_FILLS:
+            speeds = fill(requests, _caps(cpu=4.0))
+            assert speeds["a"] / speeds["b"] == pytest.approx(3.0)
 
     def test_capped_request_releases_capacity_to_others(self):
         requests = [
             ShareRequest("capped", 1.0, {CPU: 1.0}, speed_cap=0.5),
             ShareRequest("hungry", 1.0, {CPU: 1.0}, speed_cap=100.0),
         ]
-        result = allocate_fair_shares(requests, _caps(cpu=4.0))
-        assert result["capped"].speed == pytest.approx(0.5)
-        assert result["hungry"].speed == pytest.approx(3.5)
+        for fill in ALL_FILLS:
+            speeds = fill(requests, _caps(cpu=4.0))
+            assert speeds["capped"] == pytest.approx(0.5)
+            assert speeds["hungry"] == pytest.approx(3.5)
 
     def test_zero_cap_gets_zero(self):
         requests = [ShareRequest("paused", 1.0, {CPU: 1.0}, speed_cap=0.0)]
-        result = allocate_fair_shares(requests, _caps())
-        assert result["paused"].speed == 0.0
+        for fill in ALL_FILLS:
+            assert fill(requests, _caps())["paused"] == 0.0
 
     def test_zero_weight_gets_zero(self):
         requests = [ShareRequest("zero", 0.0, {CPU: 1.0}, speed_cap=1.0)]
-        result = allocate_fair_shares(requests, _caps())
-        assert result["zero"].speed == 0.0
+        for fill in ALL_FILLS:
+            assert fill(requests, _caps())["zero"] == 0.0
 
     def test_no_demand_runs_at_cap(self):
         requests = [ShareRequest("free", 1.0, {}, speed_cap=0.7)]
-        result = allocate_fair_shares(requests, _caps())
-        assert result["free"].speed == pytest.approx(0.7)
+        for fill in ALL_FILLS:
+            assert fill(requests, _caps())["free"] == pytest.approx(0.7)
 
     def test_disjoint_resources_do_not_interfere(self):
         requests = [
             ShareRequest("cpu-bound", 1.0, {CPU: 2.0}, speed_cap=0.5),
             ShareRequest("io-bound", 1.0, {DISK: 2.0}, speed_cap=0.5),
         ]
-        result = allocate_fair_shares(requests, _caps(cpu=1.0, disk=1.0))
-        assert result["cpu-bound"].speed == pytest.approx(0.5)
-        assert result["io-bound"].speed == pytest.approx(0.5)
+        for fill in ALL_FILLS:
+            speeds = fill(requests, _caps(cpu=1.0, disk=1.0))
+            assert speeds["cpu-bound"] == pytest.approx(0.5)
+            assert speeds["io-bound"] == pytest.approx(0.5)
 
     def test_multi_resource_bottleneck_binding(self):
         # both queries need both resources; disk is the scarce one
@@ -116,14 +114,16 @@ class TestAllocation:
             ShareRequest(i, 1.0, {CPU: 1.0, DISK: 4.0}, speed_cap=1.0)
             for i in range(2)
         ]
-        result = allocate_fair_shares(requests, _caps(cpu=8.0, disk=4.0))
-        # disk: 2 queries * speed * 4 <= 4 -> speed 0.5 each
-        for i in range(2):
-            assert result[i].speed == pytest.approx(0.5)
-            assert result[i].usage[DISK] == pytest.approx(2.0)
+        for fill in ALL_FILLS:
+            speeds = fill(requests, _caps(cpu=8.0, disk=4.0))
+            # disk: 2 queries * speed * 4 <= 4 -> speed 0.5 each
+            for i in range(2):
+                assert speeds[i] == pytest.approx(0.5)
+            assert usage(requests, speeds, DISK) == pytest.approx(4.0)
 
     def test_empty_request_list(self):
-        assert allocate_fair_shares([], _caps()) == {}
+        for fill in ALL_FILLS:
+            assert fill([], _caps()) == {}
 
 
 class TestAllocationProperties:
@@ -146,16 +146,12 @@ class TestAllocationProperties:
             for i, (w, c, d, cap) in enumerate(rows)
         ]
         caps = _caps(cpu=4.0, disk=3.0)
-        result = allocate_fair_shares(requests, caps)
-        total = {CPU: 0.0, DISK: 0.0}
-        for i, (w, c, d, cap) in enumerate(rows):
-            alloc = result[i]
-            assert alloc.speed <= cap + 1e-6
-            assert alloc.speed >= 0.0
-            for kind, used in alloc.usage.items():
-                total[kind] += used
-        assert total[CPU] <= caps[CPU] + 1e-6
-        assert total[DISK] <= caps[DISK] + 1e-6
+        for fill in LIVE_FILLS:
+            speeds = fill(requests, caps)
+            for i, (w, c, d, cap) in enumerate(rows):
+                assert 0.0 <= speeds[i] <= cap + 1e-6
+            assert usage(requests, speeds, CPU) <= caps[CPU] + 1e-6
+            assert usage(requests, speeds, DISK) <= caps[DISK] + 1e-6
 
     @given(
         st.lists(
@@ -170,12 +166,12 @@ class TestAllocationProperties:
             ShareRequest(i, w, {CPU: 10.0}, speed_cap=100.0)
             for i, w in enumerate(weights)
         ]
-        result = allocate_fair_shares(requests, _caps(cpu=2.0))
-        speeds = [result[i].speed for i in range(len(weights))]
-        # speeds proportional to weights
-        base = speeds[0] / weights[0]
-        for speed, weight in zip(speeds, weights):
-            assert speed / weight == pytest.approx(base, rel=1e-6)
+        for fill in LIVE_FILLS:
+            speeds = fill(requests, _caps(cpu=2.0))
+            # speeds proportional to weights
+            base = speeds[0] / weights[0]
+            for i, weight in enumerate(weights):
+                assert speeds[i] / weight == pytest.approx(base, rel=1e-6)
 
     @given(st.integers(min_value=1, max_value=20))
     @settings(max_examples=30, deadline=None)
@@ -183,9 +179,9 @@ class TestAllocationProperties:
         requests = [
             ShareRequest(i, 1.0, {CPU: 5.0}, speed_cap=100.0) for i in range(n)
         ]
-        result = allocate_fair_shares(requests, _caps(cpu=4.0))
-        used = sum(result[i].usage[CPU] for i in range(n))
-        assert used == pytest.approx(4.0, rel=1e-6)
+        for fill in LIVE_FILLS:
+            speeds = fill(requests, _caps(cpu=4.0))
+            assert usage(requests, speeds, CPU) == pytest.approx(4.0, rel=1e-6)
 
 
 class TestResourceBookkeeping:
@@ -199,11 +195,3 @@ class TestResourceBookkeeping:
         resource = Resource(kind=CPU, capacity=2.0)
         resource.record(0.0, 100.0)
         assert resource.instantaneous_usage == 2.0
-
-    def test_window_marks(self):
-        resource = Resource(kind=CPU, capacity=1.0)
-        resource.record(0.0, 1.0)
-        resource.mark(10.0)
-        resource.record(10.0, 0.0)
-        assert resource.utilization(20.0, since=10.0) == pytest.approx(0.0)
-        assert resource.utilization(20.0) == pytest.approx(0.5)

@@ -1,17 +1,18 @@
 """Property: the vectorized processor-sharing advance matches the scalar
-reference path on randomized small workloads.
+path on randomized small workloads.
 
-The engine has three hot-path layers behind ``EngineConfig`` knobs:
+The engine picks its hot-path loops from the running-set size alone
+(``executor._VECTOR_MIN_RUNNING``); no argument selects them.  These
+tests force each side by patching that constant:
 
 * the **advance** (``_sync_all``) and **milestone selection**
-  (``_schedule_next_milestone``) switch between a scalar loop and a
-  numpy path at ``vectorize_min_running`` — these are required to be
-  **bit-identical**, so completion-time streams and digests must be
+  (``_schedule_next_milestone``) are required to be **bit-identical**
+  on either side, so with the fill held fixed (the vector solve patched
+  to the scalar one) completion-time streams and digests must be
   exactly equal between a forced-scalar and a forced-vector run;
-* the **fair-share fill** switches at the same cutover (plus the
-  exact-fill floor) — the vectorized fill reorders float sums, so it is
-  pinned to solver tolerance instead (see
-  ``test_fair_share_equivalence``), and here end-to-end completion
+* the **fair-share fill** switches at the same cutover — the vectorized
+  fill reorders float sums, so it is pinned to solver tolerance instead
+  (see ``test_fair_share_equivalence``), and here end-to-end completion
   times must agree to tolerance with exactly equal outcome counts.
 
 Workloads include same-timestamp submission collisions (draws land on a
@@ -25,11 +26,13 @@ import hashlib
 import math
 import struct
 from typing import List, Tuple
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.executor import EngineConfig, ExecutionEngine
+from repro.engine import executor
+from repro.engine.executor import ExecutionEngine
 from repro.engine.query import QueryState
 from repro.engine.resources import MachineSpec
 from repro.engine.simulator import Simulator
@@ -37,18 +40,9 @@ from tests.conftest import make_query
 
 _MACHINE = MachineSpec(cpu_capacity=4.0, disk_capacity=2.0, memory_mb=65536.0)
 
-#: forced-scalar reference: vector paths unreachable, no batch hooks
-SCALAR_CONFIG = EngineConfig(
-    vectorize_min_running=10**9, vectorized_fill=False, batch_dispatch=False
-)
-#: vectorized advance + milestone selection, exact scalar fill
-VECTOR_ADVANCE_CONFIG = EngineConfig(
-    vectorize_min_running=1, vectorized_fill=False, batch_dispatch=True
-)
-#: everything vectorized (the default-mode shape, forced on at any size)
-VECTOR_FILL_CONFIG = EngineConfig(
-    vectorize_min_running=1, vectorized_fill=True, batch_dispatch=True
-)
+#: cutover values that put every running set on one side
+ALL_SCALAR = 10**9
+ALL_VECTOR = 1
 
 # (submit-grid step, cpu seconds, io seconds, weight); the coarse grid
 # forces same-timestamp submission collisions, and 0.0 demands make
@@ -61,15 +55,31 @@ job_strategy = st.tuples(
 )
 
 
-def _run(jobs, config: EngineConfig) -> Tuple[List[Tuple[int, float]], str]:
-    """Run ``jobs`` on a fresh engine; return completions and a digest.
+def _run(
+    jobs, min_running: int, exact_fill: bool = False
+) -> Tuple[List[Tuple[int, float]], str]:
+    """Run ``jobs`` with the cutover patched to ``min_running``.
 
-    Completions are ``(job index, end time)`` in completion order; the
-    digest hashes the full-precision stream the way the perf scenarios
-    do, so "digests equal" means bit-identical trajectories.
+    ``exact_fill`` holds the fill fixed: solves of sets at or above the
+    cutover go to the scalar solve as well.  Completions are ``(job
+    index, end time)`` in completion order; the digest hashes the
+    full-precision stream the way the perf scenarios do, so "digests
+    equal" means bit-identical trajectories.
     """
+    solve = (
+        ExecutionEngine._solve_scalar
+        if exact_fill
+        else ExecutionEngine._solve_vectorized
+    )
+    with mock.patch.object(
+        executor, "_VECTOR_MIN_RUNNING", min_running
+    ), mock.patch.object(ExecutionEngine, "_solve_vectorized", solve):
+        return _run_jobs(jobs)
+
+
+def _run_jobs(jobs) -> Tuple[List[Tuple[int, float]], str]:
     sim = Simulator(seed=11)
-    engine = ExecutionEngine(sim, _MACHINE, config)
+    engine = ExecutionEngine(sim, _MACHINE)
     completions: List[Tuple[int, float]] = []
     index_of = {}
     engine.on_exit(
@@ -103,21 +113,21 @@ def _run(jobs, config: EngineConfig) -> Tuple[List[Tuple[int, float]], str]:
 @given(jobs=st.lists(job_strategy, max_size=14))
 @settings(max_examples=80, deadline=None)
 def test_vectorized_advance_is_bit_identical_to_scalar(jobs):
-    """Vector sync/milestone paths + batching: same bits as the scalar
-    reference — completion order, completion times and digest."""
-    scalar, scalar_digest = _run(jobs, SCALAR_CONFIG)
-    vector, vector_digest = _run(jobs, VECTOR_ADVANCE_CONFIG)
+    """Vector sync/milestone paths: same bits as the scalar loops —
+    completion order, completion times and digest."""
+    scalar, scalar_digest = _run(jobs, ALL_SCALAR)
+    vector, vector_digest = _run(jobs, ALL_VECTOR, exact_fill=True)
     assert vector == scalar  # exact float equality, in completion order
     assert vector_digest == scalar_digest
 
 
 @given(jobs=st.lists(job_strategy, min_size=1, max_size=24))
 @settings(max_examples=40, deadline=None)
-def test_vectorized_fill_matches_scalar_to_tolerance(jobs):
+def test_vector_engine_matches_scalar_to_tolerance(jobs):
     """The fully vectorized engine completes the same queries at times
     equal to the scalar reference within solver tolerance."""
-    scalar, _ = _run(jobs, SCALAR_CONFIG)
-    vector, _ = _run(jobs, VECTOR_FILL_CONFIG)
+    scalar, _ = _run(jobs, ALL_SCALAR)
+    vector, _ = _run(jobs, ALL_VECTOR)
     assert len(vector) == len(scalar)
     assert sorted(i for i, _ in vector) == sorted(i for i, _ in scalar)
     end_scalar = dict(scalar)
@@ -129,10 +139,10 @@ def test_vectorized_fill_matches_scalar_to_tolerance(jobs):
 
 def test_same_timestamp_collision_batch_is_bit_identical():
     """A full same-instant burst (the batch-dispatch hook path) stays
-    bit-identical with the vectorized advance enabled."""
+    bit-identical with the vectorized advance on."""
     jobs = [(0, 0.5 + 0.01 * i, 0.25 + 0.02 * i, 1.0 + 0.1 * i) for i in range(20)]
     jobs += [(0, 0.0, 0.0, 1.0), (1, 0.0, 0.0, 2.0)]  # zero-work collisions
-    scalar, scalar_digest = _run(jobs, SCALAR_CONFIG)
-    vector, vector_digest = _run(jobs, VECTOR_ADVANCE_CONFIG)
+    scalar, scalar_digest = _run(jobs, ALL_SCALAR)
+    vector, vector_digest = _run(jobs, ALL_VECTOR, exact_fill=True)
     assert vector == scalar
     assert vector_digest == scalar_digest
