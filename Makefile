@@ -3,7 +3,7 @@
 PY ?= python
 export PYTHONPATH := src:.
 
-.PHONY: test test-ledger bench bench-full bench-parallel bench-baseline bench-matcher bench-matcher-full bench-million bench-million-full bench-backend bench-backend-full bench-scenarios profile artifacts lint
+.PHONY: test test-ledger bench bench-full bench-parallel bench-baseline ledger profile artifacts lint
 
 test:
 	$(PY) -m pytest tests/ -q
@@ -21,82 +21,46 @@ lint:
 		&& $(PY) -m ruff check src/ tests/ benchmarks/ examples/ \
 		|| echo "ruff not installed; skipping lint (pip install ruff)"
 
-# Quick perf-regression gate: scaled-down macro-scenarios, fails if any
-# scenario runs >2x slower than the committed BENCH_core.json or if a
-# seeded digest changed (determinism break).
+# The bench gate (benchmarks/perf/gate.py): every row of the table in
+# the given mode; a digest or counter that differs from the committed
+# BENCH_core.json fails, wall time is printed as an advisory ratio.
+# ROWS=high_mpl,cluster narrows any of these targets to those rows.
+BENCH = $(PY) -m benchmarks.perf $(if $(ROWS),--only $(ROWS))
+
 bench:
-	$(PY) -m benchmarks.perf
+	$(BENCH) --json-out bench.json
 
-# Full macro-scenarios (the committed before/after record).
+# The committed macro-scenario sizes (million_query >= 1M submitted,
+# matcher at 64 and 256 nodes): ~15 min serially.  The million row
+# alone, sharded: $(BENCH) --mode full --only million_query --workers 8
 bench-full:
-	$(PY) -m benchmarks.perf --mode full
+	$(BENCH) --mode full
 
-# Parallel == serial invariant: run the quick suite sharded over two
-# worker processes; fails unless every reduced digest is bit-identical
-# to the committed serial baseline.
+# Parallel == serial invariant: shards spread over two worker
+# processes must reduce to the committed serial digests.
 bench-parallel:
-	$(PY) -m benchmarks.perf --workers 2
+	$(BENCH) --workers 2
 
-# Push-vs-pull dispatch A/B at 64 nodes (heterogeneous speeds, churn
-# waves, flash crowd): digest + wall gates against the matcher section
-# of BENCH_core.json; writes the run's JSON for the CI bench artifact.
-bench-matcher:
-	$(PY) -m benchmarks.perf.matcher --mode ci --json-out bench-matcher.json
+# Re-record the committed entries after an intentional behaviour change.
+bench-baseline:
+	$(BENCH) --update-baseline
+	$(BENCH) --mode full --update-baseline
 
-# The EXPERIMENTS.md numbers: 64 and 256 nodes at the full horizon.
-bench-matcher-full:
-	$(PY) -m benchmarks.perf.matcher --mode full
-
-# CI-sized slice of the million-query macro-scenario: digest + wall
-# gates against the committed million_query section of BENCH_core.json;
-# writes the run's JSON for the CI bench artifact.
-bench-million:
-	$(PY) -m benchmarks.perf.million --mode ci --json-out bench-million.json
-
-# The headline >= 1M submitted-query run (digest-gated, sharded over 8
-# worker processes; digests are identical to a serial run).
-bench-million-full:
-	$(PY) -m benchmarks.perf.million --mode full --workers 8
-
-# Real-backend macro-bench: >= 1,000 statements against in-process
-# SQLite under rate control, trace-captured via QueryLog, with the
-# sim-vs-real comparison (admission + throttling) and the calibration
-# gate; plan digest checked against the backend section of
-# BENCH_core.json.  Writes the run's JSON for the CI bench artifact.
-bench-backend:
-	$(PY) -m benchmarks.perf.backend --mode ci --json-out bench-backend.json
-
-# Longer-horizon backend run (>= 6,000 statements, digest-gated).
-bench-backend-full:
-	$(PY) -m benchmarks.perf.backend --mode full
-
-# Chaos-scenario survival matrix: every committed scenario under every
-# isolation policy (plus leakage companions); digest + wall gates
-# against the scenarios section of BENCH_core.json.  Writes the run's
-# JSON for the CI bench artifact.
-bench-scenarios:
-	$(PY) -m benchmarks.perf.scenario_matrix --json-out bench-scenarios.json
+# The layered performance ledger (six workloads, ~2.5 min): the
+# instrument perf claims are made with; see benchmarks/ledger/README.md.
+ledger:
+	$(PY) -m benchmarks.ledger
 
 # One-command hotspot profile: cProfile over a shortened high_mpl,
 # top-25 cumulative functions (the kill-list workflow).
 profile:
 	$(PY) -m benchmarks.perf.profile
 
-# Re-record the committed baseline after an intentional perf change.
-bench-baseline:
-	$(PY) -m benchmarks.perf --update-baseline
-	$(PY) -m benchmarks.perf --mode full --update-baseline
-
-# Regenerate every paper artifact under benchmarks/results/, then
-# re-run the JSON-emitting bench gates and collect their outputs there
-# too, so one target leaves a complete, committable artifact set.
+# Regenerate every paper artifact under benchmarks/results/, plus the
+# gate's JSON and the survival report, so one target leaves a complete,
+# committable artifact set.
 artifacts:
 	$(PY) -m pytest benchmarks/ -q
-	$(PY) -m benchmarks.perf.matcher --mode ci --json-out bench-matcher.json
-	$(PY) -m benchmarks.perf.million --mode ci --json-out bench-million.json
-	$(PY) -m benchmarks.perf.backend --mode ci --json-out bench-backend.json
 	mkdir -p benchmarks/results
-	$(PY) -m benchmarks.perf.scenario_matrix --json-out bench-scenarios.json \
-		--report-out benchmarks/results/SURVIVAL_MATRIX.md
-	mv bench-matcher.json bench-million.json bench-backend.json \
-		bench-scenarios.json benchmarks/results/
+	$(BENCH) --json-out benchmarks/results/bench.json
+	$(PY) -m repro scenario report --out benchmarks/results/SURVIVAL_MATRIX.md

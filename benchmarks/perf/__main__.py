@@ -1,125 +1,8 @@
-"""CLI entry point: ``python -m benchmarks.perf`` (see package docstring).
+"""``python -m benchmarks.perf``: the bench gate (see :mod:`benchmarks.perf.gate`)."""
 
-Exit status is non-zero when the quick-mode regression gate fails, so
-this doubles as a CI check (``make bench``).
-"""
-
-from __future__ import annotations
-
-import argparse
-import json
 import sys
 
-from benchmarks.perf.harness import (
-    BASELINE_PATH,
-    REGRESSION_FACTOR,
-    check_regression,
-    load_baseline,
-    run_suite,
-    run_suite_parallel,
-)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m benchmarks.perf",
-        description="Time the simulator hot-path macro-scenarios and gate "
-        "against the committed BENCH_core.json baseline.",
-    )
-    parser.add_argument(
-        "--mode",
-        choices=("quick", "full"),
-        default="quick",
-        help="quick: scaled-down scenarios + regression gate (default); "
-        "full: the committed macro-scenario sizes",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="run the suite's shards over N worker processes "
-        "(repro.parallel); digests are still gated against the "
-        "committed baseline, timings are reported but not gated",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the matching section of BENCH_core.json with this "
-        "run's numbers instead of gating against it",
-    )
-    parser.add_argument(
-        "--no-gate",
-        action="store_true",
-        help="report timings without failing on regression",
-    )
-    args = parser.parse_args(argv)
-
-    if args.workers > 1:
-        print(f"perf suite ({args.mode} mode, {args.workers} workers):")
-        results, meta = run_suite_parallel(
-            mode=args.mode, workers=args.workers, log=None
-        )
-        for name, result in results.items():
-            print(
-                f"  {name:>14}: {result['wall_s']:8.3f}s worker-wall "
-                f"({result['shards']} shards), "
-                f"{result['completed']:>7} completed, "
-                f"digest {str(result['digest'])[:12]}…"
-            )
-        print(
-            f"  harness wall {meta['harness_wall_s']:.3f}s for "
-            f"{meta['worker_wall_s']:.3f}s of worker time"
-            + (" (serial fallback)" if meta["fell_back_serial"] else "")
-        )
-        if any(
-            r.get("run_to_run_identical") is False for r in results.values()
-        ):
-            print("FAIL: seeded run not reproducible across workers")
-            return 1
-        baseline = load_baseline()
-        if baseline is None:
-            print(f"no baseline at {BASELINE_PATH}; digests unchecked")
-            return 0
-        section = "quick" if args.mode == "quick" else "full"
-        ok = check_regression(
-            results, {"quick": baseline.get(section, {})}, factor=None
-        )
-        print("digest gate: OK" if ok else "digest gate: FAILED")
-        return 0 if ok else 1
-
-    print(f"perf suite ({args.mode} mode):")
-    results = run_suite(mode=args.mode)
-
-    baseline = load_baseline()
-    if args.update_baseline:
-        baseline = baseline or {}
-        section = {
-            name: {
-                key: value
-                for key, value in result.items()
-                if key != "run_to_run_identical"
-            }
-            for name, result in results.items()
-        }
-        baseline[args.mode] = section
-        with open(BASELINE_PATH, "w") as fh:
-            json.dump(baseline, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"baseline {args.mode!r} section updated: {BASELINE_PATH}")
-        return 0
-
-    if any(r.get("run_to_run_identical") is False for r in results.values()):
-        print("FAIL: seeded run not reproducible")
-        return 1
-    if args.mode != "quick" or args.no_gate:
-        return 0
-    if baseline is None:
-        print(f"no baseline at {BASELINE_PATH}; run with --update-baseline")
-        return 0
-    ok = check_regression(results, baseline, factor=REGRESSION_FACTOR)
-    print("gate: OK" if ok else "gate: FAILED")
-    return 0 if ok else 1
-
+from benchmarks.perf.gate import main
 
 if __name__ == "__main__":
     sys.exit(main())

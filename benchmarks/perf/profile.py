@@ -22,14 +22,11 @@ def profile_high_mpl(
     scale: float, mpl: int, top: int, sort: str
 ) -> pstats.Stats:
     """Profile one high_mpl shard; returns the collected stats."""
-    from benchmarks.perf.harness import SCENARIO_SEEDS
     from benchmarks.perf.scenarios import run_high_mpl_shard
 
     profiler = cProfile.Profile()
     profiler.enable()
-    result = run_high_mpl_shard(
-        scale=scale, seed=SCENARIO_SEEDS["high_mpl"], mpl=mpl
-    )
+    result = run_high_mpl_shard(scale=scale, mpl=mpl)
     profiler.disable()
     print(
         f"profiled high_mpl shard: scale={scale} mpl={mpl} "

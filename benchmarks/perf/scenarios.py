@@ -1,26 +1,27 @@
-"""The canonical macro-scenarios timed by the perf harness.
+"""The runners behind the bench gate's rows (``benchmarks/perf/gate.py``).
 
-Each scenario function takes a ``scale`` (1.0 = full mode) and returns a
-result dict with, at minimum::
-
-    {"completed": int, "submitted": int, "events": int,
-     "sim_time": float, "digest": str}
+Every runner is a plain ``fn(seed=..., **params) -> dict`` the
+:mod:`repro.parallel` runtime can execute in a worker.  The dict holds a
+``digest`` (``plan_digest`` for the real-backend row) and integer
+counters — what the gate compares exactly — plus, where the runner can
+test one, an ``invariants`` mapping of named booleans that must all be
+true.  Anything measured rather than simulated (wall-clock metrics of a
+real backend, per-workload response aggregates) sits under other keys
+and is reported, never gated.
 
 ``digest`` is a SHA-256 over the full-precision outcome streams (see
-:func:`benchmarks.perf.harness.outcome_digest`), so two runs with the
+:func:`repro.parallel.digest.outcome_digest`), so two runs with the
 same seed are bit-identical iff their digests match.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import struct
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence
 
 from benchmarks._scenarios import build_manager, drive
-from benchmarks.perf.harness import outcome_digest
-from repro.parallel.digest import combine, dispatcher_digest
+from repro.parallel.digest import combine, dispatcher_digest, outcome_digest
 from repro.core.interfaces import ExecutionController, ManagerContext
 from repro.core.manager import FCFSDispatcher
 from repro.core.sla import SLASet, response_time_sla
@@ -64,7 +65,13 @@ HIGH_MPL_LEVELS = (16, 48, 96)
 def run_high_mpl_shard(
     scale: float = 1.0, seed: int = 7, mpl: int = 16
 ) -> Dict[str, object]:
-    """One MPL level of the high-load sweep (a parallelizable shard)."""
+    """One MPL level of the EXP1-style high-load sweep (one shard).
+
+    A large closed population keeps the running set at the MPL ceiling
+    throughout, so every completion triggers a finish + replacement-
+    start reallocation over dozens of concurrent queries.  The three
+    levels together complete well over 50k queries in full mode.
+    """
     horizon = max(10.0, 220.0 * scale)
     sim = Simulator(seed=seed + mpl)
     manager = build_manager(sim, scheduler=FCFSDispatcher(max_concurrency=mpl))
@@ -97,19 +104,6 @@ def reduce_shards(shards: Sequence[Dict[str, object]]) -> Dict[str, object]:
         "sim_time": sum(float(s["sim_time"]) for s in shards),
         "digest": combine(str(s["digest"]) for s in shards),
     }
-
-
-def run_high_mpl(scale: float = 1.0, seed: int = 7) -> Dict[str, object]:
-    """EXP1-style MPL sweep at high load.
-
-    Three sub-runs at increasing MPL over a large closed population; the
-    running set stays at the MPL ceiling throughout, so every completion
-    triggers a finish + replacement-start reallocation over dozens of
-    concurrent queries.  Full mode completes well over 50k queries.
-    """
-    return reduce_shards(
-        [run_high_mpl_shard(scale, seed, mpl) for mpl in HIGH_MPL_LEVELS]
-    )
 
 
 def run_mixed_pipeline(scale: float = 1.0, seed: int = 11) -> Dict[str, object]:
@@ -249,9 +243,7 @@ def run_cluster(scale: float = 1.0, seed: int = 19) -> Dict[str, object]:
     The EXP18 overload mix routed across a 4-node cluster by the
     cost-balanced placer, with one node crashed mid-run and revived
     later — so placement, re-placement, crash evacuation, resubmission
-    and recovery are all under the digest-determinism gate.  The run
-    also asserts conservation: every arrival completes exactly once or
-    is accounted a cluster rejection.
+    and recovery are all under the digest-determinism gate.
     """
     from repro.cluster import FaultPlan, run_cluster_scenario
 
@@ -267,13 +259,6 @@ def run_cluster(scale: float = 1.0, seed: int = 19) -> Dict[str, object]:
         drain=horizon + 200.0,
         fault_plan=plan,
     )
-    if dispatcher.completions + dispatcher.rejections != dispatcher.arrivals:
-        raise RuntimeError(
-            "cluster conservation violated: "
-            f"{dispatcher.completions} completed + "
-            f"{dispatcher.rejections} rejected != "
-            f"{dispatcher.arrivals} arrivals"
-        )
     return {
         "completed": dispatcher.completions,
         "submitted": dispatcher.arrivals,
@@ -281,6 +266,12 @@ def run_cluster(scale: float = 1.0, seed: int = 19) -> Dict[str, object]:
         "sim_time": dispatcher.sim.now,
         "resubmitted": dispatcher.resubmissions,
         "digest": dispatcher_digest(dispatcher),
+        "invariants": {
+            "conserved": dispatcher.arrivals
+            == dispatcher.completions
+            + dispatcher.rejections
+            + dispatcher.outstanding_work()
+        },
     }
 
 
@@ -345,48 +336,128 @@ def run_million_query_shard(
     }
 
 
-def run_million_query(scale: float = 1.0, seed: int = 23) -> Dict[str, object]:
-    """The 1M+ submitted-query macro-scenario (serial over its shards).
 
-    At ``scale=1.0`` the reduced run must clear
-    ``MILLION_SUBMITTED_FLOOR`` submissions; falling short raises, so a
-    partial run can never masquerade as the macro-scenario.
+
+# ----------------------------------------------------------------------
+# matcher: push vs pull dispatch over one seeded stress scenario
+# ----------------------------------------------------------------------
+def run_matcher(
+    seed: int = 29, nodes: int = 64, dispatch: str = "pull", horizon: float = 120.0
+) -> Dict[str, object]:
+    """The matcher stress run under one dispatch mode.
+
+    Heterogeneous node speeds, three crash/recover churn waves and a 4x
+    flash crowd; the push and pull rows share the seed, so they see the
+    same arrival stream, speeds and fault plan and differ only in *when
+    work binds to capacity*.  Conservation uses the dispatcher's
+    measured ``in_flight``, so it can fail.
     """
-    result = reduce_shards(
-        [
-            run_million_query_shard(scale, seed, shard)
-            for shard in range(MILLION_SHARD_COUNT)
-        ]
+    from repro.parallel.tasks import run_matcher_task
+
+    result = run_matcher_task(
+        seed=seed, nodes=nodes, dispatch=dispatch, horizon=horizon
     )
-    floor = int(MILLION_SUBMITTED_FLOOR * min(scale, 1.0))
-    if int(result["submitted"]) < floor:
-        raise RuntimeError(
-            f"million_query submitted {result['submitted']} queries, "
-            f"expected >= {floor} at scale {scale}"
-        )
+    result["invariants"] = {
+        "conserved": result["arrivals"]
+        == result["completed"] + result["rejected"] + result["in_flight"]
+    }
     return result
 
 
-SCENARIOS = {
-    "high_mpl": run_high_mpl,
-    "mixed_pipeline": run_mixed_pipeline,
-    "sla_polling": run_sla_polling,
-    "cluster": run_cluster,
-}
+# ----------------------------------------------------------------------
+# backend: a digest-gated statement plan on in-process SQLite
+# ----------------------------------------------------------------------
+def run_backend(
+    seed: int = 31, horizon: float = 100.0, time_scale: float = 0.005
+) -> Dict[str, object]:
+    """Real-backend run plus the sim-vs-real comparison.
 
-#: scale used by ``--mode quick`` (the CI regression gate)
-QUICK_SCALE = 0.08
+    Executes the OLTP + BI plan against SQLite under rate control
+    (arrival pacing at ``time_scale`` real seconds per schedule second,
+    plus a token-bucket max-rate), captures the trace, fits a cost model
+    and compares one admission and one throttling policy real vs
+    simulated.  Wall-clock execution of a real backend is not
+    deterministic, so only the pre-drawn plan (``plan_digest``,
+    ``statements``) is gated; everything measured is under ``measured``.
+    """
+    from repro.backends import (
+        AdmissionGate,
+        RunConfig,
+        SQLiteBackend,
+        SleepThrottle,
+        plan_statements,
+        run_comparison,
+    )
+
+    plan = plan_statements(
+        [oltp_workload(), bi_workload()], horizon=horizon, seed=seed
+    )
+    config = RunConfig(
+        mpl=4, max_rate=2_500.0, time_scale=time_scale, statement_timeout_s=10.0
+    )
+    report = run_comparison(
+        plan,
+        SQLiteBackend,
+        config,
+        admission=AdmissionGate(cost_limit=5.0),
+        throttle=SleepThrottle(workloads=frozenset({"bi"}), sleep_fraction=0.6),
+        keep_real_reports=True,
+    )
+    baseline_run = report.real_reports["baseline"]
+    return {
+        "plan_digest": report.plan_digest,
+        "statements": report.statements,
+        "invariants": {
+            # every planned statement produced exactly one trace record
+            "conserved": all(r.conserved for r in report.real_reports.values()),
+            # the calibrated simulator's mean response-time error against
+            # the real baseline beats the uncalibrated cost model's
+            "calibration_improved": report.calibration_improved,
+        },
+        "measured": {
+            "completed": baseline_run.completed,
+            "retries": baseline_run.retries,
+            "timeouts": baseline_run.timeouts,
+            "rate_wait_s": round(baseline_run.rate_wait_s, 3),
+            "max_lateness_s": round(baseline_run.max_lateness_s, 4),
+            "effective_rate": round(baseline_run.effective_rate, 1),
+            "mean_rt_error_uncalibrated": report.mean_rt_error_uncalibrated,
+            "mean_rt_error_calibrated": report.mean_rt_error_calibrated,
+            "policies": {
+                policy.label: {
+                    delta.metric: {
+                        "real": delta.real,
+                        "sim": delta.sim,
+                        "delta": delta.delta,
+                    }
+                    for delta in policy.deltas
+                }
+                for policy in report.policies
+            },
+        },
+    }
 
 
-def quick_scale_for(mode: str) -> float:
-    if mode == "full":
-        return 1.0
-    if mode == "quick":
-        return QUICK_SCALE
-    raise ValueError(f"unknown mode {mode!r}")
+# ----------------------------------------------------------------------
+# scenarios: the committed chaos-scenario survival matrix
+# ----------------------------------------------------------------------
+def run_scenario_matrix(seed: int = 42) -> Dict[str, object]:
+    """Every committed scenario under every isolation policy, plus the
+    leakage companions.
 
+    ``completed``/``rejected`` are summed over the matrix runs proper
+    (companions exist for the leakage ratio, not the headline counters);
+    ``digest`` is the sweep rollup over everything and does not depend
+    on the worker count, so the row runs the sweep in-process.
+    """
+    from repro.scenarios.sweep import run_scenario_matrix as sweep_matrix
 
-def _check_finite(result: Dict[str, object]) -> None:
-    for key in ("sim_time",):
-        if not math.isfinite(float(result[key])):
-            raise RuntimeError(f"scenario produced non-finite {key}")
+    sweep = sweep_matrix(seeds=(seed,))
+    matrix_runs = [v for v in sweep.values if not v.get("exclude_noisy", False)]
+    return {
+        "digest": sweep.digest,
+        "runs": len(sweep.values),
+        "matrix_runs": len(matrix_runs),
+        "completed": sum(int(v["completed"]) for v in matrix_runs),
+        "rejected": sum(int(v["rejected"]) for v in matrix_runs),
+    }

@@ -1,7 +1,8 @@
 """Smoke and determinism checks for the million-query macro-scenario.
 
-The full >= 1M run is exercised by ``make bench-million-full`` and the
-CI slice by ``make bench-million``; these tests pin the scenario's
+The full >= 1M run and the CI slice are the bench gate's
+``million_query`` row (``python -m benchmarks.perf --only million_query``,
+``--mode full`` for the macro-run); these tests pin the scenario's
 plumbing at a tiny scale so ``pytest benchmarks/`` stays fast:
 
 * shards are seeded deterministically (same digest run-to-run),

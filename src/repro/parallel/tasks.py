@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import importlib
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.errors import ConfigurationError
 from repro.parallel.spec import RunTask
@@ -84,48 +84,42 @@ def execute_task(task: RunTask) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 # built-in runners
 # ----------------------------------------------------------------------
-def _percentile(values: List[float], q: float) -> Optional[float]:
-    if not values:
-        return None
-    ordered = sorted(values)
-    index = max(0, min(len(ordered) - 1, round(q / 100.0 * len(ordered)) - 1))
-    return ordered[index]
-
-
 def _summarize_dispatcher(dispatcher) -> Dict[str, object]:
     """Picklable rollup of a finished cluster run.
 
-    Aggregates each workload's response times across all nodes; the
-    multiset is order-independent, so sorting makes the reduction
-    deterministic regardless of node iteration details.
+    Per-workload response aggregates come from the cluster's own
+    :meth:`~repro.cluster.metrics.ClusterMetrics.rollup`, so a sweep row
+    and the ``python -m repro cluster`` table report the same mean and
+    p95 for the same run.  ``in_flight`` is measured (queued at the
+    dispatcher plus outstanding on the nodes), never derived from the
+    other counters, so callers can test conservation with it.
     """
     from repro.parallel.digest import dispatcher_digest
 
-    by_workload: Dict[str, List[float]] = {}
-    for node in dispatcher.nodes:
-        metrics = node.manager.metrics
-        for workload in metrics.workloads():
-            series = metrics.stats_for(workload).response_times
-            if series:
-                by_workload.setdefault(workload, []).extend(series)
+    # Digest first: rollup() reads every node's collector with
+    # stats_for(), which creates an empty entry on a node that never saw
+    # the workload, and the digest walks those entries.
+    digest = dispatcher_digest(dispatcher)
     response: Dict[str, Dict[str, Optional[float]]] = {}
-    for workload in sorted(by_workload):
-        ordered = sorted(by_workload[workload])
-        response[workload] = {
-            "count": len(ordered),
-            "mean": sum(ordered) / len(ordered),
-            "p95": _percentile(ordered, 95.0),
-        }
+    for workload in dispatcher.metrics.workloads():
+        roll = dispatcher.metrics.rollup(workload)
+        if roll.mean_response_time is not None:
+            response[workload] = {
+                "count": roll.completions,
+                "mean": roll.mean_response_time,
+                "p95": roll.p95_response_time,
+            }
     return {
         "dispatch": dispatcher.dispatch,
         "arrivals": dispatcher.arrivals,
         "completed": dispatcher.completions,
         "rejected": dispatcher.rejections,
+        "in_flight": dispatcher.outstanding_work(),
         "resubmitted": dispatcher.resubmissions,
         "sim_time": dispatcher.sim.now,
         "events": dispatcher.sim.events_fired,
         "response": response,
-        "digest": dispatcher_digest(dispatcher),
+        "digest": digest,
     }
 
 

@@ -79,3 +79,20 @@ def test_cluster_sweep_rollup_is_worker_count_independent():
         sa = {k: v for k, v in a.items() if k != "task_wall_s"}
         sb = {k: v for k, v in b.items() if k != "task_wall_s"}
         assert sa == sb
+
+
+def test_sweep_row_and_cluster_rollup_agree_on_response_aggregates():
+    """One percentile definition: for the same seeded run, a sweep row
+    reports the p95 and mean the ``python -m repro cluster`` table does."""
+    from repro.cluster import run_cluster_scenario
+    from repro.parallel.tasks import run_cluster_task
+
+    params = dict(seed=42, nodes=4, policy="cost", horizon=60.0)
+    row = run_cluster_task(**params)
+    dispatcher = run_cluster_scenario(**params)
+    assert set(row["response"]) == {"oltp", "bi"}
+    for workload, stats in row["response"].items():
+        roll = dispatcher.metrics.rollup(workload)
+        assert stats["p95"] == roll.p95_response_time
+        assert stats["mean"] == roll.mean_response_time
+    assert row["in_flight"] == dispatcher.outstanding_work()

@@ -1,0 +1,143 @@
+"""The bench gate's ``check`` and baseline handling, on synthetic dicts.
+
+No scenario runs here: ``run_row`` is replaced where ``main`` is driven,
+so these tests pin only what decides the exit status.
+"""
+
+import copy
+import json
+
+import pytest
+
+from benchmarks.perf import gate
+
+DIGEST = "ab" * 32
+
+ENTRY = {
+    "digest": DIGEST,
+    "submitted": 10,
+    "completed": 9,
+    "events": 40,
+    "sim_time": 105.60000000000001,
+    "wall_s": 1.0,
+}
+
+
+def _result(**overrides):
+    result = dict(ENTRY, invariants={"conserved": True})
+    result.update(overrides)
+    return result
+
+
+def _check(results, committed, declared=None):
+    lines = []
+    declared = list(results) if declared is None else declared
+    return gate.check(results, committed, declared, log=lines.append), lines
+
+
+def test_equal_result_passes():
+    ok, _ = _check({"r": _result()}, {"r": ENTRY})
+    assert ok
+
+
+def test_digest_mismatch_fails_naming_the_row():
+    flipped = "ba" + DIGEST[2:]
+    ok, lines = _check({"r": _result(digest=flipped)}, {"r": ENTRY})
+    assert not ok
+    assert any("FAIL r: digest" in line for line in lines)
+
+
+@pytest.mark.parametrize("counter", ["submitted", "completed", "events", "sim_time"])
+def test_any_counter_mismatch_fails(counter):
+    ok, lines = _check({"r": _result(**{counter: ENTRY[counter] + 1})}, {"r": ENTRY})
+    assert not ok
+    assert any(f"FAIL r: {counter}" in line for line in lines)
+
+
+def test_committed_counter_the_run_lacks_fails():
+    ok, _ = _check({"r": _result()}, {"r": dict(ENTRY, polls=3)})
+    assert not ok
+
+
+def test_missing_committed_entry_fails():
+    ok, lines = _check({"r": _result()}, {})
+    assert not ok
+    assert any("FAIL r: no committed entry" in line for line in lines)
+
+
+def test_committed_entry_without_digest_fails():
+    entry = {k: v for k, v in ENTRY.items() if k != "digest"}
+    ok, _ = _check({"r": _result()}, {"r": entry})
+    assert not ok
+
+
+def test_orphan_committed_entry_fails():
+    ok, lines = _check({"r": _result()}, {"r": ENTRY, "renamed": ENTRY})
+    assert not ok
+    assert any("FAIL renamed" in line for line in lines)
+
+
+def test_unselected_declared_row_is_not_an_orphan():
+    ok, _ = _check({"r": _result()}, {"r": ENTRY, "s": ENTRY}, declared=["r", "s"])
+    assert ok
+
+
+def test_failed_invariant_fails():
+    ok, lines = _check({"r": _result(invariants={"conserved": False})}, {"r": ENTRY})
+    assert not ok
+    assert any("invariant conserved" in line for line in lines)
+
+
+def test_wall_ten_times_recorded_passes_with_advisory_line():
+    ok, lines = _check({"r": _result(wall_s=10.0)}, {"r": ENTRY})
+    assert ok
+    assert any("10.00x" in line for line in lines)
+    assert any("advisory" in line for line in lines)
+
+
+@pytest.fixture
+def fake_gate(tmp_path, monkeypatch):
+    """``main`` over a temporary baseline, with ``run_row`` stubbed."""
+    path = tmp_path / "BENCH_core.json"
+    baseline = {
+        "ci": {row.name: ENTRY for row in gate.ROWS if "ci" in row.params},
+        "full": {"high_mpl": ENTRY},
+        "history": {"note": "kept"},
+    }
+    path.write_text(json.dumps(baseline))
+    monkeypatch.setattr(gate, "BASELINE_PATH", path)
+    monkeypatch.setattr(
+        gate, "run_row", lambda row, mode, workers=1: _result(completed=7)
+    )
+    return path, baseline
+
+
+def test_main_exit_status_follows_check(fake_gate, capsys):
+    assert gate.main(["--only", "cluster"]) == 1
+    assert "FAIL cluster: completed 7 != committed 9" in capsys.readouterr().out
+
+
+def test_update_baseline_writes_only_the_rows_and_mode_it_ran(fake_gate):
+    path, before = fake_gate
+    assert gate.main(["--only", "cluster", "--update-baseline"]) == 0
+    after = json.loads(path.read_text())
+    expected = copy.deepcopy(before)
+    expected["ci"]["cluster"] = dict(ENTRY, completed=7)
+    assert after == expected
+    assert gate.main(["--only", "cluster"]) == 0
+
+
+def test_unknown_row_is_a_usage_error(fake_gate):
+    with pytest.raises(SystemExit) as excinfo:
+        gate.main(["--only", "matcher_push_256"])  # declared for full only
+    assert excinfo.value.code == 2
+
+
+def test_table_matches_the_committed_file():
+    names = [row.name for row in gate.ROWS]
+    assert len(set(names)) == len(names)
+    baseline = json.loads(gate.BASELINE_PATH.read_text())
+    assert set(baseline) == set(gate.MODES) | {"history"}
+    in_table = {(row.name, mode) for row in gate.ROWS for mode in row.params}
+    in_file = {(name, mode) for mode in gate.MODES for name in baseline[mode]}
+    assert in_table == in_file
