@@ -73,6 +73,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
     from repro.cluster import FaultPlan, run_cluster_scenario
+    from repro.errors import ConfigurationError
     from repro.reporting.figures import ascii_cluster_timeline
 
     plan = None
@@ -87,14 +88,18 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         + (f", killing {args.kill_node} at t={args.kill_at:.0f}s" if plan else "")
         + "..."
     )
-    dispatcher = run_cluster_scenario(
-        seed=args.seed,
-        nodes=args.nodes,
-        policy=args.policy,
-        horizon=args.horizon,
-        fault_plan=plan,
-        dispatch=args.dispatch,
-    )
+    try:
+        dispatcher = run_cluster_scenario(
+            seed=args.seed,
+            nodes=args.nodes,
+            policy=args.policy,
+            horizon=args.horizon,
+            fault_plan=plan,
+            dispatch=args.dispatch,
+        )
+    except ConfigurationError as error:
+        print(f"cluster error: {error}", file=sys.stderr)
+        return 2
     now = dispatcher.sim.now
     print()
     print(dispatcher.metrics.rollup_table(now))

@@ -118,6 +118,10 @@ class PushBinding(BindingPolicy):
     def __init__(self) -> None:
         self.queue: Deque[Query] = deque()
 
+    def attach(self, dispatcher: "ClusterDispatcher") -> None:
+        super().attach(dispatcher)
+        dispatcher.placement.bind(dispatcher.nodes)
+
     # -- intake --------------------------------------------------------
     def route(self, query: Query) -> None:
         d = self.dispatcher
@@ -341,6 +345,7 @@ class ClusterDispatcher:
                 )
         self.sim = sim
         self.nodes = list(nodes)
+        self._by_name = dict(zip(names, self.nodes))
         self.placement = placement or RoundRobinPlacement()
         self.slas = slas or SLASet()
         self.max_queue_depth = max_queue_depth
@@ -557,10 +562,7 @@ class ClusterDispatcher:
         self.metrics.record_health(self.sim.now, node)
 
     def node(self, name: str) -> ClusterNode:
-        for node in self.nodes:
-            if node.name == name:
-                return node
-        raise KeyError(name)
+        return self._by_name[name]
 
     # ------------------------------------------------------------------
     # introspection / lifecycle

@@ -78,8 +78,12 @@ class FaultInjector:
 
     def arm(self, plan: FaultPlan) -> None:
         """Schedule every fault in ``plan`` on the shared clock."""
+        names = [node.name for node in self.dispatcher.nodes]
         for event in plan.events:
-            self.dispatcher.node(event.node)  # validate the name up front
+            if event.node not in names:  # bad input: one clear error, up front
+                raise ConfigurationError(
+                    f"fault plan names unknown node {event.node!r}; nodes are {names}"
+                )
             self.dispatcher.sim.schedule_at(
                 event.time,
                 lambda e=event: self._fire(e),

@@ -23,7 +23,10 @@ Matching checks, per (node, entry) pair:
 
 When several idle nodes compete for the head of the queue the fastest
 one wins (``speed_factor`` descending, then fewest outstanding, then
-name) — deterministic, so pull dispatch digests are seed-stable.
+name) — deterministic, so pull dispatch digests are seed-stable.  The
+order is kept, not recomputed per binding: nodes with a slot sit in one
+:class:`~repro.cluster.ranked.RankedNodes` index fed by
+:meth:`ClusterNode.on_change <repro.cluster.node.ClusterNode.on_change>`.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence
 
 from repro.cluster.node import ClusterNode
+from repro.cluster.ranked import RankedNodes
 from repro.cluster.taskqueue import TaskEntry, TaskQueue
 from repro.engine.query import Query
 
@@ -54,7 +58,13 @@ class Matcher:
         self.nodes = list(nodes)
         self.queue = queue
         self._place = place
-        self._excluded = excluded or (lambda query, node: False)
+        excluded = excluded or (lambda query, node: False)
+        # per node: the ``blocked(query)`` filter TaskQueue.match takes
+        self._blocked = {
+            node: (lambda query, n=node: excluded(query, n))
+            for node in self.nodes
+        }
+        self._hungry = RankedNodes(self.nodes, self.has_slot, self._rank)
         self.matches = 0
         self._serving = False  # re-entrancy guard: place() can re-route
 
@@ -70,7 +80,8 @@ class Matcher:
             and node.outstanding_work < node.max_outstanding
         )
 
-    def _rank(self, node: ClusterNode) -> tuple:
+    @staticmethod
+    def _rank(node: ClusterNode) -> tuple:
         return (-node.speed_factor, node.outstanding_work, node.name)
 
     # ------------------------------------------------------------------
@@ -85,19 +96,22 @@ class Matcher:
         if self._serving:
             return 0
         self._serving = True
+        placed = 0
         try:
-            return self._serve(node)
+            while self.has_slot(node) and self._serve_one(node):
+                placed += 1
         finally:
             self._serving = False
+        return placed
 
     def offer(self) -> int:
         """Serve every node that currently has a free slot.
 
         Called on arrival (an idle pilot's match request is already
         pending, so new work binds immediately) and on the periodic
-        tick (the poll cadence that catches anything missed).  Nodes
-        are re-ranked after every binding so the fastest, least-loaded
-        node always takes the next entry.
+        tick (the poll cadence that catches anything missed).  The
+        ranked index is re-read after every binding, so the fastest,
+        least-loaded node always takes the next entry.
         """
         if self._serving:
             return 0
@@ -105,38 +119,20 @@ class Matcher:
         placed = 0
         try:
             while len(self.queue):
-                hungry = sorted(
-                    (n for n in self.nodes if self.has_slot(n)), key=self._rank
-                )
-                if not hungry:
-                    break
-                progressed = False
-                for node in hungry:
+                for node in self._hungry:
                     if self._serve_one(node):
                         placed += 1
-                        progressed = True
                         break
-                if not progressed:
-                    break
+                else:
+                    break  # no hungry node can take anything queued
         finally:
             self._serving = False
         return placed
 
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _serve(self, node: ClusterNode) -> int:
-        placed = 0
-        while self.has_slot(node) and self._serve_one(node):
-            placed += 1
-        return placed
-
     def _serve_one(self, node: ClusterNode) -> bool:
-        if not self.has_slot(node):
-            return False
+        """Bind one entry to ``node``, which the caller saw has a slot."""
         entry: Optional[TaskEntry] = self.queue.match(
-            node.capabilities,
-            blocked=lambda query: self._excluded(query, node),
+            node.capabilities, blocked=self._blocked[node]
         )
         if entry is None:
             return False
@@ -146,6 +142,4 @@ class Matcher:
 
     def hungry_nodes(self) -> List[ClusterNode]:
         """Nodes with a free slot, in serving order (introspection)."""
-        return sorted(
-            (n for n in self.nodes if self.has_slot(n)), key=self._rank
-        )
+        return list(self._hungry)

@@ -150,13 +150,10 @@ class ClusterNode:
             # spares/down nodes do not tick or beat until activated
             self.manager.shutdown()
             self._heartbeat_proc.stop()
-        # Accepting-edge tracking: the manager pings on every backlog
-        # change; listeners (the dispatcher's eligible-node cache) are
-        # notified only when the accepting bit actually flips — i.e. on
-        # health transitions and max_outstanding edge crossings.
-        self._accepting_listeners: List[Callable[["ClusterNode"], None]] = []
-        self._accepting_last = self.accepting
-        self.manager.add_backlog_listener(self._recheck_accepting)
+        # on_change: the manager pings when running or queued may have
+        # moved; health, speed and est-work mutations call _changed below
+        self._change_listeners: List[Callable[["ClusterNode"], None]] = []
+        self.manager.add_backlog_listener(self._changed)
 
     # ------------------------------------------------------------------
     # capacity and load introspection (what placement policies read)
@@ -205,21 +202,30 @@ class ClusterNode:
             return self.tags | {"speed:full"}
         return self.tags
 
-    def on_accepting_change(
-        self, listener: Callable[["ClusterNode"], None]
-    ) -> None:
-        """Subscribe to flips of :attr:`accepting` (edge-triggered)."""
-        self._accepting_listeners.append(listener)
+    def on_change(self, listener: Callable[["ClusterNode"], None]) -> None:
+        """Called after every event that may move :attr:`health`,
+        :attr:`running`, :attr:`queued`, :attr:`speed_factor` or
+        :attr:`outstanding_estimated_work`, before anything can read
+        them again (the :mod:`repro.cluster.ranked` contract); a ping
+        does not promise that anything changed."""
+        self._change_listeners.append(listener)
 
-    def _recheck_accepting(self) -> None:
-        current = (
-            self.health.accepts_placements
-            and self.manager.outstanding_work() < self.max_outstanding
-        )
-        if current != self._accepting_last:
-            self._accepting_last = current
-            for listener in self._accepting_listeners:
-                listener(self)
+    def on_accepting_change(self, listener: Callable[["ClusterNode"], None]) -> None:
+        """:meth:`on_change` filtered to flips of :attr:`accepting`."""
+        last = self.accepting
+
+        def on_edge(node: "ClusterNode") -> None:
+            nonlocal last
+            current = node.accepting
+            if current != last:
+                last = current
+                listener(node)
+
+        self.on_change(on_edge)
+
+    def _changed(self) -> None:
+        for listener in self._change_listeners:
+            listener(self)
 
     # ------------------------------------------------------------------
     # placement-side intake
@@ -230,6 +236,7 @@ class ClusterNode:
         est = query.estimated_cost.total_work
         self._outstanding_est[query.query_id] = est
         self._outstanding_est_total += est
+        self._changed()
         decision = self.manager.submit(query)
         if self.speed_factor < 1.0:
             self._enforce_speed()
@@ -239,6 +246,7 @@ class ClusterNode:
         est = self._outstanding_est.pop(query.query_id, None)
         if est is not None:
             self._outstanding_est_total -= est
+            self._changed()
 
     def release(self, query: Query) -> None:
         """Forget a query the dispatcher reclaimed (evacuation, loss)."""
@@ -252,20 +260,20 @@ class ClusterNode:
         self.health = NodeHealth.DOWN
         self.manager.shutdown()
         self._heartbeat_proc.stop()
-        self._recheck_accepting()
+        self._changed()
 
     def drain(self) -> None:
         """Stop taking placements; outstanding work runs to completion."""
         if self.health is NodeHealth.UP:
             self.health = NodeHealth.DRAINING
-            self._recheck_accepting()
+            self._changed()
 
     def park(self) -> None:
         """Park a finished (drained) node as a standby spare."""
         self.health = NodeHealth.STANDBY
         self.manager.shutdown()
         self._heartbeat_proc.stop()
-        self._recheck_accepting()
+        self._changed()
 
     def activate(self) -> None:
         """Bring a STANDBY / DRAINING / recovered node (back) into service."""
@@ -279,7 +287,7 @@ class ClusterNode:
                 self.publish_heartbeat,
                 label=f"heartbeat:{self.name}",
             )
-        self._recheck_accepting()
+        self._changed()
 
     def degrade(self, factor: float) -> None:
         """Slow the node to ``factor`` of full speed (fault injection).
@@ -296,6 +304,7 @@ class ClusterNode:
         if not self.serviceable:
             return
         self.speed_factor = factor
+        self._changed()
         self._enforce_speed()
 
     def restore_speed(self) -> None:
@@ -303,6 +312,7 @@ class ClusterNode:
         if not self.serviceable:
             return
         self.speed_factor = self.base_speed_factor
+        self._changed()
         self._enforce_speed()
 
     @property

@@ -18,18 +18,23 @@ point, one level up.  Four policies are provided:
   requests); if no node can meet it, fall back to the fastest node.
 
 All policies are pure functions of the candidate list plus internal
-counters — no wall clock, no RNG — so placements are bit-deterministic
-for a given arrival sequence.  Candidate lists are pre-filtered by the
+state — no wall clock, no RNG — so placements are bit-deterministic for
+a given arrival sequence.  Candidate lists are pre-filtered by the
 dispatcher: a policy never sees a DOWN, DRAINING, STANDBY or saturated
-node.
+node.  The load-keyed policies (``least``, ``cost``) do not scan that
+list per arrival: they keep the cluster's accepting nodes ordered by
+their key in a :class:`~repro.cluster.ranked.RankedNodes` index
+(:meth:`PlacementPolicy.bind`) and take the first ranked candidate.
 """
 
 from __future__ import annotations
 
 import abc
+from operator import attrgetter
 from typing import Dict, Optional, Sequence
 
 from repro.cluster.node import ClusterNode
+from repro.cluster.ranked import RankedNodes
 from repro.core.sla import ObjectiveKind, SLASet
 from repro.engine.query import Query
 
@@ -38,6 +43,9 @@ class PlacementPolicy(abc.ABC):
     """Chooses a node for each request the dispatcher routes."""
 
     name: str = "abstract"
+
+    def bind(self, nodes: Sequence[ClusterNode]) -> None:
+        """The cluster's full node list, given once when the dispatcher attaches."""
 
     @abc.abstractmethod
     def choose(
@@ -66,18 +74,34 @@ class RoundRobinPlacement(PlacementPolicy):
         return node
 
 
-class LeastOutstandingPlacement(PlacementPolicy):
-    """Place on the node with the fewest outstanding requests."""
+class LoadRankedPlacement(PlacementPolicy):
+    """Least-loaded first: a subclass names the tuple it minimises in
+    ``load_key(node)`` (ending in the node name, the tie-break) and the
+    accepting nodes are kept in that order in one ranked index."""
 
-    name = "least-outstanding"
+    def bind(self, nodes: Sequence[ClusterNode]) -> None:
+        self._ranked = RankedNodes(nodes, attrgetter("accepting"), self.load_key)
 
     def choose(
         self, query: Query, nodes: Sequence[ClusterNode]
     ) -> Optional[ClusterNode]:
-        return min(nodes, key=lambda n: (n.outstanding_work, n.name))
+        # ``nodes`` = the accepting set minus exclusions; equal sizes: none
+        ranked = self._ranked
+        allowed = None if len(nodes) == len(ranked) else set(nodes)
+        return next((n for n in ranked if allowed is None or n in allowed), None)
 
 
-class CostBalancedPlacement(PlacementPolicy):
+class LeastOutstandingPlacement(LoadRankedPlacement):
+    """Place on the node with the fewest outstanding requests."""
+
+    name = "least-outstanding"
+
+    @staticmethod
+    def load_key(node: ClusterNode) -> tuple:
+        return (node.outstanding_work, node.name)
+
+
+class CostBalancedPlacement(LoadRankedPlacement):
     """Place on the node with the least outstanding *estimated* work.
 
     Balancing device-seconds rather than request counts keeps a stream
@@ -87,13 +111,9 @@ class CostBalancedPlacement(PlacementPolicy):
 
     name = "cost-balanced"
 
-    def choose(
-        self, query: Query, nodes: Sequence[ClusterNode]
-    ) -> Optional[ClusterNode]:
-        return min(
-            nodes,
-            key=lambda n: (n.outstanding_estimated_work / n.rate_capacity, n.name),
-        )
+    @staticmethod
+    def load_key(node: ClusterNode) -> tuple:
+        return (node.outstanding_estimated_work / node.rate_capacity, node.name)
 
 
 def predict_response_time(node: ClusterNode, query: Query) -> float:

@@ -310,8 +310,8 @@ def run_matcher_scenario(
     One code path drives both binding policies (``dispatch="push"`` or
     ``"pull"``) over the same arrival stream, node speeds and churn
     plan, so push-vs-pull comparisons differ *only* in when work binds
-    to capacity.  Used by ``make bench-matcher``, the ``--dispatch``
-    CLI knob and the conservation property tests.
+    to capacity.  Used by the bench gate's ``matcher_*`` rows, the
+    ``--dispatch`` CLI knob and the conservation property tests.
     """
     sim = Simulator(seed=seed)
     dispatcher = build_cluster(

@@ -229,13 +229,18 @@ class WorkloadManager:
         self._listeners.append(listener)
 
     def add_backlog_listener(self, listener: Callable[[], None]) -> None:
-        """Called whenever :meth:`outstanding_work` may have changed.
+        """Called whenever running or queued may have changed.
 
-        Every change to the backlog (queued + running) funnels through
-        request intake, engine exits, delayed-admission retries or queue
-        evacuation, so those four paths fire the listeners.  A cluster
-        dispatcher uses this to notice saturation edge crossings without
-        re-scanning node state on every placement.
+        Every change to :attr:`running_count` or :attr:`queued_count`
+        funnels through request intake, engine exits, delayed-admission
+        retries, queue evacuation or a :meth:`pump` (queued -> running,
+        which keeps their sum), so those paths fire the listeners: once
+        the instant the counts move and again after any pump that
+        follows.  A cluster node uses this to keep the dispatcher's
+        ranked node index and eligible set current without re-scanning
+        node state on every placement.  Only work a controller starts
+        on the engine from an event of its own (suspend/resume's delayed
+        restart) bypasses the manager; the next tick reports it.
         """
         self._backlog_listeners.append(listener)
 
@@ -308,6 +313,8 @@ class WorkloadManager:
             if self._backlog_listeners:
                 self._backlog_changed()
             self.pump()
+            if self._backlog_listeners:
+                self._backlog_changed()
         return decision
 
     def resubmit(self, query: Query, delay: float = 0.0) -> None:
@@ -365,6 +372,8 @@ class WorkloadManager:
                 # MPL gate would admit the whole backlog at once.
                 self.pump()
         self.pump()
+        if self._backlog_listeners:
+            self._backlog_changed()
 
     # ------------------------------------------------------------------
     # engine feedback
@@ -422,6 +431,8 @@ class WorkloadManager:
             controller.control(self.context)
         self._retry_delayed()
         self.pump()
+        if self._backlog_listeners:
+            self._backlog_changed()
 
     # ------------------------------------------------------------------
     # introspection / teardown

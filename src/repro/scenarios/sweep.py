@@ -4,8 +4,8 @@ Expands the committed matrix (plus the leakage companions — each
 noisy scenario re-run with its antagonists removed) into deterministic
 ``scenario`` tasks, runs them over the process-pool runtime and
 reduces in task-key order, so the matrix rollup digest is identical
-for any worker count.  ``make bench-scenarios`` and ``python -m repro
-scenario sweep/report`` both sit on this module.
+for any worker count.  The bench gate's ``scenarios`` row and ``python
+-m repro scenario sweep/report`` both sit on this module.
 """
 
 from __future__ import annotations

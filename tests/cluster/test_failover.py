@@ -40,7 +40,7 @@ class TestFaultPlanValidation:
     def test_unknown_node_rejected_at_arm_time(self):
         _, dispatcher = _cluster()
         injector = FaultInjector(dispatcher)
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigurationError, match=r"'ghost'.*n0.*n1"):
             injector.arm(FaultPlan.node_kill("ghost", at=1.0))
 
     def test_node_kill_builder_includes_recovery(self):

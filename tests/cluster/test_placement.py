@@ -39,6 +39,10 @@ class FakeNode:
         self.rate_capacity = rate
         self.speed_factor = speed
         self.outstanding_work = outstanding
+        self.accepting = True
+
+    def on_change(self, listener):
+        """Static load: the load-ranked policies never need a re-key."""
 
 
 # (cpu, io, priority, workload) per arriving query
@@ -149,14 +153,18 @@ class TestLeastOutstanding:
             FakeNode("a", outstanding=1),
             FakeNode("c", outstanding=1),
         ]
-        assert LeastOutstandingPlacement().choose(make_query(), nodes).name == "a"
+        policy = LeastOutstandingPlacement()
+        policy.bind(nodes)
+        assert policy.choose(make_query(), nodes).name == "a"
 
 
 class TestCostBalanced:
     def test_normalizes_by_rate_capacity(self):
         # 12 device-seconds on a fast node drains sooner than 8 on a slow one
         nodes = [FakeNode("fast", est=12.0, rate=12.0), FakeNode("slow", est=8.0, rate=4.0)]
-        assert CostBalancedPlacement().choose(make_query(), nodes).name == "fast"
+        policy = CostBalancedPlacement()
+        policy.bind(nodes)
+        assert policy.choose(make_query(), nodes).name == "fast"
 
 
 class TestSLAScoring:

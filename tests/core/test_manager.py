@@ -232,3 +232,103 @@ class TestListeners:
         manager.engine.kill(query.query_id)
         assert done == [QueryState.KILLED]
         assert manager.metrics.stats_for(None).kills == 1
+
+
+class TestBacklogListener:
+    """``add_backlog_listener``: running or queued may have changed.
+
+    A listener that snapshots ``(running_count, queued_count)`` on every
+    ping must hold the live pair once any public manager call returns —
+    the contract the cluster's ranked node index is fed by.
+    """
+
+    class _DelayUntilOpen(AdmissionController):
+        open = False
+
+        def decide(self, query, context):
+            if self.open:
+                return AdmissionDecision.accept("go")
+            return AdmissionDecision.delay("wait")
+
+    class _Scripted(ExecutionController):
+        """Runs one queued action per tick against the engine."""
+
+        def __init__(self):
+            self.actions = []
+
+        def control(self, context: ManagerContext) -> None:
+            if self.actions:
+                self.actions.pop(0)(context.engine)
+
+    def _watched(self, sim, **kwargs):
+        manager = _manager(sim, control_period=1.0, **kwargs)
+        seen = []
+        manager.add_backlog_listener(
+            lambda: seen.append((manager.running_count, manager.queued_count))
+        )
+
+        def check(expected=None):
+            live = (manager.running_count, manager.queued_count)
+            assert seen and seen[-1] == live, f"listener holds {seen[-1:]}, live {live}"
+            if expected is not None:
+                assert live == expected
+
+        return manager, check
+
+    def test_submit_reports_the_pump(self, sim):
+        manager, check = self._watched(sim, scheduler=FCFSDispatcher(max_concurrency=1))
+        manager.submit(make_query(cpu=2.0, io=0.0))
+        check((1, 0))  # queued -> running kept the sum; the parent saw (0, 1)
+        manager.submit(make_query(cpu=2.0, io=0.0))
+        check((1, 1))
+        while sim.step():  # every exit (and the pump behind it) is reported
+            check()
+            if not manager.outstanding_work():
+                break
+        check((0, 0))
+
+    def test_delayed_admission_retry_on_tick(self, sim):
+        admission = self._DelayUntilOpen()
+        manager, check = self._watched(sim, admission=admission)
+        manager.submit(make_query(cpu=5.0, io=0.0))
+        check((0, 1))
+        admission.open = True
+        sim.run_until(1.0)  # the tick retries the held query and pumps it
+        check((1, 0))
+
+    def test_abort_resubmission(self, sim):
+        from repro.engine.executor import EngineConfig
+
+        manager, check = self._watched(sim, engine_config=EngineConfig(hot_set_size=1))
+        manager.submit(make_query(cpu=5.0, io=0.0, locks=1))
+        sim.run_until(2.6)
+        victim = make_query(cpu=1.0, io=0.0, locks=1)
+        manager.submit(victim)
+        while manager.outstanding_work() or victim.state is not QueryState.COMPLETED:
+            assert sim.step()
+            check()
+        assert victim.restarts >= 1
+
+    def test_controller_kill_suspend_resume(self, sim):
+        script = self._Scripted()
+        manager, check = self._watched(sim, execution_controllers=[script])
+        first = make_query(cpu=50.0, io=0.0)
+        second = make_query(cpu=50.0, io=0.0)
+        manager.submit(first)
+        manager.submit(second)
+        script.actions = [
+            lambda engine: engine.kill(first.query_id),
+            lambda engine: engine.remove_suspended(second.query_id),
+            lambda engine: engine.start(second),  # resume: no exit, no submit
+        ]
+        for expected in [(1, 0), (0, 0), (1, 0)]:
+            sim.run_until(sim.now + 1.0)
+            check(expected)
+
+    def test_evacuate_queued(self, sim):
+        manager, check = self._watched(sim, scheduler=FCFSDispatcher(max_concurrency=1))
+        for _ in range(3):
+            manager.submit(make_query(cpu=5.0, io=0.0))
+        check((1, 2))
+        assert len(manager.evacuate_queued()) == 2
+        check((1, 0))

@@ -69,6 +69,13 @@ class TestCluster:
         assert "killing n1" in out
         assert "x" in out  # down interval marked on the timeline
 
+    def test_cluster_kill_unknown_node_is_one_line_and_exit_2(self, capsys):
+        code = main(["cluster", "--nodes", "2", "--kill-node", "n9"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "unknown node 'n9'" in err and "n0" in err and "n1" in err
+
     def test_cluster_rejects_unknown_policy(self):
         with pytest.raises(SystemExit):
             main(["cluster", "--policy", "dartboard"])
