@@ -3,7 +3,7 @@
 PY ?= python
 export PYTHONPATH := src:.
 
-.PHONY: test test-ledger bench bench-full bench-parallel bench-baseline ledger profile artifacts lint
+.PHONY: test test-ledger bench bench-full bench-parallel bench-baseline ledger artifacts lint
 
 test:
 	$(PY) -m pytest tests/ -q
@@ -50,11 +50,6 @@ bench-baseline:
 # instrument perf claims are made with; see benchmarks/ledger/README.md.
 ledger:
 	$(PY) -m benchmarks.ledger
-
-# One-command hotspot profile: cProfile over a shortened high_mpl,
-# top-25 cumulative functions (the kill-list workflow).
-profile:
-	$(PY) -m benchmarks.perf.profile
 
 # Regenerate every paper artifact under benchmarks/results/, plus the
 # gate's JSON and the survival report, so one target leaves a complete,

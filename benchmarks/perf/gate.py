@@ -82,6 +82,15 @@ class Row:
 
 _RUN = "benchmarks.perf.scenarios:run_"
 _SCALE = {"ci": {"scale": 0.08}, "full": {"scale": 1.0}}
+#: EXP18's overload on 4 nodes, n1 down from 45% to 70% of the horizon
+_KILL_N1 = {"scenario": "cluster_overload", "policy": "push/cost",
+            "crashes": ((0.45, "n1", 0.7),)}
+
+
+def _matcher(dispatch: str, nodes: int, horizon: float) -> Dict[str, object]:
+    return {"scenario": "matcher_stress", "policy": f"{dispatch}/cost",
+            "nodes": nodes, "horizon": horizon, "drain": 2.0 * horizon}
+
 
 #: Seeds are part of the committed digests.
 ROWS: Tuple[Row, ...] = (
@@ -93,23 +102,23 @@ ROWS: Tuple[Row, ...] = (
     # streaming metrics polled every tick
     Row("sla_polling", _RUN + "sla_polling", 13, _SCALE, repeat=True),
     # placement, crash evacuation, resubmission and recovery
-    Row("cluster", _RUN + "cluster", 19, _SCALE, repeat=True),
+    Row("cluster", _RUN + "cluster_row", 19,
+        {"ci": {**_KILL_N1, "horizon": 12.0, "drain": 212.0},
+         "full": {**_KILL_N1, "horizon": 150.0, "drain": 350.0}}, repeat=True),
     Row("million_query", _RUN + "million_query_shard", 23,
         {"ci": {"scale": 0.04}, "full": {"scale": 1.0}},
         shards=("shard", range(MILLION_SHARD_COUNT)),
         floor={"ci": ("submitted", 40_000),
                "full": ("submitted", MILLION_SUBMITTED_FLOOR)}),
     # push and pull share a seed: same arrivals, speeds and fault plan
-    Row("matcher_push_64", _RUN + "matcher", 29,
-        {"ci": {"nodes": 64, "dispatch": "push", "horizon": 10.0},
-         "full": {"nodes": 64, "dispatch": "push", "horizon": 120.0}}),
-    Row("matcher_pull_64", _RUN + "matcher", 29,
-        {"ci": {"nodes": 64, "dispatch": "pull", "horizon": 10.0},
-         "full": {"nodes": 64, "dispatch": "pull", "horizon": 120.0}}),
-    Row("matcher_push_256", _RUN + "matcher", 29,
-        {"full": {"nodes": 256, "dispatch": "push", "horizon": 120.0}}),
-    Row("matcher_pull_256", _RUN + "matcher", 29,
-        {"full": {"nodes": 256, "dispatch": "pull", "horizon": 120.0}}),
+    Row("matcher_push_64", _RUN + "cluster_row", 29,
+        {"ci": _matcher("push", 64, 10.0), "full": _matcher("push", 64, 120.0)}),
+    Row("matcher_pull_64", _RUN + "cluster_row", 29,
+        {"ci": _matcher("pull", 64, 10.0), "full": _matcher("pull", 64, 120.0)}),
+    Row("matcher_push_256", _RUN + "cluster_row", 29,
+        {"full": _matcher("push", 256, 120.0)}),
+    Row("matcher_pull_256", _RUN + "cluster_row", 29,
+        {"full": _matcher("pull", 256, 120.0)}),
     Row("backend", _RUN + "backend", 31,
         {"ci": {"horizon": 100.0, "time_scale": 0.005},
          "full": {"horizon": 600.0, "time_scale": 0.01}},

@@ -28,6 +28,8 @@ from repro.core.sla import SLASet, response_time_sla
 from repro.core.policy import Threshold, ThresholdAction, ThresholdKind
 from repro.engine.simulator import Simulator
 from repro.execution.reprioritization import PriorityAgingController
+from repro.scenarios import get_policy, get_scenario, run_scenario, summarize_run
+from repro.scenarios.sweep import run_scenario_matrix as sweep_matrix
 from repro.workloads.generator import Scenario, bi_workload, oltp_workload
 from repro.workloads.models import (
     ClosedArrivals,
@@ -57,6 +59,21 @@ def _closed_spec(population: int, name: str = "closed") -> WorkloadSpec:
     )
 
 
+def _manager_row(manager, **extra: object) -> Dict[str, object]:
+    """The counters and outcome digest of a single-manager run."""
+    metrics = manager.metrics
+    return {
+        "completed": sum(
+            metrics.stats_for(w).completions for w in metrics.workloads()
+        ),
+        "submitted": manager.submitted_count,
+        "events": manager.sim.events_fired,
+        "sim_time": manager.sim.now,
+        "digest": outcome_digest(manager),
+        **extra,
+    }
+
+
 #: The MPL levels of the high-load sweep; each level is an independent
 #: seeded sub-run, so the parallel harness shards along this axis.
 HIGH_MPL_LEVELS = (16, 48, 96)
@@ -77,14 +94,7 @@ def run_high_mpl_shard(
     manager = build_manager(sim, scheduler=FCFSDispatcher(max_concurrency=mpl))
     scenario = Scenario(specs=(_closed_spec(population=128),), horizon=horizon)
     drive(manager, scenario)
-    stats = manager.metrics.stats_for("closed")
-    return {
-        "completed": stats.completions,
-        "submitted": manager.submitted_count,
-        "events": sim.events_fired,
-        "sim_time": sim.now,
-        "digest": outcome_digest(manager),
-    }
+    return _manager_row(manager)
 
 
 def reduce_shards(shards: Sequence[Dict[str, object]]) -> Dict[str, object]:
@@ -143,17 +153,7 @@ def run_mixed_pipeline(scale: float = 1.0, seed: int = 11) -> Dict[str, object]:
         horizon=horizon,
     )
     drive(manager, scenario)
-    completed = sum(
-        manager.metrics.stats_for(w).completions
-        for w in manager.metrics.workloads()
-    )
-    return {
-        "completed": completed,
-        "submitted": manager.submitted_count,
-        "events": sim.events_fired,
-        "sim_time": sim.now,
-        "digest": outcome_digest(manager),
-    }
+    return _manager_row(manager)
 
 
 class _SLAPoller(ExecutionController):
@@ -220,59 +220,44 @@ def run_sla_polling(scale: float = 1.0, seed: int = 13) -> Dict[str, object]:
         horizon=horizon,
     )
     drive(manager, scenario)
-    completed = sum(
-        manager.metrics.stats_for(w).completions
-        for w in manager.metrics.workloads()
-    )
-    digest = hashlib.sha256(
-        (outcome_digest(manager) + poller.digest()).encode("ascii")
+    row = _manager_row(manager, polls=poller.polls)
+    row["digest"] = hashlib.sha256(
+        (row["digest"] + poller.digest()).encode("ascii")
     ).hexdigest()
-    return {
-        "completed": completed,
-        "submitted": manager.submitted_count,
-        "events": sim.events_fired,
-        "sim_time": sim.now,
-        "polls": poller.polls,
-        "digest": digest,
-    }
+    return row
 
 
-def run_cluster(scale: float = 1.0, seed: int = 19) -> Dict[str, object]:
-    """Multi-node dispatch with a mid-run node kill (EXP18 path).
+def cluster_row(result) -> Dict[str, object]:
+    """A finished :class:`~repro.scenarios.ScenarioResult` as a gate row.
 
-    The EXP18 overload mix routed across a 4-node cluster by the
-    cost-balanced placer, with one node crashed mid-run and revived
-    later — so placement, re-placement, crash evacuation, resubmission
-    and recovery are all under the digest-determinism gate.
+    ``digest`` is the cluster's own (:func:`dispatcher_digest`), taken
+    before ``summarize_run``: its rollups read every node's collector
+    with ``stats_for()``, which creates an empty entry on a node that
+    never saw the workload, and the digest walks those entries.
+    Conservation uses the summary's measured ``in_flight``, so it can
+    fail.  ``submitted`` is ``arrivals`` under the name the manager rows
+    use, which the ``cluster`` entry was committed with.
     """
-    from repro.cluster import FaultPlan, run_cluster_scenario
-
-    horizon = max(12.0, 150.0 * scale)
-    plan = FaultPlan.node_kill(
-        "n1", at=0.45 * horizon, recover_at=0.7 * horizon
-    )
-    dispatcher = run_cluster_scenario(
-        seed=seed,
-        nodes=4,
-        policy="cost",
-        horizon=horizon,
-        drain=horizon + 200.0,
-        fault_plan=plan,
-    )
-    return {
-        "completed": dispatcher.completions,
-        "submitted": dispatcher.arrivals,
-        "events": dispatcher.sim.events_fired,
-        "sim_time": dispatcher.sim.now,
-        "resubmitted": dispatcher.resubmissions,
-        "digest": dispatcher_digest(dispatcher),
-        "invariants": {
-            "conserved": dispatcher.arrivals
-            == dispatcher.completions
-            + dispatcher.rejections
-            + dispatcher.outstanding_work()
-        },
+    digest = dispatcher_digest(result.dispatcher)
+    row = dict(summarize_run(result), digest=digest)
+    row["submitted"] = row["arrivals"]
+    row["invariants"] = {
+        "conserved": row["arrivals"]
+        == row["completed"] + row["rejected"] + row["in_flight"]
     }
+    return row
+
+
+def run_cluster_row(
+    seed: int, scenario: str, policy: str, drain: float, **params: object
+) -> Dict[str, object]:
+    """One cluster scenario under one policy: the ``cluster`` row (the
+    EXP18 overload on 4 nodes with ``n1`` killed mid-run and revived, so
+    placement, crash evacuation, resubmission and recovery are gated)
+    and the ``matcher_*`` rows (push and pull share a seed and a spec,
+    so they differ only in *when work binds to capacity*)."""
+    spec = get_scenario(scenario, **params)
+    return cluster_row(run_scenario(spec, get_policy(policy), seed=seed, drain=drain))
 
 
 # ----------------------------------------------------------------------
@@ -326,42 +311,7 @@ def run_million_query_shard(
     manager = build_manager(sim, scheduler=FCFSDispatcher(max_concurrency=32))
     scenario = Scenario(specs=(_million_spec(),), horizon=horizon)
     drive(manager, scenario, max_events=million_event_budget(scale))
-    stats = manager.metrics.stats_for("million")
-    return {
-        "completed": stats.completions,
-        "submitted": manager.submitted_count,
-        "events": sim.events_fired,
-        "sim_time": sim.now,
-        "digest": outcome_digest(manager),
-    }
-
-
-
-
-# ----------------------------------------------------------------------
-# matcher: push vs pull dispatch over one seeded stress scenario
-# ----------------------------------------------------------------------
-def run_matcher(
-    seed: int = 29, nodes: int = 64, dispatch: str = "pull", horizon: float = 120.0
-) -> Dict[str, object]:
-    """The matcher stress run under one dispatch mode.
-
-    Heterogeneous node speeds, three crash/recover churn waves and a 4x
-    flash crowd; the push and pull rows share the seed, so they see the
-    same arrival stream, speeds and fault plan and differ only in *when
-    work binds to capacity*.  Conservation uses the dispatcher's
-    measured ``in_flight``, so it can fail.
-    """
-    from repro.parallel.tasks import run_matcher_task
-
-    result = run_matcher_task(
-        seed=seed, nodes=nodes, dispatch=dispatch, horizon=horizon
-    )
-    result["invariants"] = {
-        "conserved": result["arrivals"]
-        == result["completed"] + result["rejected"] + result["in_flight"]
-    }
-    return result
+    return _manager_row(manager)
 
 
 # ----------------------------------------------------------------------
@@ -450,8 +400,6 @@ def run_scenario_matrix(seed: int = 42) -> Dict[str, object]:
     ``digest`` is the sweep rollup over everything and does not depend
     on the worker count, so the row runs the sweep in-process.
     """
-    from repro.scenarios.sweep import run_scenario_matrix as sweep_matrix
-
     sweep = sweep_matrix(seeds=(seed,))
     matrix_runs = [v for v in sweep.values if not v.get("exclude_noisy", False)]
     return {

@@ -21,29 +21,20 @@ import functools
 from collections import Counter
 
 from benchmarks.conftest import write_result
-from repro.cluster import FaultInjector, FaultPlan
-from repro.cluster.scenario import (
-    CLUSTER_SLAS,
-    build_cluster,
-    cluster_overload_scenario,
-    run_cluster_scenario,
-)
-from repro.engine.simulator import Simulator
 from repro.reporting.figures import ascii_bar_chart, ascii_cluster_timeline
+from repro.scenarios import arm_scenario, get_policy, get_scenario, run_scenario
 
-OLTP_P95_SLA = next(
-    objective.target
-    for objective in CLUSTER_SLAS.get("oltp").objectives
-    if objective.percentile == 95.0
-)
 SEED = 42
 HORIZON = 60.0
+OLTP_P95_SLA = get_scenario("cluster_overload").workloads[0].sla.p95
 
 
 def run_policy(policy: str):
-    dispatcher = run_cluster_scenario(
-        seed=SEED, nodes=4, policy=policy, horizon=HORIZON
-    )
+    dispatcher = run_scenario(
+        get_scenario("cluster_overload", nodes=4, horizon=HORIZON),
+        get_policy(f"push/{policy}"),
+        seed=SEED,
+    ).dispatcher
     roll = dispatcher.metrics.rollup("oltp")
     return {
         "oltp_p95": roll.p95_response_time,
@@ -57,18 +48,16 @@ def run_policy(policy: str):
 
 def run_node_kill():
     """Cost-balanced run with n1 crashed mid-run; full conservation audit."""
-    sim = Simulator(seed=SEED)
-    dispatcher = build_cluster(sim, nodes=4, policy="cost", mpl=2)
+    spec = get_scenario(
+        "cluster_overload", nodes=4, horizon=HORIZON, crashes=((0.5, "n1", None),)
+    )
+    result = arm_scenario(spec, get_policy("push/cost"), seed=SEED)
+    dispatcher, injector = result.dispatcher, result.injector
     outcomes = Counter()
     dispatcher.add_completion_listener(
         lambda query: outcomes.update([query.query_id])
     )
-    scenario = cluster_overload_scenario(horizon=HORIZON)
-    generator = scenario.build(sim, dispatcher.submit, sessions=dispatcher.sessions)
-    dispatcher.add_completion_listener(generator.notify_done)
-    injector = FaultInjector(dispatcher)
-    injector.arm(FaultPlan.node_kill("n1", at=30.0))
-    dispatcher.run(HORIZON, drain=180.0)
+    result.run(drain=180.0)
     return {
         "dispatcher": dispatcher,
         "injector": injector,

@@ -72,34 +72,28 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    from repro.cluster import FaultPlan, run_cluster_scenario
-    from repro.errors import ConfigurationError
-    from repro.reporting.figures import ascii_cluster_timeline
+    from dataclasses import replace
 
-    plan = None
+    from repro.reporting.figures import ascii_cluster_timeline
+    from repro.scenarios import ChaosSpec, get_policy, get_scenario, run_scenario
+
+    spec = get_scenario("cluster_overload", nodes=args.nodes, horizon=args.horizon)
+    killing = ""
     if args.kill_node is not None:
-        plan = FaultPlan.node_kill(
-            args.kill_node, at=args.kill_at, recover_at=args.recover_at
+        crash = (
+            args.kill_at / spec.horizon,
+            args.kill_node,
+            None if args.recover_at is None else args.recover_at / spec.horizon,
         )
+        spec = replace(spec, chaos=ChaosSpec(crashes=(crash,)))
+        killing = f", killing {args.kill_node} at t={args.kill_at:.0f}s"
     print(
         f"Dispatching OLTP+BI across {args.nodes} nodes "
         f"({args.policy} placement, {args.dispatch} dispatch, "
-        f"seed {args.seed}, {args.horizon:.0f}s horizon)"
-        + (f", killing {args.kill_node} at t={args.kill_at:.0f}s" if plan else "")
-        + "..."
+        f"seed {args.seed}, {args.horizon:.0f}s horizon){killing}..."
     )
-    try:
-        dispatcher = run_cluster_scenario(
-            seed=args.seed,
-            nodes=args.nodes,
-            policy=args.policy,
-            horizon=args.horizon,
-            fault_plan=plan,
-            dispatch=args.dispatch,
-        )
-    except ConfigurationError as error:
-        print(f"cluster error: {error}", file=sys.stderr)
-        return 2
+    policy = get_policy(f"{args.dispatch}/{args.policy}")
+    dispatcher = run_scenario(spec, policy, seed=args.seed).dispatcher
     now = dispatcher.sim.now
     print()
     print(dispatcher.metrics.rollup_table(now))
@@ -110,13 +104,10 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.cluster.placement import POLICY_NAMES
     from repro.parallel import rollup_table, run_policy_sweep
 
-    policies = (
-        list(args.policies.split(","))
-        if args.policies != "all"
-        else ["round-robin", "least", "cost", "sla"]
-    )
+    policies = POLICY_NAMES if args.policies == "all" else args.policies.split(",")
     seeds = args.seeds
     print(
         f"Sweeping {len(policies)} placement polic"
@@ -147,26 +138,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigurationError
-
-    try:
-        if args.verb == "list":
-            return _scenario_list()
-        if args.verb == "run":
-            return _scenario_run(args)
-        if args.verb == "sweep":
-            return _scenario_sweep(args)
-        return _scenario_report(args)
-    except ConfigurationError as error:
-        print(f"scenario error: {error}", file=sys.stderr)
-        return 2
+    if args.verb == "list":
+        return _scenario_list()
+    if args.verb == "run":
+        return _scenario_run(args)
+    if args.verb == "sweep":
+        return _scenario_sweep(args)
+    return _scenario_report(args)
 
 
 def _scenario_list() -> int:
-    from repro.scenarios import MATRIX_POLICIES, MATRIX_SCENARIOS
+    from repro.scenarios.matrix import MATRIX_POLICIES, SCENARIO_BUILDERS
 
     print("Scenarios:")
-    for spec in MATRIX_SCENARIOS:
+    for spec in (builder() for builder in SCENARIO_BUILDERS.values()):
         chaos = " [chaos]" if spec.chaos.active else ""
         noisy = " [noisy]" if spec.has_noisy else ""
         print(
@@ -311,31 +296,17 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-_WORKLOAD_BUILDERS = ("oltp", "bi", "reports", "utilities")
-
-
 def _backend_specs(names: str):
-    from repro.workloads.generator import (
-        bi_workload,
-        oltp_workload,
-        report_batch_workload,
-        utility_workload,
-    )
+    from repro.workloads.generator import WORKLOAD_BUILDERS
 
-    builders = {
-        "oltp": oltp_workload,
-        "bi": bi_workload,
-        "reports": report_batch_workload,
-        "utilities": utility_workload,
-    }
     specs = []
     for name in names.split(","):
         name = name.strip()
-        if name not in builders:
+        if name not in WORKLOAD_BUILDERS:
             raise SystemExit(
-                f"unknown workload {name!r}; choose from {_WORKLOAD_BUILDERS}"
+                f"unknown workload {name!r}; choose from {tuple(WORKLOAD_BUILDERS)}"
             )
-        specs.append(builders[name]())
+        specs.append(WORKLOAD_BUILDERS[name]())
     return specs
 
 
@@ -464,6 +435,7 @@ def _cmd_backend(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for testing)."""
     from repro.cluster.dispatcher import DISPATCH_MODES
+    from repro.cluster.placement import POLICY_NAMES
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -495,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument(
         "--policy",
         default="cost",
-        choices=["round-robin", "least", "cost", "sla"],
+        choices=list(POLICY_NAMES),
         help="placement policy",
     )
     cluster.add_argument("--seed", type=int, default=42)
@@ -568,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     backend.add_argument(
         "--workloads",
         default="oltp,bi",
-        help=f"comma-separated canonical workloads {_WORKLOAD_BUILDERS}",
+        help="comma-separated canonical workloads (oltp, bi, reports, utilities)",
     )
     backend.add_argument("--horizon", type=float, default=60.0,
                          help="schedule horizon in schedule seconds")
@@ -673,10 +645,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A verb's ``ConfigurationError`` (unknown name, out-of-range value,
+    malformed file) is one ``<verb> error:`` line on stderr and exit 2.
+    """
+    from repro.errors import ConfigurationError
+
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigurationError as error:
+        print(f"{args.command} error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -50,23 +50,12 @@ from repro.cluster.placement import (
     make_policy,
     predict_response_time,
 )
-from repro.cluster.scenario import (
-    CLUSTER_SLAS,
-    HETEROGENEOUS_SPEEDS,
-    build_cluster,
-    churn_plan,
-    cluster_overload_scenario,
-    matcher_scenario,
-    replicate_cluster_scenario,
-    run_cluster_scenario,
-    run_matcher_scenario,
-)
+from repro.cluster.scenario import CLUSTER_SLAS, build_cluster
 from repro.cluster.taskqueue import TaskEntry, TaskQueue
 
 __all__ = [
     "CLUSTER_SLAS",
     "DISPATCH_MODES",
-    "HETEROGENEOUS_SPEEDS",
     "POLICY_NAMES",
     "NODE_MACHINE",
     "BindingPolicy",
@@ -94,14 +83,8 @@ __all__ = [
     "TaskQueue",
     "WorkloadRollup",
     "build_cluster",
-    "churn_plan",
-    "cluster_overload_scenario",
     "make_binding",
     "make_policy",
-    "matcher_scenario",
     "predict_response_time",
-    "replicate_cluster_scenario",
-    "run_cluster_scenario",
-    "run_matcher_scenario",
     "tenant_key",
 ]

@@ -57,6 +57,9 @@ DISPATCH_MODES = ("push", "pull")
 #: Extracts a query's tenant for quota accounting; ``None`` exempts it.
 TenantFn = Callable[[Query], Optional[str]]
 
+#: The bucket tenant-keyed ledgers and queues file tenantless work under.
+UNTENANTED = "<untenanted>"
+
 
 def tenant_key(query: Query) -> Optional[str]:
     """Default tenant extraction: the ``tenant/`` prefix of the class key.

@@ -24,7 +24,6 @@ from repro.parallel.runner import (
 from repro.parallel.spec import RunTask, SweepSpec, make_task
 from repro.parallel.sweep import (
     DEFAULT_SEEDS,
-    policy_sweep_spec,
     rollup_table,
     run_policy_sweep,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "execute_task",
     "make_task",
     "outcome_digest",
-    "policy_sweep_spec",
     "register_task",
     "resolve_runner",
     "rollup_table",

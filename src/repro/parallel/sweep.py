@@ -3,51 +3,22 @@
 This is the ``python -m repro sweep`` backend — the advisor-style
 evaluation loop (WiSeDB trains over thousands of simulated workloads;
 scheduling surveys sweep policy × seed grids) run on the deterministic
-parallel runtime.  The rollup is computed from results reduced in task
-order, so the printed table is byte-identical for any worker count.
+parallel runtime.  Every run is a ``scenario`` task over the
+``cluster_overload`` spec under a ``dispatch/placement`` policy.  The
+rollup is computed from results reduced in task order, so the printed
+table is byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from repro.cluster.dispatcher import UNTENANTED
 from repro.cluster.placement import POLICY_NAMES
-from repro.errors import ConfigurationError
 from repro.parallel.runner import Log, SweepResult, run_tasks
 from repro.parallel.spec import SweepSpec
 
 DEFAULT_SEEDS = (42, 43, 44)
-
-
-def policy_sweep_spec(
-    policies: Sequence[str] = POLICY_NAMES,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
-    nodes: int = 4,
-    horizon: float = 60.0,
-    mpl: int = 2,
-    oltp_rate: float = 30.0,
-    bi_rate: float = 0.3,
-    dispatch: str = "push",
-) -> SweepSpec:
-    """A placement-policy × seed grid over the cluster scenario."""
-    unknown = [p for p in policies if p not in POLICY_NAMES]
-    if unknown:
-        raise ConfigurationError(
-            f"unknown placement policies {unknown}; choose from {POLICY_NAMES}"
-        )
-    return SweepSpec(
-        runner="cluster",
-        grid={"policy": tuple(policies)},
-        seeds=tuple(int(s) for s in seeds),
-        base={
-            "nodes": nodes,
-            "horizon": horizon,
-            "mpl": mpl,
-            "oltp_rate": oltp_rate,
-            "bi_rate": bi_rate,
-            "dispatch": dispatch,
-        },
-    )
 
 
 def run_policy_sweep(
@@ -55,10 +26,25 @@ def run_policy_sweep(
     seeds: Sequence[int] = DEFAULT_SEEDS,
     workers: int = 1,
     log: Log = None,
-    **scenario_params,
+    dispatch: str = "push",
+    **scenario_params: object,
 ) -> SweepResult:
-    """Run the policy × seed grid (parallel when ``workers > 1``)."""
-    spec = policy_sweep_spec(policies=policies, seeds=seeds, **scenario_params)
+    """Run a placement-policy × seed grid over the cluster scenario
+    (parallel when ``workers > 1``); ``scenario_params`` go to
+    :func:`repro.scenarios.matrix.cluster_overload`."""
+    from repro.scenarios import get_policy, get_scenario
+
+    names = tuple(f"{dispatch}/{placement}" for placement in policies)
+    # bad input fails here with one error, not once per worker
+    for name in names:
+        get_policy(name)
+    get_scenario("cluster_overload", **scenario_params)
+    spec = SweepSpec(
+        runner="scenario",
+        grid={"policy": names},
+        seeds=tuple(int(s) for s in seeds),
+        base={"scenario": "cluster_overload", **scenario_params},
+    )
     return run_tasks(spec.tasks(), workers=workers, log=log)
 
 
@@ -72,20 +58,18 @@ def rollup_table(result: SweepResult) -> str:
     """Deterministic ASCII rollup: one row per run, then per-policy
     aggregates.  Built purely from the ordered result list."""
     header = (
-        f"{'policy':<18} {'seed':>5} {'done':>6} {'rej':>5} {'resub':>5} "
+        f"{'policy':<22} {'seed':>5} {'done':>6} {'rej':>5} {'resub':>5} "
         f"{'oltp p95':>8} {'bi mean':>8}  digest"
     )
     lines = [header, "-" * len(header)]
     by_policy: Dict[str, List[Dict[str, object]]] = {}
     for value in result.values:
-        response = value.get("response", {})
-        oltp = response.get("oltp", {}) if isinstance(response, dict) else {}
-        bi = response.get("bi", {}) if isinstance(response, dict) else {}
+        response = value["tenants"][UNTENANTED]["workloads"]
         lines.append(
-            f"{str(value['policy']):<18} {value['seed']:>5} "
+            f"{str(value['policy']):<22} {value['seed']:>5} "
             f"{value['completed']:>6} {value['rejected']:>5} "
             f"{value['resubmitted']:>5} "
-            f"{_fmt(oltp.get('p95'))} {_fmt(bi.get('mean'))}  "
+            f"{_fmt(response['oltp']['p95'])} {_fmt(response['bi']['mean'])}  "
             f"{str(value['digest'])[:12]}…"
         )
         by_policy.setdefault(str(value["policy"]), []).append(value)
@@ -96,14 +80,11 @@ def rollup_table(result: SweepResult) -> str:
         rejected = sum(int(v["rejected"]) for v in runs)
         resubmitted = sum(int(v["resubmitted"]) for v in runs)
         p95s = [
-            v["response"]["oltp"]["p95"]
-            for v in runs
-            if isinstance(v.get("response"), dict)
-            and v["response"].get("oltp", {}).get("p95") is not None
+            v["tenants"][UNTENANTED]["workloads"]["oltp"]["p95"] for v in runs
         ]
-        worst = max(p95s) if p95s else None
+        worst = max((p95 for p95 in p95s if p95 is not None), default=None)
         lines.append(
-            f"{policy + ' (all)':<18} {len(runs):>5} {completed:>6} "
+            f"{policy + ' (all)':<22} {len(runs):>5} {completed:>6} "
             f"{rejected:>5} {resubmitted:>5} {_fmt(worst)} {_fmt(None)}  "
             f"worst-seed p95"
         )

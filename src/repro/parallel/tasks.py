@@ -1,8 +1,9 @@
 """Task runners: how a worker turns a :class:`RunTask` into a result.
 
 A runner is resolved from the task's ``runner`` string either through
-the registry (:func:`register_task` names, e.g. ``"cluster"``) or as a
-``module:function`` dotted path imported in the worker process.  Either
+the registry (:func:`register_task` names; ``"scenario"`` is the only
+built-in one) or as a ``module:function`` dotted path imported in the
+worker process.  Either
 way the runner is a plain function ``fn(seed=..., **params) -> dict``
 that rebuilds its simulator from scratch — workers share nothing with
 the parent but the task descriptor.
@@ -82,86 +83,8 @@ def execute_task(task: RunTask) -> Dict[str, object]:
 
 
 # ----------------------------------------------------------------------
-# built-in runners
+# the built-in runner
 # ----------------------------------------------------------------------
-def _summarize_dispatcher(dispatcher) -> Dict[str, object]:
-    """Picklable rollup of a finished cluster run.
-
-    Per-workload response aggregates come from the cluster's own
-    :meth:`~repro.cluster.metrics.ClusterMetrics.rollup`, so a sweep row
-    and the ``python -m repro cluster`` table report the same mean and
-    p95 for the same run.  ``in_flight`` is measured (queued at the
-    dispatcher plus outstanding on the nodes), never derived from the
-    other counters, so callers can test conservation with it.
-    """
-    from repro.parallel.digest import dispatcher_digest
-
-    # Digest first: rollup() reads every node's collector with
-    # stats_for(), which creates an empty entry on a node that never saw
-    # the workload, and the digest walks those entries.
-    digest = dispatcher_digest(dispatcher)
-    response: Dict[str, Dict[str, Optional[float]]] = {}
-    for workload in dispatcher.metrics.workloads():
-        roll = dispatcher.metrics.rollup(workload)
-        if roll.mean_response_time is not None:
-            response[workload] = {
-                "count": roll.completions,
-                "mean": roll.mean_response_time,
-                "p95": roll.p95_response_time,
-            }
-    return {
-        "dispatch": dispatcher.dispatch,
-        "arrivals": dispatcher.arrivals,
-        "completed": dispatcher.completions,
-        "rejected": dispatcher.rejections,
-        "in_flight": dispatcher.outstanding_work(),
-        "resubmitted": dispatcher.resubmissions,
-        "sim_time": dispatcher.sim.now,
-        "events": dispatcher.sim.events_fired,
-        "response": response,
-        "digest": digest,
-    }
-
-
-@register_task("cluster")
-def run_cluster_task(
-    seed: int = 42,
-    nodes: int = 4,
-    policy: str = "cost",
-    horizon: float = 60.0,
-    drain: Optional[float] = None,
-    oltp_rate: float = 30.0,
-    bi_rate: float = 0.3,
-    mpl: int = 2,
-    max_queue_depth: Optional[int] = None,
-    dispatch: str = "push",
-) -> Dict[str, object]:
-    """One seeded cluster run (the EXP18 scenario), summarized.
-
-    Returns conservation counters, cluster-wide per-workload response
-    aggregates and the run's :func:`dispatcher digest
-    <repro.parallel.digest.dispatcher_digest>` — everything the sweep
-    rollup and the determinism check need, nothing that can't pickle.
-    """
-    from repro.cluster.scenario import run_cluster_scenario
-
-    dispatcher = run_cluster_scenario(
-        seed=seed,
-        nodes=nodes,
-        policy=policy,
-        horizon=horizon,
-        drain=drain,
-        oltp_rate=oltp_rate,
-        bi_rate=bi_rate,
-        mpl=mpl,
-        max_queue_depth=max_queue_depth,
-        dispatch=dispatch,
-    )
-    summary = _summarize_dispatcher(dispatcher)
-    summary.update({"seed": seed, "policy": policy, "nodes": nodes})
-    return summary
-
-
 @register_task("scenario")
 def run_scenario_task(
     seed: int = 42,
@@ -169,61 +92,27 @@ def run_scenario_task(
     policy: str = "baseline",
     exclude_noisy: bool = False,
     drain: Optional[float] = None,
+    **params: object,
 ) -> Dict[str, object]:
-    """One seeded multi-tenant scenario run, summarized.
+    """One seeded scenario run, summarized: every cluster run a sweep,
+    a gate row or a replication makes is this task.
 
-    ``scenario`` and ``policy`` are matrix names resolved in the worker
-    (task descriptors stay picklable primitives); ``exclude_noisy``
-    runs the leakage companion — the same scenario with its antagonist
-    tenants removed.  The summary dict carries per-tenant conservation
-    ledgers, SLA verdicts and the scenario digest.
+    ``scenario`` and ``policy`` are names resolved in the worker (task
+    descriptors stay picklable primitives) by
+    :func:`repro.scenarios.get_scenario`, which takes ``params``, and
+    :func:`repro.scenarios.get_policy`; ``exclude_noisy`` runs the
+    leakage companion — the same scenario with its antagonist tenants
+    removed.  The summary dict carries the conservation counters, the
+    per-tenant ledgers, per-workload response aggregates, SLA verdicts
+    and the scenario digest.
     """
     from repro.scenarios import get_policy, get_scenario, run_scenario
     from repro.scenarios.runner import summarize_run
 
-    spec = get_scenario(scenario)
+    spec = get_scenario(scenario, **params)
     if exclude_noisy:
         spec = spec.without_noisy()
     result = run_scenario(spec, get_policy(policy), seed=seed, drain=drain)
     summary = summarize_run(result)
     summary["exclude_noisy"] = bool(exclude_noisy)
-    return summary
-
-
-@register_task("matcher")
-def run_matcher_task(
-    seed: int = 42,
-    nodes: int = 64,
-    dispatch: str = "pull",
-    policy: str = "cost",
-    horizon: float = 120.0,
-    drain: Optional[float] = None,
-    mpl: int = 2,
-    oltp_rate_per_node: float = 6.0,
-    bi_rate: float = 1.0,
-    churn: bool = True,
-    heterogeneous: bool = True,
-) -> Dict[str, object]:
-    """One seeded matcher stress run (push vs pull), summarized.
-
-    Same rollup shape as the ``cluster`` task; the sweep-level digest
-    combine over these is what the worker-count-stability tests pin.
-    """
-    from repro.cluster.scenario import run_matcher_scenario
-
-    dispatcher = run_matcher_scenario(
-        seed=seed,
-        nodes=nodes,
-        dispatch=dispatch,
-        policy=policy,
-        horizon=horizon,
-        drain=drain,
-        mpl=mpl,
-        oltp_rate_per_node=oltp_rate_per_node,
-        bi_rate=bi_rate,
-        churn=churn,
-        heterogeneous=heterogeneous,
-    )
-    summary = _summarize_dispatcher(dispatcher)
-    summary.update({"seed": seed, "policy": policy, "nodes": nodes})
     return summary

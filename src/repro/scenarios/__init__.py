@@ -36,7 +36,12 @@ from repro.scenarios.spec import (
     WorkloadPattern,
     load_scenario_file,
 )
-from repro.scenarios.runner import ScenarioResult, run_scenario, summarize_run
+from repro.scenarios.runner import (
+    ScenarioResult,
+    arm_scenario,
+    run_scenario,
+    summarize_run,
+)
 from repro.scenarios.matrix import (
     MATRIX_POLICIES,
     MATRIX_SCENARIOS,
@@ -60,6 +65,7 @@ __all__ = [
     "ScenarioSpec",
     "TenantSpec",
     "WorkloadPattern",
+    "arm_scenario",
     "get_policy",
     "get_scenario",
     "load_scenario_file",

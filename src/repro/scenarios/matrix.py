@@ -5,12 +5,19 @@ paper's introduction motivates — crossed with four isolation-policy
 configurations, from the free-for-all baseline to full two-tier
 isolation.  Everything here is pure data; the sweep
 (:mod:`repro.scenarios.sweep`) expands it into deterministic tasks.
+
+Beside the matrix sit the two parameterised single-stream cluster
+scenarios, :func:`cluster_overload` (EXP18) and :func:`matcher_stress`
+(push vs pull at 64-256 nodes).  :func:`get_scenario` resolves all eight
+by name.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Callable, Dict, Optional, Tuple
 
+from repro.cluster.dispatcher import DISPATCH_MODES
+from repro.cluster.placement import POLICY_NAMES
 from repro.errors import ConfigurationError
 from repro.scenarios.spec import (
     ArrivalSpec,
@@ -43,11 +50,17 @@ def _oltp(
     )
 
 
-def _bi(rate: float, priority: int = 1, **params: object) -> WorkloadPattern:
+def _bi(
+    rate: float,
+    priority: int = 1,
+    sla: Optional[SLASpec] = None,
+    **params: object,
+) -> WorkloadPattern:
     return WorkloadPattern(
         kind="bi",
         arrival=ArrivalSpec(kind="open", rate=rate),
         priority=priority,
+        sla=sla,
         params=tuple(sorted(params.items())),
     )
 
@@ -293,15 +306,125 @@ def churn() -> ScenarioSpec:
     )
 
 
-#: The committed scenario matrix, in report order.
-MATRIX_SCENARIOS: Tuple[ScenarioSpec, ...] = (
-    diurnal_mix(),
-    flash_crowd(),
-    noisy_neighbor(),
-    batch_window(),
-    utility_storm(),
-    churn(),
+# ----------------------------------------------------------------------
+# the two single-stream cluster scenarios (no tenants)
+# ----------------------------------------------------------------------
+_BI_SLA = SLASpec(average=120.0, importance=1)
+
+#: Every fourth node markedly slow, another quarter mildly slow: the
+#: mix where early binding hurts (work committed to a slow node waits
+#: out its backlog) and late binding shines (slow nodes pull less often).
+HETEROGENEOUS_SPEEDS = (1.0, 1.0, 0.7, 0.4)
+
+
+def cluster_overload(
+    nodes: int = 4,
+    horizon: float = 60.0,
+    mpl: int = 2,
+    oltp_rate: float = 30.0,
+    bi_rate: float = 0.3,
+    max_queue_depth: Optional[int] = None,
+    crashes: Tuple[Tuple[float, str, Optional[float]], ...] = (),
+) -> ScenarioSpec:
+    """The EXP18 mix: a fast OLTP stream plus occasional BI monsters.
+
+    The BI stream (~0.3/s of multi-second scans) amounts to roughly one
+    :data:`~repro.cluster.node.NODE_MACHINE` node's worth of sustained
+    work — enough to saturate one node but leave a 4-node cluster with
+    ample headroom.  At the tight per-node MPL placement decides
+    everything: blind round-robin keeps landing OLTP behind BI monsters
+    that hold the dispatch slots for seconds, while load-aware policies
+    steer the cheap stream to whichever nodes are clear.  ``crashes``
+    is :attr:`ChaosSpec.crashes` (the node-kill runs).
+    """
+    return ScenarioSpec(
+        name="cluster_overload",
+        description="EXP18: OLTP stream + BI monsters, placement decides",
+        horizon=horizon,
+        nodes=nodes,
+        mpl=mpl,
+        max_queue_depth=max_queue_depth,
+        workloads=(
+            _oltp(oltp_rate),
+            _bi(
+                bi_rate,
+                sla=_BI_SLA,
+                median_cpu=6.0,
+                median_io=10.0,
+                sigma=0.8,
+                memory_low=150.0,
+                memory_high=600.0,
+            ),
+        ),
+        chaos=ChaosSpec(crashes=crashes),
+    )
+
+
+def matcher_stress(
+    nodes: int = 64,
+    horizon: float = 120.0,
+    oltp_rate_per_node: float = 6.0,
+    bi_rate: float = 1.0,
+) -> ScenarioSpec:
+    """The push-vs-pull stress mix: steady load plus a flash crowd.
+
+    A per-node-scaled OLTP stream quadruples between 35% and 50% of the
+    horizon — the burst that floods whatever queue structure the binding
+    policy keeps — over heterogeneous node speeds and three crash/recover
+    waves; a BI stream of multi-second scans rides along so per-class
+    shares and slow-node binding both matter.  Push and pull runs of one
+    seed see the same arrivals, speeds and faults and differ only in
+    *when work binds to capacity*.
+    """
+    return ScenarioSpec(
+        name="matcher_stress",
+        description="flash crowd over slow nodes and 3 crash waves",
+        horizon=horizon,
+        nodes=nodes,
+        mpl=2,
+        speeds=HETEROGENEOUS_SPEEDS,
+        workloads=(
+            _oltp(
+                ArrivalSpec.flash_crowd(
+                    rate=oltp_rate_per_node * nodes,
+                    onset=0.35 * horizon,
+                    end=0.5 * horizon,
+                    burst=4.0,
+                )
+            ),
+            _bi(
+                bi_rate,
+                sla=_BI_SLA,
+                median_cpu=4.0,
+                median_io=7.0,
+                sigma=0.8,
+                memory_low=150.0,
+                memory_high=500.0,
+            ),
+        ),
+        chaos=ChaosSpec(crash_waves=3),
+    )
+
+
+_MATRIX_BUILDERS = (
+    diurnal_mix,
+    flash_crowd,
+    noisy_neighbor,
+    batch_window,
+    utility_storm,
+    churn,
 )
+
+#: The committed scenario matrix, in report order.
+MATRIX_SCENARIOS: Tuple[ScenarioSpec, ...] = tuple(
+    builder() for builder in _MATRIX_BUILDERS
+)
+
+#: Every scenario :func:`get_scenario` resolves, by builder name.
+SCENARIO_BUILDERS: Dict[str, Callable[..., ScenarioSpec]] = {
+    builder.__name__: builder
+    for builder in (*_MATRIX_BUILDERS, cluster_overload, matcher_stress)
+}
 
 #: The committed isolation-policy grid, in report order.
 MATRIX_POLICIES: Tuple[PolicyConfig, ...] = (
@@ -326,19 +449,28 @@ def policy_names() -> Tuple[str, ...]:
     return tuple(policy.name for policy in MATRIX_POLICIES)
 
 
-def get_scenario(name: str) -> ScenarioSpec:
-    for spec in MATRIX_SCENARIOS:
-        if spec.name == name:
-            return spec
-    raise ConfigurationError(
-        f"unknown scenario {name!r}; one of {scenario_names()}"
-    )
+def get_scenario(name: str, **params: object) -> ScenarioSpec:
+    """The scenario ``name`` builds; ``params`` go to its builder (the
+    two cluster scenarios take some, the matrix shapes take none)."""
+    builder = SCENARIO_BUILDERS.get(name)
+    if builder is None:
+        raise ConfigurationError(
+            f"unknown scenario {name!r}; one of {tuple(SCENARIO_BUILDERS)}"
+        )
+    return builder(**params)
 
 
 def get_policy(name: str) -> PolicyConfig:
+    """A matrix policy by name, or ``dispatch/placement`` (the string
+    :meth:`PolicyConfig.describe` prints): that binding and placement
+    with no isolation control armed."""
     for policy in MATRIX_POLICIES:
         if policy.name == name:
             return policy
+    dispatch, _, placement = name.partition("/")
+    if dispatch in DISPATCH_MODES and placement in POLICY_NAMES:
+        return PolicyConfig(name=name, dispatch=dispatch, placement=placement)
     raise ConfigurationError(
-        f"unknown policy {name!r}; one of {policy_names()}"
+        f"unknown policy {name!r}; one of {policy_names()} or "
+        f"DISPATCH/PLACEMENT over {DISPATCH_MODES} and {POLICY_NAMES}"
     )

@@ -1,12 +1,16 @@
-"""Run one scenario under one isolation policy; summarize it.
+"""Run one scenario under one policy; summarize it.
 
-:func:`run_scenario` assembles the cluster a :class:`PolicyConfig`
-describes — per-tenant node schedulers, admission quotas, queue shares
-— drives every tenant's arrival streams over it, arms the chaos
-timeline, runs to the horizon plus a drain window and returns a
-:class:`ScenarioResult` carrying the live dispatcher plus the tenant
-conservation ledger.  :func:`summarize_run` reduces that to the small
-picklable dict the parallel sweep, the report and the benchmarks
+A scenario is data; a run is :func:`run_scenario` — the only cluster
+runner.  :func:`arm_scenario` assembles the cluster a
+:class:`PolicyConfig` describes — node speeds, per-tenant node
+schedulers, admission quotas, queue shares — attaches every workload's
+arrival stream, arms the chaos timeline and returns the un-run
+:class:`ScenarioResult` (live dispatcher plus the tenant conservation
+ledger); :meth:`ScenarioResult.run` runs it to the horizon plus a drain
+window.  ``run_scenario`` is the two in one call; a caller that needs a
+listener or a timed action in place before the first event uses the
+seam between them.  :func:`summarize_run` reduces a finished run to the
+small picklable dict the parallel sweeps, the report and the benchmarks
 consume, including the run's SHA-256 digest (cluster digest + tenant
 ledger — the determinism contract for the whole suite).
 
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 from hashlib import sha256
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.dispatcher import ClusterDispatcher, tenant_key
+from repro.cluster.dispatcher import UNTENANTED, ClusterDispatcher, tenant_key
 from repro.cluster.failover import FaultInjector
 from repro.cluster.scenario import build_cluster
 from repro.core.sla import SLASet, response_time_sla
@@ -37,41 +41,45 @@ from repro.engine.simulator import Simulator
 from repro.parallel.digest import dispatcher_digest
 from repro.scenarios.spec import PolicyConfig, ScenarioSpec, WorkloadPattern
 from repro.scheduling.queues import TenantShareScheduler
-from repro.workloads.generator import Scenario, WorkloadGenerator
-
-UNTENANTED = "<untenanted>"
+from repro.workloads.generator import Scenario
 
 
 def scenario_slas(spec: ScenarioSpec) -> SLASet:
-    """The SLASet over every tenant workload that declares targets."""
-    agreements = []
-    for tenant in spec.tenants:
-        for pattern in tenant.workloads:
-            if pattern.sla is None or not pattern.sla.has_goals:
-                continue
-            agreements.append(
-                response_time_sla(
-                    f"{tenant.name}/{pattern.effective_label}",
-                    average=pattern.sla.average,
-                    p95=pattern.sla.p95,
-                    importance=pattern.sla.importance,
-                )
+    """The SLASet over every workload that declares targets."""
+    return SLASet(
+        [
+            response_time_sla(
+                pattern.name_for(tenant),
+                average=pattern.sla.average,
+                p95=pattern.sla.p95,
+                importance=pattern.sla.importance,
             )
-    return SLASet(agreements)
+            for tenant, pattern in spec.patterns()
+            if pattern.sla is not None and pattern.sla.has_goals
+        ]
+    )
 
 
 @dataclass
 class ScenarioResult:
-    """A finished scenario run: live dispatcher + tenant ledger."""
+    """One scenario run, armed or finished: live dispatcher + tenant
+    ledger (+ the fault injector, when the spec has chaos)."""
 
     spec: ScenarioSpec
     policy: PolicyConfig
     seed: int
     dispatcher: ClusterDispatcher
-    generator: WorkloadGenerator
     intake: Dict[str, int] = field(default_factory=dict)
     outcomes: Dict[str, Dict[str, int]] = field(default_factory=dict)
     traces: Tuple["TraceTenant", ...] = ()  # noqa: F821 - scenarios.trace
+    injector: Optional[FaultInjector] = None
+
+    def run(self, drain: Optional[float] = None) -> "ScenarioResult":
+        """Run to the horizon, then ``drain`` more seconds (default: the
+        horizon again) with arrivals stopped."""
+        horizon = self.spec.horizon
+        self.dispatcher.run(horizon, drain=horizon if drain is None else drain)
+        return self
 
     def tenant_ledger(self, tenant: str) -> Dict[str, int]:
         """``{intake, completed, rejected, killed, in_flight}`` for one
@@ -108,22 +116,20 @@ class ScenarioResult:
         return h.hexdigest()
 
 
-def run_scenario(
+def arm_scenario(
     spec: ScenarioSpec,
     policy: PolicyConfig,
     seed: int = 42,
-    drain: Optional[float] = None,
     sim: Optional[Simulator] = None,
     traces: Sequence["TraceTenant"] = (),  # noqa: F821 - scenarios.trace
 ) -> ScenarioResult:
-    """Run ``spec`` under ``policy``; returns the live result.
+    """Build the cluster, attach arrivals, arm faults; run nothing.
 
     ``traces`` adds trace-driven tenants
     (:func:`repro.scenarios.trace.trace_tenant`) alongside the spec's
     declarative ones — same intake seam, same quota/share machinery.
     """
     sim = sim or Simulator(seed=seed)
-    slas = scenario_slas(spec)
     shares = spec.shares()
     dispatcher = build_cluster(
         sim,
@@ -131,8 +137,9 @@ def run_scenario(
         policy=policy.placement,
         mpl=spec.mpl,
         max_queue_depth=spec.max_queue_depth,
-        slas=slas,
+        slas=scenario_slas(spec),
         dispatch=policy.dispatch,
+        speed_factors=spec.speeds,
         scheduler_factory=(
             (lambda: TenantShareScheduler(spec.mpl, shares))
             if policy.node_shares and shares
@@ -146,7 +153,7 @@ def run_scenario(
         policy=policy,
         seed=seed,
         dispatcher=dispatcher,
-        generator=None,  # type: ignore[arg-type]  # set below
+        traces=tuple(traces),
     )
 
     def submit(query: Query) -> None:
@@ -166,44 +173,41 @@ def run_scenario(
         else:
             bucket["killed"] += 1
 
-    workload_scenario = Scenario(
-        specs=tuple(
-            pattern.build(tenant.name)
-            for tenant in spec.tenants
-            for pattern in tenant.workloads
-        ),
+    generator = Scenario(
+        specs=tuple(pattern.build(tenant) for tenant, pattern in spec.patterns()),
         horizon=spec.horizon,
-    )
-    generator = workload_scenario.build(
-        sim, submit, sessions=dispatcher.sessions
-    )
-    result.generator = generator
-    result.traces = tuple(traces)
+    ).build(sim, submit, sessions=dispatcher.sessions)
     dispatcher.add_completion_listener(on_terminal)
     dispatcher.add_completion_listener(generator.notify_done)
-    dispatcher.generator = generator
     for trace in result.traces:
         trace.schedule(sim, submit, horizon=spec.horizon)
 
     plan = spec.chaos.build_plan(spec.nodes, spec.horizon)
     if plan is not None:
-        injector = FaultInjector(dispatcher)
-        injector.arm(plan)
-        dispatcher.injector = injector
-
-    dispatcher.run(
-        spec.horizon, drain=spec.horizon if drain is None else drain
-    )
+        result.injector = FaultInjector(dispatcher)
+        result.injector.arm(plan)
     return result
+
+
+def run_scenario(
+    spec: ScenarioSpec,
+    policy: PolicyConfig,
+    seed: int = 42,
+    drain: Optional[float] = None,
+    sim: Optional[Simulator] = None,
+    traces: Sequence["TraceTenant"] = (),  # noqa: F821 - scenarios.trace
+) -> ScenarioResult:
+    """Run ``spec`` under ``policy``; returns the live result."""
+    return arm_scenario(spec, policy, seed=seed, sim=sim, traces=traces).run(drain)
 
 
 # ----------------------------------------------------------------------
 # summarization (the picklable reduction the sweep and report consume)
 # ----------------------------------------------------------------------
 def _sla_section(
-    pattern: WorkloadPattern, mean: Optional[float], p95: Optional[float]
+    pattern: Optional[WorkloadPattern], mean: Optional[float], p95: Optional[float]
 ) -> Optional[dict]:
-    if pattern.sla is None or not pattern.sla.has_goals:
+    if pattern is None or pattern.sla is None or not pattern.sla.has_goals:
         return None
     checks: List[bool] = []
     section: Dict[str, object] = {
@@ -219,73 +223,89 @@ def _sla_section(
     return section
 
 
+def _workload_section(
+    result: ScenarioResult, name: str, pattern: Optional[WorkloadPattern]
+) -> Dict[str, object]:
+    roll = result.dispatcher.metrics.rollup(name)
+    return {
+        "completions": roll.completions,
+        "node_rejections": roll.rejections,
+        "kills": roll.kills,
+        "mean": roll.mean_response_time,
+        "p95": roll.p95_response_time,
+        "sla": _sla_section(pattern, roll.mean_response_time, roll.p95_response_time),
+    }
+
+
+def _tenant_section(
+    result: ScenarioResult,
+    name: str,
+    workloads: Dict[str, Dict[str, object]],
+    noisy: bool = False,
+    share: float = 1.0,
+    quota: Optional[int] = None,
+) -> Dict[str, object]:
+    dispatcher = result.dispatcher
+    slas = [w["sla"] for w in workloads.values() if w["sla"] is not None]
+    return {
+        **result.tenant_ledger(name),
+        "noisy": noisy,
+        "share": share,
+        "quota": quota,
+        "quota_rejections": dispatcher.quota_rejections.get(name, 0),
+        "cluster_rejections": (
+            dispatcher.metrics.cluster_rejections_by_key.get(name, 0)
+        ),
+        "sla_met": sum(1 for sla in slas if sla["met"]),
+        "sla_total": len(slas),
+        "workloads": workloads,
+    }
+
+
 def summarize_run(result: ScenarioResult) -> Dict[str, object]:
-    """Reduce a run to the sweep/report dict (small, picklable)."""
+    """Reduce a run to the sweep/report dict (small, picklable).
+
+    ``tenants`` has one section per tenant, per trace tenant and, when
+    the spec has untenanted workloads, one under ``<untenanted>``.
+    ``in_flight`` is measured (queued at the dispatcher plus outstanding
+    on the nodes), never derived from the other counters, so callers can
+    test conservation with it.
+    """
     dispatcher = result.dispatcher
     spec = result.spec
-    tenants: Dict[str, dict] = {}
-    for tenant in spec.tenants:
-        ledger = result.tenant_ledger(tenant.name)
-        workloads: Dict[str, dict] = {}
-        sla_total = sla_met = 0
-        for pattern in tenant.workloads:
-            name = f"{tenant.name}/{pattern.effective_label}"
-            roll = dispatcher.metrics.rollup(name)
-            sla = _sla_section(
-                pattern, roll.mean_response_time, roll.p95_response_time
-            )
-            if sla is not None:
-                sla_total += 1
-                sla_met += 1 if sla["met"] else 0
-            workloads[pattern.effective_label] = {
-                "completions": roll.completions,
-                "node_rejections": roll.rejections,
-                "kills": roll.kills,
-                "mean": roll.mean_response_time,
-                "p95": roll.p95_response_time,
-                "sla": sla,
-            }
-        tenants[tenant.name] = {
-            **ledger,
-            "noisy": tenant.noisy,
-            "share": tenant.share,
-            "quota": tenant.quota,
-            "quota_rejections": dispatcher.quota_rejections.get(
-                tenant.name, 0
-            ),
-            "cluster_rejections": (
-                dispatcher.metrics.cluster_rejections_by_key.get(
-                    tenant.name, 0
+    tenants: Dict[str, dict] = {
+        tenant.name: _tenant_section(
+            result,
+            tenant.name,
+            {
+                pattern.effective_label: _workload_section(
+                    result, pattern.name_for(tenant.name), pattern
                 )
-            ),
-            "sla_met": sla_met,
-            "sla_total": sla_total,
-            "workloads": workloads,
-        }
-    for trace in result.traces:
-        roll = dispatcher.metrics.rollup(trace.workload_name)
-        tenants[trace.name] = {
-            **result.tenant_ledger(trace.name),
-            "noisy": False,
-            "share": 1.0,
-            "quota": None,
-            "quota_rejections": dispatcher.quota_rejections.get(trace.name, 0),
-            "cluster_rejections": (
-                dispatcher.metrics.cluster_rejections_by_key.get(trace.name, 0)
-            ),
-            "sla_met": 0,
-            "sla_total": 0,
-            "workloads": {
-                trace.label: {
-                    "completions": roll.completions,
-                    "node_rejections": roll.rejections,
-                    "kills": roll.kills,
-                    "mean": roll.mean_response_time,
-                    "p95": roll.p95_response_time,
-                    "sla": None,
-                }
+                for pattern in tenant.workloads
             },
-        }
+            noisy=tenant.noisy,
+            share=tenant.share,
+            quota=tenant.quota,
+        )
+        for tenant in spec.tenants
+    }
+    if spec.workloads:
+        tenants[UNTENANTED] = _tenant_section(
+            result,
+            UNTENANTED,
+            {
+                pattern.effective_label: _workload_section(
+                    result, pattern.name_for(), pattern
+                )
+                for pattern in spec.workloads
+            },
+        )
+    for trace in result.traces:
+        tenants[trace.name] = _tenant_section(
+            result,
+            trace.name,
+            {trace.label: _workload_section(result, trace.workload_name, None)},
+        )
     return {
         "scenario": spec.name,
         "policy": result.policy.name,
@@ -293,6 +313,7 @@ def summarize_run(result: ScenarioResult) -> Dict[str, object]:
         "arrivals": dispatcher.arrivals,
         "completed": dispatcher.completions,
         "rejected": dispatcher.rejections,
+        "in_flight": dispatcher.outstanding_work(),
         "resubmitted": dispatcher.resubmissions,
         "sim_time": dispatcher.sim.now,
         "events": dispatcher.sim.events_fired,

@@ -14,6 +14,9 @@ as ``tenant/label`` (so generated queries carry ``tenant/label:class``
 sql tags), which is what the tenant extractors across the stack —
 :func:`repro.cluster.dispatcher.tenant_key`, the task queue ``key_fn``
 and :class:`repro.scheduling.queues.TenantShareScheduler` — key on.
+A scenario's untenanted ``workloads`` are registered by bare ``label``:
+they belong to no tenant, and their generator RNG streams are the ones
+a hand-built ``Scenario`` of the same workload names would draw.
 """
 
 from __future__ import annotations
@@ -21,9 +24,10 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
+from repro.workloads.generator import WORKLOAD_BUILDERS
 from repro.workloads.models import (
     ArrivalProcess,
     BatchArrivals,
@@ -37,9 +41,8 @@ from repro.workloads.models import (
 #: Arrival pattern kinds an :class:`ArrivalSpec` can describe.
 ARRIVAL_KINDS = ("open", "diurnal", "batch", "closed")
 
-#: Canonical workload shapes a :class:`WorkloadPattern` can reference
-#: (the builders in :mod:`repro.workloads.generator`).
-WORKLOAD_KINDS = ("oltp", "bi", "reports", "utilities")
+#: Canonical workload shapes a :class:`WorkloadPattern` can reference.
+WORKLOAD_KINDS = tuple(WORKLOAD_BUILDERS)
 
 
 @dataclass(frozen=True)
@@ -153,27 +156,28 @@ class WorkloadPattern:
     def effective_label(self) -> str:
         return self.label or self.kind
 
-    def build(self, tenant: str) -> WorkloadSpec:
-        """The generator-ready spec named ``tenant/label``."""
-        from repro.workloads.generator import (
-            bi_workload,
-            oltp_workload,
-            report_batch_workload,
-            utility_workload,
-        )
+    def name_for(self, tenant: str = "") -> str:
+        label = self.effective_label
+        return f"{tenant}/{label}" if tenant else label
 
-        builders = {
-            "oltp": oltp_workload,
-            "bi": bi_workload,
-            "reports": report_batch_workload,
-            "utilities": utility_workload,
-        }
-        spec = builders[self.kind](**dict(self.params))
+    def build(self, tenant: str = "") -> WorkloadSpec:
+        """The generator-ready spec named ``tenant/label``."""
+        spec = WORKLOAD_BUILDERS[self.kind](**dict(self.params))
         return replace(
             spec,
-            name=f"{tenant}/{self.effective_label}",
+            name=self.name_for(tenant),
             arrivals=self.arrival.build(),
             priority=self.priority,
+        )
+
+
+def _require_unique_labels(
+    owner: str, workloads: Tuple[WorkloadPattern, ...]
+) -> None:
+    labels = [pattern.effective_label for pattern in workloads]
+    if len(set(labels)) != len(labels):
+        raise ConfigurationError(
+            f"{owner} has duplicate workload labels {labels}"
         )
 
 
@@ -208,23 +212,22 @@ class TenantSpec:
             raise ConfigurationError(
                 f"tenant {self.name!r} quota must be >= 0 or None"
             )
-        labels = [pattern.effective_label for pattern in self.workloads]
-        if len(set(labels)) != len(labels):
-            raise ConfigurationError(
-                f"tenant {self.name!r} has duplicate workload labels {labels}"
-            )
+        _require_unique_labels(f"tenant {self.name!r}", self.workloads)
 
 
 @dataclass(frozen=True)
 class ChaosSpec:
     """A deterministic chaos timeline bound into the scenario.
 
-    ``crash_waves`` > 0 arms the rotating crash/recover waves of
-    :func:`repro.cluster.scenario.churn_plan`; ``degrade`` adds
-    ``(time, node_index, factor)`` slow-downs with recovery at
-    ``degrade_recovery`` fractions of the horizon later.  Everything is
-    a pure function of the spec, so chaos runs are exactly as
-    digest-stable as clean ones.
+    ``crash_waves`` evenly spaced waves each take out a rotating
+    ``kill_fraction`` slice of the cluster for ``outage`` of the
+    horizon, then revive it; ``degrade`` adds ``(time, node_index,
+    factor)`` slow-downs with recovery ``degrade_recovery`` of the
+    horizon later; ``crashes`` adds ``(at, node_name, recover_at |
+    None)`` kills of one named node, both times as fractions of the
+    horizon (``None`` leaves it down).  Everything is a pure function
+    of the spec, so chaos runs are exactly as digest-stable as clean
+    ones.
     """
 
     crash_waves: int = 0
@@ -232,74 +235,115 @@ class ChaosSpec:
     outage: float = 0.15
     degrade: Tuple[Tuple[float, int, float], ...] = ()
     degrade_recovery: float = 0.25
+    crashes: Tuple[Tuple[float, str, Optional[float]], ...] = ()
 
     def __post_init__(self) -> None:
         if self.crash_waves < 0:
             raise ConfigurationError("crash_waves must be >= 0")
         if not 0.0 < self.kill_fraction <= 1.0:
             raise ConfigurationError("kill_fraction must be in (0, 1]")
+        for at, node, recover_at in self.crashes:
+            if not 0.0 <= at <= 1.0:
+                raise ConfigurationError(
+                    f"crash of {node!r} at {at} of the horizon: must be in [0, 1]"
+                )
+            if recover_at is not None and recover_at <= at:
+                raise ConfigurationError(
+                    f"crash of {node!r} at {at} must recover later, not at "
+                    f"{recover_at}"
+                )
 
     @property
     def active(self) -> bool:
-        return self.crash_waves > 0 or bool(self.degrade)
+        return self.crash_waves > 0 or bool(self.degrade or self.crashes)
 
     def build_plan(self, nodes: int, horizon: float):
-        """The scenario's FaultPlan (``None`` when chaos is inactive)."""
+        """The scenario's FaultPlan (``None`` when chaos is inactive).
+
+        Faults at one instant fire in ``(node, kind)`` order whichever
+        field declared them.
+        """
         from repro.cluster.failover import FaultEvent, FaultKind, FaultPlan
-        from repro.cluster.scenario import churn_plan
 
         if not self.active:
             return None
+        latest = horizon * 0.98
         events = []
-        if self.crash_waves > 0:
-            events.extend(
-                churn_plan(
-                    nodes,
-                    horizon,
-                    waves=self.crash_waves,
-                    kill_fraction=self.kill_fraction,
-                    outage=self.outage,
-                ).events
-            )
+        kill_count = max(1, int(nodes * self.kill_fraction))
+        for wave in range(self.crash_waves):
+            at = horizon * (wave + 1) / (self.crash_waves + 1)
+            recover_at = min(latest, at + self.outage * horizon)
+            for slot in range(kill_count):
+                victim = f"n{(wave * kill_count + slot) % nodes}"
+                events += FaultPlan.node_kill(victim, at, recover_at).events
         for at_fraction, node_index, factor in self.degrade:
             name = f"n{node_index % max(nodes, 1)}"
             at = at_fraction * horizon
             events.append(FaultEvent(at, name, FaultKind.DEGRADE, factor=factor))
-            recover_at = min(
-                horizon * 0.98, at + self.degrade_recovery * horizon
-            )
+            recover_at = min(latest, at + self.degrade_recovery * horizon)
             events.append(FaultEvent(recover_at, name, FaultKind.RECOVER))
+        for at, name, recover_at in self.crashes:
+            events += FaultPlan.node_kill(
+                name,
+                at * horizon,
+                None if recover_at is None else recover_at * horizon,
+            ).events
         events.sort(key=lambda e: (e.time, e.node, e.kind.value))
         return FaultPlan(tuple(events))
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """A complete multi-tenant scenario: tenants + cluster + chaos."""
+    """A complete scenario: tenants and/or untenanted workloads +
+    cluster + chaos.
+
+    ``workloads`` belong to no tenant (no share, no quota; one
+    ``<untenanted>`` ledger bucket).  ``speeds`` makes the cluster
+    heterogeneous: node ``i`` runs at ``speeds[i % len(speeds)]`` of
+    full speed; empty means every node at full speed.
+    """
 
     name: str
-    tenants: Tuple[TenantSpec, ...]
+    tenants: Tuple[TenantSpec, ...] = ()
     description: str = ""
     horizon: float = 60.0
     nodes: int = 4
     mpl: int = 6
     max_queue_depth: Optional[int] = None
     chaos: ChaosSpec = field(default_factory=ChaosSpec)
+    workloads: Tuple[WorkloadPattern, ...] = ()
+    speeds: Tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.tenants:
-            raise ConfigurationError(f"scenario {self.name!r} has no tenants")
+        if not self.tenants and not self.workloads:
+            raise ConfigurationError(
+                f"scenario {self.name!r} has no tenants and no workloads"
+            )
         names = [tenant.name for tenant in self.tenants]
         if len(set(names)) != len(names):
             raise ConfigurationError(
                 f"scenario {self.name!r} has duplicate tenants {names}"
             )
+        _require_unique_labels(f"scenario {self.name!r}", self.workloads)
         if self.horizon <= 0:
-            raise ConfigurationError("horizon must be > 0")
+            raise ConfigurationError(f"horizon must be > 0, got {self.horizon}")
         if self.nodes < 1:
             raise ConfigurationError("a scenario needs at least one node")
         if self.mpl < 1:
             raise ConfigurationError("mpl must be >= 1")
+        if not all(0.0 < speed <= 1.0 for speed in self.speeds):
+            raise ConfigurationError(
+                f"node speeds must be in (0, 1], got {self.speeds}"
+            )
+
+    def patterns(self) -> Iterator[Tuple[str, WorkloadPattern]]:
+        """``(tenant name, pattern)`` for every workload in declaration
+        order; the untenanted ones come last, under ``""``."""
+        for tenant in self.tenants:
+            for pattern in tenant.workloads:
+                yield tenant.name, pattern
+        for pattern in self.workloads:
+            yield "", pattern
 
     def tenant(self, name: str) -> TenantSpec:
         for tenant in self.tenants:
@@ -334,20 +378,22 @@ class ScenarioSpec:
     def as_dict(self) -> dict:
         """JSON-serializable form; ``from_dict`` round-trips it."""
         out = asdict(self)
-        for tenant in out["tenants"]:
-            for pattern in tenant["workloads"]:
+        for owner in (*out["tenants"], out):
+            for pattern in owner["workloads"]:
                 pattern["params"] = dict(pattern["params"])
                 pattern["arrival"]["phases"] = [
                     list(pair) for pair in pattern["arrival"]["phases"]
                 ]
-        out["chaos"]["degrade"] = [list(d) for d in out["chaos"]["degrade"]]
+        for key in ("degrade", "crashes"):
+            out["chaos"][key] = [list(item) for item in out["chaos"][key]]
+        out["speeds"] = list(out["speeds"])
         return out
 
     @staticmethod
     def from_dict(data: dict) -> "ScenarioSpec":
         try:
             return _scenario_from_dict(data)
-        except (KeyError, TypeError, ValueError) as error:
+        except (KeyError, TypeError, ValueError, ConfigurationError) as error:
             raise ConfigurationError(
                 f"malformed scenario spec: {error}"
             ) from error
@@ -380,12 +426,22 @@ def _tenant_from_dict(data: dict) -> TenantSpec:
 
 def _scenario_from_dict(data: dict) -> ScenarioSpec:
     fields = dict(data)
-    fields["tenants"] = tuple(_tenant_from_dict(t) for t in fields["tenants"])
+    fields["tenants"] = tuple(
+        _tenant_from_dict(t) for t in fields.get("tenants", ())
+    )
+    fields["workloads"] = tuple(
+        _pattern_from_dict(p) for p in fields.get("workloads", ())
+    )
+    fields["speeds"] = tuple(float(s) for s in fields.get("speeds", ()))
     chaos = fields.get("chaos")
     if isinstance(chaos, dict):
         chaos = dict(chaos)
         chaos["degrade"] = tuple(
             (float(a), int(n), float(f)) for a, n, f in chaos.get("degrade", ())
+        )
+        chaos["crashes"] = tuple(
+            (float(at), str(node), None if back is None else float(back))
+            for at, node, back in chaos.get("crashes", ())
         )
         fields["chaos"] = ChaosSpec(**chaos)
     return ScenarioSpec(**fields)

@@ -349,6 +349,16 @@ def utility_workload(
     )
 
 
+#: The canonical workload shapes by the name scenario specs
+#: (``WorkloadPattern.kind``) and the CLI (``backend --workloads``) use.
+WORKLOAD_BUILDERS: Dict[str, Callable[..., WorkloadSpec]] = {
+    "oltp": oltp_workload,
+    "bi": bi_workload,
+    "reports": report_batch_workload,
+    "utilities": utility_workload,
+}
+
+
 def mixed_scenario(
     horizon: float = 300.0,
     oltp_rate: float = 10.0,

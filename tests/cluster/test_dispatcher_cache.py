@@ -5,9 +5,9 @@ from __future__ import annotations
 from unittest import mock
 
 from repro.cluster.dispatcher import ClusterDispatcher
-from repro.cluster.failover import FaultPlan
-from repro.cluster.scenario import build_cluster, run_cluster_scenario
+from repro.cluster.scenario import build_cluster
 from repro.engine.simulator import Simulator
+from repro.scenarios import get_policy, get_scenario, run_scenario
 
 from tests.conftest import make_query
 
@@ -113,8 +113,8 @@ class TestCacheInvalidation:
         assert checks == 6
 
 
-def _audited_run(**scenario) -> int:
-    """Run a cluster scenario with every ``_eligible_for`` call checked
+def _audited_run(seed, policy, **scenario) -> int:
+    """Run the EXP18 overload with every ``_eligible_for`` call checked
     against a from-scratch accepting scan; returns the calls audited."""
     cached_lookup = ClusterDispatcher._eligible_for
     calls = 0
@@ -136,7 +136,11 @@ def _audited_run(**scenario) -> int:
         return got
 
     with mock.patch.object(ClusterDispatcher, "_eligible_for", audited):
-        run_cluster_scenario(horizon=10.0, **scenario)
+        run_scenario(
+            get_scenario("cluster_overload", horizon=10.0, **scenario),
+            get_policy(f"push/{policy}"),
+            seed=seed,
+        )
     return calls
 
 
@@ -147,5 +151,5 @@ class TestCacheAudit:
         assert _audited_run(seed=11, nodes=4, policy="least", mpl=1) > 0
 
     def test_node_kill_run_matches_fresh_scan(self):
-        plan = FaultPlan.node_kill("n1", at=3.0, recover_at=6.0)
-        assert _audited_run(seed=13, nodes=3, policy="cost", fault_plan=plan) > 0
+        crashes = ((0.3, "n1", 0.6),)
+        assert _audited_run(seed=13, nodes=3, policy="cost", crashes=crashes) > 0

@@ -17,22 +17,24 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.scenario import run_matcher_scenario
 from repro.parallel import make_task, run_tasks
 from repro.parallel.digest import dispatcher_digest
+from repro.scenarios import get_policy, get_scenario, run_scenario
 
 NODES = 64
 
 
 def _run(seed, dispatch, horizon=6.0):
-    return run_matcher_scenario(
-        seed=seed,
+    spec = get_scenario(
+        "matcher_stress",
         nodes=NODES,
-        dispatch=dispatch,
         horizon=horizon,
         oltp_rate_per_node=2.0,  # keep each hypothesis example cheap
         bi_rate=0.5,
     )
+    return run_scenario(
+        spec, get_policy(f"{dispatch}/cost"), seed=seed, drain=2.0 * horizon
+    ).dispatcher
 
 
 def _conserved(dispatcher):
@@ -83,11 +85,13 @@ class TestWorkerCountStability:
         def rollup(workers):
             tasks = [
                 make_task(
-                    "matcher",
+                    "scenario",
                     seed=seed,
+                    scenario="matcher_stress",
+                    policy=f"{dispatch}/cost",
                     nodes=NODES,
-                    dispatch=dispatch,
                     horizon=4.0,
+                    drain=8.0,
                     oltp_rate_per_node=1.0,
                     bi_rate=0.25,
                 )

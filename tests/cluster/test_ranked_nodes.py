@@ -21,13 +21,10 @@ from repro.cluster import ClusterDispatcher, ClusterNode, make_policy
 from repro.cluster.matcher import Matcher
 from repro.cluster.placement import CostBalancedPlacement, LoadRankedPlacement
 from repro.cluster.ranked import RankedNodes
-from repro.cluster.scenario import (
-    build_cluster,
-    cluster_overload_scenario,
-    run_matcher_scenario,
-)
+from repro.cluster.scenario import build_cluster
 from repro.core.policy import AdmissionPolicy
 from repro.engine.simulator import Simulator
+from repro.scenarios import arm_scenario, get_policy, get_scenario, run_scenario
 
 from tests.conftest import make_query
 
@@ -67,20 +64,28 @@ def _audit():
         yield seen
 
 
-def _run(dispatch, policy, seed, mpl=2, actions=(), nodes=4, horizon=10.0):
-    """``run_cluster_scenario`` plus arbitrary timed dispatcher actions."""
-    sim = Simulator(seed=seed)
-    dispatcher = build_cluster(
-        sim, nodes=nodes, policy=policy, mpl=mpl, dispatch=dispatch
+def _run(dispatch, policy, seed, mpl=2, actions=()):
+    """The EXP18 overload plus arbitrary timed dispatcher actions."""
+    result = arm_scenario(
+        get_scenario("cluster_overload", horizon=10.0, mpl=mpl),
+        get_policy(f"{dispatch}/{policy}"),
+        seed=seed,
     )
-    generator = cluster_overload_scenario(horizon=horizon).build(
-        sim, dispatcher.submit, sessions=dispatcher.sessions
-    )
-    dispatcher.add_completion_listener(generator.notify_done)
+    dispatcher = result.dispatcher
     for at, action in actions:
-        sim.schedule_at(at, lambda act=action: act(dispatcher, dispatcher.node("n1")))
-    dispatcher.run(horizon, drain=horizon)
-    return dispatcher
+        dispatcher.sim.schedule_at(
+            at, lambda act=action: act(dispatcher, dispatcher.node("n1"))
+        )
+    return result.run().dispatcher
+
+
+def _matcher_run(dispatch, nodes):
+    return run_scenario(
+        get_scenario("matcher_stress", nodes=nodes, horizon=15.0),
+        get_policy(f"{dispatch}/cost"),
+        seed=42,
+        drain=30.0,
+    ).dispatcher
 
 
 BINDINGS = [("pull", "cost"), ("push", "least"), ("push", "cost")]
@@ -233,9 +238,7 @@ class TestCostGuard:
         ) as has_slot, mock.patch.object(
             Matcher, "_rank", wraps=Matcher._rank
         ) as rank:
-            dispatcher = run_matcher_scenario(
-                seed=42, nodes=self.NODES, dispatch="pull", horizon=15.0
-            )
+            dispatcher = _matcher_run("pull", self.NODES)
         bindings = dispatcher.binding.matcher.matches
         assert bindings > 1000
         assert has_slot.call_count <= self.BOUND * bindings
@@ -245,9 +248,7 @@ class TestCostGuard:
         with mock.patch.object(
             CostBalancedPlacement, "load_key", wraps=CostBalancedPlacement.load_key
         ) as load_key:
-            dispatcher = run_matcher_scenario(
-                seed=42, nodes=self.NODES, dispatch="push", policy="cost", horizon=15.0
-            )
+            dispatcher = _matcher_run("push", self.NODES)
         bindings = sum(node.placed_count for node in dispatcher.nodes)
         assert bindings > 1000
         assert load_key.call_count <= self.BOUND * bindings

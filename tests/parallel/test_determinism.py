@@ -82,17 +82,28 @@ def test_cluster_sweep_rollup_is_worker_count_independent():
 
 
 def test_sweep_row_and_cluster_rollup_agree_on_response_aggregates():
-    """One percentile definition: for the same seeded run, a sweep row
-    reports the p95 and mean the ``python -m repro cluster`` table does."""
-    from repro.cluster import run_cluster_scenario
-    from repro.parallel.tasks import run_cluster_task
+    """One percentile definition: a ``scenario`` task row reports the
+    mean, p95 and measured in-flight that ``ClusterMetrics.rollup`` and
+    the dispatcher give for an in-process run of the same spec and seed
+    (what the ``python -m repro cluster`` table prints)."""
+    from repro.parallel.tasks import run_scenario_task
+    from repro.scenarios import get_policy, get_scenario, run_scenario
 
-    params = dict(seed=42, nodes=4, policy="cost", horizon=60.0)
-    row = run_cluster_task(**params)
-    dispatcher = run_cluster_scenario(**params)
-    assert set(row["response"]) == {"oltp", "bi"}
-    for workload, stats in row["response"].items():
+    row = run_scenario_task(
+        seed=42, scenario="cluster_overload", policy="push/cost", horizon=20.0, drain=5.0
+    )
+    dispatcher = run_scenario(
+        get_scenario("cluster_overload", horizon=20.0),
+        get_policy("push/cost"),
+        seed=42,
+        drain=5.0,
+    ).dispatcher
+    (section,) = row["tenants"].values()
+    assert set(section["workloads"]) == {"oltp", "bi"}
+    for workload, stats in section["workloads"].items():
         roll = dispatcher.metrics.rollup(workload)
         assert stats["p95"] == roll.p95_response_time
         assert stats["mean"] == roll.mean_response_time
-    assert row["in_flight"] == dispatcher.outstanding_work()
+    # the short drain leaves BI scans running: in-flight is not trivially 0
+    assert row["in_flight"] == dispatcher.outstanding_work() > 0
+    assert row["arrivals"] == row["completed"] + row["rejected"] + row["in_flight"]

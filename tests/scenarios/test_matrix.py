@@ -63,6 +63,25 @@ class TestLookup:
             get_scenario("nope")
         with pytest.raises(ConfigurationError, match="baseline"):
             get_policy("nope")
+        for name in ("push/dartboard", "shove/cost", "pull/cost/extra"):
+            with pytest.raises(ConfigurationError, match="round-robin"):
+                get_policy(name)
+
+    def test_placement_only_policy_resolves_by_its_description(self):
+        policy = get_policy("pull/cost")
+        assert (policy.dispatch, policy.placement) == ("pull", "cost")
+        assert policy.describe() == "pull/cost [none]"
+
+    def test_cluster_scenarios_take_builder_params(self):
+        spec = get_scenario(
+            "cluster_overload", nodes=3, horizon=9.0, crashes=((0.5, "n2", None),)
+        )
+        assert (spec.nodes, spec.horizon, spec.tenants) == (3, 9.0, ())
+        assert [p.effective_label for p in spec.workloads] == ["oltp", "bi"]
+        assert spec.chaos.crashes == ((0.5, "n2", None),)
+        stress = get_scenario("matcher_stress", nodes=8, horizon=10.0)
+        assert stress.speeds == (1.0, 1.0, 0.7, 0.4)
+        assert stress.workloads[0].arrival.phases == ((3.5, 192.0), (5.0, 48.0))
 
 
 class TestSerialization:

@@ -111,6 +111,30 @@ class TestTenantAndScenarioValidation:
         with pytest.raises(ConfigurationError):
             _spec(tenants=(_tenant(), _tenant()))
 
+    def test_untenanted_workloads_stand_in_for_tenants(self):
+        pattern = _tenant().workloads[0]
+        spec = ScenarioSpec(name="solo", workloads=(pattern,))
+        assert [(t, p.name_for(t)) for t, p in spec.patterns()] == [("", "oltp")]
+        assert pattern.build().name == "oltp"
+        with pytest.raises(ConfigurationError, match="no tenants and no workloads"):
+            ScenarioSpec(name="empty")
+        with pytest.raises(ConfigurationError, match="duplicate workload labels"):
+            ScenarioSpec(name="twice", workloads=(pattern, pattern))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(horizon=0.0),
+            dict(horizon=-5.0),
+            dict(speeds=(1.0, 0.0)),
+            dict(speeds=(1.5,)),
+        ],
+        ids=str,
+    )
+    def test_out_of_range_horizon_and_speeds_rejected(self, bad):
+        with pytest.raises(ConfigurationError):
+            _spec(**bad)
+
     def test_scenario_accessors(self):
         spec = _spec(
             tenants=(_tenant("a", share=2.0), _tenant("b", quota=7, noisy=True))
@@ -141,6 +165,25 @@ class TestChaosSpec:
         assert {"crash", "recover", "degrade"} <= kinds
         times = [event.time for event in plan.events]
         assert times == sorted(times)
+
+    def test_named_crash_kills_and_optionally_revives_one_node(self):
+        plan = ChaosSpec(
+            crashes=((0.45, "n1", 0.7), (0.5, "n3", None))
+        ).build_plan(4, 20.0)
+        assert [(e.time, e.node, e.kind.value) for e in plan.events] == [
+            (0.45 * 20.0, "n1", "crash"),
+            (10.0, "n3", "crash"),
+            (0.7 * 20.0, "n1", "recover"),
+        ]
+
+    @pytest.mark.parametrize(
+        "crash",
+        [(-0.1, "n1", None), (1.01, "n1", None), (0.5, "n1", 0.5), (0.5, "n1", 0.2)],
+        ids=str,
+    )
+    def test_crash_outside_the_horizon_or_recovering_too_early_rejected(self, crash):
+        with pytest.raises(ConfigurationError, match="n1"):
+            ChaosSpec(crashes=(crash,))
 
     def test_plan_is_deterministic(self):
         chaos = ChaosSpec(crash_waves=2, degrade=((0.3, 0, 0.7),))
@@ -191,9 +234,20 @@ class TestSerialization:
                     ),
                 ),
             ),
-            chaos=ChaosSpec(crash_waves=1, degrade=((0.5, 1, 0.5),)),
+            workloads=(
+                WorkloadPattern(
+                    kind="oltp", arrival=ArrivalSpec.flash_crowd(3.0, 5.0, 9.0)
+                ),
+            ),
+            speeds=(1.0, 0.4),
+            chaos=ChaosSpec(
+                crash_waves=1,
+                degrade=((0.5, 1, 0.5),),
+                crashes=((0.25, "n1", 0.5), (0.75, "n0", None)),
+            ),
         )
         assert self._roundtrip(spec) == spec
+        assert ScenarioSpec.from_dict(spec.as_dict()) == spec
 
     def test_from_dict_wraps_errors(self):
         with pytest.raises(ConfigurationError, match="malformed scenario"):

@@ -81,6 +81,28 @@ class TestCluster:
             main(["cluster", "--policy", "dartboard"])
 
 
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv,names",
+        [
+            (["sweep", "--policies", "dartboard"], "dartboard"),
+            (["sweep", "--horizon", "-1", "--workers", "2"], "horizon"),
+            (["cluster", "--nodes", "2", "--kill-node", "n1", "--kill-at", "-3"], "n1"),
+            (["cluster", "--horizon", "0"], "horizon"),
+            (["cluster", "--horizon", "0", "--kill-node", "n1"], "horizon"),
+            (["cluster", "--kill-node", "n1", "--kill-at", "9", "--recover-at", "9"],
+             "recover"),
+            (["scenario", "run", "--policy", "push/dartboard"], "dartboard"),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+    )
+    def test_one_error_line_exit_2_no_traceback(self, argv, names, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(f"{argv[0]} error: ") and names in err
+
+
 class TestClassify:
     def test_classify_known_features(self, capsys):
         code = main(

@@ -20,7 +20,6 @@ from repro.core.manager import FCFSDispatcher, WorkloadManager
 from repro.engine.executor import EngineConfig
 from repro.engine.query import QueryState
 from repro.engine.resources import MachineSpec
-from repro.engine.simulator import Simulator
 from repro.execution.suspend_resume import SuspendResumeController
 
 from tests.conftest import make_query, staged_plan
@@ -348,35 +347,28 @@ class TestNodeCrashChaos:
     def _run(self, victims, seed=11, policy="round-robin", queue_depth=None):
         from collections import Counter
 
-        from repro.cluster import FaultInjector, FaultPlan, FaultEvent, FaultKind
-        from repro.cluster.scenario import build_cluster, cluster_overload_scenario
+        from repro.scenarios import arm_scenario, get_policy, get_scenario
 
-        sim = Simulator(seed=seed)
-        dispatcher = build_cluster(
-            sim, nodes=4, policy=policy, mpl=4, max_queue_depth=queue_depth
+        horizon = 30.0
+        spec = get_scenario(
+            "cluster_overload",
+            horizon=horizon,
+            mpl=4,
+            oltp_rate=20.0,
+            bi_rate=1.2,
+            max_queue_depth=queue_depth,
+            crashes=tuple(
+                ((15.0 + index) / horizon, victim, None)
+                for index, victim in enumerate(victims)
+            ),
         )
+        result = arm_scenario(spec, get_policy(f"push/{policy}"), seed=seed)
         outcomes = Counter()
-        dispatcher.add_completion_listener(
+        result.dispatcher.add_completion_listener(
             lambda query: outcomes.update([query.query_id])
         )
-        scenario = cluster_overload_scenario(
-            horizon=30.0, oltp_rate=20.0, bi_rate=1.2
-        )
-        generator = scenario.build(
-            sim, dispatcher.submit, sessions=dispatcher.sessions
-        )
-        dispatcher.add_completion_listener(generator.notify_done)
-        injector = FaultInjector(dispatcher)
-        injector.arm(
-            FaultPlan(
-                tuple(
-                    FaultEvent(15.0 + index, victim, FaultKind.CRASH)
-                    for index, victim in enumerate(victims)
-                )
-            )
-        )
-        dispatcher.run(30.0, drain=300.0)
-        return dispatcher, injector, outcomes
+        result.run(drain=300.0)
+        return result.dispatcher, result.injector, outcomes
 
     def _audit(self, dispatcher, outcomes):
         assert (
