@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
+from typing import List, Sequence, Tuple
 
 import pytest
 
@@ -27,6 +28,29 @@ def write_result(artifact_id: str, content: str) -> Path:
     path = RESULTS_DIR / f"{artifact_id}.txt"
     path.write_text(content + "\n", encoding="utf-8")
     return path
+
+
+#: A replicated shape claim is asserted over this many consecutive seeds,
+#: starting at the bench's default seed (never a hand-picked set), and
+#: counts as holding when it holds in at least ``MAJORITY`` of them.
+REPLICATES = 8
+MAJORITY = 5
+
+
+def seed_tally(
+    seeds: Sequence[int], claims: Sequence[Tuple[str, Sequence[bool]]]
+) -> Tuple[List[int], List[str]]:
+    """Count, per claim, the seeds it holds at.
+
+    ``claims`` pairs a claim's text with one flag per seed.  Returns the
+    counts in claim order and the ``k/n`` lines for the results file.
+    """
+    counts = [sum(bool(flag) for flag in flags) for _, flags in claims]
+    lines = [f"replicated over seeds {seeds[0]}..{seeds[-1]} (holds in k/{len(seeds)}):"]
+    lines += [
+        f"  {count}/{len(seeds)}  {text}" for (text, _), count in zip(claims, counts)
+    ]
+    return counts, lines
 
 
 @pytest.fixture

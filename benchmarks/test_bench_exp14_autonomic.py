@@ -11,6 +11,13 @@ control vs. the AutonomicLoop.  Expected shape: with the loop, gold SLA
 attainment is full and its mean response time drops several-fold; the
 loop's decision log shows technique selection at work (including
 releasing controls between waves).
+
+Replicated over eight seeds, the mix shift breaks the goal without
+control and the loop intervenes and improves gold's response time at
+every seed, but "restores the 1 s goal with full attainment" holds at
+two seeds of eight (the loop lands gold at 0.83-1.15 s around a 1.0 s
+goal) and "halves the response time" at four: those two are recorded as
+counts, not asserted.
 """
 
 import functools
@@ -29,9 +36,10 @@ from repro.workloads.models import (
 )
 
 from benchmarks._scenarios import build_manager, drive
-from benchmarks.conftest import write_result
+from benchmarks.conftest import MAJORITY, REPLICATES, seed_tally, write_result
 
 HORIZON = 180.0
+SEEDS = range(141, 141 + REPLICATES)
 MACHINE = MachineSpec(cpu_capacity=1.0, disk_capacity=2.0, memory_mb=2048.0)
 GOLD_GOAL = 1.0
 
@@ -72,7 +80,7 @@ def _scenario():
     return Scenario(specs=(gold, monsters), horizon=HORIZON)
 
 
-def run_variant(with_loop: bool, seed=141):
+def run_variant(with_loop: bool, seed=SEEDS[0]):
     from repro.control.loop import AnalyzeStage, ExecuteStage
 
     sim = Simulator(seed=seed)
@@ -103,17 +111,29 @@ def run_variant(with_loop: bool, seed=141):
 
 
 @functools.lru_cache(maxsize=1)
-def results():
-    return {
-        "no-control": run_variant(False),
-        "autonomic-loop": run_variant(True),
-    }
+def replicates():
+    return [
+        {
+            "no-control": run_variant(False, seed=seed),
+            "autonomic-loop": run_variant(True, seed=seed),
+        }
+        for seed in SEEDS
+    ]
+
+
+def _interventions(row):
+    """Planned actions that are not a no-op (a win must not be one)."""
+    return sum(
+        count
+        for action, count in row["actions"].items()
+        if action not in (LoopAction.NONE, LoopAction.RELEASE)
+    )
 
 
 def test_exp14_autonomic_loop(benchmark):
-    outcome = results()
-    lines = ["EXP14 — autonomic MAPE loop (§5.3, [80])", ""]
-    for name, row in outcome.items():
+    runs = replicates()
+    lines = ["EXP14 — autonomic MAPE loop (§5.3, [80])", "", f"seed {SEEDS[0]}:"]
+    for name, row in runs[0].items():
         actions = ", ".join(
             f"{action.value}x{count}" for action, count in row["actions"].items()
         )
@@ -122,22 +142,43 @@ def test_exp14_autonomic_loop(benchmark):
             f"SLA attainment={row['attainment']:.2f}"
             + (f", actions: {actions}" if actions else "")
         )
-    write_result("exp14_autonomic", "\n".join(lines))
 
-    baseline = outcome["no-control"]
-    managed = outcome["autonomic-loop"]
-    # the shifting mix genuinely breaks the goal without control
-    assert baseline["gold_rt"] > GOLD_GOAL
-    # the loop restores the goal
-    assert managed["gold_rt"] <= GOLD_GOAL
-    assert managed["attainment"] == 1.0
-    assert managed["gold_rt"] < baseline["gold_rt"] / 2.0
-    # it actually planned interventions (not a no-op win)
-    interventions = {
-        action: count
-        for action, count in managed["actions"].items()
-        if action not in (LoopAction.NONE, LoopAction.RELEASE)
-    }
-    assert sum(interventions.values()) >= 2
+    pairs = [(run["no-control"], run["autonomic-loop"]) for run in runs]
+    (breaks, intervenes, helps, _restores, _halves), tally = seed_tally(
+        SEEDS,
+        [
+            # the shifting mix genuinely breaks the goal without control
+            ("no control: gold mean rt above the goal",
+             [base["gold_rt"] > GOLD_GOAL for base, _ in pairs]),
+            # it actually planned interventions (not a no-op win)
+            ("loop plans >= 2 interventions",
+             [_interventions(managed) >= 2 for _, managed in pairs]),
+            ("loop lowers gold mean rt",
+             [managed["gold_rt"] < base["gold_rt"] for base, managed in pairs]),
+            ("loop restores the goal (rt <= goal, attainment 1.0)",
+             [
+                 managed["gold_rt"] <= GOLD_GOAL and managed["attainment"] == 1.0
+                 for _, managed in pairs
+             ]),
+            ("loop at least halves gold mean rt",
+             [managed["gold_rt"] < base["gold_rt"] / 2.0 for base, managed in pairs]),
+        ],
+    )
+    tally.append(
+        "  gold rt by seed, no control -> loop (s): "
+        + ", ".join(
+            f"{base['gold_rt']:.2f} -> {managed['gold_rt']:.2f}"
+            for base, managed in pairs
+        )
+    )
+    write_result("exp14_autonomic", "\n".join(lines + [""] + tally))
 
-    benchmark.pedantic(lambda: run_variant(True, seed=142), rounds=1, iterations=1)
+    assert breaks >= MAJORITY
+    assert intervenes >= MAJORITY
+    # "restores the goal" and "halves" are counts above, not assertions:
+    # the loop lands gold just under or just over 1 s (docstring)
+    assert helps >= MAJORITY
+
+    benchmark.pedantic(
+        lambda: run_variant(True, seed=SEEDS[0] + 1), rounds=1, iterations=1
+    )

@@ -15,25 +15,32 @@ then the cost-balanced run repeated with node n1 crashed at t=30s.
 Expected shape: round-robin breaches the 2s OLTP p95 SLA, both
 load-aware placers hold it; the chaos run completes every arrival
 exactly once with zero cluster rejections.
+
+Replicated over eight seeds: round-robin breaches and SLA-aware
+placement holds in a majority of seeds (the mix only overloads a node
+when BI monsters collide, which is the seeds where round-robin
+breaches); "cost-balanced holds the SLA" does not replicate and is
+recorded as a count, not asserted.  Conservation under the node kill is
+an invariant and is asserted at every seed.
 """
 
 import functools
 from collections import Counter
 
-from benchmarks.conftest import write_result
+from benchmarks.conftest import MAJORITY, REPLICATES, seed_tally, write_result
 from repro.reporting.figures import ascii_bar_chart, ascii_cluster_timeline
 from repro.scenarios import arm_scenario, get_policy, get_scenario, run_scenario
 
-SEED = 42
+SEEDS = range(42, 42 + REPLICATES)
 HORIZON = 60.0
 OLTP_P95_SLA = get_scenario("cluster_overload").workloads[0].sla.p95
 
 
-def run_policy(policy: str):
+def run_policy(policy: str, seed: int):
     dispatcher = run_scenario(
         get_scenario("cluster_overload", nodes=4, horizon=HORIZON),
         get_policy(f"push/{policy}"),
-        seed=SEED,
+        seed=seed,
     ).dispatcher
     roll = dispatcher.metrics.rollup("oltp")
     return {
@@ -46,12 +53,12 @@ def run_policy(policy: str):
     }
 
 
-def run_node_kill():
+def run_node_kill(seed: int):
     """Cost-balanced run with n1 crashed mid-run; full conservation audit."""
     spec = get_scenario(
         "cluster_overload", nodes=4, horizon=HORIZON, crashes=((0.5, "n1", None),)
     )
-    result = arm_scenario(spec, get_policy("push/cost"), seed=SEED)
+    result = arm_scenario(spec, get_policy("push/cost"), seed=seed)
     dispatcher, injector = result.dispatcher, result.injector
     outcomes = Counter()
     dispatcher.add_completion_listener(
@@ -66,24 +73,28 @@ def run_node_kill():
 
 
 @functools.lru_cache(maxsize=1)
-def results():
-    return {
-        "round-robin": run_policy("round-robin"),
-        "cost": run_policy("cost"),
-        "sla": run_policy("sla"),
-        "node-kill": run_node_kill(),
-    }
+def replicates():
+    return [
+        {
+            "round-robin": run_policy("round-robin", seed),
+            "cost": run_policy("cost", seed),
+            "sla": run_policy("sla", seed),
+            "node-kill": run_node_kill(seed),
+        }
+        for seed in SEEDS
+    ]
 
 
 def test_exp18_placement_beats_round_robin(benchmark):
-    outcome = results()
+    runs = replicates()
+    outcome = runs[0]
     chart = ascii_bar_chart(
         {
             name: outcome[name]["oltp_p95"]
             for name in ("round-robin", "cost", "sla")
         },
         title=(
-            "EXP18 — OLTP p95 by placement policy "
+            f"EXP18 — OLTP p95 by placement policy, seed {SEEDS[0]} "
             f"(4 nodes, SLA {OLTP_P95_SLA:.0f}s)"
         ),
         unit="s",
@@ -98,15 +109,42 @@ def test_exp18_placement_beats_round_robin(benchmark):
         )
     dispatcher = outcome["cost"]["dispatcher"]
     lines += ["", dispatcher.metrics.rollup_table(dispatcher.sim.now)]
-    write_result("exp18_cluster_placement", "\n".join(lines))
 
-    # round-robin keeps landing OLTP behind BI monsters: SLA breached
-    assert outcome["round-robin"]["oltp_p95"] > OLTP_P95_SLA
-    # load-aware placement holds the objective under the same mix
-    assert outcome["cost"]["oltp_p95"] <= OLTP_P95_SLA
-    assert outcome["sla"]["oltp_p95"] <= OLTP_P95_SLA
-    for name in ("cost", "sla"):
-        assert outcome[name]["oltp_p95"] < outcome["round-robin"]["oltp_p95"]
+    p95 = {
+        name: [run[name]["oltp_p95"] for run in runs]
+        for name in ("round-robin", "cost", "sla")
+    }
+    (breaches, sla_holds, sla_wins, _cost_holds, _cost_wins), tally = seed_tally(
+        SEEDS,
+        [
+            # round-robin keeps landing OLTP behind BI monsters: SLA breached
+            ("round-robin breaches the SLA",
+             [value > OLTP_P95_SLA for value in p95["round-robin"]]),
+            # load-aware placement holds the objective under the same mix
+            ("sla placement holds the SLA",
+             [value <= OLTP_P95_SLA for value in p95["sla"]]),
+            ("sla placement beats round-robin",
+             [ours < theirs for ours, theirs in zip(p95["sla"], p95["round-robin"])]),
+            ("cost placement holds the SLA",
+             [value <= OLTP_P95_SLA for value in p95["cost"]]),
+            ("cost placement beats round-robin",
+             [ours < theirs for ours, theirs in zip(p95["cost"], p95["round-robin"])]),
+        ],
+    )
+    tally.append(
+        "  OLTP p95 by seed, round-robin / cost / sla (s): "
+        + ", ".join(
+            f"{rr:.3f} / {cost:.3f} / {sla:.3f}"
+            for rr, cost, sla in zip(p95["round-robin"], p95["cost"], p95["sla"])
+        )
+    )
+    write_result("exp18_cluster_placement", "\n".join(lines + [""] + tally))
+
+    assert breaches >= MAJORITY
+    assert sla_holds >= MAJORITY
+    assert sla_wins >= MAJORITY
+    # the two cost-placement claims are counts above, not assertions:
+    # they do not replicate (docstring)
 
     benchmark.pedantic(
         lambda: dispatcher.metrics.rollup("oltp"), rounds=3, iterations=1
@@ -114,15 +152,33 @@ def test_exp18_placement_beats_round_robin(benchmark):
 
 
 def test_exp18_node_kill_conserves_queries(benchmark):
-    outcome = results()["node-kill"]
+    kills = [run["node-kill"] for run in replicates()]
+    outcome = kills[0]
     dispatcher = outcome["dispatcher"]
     injector = outcome["injector"]
-    outcomes = outcome["outcomes"]
     now = dispatcher.sim.now
     lanes = dispatcher.metrics.timeline_lanes(now)
+    (reclaimed,), tally = seed_tally(
+        SEEDS,
+        [
+            # the crash actually cost the node work (all of it came back:
+            # conservation is asserted at every seed below)
+            ("crash reclaimed >= 1 in-flight query",
+             [kill["injector"].lost_and_resubmitted >= 1 for kill in kills]),
+        ],
+    )
+    tally.append(
+        "  reclaimed / arrivals by seed: "
+        + ", ".join(
+            f"{kill['injector'].lost_and_resubmitted} / "
+            f"{kill['dispatcher'].arrivals}"
+            for kill in kills
+        )
+    )
     lines = [
         ascii_cluster_timeline(
-            lanes, now, title="EXP18 — n1 killed at t=30s (x = down)"
+            lanes, now,
+            title=f"EXP18 — n1 killed at t=30s, seed {SEEDS[0]} (x = down)",
         ),
         "",
         f"reclaimed={injector.lost_and_resubmitted} "
@@ -130,19 +186,22 @@ def test_exp18_node_kill_conserves_queries(benchmark):
         f"arrivals={dispatcher.arrivals} "
         f"completions={dispatcher.completions} "
         f"rejections={dispatcher.rejections}",
+        "",
     ]
-    write_result("exp18_cluster_failover", "\n".join(lines))
+    write_result("exp18_cluster_failover", "\n".join(lines + tally))
 
-    # the crash actually cost the node work, and all of it came back
-    assert injector.lost_and_resubmitted >= 1
-    # zero lost completions: every arrival terminates exactly once
-    assert dispatcher.completions + dispatcher.rejections == dispatcher.arrivals
-    assert dispatcher.rejections == 0
-    assert dispatcher.outstanding_work() == 0
-    assert sum(outcomes.values()) == dispatcher.arrivals
-    duplicates = [qid for qid, count in outcomes.items() if count > 1]
-    assert duplicates == []
+    assert reclaimed >= MAJORITY
+    for kill in kills:
+        dispatcher, outcomes = kill["dispatcher"], kill["outcomes"]
+        # zero lost completions: every arrival terminates exactly once
+        assert dispatcher.completions + dispatcher.rejections == dispatcher.arrivals
+        assert dispatcher.rejections == 0
+        assert dispatcher.outstanding_work() == 0
+        assert sum(outcomes.values()) == dispatcher.arrivals
+        duplicates = [qid for qid, count in outcomes.items() if count > 1]
+        assert duplicates == []
 
+    dispatcher = kills[0]["dispatcher"]
     benchmark.pedantic(
         lambda: dispatcher.metrics.timeline_lanes(now), rounds=3, iterations=1
     )

@@ -10,6 +10,14 @@ Uncontrolled, high concurrency drives blocking and wait-die aborts
 ratio is critical.  Expected shape: with the gate, useful throughput
 rises well above the contention-collapsed baseline and the wasted work
 per completed transaction (aborts/completion) drops sharply.
+
+Replicated over eight seeds the expected shape does *not* hold: this
+plant is bimodal (a seed either sustains ~5-12 txn/s or collapses below
+0.2 txn/s) with the gate and without it, "gate >= 2x throughput" held at
+one seed of eight before the request streams moved and holds at one of
+eight after, and where the gate halves the waste it does so by admitting
+almost nothing.  The bench asserts what does replicate — the baseline is
+genuinely contended — and records the rest as counts.
 """
 
 import functools
@@ -20,12 +28,13 @@ from repro.engine.simulator import Simulator
 from repro.workloads.generator import Scenario
 
 from benchmarks._scenarios import build_manager, drive, lock_heavy_workload
-from benchmarks.conftest import write_result
+from benchmarks.conftest import MAJORITY, REPLICATES, seed_tally, write_result
 
 HORIZON = 90.0
+SEEDS = range(21, 21 + REPLICATES)
 
 
-def run_variant(admission=None, seed=21, hot_set=120):
+def run_variant(admission=None, seed=SEEDS[0], hot_set=120):
     sim = Simulator(seed=seed)
     manager = build_manager(
         sim,
@@ -46,40 +55,64 @@ def run_variant(admission=None, seed=21, hot_set=120):
     }
 
 
+def _waste(row):
+    return row["aborts"] / max(row["completions"], 1)
+
+
 @functools.lru_cache(maxsize=1)
-def results():
-    return {
-        "uncontrolled": run_variant(None),
-        "conflict-ratio<=1.3": run_variant(
-            ConflictRatioAdmission(critical_ratio=1.3)
-        ),
-    }
+def replicates():
+    return [
+        {
+            "uncontrolled": run_variant(None, seed=seed),
+            "conflict-ratio<=1.3": run_variant(
+                ConflictRatioAdmission(critical_ratio=1.3), seed=seed
+            ),
+        }
+        for seed in SEEDS
+    ]
 
 
 def test_exp3_conflict_ratio_control(benchmark):
-    outcome = results()
-    lines = ["EXP3 — Conflict-ratio admission control [56]", ""]
-    for name, row in outcome.items():
+    runs = replicates()
+    lines = [
+        "EXP3 — Conflict-ratio admission control [56]",
+        "",
+        f"seed {SEEDS[0]}:",
+    ]
+    for name, row in runs[0].items():
         lines.append(
             f"{name:>20}: {row['throughput']:.2f} txn/s, "
             f"{row['aborts']} wait-die aborts, "
             f"{row['completions']} completed"
         )
+    pairs = [(run["uncontrolled"], run["conflict-ratio<=1.3"]) for run in runs]
+    (contended, _lifted, _halved), tally = seed_tally(
+        SEEDS,
+        [
+            ("baseline is contended (> 50 wait-die aborts)",
+             [base["aborts"] > 50 for base, _ in pairs]),
+            ("gate >= 2x uncontrolled throughput",
+             [gated["throughput"] >= base["throughput"] * 2.0 for base, gated in pairs]),
+            ("gate halves aborts per completion",
+             [_waste(gated) < _waste(base) / 2.0 for base, gated in pairs]),
+        ],
+    )
+    lines += [""] + tally + [
+        "  throughput by seed, uncontrolled -> gated (txn/s): "
+        + ", ".join(
+            f"{base['throughput']:.2f} -> {gated['throughput']:.2f}"
+            for base, gated in pairs
+        )
+    ]
     write_result("exp3_conflict_ratio", "\n".join(lines))
 
-    base = outcome["uncontrolled"]
-    controlled = outcome["conflict-ratio<=1.3"]
     # contention is actually present in the baseline
-    assert base["aborts"] > 50
-    # the gate lifts useful throughput out of the contention collapse
-    assert controlled["throughput"] >= base["throughput"] * 2.0
-    # and cuts the *wasted work per completed transaction* at least in half
-    base_waste = base["aborts"] / max(base["completions"], 1)
-    controlled_waste = controlled["aborts"] / max(controlled["completions"], 1)
-    assert controlled_waste < base_waste / 2.0
+    assert contended >= MAJORITY
+    # "the gate lifts throughput 2x" and "halves the waste" are recorded
+    # above as counts, not asserted: neither replicates (module docstring)
 
     benchmark.pedantic(
-        lambda: run_variant(ConflictRatioAdmission(), seed=22),
+        lambda: run_variant(ConflictRatioAdmission(), seed=SEEDS[0] + 1),
         rounds=1,
         iterations=1,
     )

@@ -7,6 +7,10 @@ classes, same cost distributions — and pre-draws the entire statement
 stream with a seeded generator: arrival instants, request classes, cost
 vectors, optimizer estimates and the concrete backend-neutral
 :class:`~repro.backends.base.Operation` each statement executes.
+Classes and costs come from the one column draw the simulator's
+generator reads (:meth:`WorkloadSpec.draw
+<repro.workloads.models.WorkloadSpec.draw>`), taken once per spec for
+all of its arrivals.
 
 Everything *after* the plan (wall-clock timings, thread interleavings,
 lock conflicts) is real and therefore non-deterministic; everything
@@ -108,7 +112,7 @@ class StatementPlan:
 def _operation_for(
     statement_type: StatementType,
     true_cost: CostVector,
-    rng: np.random.Generator,
+    key: int,
     key_space: int,
     work_scale: float,
     heavy_read_threshold: float,
@@ -120,7 +124,6 @@ def _operation_for(
     become genuinely heavier SQL — the property calibration later
     exploits to fit cost models with non-trivial slopes.
     """
-    key = int(rng.integers(0, key_space))
     work = true_cost.total_work
     span = max(1, min(key_space, int(work * work_scale)))
     if statement_type in (StatementType.WRITE, StatementType.DML):
@@ -145,7 +148,10 @@ def plan_statements(
     """Pre-draw the full statement stream for ``specs`` over ``horizon``.
 
     Per-spec draws use independent child seeds (``[seed, spec_index]``)
-    so adding a workload never perturbs another workload's stream.  The
+    so adding a workload never perturbs another workload's stream; each
+    stream is consumed column by column — arrival instants, the request
+    columns of :meth:`WorkloadSpec.draw`, estimate errors (only when
+    ``optimizer_sigma`` > 0), operation keys.  The
     merged stream is ordered by arrival time with (spec, arrival) order
     breaking ties — the same order a simulator event heap would realize.
 
@@ -168,18 +174,25 @@ def plan_statements(
             )
         rng = np.random.default_rng([seed, spec_index])
         arrivals = spec.arrivals.arrival_times(rng, horizon)
-        for arrival_index, submit_at in enumerate(arrivals):
-            request_class = spec.pick_class(rng)
-            true_cost = request_class.sample_cost(rng)
-            if optimizer_sigma > 0:
-                factor = float(np.exp(rng.normal(0.0, optimizer_sigma)))
-                estimated = true_cost.scaled(factor)
-            else:
-                estimated = true_cost
+        n = len(arrivals)
+        columns = spec.draw(rng, n)
+        if optimizer_sigma > 0:
+            factors = np.exp(rng.normal(0.0, optimizer_sigma, size=n)).tolist()
+        else:
+            factors = [None] * n
+        keys = rng.integers(0, key_space, size=n).tolist()
+        for arrival_index, (
+            submit_at,
+            (request_class, *cost, _fractions),
+            factor,
+            key,
+        ) in enumerate(zip(arrivals, zip(*columns), factors, keys)):
+            true_cost = CostVector(*cost)
+            estimated = true_cost if factor is None else true_cost.scaled(factor)
             op = _operation_for(
                 request_class.statement_type,
                 true_cost,
-                rng,
+                key,
                 key_space,
                 work_scale,
                 heavy_read_threshold,

@@ -725,7 +725,17 @@ class ExecutionEngine:
         slot = store.index[query_id]
         milestone = entry.next_milestone()
         progress = float(store.progress[slot])
-        if progress >= milestone - 1e-9:
+        reached = progress >= milestone - 1e-9
+        if not reached:
+            # A fast query can sit further than 1e-9 of progress from its
+            # milestone yet closer in time than the clock resolves at
+            # ``now``: its ETA rounds to ``now``, the sync above advanced
+            # nothing, and re-arming would fire this event at this
+            # instant forever.  No tick separates them, so it is there.
+            speed = float(store.speed[slot])
+            now = self.sim.now
+            reached = speed > 0.0 and now + (milestone - progress) / speed == now
+        if reached:
             if progress < milestone:
                 store.progress[slot] = milestone
                 progress = milestone

@@ -61,13 +61,22 @@ class Optimizer:
         # Zero-sigma draws never touch the RNG; cache their constant
         # factor (perfect optimizers sit on the per-query hot path).
         self._bias_factor = float(np.exp(profile.bias))
+        self._exact = (
+            profile.error_sigma == 0
+            and profile.cardinality_sigma == 0
+            and self._bias_factor == 1.0
+        )
 
     def estimate(self, true_cost: CostVector) -> CostVector:
         """Estimate a cost vector from the true one.
 
         CPU and I/O seconds share one error draw (both derive from the
         same cardinality estimates), memory a second, rows a third.
+        An exact profile returns the true vector itself: every factor is
+        1.0 and ``x * 1.0 == x``.
         """
+        if self._exact:
+            return true_cost
         time_factor = self._draw(self.profile.error_sigma)
         mem_factor = self._draw(self.profile.error_sigma * 0.5)
         row_factor = self._draw(self.profile.cardinality_sigma)

@@ -7,13 +7,23 @@ performance objectives" (§1) — into a generator-ready description:
 request classes with cost distributions, an arrival process (open
 Poisson or closed with think time, per Schroeder et al. [70]), session
 origin attributes, and a business priority.
+
+Requests are drawn a block at a time, as columns:
+:meth:`WorkloadSpec.draw` is the one place a request's class, cost and
+plan split are sampled — the simulator's generator and the backend
+planner both read it — and its column-major draw order is the
+determinism contract of every ``costs:*`` stream.  Each column is
+bit-identical to that many sequential scalar draws
+(:meth:`Distribution.sample`, which stays as the scalar primitive for
+think times and as the tests' reference), so the order of draws is the
+only thing a block changes.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,6 +42,10 @@ class Distribution(abc.ABC):
         """Draw one value."""
 
     @abc.abstractmethod
+    def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Draw ``n`` values: bit-identical to ``n`` calls of :meth:`sample`."""
+
+    @abc.abstractmethod
     def mean(self) -> float:
         """Expected value (used by analytical MPL models)."""
 
@@ -44,6 +58,9 @@ class Constant(Distribution):
 
     def sample(self, rng: np.random.Generator) -> float:
         return self.value
+
+    def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return np.full(n, float(self.value))
 
     def mean(self) -> float:
         return self.value
@@ -61,6 +78,9 @@ class Exponential(Distribution):
 
     def sample(self, rng: np.random.Generator) -> float:
         return float(rng.exponential(self.mean_value))
+
+    def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.exponential(self.mean_value, size=n)
 
     def mean(self) -> float:
         return self.mean_value
@@ -88,6 +108,12 @@ class LogNormal(Distribution):
             value = min(value, self.cap)
         return value
 
+    def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        values = self.median * np.exp(rng.normal(0.0, self.sigma, size=n))
+        if self.cap is not None:
+            values = np.minimum(values, self.cap)
+        return values
+
     def mean(self) -> float:
         mean = self.median * float(np.exp(self.sigma**2 / 2.0))
         if self.cap is not None:
@@ -108,6 +134,9 @@ class Uniform(Distribution):
 
     def sample(self, rng: np.random.Generator) -> float:
         return float(rng.uniform(self.low, self.high))
+
+    def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.uniform(self.low, self.high, size=n)
 
     def mean(self) -> float:
         return (self.low + self.high) / 2.0
@@ -138,24 +167,11 @@ class RequestClass:
     #: database objects this class's queries access ("where" criteria)
     objects: Tuple[str, ...] = ()
 
-    def sample_cost(self, rng: np.random.Generator) -> CostVector:
-        """Draw one true cost vector."""
-        return CostVector(
-            cpu_seconds=max(0.0, self.cpu.sample(rng)),
-            io_seconds=max(0.0, self.io.sample(rng)),
-            memory_mb=max(0.0, self.memory_mb.sample(rng)),
-            lock_count=int(round(max(0.0, self.locks.sample(rng)))),
-            rows=int(round(max(0.0, self.rows.sample(rng)))),
-        )
-
     def _plan_template(self):
-        """Cached (names, alpha, blocking) for :meth:`sample_plan`.
+        """Cached (names, alpha, blocking) for the class's plans.
 
         The operator names, the Dirichlet alpha vector and the blocking
-        flags are properties of the class, not of the draw; rebuilding
-        them per query dominated ``sample_plan``.  The cached alpha holds
-        the same values as the inline ``np.ones(n) * 2.0`` did, so the
-        Dirichlet draw (and the RNG stream) is unchanged.
+        flags are properties of the class, not of the draw.
         """
         cached = self.__dict__.get("_plan_cache")
         if cached is None:
@@ -168,23 +184,16 @@ class RequestClass:
             object.__setattr__(self, "_plan_cache", cached)
         return cached
 
-    def sample_plan(self, rng: np.random.Generator) -> QueryPlan:
-        """Draw a plan: the named operators with Dirichlet work split."""
-        names, alpha, blocking = self._plan_template()
-        fractions = rng.dirichlet(alpha)
-        # Normalize defensively against float drift.
-        fractions = fractions / fractions.sum()
+    def plan(self, fractions: Sequence[float]) -> QueryPlan:
+        """The class's named operators carrying one drawn work split."""
+        names, _, blocking = self._plan_template()
         state_mb = self.operator_state_mb
-        operators = tuple(
-            PlanOperator(
-                name=name,
-                work_fraction=float(fraction),
-                state_mb=state_mb,
-                blocking=is_blocking,
+        return QueryPlan(
+            operators=tuple(
+                PlanOperator(name, fraction, state_mb, is_blocking)
+                for name, fraction, is_blocking in zip(names, fractions, blocking)
             )
-            for name, fraction, is_blocking in zip(names, fractions, blocking)
         )
-        return QueryPlan(operators=operators)
 
 
 # ----------------------------------------------------------------------
@@ -327,6 +336,25 @@ class BatchArrivals(ArrivalProcess):
 # ----------------------------------------------------------------------
 # workload specification
 # ----------------------------------------------------------------------
+class QueryColumns(NamedTuple):
+    """``n`` drawn requests, one python list per attribute.
+
+    Row ``i`` across the columns is one request; ``zip(*columns)``
+    iterates rows as ``(request_class, cpu_seconds, io_seconds,
+    memory_mb, lock_count, rows, fractions)`` — the five cost fields in
+    :class:`CostVector` order, then the work split
+    :meth:`RequestClass.plan` takes.
+    """
+
+    request_class: List[RequestClass]
+    cpu_seconds: List[float]
+    io_seconds: List[float]
+    memory_mb: List[float]
+    lock_count: List[int]
+    rows: List[int]
+    fractions: List[List[float]]
+
+
 @dataclass(frozen=True)
 class WorkloadSpec:
     """A complete, generator-ready workload description."""
@@ -347,16 +375,15 @@ class WorkloadSpec:
             raise ValueError("mix weights must be positive")
 
     def _mix_template(self):
-        """Cached (classes, mix CDF) for :meth:`pick_class`.
+        """Cached (classes, mix CDF) for :meth:`draw`.
 
-        The CDF is a property of the spec, not of the draw; caching it
-        and inverting one uniform draw replaces ``rng.choice``'s
-        per-call probability validation and cumsum, which dominated
-        ``pick_class``.  The draw is *identical* to
+        The CDF is a property of the spec, not of the draw.  Inverting
+        uniform draws against it is *identical* to
         ``rng.choice(n, p=weights / weights.sum())``: ``Generator.choice``
-        with probabilities consumes exactly one ``rng.random()`` and
-        right-searches the renormalized CDF, which is what this does
-        (``tests/workloads`` pins the equivalence draw-for-draw).
+        with probabilities consumes exactly one ``rng.random()`` per pick
+        and right-searches the renormalized CDF, which is what
+        :meth:`draw` does (``tests/workloads`` pins the equivalence
+        draw-for-draw).
         """
         cached = self.__dict__.get("_mix_cache")
         if cached is None:
@@ -370,10 +397,40 @@ class WorkloadSpec:
             object.__setattr__(self, "_mix_cache", cached)
         return cached
 
-    def pick_class(self, rng: np.random.Generator) -> RequestClass:
-        """Draw a request class according to the mix weights."""
+    def draw(self, rng: np.random.Generator, n: int) -> QueryColumns:
+        """Draw ``n`` requests as columns, in a fixed column-major order.
+
+        The order is the determinism contract of the stream ``rng`` is:
+        ``n`` class picks first, then per request class in mix order —
+        over the rows that picked it — its cpu, io, memory, locks and
+        rows columns and its Dirichlet work splits.  Costs are clamped
+        at zero, counts rounded to ints and splits renormalized here, on
+        the arrays, so a row is ready for :class:`CostVector` and
+        :meth:`RequestClass.plan` as it stands.
+        """
         classes, cdf = self._mix_template()
-        return classes[cdf.searchsorted(rng.random(), side="right")]
+        picks = cdf.searchsorted(rng.random(n), side="right")
+        costs = np.empty((5, n))      # cpu, io, memory, locks, rows
+        fractions: List[Optional[List[float]]] = [None] * n
+        for class_index, cls in enumerate(classes):
+            members = np.flatnonzero(picks == class_index)
+            n_c = members.size
+            for column, distribution in zip(
+                costs, (cls.cpu, cls.io, cls.memory_mb, cls.locks, cls.rows)
+            ):
+                column[members] = distribution.sample_n(rng, n_c)
+            split = rng.dirichlet(cls._plan_template()[1], size=n_c)
+            # Normalize defensively against float drift.
+            split /= split.sum(axis=1, keepdims=True)
+            for row, row_split in zip(members.tolist(), split.tolist()):
+                fractions[row] = row_split
+        np.maximum(costs, 0.0, out=costs)
+        cpu, io, memory = costs[:3].tolist()
+        locks, rows = np.rint(costs[3:]).astype(np.int64).tolist()
+        return QueryColumns(
+            [classes[pick] for pick in picks.tolist()],
+            cpu, io, memory, locks, rows, fractions,
+        )
 
     def mean_cost(self) -> CostVector:
         """Mix-weighted mean cost (consumed by analytical MPL models)."""

@@ -39,7 +39,7 @@ query_strategy = st.tuples(
 )
 
 
-def _run_pipeline(rows, mpl=None, hot_set=50, seed=1):
+def _run_pipeline(rows, mpl=None, hot_set=50, seed=1, max_events=None):
     sim = Simulator(seed=seed)
     manager = WorkloadManager(
         sim,
@@ -55,7 +55,7 @@ def _run_pipeline(rows, mpl=None, hot_set=50, seed=1):
         )
         queries.append(query)
         sim.schedule_at(offset, lambda q=query: manager.submit(q))
-    manager.run(horizon=25.0, drain=400.0)
+    manager.run(horizon=25.0, drain=400.0, max_events=max_events)
     return manager, queries, sim
 
 
@@ -146,6 +146,28 @@ class TestConservation:
             assert served >= floor or query.restarts > 0
             velocity = query.execution_velocity(sim.now)
             assert 0.0 <= velocity <= 1.0
+
+
+class TestMilestoneLivelock:
+    def test_eta_below_clock_resolution_still_completes(self):
+        """Shrunk from ``--hypothesis-seed=9``: the last query runs at
+        speed 4.19e6 and ends a milestone event 4e-9 of progress short,
+        9.7e-16 s away — under half an ulp of ``now`` = 18.988, so its
+        ETA is ``now`` and the engine re-armed the same event forever."""
+        rows = [
+            (1.7067091941644466, 2.5686153607262447, 58.04586743099669, 0, 2,
+             16.24882742088786),
+            (0.7274345733652156, 1.7422520728221982, 0.08, 0, 3,
+             18.145414982992776),
+            (4.407524730464694, 1.192092896e-07, 492.96593365396546, 0, 3,
+             18.572703909802165),
+            (7.161088541285394e-184, 1.7780448292325315, 360.3119188886271, 0, 3,
+             17.21966539290022),
+            (5.960464477539063e-08, 7.208942447889961e-50, 0.0, 0, 1,
+             18.98805108403469),
+        ]
+        _, queries, _ = _run_pipeline(rows, max_events=200_000)
+        assert [q.state for q in queries] == [QueryState.COMPLETED] * 5
 
 
 class TestMplInvariant:

@@ -1,13 +1,15 @@
-"""Pin: the cached-CDF ``pick_class`` is draw-for-draw identical to
-``Generator.choice`` with probabilities.
+"""Pin: the class column of ``WorkloadSpec.draw`` is draw-for-draw
+identical to ``Generator.choice`` with probabilities.
 
-``WorkloadSpec.pick_class`` replaced ``rng.choice(n, p=...)`` with a
-cached CDF inverted by one ``rng.random()`` (the hot-path optimization
-documented in ``models.py``).  Committed scenario digests depend on the
-two consuming the RNG stream identically, so this test compares *every
-draw and the final generator state* across mixes — if numpy ever
-changes ``Generator.choice``'s consumption pattern, this fails loudly
-rather than silently shifting seeded workloads.
+``draw`` picks its ``n`` classes first, by inverting ``rng.random(n)``
+against a cached CDF (documented in ``models.py``) instead of calling
+``rng.choice(k, p=...)`` per request.  Committed scenario digests depend
+on the two consuming the RNG stream identically, so this test compares
+*every pick* across mixes with ``n`` sequential ``rng.choice`` draws —
+if numpy ever changes ``Generator.choice``'s consumption pattern, this
+fails loudly rather than silently shifting seeded workloads.  (The
+stream position after the whole draw is pinned by the scalar oracle in
+``test_draw.py``, whose picks are ``rng.choice`` too.)
 """
 
 import numpy as np
@@ -47,17 +49,14 @@ def test_pick_class_matches_rng_choice_draw_for_draw(weights, seed):
     probabilities = np.array(weights, dtype=float)
     probabilities = probabilities / probabilities.sum()
 
-    picker_rng = np.random.default_rng(seed)
     choice_rng = np.random.default_rng(seed)
-    for _ in range(32):
-        picked = spec.pick_class(picker_rng)
-        expected = classes[int(choice_rng.choice(len(classes), p=probabilities))]
-        assert picked is expected
-    # Same draws AND same stream position: downstream samples stay seeded
-    # identically whichever implementation ran.
-    assert (
-        picker_rng.bit_generator.state == choice_rng.bit_generator.state
-    )
+    picked = spec.draw(np.random.default_rng(seed), 32).request_class
+    expected = [
+        classes[int(choice_rng.choice(len(classes), p=probabilities))]
+        for _ in range(32)
+    ]
+    assert len(picked) == 32
+    assert all(a is b for a, b in zip(picked, expected))
 
 
 def test_mix_template_cached_per_spec():

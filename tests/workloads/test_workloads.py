@@ -113,6 +113,12 @@ class TestArrivals:
         assert BatchArrivals(count=3, at=200.0).arrival_times(_rng(), 100.0) == []
 
 
+def _single_class_spec(cls):
+    return WorkloadSpec(
+        name="w", request_classes=((cls, 1.0),), arrivals=OpenArrivals(rate=1.0)
+    )
+
+
 class TestWorkloadSpec:
     def test_pick_class_respects_weights(self):
         heavy = RequestClass("h", Constant(1.0), Constant(1.0))
@@ -122,8 +128,7 @@ class TestWorkloadSpec:
             request_classes=((heavy, 9.0), (light, 1.0)),
             arrivals=OpenArrivals(rate=1.0),
         )
-        rng = _rng(9)
-        picks = [spec.pick_class(rng).name for _ in range(1000)]
+        picks = [cls.name for cls in spec.draw(_rng(9), 1000).request_class]
         assert picks.count("h") > 800
 
     def test_mean_cost_mix_weighted(self):
@@ -150,16 +155,16 @@ class TestWorkloadSpec:
             rows=Constant(500.0),
             statement_type=StatementType.WRITE,
         )
-        cost = cls.sample_cost(_rng(10))
-        assert cost.cpu_seconds == 1.0
-        assert cost.lock_count == 3
-        assert cost.rows == 500
+        ((drawn, *cost, _fractions),) = zip(*_single_class_spec(cls).draw(_rng(10), 1))
+        assert drawn is cls
+        assert cost == [1.0, 2.0, 64.0, 3, 500]
 
     def test_plan_sampling_sums_to_one(self):
         cls = RequestClass("c", Constant(1.0), Constant(1.0))
-        plan = cls.sample_plan(_rng(11))
-        assert sum(op.work_fraction for op in plan) == pytest.approx(1.0)
-        assert len(plan) == len(cls.plan_shape)
+        for fractions in _single_class_spec(cls).draw(_rng(11), 5).fractions:
+            plan = cls.plan(fractions)
+            assert sum(op.work_fraction for op in plan) == pytest.approx(1.0)
+            assert len(plan) == len(cls.plan_shape)
 
 
 class TestBuilders:
