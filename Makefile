@@ -3,7 +3,7 @@
 PY ?= python
 export PYTHONPATH := src:.
 
-.PHONY: test test-ledger bench bench-full bench-parallel bench-baseline ledger artifacts lint
+.PHONY: test test-ledger test-experiments bench bench-full bench-parallel bench-baseline ledger artifacts lint
 
 test:
 	$(PY) -m pytest tests/ -q
@@ -13,6 +13,14 @@ test:
 # that a refactor has not silently nulled a ledger layer.
 test-ledger:
 	$(PY) -m pytest benchmarks/ledger -q
+
+# The experiment benches (EXP1-18, tables, ablations): the consumers of
+# src/ APIs that no tier-1 test imports, so an API change fails here and
+# not in whoever next runs `make artifacts`.  Rewrites benchmarks/results/
+# (exp12 prints a process-global query id that depends on which tests
+# ran): regenerate committed artifacts with `make artifacts` only.
+test-experiments:
+	$(PY) -m pytest benchmarks/ --ignore=benchmarks/ledger -q
 
 # Static checks (ruff, config in pyproject.toml).  CI installs ruff;
 # locally the target degrades to a no-op when ruff is unavailable.

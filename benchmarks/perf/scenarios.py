@@ -230,16 +230,14 @@ def run_sla_polling(scale: float = 1.0, seed: int = 13) -> Dict[str, object]:
 def cluster_row(result) -> Dict[str, object]:
     """A finished :class:`~repro.scenarios.ScenarioResult` as a gate row.
 
-    ``digest`` is the cluster's own (:func:`dispatcher_digest`), taken
-    before ``summarize_run``: its rollups read every node's collector
-    with ``stats_for()``, which creates an empty entry on a node that
-    never saw the workload, and the digest walks those entries.
-    Conservation uses the summary's measured ``in_flight``, so it can
-    fail.  ``submitted`` is ``arrivals`` under the name the manager rows
-    use, which the ``cluster`` entry was committed with.
+    ``digest`` is the cluster's own (:func:`dispatcher_digest`), which
+    the committed entries hold, not the summary's (that one also hashes
+    the tenant ledger).  Conservation uses the summary's measured
+    ``in_flight``, so it can fail.  ``submitted`` is ``arrivals`` under
+    the name the manager rows use, which the ``cluster`` entry was
+    committed with.
     """
-    digest = dispatcher_digest(result.dispatcher)
-    row = dict(summarize_run(result), digest=digest)
+    row = dict(summarize_run(result), digest=dispatcher_digest(result.dispatcher))
     row["submitted"] = row["arrivals"]
     row["invariants"] = {
         "conserved": row["arrivals"]

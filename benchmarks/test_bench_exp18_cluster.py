@@ -44,7 +44,7 @@ def run_policy(policy: str, seed: int):
     ).dispatcher
     roll = dispatcher.metrics.rollup("oltp")
     return {
-        "oltp_p95": roll.p95_response_time,
+        "oltp_p95": roll.percentile_response_time(95.0),
         "oltp_completions": roll.completions,
         "arrivals": dispatcher.arrivals,
         "completions": dispatcher.completions,

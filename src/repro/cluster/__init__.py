@@ -33,7 +33,7 @@ from repro.cluster.dispatcher import (
 from repro.cluster.elastic import ElasticProvisioner, ProvisioningDecision
 from repro.cluster.failover import FaultEvent, FaultInjector, FaultKind, FaultPlan
 from repro.cluster.matcher import Matcher
-from repro.cluster.metrics import ClusterMetrics, HealthChange, WorkloadRollup
+from repro.cluster.metrics import ClusterMetrics, HealthChange
 from repro.cluster.node import (
     NODE_MACHINE,
     ClusterNode,
@@ -81,7 +81,6 @@ __all__ = [
     "SLAAwarePlacement",
     "TaskEntry",
     "TaskQueue",
-    "WorkloadRollup",
     "build_cluster",
     "make_binding",
     "make_policy",

@@ -365,8 +365,6 @@ class ClusterDispatcher:
         self._excluded: Dict[int, Set[str]] = {}  # query_id -> nodes that refused
         self.arrivals = 0
         self.completions = 0
-        self.rejections = 0
-        self.resubmissions = 0
         self._eligible_cache: Optional[List[ClusterNode]] = None
         for node in self.nodes:
             node.manager.add_completion_listener(
@@ -387,6 +385,16 @@ class ClusterDispatcher:
     def dispatch(self) -> str:
         """The active binding-policy name (``"push"`` or ``"pull"``)."""
         return self.binding.name
+
+    @property
+    def rejections(self) -> int:
+        """Requests refused at the cluster front end (quota or full queue)."""
+        return self.metrics.cluster_rejections
+
+    @property
+    def resubmissions(self) -> int:
+        """Crash-lost requests put back through intake."""
+        return self.metrics.resubmissions
 
     # ------------------------------------------------------------------
     # client intake
@@ -429,8 +437,7 @@ class ClusterDispatcher:
         """
         query.progress = 0.0
         query.restarts += 1
-        self.resubmissions += 1
-        self.metrics.record_resubmission(query)
+        self.metrics.resubmissions += 1
         self._excluded.pop(query.query_id, None)
         if delay > 0:
             self.sim.schedule(
@@ -490,8 +497,7 @@ class ClusterDispatcher:
         self._excluded.pop(query.query_id, None)
         query.transition(QueryState.REJECTED)
         query.end_time = self.sim.now
-        self.rejections += 1
-        self.metrics.record_cluster_rejection(query, key=self.tenant_of(query))
+        self.metrics.cluster_rejections += 1
         self._notify(query)
 
     # ------------------------------------------------------------------
@@ -505,7 +511,7 @@ class ClusterDispatcher:
         if query.state is QueryState.QUEUED:  # refused from a delayed retry
             query.transition(QueryState.SUBMITTED)
         self._excluded.setdefault(query.query_id, set()).add(node.name)
-        self.metrics.record_replacement()
+        self.metrics.replacements += 1
         self._route(query)
         return True
 

@@ -1,10 +1,12 @@
 """Cluster-rollup metrics: per-node and aggregate views.
 
 Built on the per-node streaming :class:`~repro.core.metrics` collectors
-— nothing is double-counted: the rollup *reads* each node manager's
-outcome series and merges them per workload on demand.  The collector
-itself only stores what no node knows: placement decisions,
-cluster-level rejections, crash resubmissions and health transitions.
+— nothing is double-counted or re-reduced: a rollup *is* a
+:class:`~repro.core.metrics.WorkloadStats`, the node managers' entries
+for one workload merged on demand, and reading it writes to no
+collector.  The collector itself only stores what no node knows:
+placement decisions, cluster-level rejections, crash resubmissions and
+health transitions, all counted into it by the dispatcher.
 """
 
 from __future__ import annotations
@@ -12,10 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.cluster.node import ClusterNode, NodeHealth
-from repro.engine.query import Query
+from repro.core.metrics import WorkloadStats
 
 
 @dataclass(frozen=True)
@@ -27,19 +27,6 @@ class HealthChange:
     health: NodeHealth
 
 
-@dataclass
-class WorkloadRollup:
-    """Aggregate outcomes for one workload across every node."""
-
-    workload: str
-    completions: int = 0
-    rejections: int = 0
-    kills: int = 0
-    mean_response_time: Optional[float] = None
-    p95_response_time: Optional[float] = None
-    mean_queue_delay: Optional[float] = None
-
-
 class ClusterMetrics:
     """Rollup over a set of nodes plus dispatcher-level counters."""
 
@@ -49,9 +36,7 @@ class ClusterMetrics:
         self.placement_decisions = 0
         self.replacements = 0          # re-placed after a node-local rejection
         self.resubmissions = 0         # crash-lost work resubmitted
-        self.cluster_rejections = 0
-        #: cluster rejections bucketed by tenant (multi-tenant scenarios)
-        self.cluster_rejections_by_key: Dict[str, int] = {}
+        self.cluster_rejections = 0    # refused at the cluster front end
         self.health_changes: List[HealthChange] = []
 
     # ------------------------------------------------------------------
@@ -60,21 +45,6 @@ class ClusterMetrics:
     def record_placement(self, node: ClusterNode) -> None:
         self.placement_decisions += 1
         self.placements[node.name] = self.placements.get(node.name, 0) + 1
-
-    def record_replacement(self) -> None:
-        self.replacements += 1
-
-    def record_resubmission(self, query: Query) -> None:
-        self.resubmissions += 1
-
-    def record_cluster_rejection(
-        self, query: Query, key: Optional[str] = None
-    ) -> None:
-        self.cluster_rejections += 1
-        if key is not None:
-            self.cluster_rejections_by_key[key] = (
-                self.cluster_rejections_by_key.get(key, 0) + 1
-            )
 
     def record_health(self, time: float, node: ClusterNode) -> None:
         self.health_changes.append(HealthChange(time, node.name, node.health))
@@ -88,31 +58,12 @@ class ClusterMetrics:
             names.update(node.manager.metrics.workloads())
         return sorted(names)
 
-    def rollup(self, workload: str) -> WorkloadRollup:
-        """Merge one workload's outcome series across all nodes."""
-        response_times: List[float] = []
-        queue_delays: List[float] = []
-        out = WorkloadRollup(workload=workload)
-        for node in self.nodes:
-            stats = node.manager.metrics.stats_for(workload)
-            out.completions += stats.completions
-            out.rejections += stats.rejections
-            out.kills += stats.kills
-            response_times.extend(stats.response_times)
-            queue_delays.extend(stats.queue_delays)
-        if response_times:
-            arr = np.asarray(response_times, dtype=float)
-            out.mean_response_time = float(np.mean(arr))
-            out.p95_response_time = float(np.percentile(arr, 95.0))
-        if queue_delays:
-            out.mean_queue_delay = float(np.mean(np.asarray(queue_delays)))
-        return out
-
-    def total_completions(self) -> int:
-        return sum(self.rollup(w).completions for w in self.workloads())
-
-    def aggregate_throughput(self, now: float) -> float:
-        return self.total_completions() / now if now > 0 else 0.0
+    def rollup(self, workload: str) -> WorkloadStats:
+        """One workload's outcomes merged across all nodes, in node order."""
+        return WorkloadStats.merged(
+            (node.manager.metrics.stats_for(workload) for node in self.nodes),
+            workload,
+        )
 
     # ------------------------------------------------------------------
     # rendering
@@ -136,8 +87,9 @@ class ClusterMetrics:
             roll = self.rollup(workload)
             lines.append(
                 f"{workload:>12} {roll.completions:>7} {roll.rejections:>5} "
-                f"{roll.kills:>5} {fmt(roll.mean_response_time)} "
-                f"{fmt(roll.p95_response_time)} {fmt(roll.mean_queue_delay)}"
+                f"{roll.kills:>5} {fmt(roll.mean_response_time())} "
+                f"{fmt(roll.percentile_response_time(95.0))} "
+                f"{fmt(roll.mean_queue_delay())}"
             )
         lines.append(
             f"{'per-node':>12} "

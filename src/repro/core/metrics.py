@@ -7,13 +7,19 @@ equivalent: it accumulates per-workload outcome statistics (response
 times, throughput, velocity, rejections, kills, SLA attainment inputs)
 and time-stamped system samples (utilization, memory pressure, conflict
 ratio) that indicator-based controls consume.
+
+:class:`WorkloadStats` is the only outcome aggregate: a collector holds
+one per workload and a cluster rollup is :meth:`WorkloadStats.merged`
+over the nodes' — same type, same read methods.  The collector observes:
+only ``record_*`` changes it; ``stats_for``, ``evaluate_sla``,
+``attainment`` and ``summary_line`` leave it and its digest untouched.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional
 
 import numpy as np
 
@@ -49,6 +55,27 @@ class WorkloadStats:
     _cache: Dict[Hashable, object] = field(
         default_factory=dict, repr=False, compare=False
     )
+
+    @classmethod
+    def merged(cls, parts: Iterable[WorkloadStats], workload: str) -> WorkloadStats:
+        """``parts`` (one workload on each node of a cluster) as one
+        aggregate: counters summed, each series concatenated in the
+        order given, so a statistic of the merge is that statistic of
+        the concatenation; ``completion_times`` sorted, so it stays
+        non-decreasing for :meth:`throughput`."""
+        out = cls(workload=workload)
+        for part in parts:
+            out.completions += part.completions
+            out.rejections += part.rejections
+            out.kills += part.kills
+            out.aborts += part.aborts
+            out.suspensions += part.suspensions
+            out.response_times.extend(part.response_times)
+            out.queue_delays.extend(part.queue_delays)
+            out.velocities.extend(part.velocities)
+            out.completion_times.extend(part.completion_times)
+        out.completion_times.sort()
+        return out
 
     # ------------------------------------------------------------------
     def _array(self, name: str, values: List[float]) -> np.ndarray:
@@ -125,7 +152,7 @@ class WorkloadStats:
         return self.completions / now if now > 0 else 0.0
 
     def measurements(
-        self, now: float, percentile: float = 95.0, window: float = 60.0
+        self, now: float, percentile: float = 95.0
     ) -> Dict[ObjectiveKind, Optional[float]]:
         """Measurement map consumed by :meth:`ServiceLevelAgreement.evaluate`."""
         return {
@@ -151,6 +178,9 @@ class SystemSample:
     queued: int
 
 
+_UNASSIGNED = "<unassigned>"  # outcomes of queries no workload claimed
+
+
 class MetricsCollector:
     """Accumulates workload outcomes and system samples."""
 
@@ -164,16 +194,25 @@ class MetricsCollector:
     # per-workload outcomes
     # ------------------------------------------------------------------
     def stats_for(self, workload: Optional[str]) -> WorkloadStats:
-        name = workload or "<unassigned>"
+        """The workload's recorded outcomes, or an empty aggregate the
+        collector does not keep: reading never adds a workload."""
+        name = workload or _UNASSIGNED
+        stats = self._stats.get(name)
+        return stats if stats is not None else WorkloadStats(workload=name)
+
+    def workloads(self) -> List[str]:
+        """The workloads with a recorded outcome, in first-outcome order."""
+        return list(self._stats)
+
+    def _recorded(self, query: Query) -> WorkloadStats:
+        """The entry ``query``'s outcome goes to, created on its first."""
+        name = query.workload_name or _UNASSIGNED
         if name not in self._stats:
             self._stats[name] = WorkloadStats(workload=name)
         return self._stats[name]
 
-    def workloads(self) -> List[str]:
-        return list(self._stats)
-
     def record_completion(self, query: Query, now: float) -> None:
-        stats = self.stats_for(query.workload_name)
+        stats = self._recorded(query)
         stats.completions += 1
         if query.response_time is not None:
             stats.response_times.append(query.response_time)
@@ -192,16 +231,16 @@ class MetricsCollector:
         times.append(now)
 
     def record_rejection(self, query: Query) -> None:
-        self.stats_for(query.workload_name).rejections += 1
+        self._recorded(query).rejections += 1
 
     def record_kill(self, query: Query) -> None:
-        self.stats_for(query.workload_name).kills += 1
+        self._recorded(query).kills += 1
 
     def record_abort(self, query: Query) -> None:
-        self.stats_for(query.workload_name).aborts += 1
+        self._recorded(query).aborts += 1
 
     def record_suspension(self, query: Query) -> None:
-        self.stats_for(query.workload_name).suspensions += 1
+        self._recorded(query).suspensions += 1
 
     # ------------------------------------------------------------------
     # system samples
@@ -229,11 +268,10 @@ class MetricsCollector:
     ) -> Mapping[ObjectiveKind, Optional[float]]:
         """Measurements for ``sla``'s workload (pass to ``sla.evaluate``)."""
         stats = self.stats_for(sla.workload)
-        percentile = 95.0
-        for objective in sla.objectives:
+        for objective in sla.objectives:  # an SLA has at most one percentile
             if objective.percentile is not None:
-                percentile = objective.percentile
-        return stats.measurements(now, percentile=percentile)
+                return stats.measurements(now, objective.percentile)
+        return stats.measurements(now)
 
     def attainment(self, slas: SLASet, now: float) -> Dict[str, float]:
         """Fraction of objectives met per workload (1.0 = all met).

@@ -108,6 +108,14 @@ class ServiceLevelAgreement:
     def __post_init__(self) -> None:
         if self.importance < 1:
             raise PolicyError("importance must be >= 1")
+        # evaluate() reads one value per ObjectiveKind, so a measurement
+        # map carries one percentile: two would be judged against one
+        percentiles = sorted({o.percentile for o in self.objectives} - {None})
+        if len(percentiles) > 1:
+            raise PolicyError(
+                f"SLA for {self.workload!r} is evaluated at one percentile, got "
+                + " and ".join(f"p{p:g}" for p in percentiles)
+            )
 
     @property
     def has_goals(self) -> bool:

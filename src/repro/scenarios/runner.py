@@ -30,16 +30,16 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from hashlib import sha256
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.cluster.dispatcher import UNTENANTED, ClusterDispatcher, tenant_key
 from repro.cluster.failover import FaultInjector
 from repro.cluster.scenario import build_cluster
-from repro.core.sla import SLASet, response_time_sla
+from repro.core.sla import ObjectiveKind, SLASet, response_time_sla
 from repro.engine.query import Query, QueryState
 from repro.engine.simulator import Simulator
 from repro.parallel.digest import dispatcher_digest
-from repro.scenarios.spec import PolicyConfig, ScenarioSpec, WorkloadPattern
+from repro.scenarios.spec import PolicyConfig, ScenarioSpec
 from repro.scheduling.queues import TenantShareScheduler
 from repro.workloads.generator import Scenario
 
@@ -204,36 +204,31 @@ def run_scenario(
 # ----------------------------------------------------------------------
 # summarization (the picklable reduction the sweep and report consume)
 # ----------------------------------------------------------------------
-def _sla_section(
-    pattern: Optional[WorkloadPattern], mean: Optional[float], p95: Optional[float]
-) -> Optional[dict]:
-    if pattern is None or pattern.sla is None or not pattern.sla.has_goals:
+def _sla_section(result: ScenarioResult, name: str, stats) -> Optional[dict]:
+    """The verdict of the SLA the dispatcher holds for ``name``; as in
+    :meth:`MetricsCollector.attainment`, no data is not met."""
+    sla = result.dispatcher.slas.get(name)
+    if sla is None:
         return None
-    checks: List[bool] = []
-    section: Dict[str, object] = {
-        "average_target": pattern.sla.average,
-        "p95_target": pattern.sla.p95,
-        "importance": pattern.sla.importance,
+    results = sla.evaluate(stats.measurements(result.dispatcher.sim.now))
+    targets = {r.objective.kind: r.objective.target for r in results}
+    return {
+        "average_target": targets.get(ObjectiveKind.AVERAGE_RESPONSE_TIME),
+        "p95_target": targets.get(ObjectiveKind.PERCENTILE_RESPONSE_TIME),
+        "importance": sla.importance,
+        "met": all(r.satisfied for r in results),
     }
-    if pattern.sla.average is not None:
-        checks.append(mean is not None and mean <= pattern.sla.average)
-    if pattern.sla.p95 is not None:
-        checks.append(p95 is not None and p95 <= pattern.sla.p95)
-    section["met"] = all(checks) if checks else None
-    return section
 
 
-def _workload_section(
-    result: ScenarioResult, name: str, pattern: Optional[WorkloadPattern]
-) -> Dict[str, object]:
+def _workload_section(result: ScenarioResult, name: str) -> Dict[str, object]:
     roll = result.dispatcher.metrics.rollup(name)
     return {
         "completions": roll.completions,
         "node_rejections": roll.rejections,
         "kills": roll.kills,
-        "mean": roll.mean_response_time,
-        "p95": roll.p95_response_time,
-        "sla": _sla_section(pattern, roll.mean_response_time, roll.p95_response_time),
+        "mean": roll.mean_response_time(),
+        "p95": roll.percentile_response_time(95.0),
+        "sla": _sla_section(result, name, roll),
     }
 
 
@@ -253,9 +248,6 @@ def _tenant_section(
         "share": share,
         "quota": quota,
         "quota_rejections": dispatcher.quota_rejections.get(name, 0),
-        "cluster_rejections": (
-            dispatcher.metrics.cluster_rejections_by_key.get(name, 0)
-        ),
         "sla_met": sum(1 for sla in slas if sla["met"]),
         "sla_total": len(slas),
         "workloads": workloads,
@@ -279,7 +271,7 @@ def summarize_run(result: ScenarioResult) -> Dict[str, object]:
             tenant.name,
             {
                 pattern.effective_label: _workload_section(
-                    result, pattern.name_for(tenant.name), pattern
+                    result, pattern.name_for(tenant.name)
                 )
                 for pattern in tenant.workloads
             },
@@ -295,7 +287,7 @@ def summarize_run(result: ScenarioResult) -> Dict[str, object]:
             UNTENANTED,
             {
                 pattern.effective_label: _workload_section(
-                    result, pattern.name_for(), pattern
+                    result, pattern.name_for()
                 )
                 for pattern in spec.workloads
             },
@@ -304,7 +296,7 @@ def summarize_run(result: ScenarioResult) -> Dict[str, object]:
         tenants[trace.name] = _tenant_section(
             result,
             trace.name,
-            {trace.label: _workload_section(result, trace.workload_name, None)},
+            {trace.label: _workload_section(result, trace.workload_name)},
         )
     return {
         "scenario": spec.name,

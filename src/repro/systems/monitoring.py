@@ -11,6 +11,8 @@ engine state into the row shapes each product documents.
 All functions are read-only and return plain lists of dicts so callers
 can print, assert, or frame them however they like — the simulated
 analogue of ``SELECT * FROM TABLE(WLM_...)`` / ``sys.dm_resource_...``.
+Read-only is tested (``tests/test_metrics_purity.py``): a queued workload
+with no outcome yet gets a row, and ``outcome_digest`` does not move.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ mix the paper's introduction motivates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.optimizer import Optimizer, OptimizerProfile
 from repro.engine.query import CostVector, Query, StatementType
@@ -85,11 +85,11 @@ class WorkloadGenerator:
         self._closed_outstanding: Dict[int, str] = {}  # query_id -> spec name
         # Per-spec hot-path handles: the unread rows of the current
         # drawn block, the think RNG streams (memoized by the simulator,
-        # but the f-string + dict lookup per query adds up) and the
-        # per-class sql labels.
+        # but the f-string + dict lookup per query adds up) and the sql
+        # labels, per (spec, class object): specs may share a class.
         self._rows: Dict[str, Iterator[tuple]] = {}
         self._think_rngs: Dict[str, object] = {}
-        self._sql_labels: Dict[int, str] = {}
+        self._sql_labels: Dict[Tuple[str, int], str] = {}
         self._horizon = 0.0
         self.generated_count = 0
 
@@ -159,10 +159,10 @@ class WorkloadGenerator:
         session = sessions[index % len(sessions)]
         self._next_session[name] = index + 1
         session.note_submission()
-        sql = self._sql_labels.get(id(request_class))
+        label_key = (name, id(request_class))
+        sql = self._sql_labels.get(label_key)
         if sql is None:
-            sql = f"{name}:{request_class.name}"
-            self._sql_labels[id(request_class)] = sql
+            sql = self._sql_labels[label_key] = f"{name}:{request_class.name}"
         query = Query(
             true_cost=true_cost,
             estimated_cost=self.optimizer.estimate(true_cost),

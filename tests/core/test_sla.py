@@ -92,6 +92,33 @@ class TestAgreement:
         with pytest.raises(PolicyError):
             ServiceLevelAgreement(workload="x", importance=0)
 
+    @pytest.mark.parametrize("order", [(50.0, 99.0), (99.0, 50.0)])
+    def test_two_percentiles_are_rejected(self, order):
+        """A measurement map carries one percentile, so (p50 <= 2 s,
+        p99 <= 20 s) over 90 x 1 s + 10 x 10 s would be judged wholly at
+        whichever percentile came last: p50 'measured 10.0' one way
+        round, p99 'measured 1.0' the other."""
+        targets = {50.0: 2.0, 99.0: 20.0}
+        objectives = tuple(
+            PerformanceObjective(
+                ObjectiveKind.PERCENTILE_RESPONSE_TIME, targets[p], percentile=p
+            )
+            for p in order
+        )
+        with pytest.raises(PolicyError, match="p50 and p99"):
+            ServiceLevelAgreement(workload="x", objectives=objectives)
+
+    def test_one_percentile_twice_is_one_percentile(self):
+        objectives = tuple(
+            PerformanceObjective(
+                ObjectiveKind.PERCENTILE_RESPONSE_TIME, target, percentile=95.0
+            )
+            for target in (2.0, 3.0)
+        )
+        sla = ServiceLevelAgreement(workload="x", objectives=objectives)
+        verdicts = sla.evaluate({ObjectiveKind.PERCENTILE_RESPONSE_TIME: 2.5})
+        assert [r.satisfied for r in verdicts] == [False, True]
+
     def test_result_describe(self):
         sla = response_time_sla("oltp", average=1.0)
         result = sla.evaluate({ObjectiveKind.AVERAGE_RESPONSE_TIME: 2.0})[0]

@@ -26,7 +26,6 @@ def _summary(scenario, policy, *, exclude_noisy=False, p95=1.0, sla_met=1):
                 "share": 1.0,
                 "quota": None,
                 "quota_rejections": 0,
-                "cluster_rejections": 0,
                 "sla_met": sla_met,
                 "sla_total": 1,
                 "workloads": {
@@ -55,7 +54,6 @@ def _summary(scenario, policy, *, exclude_noisy=False, p95=1.0, sla_met=1):
                 "share": 1.0,
                 "quota": 4,
                 "quota_rejections": 2,
-                "cluster_rejections": 2,
                 "sla_met": 0,
                 "sla_total": 0,
                 "workloads": {

@@ -83,6 +83,34 @@ class TestIsolationEffect:
         assert victim_base["sla_met"] < victim_base["sla_total"]
         assert victim_full["sla_met"] == victim_full["sla_total"]
 
+    @pytest.mark.parametrize(
+        "policy, met", [("baseline", False), ("full-isolation", True)]
+    )
+    def test_sla_sections_equal_the_hand_compared_ones(self, policy, met):
+        """The ``sla`` section is ``ServiceLevelAgreement.evaluate`` over
+        the rollup.  Expected values were recorded from the runner that
+        compared mean and p95 with the targets itself (PR 19's parent)."""
+        summary = summarize_run(
+            run_scenario(get_scenario("noisy_neighbor"), get_policy(policy))
+        )
+        acme, hog = summary["tenants"]["acme"], summary["tenants"]["hog"]
+        assert acme["workloads"]["oltp"]["sla"] == {
+            "average_target": 0.5,
+            "p95_target": 2.0,
+            "importance": 3,
+            "met": met,
+        }
+        assert (acme["sla_met"], acme["sla_total"]) == (int(met), 1)
+        assert hog["workloads"]["bi"]["sla"] is None
+        assert (hog["sla_met"], hog["sla_total"]) == (0, 0)
+
+    def test_sla_with_no_completions_is_not_met(self):
+        summary = summarize_run(run_scenario(_small_noisy_spec(horizon=0.01), BASELINE))
+        victim = summary["tenants"]["victim"]
+        assert victim["workloads"]["oltp"]["completions"] == 0
+        assert victim["workloads"]["oltp"]["sla"]["met"] is False
+        assert (victim["sla_met"], victim["sla_total"]) == (0, 1)
+
     def test_quotas_cap_noisy_admissions(self):
         spec = _small_noisy_spec()
         base = summarize_run(run_scenario(spec, BASELINE, seed=7))

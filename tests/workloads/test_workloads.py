@@ -234,6 +234,29 @@ class TestGenerator:
         assert query.sql.startswith("oltp:")
         assert manager.sessions.get(query.session_id) is not None
 
+    def test_specs_sharing_a_request_class_keep_their_own_outcomes(self):
+        """The label an outcome is filed under names the spec, not
+        whichever spec first drew from a shared RequestClass object."""
+        sim = Simulator(seed=3)
+        manager = WorkloadManager(sim)
+        quick = RequestClass("q", Constant(0.01), Constant(0.0))
+        specs = tuple(
+            WorkloadSpec(
+                name=name,
+                request_classes=((quick, 1.0),),
+                arrivals=OpenArrivals(rate=5.0),
+            )
+            for name in ("a", "b")
+        )
+        generator = Scenario(specs=specs, horizon=4.0).build(sim, manager.submit)
+        manager.run(4.0, drain=2.0)
+        done = {
+            name: manager.metrics.stats_for(name).completions
+            for name in manager.metrics.workloads()
+        }
+        assert set(done) == {"a", "b"} and min(done.values()) > 0
+        assert sum(done.values()) == generator.generated_count
+
     def test_deterministic_across_runs(self):
         def run_once():
             sim = Simulator(seed=123)
