@@ -3,7 +3,7 @@
 PY ?= python
 export PYTHONPATH := src:.
 
-.PHONY: test test-ledger test-experiments bench bench-full bench-parallel bench-baseline ledger artifacts lint
+.PHONY: test test-ledger test-experiments bench bench-full bench-parallel bench-baseline ledger artifacts lint loc
 
 test:
 	$(PY) -m pytest tests/ -q
@@ -28,6 +28,14 @@ lint:
 	@$(PY) -m ruff --version >/dev/null 2>&1 \
 		&& $(PY) -m ruff check src/ tests/ benchmarks/ examples/ \
 		|| echo "ruff not installed; skipping lint (pip install ruff)"
+
+# Every size figure ROADMAP.md states a target for, as `wc -l` lines, so
+# a deletion claim in CHANGES.md is pasted from here, not hand-assembled.
+loc:
+	@for d in src $(dir $(wildcard src/repro/*/__init__.py)) benchmarks/perf tests tests/parallel; do \
+		printf '%7d %s\n' `find $$d -name '*.py' | xargs cat | wc -l` $$d; \
+	done
+	@wc -l src/repro/cli.py benchmarks/_scenarios.py | sed '$$d'
 
 # The bench gate (benchmarks/perf/gate.py): every row of the table in
 # the given mode; a digest or counter that differs from the committed

@@ -22,6 +22,7 @@ so it doubles as living documentation of the library's entry points.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -105,7 +106,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.cluster.placement import POLICY_NAMES
-    from repro.parallel import rollup_table, run_policy_sweep
+    from repro.scenarios.sweep import rollup_table, run_scenario_matrix
 
     policies = POLICY_NAMES if args.policies == "all" else args.policies.split(",")
     seeds = args.seeds
@@ -116,14 +117,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"{'' if args.workers == 1 else 's'}, {args.nodes} nodes, "
         f"{args.horizon:.0f}s horizon)..."
     )
-    result = run_policy_sweep(
-        policies=policies,
+    result = run_scenario_matrix(
+        scenarios=["cluster_overload"],
+        policies=[f"{args.dispatch}/{placement}" for placement in policies],
         seeds=seeds,
         workers=args.workers,
         nodes=args.nodes,
         horizon=args.horizon,
         mpl=args.mpl,
-        dispatch=args.dispatch,
     )
     print()
     print(rollup_table(result))
@@ -135,6 +136,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         + f"); sweep digest {result.digest[:16]}…"
     )
     return 0
+
+
+def _check_writable(path: Optional[str]) -> None:
+    """A finished sweep is not lost to a typo in ``--json``/``--out``."""
+    from repro.errors import ConfigurationError
+
+    if path is None:
+        return
+    directory = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.access(directory, os.W_OK):
+        raise ConfigurationError(
+            f"cannot write {path}: it must be a file in an existing, "
+            "writable directory"
+        )
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
@@ -201,6 +216,7 @@ def _scenario_sweep(args: argparse.Namespace) -> int:
 
     from repro.scenarios import run_scenario_matrix
 
+    _check_writable(args.json)
     scenarios = args.scenarios.split(",") if args.scenarios else None
     policies = args.policies.split(",") if args.policies else None
     result = run_scenario_matrix(
@@ -244,6 +260,7 @@ def _scenario_report(args: argparse.Namespace) -> int:
         survival_report_from_results,
     )
 
+    _check_writable(args.out)
     if args.json:
         try:
             with open(args.json) as handle:
@@ -254,8 +271,13 @@ def _scenario_report(args: argparse.Namespace) -> int:
             raise ConfigurationError(
                 f"malformed results JSON in {args.json}: {error}"
             )
+        if not isinstance(payload, dict) or "results" not in payload:
+            raise ConfigurationError(
+                f"malformed results in {args.json}: expected the mapping "
+                "`scenario sweep --json` writes, with a 'results' list"
+            )
         report = survival_report_from_results(
-            payload.get("results", []), digest=payload.get("digest", "")
+            payload["results"], digest=str(payload.get("digest", ""))
         )
     else:
         report, _ = generate_survival_report(workers=args.workers)
@@ -432,6 +454,13 @@ def _cmd_backend(args: argparse.Namespace) -> int:
         return 3
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for testing)."""
     from repro.cluster.dispatcher import DISPATCH_MODES
@@ -509,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=4,
         help="worker processes (1 = in-process serial execution)",
     )
@@ -618,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated policy subset (sweep verb)",
     )
     scenario.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=_positive_int, default=1,
         help="worker processes for sweep/report",
     )
     scenario.add_argument(

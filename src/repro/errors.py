@@ -58,4 +58,4 @@ class CapacityError(DbwmError):
 
 
 class ParallelExecutionError(DbwmError):
-    """A sweep task failed (or timed out) beyond its retry budget."""
+    """A sweep task was still failing when its retry budget ran out."""

@@ -1,10 +1,10 @@
-"""The deterministic multi-process sweep runner.
+"""The deterministic multi-process task runner.
 
 Independent seeded runs fan out over a ``ProcessPoolExecutor`` and the
-results are reduced **in task-key order**, so the output — values,
-rollups and the combined SHA-256 digest — is bit-identical to serial
-execution regardless of worker count or completion order.  The
-determinism contract:
+results are reduced **in task order**, so the output — values and the
+combined SHA-256 digest — is bit-identical to serial execution
+regardless of worker count or completion order.  The determinism
+contract:
 
 * tasks are picklable descriptors (:class:`~repro.parallel.spec.RunTask`);
   workers rebuild the simulator from ``(runner, params, seed)`` and no
@@ -12,32 +12,32 @@ determinism contract:
 * every task is itself seed-deterministic (the library-wide rule);
 * reduction order is fixed by the task list, never by completion order.
 
-Operational behaviour layered on top: workers are warm-started (an
-initializer pre-imports the task modules), tasks are dispatched in
-chunks to amortize IPC, failed shards are retried a bounded number of
-times, slow shards are logged as stragglers, shards past their deadline
-are abandoned and retried, and when ``workers <= 1`` — or the platform
-cannot start a process pool at all — execution falls back to the same
-in-process code path the workers run.
+Operationally there is one loop: tasks are cut into shards (chunked
+dispatch amortizes IPC), each shard is dispatched — a future on a
+warm-started pool, or run in place when there is none — shards are
+collected in dispatch order, and failed tasks go round again as
+singleton shards, a bounded number of times.  A task's exception is a
+per-task value, so the rest of its shard completes; a shard-level
+failure (unpicklable result, dead worker, pool broken on submit) fails
+exactly that shard's tasks.  ``workers <= 1``, a single task, or a
+platform that cannot start a process pool run in this process.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from concurrent.futures import Future, ProcessPoolExecutor
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError, ParallelExecutionError
 from repro.parallel.digest import combine
 from repro.parallel.spec import RunTask
 from repro.parallel.tasks import execute_task, runner_module
 
-Log = Optional[Callable[[str], None]]
-
-#: Seconds between straggler/deadline sweeps while waiting on workers.
-_POLL_S = 0.25
+#: One attempt at one task: ``(value, None)`` or ``(None, error text)``.
+Attempt = Tuple[Optional[Dict[str, object]], Optional[str]]
 
 
 def _warm_import(modules: Tuple[str, ...]) -> None:
@@ -52,25 +52,19 @@ def _warm_import(modules: Tuple[str, ...]) -> None:
             pass
 
 
-def _execute_shard(tasks: Tuple[RunTask, ...]) -> List[Dict[str, object]]:
-    """Run a shard's tasks sequentially inside one worker.
+def _execute_shard(tasks: Tuple[RunTask, ...]) -> List[Attempt]:
+    """Run a shard's tasks in order, in a worker or in place.
 
     A task failure is captured per task so the rest of the shard still
     completes; the parent decides what to retry.
     """
-    out: List[Dict[str, object]] = []
+    attempts: List[Attempt] = []
     for task in tasks:
         try:
-            out.append({"key": task.key, "ok": True, "value": execute_task(task)})
+            attempts.append((execute_task(task), None))
         except Exception as error:
-            out.append(
-                {
-                    "key": task.key,
-                    "ok": False,
-                    "error": f"{type(error).__name__}: {error}",
-                }
-            )
-    return out
+            attempts.append((None, f"{type(error).__name__}: {error}"))
+    return attempts
 
 
 @dataclass
@@ -89,294 +83,120 @@ class TaskOutcome:
 
 @dataclass
 class SweepResult:
-    """Every task outcome, reduced in task order, plus run telemetry."""
+    """Every task's outcome in task order, plus run telemetry.
+
+    :func:`run_tasks` raises rather than return a failed task, so every
+    outcome here carries a value.
+    """
 
     outcomes: List[TaskOutcome]
     workers: int
     wall_s: float
-    retried_shards: int = 0
-    stragglers: List[str] = field(default_factory=list)
     fell_back_serial: bool = False
 
     @property
     def values(self) -> List[Dict[str, object]]:
-        """Result dicts in task order (failed tasks excluded)."""
-        return [o.value for o in self.outcomes if o.value is not None]
-
-    @property
-    def failures(self) -> List[TaskOutcome]:
-        return [o for o in self.outcomes if not o.ok]
+        """Result dicts in task order."""
+        return [o.value for o in self.outcomes]  # type: ignore[misc]
 
     @property
     def digest(self) -> str:
-        """Combined SHA-256 over per-task digests in task-key order."""
-        return combine(
-            str(o.value.get("digest", "")) if o.value else "<failed>"
-            for o in self.outcomes
-        )
-
-
-@dataclass
-class _Shard:
-    tasks: Tuple[RunTask, ...]
-    submitted_at: float
-    deadline: Optional[float]
-    straggler_logged: bool = False
-
-
-def _shard_deadline(tasks: Sequence[RunTask], submitted_at: float) -> Optional[float]:
-    """A shard has a deadline only when every member task has a timeout
-    (they run sequentially, so the budget is the sum)."""
-    timeouts = [task.timeout for task in tasks]
-    if any(t is None for t in timeouts):
-        return None
-    return submitted_at + sum(timeouts)  # type: ignore[arg-type]
-
-
-def default_chunk_size(task_count: int, workers: int) -> int:
-    """Small enough to balance load, large enough to amortize IPC."""
-    return max(1, task_count // (workers * 4))
-
-
-def run_tasks(
-    tasks: Sequence[RunTask],
-    workers: int = 1,
-    chunk_size: Optional[int] = None,
-    max_retries: int = 2,
-    straggler_after: Optional[float] = None,
-    mp_context: Optional[str] = None,
-    strict: bool = True,
-    log: Log = None,
-) -> SweepResult:
-    """Run every task and reduce the results in task order.
-
-    Parameters
-    ----------
-    workers:
-        Process count; ``<= 1`` runs everything in-process (the serial
-        fallback — same code path the workers execute).
-    chunk_size:
-        Tasks per dispatched shard; defaults to
-        :func:`default_chunk_size`.
-    max_retries:
-        How many extra attempts a failed/timed-out task gets (each
-        retry is resubmitted as its own shard).
-    straggler_after:
-        Log a shard still running after this many wall seconds.
-    mp_context:
-        Multiprocessing start method; default prefers ``fork`` (cheap,
-        inherits warm imports) and falls back to ``spawn``.
-    strict:
-        Raise :class:`~repro.errors.ParallelExecutionError` if any task
-        is still failed after retries; otherwise record the failure.
-    """
-    tasks = list(tasks)
-    keys = [task.key for task in tasks]
-    if len(set(keys)) != len(keys):
-        raise ConfigurationError("duplicate task keys in sweep")
-    start = time.perf_counter()
-    outcomes: Dict[str, TaskOutcome] = {
-        task.key: TaskOutcome(task=task) for task in tasks
-    }
-    result = SweepResult(outcomes=[], workers=max(1, workers), wall_s=0.0)
-
-    if workers <= 1 or len(tasks) <= 1:
-        _run_serial(tasks, outcomes, max_retries, log)
-    else:
-        try:
-            _run_pool(
-                tasks,
-                outcomes,
-                result,
-                workers=workers,
-                chunk_size=chunk_size,
-                max_retries=max_retries,
-                straggler_after=straggler_after,
-                mp_context=mp_context,
-                log=log,
-            )
-        except _PoolUnavailable as reason:
-            if log:
-                log(f"process pool unavailable ({reason}); running serially")
-            result.fell_back_serial = True
-            _run_serial(tasks, outcomes, max_retries, log)
-
-    result.outcomes = [outcomes[task.key] for task in tasks]
-    result.wall_s = round(time.perf_counter() - start, 3)
-    if strict:
-        failed = result.failures
-        if failed:
-            detail = "; ".join(
-                f"{o.task.key}: {o.error}" for o in failed[:5]
-            )
-            raise ParallelExecutionError(
-                f"{len(failed)} task(s) failed after retries: {detail}"
-            )
-    return result
-
-
-class _PoolUnavailable(Exception):
-    """Internal: the platform could not start a process pool."""
-
-
-def _run_serial(
-    tasks: Sequence[RunTask],
-    outcomes: Dict[str, TaskOutcome],
-    max_retries: int,
-    log: Log,
-) -> None:
-    for task in tasks:
-        outcome = outcomes[task.key]
-        for attempt in range(1 + max_retries):
-            outcome.attempts += 1
-            try:
-                outcome.value = execute_task(task)
-                outcome.error = None
-                break
-            except Exception as error:
-                outcome.error = f"{type(error).__name__}: {error}"
-                if log:
-                    log(
-                        f"task {task.key} failed (attempt {outcome.attempts}): "
-                        f"{outcome.error}"
-                    )
+        """Combined SHA-256 over per-task digests in task order."""
+        return combine(str(value.get("digest", "")) for value in self.values)
 
 
 def _make_pool(
-    workers: int, mp_context: Optional[str], modules: Tuple[str, ...]
-) -> ProcessPoolExecutor:
+    workers: int, modules: Tuple[str, ...]
+) -> Optional[ProcessPoolExecutor]:
+    """A warm-started pool, or ``None`` where the platform cannot start
+    one.  ``fork`` is preferred (cheap, inherits warm imports)."""
     methods = multiprocessing.get_all_start_methods()
-    if mp_context is None:
-        mp_context = "fork" if "fork" in methods else "spawn"
-    if mp_context not in methods:
-        raise _PoolUnavailable(f"start method {mp_context!r} not supported")
+    method = "fork" if "fork" in methods else "spawn"
     try:
-        context = multiprocessing.get_context(mp_context)
         return ProcessPoolExecutor(
             max_workers=workers,
-            mp_context=context,
+            mp_context=multiprocessing.get_context(method),
             initializer=_warm_import,
             initargs=(modules,),
         )
-    except (NotImplementedError, ImportError, OSError, ValueError) as error:
-        raise _PoolUnavailable(str(error)) from error
+    except (NotImplementedError, ImportError, OSError, ValueError):
+        return None
 
 
-def _run_pool(
-    tasks: Sequence[RunTask],
-    outcomes: Dict[str, TaskOutcome],
-    result: SweepResult,
-    workers: int,
-    chunk_size: Optional[int],
-    max_retries: int,
-    straggler_after: Optional[float],
-    mp_context: Optional[str],
-    log: Log,
-) -> None:
-    if chunk_size is None:
-        chunk_size = default_chunk_size(len(tasks), workers)
-    modules = tuple(sorted({runner_module(task.runner) for task in tasks}))
-    pool = _make_pool(workers, mp_context, modules)
+def _dispatch(
+    pool: Optional[ProcessPoolExecutor], tasks: Tuple[RunTask, ...]
+) -> Union[Future, List[Attempt]]:
+    """Start one shard: a future on the pool, or — with no pool — the
+    attempts themselves, run in place."""
+    if pool is None:
+        return _execute_shard(tasks)
     try:
-        wave: List[RunTask] = list(tasks)
-        shards = [
-            tuple(wave[i : i + chunk_size])
-            for i in range(0, len(wave), chunk_size)
-        ]
-        for attempt in range(1 + max_retries):
-            failed = _run_wave(
-                pool, shards, outcomes, result, straggler_after, log
-            )
+        return pool.submit(_execute_shard, tasks)
+    except Exception as error:  # pool already broken
+        return [(None, f"submit failed: {error}")] * len(tasks)
+
+
+def _collect(
+    dispatched: Union[Future, List[Attempt]], count: int
+) -> List[Attempt]:
+    """A dispatched shard's ``count`` attempts; a shard-level failure is
+    every one of its tasks failing with the same error."""
+    if isinstance(dispatched, list):
+        return dispatched
+    try:
+        return dispatched.result()
+    except Exception as error:  # unpicklable result, dead worker
+        return [(None, f"{type(error).__name__}: {error}")] * count
+
+
+def run_tasks(
+    tasks: Sequence[RunTask], workers: int = 1, max_retries: int = 2
+) -> SweepResult:
+    """Run every task and reduce the results in task order.
+
+    ``workers <= 1`` runs everything in-process — the same code path
+    the workers execute.  A failed task gets ``max_retries`` extra
+    attempts, each as its own shard; one still failed after them raises
+    :class:`~repro.errors.ParallelExecutionError`.
+    """
+    tasks = list(tasks)
+    outcomes = [TaskOutcome(task=task) for task in tasks]
+    if len({task.key for task in tasks}) != len(tasks):
+        raise ConfigurationError("duplicate task keys in sweep")
+    start = time.perf_counter()
+    result = SweepResult(outcomes=outcomes, workers=max(1, workers), wall_s=0.0)
+    pool = None
+    if result.workers > 1 and len(tasks) > 1:
+        modules = tuple(sorted({runner_module(task.runner) for task in tasks}))
+        pool = _make_pool(result.workers, modules)
+        result.fell_back_serial = pool is None
+    # small enough to balance load, large enough to amortize IPC
+    size = max(1, len(tasks) // (result.workers * 4))
+    shards = [outcomes[i : i + size] for i in range(0, len(tasks), size)]
+    try:
+        for _ in range(1 + max_retries):
+            dispatched = [
+                _dispatch(pool, tuple(outcome.task for outcome in shard))
+                for shard in shards
+            ]
+            failed: List[TaskOutcome] = []
+            for shard, handle in zip(shards, dispatched):
+                for outcome, attempt in zip(shard, _collect(handle, len(shard))):
+                    outcome.attempts += 1
+                    outcome.value, outcome.error = attempt
+                    if not outcome.ok:
+                        failed.append(outcome)
             if not failed:
-                return
-            if attempt == max_retries:
-                return  # failures stay recorded; strict mode raises above
-            result.retried_shards += len(failed)
-            if log:
-                log(
-                    f"retrying {len(failed)} failed task(s), "
-                    f"attempt {attempt + 2}/{1 + max_retries}"
-                )
+                break
             # retries are singleton shards: isolate the failure
-            shards = [(task,) for task in failed]
+            shards = [[outcome] for outcome in failed]
     finally:
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
-def _run_wave(
-    pool: ProcessPoolExecutor,
-    shards: Sequence[Tuple[RunTask, ...]],
-    outcomes: Dict[str, TaskOutcome],
-    result: SweepResult,
-    straggler_after: Optional[float],
-    log: Log,
-) -> List[RunTask]:
-    """Dispatch one wave of shards; return the tasks needing a retry."""
-    pending: Dict[Future, _Shard] = {}
-    failed: List[RunTask] = []
-    for tasks in shards:
-        for task in tasks:
-            outcomes[task.key].attempts += 1
-        now = time.perf_counter()
-        try:
-            future = pool.submit(_execute_shard, tasks)
-        except Exception as error:  # pool already broken
-            for task in tasks:
-                outcomes[task.key].error = f"submit failed: {error}"
-                failed.append(task)
-            continue
-        pending[future] = _Shard(
-            tasks=tasks, submitted_at=now, deadline=_shard_deadline(tasks, now)
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
+    result.wall_s = round(time.perf_counter() - start, 3)
+    if failed:
+        detail = "; ".join(f"{o.task.key}: {o.error}" for o in failed[:5])
+        raise ParallelExecutionError(
+            f"{len(failed)} task(s) failed after retries: {detail}"
         )
-
-    while pending:
-        done, _ = wait(pending, timeout=_POLL_S, return_when=FIRST_COMPLETED)
-        for future in done:
-            shard = pending.pop(future)
-            error = future.exception()
-            if error is not None:
-                for task in shard.tasks:
-                    outcome = outcomes[task.key]
-                    if outcome.value is None:
-                        outcome.error = f"{type(error).__name__}: {error}"
-                        failed.append(task)
-                continue
-            for record in future.result():
-                outcome = outcomes[str(record["key"])]
-                if record["ok"]:
-                    outcome.value = record["value"]  # type: ignore[assignment]
-                    outcome.error = None
-                else:
-                    outcome.error = str(record["error"])
-                    failed.append(outcome.task)
-                    if log:
-                        log(f"task {outcome.task.key} failed: {outcome.error}")
-        now = time.perf_counter()
-        for future, shard in list(pending.items()):
-            age = now - shard.submitted_at
-            if (
-                straggler_after is not None
-                and not shard.straggler_logged
-                and age > straggler_after
-            ):
-                shard.straggler_logged = True
-                keys = ", ".join(task.key for task in shard.tasks)
-                result.stragglers.extend(task.key for task in shard.tasks)
-                if log:
-                    log(f"straggler: [{keys}] still running after {age:.1f}s")
-            if shard.deadline is not None and now > shard.deadline:
-                # Abandon the shard: the worker cannot be interrupted,
-                # but the tasks are marked timed out and retried on a
-                # free worker (bounded by the wave count).
-                future.cancel()
-                pending.pop(future)
-                for task in shard.tasks:
-                    outcome = outcomes[task.key]
-                    if outcome.value is None:
-                        outcome.error = (
-                            f"timeout: shard exceeded {age:.1f}s budget"
-                        )
-                        failed.append(task)
-                        if log:
-                            log(f"task {task.key} timed out after {age:.1f}s")
-    return failed
+    return result

@@ -7,27 +7,18 @@ manager or RNG object ever crosses the process boundary — a worker
 rebuilds everything from ``(runner, params, seed)``, which is exactly
 what makes parallel execution bit-identical to serial execution.
 
-A :class:`SweepSpec` expands a parameter grid × seed list into an
-ordered task list.  The expansion order is deterministic (sorted
-parameter names, values and seeds in the given order), and reduction
-happens in this task-key order regardless of which worker finishes
-first (see :mod:`repro.parallel.runner`).
+Reduction happens in task-list order regardless of which worker
+finishes first (see :mod:`repro.parallel.runner`); a grid of runs is
+expanded into tasks by :mod:`repro.scenarios.sweep`.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-from repro.errors import ConfigurationError
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 #: Parameter payload: sorted ``(name, value)`` pairs, hashable + picklable.
 Params = Tuple[Tuple[str, object], ...]
-
-
-def _freeze_params(params: Mapping[str, object]) -> Params:
-    return tuple(sorted(params.items()))
 
 
 def _format_value(value: object) -> str:
@@ -49,7 +40,6 @@ class RunTask:
     runner: str
     params: Params = ()
     seed: int = 0
-    timeout: Optional[float] = None
 
     @property
     def kwargs(self) -> Dict[str, object]:
@@ -66,69 +56,13 @@ def make_task(
     runner: str,
     seed: int = 0,
     key: Optional[str] = None,
-    timeout: Optional[float] = None,
     **params: object,
 ) -> RunTask:
     """Build a single :class:`RunTask` with a derived default key."""
-    frozen = _freeze_params(params)
+    frozen = tuple(sorted(params.items()))
     if key is None:
         bits = [f"{k}={_format_value(v)}" for k, v in frozen]
         bits.append(f"seed={seed}")
         key = f"{runner}[{';'.join(bits)}]"
-    return RunTask(
-        key=key, runner=runner, params=frozen, seed=int(seed), timeout=timeout
-    )
+    return RunTask(key=key, runner=runner, params=frozen, seed=int(seed))
 
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """A parameter grid × seed list over one runner.
-
-    Parameters
-    ----------
-    runner:
-        Registered task name (see :mod:`repro.parallel.tasks`) or a
-        ``module:function`` dotted path importable in a fresh process.
-    grid:
-        Swept parameters: name → sequence of values.  The expansion
-        iterates sorted parameter names, each value sequence in its
-        given order (outer-to-inner), seeds innermost.
-    seeds:
-        Seed replications per grid point.
-    base:
-        Fixed parameters forwarded to every run.
-    timeout:
-        Optional per-task soft timeout in seconds (see the runner).
-    """
-
-    runner: str
-    grid: Mapping[str, Sequence[object]] = field(default_factory=dict)
-    seeds: Sequence[int] = (0,)
-    base: Mapping[str, object] = field(default_factory=dict)
-    timeout: Optional[float] = None
-
-    def tasks(self) -> List[RunTask]:
-        """Expand the grid into the sweep's ordered task list."""
-        if not self.seeds:
-            raise ConfigurationError("a sweep needs at least one seed")
-        names = sorted(self.grid)
-        overlap = set(names) & set(self.base)
-        if overlap:
-            raise ConfigurationError(
-                f"parameters both swept and fixed: {sorted(overlap)}"
-            )
-        tasks: List[RunTask] = []
-        value_axes = [self.grid[name] for name in names]
-        for combo in itertools.product(*value_axes):
-            point = dict(self.base)
-            point.update(zip(names, combo))
-            for seed in self.seeds:
-                tasks.append(
-                    make_task(
-                        self.runner, seed=seed, timeout=self.timeout, **point
-                    )
-                )
-        keys = [task.key for task in tasks]
-        if len(set(keys)) != len(keys):
-            raise ConfigurationError("sweep expansion produced duplicate keys")
-        return tasks

@@ -12,14 +12,9 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.parallel.runner import Log
 from repro.reporting.survival import render_survival_report, tenant_leakage
 from repro.scenarios.matrix import policy_names, scenario_names
-from repro.scenarios.sweep import (
-    SCENARIO_SEEDS,
-    index_results,
-    run_scenario_matrix,
-)
+from repro.scenarios.sweep import index_results, run_scenario_matrix
 
 
 def survival_report_from_results(
@@ -67,20 +62,10 @@ def survival_report_from_results(
     )
 
 
-def generate_survival_report(
-    scenarios: Optional[Sequence[str]] = None,
-    policies: Optional[Sequence[str]] = None,
-    seeds: Sequence[int] = SCENARIO_SEEDS,
-    workers: int = 1,
-    log: Log = None,
-) -> Tuple[str, str]:
-    """Run the matrix and render; returns ``(report, sweep digest)``."""
-    result = run_scenario_matrix(
-        scenarios=scenarios,
-        policies=policies,
-        seeds=seeds,
-        workers=workers,
-        log=log,
-    )
+def generate_survival_report(workers: int = 1) -> Tuple[str, str]:
+    """Run the committed matrix and render; returns ``(report, sweep
+    digest)``.  A subset or a replication is ``scenario sweep --json``
+    followed by ``scenario report --json``."""
+    result = run_scenario_matrix(workers=workers)
     report = survival_report_from_results(result.values, digest=result.digest)
     return report, result.digest

@@ -494,9 +494,12 @@ def load_scenario_file(path: Union[str, Path]) -> ScenarioSpec:
     the stdlib-only environment is a supported configuration.
     """
     path = Path(path)
-    if not path.exists():
-        raise ConfigurationError(f"scenario file not found: {path}")
-    text = path.read_text()
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as error:
+        raise ConfigurationError(
+            f"scenario file not found or unreadable: {path} ({error})"
+        ) from None
     if path.suffix.lower() in (".yaml", ".yml"):
         try:
             import yaml  # type: ignore[import-not-found]

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import time
 from typing import Dict
 
 
@@ -37,15 +36,23 @@ def flaky_task(seed: int = 0, marker: str = "") -> Dict[str, object]:
     return quick_task(seed=seed, marker=marker)
 
 
-def always_fail(seed: int = 0) -> Dict[str, object]:
+def always_fail(seed: int = 0, tally: str = "") -> Dict[str, object]:
+    """Raise every time; each attempt adds a line to ``tally`` if given."""
+    if tally:
+        with open(tally, "a") as fh:
+            fh.write("attempt\n")
     raise ValueError(f"broken runner (seed {seed})")
-
-
-def slow_task(seed: int = 0, duration: float = 0.5) -> Dict[str, object]:
-    """Sleep ``duration`` wall seconds, then return a quick result."""
-    time.sleep(float(duration))
-    return quick_task(seed=seed, duration=duration)
 
 
 def not_a_dict(seed: int = 0) -> int:
     return int(seed)
+
+
+def unpicklable_result(seed: int = 0) -> Dict[str, object]:
+    """A result the worker cannot send back: the whole shard fails."""
+    return {"digest": "x", "callback": lambda: seed}
+
+
+def dies(seed: int = 0) -> Dict[str, object]:
+    """Kill the worker process outright (only ever run in a pool)."""
+    os._exit(13)

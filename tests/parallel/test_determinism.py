@@ -1,6 +1,6 @@
 """The determinism contract: parallel == serial, bit for bit.
 
-The hypothesis property drives randomly-shaped sweep specs through the
+The hypothesis property drives randomly-shaped task grids through the
 runner at 1, 2 and 4 workers and requires identical ordered digests —
 worker count and completion order must be unobservable in the reduced
 output.  The cluster test does the same with the real scenario runner
@@ -9,16 +9,13 @@ and the user-facing rollup table.
 
 from __future__ import annotations
 
+import itertools
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.parallel import (
-    SweepSpec,
-    make_task,
-    rollup_table,
-    run_policy_sweep,
-    run_tasks,
-)
+from repro.parallel import make_task, run_tasks
+from repro.scenarios.sweep import rollup_table, run_scenario_matrix
 
 QUICK = "tests.parallel.helpers:quick_task"
 
@@ -41,7 +38,11 @@ seed_lists = st.lists(
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_parallel_digests_equal_serial_for_any_sweep(grid, seeds):
-    tasks = SweepSpec(runner=QUICK, grid=grid, seeds=tuple(seeds)).tasks()
+    tasks = [
+        make_task(QUICK, seed=seed, **dict(zip(grid, point)))
+        for point in itertools.product(*grid.values())
+        for seed in seeds
+    ]
     serial = run_tasks(tasks, workers=1)
     two = run_tasks(tasks, workers=2)
     four = run_tasks(tasks, workers=4)
@@ -53,25 +54,17 @@ def test_parallel_digests_equal_serial_for_any_sweep(grid, seeds):
     )
 
 
-def test_chunk_size_does_not_change_the_digest():
-    tasks = [make_task(QUICK, seed=s, level=s % 3) for s in range(9)]
-    digests = {
-        run_tasks(tasks, workers=2, chunk_size=size).digest
-        for size in (1, 2, 5, 100)
-    }
-    assert len(digests) == 1
-
-
 def test_cluster_sweep_rollup_is_worker_count_independent():
     kwargs = dict(
-        policies=["round-robin", "least"],
+        scenarios=["cluster_overload"],
+        policies=["push/round-robin", "push/least"],
         seeds=(42, 43),
         nodes=3,
         horizon=8.0,
         mpl=2,
     )
-    serial = run_policy_sweep(workers=1, **kwargs)
-    parallel = run_policy_sweep(workers=2, **kwargs)
+    serial = run_scenario_matrix(workers=1, **kwargs)
+    parallel = run_scenario_matrix(workers=2, **kwargs)
     assert serial.digest == parallel.digest
     assert rollup_table(serial) == rollup_table(parallel)
     # per-run payloads (minus wall timings) are identical too

@@ -1,17 +1,18 @@
-"""run_tasks: serial fallback, shard retry, timeouts, stragglers, strict."""
+"""run_tasks: the serial path, the pool path, retry, failure isolation."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ConfigurationError, ParallelExecutionError
-from repro.parallel import default_chunk_size, make_task, run_tasks
+from repro.parallel import make_task, run_tasks
 
 QUICK = "tests.parallel.helpers:quick_task"
 FLAKY = "tests.parallel.helpers:flaky_task"
 FAIL = "tests.parallel.helpers:always_fail"
-SLOW = "tests.parallel.helpers:slow_task"
 BAD_TYPE = "tests.parallel.helpers:not_a_dict"
+UNPICKLABLE = "tests.parallel.helpers:unpicklable_result"
+DIES = "tests.parallel.helpers:dies"
 
 
 def quick_tasks(n):
@@ -35,23 +36,12 @@ class TestSerialPath:
         with pytest.raises(ConfigurationError, match="duplicate task keys"):
             run_tasks(tasks, workers=1)
 
-    def test_strict_failure_raises_after_retries(self):
-        tasks = [make_task(FAIL, seed=5)] + quick_tasks(1)
+    def test_strict_failure_raises_after_retries(self, tmp_path):
+        tally = tmp_path / "attempts"
+        tasks = [make_task(FAIL, seed=5, tally=str(tally))] + quick_tasks(1)
         with pytest.raises(ParallelExecutionError, match="broken runner"):
             run_tasks(tasks, workers=1, max_retries=2)
-
-    def test_non_strict_records_failure_and_keeps_order(self):
-        tasks = quick_tasks(2) + [make_task(FAIL, seed=9)]
-        result = run_tasks(tasks, workers=1, max_retries=1, strict=False)
-        assert len(result.failures) == 1
-        failed = result.failures[0]
-        assert failed.attempts == 2  # initial + 1 retry
-        assert "ValueError" in failed.error
-        assert len(result.values) == 2
-        # the digest still covers the failed slot (as a placeholder)
-        assert result.digest == run_tasks(
-            tasks, workers=1, max_retries=1, strict=False
-        ).digest
+        assert len(tally.read_text().splitlines()) == 3  # 1 + max_retries
 
     def test_runner_must_return_dict(self):
         with pytest.raises(ParallelExecutionError, match="expected a result"):
@@ -77,65 +67,42 @@ class TestPoolPath:
             for value in serial.values
         ]
 
-    def test_unsupported_start_method_falls_back_serially(self):
-        result = run_tasks(quick_tasks(3), workers=2, mp_context="no-such")
+    def test_unsupported_start_method_falls_back_serially(self, monkeypatch):
+        # a platform that cannot start a pool: same tasks, run in place
+        monkeypatch.setattr(
+            "repro.parallel.runner._make_pool", lambda workers, modules: None
+        )
+        result = run_tasks(quick_tasks(3), workers=2)
         assert result.fell_back_serial
         assert all(o.ok for o in result.outcomes)
+        assert result.digest == run_tasks(quick_tasks(3), workers=1).digest
 
     def test_failed_shard_retried_to_success(self, tmp_path):
         marker = str(tmp_path / "flaky.marker")
-        tasks = [make_task(FLAKY, seed=1, marker=marker)] + quick_tasks(3)
-        log: list = []
-        result = run_tasks(
-            tasks, workers=2, max_retries=2, chunk_size=2, log=log.append
-        )
-        flaky = result.outcomes[0]
+        # 16 tasks over 2 workers are shards of 2: the flaky task has a mate
+        tasks = [make_task(FLAKY, seed=1, marker=marker)] + quick_tasks(15)
+        result = run_tasks(tasks, workers=2, max_retries=2)
+        flaky, *others = result.outcomes
         assert flaky.ok
         assert flaky.attempts >= 2
-        assert result.retried_shards >= 1
-        assert any("failed" in line for line in log)
+        # a task's exception is its own: shard-mates keep their first run
+        assert all(o.ok and o.attempts == 1 for o in others)
 
-    def test_persistent_failure_exhausts_retries(self):
-        tasks = [make_task(FAIL, seed=1)] + quick_tasks(2)
-        result = run_tasks(tasks, workers=2, max_retries=1, strict=False)
-        assert len(result.failures) == 1
-        assert result.failures[0].attempts == 2
+    def test_persistent_failure_exhausts_retries(self, tmp_path):
+        tally = tmp_path / "attempts"
+        failing = make_task(FAIL, seed=1, tally=str(tally))
+        with pytest.raises(ParallelExecutionError) as raised:
+            run_tasks([failing] + quick_tasks(2), workers=2, max_retries=1)
+        assert "1 task(s) failed" in str(raised.value)
+        assert failing.key in str(raised.value)
+        assert len(tally.read_text().splitlines()) == 2  # initial + 1 retry
 
-    def test_timeout_marks_task_and_logs(self):
-        # Two slow singleton shards with a tight budget: both expire.
-        tasks = [
-            make_task(SLOW, seed=i, timeout=0.2, duration=1.5) for i in range(2)
-        ]
-        log: list = []
-        result = run_tasks(
-            tasks,
-            workers=2,
-            max_retries=0,
-            chunk_size=1,
-            strict=False,
-            log=log.append,
-        )
-        assert len(result.failures) == 2
-        assert all("timeout" in o.error for o in result.failures)
-        assert any("timed out" in line for line in log)
-
-    def test_straggler_logged_but_completes(self):
-        tasks = [make_task(SLOW, seed=i, duration=0.6) for i in range(2)]
-        log: list = []
-        result = run_tasks(
-            tasks,
-            workers=2,
-            chunk_size=1,
-            straggler_after=0.1,
-            log=log.append,
-        )
-        assert all(o.ok for o in result.outcomes)
-        assert result.stragglers  # slow shards were flagged...
-        assert any("straggler" in line for line in log)
-        assert not result.failures  # ...but not failed
-
-
-def test_default_chunk_size_balances_load():
-    assert default_chunk_size(64, 4) == 4
-    assert default_chunk_size(3, 8) == 1  # never zero
-    assert default_chunk_size(0, 2) == 1
+    @pytest.mark.parametrize("runner", [UNPICKLABLE, DIES])
+    def test_shard_level_failure_names_the_task(self, runner):
+        """An unpicklable result or a dead worker loses the whole shard;
+        it surfaces as the runner's own error naming the task, never as
+        a raw AttributeError / BrokenProcessPool."""
+        broken = make_task(runner, seed=1)
+        with pytest.raises(ParallelExecutionError) as raised:
+            run_tasks([broken] + quick_tasks(2), workers=2, max_retries=1)
+        assert broken.key in str(raised.value)

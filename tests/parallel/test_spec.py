@@ -1,13 +1,10 @@
-"""RunTask / SweepSpec: deterministic expansion, keys, pickling."""
+"""RunTask / make_task: derived keys, parameters, pickling."""
 
 from __future__ import annotations
 
 import pickle
 
-import pytest
-
-from repro.errors import ConfigurationError
-from repro.parallel import SweepSpec, make_task
+from repro.parallel import make_task
 
 
 class TestMakeTask:
@@ -33,53 +30,8 @@ class TestMakeTask:
         assert "seed=3" in text
 
     def test_task_is_picklable_and_roundtrips(self):
-        task = make_task("m:fn", seed=9, timeout=2.5, rate=30.0, policy="least")
+        task = make_task("m:fn", seed=9, rate=30.0, policy="least")
         clone = pickle.loads(pickle.dumps(task))
         assert clone == task
         assert clone.kwargs == task.kwargs
 
-
-class TestSweepSpec:
-    def test_expansion_order_sorted_names_seeds_innermost(self):
-        spec = SweepSpec(
-            runner="r",
-            grid={"b": [10, 20], "a": ["x", "y"]},
-            seeds=(1, 2),
-        )
-        keys = [task.key for task in spec.tasks()]
-        # 'a' sorts before 'b': a is the outer axis, seeds innermost.
-        assert keys == [
-            "r[a=x;b=10;seed=1]",
-            "r[a=x;b=10;seed=2]",
-            "r[a=x;b=20;seed=1]",
-            "r[a=x;b=20;seed=2]",
-            "r[a=y;b=10;seed=1]",
-            "r[a=y;b=10;seed=2]",
-            "r[a=y;b=20;seed=1]",
-            "r[a=y;b=20;seed=2]",
-        ]
-
-    def test_base_params_forwarded_to_every_task(self):
-        spec = SweepSpec(
-            runner="r", grid={"p": ["a", "b"]}, seeds=(0,), base={"n": 4}
-        )
-        for task in spec.tasks():
-            assert task.kwargs["n"] == 4
-
-    def test_overlapping_base_and_grid_rejected(self):
-        spec = SweepSpec(runner="r", grid={"n": [1]}, base={"n": 2})
-        with pytest.raises(ConfigurationError, match="swept and fixed"):
-            spec.tasks()
-
-    def test_empty_seeds_rejected(self):
-        with pytest.raises(ConfigurationError, match="at least one seed"):
-            SweepSpec(runner="r", seeds=()).tasks()
-
-    def test_duplicate_grid_values_rejected(self):
-        spec = SweepSpec(runner="r", grid={"p": ["a", "a"]}, seeds=(0,))
-        with pytest.raises(ConfigurationError, match="duplicate"):
-            spec.tasks()
-
-    def test_timeout_propagates(self):
-        spec = SweepSpec(runner="r", seeds=(0,), timeout=3.0)
-        assert all(task.timeout == 3.0 for task in spec.tasks())

@@ -7,6 +7,8 @@ stderr and exit code 2, never a traceback.
 
 import json
 
+import pytest
+
 from repro.cli import main
 from repro.scenarios.matrix import policy_names, scenario_names
 
@@ -103,8 +105,73 @@ class TestExitCodes:
         self._fails_cleanly(
             capsys,
             ["scenario", "sweep", "--scenarios", "nope"],
-            "unknown scenarios",
+            "unknown scenario 'nope'",
         )
+
+    def test_sweep_resolves_every_name_run_and_list_know(self, capsys):
+        argv = "scenario sweep --scenarios cluster_overload --policies push/cost"
+        assert main([*argv.split(), "--seeds", "42", "43"]) == 0
+        assert "2 runs" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("verb", ["sweep", "report"])
+    def test_unwritable_output_fails_before_any_run(
+        self, capsys, tmp_path, monkeypatch, verb
+    ):
+        import repro.scenarios.sweep as sweep_module
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a task ran before the output path check")
+
+        monkeypatch.setattr(sweep_module, "run_tasks", no_run)
+        flag = "--json" if verb == "sweep" else "--out"
+        self._fails_cleanly(
+            capsys,
+            ["scenario", verb, flag, str(tmp_path / "no-such-dir" / "x")],
+            "cannot write",
+        )
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [1, 2],  # AttributeError at the parent
+            {"results": 7},  # TypeError
+            {"results": [{"scenario": "churn"}]},  # KeyError: 'policy'
+            {"ci": {}, "history": []},  # silently "(no results)", exit 0
+        ],
+        ids=["list", "results-not-a-list", "row-without-policy", "no-results-key"],
+    )
+    def test_report_rejects_json_of_the_wrong_shape(self, capsys, tmp_path, payload):
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps(payload))
+        self._fails_cleanly(
+            capsys, ["scenario", "report", "--json", str(path)], "malformed results"
+        )
+
+    def test_report_renders_an_empty_results_list(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"digest": "", "results": []}))
+        assert main(["scenario", "report", "--json", str(path)]) == 0
+        assert "(no results)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", ["directory", "binary"])
+    def test_unreadable_spec_file(self, capsys, tmp_path, kind):
+        path = tmp_path / "spec.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\x7fELF\xd0\xff")
+        self._fails_cleanly(
+            capsys, ["scenario", "run", "--spec", str(path)], "unreadable"
+        )
+
+    @pytest.mark.parametrize(
+        "argv", [["sweep", "--workers", "-3"], ["scenario", "sweep", "--workers", "0"]]
+    )
+    def test_workers_must_be_positive(self, capsys, argv):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert "not a positive integer" in capsys.readouterr().err
 
     def test_missing_spec_file(self, capsys, tmp_path):
         self._fails_cleanly(
@@ -157,3 +224,30 @@ class TestExitCodes:
             ["scenario", "report", "--json", str(tmp_path / "nope.json")],
             "not found",
         )
+
+
+def test_sweep_table_is_the_committed_golden(capsys):
+    """`python -m repro sweep` over the one expander prints the table the
+    deleted policy-sweep stack printed, byte for byte."""
+    argv = "sweep --policies cost,least --seeds 42 43 --workers 2"
+    assert main([*argv.split(), "--horizon", "10", "--nodes", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:-1] == GOLDEN_SWEEP.splitlines()
+    assert lines[-1].startswith("4 runs in ")
+    assert lines[-1].endswith("(2 workers); sweep digest a9b955e81a1fddab…")
+
+
+GOLDEN_SWEEP = """\
+Sweeping 2 placement policies × 2 seeds (4 runs, 2 workers, 3 nodes, 10s horizon)...
+
+policy                  seed   done   rej resub oltp p95  bi mean  digest
+-------------------------------------------------------------------------
+push/cost                 42    296     0     0    0.064        -  b7199abfeab3…
+push/cost                 43    289     0     0    0.138    8.826  d0c56cb9ce3f…
+push/least                42    296     0     0    0.064        -  31a096736910…
+push/least                43    289     0     0    0.053    8.826  009d34e123f4…
+-------------------------------------------------------------------------
+push/cost (all)            2    585     0     0    0.138        -  worst-seed p95
+push/least (all)           2    585     0     0    0.064        -  worst-seed p95
+
+"""

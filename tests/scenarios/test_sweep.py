@@ -38,10 +38,68 @@ class TestTaskExpansion:
         assert len(tasks) == 1
 
     def test_unknown_names_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown scenarios"):
+        with pytest.raises(ConfigurationError, match="unknown scenario 'nope'"):
             scenario_matrix_tasks(scenarios=["nope"])
-        with pytest.raises(ConfigurationError, match="unknown policies"):
+        with pytest.raises(ConfigurationError, match="unknown policy 'nope'"):
             scenario_matrix_tasks(policies=["nope"])
+
+    def test_empty_seeds_rejected(self):
+        with pytest.raises(ConfigurationError, match="at least one seed"):
+            scenario_matrix_tasks(seeds=())
+
+    def test_duplicate_keys_rejected(self):
+        with pytest.raises(ConfigurationError, match="duplicate"):
+            scenario_matrix_tasks(**SLICE, seeds=(42, 42))
+
+    def test_params_forwarded_to_every_task_and_validated_once(self):
+        tasks = scenario_matrix_tasks(
+            ["cluster_overload"], ["push/cost", "pull/cost"], nodes=3, horizon=8.0
+        )
+        for task in tasks:
+            assert task.kwargs["nodes"] == 3
+            assert task.kwargs["horizon"] == 8.0
+        # the builder that will run them checks them, in the parent
+        with pytest.raises(ConfigurationError, match="horizon"):
+            scenario_matrix_tasks(["cluster_overload"], ["push/cost"], horizon=-1.0)
+
+
+class TestReplication:
+    """ROADMAP item 6's one command: EXP18's three placements over seeds
+    is the same expander over ``cluster_overload``."""
+
+    POLICIES = ["push/round-robin", "push/cost", "push/sla"]
+    SEEDS = (42, 43, 44)
+
+    def test_order_is_scenario_policy_seed_with_no_companions(self):
+        tasks = scenario_matrix_tasks(["cluster_overload"], self.POLICIES, self.SEEDS)
+        assert [(t.kwargs["policy"], t.seed) for t in tasks] == [
+            (policy, seed) for policy in self.POLICIES for seed in self.SEEDS
+        ]
+        assert all(t.kwargs["scenario"] == "cluster_overload" for t in tasks)
+        assert not any("exclude_noisy" in t.kwargs for t in tasks)
+
+    def test_digest_is_worker_stable_and_rows_equal_the_sweep_verbs(self, capsys):
+        from repro.cli import main
+        from repro.scenarios.sweep import rollup_table
+
+        kwargs = dict(
+            scenarios=["cluster_overload"],
+            policies=self.POLICIES,
+            seeds=(42, 43),
+            nodes=3,
+            horizon=8.0,
+        )
+        serial = run_scenario_matrix(**kwargs, workers=1)
+        assert serial.digest == run_scenario_matrix(**kwargs, workers=2).digest
+        argv = "sweep --policies round-robin,cost,sla --seeds 42 --workers 1"
+        assert main([*argv.split(), "--nodes", "3", "--horizon", "8"]) == 0
+        printed = capsys.readouterr().out
+        seed_42 = [
+            row for row in rollup_table(serial).splitlines() if " 42 " in row
+        ]
+        assert len(seed_42) == 3
+        for row in seed_42:
+            assert row in printed
 
 
 class TestDigestStability:
