@@ -156,12 +156,6 @@ class _Running:
     def bottleneck(self) -> float:
         return float(self.store.bottleneck[self.slot])
 
-    def next_milestone(self) -> float:
-        """Progress value of the next interesting point (lock or done)."""
-        if self.next_lock < len(self.lock_points):
-            return self.lock_points[self.next_lock]
-        return 1.0
-
     def __repr__(self) -> str:
         return (
             f"_Running(q={self.query.query_id}, next_lock={self.next_lock}, "
@@ -198,13 +192,16 @@ class ExecutionEngine:
         self.store = RunStore()
         self._running: Dict[int, _Running] = {}
         self._callbacks: List[CompletionCallback] = []
+        # The one armed milestone event, and the query it fires for.
         self._milestone_handle = None
+        self._milestone_qid = -1
+        self._cpu = self.resources[ResourceKind.CPU]
+        self._disk = self.resources[ResourceKind.DISK]
         self.completed_count = 0
         self.killed_count = 0
         self.aborted_count = 0
-        self._capacities = self.machine.rate_capacities()
-        self._cpu_cap = float(self._capacities[ResourceKind.CPU])
-        self._disk_cap = float(self._capacities[ResourceKind.DISK])
+        self._cpu_cap = float(self._cpu.capacity)
+        self._disk_cap = float(self._disk.capacity)
         # Cached running-set snapshots, invalidated by *replacement* on
         # membership change — callers holding an old snapshot can keep
         # iterating it safely while queries start or finish.
@@ -551,76 +548,75 @@ class ExecutionEngine:
     def _solve(self) -> None:
         self._realloc_pending = False
         now = self.sim.now
+        idx = self.store.live_indices()
         if self._solved_version == self._alloc_version:
             # Nothing feeding the allocator changed: keep the current
             # speeds.  Re-record the (unchanged) usage so the
             # utilization integrals accrue exactly as they would have,
             # and re-arm the milestone if this call consumed it.
-            for resource in self.resources.values():
-                resource.record(now, resource.instantaneous_usage)
+            self._cpu.record(now, self._cpu.instantaneous_usage)
+            self._disk.record(now, self._disk.instantaneous_usage)
             if self._milestone_handle is None:
-                self._schedule_next_milestone()
+                self._arm_milestone(self._next_milestone(idx))
             return
         if self._store_epoch != self._demand_epoch:
             self._refresh_demands()
-        store = self.store
-        idx = store.live_indices()
         if idx.size >= _VECTOR_MIN_RUNNING:
             usage_cpu, usage_disk = self._solve_vectorized(idx)
+            pick = self._pick_vectorized(idx)
         else:
-            usage_cpu, usage_disk = self._solve_scalar(idx)
-        self.resources[ResourceKind.CPU].record(now, usage_cpu)
-        self.resources[ResourceKind.DISK].record(now, usage_disk)
+            usage_cpu, usage_disk, progresses, speeds = self._solve_scalar(idx)
+            pick = self._pick_scalar(idx, progresses, speeds)
+        self._cpu.record(now, usage_cpu)
+        self._disk.record(now, usage_disk)
         self._solved_version = self._alloc_version
-        self._schedule_next_milestone()
+        self._arm_milestone(pick)
 
     def _solve_scalar(self, idx: np.ndarray):
         """Feed the exact scalar fill from the columnar store.
 
         Iteration order and accumulation order follow the store's
         insertion order — the float-accumulation contract the committed
-        digests pin.
+        digests pin.  Returns the two usages and, aligned with ``idx``,
+        the progress and solved-speed lists :meth:`_pick_scalar` needs,
+        so the step below the cutover gathers each column once.
         """
         store = self.store
-        slots = idx.tolist()
+        n = int(idx.size)
+        speeds = [0.0] * n
+        if n == 0:
+            return 0.0, 0.0, speeds, speeds
         bottlenecks = store.bottleneck[idx].tolist()
         progresses = store.progress[idx].tolist()
         weights = store.solve_weight[idx].tolist()
         cpu_demands = store.cpu_base[idx].tolist()
         disk_demands = store.disk_demand[idx].tolist()
         caps = store.speed_cap[idx].tolist()
-        progress_col = store.progress
+        # keyed by position in ``idx``: the fill writes into ``speeds``
         active: List[List] = []
-        speeds: Dict[int, float] = {}
-        for i in range(len(slots)):
+        for i in range(n):
             if bottlenecks[i] <= 1e-9:
                 # vanishing remaining demand: mark done so the milestone
                 # reaper completes it rather than dividing by ~zero
-                progress_col[slots[i]] = 1.0
+                store.progress[idx[i]] = progresses[i] = 1.0
                 continue
             if progresses[i] >= 1.0:
                 continue
             cap = caps[i]
             if cap == 0.0:
                 continue
-            slot = slots[i]
-            speeds[slot] = 0.0
-            active.append([slot, weights[i], cpu_demands[i], disk_demands[i], cap])
-        if idx.size:
-            store.speed[idx] = 0.0
-        if not active:
-            return 0.0, 0.0
-        fill_two_resource(active, speeds, self._cpu_cap, self._disk_cap)
-        speed_col = store.speed
+            active.append([i, weights[i], cpu_demands[i], disk_demands[i], cap])
         usage_cpu = usage_disk = 0.0
-        for item in active:
-            speed = speeds[item[0]]
-            speed_col[item[0]] = speed
-            if speed <= 0:
-                continue
-            usage_cpu += speed * item[2]
-            usage_disk += speed * item[3]
-        return usage_cpu, usage_disk
+        if active:
+            fill_two_resource(active, speeds, self._cpu_cap, self._disk_cap)
+            for item in active:
+                speed = speeds[item[0]]
+                if speed <= 0:
+                    continue
+                usage_cpu += speed * item[2]
+                usage_disk += speed * item[3]
+        store.speed[idx] = speeds
+        return usage_cpu, usage_disk, progresses, speeds
 
     def _solve_vectorized(self, idx: np.ndarray):
         """Vectorized solve: numpy fill + dotted usage sums.
@@ -656,74 +652,86 @@ class ExecutionEngine:
         usage_disk = float(np.dot(speeds[positive], disk_demand[positive]))
         return usage_cpu, usage_disk
 
-    def _schedule_next_milestone(self) -> None:
+    def _next_milestone(self, idx: np.ndarray):
+        """``(time, query id)`` of the next milestone as the store has
+        it, or ``None`` when nothing running is moving or done."""
+        if idx.size >= _VECTOR_MIN_RUNNING:
+            return self._pick_vectorized(idx)
+        store = self.store
+        return self._pick_scalar(
+            idx, store.progress[idx].tolist(), store.speed[idx].tolist()
+        )
+
+    def _pick_vectorized(self, idx: np.ndarray):
+        store = self.store
+        now = self.sim.now
+        progress = store.progress[idx]
+        done = (progress >= 1.0 - 1e-12) & ~store.locks_pending[idx]
+        if bool(done.any()):
+            # Finished during a sync triggered by someone else's
+            # event; reap it via an immediate milestone of its own.
+            return now, int(store.qid[idx[int(np.argmax(done))]])
+        speed = store.speed[idx]
+        moving = speed > 0.0
+        if not bool(moving.any()):
+            return None
+        eta = np.full(idx.size, np.inf)
+        gap = store.milestone[idx] - progress
+        np.maximum(gap, 0.0, out=gap)
+        eta[moving] = now + gap[moving] / speed[moving]
+        pos = int(np.argmin(eta))
+        return float(eta[pos]), int(store.qid[idx[pos]])
+
+    def _pick_scalar(self, idx: np.ndarray, progresses: List[float], speeds: List[float]):
+        """The one scalar pick loop, over lists aligned with ``idx``:
+        :meth:`_solve_scalar` passes what it gathered and solved, the
+        memoized solve what :meth:`_next_milestone` read back."""
+        if not progresses:
+            return None
+        store = self.store
+        now = self.sim.now
+        milestones = store.milestone[idx].tolist()
+        locks_pending = store.locks_pending[idx].tolist()
+        best_time, best = None, -1
+        for i in range(len(progresses)):
+            progress = progresses[i]
+            if progress >= 1.0 - 1e-12 and not locks_pending[i]:
+                # as in the vector pick: reap it at this instant
+                best_time, best = now, i
+                break
+            speed = speeds[i]
+            if speed <= 0:
+                continue
+            gap = milestones[i] - progress
+            eta = now + (gap if gap > 0.0 else 0.0) / speed
+            if best < 0 or eta < best_time:
+                best_time, best = eta, i
+        if best < 0:
+            return None
+        return best_time, int(store.qid[idx[best]])
+
+    def _arm_milestone(self, pick) -> None:
+        """Replace the armed milestone event, if any, by one for ``pick``."""
         if self._milestone_handle is not None:
             self._milestone_handle.cancel()
             self._milestone_handle = None
-        store = self.store
-        idx = store.live_indices()
-        n = idx.size
-        if n == 0:
-            return
-        now = self.sim.now
-        best_time = None
-        best_id = None
-        if n >= _VECTOR_MIN_RUNNING:
-            progress = store.progress[idx]
-            done = (progress >= 1.0 - 1e-12) & ~store.locks_pending[idx]
-            if bool(done.any()):
-                # Finished during a sync triggered by someone else's
-                # event; reap it via an immediate milestone of its own.
-                best_time = now
-                best_id = int(store.qid[idx[int(np.argmax(done))]])
-            else:
-                speed = store.speed[idx]
-                moving = speed > 0.0
-                if bool(moving.any()):
-                    eta = np.full(n, np.inf)
-                    gap = store.milestone[idx] - progress
-                    np.maximum(gap, 0.0, out=gap)
-                    eta[moving] = now + gap[moving] / speed[moving]
-                    pos = int(np.argmin(eta))
-                    best_time = float(eta[pos])
-                    best_id = int(store.qid[idx[pos]])
-        else:
-            slots = idx.tolist()
-            qids = store.qid[idx].tolist()
-            progresses = store.progress[idx].tolist()
-            speeds = store.speed[idx].tolist()
-            milestones = store.milestone[idx].tolist()
-            locks_pending = store.locks_pending[idx].tolist()
-            for i in range(n):
-                progress = progresses[i]
-                if progress >= 1.0 - 1e-12 and not locks_pending[i]:
-                    best_time, best_id = now, qids[i]
-                    break
-                speed = speeds[i]
-                if speed <= 0:
-                    continue
-                gap = milestones[i] - progress
-                eta = now + (gap if gap > 0.0 else 0.0) / speed
-                if best_time is None or eta < best_time:
-                    best_time, best_id = eta, qids[i]
-        if best_id is not None:
+        if pick is not None:
+            self._milestone_qid = pick[1]
             self._milestone_handle = self.sim.schedule_at(
-                best_time,
-                lambda qid=best_id: self._on_milestone(qid),
-                label=f"milestone:q{best_id}",
+                pick[0], self._on_milestone, "milestone:"
             )
 
-    def _on_milestone(self, query_id: int) -> None:
+    def _on_milestone(self) -> None:
+        query_id = self._milestone_qid
         self._milestone_handle = None
+        self._sync_all()
         entry = self._running.get(query_id)
         if entry is None:  # left the engine since scheduling
-            self._sync_all()
             self._reallocate()
             return
-        self._sync_all()
         store = self.store
         slot = store.index[query_id]
-        milestone = entry.next_milestone()
+        milestone = float(store.milestone[slot])
         progress = float(store.progress[slot])
         reached = progress >= milestone - 1e-9
         if not reached:
@@ -751,14 +759,7 @@ class ExecutionEngine:
         query_id = entry.query.query_id
         outcome = self.lock_manager.try_acquire(query_id, entry.next_lock)
         if outcome is LockOutcome.GRANTED:
-            entry.next_lock += 1
-            store = self.store
-            slot = store.index[query_id]
-            if entry.next_lock < len(entry.lock_points):
-                store.milestone[slot] = entry.lock_points[entry.next_lock]
-            else:
-                store.milestone[slot] = 1.0
-                store.locks_pending[slot] = False
+            self._lock_granted(entry, self.store.index[query_id])
             self._reallocate()
         elif outcome is LockOutcome.WAIT:
             store = self.store
@@ -770,6 +771,15 @@ class ExecutionEngine:
             self._reallocate()
         else:  # DIE: wait-die victim, abort and let policies resubmit
             self._finish(entry, CompletionOutcome.ABORTED)
+
+    def _lock_granted(self, entry: _Running, slot: int) -> None:
+        """Move the row's milestone to the next lock point, or to the end."""
+        entry.next_lock += 1
+        if entry.next_lock < len(entry.lock_points):
+            self.store.milestone[slot] = entry.lock_points[entry.next_lock]
+        else:
+            self.store.milestone[slot] = 1.0
+            self.store.locks_pending[slot] = False
 
     def _finish(self, entry: _Running, outcome: CompletionOutcome) -> None:
         query = entry.query
@@ -815,14 +825,7 @@ class ExecutionEngine:
             if store.blocked[woken_slot]:
                 store.blocked[woken_slot] = False
                 woken_entry.query.transition(QueryState.RUNNING)
-                woken_entry.next_lock += 1
-                if woken_entry.next_lock < len(woken_entry.lock_points):
-                    store.milestone[woken_slot] = woken_entry.lock_points[
-                        woken_entry.next_lock
-                    ]
-                else:
-                    store.milestone[woken_slot] = 1.0
-                    store.locks_pending[woken_slot] = False
+                self._lock_granted(woken_entry, woken_slot)
                 self._update_cap_slot(woken_slot)
         # One solve covers this exit plus whatever the exit callbacks do
         # at the same instant (resubmits, replacement dispatches).

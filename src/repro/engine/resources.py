@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Mapping
+from typing import Dict, Hashable, Iterable, List, Mapping, MutableMapping
 
 import numpy as np
 
@@ -191,7 +191,7 @@ def allocate_fair_shares_reference(
 
 def fill_two_resource(
     active: List[List],
-    speeds: Dict[Hashable, float],
+    speeds: MutableMapping[Hashable, float] | List[float],
     cpu_cap: float,
     disk_cap: float,
 ) -> None:
@@ -200,7 +200,7 @@ def fill_two_resource(
     ``active`` items are ``[key, weight, cpu_demand, disk_demand, cap]``
     with positive weight, positive cap, at least one positive demand and
     absent demands exactly ``0.0``; ``speeds`` must be pre-seeded with
-    ``0.0`` per key.  The rounds are the reference's — identical growth
+    ``0.0`` per key (the engine keys by position into a list).  The rounds are the reference's — identical growth
     sums accumulated in identical request order (an absent demand
     contributes an exact ``+ 0.0``), the same ``1e-15`` binding
     tolerances, one binding constraint per round — without its

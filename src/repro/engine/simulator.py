@@ -14,12 +14,15 @@ Determinism rules used throughout the library:
   streams obtained via :meth:`Simulator.rng`, so adding a new random
   consumer does not perturb existing streams.
 
-Throughput notes (see DESIGN.md §7): an :class:`Event` is its own
-cancellation handle (one ``__slots__`` object per scheduled callback
-instead of a frozen-dataclass/handle pair), and the run loops dispatch
-all events sharing one timestamp as a *batch* bracketed by registered
-enter/exit hooks, so an engine can defer its reallocation solve until
-the last event of the instant has fired.
+Throughput notes (see DESIGN.md §7): a heap entry is the tuple ``(time,
+seq, event)``, ordered by ``heapq`` with C float/int compares; ``seq``
+is unique, lives nowhere else, and keeps the :class:`Event` (the
+cancellation handle, one ``__slots__`` object per callback) from ever
+being compared.  A cancelled entry stays queued until it is popped and
+skipped.  The run loops dispatch all events sharing one timestamp as a
+*batch* bracketed by registered enter/exit hooks, so an engine can
+defer its reallocation solve until the last event of the instant has
+fired.
 """
 
 from __future__ import annotations
@@ -36,47 +39,51 @@ from repro.errors import SimulationBudgetExceeded, SimulationError
 
 
 class Event:
-    """A scheduled callback, doubling as its own cancellation handle.
+    """A scheduled callback: the cancellation handle of one heap entry.
 
-    Events compare by ``(time, seq)`` which gives deterministic FIFO
-    ordering among events scheduled for the same instant.  The object
-    is pushed on the heap directly; :meth:`cancel` marks it dead and
-    keeps the simulator's live-event counter exact, and ``done`` blocks
-    a late cancel on an already-fired event from drifting the count.
+    The simulator's heap holds ``(time, seq, event)``; the tuple decides
+    the order (time, then FIFO by ``seq`` among events of one instant)
+    and the event carries only what firing and cancelling need.
+    :meth:`cancel` marks it dead and keeps the simulator's live-event
+    counter exact, and ``done`` blocks a late cancel on an already-fired
+    event from drifting the count.
     """
 
-    __slots__ = ("time", "seq", "action", "label", "cancelled", "done", "sim")
+    __slots__ = ("time", "action", "label", "cancelled", "done", "sim")
 
     def __init__(
         self,
         time: float,
-        seq: int,
         action: Callable[[], None],
-        label: str = "",
-        sim: Optional["Simulator"] = None,
+        label: str,
+        sim: "Simulator",
     ) -> None:
         self.time = time
-        self.seq = seq
         self.action = action
         self.label = label
         self.cancelled = False
         self.done = False
         self.sim = sim
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def cancel(self) -> None:
         """Prevent the event's action from running when it is dequeued."""
         if self.cancelled or self.done:
             return
         self.cancelled = True
-        if self.sim is not None:
-            self.sim._live_events -= 1
+        self.sim._live_events -= 1
 
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else ("done" if self.done else "pending")
-        return f"Event(t={self.time:.6f}, seq={self.seq}, {self.label!r}, {state})"
+        return f"Event(t={self.time:.6f}, {self.label!r}, {state})"
+
+
+def _over_budget(what: str, budget: int, fired: int) -> SimulationBudgetExceeded:
+    return SimulationBudgetExceeded(
+        f"{what} exceeded max_events={budget}; "
+        "possible event storm or undersized budget",
+        budget=budget,
+        fired=fired,
+    )
 
 
 class Simulator:
@@ -94,7 +101,8 @@ class Simulator:
     def __init__(self, seed: int = 0) -> None:
         self._seed = int(seed)
         self._now = 0.0
-        self._queue: List[Event] = []
+        #: heap of ``(time, seq, event)``; see the module docstring
+        self._queue: List[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._rngs: Dict[str, np.random.Generator] = {}
         self._running = False
@@ -143,14 +151,15 @@ class Simulator:
     ) -> Event:
         """Schedule ``action`` to run at absolute simulated ``time``."""
         now = self._now
-        if time < now:
-            if time < now - 1e-12:
+        if not time >= now:  # the past, or NaN (which would break heap order)
+            if not time >= now - 1e-12:
                 raise SimulationError(
-                    f"cannot schedule event at {time:.6f} in the past (now={now:.6f})"
+                    f"cannot schedule event at {time:.6f}: NaN or in the past "
+                    f"(now={now:.6f})"
                 )
             time = now
-        event = Event(time, next(self._seq), action, label, self)
-        heapq.heappush(self._queue, event)
+        event = Event(time, action, label, self)
+        heapq.heappush(self._queue, (time, next(self._seq), event))
         self._live_events += 1
         return event
 
@@ -210,27 +219,30 @@ class Simulator:
         """
         queue = self._queue
         while queue:
-            event = heapq.heappop(queue)
-            if event.cancelled:
-                event.done = True
-                continue
+            time, _, event = heapq.heappop(queue)
             event.done = True
+            if event.cancelled:
+                continue
             self._live_events -= 1
-            self._now = event.time
+            self._now = time
             self._events_fired += 1
             event.action()
             return True
         return False
 
-    def run_until(self, time: float, max_events: Optional[int] = None) -> None:
+    def run_until(self, time: float, max_events: Optional[int] = None) -> int:
         """Run events until simulated ``time`` (inclusive of events at it).
 
+        Returns the number of events fired by this call, which callers
+        advancing in slices subtract from their ``max_events`` budget.
         Events sharing a timestamp are dispatched as one batch bracketed
         by the registered batch hooks.  If ``max_events`` is given and
         exhausted before ``time`` is reached,
         :class:`~repro.errors.SimulationBudgetExceeded` is raised — the
         run never silently truncates.
         """
+        if time != time:  # no event time compares above NaN: it would drain the heap
+            raise SimulationError("cannot run until NaN")
         fired = self._dispatch(time, max_events, f"run_until({time})")
         if time != float("inf") and time > self._now:
             self._now = time
@@ -254,19 +266,17 @@ class Simulator:
         hooks = self._batch_hooks
         fired = 0
         while queue:
-            head = queue[0]
-            time = head.time
+            time = queue[0][0]
             if time > until:
                 break
-            heapq.heappop(queue)
-            if head.cancelled:
-                head.done = True
-                continue
+            head = heapq.heappop(queue)[2]
             head.done = True
+            if head.cancelled:
+                continue
             self._live_events -= 1
             self._now = time
             self._events_fired += 1
-            if hooks and queue and queue[0].time == time:
+            if hooks and queue and queue[0][0] == time:
                 # Same-timestamp batch: bracket with the registered
                 # hooks and drain every event at this instant.  Events
                 # scheduled *during* the batch at the same time join it
@@ -277,29 +287,18 @@ class Simulator:
                     head.action()
                     fired += 1
                     if max_events is not None and fired >= max_events:
-                        raise SimulationBudgetExceeded(
-                            f"{what} exceeded max_events={max_events}; "
-                            "possible event storm or undersized budget",
-                            budget=max_events,
-                            fired=fired,
-                        )
-                    while queue and queue[0].time == time:
-                        nxt = heapq.heappop(queue)
-                        if nxt.cancelled:
-                            nxt.done = True
-                            continue
+                        raise _over_budget(what, max_events, fired)
+                    while queue and queue[0][0] == time:
+                        nxt = heapq.heappop(queue)[2]
                         nxt.done = True
+                        if nxt.cancelled:
+                            continue
                         self._live_events -= 1
                         self._events_fired += 1
                         nxt.action()
                         fired += 1
                         if max_events is not None and fired >= max_events:
-                            raise SimulationBudgetExceeded(
-                                f"{what} exceeded max_events={max_events}; "
-                                "possible event storm or undersized budget",
-                                budget=max_events,
-                                fired=fired,
-                            )
+                            raise _over_budget(what, max_events, fired)
                 finally:
                     for _, exit in reversed(hooks):
                         exit()
@@ -307,12 +306,7 @@ class Simulator:
                 head.action()
                 fired += 1
                 if max_events is not None and fired >= max_events:
-                    raise SimulationBudgetExceeded(
-                        f"{what} exceeded max_events={max_events}; "
-                        "possible event storm or undersized budget",
-                        budget=max_events,
-                        fired=fired,
-                    )
+                    raise _over_budget(what, max_events, fired)
         return fired
 
     def pending_events(self) -> int:

@@ -14,7 +14,7 @@ from repro.engine.simulator import Simulator
 
 def heap_scan(sim: Simulator) -> int:
     """Ground truth: count not-yet-cancelled events still queued."""
-    return sum(1 for event in sim._queue if not event.cancelled)
+    return sum(1 for _time, _seq, event in sim._queue if not event.cancelled)
 
 
 class TestPendingEventsCounter:

@@ -1,11 +1,19 @@
 """Unit tests for the discrete-event simulator core."""
 
+import inspect
+import typing
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.simulator import Event, Simulator
+from repro.engine.executor import ExecutionEngine
+from repro.engine.simulator import Event, ScopedSimulator, Simulator
 from repro.errors import SimulationBudgetExceeded, SimulationError
+
+from tests.conftest import submitted_query
+
+NAN = float("nan")
 
 
 class TestScheduling:
@@ -56,6 +64,27 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule_at(1.0, lambda: None)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda sim: sim.schedule_at(NAN, lambda: None),
+            lambda sim: sim.schedule(NAN, lambda: None),
+            lambda sim: sim.run_until(NAN),
+        ],
+        ids=["schedule_at", "schedule", "run_until"],
+    )
+    def test_nan_time_rejected(self, call):
+        # a NaN entry compares false both ways: it would sit anywhere in
+        # the heap, fire, and leave the clock at NaN
+        sim = Simulator()
+        sim.schedule_at(1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            call(sim)
+        assert sim.pending_events() == len(sim._queue) == 1
+        assert sim.events_fired == 0 and sim.now == 0.0
+        sim.run()
+        assert sim.now == 1.0
+
     def test_cancelled_event_does_not_fire(self):
         sim = Simulator()
         fired = []
@@ -95,6 +124,20 @@ class TestRunUntil:
         sim.schedule_at(2.0, lambda: fired.append(2))
         sim.run_until(2.0)
         assert fired == [2]
+
+    def test_run_until_returns_the_fired_count(self):
+        # slicing callers (the ledger's SlicedSimulator) subtract it
+        # from their max_events budget
+        sim = Simulator()
+        for t in (1.0, 1.0, 2.0, 5.0):
+            sim.schedule_at(t, lambda: None)
+        sim.schedule_at(1.5, lambda: None).cancel()
+        assert sim.run_until(2.0) == 3
+        assert sim.scoped("n0").run_until(10.0) == 1
+        assert sim.run_until(20.0) == 0
+        assert sim.events_fired == 4
+        assert typing.get_type_hints(Simulator.run_until)["return"] is int
+        assert "run_until" in ScopedSimulator._BOUND_METHODS
 
     def test_run_until_event_storm_guard(self):
         sim = Simulator()
@@ -194,12 +237,49 @@ class TestEventOrdering:
         assert fired == sorted(fired)
         assert len(fired) == len(times)
 
-    def test_event_ordering_dataclass(self):
-        early = Event(time=1.0, seq=0, action=lambda: None)
-        late = Event(time=2.0, seq=1, action=lambda: None)
-        tie = Event(time=1.0, seq=2, action=lambda: None)
-        assert early < late
-        assert early < tie
+    def test_heap_entries_order_by_time_then_seq(self):
+        sim = Simulator()
+        late = sim.schedule_at(2.0, lambda: None)
+        early = sim.schedule_at(1.0, lambda: None)
+        tie = sim.schedule_at(1.0, lambda: None)
+        # plain tuple compares: sorting would raise TypeError if a tie
+        # ever reached the Event, which defines no order of its own
+        entries = sorted(sim._queue)
+        assert [entry[:2] for entry in entries] == [(1.0, 1), (1.0, 2), (2.0, 0)]
+        assert [entry[2] for entry in entries] == [early, tie, late]
+        assert "__lt__" not in vars(Event)
+
+    @pytest.mark.parametrize("driver", ["batched", "unbatched", "step"])
+    def test_same_instant_ties_fire_fifo(self, driver):
+        sim = Simulator()
+        if driver == "batched":
+            sim.add_batch_hooks(lambda: None, lambda: None)
+        order = []
+
+        def spawn():
+            order.append("b")
+            # scheduled during the batch, at its instant: they join it
+            # behind everything already queued for that instant
+            sim.schedule_at(1.0, lambda: order.append("late-1"))
+            sim.schedule(0.0, lambda: order.append("late-2"))
+
+        head = sim.schedule_at(1.0, lambda: order.append("cancelled"))
+        sim.schedule_at(1.0, lambda: order.append("a"))
+        sim.schedule_at(1.0, spawn)
+        last = sim.schedule_at(1.0, lambda: order.append("c"))
+        sim.schedule_at(0.5, lambda: order.append("first"))
+        head.cancel()  # a cancelled head of the instant is skipped
+        assert sim.pending_events() == 4
+        if driver == "step":
+            while sim.step():
+                pass
+        else:
+            assert sim.run_until(1.0) == 6
+        assert order == ["first", "a", "b", "c", "late-1", "late-2"]
+        assert sim.events_fired == 6 and sim.now == 1.0
+        last.cancel()  # cancel after fire must not drift the counter
+        head.cancel()
+        assert sim.pending_events() == len(sim._queue) == 0
 
 
 class TestBudget:
@@ -300,3 +380,30 @@ class TestBatchHooks:
         assert trace == ["a"]
         assert sim.step()
         assert trace == ["a", "b"]
+
+
+class TestTracerContract:
+    """What ``benchmarks/ledger/tracer.py`` relies on.  Only ``make
+    test-ledger`` (not tier-1) notices a nulled seam otherwise."""
+
+    def test_schedule_at_signature(self):
+        # the tracer's wrapper calls original(sim, time, action, label)
+        required = inspect.Parameter.empty
+        parameters = inspect.signature(Simulator.schedule_at).parameters.values()
+        assert [(p.name, p.default) for p in parameters] == [
+            ("self", required), ("time", required), ("action", required), ("label", ""),
+        ]
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in parameters)
+
+    def test_engine_arms_its_milestone_under_the_milestone_label(self):
+        # the engine.event.milestone seam is matched on the label's head
+        sim = Simulator()
+        engine = ExecutionEngine(sim)
+        engine.start(submitted_query(sim, cpu=1.0, io=0.5, locks=1))
+        labels = []
+        while engine._milestone_handle is not None:
+            labels.append(engine._milestone_handle.label)
+            sim.step()
+        assert engine.completed_count == 1
+        assert len(labels) == 2  # the lock point, then the completion
+        assert all(label.startswith("milestone:") for label in labels)

@@ -6,9 +6,10 @@ The engine picks its hot-path loops from the running-set size alone
 tests force each side by patching that constant:
 
 * the **advance** (``_sync_all``) and **milestone selection**
-  (``_schedule_next_milestone``) are required to be **bit-identical**
-  on either side, so with the fill held fixed (the vector solve patched
-  to the scalar one) completion-time streams and digests must be
+  (``_pick_scalar`` / ``_pick_vectorized``) are required to be
+  **bit-identical** on either side, so with the fill held fixed (the
+  vector solve patched to the scalar one's usages, the vector pick
+  still reading the store) completion-time streams and digests must be
   exactly equal between a forced-scalar and a forced-vector run;
 * the **fair-share fill** switches at the same cutover — the vectorized
   fill reorders float sums, so it is pinned to solver tolerance instead
@@ -66,11 +67,13 @@ def _run(
     full-precision stream the way the perf scenarios do, so "digests
     equal" means bit-identical trajectories.
     """
-    solve = (
-        ExecutionEngine._solve_scalar
-        if exact_fill
-        else ExecutionEngine._solve_vectorized
-    )
+    solve = ExecutionEngine._solve_vectorized
+    if exact_fill:
+        # the scalar solve also returns the lists its own pick reads;
+        # the vector side keeps only the usages and picks from the store
+        def solve(engine, idx):
+            return ExecutionEngine._solve_scalar(engine, idx)[:2]
+
     with mock.patch.object(
         executor, "_VECTOR_MIN_RUNNING", min_running
     ), mock.patch.object(ExecutionEngine, "_solve_vectorized", solve):
