@@ -16,6 +16,7 @@ mean response time improves materially versus no aging.
 
 import functools
 
+from repro.core.interfaces import decisions_by
 from repro.core.policy import Threshold, ThresholdAction, ThresholdKind
 from repro.engine.resources import MachineSpec
 from repro.engine.simulator import Simulator
@@ -99,7 +100,9 @@ def run_variant(aging: bool, seed=SEEDS[0]):
     return {
         "tactical_rt": tactical.mean_response_time(),
         "tactical_n": tactical.completions,
-        "demotion_events": list(controller.demotion_events),
+        "demotion_events": decisions_by(
+            manager.context.decisions, "PriorityAgingController", "demote"
+        ),
         "hog_weight": (
             manager.engine.weight_of(hog_query.query_id)
             if hog_query is not None
@@ -134,13 +137,15 @@ def test_exp12_priority_aging(benchmark):
     lines.append("")
     lines.append("demotion events (time, query, new level):")
     for event in aged["demotion_events"]:
-        lines.append(f"  t={event[0]:.1f}s query {event[1]} -> {event[2]}")
+        lines.append(
+            f"  t={event.time:.1f}s query {event.query_id} -> {event.detail}"
+        )
 
     claims = [
         # the ladder was walked in order: high -> medium -> low
         ("first two demotions are -> medium, -> low",
          [
-             [level for _, _, level in run["priority-aging"]["demotion_events"][:2]]
+             [e.detail for e in run["priority-aging"]["demotion_events"][:2]]
              == ["medium", "low"]
              for run in runs
          ]),

@@ -15,6 +15,7 @@ each phase, and per-workload velocities follow.
 
 import functools
 
+from repro.core.interfaces import decisions_by
 from repro.engine.resources import MachineSpec, ResourceKind
 from repro.engine.simulator import Simulator
 from repro.execution.economic import EconomicResourceAllocator
@@ -72,8 +73,11 @@ def run_experiment(seed=131):
     # realized weight ratios per phase from the allocator's trace
     def phase_ratio(start, end):
         ratios = []
-        for time, snapshot in allocator.allocation_history:
-            if start <= time < end and "alpha" in snapshot and "beta" in snapshot:
+        for event in decisions_by(
+            manager.context.decisions, "EconomicResourceAllocator", "allocate"
+        ):
+            snapshot = event.detail
+            if start <= event.time < end and "alpha" in snapshot and "beta" in snapshot:
                 ratios.append(snapshot["alpha"] / snapshot["beta"])
         return sum(ratios) / len(ratios) if ratios else None
 

@@ -23,6 +23,7 @@ plant, cf. the conflict-ratio alternative of [56].
 import functools
 
 from repro.admission.throughput_feedback import ThroughputFeedbackAdmission
+from repro.core.interfaces import decisions_by
 from repro.core.manager import FCFSDispatcher
 from repro.engine.simulator import Simulator
 from repro.reporting.figures import ascii_line_chart
@@ -64,7 +65,12 @@ def run_feedback(initial_mpl: int, seed: int = FEEDBACK_SEED):
     stats = manager.metrics.stats_for("closed")
     return {
         "throughput": stats.throughput(window=HORIZON * 0.5, now=HORIZON),
-        "mpl_history": list(admission.mpl_history),
+        "mpl_history": [
+            (event.time, event.detail)
+            for event in decisions_by(
+                manager.context.decisions, "ThroughputFeedbackAdmission", "set_mpl"
+            )
+        ],
         "final_mpl": admission.mpl,
     }
 

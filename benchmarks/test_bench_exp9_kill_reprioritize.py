@@ -14,6 +14,7 @@ under both controls; the fuzzy controller uses a mix of actions.
 
 import functools
 
+from repro.core.interfaces import decisions_by
 from repro.engine.resources import MachineSpec
 from repro.engine.simulator import Simulator
 from repro.execution.cancellation import QueryKillController, elapsed_time_kill
@@ -86,27 +87,30 @@ def run_variant(controller=None, seed=81):
         "tactical_rt": tactical.mean_response_time(),
         "tactical_n": tactical.completions,
         "adhoc_kills": adhoc.kills,
+        "actions": {
+            event.action
+            for event in decisions_by(
+                manager.context.decisions, "FuzzyExecutionController"
+            )
+        },
     }
 
 
 @functools.lru_cache(maxsize=1)
 def results():
-    fuzzy = FuzzyExecutionController(
-        long_running_onset=5.0, long_running_full=30.0, max_priority=1
-    )
-    outcome = {
+    return {
         "no-control": run_variant(None),
         "kill-rules": run_variant(
             QueryKillController(
                 [elapsed_time_kill(limit=30.0, resubmit=True, max_priority=1)]
             )
         ),
-        "fuzzy (Krompass)": run_variant(fuzzy),
+        "fuzzy (Krompass)": run_variant(
+            FuzzyExecutionController(
+                long_running_onset=5.0, long_running_full=30.0, max_priority=1
+            )
+        ),
     }
-    outcome["fuzzy (Krompass)"]["actions"] = {
-        action for _, _, action in fuzzy.actions
-    }
-    return outcome
 
 
 def test_exp9_kill_and_reprioritize(benchmark):
@@ -114,7 +118,7 @@ def test_exp9_kill_and_reprioritize(benchmark):
     lines = ["EXP9 — fuzzy execution control [39]", ""]
     for name, row in outcome.items():
         extra = (
-            f", actions={sorted(row['actions'])}" if "actions" in row else ""
+            f", actions={sorted(row['actions'])}" if row["actions"] else ""
         )
         lines.append(
             f"{name:>17}: tactical rt={row['tactical_rt']:.3f}s "

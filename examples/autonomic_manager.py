@@ -15,6 +15,7 @@ Run:  python examples/autonomic_manager.py
 
 from repro import MachineSpec, Simulator, SLASet, WorkloadManager, response_time_sla
 from repro.control.loop import AnalyzeStage, AutonomicLoop, ExecuteStage
+from repro.core.interfaces import decisions_by
 from repro.workloads.generator import Scenario
 from repro.workloads.models import (
     Constant,
@@ -103,11 +104,11 @@ def main() -> None:
 
     print("\nLoop decision log (first 20 interventions):")
     shown = 0
-    for time, action, affected in loop.decisions:
-        if action.value in ("none",):
+    for event in decisions_by(manager.context.decisions, "AutonomicLoop"):
+        if event.action == "none":
             continue
-        target = f" -> query {affected}" if affected is not None else ""
-        print(f"  t={time:6.1f}s  {action.value}{target}")
+        target = f" -> query {event.query_id}" if event.query_id is not None else ""
+        print(f"  t={event.time:6.1f}s  {event.action}{target}")
         shown += 1
         if shown >= 20:
             break

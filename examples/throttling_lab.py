@@ -11,6 +11,7 @@ Run:  python examples/throttling_lab.py
 """
 
 from repro import MachineSpec, Simulator, WorkloadManager
+from repro.core.interfaces import decisions_by
 from repro.execution.throttling import (
     QueryThrottlingController,
     ThrottleMethod,
@@ -80,11 +81,11 @@ def run(name, controller, background):
 
     print(f"\n=== {name} ===")
     print(" ", manager.metrics.summary_line("prod", sim.now))
-    history = controller.level_history
+    history = decisions_by(manager.context.decisions, action="throttle")
     if history:
         chart = ascii_line_chart(
-            [t for t, _ in history],
-            {"throttle": [level for _, level in history]},
+            [event.time for event in history],
+            {"throttle": [event.detail for event in history]},
             title=f"{name}: throttle level over time",
             x_label="time (s)",
             y_label="sleep fraction",
@@ -92,6 +93,7 @@ def run(name, controller, background):
             width=56,
         )
         print(chart)
+    return manager
 
 
 def main() -> None:

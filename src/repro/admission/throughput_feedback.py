@@ -23,6 +23,7 @@ from repro.core.interfaces import (
     ManagerContext,
 )
 from repro.engine.query import Query, QueryState
+from repro.scheduling.mpl import FeedbackMpl
 
 
 class ThroughputFeedbackAdmission(AdmissionController):
@@ -59,29 +60,18 @@ class ThroughputFeedbackAdmission(AdmissionController):
         step: int = 2,
         hysteresis: float = 0.02,
     ) -> None:
-        if not min_mpl <= initial_mpl <= max_mpl:
-            raise ValueError("need min_mpl <= initial_mpl <= max_mpl")
-        if interval <= 0 or step < 1:
-            raise ValueError("interval must be > 0 and step >= 1")
-        self.mpl = initial_mpl
-        self.min_mpl = min_mpl
-        self.max_mpl = max_mpl
-        self.interval = interval
-        self.step = step
-        self.hysteresis = hysteresis
-        self._direction = 1
-        self._completions_this_interval = 0
-        self._last_throughput = None
-        self.mpl_history = []          # (time, mpl) trace for experiments
+        # the scheduler-side climber is the one implementation of the step
+        self.climber = FeedbackMpl(initial_mpl, min_mpl, max_mpl, interval, step, hysteresis)
+        self.climber.emitter = self
         self.delays = 0
 
+    @property
+    def mpl(self) -> int:
+        """The current admission limit."""
+        return self.climber.limit
+
     def attach(self, context: ManagerContext) -> None:
-        context.sim.schedule_periodic(
-            self.interval,
-            lambda: self._adjust(context),
-            label="heiss-wagner:interval",
-        )
-        self.mpl_history.append((context.now, self.mpl))
+        self.climber.attach(context)
 
     def decide(self, query: Query, context: ManagerContext) -> AdmissionDecision:
         if context.engine.running_count >= self.mpl:
@@ -93,19 +83,4 @@ class ThroughputFeedbackAdmission(AdmissionController):
 
     def notify_exit(self, query: Query, context: ManagerContext) -> None:
         if query.state is QueryState.COMPLETED:
-            self._completions_this_interval += 1
-
-    def _adjust(self, context: ManagerContext) -> None:
-        throughput = self._completions_this_interval / self.interval
-        self._completions_this_interval = 0
-        if self._last_throughput is not None:
-            reference = max(self._last_throughput, 1e-9)
-            change = (throughput - self._last_throughput) / reference
-            if change < -self.hysteresis:
-                self._direction = -self._direction
-            # increases (or flat within hysteresis) keep the direction
-        self._last_throughput = throughput
-        self.mpl = int(
-            min(self.max_mpl, max(self.min_mpl, self.mpl + self._direction * self.step))
-        )
-        self.mpl_history.append((context.now, self.mpl))
+            self.climber.notify_completion()

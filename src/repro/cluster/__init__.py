@@ -30,10 +30,10 @@ from repro.cluster.dispatcher import (
     make_binding,
     tenant_key,
 )
-from repro.cluster.elastic import ElasticProvisioner, ProvisioningDecision
+from repro.cluster.elastic import ElasticProvisioner
 from repro.cluster.failover import FaultEvent, FaultInjector, FaultKind, FaultPlan
 from repro.cluster.matcher import Matcher
-from repro.cluster.metrics import ClusterMetrics, HealthChange
+from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.node import (
     NODE_MACHINE,
     ClusterNode,
@@ -68,13 +68,11 @@ __all__ = [
     "FaultInjector",
     "FaultKind",
     "FaultPlan",
-    "HealthChange",
     "LeastOutstandingPlacement",
     "Matcher",
     "NodeHealth",
     "NodeHeartbeat",
     "PlacementPolicy",
-    "ProvisioningDecision",
     "PullBinding",
     "PushBinding",
     "RoundRobinPlacement",

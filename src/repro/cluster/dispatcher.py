@@ -44,7 +44,7 @@ from repro.cluster.placement import PlacementPolicy, RoundRobinPlacement
 from repro.cluster.taskqueue import KeyFn, RequirementsFn, TaskQueue
 from repro.core.interfaces import AdmissionDecision
 from repro.core.sla import SLASet
-from repro.engine.query import Query, QueryState
+from repro.engine.query import Query, QueryState, tenant_key
 from repro.engine.sessions import SessionRegistry
 from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
@@ -59,23 +59,6 @@ TenantFn = Callable[[Query], Optional[str]]
 
 #: The bucket tenant-keyed ledgers and queues file tenantless work under.
 UNTENANTED = "<untenanted>"
-
-
-def tenant_key(query: Query) -> Optional[str]:
-    """Default tenant extraction: the ``tenant/`` prefix of the class key.
-
-    Multi-tenant scenarios name their workloads ``tenant/workload`` (the
-    generator's sql tag is then ``tenant/workload:class``), so the part
-    before the first ``/`` is the tenant.  Queries without the prefix —
-    every single-tenant scenario in the repo — belong to no tenant and
-    are exempt from tenant quotas.
-    """
-    key = query.workload_name
-    if not key and ":" in query.sql:
-        key = query.sql.split(":", 1)[0]
-    if key and "/" in key:
-        return key.split("/", 1)[0]
-    return None
 
 
 class BindingPolicy(abc.ABC):
@@ -142,7 +125,7 @@ class PushBinding(BindingPolicy):
             d.max_queue_depth is not None
             and len(self.queue) >= d.max_queue_depth
         ):
-            d._cluster_reject(query)
+            d._cluster_reject(query, f"cluster queue full ({len(self.queue)})")
             return
         # waiting in the cluster queue wipes per-placement exclusions:
         # by the time it is retried the refusing node may have capacity
@@ -241,7 +224,7 @@ class PullBinding(BindingPolicy):
             # nothing pulled it and the queue is over its bound: the
             # *arriving* request is the one the cluster turns away
             if self.taskqueue.remove(query.query_id) is not None:
-                d._cluster_reject(query)
+                d._cluster_reject(query, f"task queue full ({d.max_queue_depth})")
 
     # -- binding moments -----------------------------------------------
     def on_capacity(self, node: ClusterNode) -> None:
@@ -376,7 +359,7 @@ class ClusterDispatcher:
                 )
             )
             node.on_accepting_change(self._on_accepting_change)
-            self.metrics.record_health(sim.now, node)
+            self.metrics.record_health(sim.now, self, node)
         self._ticker = sim.schedule_periodic(
             control_period, self._tick, label="cluster:tick"
         )
@@ -415,7 +398,7 @@ class ClusterDispatcher:
                 self.quota_rejections[tenant] = (
                     self.quota_rejections.get(tenant, 0) + 1
                 )
-                self._cluster_reject(query)
+                self._cluster_reject(query, f"tenant {tenant!r} at its quota of {quota}")
                 return
             # quota accounting follows the query to its terminal outcome
             self._query_tenant[query.query_id] = tenant
@@ -493,11 +476,12 @@ class ClusterDispatcher:
         # a synchronous node-local rejection re-routes via the
         # interceptor before node.submit returns; nothing more to do
 
-    def _cluster_reject(self, query: Query) -> None:
+    def _cluster_reject(self, query: Query, reason: str) -> None:
         self._excluded.pop(query.query_id, None)
         query.transition(QueryState.REJECTED)
         query.end_time = self.sim.now
         self.metrics.cluster_rejections += 1
+        self.metrics.record(self.sim.now, self, "reject", query, reason)
         self._notify(query)
 
     # ------------------------------------------------------------------
@@ -536,7 +520,7 @@ class ClusterDispatcher:
         every one re-enters through :meth:`resubmit` / :meth:`_route`.
         """
         node.crash()
-        self.metrics.record_health(self.sim.now, node)
+        self.metrics.record_health(self.sim.now, self, node)
         reclaimed = 0
         # queued work survives (it never started): re-place directly
         for queued in node.manager.evacuate_queued():
@@ -555,20 +539,20 @@ class ClusterDispatcher:
 
     def drain_node(self, node: ClusterNode) -> None:
         node.drain()
-        self.metrics.record_health(self.sim.now, node)
+        self.metrics.record_health(self.sim.now, self, node)
 
     def activate_node(self, node: ClusterNode) -> None:
         node.activate()
-        self.metrics.record_health(self.sim.now, node)
+        self.metrics.record_health(self.sim.now, self, node)
         self.binding.on_capacity(node)
 
     def degrade_node(self, node: ClusterNode, factor: float) -> None:
         node.degrade(factor)
-        self.metrics.record_health(self.sim.now, node)
+        self.metrics.record_health(self.sim.now, self, node)
 
     def restore_node_speed(self, node: ClusterNode) -> None:
         node.restore_speed()
-        self.metrics.record_health(self.sim.now, node)
+        self.metrics.record_health(self.sim.now, self, node)
 
     def node(self, name: str) -> ClusterNode:
         return self._by_name[name]

@@ -15,24 +15,13 @@ work and park as STANDBY, ready for the next scale-up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.cluster.dispatcher import ClusterDispatcher
 from repro.cluster.node import NodeHealth
 from repro.control.controllers import PIController, StepController
 from repro.errors import ConfigurationError
-
-
-@dataclass
-class ProvisioningDecision:
-    """One tick's observation and action, for experiment inspection."""
-
-    time: float
-    pressure: float
-    target_active: int
-    activated: Tuple[str, ...] = ()
-    drained: Tuple[str, ...] = ()
 
 
 @dataclass
@@ -65,7 +54,6 @@ class ElasticProvisioner:
     controller: Optional[object] = None
     period: float = 5.0
     signal: str = "queue"
-    decisions: List[ProvisioningDecision] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         total = len(self.dispatcher.nodes)
@@ -110,27 +98,24 @@ class ElasticProvisioner:
             return 1.0
         return self.dispatcher.outstanding_work() / ceiling
 
-    def tick(self) -> ProvisioningDecision:
-        """One provisioning decision (also called by the periodic loop)."""
+    def tick(self) -> None:
+        """One provisioning decision (also called by the periodic loop),
+        recorded as an ``activate`` / ``drain`` / ``hold`` event."""
         pressure = self.pressure()
         if isinstance(self.controller, StepController):
             fraction = self.controller.update(pressure - self.setpoint)
         else:  # PIController: setpoint lives inside the controller
             fraction = self.controller.update(pressure)
         target = self.min_nodes + round(fraction * (self.max_nodes - self.min_nodes))
-        decision = ProvisioningDecision(
-            time=self.dispatcher.sim.now, pressure=pressure, target_active=target
-        )
-        active = [
-            n for n in self.dispatcher.nodes if n.health is NodeHealth.UP
-        ]
-        if len(active) < target:
-            decision.activated = self._scale_up(target - len(active))
-        elif len(active) > target:
-            decision.drained = self._scale_down(len(active) - target)
+        active = self.active_count()
+        action, nodes = "hold", ()
+        if active < target:
+            action, nodes = "activate", self._scale_up(target - active)
+        elif active > target:
+            action, nodes = "drain", self._scale_down(active - target)
         self._park_drained()
-        self.decisions.append(decision)
-        return decision
+        detail = {"pressure": pressure, "target_active": target, "nodes": nodes}
+        self.dispatcher.metrics.record(self.dispatcher.sim.now, self, action, detail=detail)
 
     # ------------------------------------------------------------------
     def _scale_up(self, count: int) -> Tuple[str, ...]:
@@ -159,9 +144,7 @@ class ElasticProvisioner:
         for node in self.dispatcher.nodes:
             if node.health is NodeHealth.DRAINING and node.outstanding_work == 0:
                 node.park()
-                self.dispatcher.metrics.record_health(
-                    self.dispatcher.sim.now, node
-                )
+                self.dispatcher.metrics.record_health(self.dispatcher.sim.now, self, node)
 
     def active_count(self) -> int:
         return sum(

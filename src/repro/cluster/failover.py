@@ -73,7 +73,6 @@ class FaultInjector:
 
     def __init__(self, dispatcher: ClusterDispatcher) -> None:
         self.dispatcher = dispatcher
-        self.fired: List[FaultEvent] = []
         self.lost_and_resubmitted = 0
 
     def arm(self, plan: FaultPlan) -> None:
@@ -93,6 +92,7 @@ class FaultInjector:
     def _fire(self, event: FaultEvent) -> None:
         dispatcher = self.dispatcher
         node = dispatcher.node(event.node)
+        dispatcher.metrics.record(dispatcher.sim.now, self, event.kind.value, detail=event)
         if event.kind is FaultKind.CRASH:
             self.lost_and_resubmitted += dispatcher.crash_node(node)
         elif event.kind is FaultKind.DEGRADE:
@@ -101,4 +101,3 @@ class FaultInjector:
             dispatcher.drain_node(node)
         elif event.kind is FaultKind.RECOVER:
             dispatcher.activate_node(node)
-        self.fired.append(event)

@@ -5,26 +5,18 @@ Built on the per-node streaming :class:`~repro.core.metrics` collectors
 :class:`~repro.core.metrics.WorkloadStats`, the node managers' entries
 for one workload merged on demand, and reading it writes to no
 collector.  The collector itself only stores what no node knows:
-placement decisions, cluster-level rejections, crash resubmissions and
-health transitions, all counted into it by the dispatcher.
+placement and resubmission counts and the cluster tier's decision record
+(cluster rejections, node health, injected faults, provisioning actions).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.cluster.node import ClusterNode, NodeHealth
+from repro.core.interfaces import ControlEvent, decisions_by
 from repro.core.metrics import WorkloadStats
-
-
-@dataclass(frozen=True)
-class HealthChange:
-    """One node health transition, for the timeline."""
-
-    time: float
-    node: str
-    health: NodeHealth
+from repro.engine.query import Query
 
 
 class ClusterMetrics:
@@ -37,7 +29,7 @@ class ClusterMetrics:
         self.replacements = 0          # re-placed after a node-local rejection
         self.resubmissions = 0         # crash-lost work resubmitted
         self.cluster_rejections = 0    # refused at the cluster front end
-        self.health_changes: List[HealthChange] = []
+        self.decisions: List[ControlEvent] = []
 
     # ------------------------------------------------------------------
     # event recording (called by the dispatcher)
@@ -46,8 +38,22 @@ class ClusterMetrics:
         self.placement_decisions += 1
         self.placements[node.name] = self.placements.get(node.name, 0) + 1
 
-    def record_health(self, time: float, node: ClusterNode) -> None:
-        self.health_changes.append(HealthChange(time, node.name, node.health))
+    def record(
+        self,
+        time: float,
+        emitter: object,
+        action: str,
+        query: Optional[Query] = None,
+        detail: Any = None,
+    ) -> None:
+        """Append one action taken by ``emitter`` to :attr:`decisions`."""
+        self.decisions.append(ControlEvent.of(time, emitter, action, query, detail))
+
+    def record_health(self, time: float, emitter: object, node: ClusterNode) -> None:
+        """A ``health`` event: the node's state after ``emitter`` changed
+        its health or speed (what :meth:`timeline_lanes` overlays)."""
+        detail = {"node": node.name, "health": node.health, "speed": node.speed_factor}
+        self.record(time, emitter, "health", detail=detail)
 
     # ------------------------------------------------------------------
     # rollups (read node collectors on demand)
@@ -110,6 +116,7 @@ class ClusterMetrics:
         ramp = " .:-=+*#"
         lanes: Dict[str, str] = {}
         width = max(horizon, 1e-9)
+        health = decisions_by(self.decisions, action="health")
         for node in self.nodes:
             # load per bin from the node's periodic samples
             load = [0.0] * bins
@@ -126,15 +133,14 @@ class ClusterMetrics:
                 else:
                     chars.append(" ")
             # overlay health intervals
-            changes = [c for c in self.health_changes if c.node == node.name]
-            changes.sort(key=lambda c: c.time)
+            changes = [e for e in health if e.detail["node"] == node.name]
             marks = {
                 NodeHealth.DOWN: "x",
                 NodeHealth.DRAINING: "~",
                 NodeHealth.STANDBY: ".",
             }
             for index, change in enumerate(changes):
-                mark = marks.get(change.health)
+                mark = marks.get(change.detail["health"])
                 if mark is None:
                     continue
                 until = (

@@ -36,7 +36,7 @@ from typing import Dict, Optional, Sequence
 from repro.cluster.node import ClusterNode
 from repro.cluster.ranked import RankedNodes
 from repro.core.sla import ObjectiveKind, SLASet
-from repro.engine.query import Query
+from repro.engine.query import Query, workload_key
 
 
 class PlacementPolicy(abc.ABC):
@@ -150,9 +150,7 @@ class SLAAwarePlacement(PlacementPolicy):
 
     def deadline_for(self, query: Query) -> float:
         """The response-time target this request must meet."""
-        workload = query.workload_name or (
-            query.sql.split(":", 1)[0] if ":" in query.sql else None
-        )
+        workload = workload_key(query)
         if workload in self._deadline_cache:
             return self._deadline_cache[workload]
         deadline = self.default_deadline

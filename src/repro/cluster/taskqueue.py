@@ -30,7 +30,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional
 
-from repro.engine.query import Query
+from repro.engine.query import Query, workload_key
 
 #: Derives an entry's requirement tags from the query; the default
 #: (``None``) requires nothing, so every node is capability-eligible.
@@ -131,11 +131,8 @@ class TaskQueue:
     def _class_key(self, query: Query) -> str:
         if self.key_fn is not None:
             return self.key_fn(query)
-        if query.workload_name:
-            return query.workload_name
-        if ":" in query.sql:
-            return query.sql.split(":", 1)[0]
-        return "<unassigned>"
+        key = workload_key(query)
+        return "<unassigned>" if key is None else key
 
     def _bucket(self, workload: str) -> _ClassBucket:
         bucket = self._buckets.get(workload)

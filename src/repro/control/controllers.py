@@ -47,7 +47,6 @@ class PIController:
     minimum: float = 0.0
     maximum: float = 1.0
     _integral: float = field(default=0.0, init=False)
-    history: List[Tuple[float, float]] = field(default_factory=list, init=False)
 
     def update(self, measured: float) -> float:
         """Feed a measurement, get the next control output."""
@@ -58,12 +57,10 @@ class PIController:
         # anti-windup: keep the integral consistent with the clamp
         if self.ki != 0.0 and raw != output:
             self._integral = (output - self.kp * error) / self.ki
-        self.history.append((measured, output))
         return output
 
     def reset(self) -> None:
         self._integral = 0.0
-        self.history.clear()
 
 
 @dataclass

@@ -27,11 +27,12 @@ replaceable object; the defaults implement the paper's sketch:
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.classify import Feature
-from repro.core.interfaces import ExecutionController, ManagerContext
+from repro.core.interfaces import ExecutionController, ManagerContext, decisions_by
 from repro.engine.query import Query
 from repro.execution.progress import ProgressIndicator, SpeedAwareProgressIndicator
 
@@ -189,27 +190,27 @@ class ExecuteStage:
     def __init__(self, throttle_factor: float = 0.2, resubmit_delay: float = 20.0):
         self.throttle_factor = throttle_factor
         self.resubmit_delay = resubmit_delay
-        self._suspended: List[int] = []
+        self._suspended: List[Query] = []
 
     def execute(
         self,
         action: LoopAction,
         symptoms: Symptoms,
         context: ManagerContext,
-    ) -> Optional[int]:
-        """Apply ``action``; returns the affected query id (if any)."""
+    ) -> Optional[Query]:
+        """Apply ``action``; returns the affected query (if any)."""
         engine = context.engine
         if action is LoopAction.RELEASE:
             released = None
-            for qid in list(self._suspended):
-                if engine.is_running(qid):
-                    engine.resume(qid)
-                    released = qid
-                self._suspended.remove(qid)
+            for query in self._suspended:
+                if engine.is_running(query.query_id):
+                    engine.resume(query.query_id)
+                    released = query
+            self._suspended.clear()
             for query in engine.running_queries():
                 if engine.throttle_of(query.query_id) < 1.0:
                     engine.resume(query.query_id)
-                    released = query.query_id
+                    released = query
             return released
         if action is LoopAction.NONE or not symptoms.problematic:
             return None
@@ -223,14 +224,14 @@ class ExecuteStage:
             engine.set_throttle(qid, self.throttle_factor)
         elif action is LoopAction.SUSPEND:
             engine.pause(qid)
-            self._suspended.append(qid)
+            self._suspended.append(victim)
         elif action is LoopAction.KILL_AND_RESUBMIT:
             engine.kill(qid)
             if context.manager is not None:
                 context.manager.resubmit(
                     victim.clone_for_resubmit(), delay=self.resubmit_delay
                 )
-        return qid
+        return victim
 
 
 class AutonomicLoop(ExecutionController):
@@ -259,8 +260,9 @@ class AutonomicLoop(ExecutionController):
         self.analyzer = analyzer or AnalyzeStage()
         self.planner = planner or PlanStage()
         self.effector = effector or ExecuteStage()
-        #: (time, action, affected query id) decision log
-        self.decisions: List[Tuple[float, LoopAction, Optional[int]]] = []
+
+    def attach(self, context: ManagerContext) -> None:
+        self._context = context
 
     def control(self, context: ManagerContext) -> None:
         observations = self.monitor.observe(context)
@@ -268,10 +270,9 @@ class AutonomicLoop(ExecutionController):
         action = self.planner.plan(symptoms, context)
         affected = self.effector.execute(action, symptoms, context)
         if action is not LoopAction.NONE or affected is not None:
-            self.decisions.append((context.now, action, affected))
+            context.record(self, action.value, affected)
 
     def actions_taken(self) -> Dict[LoopAction, int]:
-        counts: Dict[LoopAction, int] = {}
-        for _, action, _ in self.decisions:
-            counts[action] = counts.get(action, 0) + 1
-        return counts
+        """How often each :class:`LoopAction` was imposed (or planned)."""
+        events = decisions_by(self._context.decisions, type(self).__name__)
+        return dict(Counter(LoopAction(event.action) for event in events))

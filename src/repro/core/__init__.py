@@ -42,6 +42,8 @@ from repro.core.interfaces import (
     AdmissionController,
     AdmissionDecision,
     AdmissionOutcome,
+    ControlEvent,
+    decisions_by,
     Scheduler,
     ExecutionController,
     Characterizer,
@@ -90,6 +92,8 @@ __all__ = [
     "AdmissionController",
     "AdmissionDecision",
     "AdmissionOutcome",
+    "ControlEvent",
+    "decisions_by",
     "Scheduler",
     "ExecutionController",
     "Characterizer",

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import abc
 import enum
-from dataclasses import dataclass
-from typing import List, Optional, TYPE_CHECKING
+from dataclasses import dataclass, field
+from typing import Any, List, Optional, TYPE_CHECKING
 
 from repro.core.metrics import MetricsCollector
 from repro.core.policy import WorkloadManagementPolicy
 from repro.core.sla import SLASet
 from repro.engine.executor import ExecutionEngine
-from repro.engine.query import Query
+from repro.engine.query import Query, workload_key
 from repro.engine.sessions import SessionRegistry
 from repro.engine.simulator import Simulator
 from repro.workloads.traces import QueryLog
@@ -62,6 +62,43 @@ class AdmissionDecision:
         return AdmissionDecision(AdmissionOutcome.DELAY, reason)
 
 
+@dataclass(frozen=True, slots=True)
+class ControlEvent:
+    """One control action: the record every controller's decisions share.
+
+    ``controller`` is the emitting class's name, ``action`` a short verb
+    the emitter documents (``reject``, ``kill``, ``set_mpl``, ...),
+    ``query_id`` / ``workload`` the request acted on (if any) and
+    ``detail`` whatever explains the action: a rejection's reason, the
+    new throttle level, a share map.
+    """
+
+    time: float
+    controller: str
+    action: str
+    query_id: Optional[int] = None
+    workload: Optional[str] = None
+    detail: Any = None
+
+    @staticmethod
+    def of(
+        time: float, emitter: object, action: str, query: Optional[Query], detail: Any
+    ) -> "ControlEvent":
+        """The event of ``emitter`` (a controller object) acting on ``query``."""
+        qid, workload = (None, None) if query is None else (query.query_id, workload_key(query))
+        return ControlEvent(time, type(emitter).__name__, action, qid, workload, detail)
+
+
+def decisions_by(
+    decisions: List[ControlEvent], controller: Optional[str] = None, action: Optional[str] = None
+) -> List[ControlEvent]:
+    """The events of a decision list emitted by ``controller`` (a class
+    name) and/or carrying ``action``, in recorded order."""
+    return [
+        e for e in decisions if controller in (None, e.controller) and action in (None, e.action)
+    ]
+
+
 @dataclass
 class ManagerContext:
     """Shared state handed to every controller."""
@@ -74,10 +111,18 @@ class ManagerContext:
     sessions: SessionRegistry
     query_log: QueryLog
     manager: Optional["WorkloadManager"] = None
+    #: append-only record of this manager's control actions (node tier)
+    decisions: List[ControlEvent] = field(default_factory=list)
 
     @property
     def now(self) -> float:
         return self.sim.now
+
+    def record(
+        self, emitter: object, action: str, query: Optional[Query] = None, detail: Any = None
+    ) -> None:
+        """Append one action taken by ``emitter`` to :attr:`decisions`."""
+        self.decisions.append(ControlEvent.of(self.sim.now, emitter, action, query, detail))
 
     def importance_of(self, workload: Optional[str], default: int = 1) -> int:
         """Business importance for a workload (SLA, else default)."""

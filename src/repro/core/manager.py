@@ -33,7 +33,7 @@ from repro.core.metrics import MetricsCollector, SystemSample
 from repro.core.policy import WorkloadManagementPolicy
 from repro.core.sla import SLASet
 from repro.engine.executor import CompletionOutcome, EngineConfig, ExecutionEngine
-from repro.engine.query import Query, QueryState
+from repro.engine.query import Query, QueryState, workload_key
 from repro.engine.resources import MachineSpec, ResourceKind
 from repro.engine.sessions import SessionRegistry
 from repro.engine.simulator import Simulator
@@ -59,11 +59,7 @@ class TagCharacterizer(Characterizer):
     """
 
     def identify(self, query: Query, context: ManagerContext) -> Optional[str]:
-        if query.workload_name:
-            return query.workload_name
-        if ":" in query.sql:
-            return query.sql.split(":", 1)[0]
-        return None
+        return workload_key(query)
 
 
 class AcceptAllAdmission(AdmissionController):
@@ -273,6 +269,7 @@ class WorkloadManager:
         self.rejected_count += 1
         self.metrics.record_rejection(query)
         self.query_log.record_query(query)
+        self.context.record(self.admission, "reject", query, decision.reason)
         self._notify(query)
         return True
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.errors import PolicyError
+from repro.errors import ConfigurationError, PolicyError
 
 
 class ControlType(enum.Enum):
@@ -113,6 +113,33 @@ class Threshold:
     def describe(self) -> str:
         name = self.label or self.kind.value
         return f"{name} > {self.limit:g} -> {self.action.value}"
+
+
+_RUNTIME_OBSERVERS: Dict[ThresholdKind, Callable] = {
+    ThresholdKind.ELAPSED_TIME: lambda query, context: (
+        None if query.start_time is None else context.now - query.start_time
+    ),
+    ThresholdKind.ROWS_RETURNED: lambda query, context: (
+        context.engine.progress_of(query.query_id) * query.true_cost.rows
+    ),
+    ThresholdKind.CPU_TIME: lambda query, context: (
+        context.engine.progress_of(query.query_id) * query.true_cost.cpu_seconds
+    ),
+    ThresholdKind.MEMORY_MB: lambda query, context: query.true_cost.memory_mb,
+}
+
+
+def runtime_observer(kind: ThresholdKind) -> Callable:
+    """How every execution controller measures ``kind`` on a *running*
+    request: ``(query, context) -> value``, None while not measurable.
+    The other kinds are judged at arrival (admission control): a rule on
+    one is a :class:`ConfigurationError` when built, not a rule that never fires."""
+    observer = _RUNTIME_OBSERVERS.get(kind)
+    if observer is None:
+        raise ConfigurationError(
+            f"threshold kind {kind.value!r} cannot be observed on a running request"
+        )
+    return observer
 
 
 @dataclass(frozen=True)

@@ -311,6 +311,23 @@ class Query:
         )
 
 
+def workload_key(query: Query) -> Optional[str]:
+    """The query's workload: its identified name, else the ``workload``
+    part of the generator's ``tenant/workload:class`` sql tag, else None."""
+    if query.workload_name:
+        return query.workload_name
+    if ":" in query.sql:
+        return query.sql.split(":", 1)[0]
+    return None
+
+
+def tenant_key(query: Query) -> Optional[str]:
+    """The ``tenant`` part of the query's workload key; None for untenanted
+    work (every single-tenant scenario), which tenant quotas exempt."""
+    key = workload_key(query)
+    return key.split("/", 1)[0] if key and "/" in key else None
+
+
 def split_query(query: Query, pieces: int) -> List[Query]:
     """Split ``query`` into ``pieces`` equal slices (query restructuring).
 

@@ -17,11 +17,11 @@ indicator and spare queries beyond ``spare_over_progress``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.core.classify import Feature
 from repro.core.interfaces import ExecutionController, ManagerContext
-from repro.core.policy import Threshold, ThresholdAction, ThresholdKind
+from repro.core.policy import Threshold, ThresholdAction, ThresholdKind, runtime_observer
 from repro.engine.query import Query
 from repro.errors import ConfigurationError
 from repro.execution.progress import ProgressIndicator, SpeedAwareProgressIndicator
@@ -47,6 +47,7 @@ class KillRule:
                 "KillRule thresholds must use STOP_EXECUTION or "
                 "KILL_AND_RESUBMIT"
             )
+        runtime_observer(self.threshold.kind)  # an unobservable kind is an error
 
 
 def elapsed_time_kill(
@@ -91,23 +92,6 @@ class QueryKillController(ExecutionController):
             raise ConfigurationError("QueryKillController needs rules")
         self.rules = list(rules)
         self.progress_indicator = progress_indicator or SpeedAwareProgressIndicator()
-        self.kill_events: List[Tuple[float, int, bool]] = []  # (t, qid, resubmitted)
-
-    def _observed_value(
-        self, kind: ThresholdKind, query: Query, context: ManagerContext
-    ) -> Optional[float]:
-        if kind is ThresholdKind.ELAPSED_TIME:
-            if query.start_time is None:
-                return None
-            return context.now - query.start_time
-        progress = context.engine.progress_of(query.query_id)
-        if kind is ThresholdKind.ROWS_RETURNED:
-            return progress * query.true_cost.rows
-        if kind is ThresholdKind.CPU_TIME:
-            return progress * query.true_cost.cpu_seconds
-        if kind is ThresholdKind.MEMORY_MB:
-            return query.true_cost.memory_mb
-        return None
 
     def control(self, context: ManagerContext) -> None:
         for query in list(context.engine.running_queries()):
@@ -117,12 +101,12 @@ class QueryKillController(ExecutionController):
             if not context.engine.is_running(query.query_id):
                 continue  # removed by an earlier kill's side effects
             context.engine.kill(query.query_id)
-            resubmitted = False
+            action = "kill"
             if rule.resubmit and context.manager is not None:
                 clone = query.clone_for_resubmit()
                 context.manager.resubmit(clone, delay=rule.resubmit_delay)
-                resubmitted = True
-            self.kill_events.append((context.now, query.query_id, resubmitted))
+                action = "kill_and_resubmit"
+            context.record(self, action, query, rule.threshold.describe())
 
     def _matching_rule(
         self, query: Query, context: ManagerContext
@@ -135,7 +119,7 @@ class QueryKillController(ExecutionController):
                 and query.workload_name not in rule.applies_to_workloads
             ):
                 continue
-            value = self._observed_value(rule.threshold.kind, query, context)
+            value = runtime_observer(rule.threshold.kind)(query, context)
             if not rule.threshold.violated_by(value):
                 continue
             if rule.spare_over_progress is not None:

@@ -18,10 +18,10 @@ changes mid-run (the dynamic response experiment EXP13).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.classify import Feature
-from repro.core.interfaces import ExecutionController, ManagerContext
+from repro.core.interfaces import ExecutionController, ManagerContext, decisions_by
 from repro.engine.query import Query
 
 
@@ -57,8 +57,9 @@ class EconomicResourceAllocator(ExecutionController):
     ) -> None:
         self.importance = dict(importance or {})
         self.min_weight = min_weight
-        #: (time, workload -> per-query weight) trace for experiments
-        self.allocation_history: List[Tuple[float, Dict[str, float]]] = []
+
+    def attach(self, context: ManagerContext) -> None:
+        self._context = context
 
     def set_importance(self, workload: str, importance: int) -> None:
         """Change the importance policy (takes effect next tick)."""
@@ -101,10 +102,9 @@ class EconomicResourceAllocator(ExecutionController):
             for query in queries:
                 if abs(context.engine.weight_of(query.query_id) - per_query) > 1e-9:
                     context.engine.set_weight(query.query_id, per_query)
-        self.allocation_history.append((context.now, snapshot))
+        context.record(self, "allocate", detail=snapshot)
 
     def workload_share(self, workload: str) -> Optional[float]:
         """Latest per-query weight assigned to ``workload``."""
-        if not self.allocation_history:
-            return None
-        return self.allocation_history[-1][1].get(workload)
+        events = decisions_by(self._context.decisions, type(self).__name__, "allocate")
+        return events[-1].detail.get(workload) if events else None

@@ -23,7 +23,7 @@ leniently toward resubmission-killing (matching the paper's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.classify import Feature
 from repro.core.interfaces import ExecutionController, ManagerContext
@@ -85,7 +85,6 @@ class FuzzyExecutionController(ExecutionController):
         self.resubmit_band = resubmit_band
         self.max_priority = max_priority
         self.progress_indicator = progress_indicator or SpeedAwareProgressIndicator()
-        self.actions: List[Tuple[float, int, str]] = []   # (time, qid, action)
         self._reprioritized: Dict[int, int] = {}          # qid -> times halved
 
     # ------------------------------------------------------------------
@@ -131,24 +130,20 @@ class FuzzyExecutionController(ExecutionController):
             leniency = 0.1 * min(query.restarts, 3)
             if score >= self.resubmit_band[1] - leniency:
                 context.engine.kill(query.query_id)
-                self.actions.append((context.now, query.query_id, "kill"))
+                context.record(self, "kill", query, score)
             elif score >= self.resubmit_band[0] - leniency:
                 context.engine.kill(query.query_id)
                 if context.manager is not None:
                     clone = query.clone_for_resubmit()
                     context.manager.resubmit(clone, delay=10.0)
-                self.actions.append(
-                    (context.now, query.query_id, "kill_and_resubmit")
-                )
+                context.record(self, "kill_and_resubmit", query, score)
             elif score >= self.reprioritize_band[0]:
                 halvings = self._reprioritized.get(query.query_id, 0)
                 if halvings < 3:
                     weight = context.engine.weight_of(query.query_id) / 2.0
                     context.engine.set_weight(query.query_id, max(weight, 0.05))
                     self._reprioritized[query.query_id] = halvings + 1
-                    self.actions.append(
-                        (context.now, query.query_id, "reprioritize")
-                    )
+                    context.record(self, "reprioritize", query, score)
 
     def notify_exit(self, query: Query, context: ManagerContext) -> None:
         self._reprioritized.pop(query.query_id, None)

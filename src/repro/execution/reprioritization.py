@@ -15,11 +15,11 @@ every control tick and demotes offenders one rung at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.classify import Feature
 from repro.core.interfaces import ExecutionController, ManagerContext
-from repro.core.policy import Threshold, ThresholdAction, ThresholdKind
+from repro.core.policy import Threshold, ThresholdAction, ThresholdKind, runtime_observer
 from repro.engine.query import Query
 from repro.errors import ConfigurationError
 
@@ -72,9 +72,9 @@ class PriorityAgingController(ExecutionController):
     ladder:
         The service-class ladder (weights applied via the engine).
     thresholds:
-        Violations that trigger a demotion.  Supported kinds:
-        ELAPSED_TIME (run time so far), ROWS_RETURNED (rows produced so
-        far ≈ progress × actual rows), CPU_TIME (progress × CPU demand).
+        Violations that trigger a demotion, on the kinds measurable at
+        run time (:func:`~repro.core.policy.runtime_observer`): ELAPSED_TIME,
+        ROWS_RETURNED (≈ progress × actual rows), CPU_TIME, MEMORY_MB.
     demote_cooldown:
         Minimum seconds between demotions of the same query (one rung
         per violation event, as DB2 remaps once per threshold trip).
@@ -103,23 +103,9 @@ class PriorityAgingController(ExecutionController):
                 raise ConfigurationError(
                     "PriorityAgingController thresholds must use DEMOTE"
                 )
+            runtime_observer(threshold.kind)  # an unobservable kind is an error
         self.demote_cooldown = demote_cooldown
         self._last_demotion: Dict[int, float] = {}
-        self.demotion_events: List[Tuple[float, int, str]] = []
-
-    def _observed_value(
-        self, kind: ThresholdKind, query: Query, context: ManagerContext
-    ) -> Optional[float]:
-        if kind is ThresholdKind.ELAPSED_TIME:
-            if query.start_time is None:
-                return None
-            return context.now - query.start_time
-        progress = context.engine.progress_of(query.query_id)
-        if kind is ThresholdKind.ROWS_RETURNED:
-            return progress * query.true_cost.rows
-        if kind is ThresholdKind.CPU_TIME:
-            return progress * query.true_cost.cpu_seconds
-        return None
 
     def _has_level(self, name: str) -> bool:
         return any(level == name for level, _ in self.ladder.levels)
@@ -139,7 +125,7 @@ class PriorityAgingController(ExecutionController):
                 continue
             violated = any(
                 threshold.violated_by(
-                    self._observed_value(threshold.kind, query, context)
+                    runtime_observer(threshold.kind)(query, context)
                 )
                 for threshold in self.thresholds
             )
@@ -154,7 +140,7 @@ class PriorityAgingController(ExecutionController):
             context.engine.set_weight(
                 query.query_id, self.ladder.weight_of(lower)
             )
-            self.demotion_events.append((context.now, query.query_id, lower))
+            context.record(self, "demote", query, lower)
 
     def notify_exit(self, query: Query, context: ManagerContext) -> None:
         self._last_demotion.pop(query.query_id, None)

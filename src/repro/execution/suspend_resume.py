@@ -196,8 +196,6 @@ class SuspendResumeController(ExecutionController):
         self.velocity_floor = velocity_floor
         self._pressure = pressure or self._default_pressure
         self.suspended: List[SuspendedQuery] = []
-        self.suspend_events: List[Tuple[float, int, SuspendPlan]] = []
-        self.resume_events: List[Tuple[float, int]] = []
         self._dumping: set = set()
 
     # ------------------------------------------------------------------
@@ -270,7 +268,7 @@ class SuspendResumeController(ExecutionController):
             query=query, plan=plan, suspended_at=context.now
         )
         self.suspended.append(record)
-        self.suspend_events.append((context.now, query.query_id, plan))
+        context.record(self, "suspend", query, plan)
 
     def _maybe_resume(self, context: ManagerContext) -> None:
         if not self.suspended:
@@ -286,7 +284,7 @@ class SuspendResumeController(ExecutionController):
             for i, op in enumerate(query.plan)
             if i in record.plan.dumped_operators
         ) / self.dump_bandwidth_mb_s
-        self.resume_events.append((context.now, query.query_id))
+        context.record(self, "resume", query)
         context.sim.schedule(
             read_cost,
             lambda q=query: self._restart(q, context),

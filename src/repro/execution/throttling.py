@@ -23,7 +23,7 @@ slow down" running work (§4.2.2):
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.control.controllers import (
     BlackBoxModelController,
@@ -103,7 +103,6 @@ class UtilityThrottlingController(ExecutionController):
             kp=kp, ki=ki, setpoint=degradation_target, minimum=0.0, maximum=0.95
         )
         self.throttle_level = 0.0
-        self.level_history: List[Tuple[float, float]] = []
 
     def _is_utility(self, query: Query) -> bool:
         return (
@@ -138,7 +137,7 @@ class UtilityThrottlingController(ExecutionController):
             0.0, (self.baseline_velocity - velocity) / self.baseline_velocity
         )
         self.throttle_level = self.controller.update(degradation)
-        self.level_history.append((context.now, self.throttle_level))
+        context.record(self, "throttle", detail=self.throttle_level)
         factor = 1.0 - self.throttle_level  # sleep fraction -> speed cap
         for query in context.engine.running_queries():
             if self._is_utility(query):
@@ -192,7 +191,6 @@ class QueryThrottlingController(ExecutionController):
             )
         self.victim_selector = victim_selector or self._default_victim
         self.throttle_level = 0.0
-        self.level_history: List[Tuple[float, float]] = []
         self._paused: Dict[int, object] = {}  # qid -> resume event handle
 
     def _default_victim(self, query: Query) -> bool:
@@ -231,7 +229,7 @@ class QueryThrottlingController(ExecutionController):
             self.throttle_level = self._step.update(violation)
         else:
             self.throttle_level = self._blackbox.update(velocity)
-        self.level_history.append((context.now, self.throttle_level))
+        context.record(self, "throttle", detail=self.throttle_level)
         self._apply(context)
 
     def _apply(self, context: ManagerContext) -> None:

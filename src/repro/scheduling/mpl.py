@@ -23,6 +23,7 @@ from typing import List, Optional, Tuple
 
 from repro.core.interfaces import ManagerContext
 from repro.engine.query import Query
+from repro.errors import ConfigurationError
 
 
 class MplController(abc.ABC):
@@ -119,8 +120,9 @@ class QueueingModelMpl(MplController):
 class FeedbackMpl(MplController):
     """Hill-climbing MPL from observed completion throughput.
 
-    The scheduler calls :meth:`notify_completion` per finished request;
-    :meth:`attach` arms the periodic adjustment.
+    The owner calls :meth:`notify_completion` per finished request;
+    :meth:`attach` arms the periodic adjustment.  Each limit is recorded as a
+    ``set_mpl`` event of :attr:`emitter` (an admission gate owning a climber).
     """
 
     def __init__(
@@ -133,7 +135,9 @@ class FeedbackMpl(MplController):
         hysteresis: float = 0.02,
     ) -> None:
         if not minimum <= initial <= maximum:
-            raise ValueError("need minimum <= initial <= maximum")
+            raise ConfigurationError("need minimum <= initial <= maximum")
+        if interval <= 0 or step < 1:
+            raise ConfigurationError("interval must be > 0 and step >= 1")
         self.limit = initial
         self.minimum = minimum
         self.maximum = maximum
@@ -143,13 +147,13 @@ class FeedbackMpl(MplController):
         self._direction = 1
         self._completions = 0
         self._last_throughput: Optional[float] = None
-        self.history: List[Tuple[float, int]] = []
+        self.emitter: object = self
 
     def attach(self, context: ManagerContext) -> None:
         context.sim.schedule_periodic(
             self.interval, lambda: self._adjust(context), label="feedback-mpl"
         )
-        self.history.append((context.now, self.limit))
+        context.record(self.emitter, "set_mpl", detail=self.limit)
 
     def notify_completion(self) -> None:
         self._completions += 1
@@ -168,4 +172,4 @@ class FeedbackMpl(MplController):
         self.limit = int(
             min(self.maximum, max(self.minimum, self.limit + self._direction * self.step))
         )
-        self.history.append((context.now, self.limit))
+        context.record(self.emitter, "set_mpl", detail=self.limit)

@@ -26,7 +26,7 @@ from collections import deque
 from typing import Dict, List, Optional, Union
 
 from repro.core.interfaces import ManagerContext, Scheduler
-from repro.engine.query import Query
+from repro.engine.query import Query, tenant_key, workload_key
 from repro.scheduling.mpl import MplController, StaticMpl
 
 MplLike = Union[None, int, MplController]
@@ -321,9 +321,5 @@ class TenantShareScheduler(MultiQueueScheduler):
         self.shares = dict(shares)
 
     def _workload_key(self, query: Query) -> str:
-        name = query.workload_name
-        if not name and ":" in query.sql:
-            name = query.sql.split(":", 1)[0]
-        if name and "/" in name:
-            return name.split("/", 1)[0]
-        return name or "<unassigned>"
+        tenant = tenant_key(query)
+        return tenant if tenant is not None else workload_key(query) or "<unassigned>"

@@ -30,7 +30,7 @@ Concrete model used here (§4.2.1's structure with explicit math):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.classify import Feature
 from repro.core.interfaces import ManagerContext, Scheduler
@@ -112,7 +112,6 @@ class UtilityScheduler(Scheduler):
             name: [] for name in self._classes
         }
         self.plans_generated = 0
-        self.plan_history: List[Tuple[float, Dict[str, float]]] = []
 
     # ------------------------------------------------------------------
     # Scheduler interface
@@ -262,8 +261,8 @@ class UtilityScheduler(Scheduler):
             state.allocation = allocations[name]
             state.cost_limit = allocations[name] * self.outstanding_window
         self.plans_generated += 1
-        self.plan_history.append(
-            (now, {name: round(a, 3) for name, a in allocations.items()})
+        context.record(
+            self, "plan", detail={n: round(a, 3) for n, a in allocations.items()}
         )
         if context.manager is not None:
             context.manager.pump()

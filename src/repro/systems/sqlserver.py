@@ -26,7 +26,7 @@ MAX (cap).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.admission.threshold import ThresholdAdmission
 from repro.characterization.static import ClassifierFunctionCharacterizer
@@ -102,7 +102,6 @@ class ResourcePoolController(ExecutionController):
             raise ConfigurationError("sum of pool MINs exceeds 100%")
         self.pools = {pool.name: pool for pool in pools}
         self.group_to_pool = dict(group_to_pool)
-        self.share_history: List[Tuple[float, Dict[str, float]]] = []
 
     def _pool_of(self, query: Query) -> str:
         group = query.workload_name or "default"
@@ -157,7 +156,7 @@ class ResourcePoolController(ExecutionController):
             for query in queries:
                 if abs(context.engine.weight_of(query.query_id) - per_query) > 1e-9:
                     context.engine.set_weight(query.query_id, per_query)
-        self.share_history.append((context.now, shares))
+        context.record(self, "set_shares", detail=shares)
 
 
 @dataclass

@@ -11,11 +11,16 @@ from repro.admission.indicators import (
 )
 from repro.admission.threshold import ThresholdAdmission
 from repro.admission.throughput_feedback import ThroughputFeedbackAdmission
-from repro.core.interfaces import AdmissionDecision, AdmissionOutcome
+from repro.core.interfaces import (
+    AdmissionDecision,
+    AdmissionOutcome,
+    decisions_by,
+)
 from repro.core.manager import WorkloadManager
 from repro.core.policy import AdmissionPolicy
 from repro.engine.resources import MachineSpec
 from repro.engine.simulator import Simulator
+from repro.errors import ConfigurationError
 
 from tests.conftest import make_query
 
@@ -81,17 +86,20 @@ class TestThroughputFeedback:
             )
         manager.run(horizon=4.0, drain=2.0)
         assert admission.mpl > 2
-        assert len(admission.mpl_history) >= 4
+        history = decisions_by(
+            manager.context.decisions, "ThroughputFeedbackAdmission", "set_mpl"
+        )
+        assert len(history) >= 4
 
     def test_direction_reverses_on_throughput_drop(self, sim):
         admission = ThroughputFeedbackAdmission(
             initial_mpl=5, interval=1.0, step=1, hysteresis=0.0
         )
         manager = _manager(sim, admission)
-        admission._last_throughput = 10.0
-        admission._completions_this_interval = 1  # big drop
-        admission._adjust(manager.context)
-        assert admission._direction == -1
+        admission.climber._last_throughput = 10.0
+        admission.climber._completions = 1  # big drop
+        admission.climber._adjust(manager.context)
+        assert admission.climber._direction == -1
         assert admission.mpl == 4
 
     def test_mpl_clamped_to_bounds(self, sim):
@@ -99,13 +107,13 @@ class TestThroughputFeedback:
             initial_mpl=1, min_mpl=1, max_mpl=3, interval=1.0, step=5
         )
         manager = _manager(sim, admission)
-        admission._adjust(manager.context)
+        admission.climber._adjust(manager.context)
         assert 1 <= admission.mpl <= 3
 
     def test_invalid_configuration(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             ThroughputFeedbackAdmission(initial_mpl=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             ThroughputFeedbackAdmission(interval=0.0)
 
 

@@ -10,6 +10,7 @@ from repro.cluster import (
     make_policy,
 )
 from repro.control.controllers import PIController
+from repro.core.interfaces import decisions_by
 from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
 
@@ -61,7 +62,9 @@ class TestScaling:
             dispatcher.submit(make_query(cpu=4.0, io=0.0, sql="bi:q"))
         sim.run_until(10.0)
         assert provisioner.active_count() > 1
-        assert any(d.activated for d in provisioner.decisions)
+        assert decisions_by(
+            dispatcher.metrics.decisions, "ElasticProvisioner", "activate"
+        )
         provisioner.shutdown()
         dispatcher.shutdown()
 
@@ -77,7 +80,9 @@ class TestScaling:
             n for n in dispatcher.nodes if n.health is NodeHealth.STANDBY
         ]
         assert parked  # drained nodes finished their work and parked
-        assert any(d.drained for d in provisioner.decisions)
+        assert decisions_by(
+            dispatcher.metrics.decisions, "ElasticProvisioner", "drain"
+        )
         provisioner.shutdown()
         dispatcher.shutdown()
 
@@ -97,7 +102,8 @@ class TestScaling:
         controller = PIController(setpoint=0.5, kp=1.0, ki=0.2)
         provisioner = ElasticProvisioner(dispatcher, controller=controller)
         sim.run_until(12.0)
-        assert provisioner.decisions  # ticked without error
+        # ticked without error
+        assert decisions_by(dispatcher.metrics.decisions, "ElasticProvisioner")
         provisioner.shutdown()
         dispatcher.shutdown()
 

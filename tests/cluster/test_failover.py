@@ -12,6 +12,7 @@ from repro.cluster import (
     NodeHealth,
     make_policy,
 )
+from repro.core.interfaces import decisions_by
 from repro.engine.query import QueryState
 from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
@@ -115,11 +116,9 @@ class TestCrashRecovery:
         assert node.health is NodeHealth.DRAINING
         sim.run_until(3.5)
         assert node.health is NodeHealth.UP and node.speed_factor == 1.0
-        assert [e.kind for e in injector.fired] == [
-            FaultKind.DEGRADE,
-            FaultKind.DRAIN,
-            FaultKind.RECOVER,
-        ]
+        fired = decisions_by(dispatcher.metrics.decisions, "FaultInjector")
+        assert [e.action for e in fired] == ["degrade", "drain", "recover"]
+        assert fired[0].detail == FaultEvent(1.0, "n1", FaultKind.DEGRADE, factor=0.5)
         dispatcher.shutdown()
 
     def test_crash_is_deterministic_across_runs(self):

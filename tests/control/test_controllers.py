@@ -48,13 +48,6 @@ class TestPIController:
         controller.update(5.0)
         controller.reset()
         assert controller._integral == 0.0
-        assert controller.history == []
-
-    def test_history_recorded(self):
-        controller = PIController(kp=1.0, ki=0.0, setpoint=0.0)
-        controller.update(0.5)
-        controller.update(0.6)
-        assert len(controller.history) == 2
 
 
 class TestStepController:

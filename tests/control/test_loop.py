@@ -9,6 +9,7 @@ from repro.control.loop import (
     MonitorStage,
     PlanStage,
 )
+from repro.core.interfaces import decisions_by
 from repro.core.manager import WorkloadManager
 from repro.core.sla import SLASet, response_time_sla
 from repro.engine.query import QueryState
@@ -120,7 +121,7 @@ class TestLoopEndToEnd:
             )
         manager.run(horizon=30.0, drain=10.0)
         # the loop acted on the hog...
-        assert loop.decisions
+        assert decisions_by(manager.context.decisions, "AutonomicLoop")
         actions = loop.actions_taken()
         assert any(
             action is not LoopAction.NONE for action in actions
@@ -145,5 +146,5 @@ class TestLoopEndToEnd:
         manager = _manager(sim, loop=loop)
         manager.submit(make_query(cpu=100.0, io=0.0, priority=1))
         manager.run(horizon=8.0, drain=0.0)
-        for time, action, affected in loop.decisions:
-            assert isinstance(action, LoopAction)
+        for event in decisions_by(manager.context.decisions, "AutonomicLoop"):
+            assert event.action in {action.value for action in LoopAction}

@@ -12,6 +12,8 @@ from repro.engine.query import (
     QueryState,
     StatementType,
     split_query,
+    tenant_key,
+    workload_key,
 )
 from repro.errors import QueryStateError
 
@@ -224,3 +226,23 @@ class TestCloneAndSplit:
     def test_query_ids_unique(self):
         ids = {make_query().query_id for _ in range(100)}
         assert len(ids) == 100
+
+
+class TestWorkloadTag:
+    """The one parser of the generator's ``tenant/workload:class`` tag."""
+
+    @pytest.mark.parametrize(
+        "sql, name, key, tenant",
+        [
+            ("acme/bi:q7", None, "acme/bi", "acme"),
+            ("oltp:t1", None, "oltp", None),
+            ("oltp:t1", "gold", "gold", None),   # an identified name wins
+            ("acme/bi:q7", "", "acme/bi", "acme"),
+            ("select 1", None, None, None),      # untagged
+            ("", None, None, None),
+        ],
+    )
+    def test_key_and_tenant(self, sql, name, key, tenant):
+        query = make_query(sql=sql, workload=name)
+        assert workload_key(query) == key
+        assert tenant_key(query) == tenant

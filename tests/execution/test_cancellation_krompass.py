@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.interfaces import decisions_by
 from repro.core.manager import WorkloadManager
 from repro.core.policy import Threshold, ThresholdAction, ThresholdKind
 from repro.engine.query import QueryState
@@ -34,7 +35,7 @@ class TestKillRules:
         manager.submit(hog)
         manager.run(horizon=7.0, drain=0.0)
         assert hog.state is QueryState.KILLED
-        assert controller.kill_events
+        assert decisions_by(manager.context.decisions, "QueryKillController", "kill")
         assert manager.metrics.stats_for(None).kills == 1
 
     def test_short_queries_spared(self, sim):
@@ -57,7 +58,17 @@ class TestKillRules:
         # the clone was resubmitted... and killed again (same rule), so
         # at least one extra submission happened
         assert manager.submitted_count >= 2
-        assert controller.kill_events[0][2] is True
+        kills = decisions_by(manager.context.decisions, "QueryKillController")
+        assert kills[0].action == "kill_and_resubmit"
+
+    def test_unobservable_kind_is_an_error_at_construction(self):
+        # ESTIMATED_COST is judged at arrival (admission); a kill rule on
+        # it used to be accepted and then never fire
+        threshold = Threshold(
+            ThresholdKind.ESTIMATED_COST, 1.0, ThresholdAction.STOP_EXECUTION
+        )
+        with pytest.raises(ConfigurationError, match="estimated_cost"):
+            KillRule(threshold)
 
     def test_priority_guard(self, sim):
         controller = QueryKillController(
@@ -143,7 +154,7 @@ class TestFuzzyController:
         manager.submit(vip)
         manager.run(horizon=30.0, drain=0.0)
         assert vip.state is QueryState.RUNNING
-        assert controller.actions == []
+        assert decisions_by(manager.context.decisions, "FuzzyExecutionController") == []
 
     def test_problem_query_eventually_killed(self, sim):
         controller = self._controller()
@@ -151,7 +162,12 @@ class TestFuzzyController:
         hog = make_query(cpu=2000.0, io=0.0, priority=1)
         manager.submit(hog)
         manager.run(horizon=60.0, drain=0.0)
-        kinds = {action for _, _, action in controller.actions}
+        kinds = {
+            event.action
+            for event in decisions_by(
+                manager.context.decisions, "FuzzyExecutionController"
+            )
+        }
         assert hog.state is QueryState.KILLED
         assert "kill" in kinds or "kill_and_resubmit" in kinds
 
@@ -167,8 +183,9 @@ class TestFuzzyController:
         hog = make_query(cpu=100.0, io=0.0, priority=1)
         manager.submit(hog)
         manager.run(horizon=20.0, drain=0.0)
-        kinds = [action for _, _, action in controller.actions]
-        assert "reprioritize" in kinds
+        assert decisions_by(
+            manager.context.decisions, "FuzzyExecutionController", "reprioritize"
+        )
         assert manager.engine.weight_of(hog.query_id) < 1.0
 
     def test_reprioritization_bounded(self, sim):
@@ -182,8 +199,8 @@ class TestFuzzyController:
         hog = make_query(cpu=1000.0, io=0.0, priority=1)
         manager.submit(hog)
         manager.run(horizon=30.0, drain=0.0)
-        halvings = sum(
-            1 for _, qid, a in controller.actions if a == "reprioritize"
+        halvings = decisions_by(
+            manager.context.decisions, "FuzzyExecutionController", "reprioritize"
         )
-        assert halvings <= 3
+        assert len(halvings) <= 3
         assert manager.engine.weight_of(hog.query_id) >= 0.05

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.interfaces import decisions_by
 from repro.core.manager import WorkloadManager
 from repro.core.policy import Threshold, ThresholdAction, ThresholdKind
 from repro.engine.resources import MachineSpec
@@ -64,8 +65,35 @@ class TestPriorityAging:
         assert hog.service_class == "medium"
         assert hog.demotions == 1
         assert manager.engine.weight_of(hog.query_id) == 2.0
-        manager2_events = len(controller.demotion_events)
-        assert manager2_events == 1
+        demotions = decisions_by(
+            manager.context.decisions, "PriorityAgingController", "demote"
+        )
+        assert [(e.query_id, e.detail) for e in demotions] == [
+            (hog.query_id, "medium")
+        ]
+
+    def test_unobservable_kind_is_an_error_at_construction(self):
+        with pytest.raises(ConfigurationError, match="concurrency"):
+            PriorityAgingController(
+                thresholds=[
+                    Threshold(ThresholdKind.CONCURRENCY, 4.0, ThresholdAction.DEMOTE)
+                ]
+            )
+
+    def test_memory_threshold_demotes(self, sim):
+        # aging shares the kill controller's observer, MEMORY_MB included
+        controller = PriorityAgingController(
+            thresholds=[
+                Threshold(ThresholdKind.MEMORY_MB, 100.0, ThresholdAction.DEMOTE)
+            ]
+        )
+        manager = _manager(sim, [controller])
+        big = make_query(cpu=60.0, io=0.0, mem=500.0)
+        small = make_query(cpu=60.0, io=0.0, mem=50.0)
+        manager.submit(big)
+        manager.submit(small)
+        manager.run(horizon=2.0, drain=0.0)
+        assert big.demotions == 1 and small.demotions == 0
 
     def test_cooldown_limits_demotion_rate(self, sim):
         controller = self._controller(limit=0.5)
@@ -212,7 +240,9 @@ class TestEconomicAllocation:
         manager = _manager(sim, [allocator])
         manager.submit(make_query(cpu=10.0, io=0.0, sql="a:q"))
         manager.run(horizon=2.0, drain=0.0)
-        assert allocator.allocation_history
+        assert decisions_by(
+            manager.context.decisions, "EconomicResourceAllocator", "allocate"
+        )
         assert allocator.workload_share("a") is not None
 
     def test_invalid_importance(self):
@@ -224,4 +254,5 @@ class TestEconomicAllocation:
         allocator = EconomicResourceAllocator()
         manager = _manager(sim, [allocator])
         manager.run(horizon=2.0, drain=0.0)
-        assert allocator.allocation_history == []
+        assert decisions_by(manager.context.decisions, "EconomicResourceAllocator") == []
+        assert allocator.workload_share("a") is None

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.interfaces import decisions_by
 from repro.core.manager import FCFSDispatcher, WorkloadManager
 from repro.engine.query import PlanOperator, QueryPlan, QueryState
 from repro.engine.resources import MachineSpec
@@ -114,7 +115,9 @@ class TestController:
         manager.run(horizon=22.0, drain=0.0)
         assert victim.state in (QueryState.SUSPENDED, QueryState.RUNNING)
         # within a few ticks the suspension must have happened
-        assert controller.suspend_events
+        assert decisions_by(
+            manager.context.decisions, "SuspendResumeController", "suspend"
+        )
         assert victim.suspend_count >= 1
 
     def test_suspension_speeds_up_protected_work(self, sim):
@@ -141,7 +144,9 @@ class TestController:
         # vip done, victim resumed and eventually completed
         assert vip.state is QueryState.COMPLETED
         assert victim.state is QueryState.COMPLETED
-        assert controller.resume_events
+        assert decisions_by(
+            manager.context.decisions, "SuspendResumeController", "resume"
+        )
 
     def test_nearly_done_victims_spared(self, sim):
         controller, manager = self._build(sim)
@@ -152,4 +157,6 @@ class TestController:
         manager.submit(vip)
         manager.run(horizon=12.0, drain=30.0)
         assert victim.state is QueryState.COMPLETED
-        assert not controller.suspend_events
+        assert not decisions_by(
+            manager.context.decisions, "SuspendResumeController", "suspend"
+        )

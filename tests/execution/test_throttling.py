@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.interfaces import decisions_by
 from repro.core.manager import WorkloadManager
 from repro.core.sla import SLASet, response_time_sla
 from repro.engine.query import QueryState, StatementType
@@ -88,7 +89,10 @@ class TestUtilityThrottling:
         manager = _manager(sim, [controller])
         manager.submit(make_query(cpu=10.0, io=0.0, sql="prod:q"))
         manager.run(horizon=3.0, drain=0.0)
-        assert len(controller.level_history) == 3
+        levels = decisions_by(
+            manager.context.decisions, "UtilityThrottlingController", "throttle"
+        )
+        assert len(levels) == 3
 
 
 class TestQueryThrottlingStep:
@@ -155,7 +159,10 @@ class TestQueryThrottlingBlackBox:
         manager.submit(vip)
         manager.run(horizon=40.0, drain=0.0)
         assert controller.throttle_level > 0.0
-        assert len(controller.level_history) >= 30
+        levels = decisions_by(
+            manager.context.decisions, "QueryThrottlingController", "throttle"
+        )
+        assert len(levels) >= 30
 
 
 class TestInterruptThrottle:

@@ -6,6 +6,7 @@ from repro.core.manager import WorkloadManager
 from repro.engine.query import QueryState
 from repro.engine.resources import MachineSpec
 from repro.engine.simulator import Simulator
+from repro.errors import ConfigurationError
 from repro.scheduling.mpl import FeedbackMpl, QueueingModelMpl, StaticMpl
 from repro.scheduling.queues import (
     FCFSScheduler,
@@ -260,5 +261,7 @@ class TestMplControllers:
         assert controller.limit == 3
 
     def test_feedback_mpl_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             FeedbackMpl(initial=0)
+        with pytest.raises(ConfigurationError):
+            FeedbackMpl(step=0)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.interfaces import decisions_by
 from repro.core.manager import FCFSDispatcher, WorkloadManager
 from repro.engine.query import QueryState
 from repro.engine.resources import MachineSpec
@@ -55,7 +56,7 @@ class TestUtilityScheduler:
         manager = _manager(sim, scheduler)
         manager.run(horizon=3.0, drain=0.0)
         assert scheduler.plans_generated >= 3
-        assert scheduler.plan_history
+        assert decisions_by(manager.context.decisions, "UtilityScheduler", "plan")
 
     def test_allocation_favours_important_loaded_class(self, sim):
         scheduler = self._scheduler()

@@ -1,13 +1,14 @@
 """Reads never write: the metrics model is an observer (paper §4.1).
 
 Every read entry point — collector accessors, SLA evaluation, the
-per-system monitoring facades, node heartbeats, cluster rollups and the
-run summary — must leave the run's digest and every collector's
+per-system monitoring facades, node heartbeats, cluster rollups, the
+run summary and the decision-record helper — must leave the run's digest and every collector's
 workload list exactly as it found them.
 """
 
 import pytest
 
+from repro.core.interfaces import decisions_by
 from repro.core.manager import FCFSDispatcher, WorkloadManager
 from repro.core.sla import SLASet, response_time_sla
 from repro.engine.simulator import Simulator
@@ -35,6 +36,7 @@ MANAGER_READS = {
     "sqlserver_workload_group_stats": monitoring.sqlserver_workload_group_stats,
     "sqlserver_resource_pool_stats": monitoring.sqlserver_resource_pool_stats,
     "teradata_dashboard": monitoring.teradata_dashboard,
+    "decisions_by": lambda m: decisions_by(m.context.decisions, action="reject"),
 }
 
 CLUSTER_READS = {
@@ -44,6 +46,9 @@ CLUSTER_READS = {
     "rollup_table": lambda r: r.dispatcher.metrics.rollup_table(r.dispatcher.sim.now),
     "timeline_lanes": lambda r: r.dispatcher.metrics.timeline_lanes(r.spec.horizon),
     "summarize_run": lambda r: (summarize_run(r), summarize_run(r)),
+    "decisions_by": lambda r: decisions_by(
+        r.dispatcher.metrics.decisions, "ClusterDispatcher", "health"
+    ),
 }
 
 
