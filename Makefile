@@ -3,7 +3,7 @@
 PY ?= python
 export PYTHONPATH := src:.
 
-.PHONY: test test-ledger test-experiments bench bench-full bench-parallel bench-baseline ledger artifacts lint loc
+.PHONY: test test-ledger test-experiments examples bench bench-full bench-parallel bench-baseline ledger artifacts lint loc
 
 test:
 	$(PY) -m pytest tests/ -q
@@ -21,6 +21,11 @@ test-ledger:
 # ran): regenerate committed artifacts with `make artifacts` only.
 test-experiments:
 	$(PY) -m pytest benchmarks/ --ignore=benchmarks/ledger -q
+
+# Every example runs to exit 0 (~7 s): they consume src/ APIs that the
+# inventory test only checks exist.
+examples:
+	@set -e; for f in examples/*.py; do echo "== $$f"; $(PY) $$f >/dev/null; done
 
 # Static checks (ruff, config in pyproject.toml).  CI installs ruff;
 # locally the target degrades to a no-op when ruff is unavailable.

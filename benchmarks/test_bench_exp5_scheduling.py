@@ -14,10 +14,9 @@ gold's goal.
 
 import functools
 
-from repro.core.manager import FCFSDispatcher
+from repro.core.manager import WaitQueue, by_priority
 from repro.core.sla import SLASet, response_time_sla
 from repro.engine.simulator import Simulator
-from repro.scheduling.queues import PriorityScheduler
 from repro.scheduling.utility import ServiceClassConfig, UtilityScheduler
 
 from benchmarks._scenarios import build_manager, drive, three_class_scenario
@@ -73,8 +72,8 @@ def run_variant(scheduler, seed=41):
 @functools.lru_cache(maxsize=1)
 def results():
     return {
-        "fcfs": run_variant(FCFSDispatcher()),
-        "priority": run_variant(PriorityScheduler(mpl=8)),
+        "fcfs": run_variant(WaitQueue()),
+        "priority": run_variant(WaitQueue(8, key=by_priority)),
         "utility": run_variant(_utility_scheduler()),
     }
 

@@ -49,7 +49,7 @@ from repro.backends.runner import (
     RunReport,
     SleepThrottle,
 )
-from repro.core.manager import FCFSDispatcher, WorkloadManager
+from repro.core.manager import WaitQueue, WorkloadManager
 from repro.core.policy import AdmissionPolicy
 from repro.engine.query import QueryState
 from repro.engine.resources import MachineSpec
@@ -226,7 +226,7 @@ def run_sim_on_plan(
         sim,
         machine=MachineSpec(cpu_capacity=float(mpl), disk_capacity=float(mpl)),
         admission=admission_controller,
-        scheduler=FCFSDispatcher(max_concurrency=mpl),
+        scheduler=WaitQueue(mpl),
         control_period=control_period,
     )
     sim_throttle = None

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.core.interfaces import AdmissionController, Scheduler
-from repro.core.manager import FCFSDispatcher, WorkloadManager
+from repro.core.manager import WaitQueue, WorkloadManager
 from repro.core.sla import SLASet
 from repro.engine.executor import EngineConfig
 from repro.engine.query import Query
@@ -128,7 +128,7 @@ class ClusterNode:
             self.scope,
             machine=self.machine,
             engine_config=engine_config,
-            scheduler=scheduler or FCFSDispatcher(max_concurrency=mpl),
+            scheduler=scheduler or WaitQueue(mpl),
             admission=admission,
             slas=slas,
             control_period=control_period,

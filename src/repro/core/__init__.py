@@ -31,10 +31,7 @@ from repro.core.policy import (
     Threshold,
     ThresholdKind,
     ThresholdAction,
-    ExecutionRule,
     AdmissionPolicy,
-    SchedulingPolicy,
-    ExecutionPolicy,
     WorkloadManagementPolicy,
 )
 from repro.core.metrics import MetricsCollector, WorkloadStats, SystemSample
@@ -81,10 +78,7 @@ __all__ = [
     "Threshold",
     "ThresholdKind",
     "ThresholdAction",
-    "ExecutionRule",
     "AdmissionPolicy",
-    "SchedulingPolicy",
-    "ExecutionPolicy",
     "WorkloadManagementPolicy",
     "MetricsCollector",
     "WorkloadStats",

@@ -19,7 +19,7 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, TYPE_CHECKING
+from typing import Any, List, Optional, TYPE_CHECKING, Union
 
 from repro.core.metrics import MetricsCollector
 from repro.core.policy import WorkloadManagementPolicy
@@ -158,6 +158,43 @@ class AdmissionController(abc.ABC):
         """Called once when plugged into a manager (optional override)."""
 
 
+class MplController(abc.ABC):
+    """Supplies the current concurrency limit to a scheduler."""
+
+    @abc.abstractmethod
+    def current_limit(self, context: ManagerContext) -> Optional[int]:
+        """Max concurrently running requests (None = unlimited)."""
+
+    def attach(self, context: ManagerContext) -> None:
+        """Optional hook for periodic measurement."""
+
+    def notify_completion(self) -> None:
+        """Optional hook: a request left the engine (feedback controllers)."""
+
+    @staticmethod
+    def of(mpl: "MplLike") -> "MplController":
+        """``mpl`` itself when it is a controller, else a :class:`StaticMpl`."""
+        return mpl if isinstance(mpl, MplController) else StaticMpl(mpl)
+
+
+class StaticMpl(MplController):
+    """A fixed MPL — the manual threshold the paper calls "static"."""
+
+    def __init__(self, limit: Optional[int]) -> None:
+        if limit is not None and limit < 1:
+            raise ValueError("limit must be >= 1 or None")
+        self.limit = limit
+
+    def current_limit(self, context: ManagerContext) -> Optional[int]:
+        return self.limit
+
+
+#: How every scheduler takes its MPL: unlimited, a static threshold, or a
+#: controller determining it dynamically (§3.3's criticism of static
+#: thresholds is exactly that they cannot adapt).
+MplLike = Union[None, int, MplController]
+
+
 class Scheduler(abc.ABC):
     """Owns the wait queue(s) and decides what runs when (§3.3)."""
 
@@ -177,9 +214,17 @@ class Scheduler(abc.ABC):
     def queued_count(self) -> int:
         """Requests currently waiting."""
 
+    @abc.abstractmethod
+    def queued_queries(self) -> List[Query]:
+        """Snapshot of the waiting requests (monitors, MPL models, evacuation)."""
+
     def remove(self, query_id: int) -> Optional[Query]:
         """Withdraw a queued request (kill-in-queue); None if absent."""
         return None
+
+    def notify_exit(self, query: Query, context: ManagerContext) -> None:
+        """Observe a request leaving the engine, whatever the outcome
+        (how a dynamic MPL hears of completions)."""
 
     def attach(self, context: ManagerContext) -> None:
         """Called once when plugged into a manager (optional override)."""

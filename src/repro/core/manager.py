@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Sequence
+from heapq import heapify, heappop, heappush
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.interfaces import (
     AdmissionController,
@@ -27,6 +28,8 @@ from repro.core.interfaces import (
     Characterizer,
     ExecutionController,
     ManagerContext,
+    MplController,
+    MplLike,
     Scheduler,
 )
 from repro.core.metrics import MetricsCollector, SystemSample
@@ -69,35 +72,54 @@ class AcceptAllAdmission(AdmissionController):
         return AdmissionDecision.accept("no admission control")
 
 
-class FCFSDispatcher(Scheduler):
-    """First-come-first-served dispatch with an optional global MPL.
+QueueKey = Callable[[Query], Any]
 
-    ``max_concurrency=None`` dispatches everything immediately — the
-    fully uncontrolled baseline that exhibits thrashing under load.
+
+class WaitQueue(Scheduler):
+    """One wait queue drained under an MPL: the single-queue scheduler.
+
+    ``key=None`` dispatches in arrival order; a ``key`` (:func:`by_priority`,
+    :func:`shortest_job`, :func:`wspt`, or any function of the query) is
+    evaluated once at enqueue and the smallest key runs first, arrival
+    order within equal keys.  ``max_concurrency=None`` dispatches
+    everything immediately — the fully uncontrolled baseline that
+    exhibits thrashing under load; an int is a static MPL, an
+    :class:`~repro.core.interfaces.MplController` a dynamic one.
     """
 
-    def __init__(self, max_concurrency: Optional[int] = None) -> None:
-        if max_concurrency is not None and max_concurrency < 1:
+    def __init__(self, max_concurrency: MplLike = None, key: Optional[QueueKey] = None) -> None:
+        if isinstance(max_concurrency, int) and max_concurrency < 1:
             raise ConfigurationError("max_concurrency must be >= 1 or None")
-        self.max_concurrency = max_concurrency
-        # deque: FCFS only pops the head, and list.pop(0) is O(backlog)
-        self._queue: Deque[Query] = deque()
+        self.mpl = MplController.of(max_concurrency)
+        self._key = key
+        self._arrivals = 0
+        # arrival order: a deque of queries (O(1) head pop, where
+        # list.pop(0) is O(backlog)); keyed: a heap of (key, arrival, query)
+        self._queue: Any = deque() if key is None else []
+
+    def attach(self, context: ManagerContext) -> None:
+        self.mpl.attach(context)
+
+    def notify_exit(self, query: Query, context: ManagerContext) -> None:
+        self.mpl.notify_completion()
 
     def enqueue(self, query: Query, context: ManagerContext) -> None:
-        self._queue.append(query)
+        if self._key is None:
+            self._queue.append(query)
+        else:
+            self._arrivals += 1
+            heappush(self._queue, (self._key(query), self._arrivals, query))
 
     def next_batch(self, context: ManagerContext) -> List[Query]:
         queue = self._queue
         if not queue:
             return []
+        limit = self.mpl.current_limit(context)
+        room = len(queue) if limit is None else limit - context.engine.running_count
+        if self._key is not None:
+            return [heappop(queue)[2] for _ in range(min(room, len(queue)))]
         batch: List[Query] = []
-        limit = self.max_concurrency
-        if limit is None:
-            batch.extend(queue)
-            queue.clear()
-            return batch
-        running = context.engine.running_count
-        while queue and running + len(batch) < limit:
+        while queue and len(batch) < room:
             batch.append(queue.popleft())
         return batch
 
@@ -105,15 +127,50 @@ class FCFSDispatcher(Scheduler):
         return len(self._queue)
 
     def queued_queries(self) -> List[Query]:
-        """Snapshot of the wait queue (consumed by monitors/controllers)."""
-        return list(self._queue)
+        """The waiting requests in the order they would dispatch."""
+        if self._key is None:
+            return list(self._queue)
+        return [entry[2] for entry in sorted(self._queue)]
 
     def remove(self, query_id: int) -> Optional[Query]:
-        for index, query in enumerate(self._queue):
+        keyed = self._key is not None
+        for index, entry in enumerate(self._queue):
+            query = entry[2] if keyed else entry
             if query.query_id == query_id:
                 del self._queue[index]
+                if keyed:
+                    heapify(self._queue)
                 return query
         return None
+
+
+#: The name the default scheduler has always had (benchmarks import it).
+FCFSDispatcher = WaitQueue
+
+
+def by_priority(query: Query) -> int:
+    """Higher business priority first; FIFO within a priority level."""
+    return -query.priority
+
+
+def shortest_job(aging_weight: float = 0.0) -> QueueKey:
+    """Smallest estimated total work first — the simplest rank function
+    of [24], starvation-prone by design.  ``aging_weight`` credits each
+    second already waited: the rank ``work - w * (now - submit)`` orders
+    any two waiting requests as ``work + w * submit`` does, ``w * now``
+    being common to both."""
+
+    def key(query: Query) -> float:
+        return query.estimated_cost.total_work + aging_weight * (query.submit_time or 0.0)
+
+    return key
+
+
+def wspt(query: Query) -> float:
+    """Weighted shortest processing time (rank = estimated work /
+    priority): the optimal serial order for priority-weighted total
+    completion time and the canonical batch rank function [24]."""
+    return query.estimated_cost.total_work / max(query.priority, 1)
 
 
 WeightFn = Callable[[Query], float]
@@ -170,7 +227,7 @@ class WorkloadManager:
         self.policy = policy or WorkloadManagementPolicy()
         self.characterizer = characterizer or TagCharacterizer()
         self.admission = admission or AcceptAllAdmission()
-        self.scheduler = scheduler or FCFSDispatcher()
+        self.scheduler = scheduler or WaitQueue()
         self.execution_controllers = list(execution_controllers)
         self.weight_fn = weight_fn or (lambda q: float(max(q.priority, 1)))
         self.control_period = control_period
@@ -397,6 +454,7 @@ class WorkloadManager:
         elif outcome is CompletionOutcome.SUSPENDED:
             self.metrics.record_suspension(query)
         self.admission.notify_exit(query, self.context)
+        self.scheduler.notify_exit(query, self.context)
         for controller in self.execution_controllers:
             controller.notify_exit(query, self.context)
         # Retry DELAYed admissions immediately: a departure is exactly
@@ -454,12 +512,10 @@ class WorkloadManager:
         is untouched.
         """
         evacuated: List[Query] = []
-        snapshot = getattr(self.scheduler, "queued_queries", None)
-        if snapshot is not None:
-            for query in snapshot():
-                removed = self.scheduler.remove(query.query_id)
-                if removed is not None:
-                    evacuated.append(removed)
+        for query in self.scheduler.queued_queries():
+            removed = self.scheduler.remove(query.query_id)
+            if removed is not None:
+                evacuated.append(removed)
         evacuated.extend(self._delayed)
         self._delayed.clear()
         if self._backlog_listeners:

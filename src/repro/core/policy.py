@@ -3,9 +3,10 @@
 "Policies are the plans of an organization to achieve its objectives"
 (§2.1): admission policies say how a request is controlled at arrival,
 scheduling policies guide ordering/dispatch, and execution-control
-policies define dynamic run-time actions.  This module provides those
-policy objects, the threshold/action vocabulary the commercial systems
-share (DB2 thresholds, Teradata exception criteria, SQL Server query
+policies define dynamic run-time actions.  This module provides the
+admission policy object (scheduling and execution control are
+configured on their components), the threshold/action vocabulary the
+commercial systems share (DB2 thresholds, Teradata exception criteria, SQL Server query
 governor), and the :class:`ControlType` descriptors that regenerate
 Table 1.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError, PolicyError
 
@@ -142,27 +143,6 @@ def runtime_observer(kind: ThresholdKind) -> Callable:
     return observer
 
 
-@dataclass(frozen=True)
-class ExecutionRule:
-    """A run-time rule: threshold + the action's parameters.
-
-    ``throttle_factor`` applies to THROTTLE actions; ``demote_to`` names
-    the target service class for DEMOTE; ``resubmit_delay`` applies to
-    KILL_AND_RESUBMIT.
-    """
-
-    threshold: Threshold
-    throttle_factor: float = 0.25
-    demote_to: Optional[str] = None
-    resubmit_delay: float = 30.0
-    applies_to_workloads: Optional[Tuple[str, ...]] = None
-
-    def applies_to(self, workload: Optional[str]) -> bool:
-        if self.applies_to_workloads is None:
-            return True
-        return workload in self.applies_to_workloads
-
-
 # ----------------------------------------------------------------------
 # policy bundles
 # ----------------------------------------------------------------------
@@ -197,31 +177,6 @@ class AdmissionPolicy:
 
 
 @dataclass(frozen=True)
-class SchedulingPolicy:
-    """How queued requests are ordered and released."""
-
-    discipline: str = "fcfs"            # fcfs | priority | sjf | utility
-    max_concurrency: Optional[int] = None
-    per_workload_concurrency: Tuple[Tuple[str, int], ...] = ()
-
-    def workload_limit(self, workload: Optional[str]) -> Optional[int]:
-        for name, limit in self.per_workload_concurrency:
-            if name == workload:
-                return limit
-        return None
-
-
-@dataclass(frozen=True)
-class ExecutionPolicy:
-    """Run-time rules applied by execution controllers."""
-
-    rules: Tuple[ExecutionRule, ...] = ()
-
-    def rules_for(self, workload: Optional[str]) -> List[ExecutionRule]:
-        return [rule for rule in self.rules if rule.applies_to(workload)]
-
-
-@dataclass(frozen=True)
 class WorkloadManagementPolicy:
     """The full policy of a server: per-workload and default controls.
 
@@ -233,8 +188,6 @@ class WorkloadManagementPolicy:
     name: str = "default"
     default_admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
     admission_by_workload: Tuple[Tuple[str, AdmissionPolicy], ...] = ()
-    scheduling: SchedulingPolicy = field(default_factory=SchedulingPolicy)
-    execution: ExecutionPolicy = field(default_factory=ExecutionPolicy)
 
     def admission_for(self, workload: Optional[str]) -> AdmissionPolicy:
         for name, policy in self.admission_by_workload:

@@ -201,7 +201,7 @@ class SuspendResumeController(ExecutionController):
     # ------------------------------------------------------------------
     def _default_pressure(self, context: ManagerContext) -> bool:
         manager = context.manager
-        if manager is not None and hasattr(manager.scheduler, "queued_queries"):
+        if manager is not None:
             queued = manager.scheduler.queued_queries()
             if any(q.priority >= self.protected_priority for q in queued):
                 return True

@@ -7,7 +7,8 @@ at once and picks an execution order.  Two surveyed flavours:
   shortest processing time (WSPT: rank = estimated work / weight),
   which is the optimal order for weighted total completion time on a
   single resource and is the canonical "fair, effective, efficient and
-  differentiated" rank;
+  differentiated" rank — as a wait-queue discipline it is
+  ``WaitQueue(key=wspt)``;
 * **interaction-aware ordering** [2] — queries interact through shared
   memory: co-scheduling several memory-heavy queries causes spill.
   The greedy variant interleaves memory-heavy and memory-light queries
@@ -16,11 +17,10 @@ at once and picks an execution order.  Two surveyed flavours:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import List, Sequence
 
-from repro.core.interfaces import ManagerContext, Scheduler
+from repro.core.manager import wspt
 from repro.engine.query import Query
-from repro.scheduling.queues import MplLike, _as_controller
 
 
 def wspt_order(queries: Sequence[Query]) -> List[Query]:
@@ -29,13 +29,7 @@ def wspt_order(queries: Sequence[Query]) -> List[Query]:
     Minimizes sum of priority-weighted completion times for serial
     execution; a strong heuristic under processor sharing too.
     """
-    return sorted(
-        queries,
-        key=lambda q: (
-            q.estimated_cost.total_work / max(q.priority, 1),
-            q.query_id,
-        ),
-    )
+    return sorted(queries, key=lambda q: (wspt(q), q.query_id))
 
 
 def optimal_order_exhaustive(queries: Sequence[Query]) -> List[Query]:
@@ -99,51 +93,3 @@ def interaction_aware_order(
                 index += 1
         ordered.extend(window_queries)
     return ordered
-
-
-class BatchScheduler(Scheduler):
-    """Dispatch a (re)orderable queue under an MPL.
-
-    ``order_fn`` re-sorts the whole queue on every enqueue — fine for
-    batch workloads, where the queue is long-lived and the point *is*
-    the order.
-    """
-
-    def __init__(
-        self,
-        order_fn: Optional[Callable[[Sequence[Query]], List[Query]]] = None,
-        mpl: MplLike = 4,
-    ) -> None:
-        self.order_fn = order_fn or wspt_order
-        self.mpl = _as_controller(mpl)
-        self._queue: List[Query] = []
-
-    def attach(self, context: ManagerContext) -> None:
-        self.mpl.attach(context)
-        context.engine.on_exit(lambda q, o: self.mpl.notify_completion())
-
-    def enqueue(self, query: Query, context: ManagerContext) -> None:
-        self._queue.append(query)
-        self._queue = self.order_fn(self._queue)
-
-    def next_batch(self, context: ManagerContext) -> List[Query]:
-        limit = self.mpl.current_limit(context)
-        batch: List[Query] = []
-        running = context.engine.running_count
-        while self._queue:
-            if limit is not None and running + len(batch) >= limit:
-                break
-            batch.append(self._queue.pop(0))
-        return batch
-
-    def queued_count(self) -> int:
-        return len(self._queue)
-
-    def queued_queries(self) -> List[Query]:
-        return list(self._queue)
-
-    def remove(self, query_id: int) -> Optional[Query]:
-        for index, query in enumerate(self._queue):
-            if query.query_id == query_id:
-                return self._queue.pop(index)
-        return None

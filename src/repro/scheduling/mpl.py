@@ -18,38 +18,11 @@ concurrently."  Two surveyed families:
 
 from __future__ import annotations
 
-import abc
 from typing import List, Optional, Tuple
 
-from repro.core.interfaces import ManagerContext
+from repro.core.interfaces import ManagerContext, MplController
 from repro.engine.query import Query
 from repro.errors import ConfigurationError
-
-
-class MplController(abc.ABC):
-    """Supplies the current concurrency limit to a scheduler."""
-
-    @abc.abstractmethod
-    def current_limit(self, context: ManagerContext) -> Optional[int]:
-        """Max concurrently running requests (None = unlimited)."""
-
-    def attach(self, context: ManagerContext) -> None:
-        """Optional hook for periodic measurement."""
-
-    def notify_completion(self) -> None:
-        """Optional hook: a request completed (feedback controllers)."""
-
-
-class StaticMpl(MplController):
-    """A fixed MPL — the manual threshold the paper calls "static"."""
-
-    def __init__(self, limit: Optional[int]) -> None:
-        if limit is not None and limit < 1:
-            raise ValueError("limit must be >= 1 or None")
-        self.limit = limit
-
-    def current_limit(self, context: ManagerContext) -> Optional[int]:
-        return self.limit
 
 
 class QueueingModelMpl(MplController):
@@ -92,8 +65,8 @@ class QueueingModelMpl(MplController):
     def current_limit(self, context: ManagerContext) -> Optional[int]:
         sample = context.engine.running_queries()
         manager = context.manager
-        if manager is not None and hasattr(manager.scheduler, "queued_queries"):
-            sample = sample + manager.scheduler.queued_queries()  # type: ignore[attr-defined]
+        if manager is not None:
+            sample = sample + manager.scheduler.queued_queries()
         cpu, io, mem = self._mean_costs(sample)
         if cpu <= 0 and io <= 0:
             return self.ceiling

@@ -1,170 +1,29 @@
-"""Wait-queue management schedulers (paper §3.3, queue management).
+"""Partitioned wait queues (paper §3.3, queue management).
 
 "After passing through an admission control (if any), requests are
 placed in a wait queue or classified into multiple wait queues
 according to their performance objectives and/or business priorities.
 A scheduler then orders requests from the wait queue(s)."
 
-Disciplines provided:
+The single wait queue (arrival, priority, shortest-job and WSPT order)
+is :class:`repro.core.manager.WaitQueue`; this module holds the
+schedulers that partition it:
 
-* :class:`FCFSScheduler` — arrival order (the baseline);
-* :class:`PriorityScheduler` — business priority, FIFO within a level;
-* :class:`ShortestJobFirstScheduler` — estimated work order (the
-  simplest rank function of [24]);
 * :class:`MultiQueueScheduler` — one queue per workload with
-  per-workload MPLs plus a global MPL (Teradata-style object throttles).
+  per-workload MPLs plus a global MPL (Teradata-style object throttles);
+* :class:`TenantShareScheduler` — the same sweep keyed by tenant, with
+  caps apportioned from share weights.
 
-Every scheduler takes its global MPL either as an int (static
-threshold) or as an :class:`~repro.scheduling.mpl.MplController`
-(dynamic determination — the paper's criticism of static thresholds is
-exactly that they cannot adapt).
+The global MPL is an int (static threshold) or an
+:class:`~repro.core.interfaces.MplController` (dynamic determination).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
-from repro.core.interfaces import ManagerContext, Scheduler
+from repro.core.interfaces import ManagerContext, MplController, MplLike, Scheduler
 from repro.engine.query import Query, tenant_key, workload_key
-from repro.scheduling.mpl import MplController, StaticMpl
-
-MplLike = Union[None, int, MplController]
-
-
-def _as_controller(mpl: MplLike) -> MplController:
-    if isinstance(mpl, MplController):
-        return mpl
-    return StaticMpl(mpl)
-
-
-def _attach_mpl_feedback(
-    scheduler: Scheduler, mpl: MplController, context: ManagerContext
-) -> None:
-    """Register the engine-exit → ``mpl.notify_completion`` feedback once.
-
-    ``attach`` runs again whenever a scheduler is re-attached (manager
-    rebuild, scheduler swap, node reactivation).  Registering a fresh
-    listener each time would double-count completions in dynamic MPL
-    controllers (:class:`~repro.scheduling.mpl.FeedbackMpl` would see
-    2x, 3x… throughput), so the engines already hooked are remembered
-    and only a *new* engine gets a listener.
-    """
-    hooked = getattr(scheduler, "_mpl_hooked_engines", None)
-    if hooked is None:
-        hooked = scheduler._mpl_hooked_engines = []
-    engine = context.engine
-    if any(seen is engine for seen in hooked):
-        return
-    hooked.append(engine)
-    engine.on_exit(lambda q, o: mpl.notify_completion())
-
-
-class _QueueSchedulerBase(Scheduler):
-    """Shared machinery: a reorderable queue + an MPL controller."""
-
-    def __init__(self, mpl: MplLike = None) -> None:
-        self._queue: List[Query] = []
-        self.mpl = _as_controller(mpl)
-        self.dispatched_count = 0
-
-    # -- Scheduler interface -------------------------------------------
-    def attach(self, context: ManagerContext) -> None:
-        """Idempotent per engine: safe to call on every re-attach."""
-        self.mpl.attach(context)
-        _attach_mpl_feedback(self, self.mpl, context)
-
-    def enqueue(self, query: Query, context: ManagerContext) -> None:
-        self._insert(query)
-
-    def next_batch(self, context: ManagerContext) -> List[Query]:
-        limit = self.mpl.current_limit(context)
-        batch: List[Query] = []
-        running = context.engine.running_count
-        while self._queue:
-            if limit is not None and running + len(batch) >= limit:
-                break
-            batch.append(self._pop_next(context))
-        self.dispatched_count += len(batch)
-        return batch
-
-    def queued_count(self) -> int:
-        return len(self._queue)
-
-    def queued_queries(self) -> List[Query]:
-        return list(self._queue)
-
-    def remove(self, query_id: int) -> Optional[Query]:
-        for index, query in enumerate(self._queue):
-            if query.query_id == query_id:
-                return self._queue.pop(index)
-        return None
-
-    # -- discipline hooks ----------------------------------------------
-    def _insert(self, query: Query) -> None:
-        self._queue.append(query)
-
-    def _pop_next(self, context: ManagerContext) -> Query:
-        return self._queue.pop(0)
-
-
-class FCFSScheduler(_QueueSchedulerBase):
-    """First-come-first-served dispatch under an MPL.
-
-    Stores its queue in a deque: FCFS only ever pops the head, and the
-    list-based ``pop(0)`` the base class uses is O(queue length) — a
-    real cost in backlogged scenarios where thousands of requests wait.
-    """
-
-    def __init__(self, mpl: MplLike = None) -> None:
-        super().__init__(mpl)
-        self._queue: deque = deque()
-
-    def _pop_next(self, context: ManagerContext) -> Query:
-        return self._queue.popleft()
-
-    def queued_queries(self) -> List[Query]:
-        return list(self._queue)
-
-    def remove(self, query_id: int) -> Optional[Query]:
-        for index, query in enumerate(self._queue):
-            if query.query_id == query_id:
-                del self._queue[index]
-                return query
-        return None
-
-
-class PriorityScheduler(_QueueSchedulerBase):
-    """Higher business priority first; FIFO within a priority level."""
-
-    def _pop_next(self, context: ManagerContext) -> Query:
-        best_index = 0
-        best_priority = self._queue[0].priority
-        for index, query in enumerate(self._queue[1:], start=1):
-            if query.priority > best_priority:
-                best_index, best_priority = index, query.priority
-        return self._queue.pop(best_index)
-
-
-class ShortestJobFirstScheduler(_QueueSchedulerBase):
-    """Smallest estimated total work first (starvation-prone by design —
-    the experiments show why rank functions blend in wait time)."""
-
-    def __init__(self, mpl: MplLike = None, aging_weight: float = 0.0) -> None:
-        super().__init__(mpl)
-        self.aging_weight = aging_weight
-
-    def _rank(self, query: Query, now: float) -> float:
-        submit = query.submit_time if query.submit_time is not None else now
-        return query.estimated_cost.total_work - self.aging_weight * (now - submit)
-
-    def _pop_next(self, context: ManagerContext) -> Query:
-        now = context.now
-        best_index = min(
-            range(len(self._queue)),
-            key=lambda i: (self._rank(self._queue[i], now), i),
-        )
-        return self._queue.pop(best_index)
 
 
 class MultiQueueScheduler(Scheduler):
@@ -181,16 +40,16 @@ class MultiQueueScheduler(Scheduler):
         per_workload_mpl: Optional[Dict[str, int]] = None,
         default_workload_mpl: Optional[int] = None,
     ) -> None:
-        self.global_mpl = _as_controller(global_mpl)
+        self.global_mpl = MplController.of(global_mpl)
         self.per_workload_mpl = dict(per_workload_mpl or {})
         self.default_workload_mpl = default_workload_mpl
         self._queues: Dict[str, List[Query]] = {}
-        self.dispatched_count = 0
 
     def attach(self, context: ManagerContext) -> None:
-        """Idempotent per engine: safe to call on every re-attach."""
         self.global_mpl.attach(context)
-        _attach_mpl_feedback(self, self.global_mpl, context)
+
+    def notify_exit(self, query: Query, context: ManagerContext) -> None:
+        self.global_mpl.notify_completion()
 
     def _workload_key(self, query: Query) -> str:
         return query.workload_name or "<unassigned>"
@@ -238,7 +97,6 @@ class MultiQueueScheduler(Scheduler):
                 batch.append(query)
                 running_by_workload[workload] = in_flight + 1
                 progressed = True
-        self.dispatched_count += len(batch)
         return batch
 
     def queued_count(self) -> int:

@@ -127,8 +127,10 @@ class RestructuringScheduler(Scheduler):
         return self.inner.queued_count()
 
     def queued_queries(self) -> List[Query]:
-        getter = getattr(self.inner, "queued_queries", None)
-        return getter() if getter else []
+        return self.inner.queued_queries()
 
     def remove(self, query_id: int) -> Optional[Query]:
         return self.inner.remove(query_id)
+
+    def notify_exit(self, query: Query, context: ManagerContext) -> None:
+        self.inner.notify_exit(query, context)

@@ -45,7 +45,6 @@ from repro.execution.reprioritization import (
     PriorityAgingController,
     ServiceClassLadder,
 )
-from repro.scheduling.mpl import StaticMpl
 from repro.scheduling.queues import MultiQueueScheduler
 from repro.systems.base import SystemBundle
 
@@ -183,9 +182,20 @@ class DB2WorkloadManagerConfig:
                 mpl_limits[threshold.workload] = int(threshold.limit)
             elif threshold.action is ThresholdAction.STOP_EXECUTION:
                 kill_rules.append(
-                    KillRule(threshold=threshold.as_policy_threshold())
+                    KillRule(
+                        threshold=threshold.as_policy_threshold(),
+                        applies_to_workloads=(
+                            None if threshold.workload is None else (threshold.workload,)
+                        ),
+                    )
                 )
             elif threshold.action is ThresholdAction.DEMOTE:
+                if threshold.workload is not None:
+                    raise ConfigurationError(
+                        f"DEMOTE threshold {threshold.as_policy_threshold().describe()!r} "
+                        f"is scoped to workload {threshold.workload!r}: priority aging "
+                        "is database-wide"
+                    )
                 aging_thresholds.append(threshold.as_policy_threshold())
             elif threshold.action is ThresholdAction.CONTINUE:
                 continue  # collect-data-only thresholds have no control effect
@@ -207,13 +217,11 @@ class DB2WorkloadManagerConfig:
         )
 
         scheduler = MultiQueueScheduler(
-            global_mpl=self.global_mpl,
+            global_mpl=mpl_limits.get(None, self.global_mpl),
             per_workload_mpl={
                 name: limit for name, limit in mpl_limits.items() if name is not None
             },
         )
-        if None in mpl_limits:
-            scheduler.global_mpl = StaticMpl(mpl_limits[None])
 
         controllers: List = []
         ladder = self.service_classes[0].ladder() if self.service_classes else None

@@ -32,12 +32,11 @@ def _workload_rows(manager: WorkloadManager) -> List[str]:
         for q in manager.engine.iter_running()
         if q.workload_name
     )
-    if hasattr(manager.scheduler, "queued_queries"):
-        names.update(
-            q.workload_name
-            for q in manager.scheduler.queued_queries()
-            if q.workload_name
-        )
+    names.update(
+        q.workload_name
+        for q in manager.scheduler.queued_queries()
+        if q.workload_name
+    )
     return sorted(name for name in names if name != "<unassigned>")
 
 
@@ -155,11 +154,7 @@ def teradata_dashboard(
     period, completions, response time, and delay-queue depth."""
     now = manager.sim.now
     running = manager.engine.running_queries()
-    queued = (
-        manager.scheduler.queued_queries()
-        if hasattr(manager.scheduler, "queued_queries")
-        else []
-    )
+    queued = manager.scheduler.queued_queries()
     rows = []
     for workload in _workload_rows(manager):
         stats = manager.metrics.stats_for(workload)

@@ -26,7 +26,7 @@ from repro.cluster import (
 from repro.control.controllers import PIController
 from repro.control.loop import AutonomicLoop
 from repro.core.interfaces import ControlEvent, decisions_by
-from repro.core.manager import FCFSDispatcher, WorkloadManager
+from repro.core.manager import WaitQueue, WorkloadManager
 from repro.core.policy import AdmissionPolicy, Threshold, ThresholdAction, ThresholdKind
 from repro.core.sla import SLASet, response_time_sla
 from repro.engine.query import QueryState, StatementType
@@ -42,7 +42,6 @@ from repro.execution.throttling import (
     UtilityThrottlingController,
 )
 from repro.scheduling.mpl import FeedbackMpl
-from repro.scheduling.queues import FCFSScheduler
 from repro.scheduling.utility import ServiceClassConfig, UtilityScheduler
 from repro.systems.sqlserver import ResourcePool, ResourcePoolController
 from repro.systems.teradata import ObjectAccessFilter, TeradataASMConfig
@@ -71,7 +70,7 @@ def _feedback_admission(sim):
 
 def _feedback_mpl(sim):
     mpl = FeedbackMpl(initial=2, interval=1.0)
-    manager = _manager(sim, scheduler=FCFSScheduler(mpl=mpl))
+    manager = _manager(sim, scheduler=WaitQueue(mpl))
     return mpl, "history", _hog(manager, 3.0, cpu=1.0)
 
 
@@ -109,7 +108,7 @@ def _suspend_resume(sim):
         resume_when_idle_below=2,
     )
     manager = _manager(
-        sim, cpu=1, scheduler=FCFSDispatcher(), execution_controllers=[controller]
+        sim, cpu=1, scheduler=WaitQueue(), execution_controllers=[controller]
     )
     manager.submit(make_query(cpu=50.0, io=0.0, priority=1))
     sim.run_until(5.0)

@@ -5,9 +5,6 @@ import pytest
 from repro.core.policy import (
     AdmissionPolicy,
     ControlType,
-    ExecutionPolicy,
-    ExecutionRule,
-    SchedulingPolicy,
     Threshold,
     ThresholdAction,
     ThresholdKind,
@@ -61,43 +58,6 @@ class TestThreshold:
         assert "rows_returned" in text and "demote" in text
 
 
-class TestExecutionRule:
-    def test_applies_to_all_by_default(self):
-        rule = ExecutionRule(
-            threshold=Threshold(
-                ThresholdKind.ELAPSED_TIME, 5.0, ThresholdAction.THROTTLE
-            )
-        )
-        assert rule.applies_to("anything")
-        assert rule.applies_to(None)
-
-    def test_workload_scoping(self):
-        rule = ExecutionRule(
-            threshold=Threshold(
-                ThresholdKind.ELAPSED_TIME, 5.0, ThresholdAction.THROTTLE
-            ),
-            applies_to_workloads=("bi",),
-        )
-        assert rule.applies_to("bi")
-        assert not rule.applies_to("oltp")
-
-    def test_execution_policy_filters_rules(self):
-        rule_bi = ExecutionRule(
-            threshold=Threshold(
-                ThresholdKind.ELAPSED_TIME, 5.0, ThresholdAction.THROTTLE
-            ),
-            applies_to_workloads=("bi",),
-        )
-        rule_all = ExecutionRule(
-            threshold=Threshold(
-                ThresholdKind.CPU_TIME, 50.0, ThresholdAction.STOP_EXECUTION
-            )
-        )
-        policy = ExecutionPolicy(rules=(rule_bi, rule_all))
-        assert policy.rules_for("oltp") == [rule_all]
-        assert policy.rules_for("bi") == [rule_bi, rule_all]
-
-
 class TestAdmissionPolicy:
     def test_cost_limit_constant(self):
         policy = AdmissionPolicy(reject_over_cost=100.0)
@@ -116,13 +76,6 @@ class TestAdmissionPolicy:
 
     def test_no_limit_when_unset(self):
         assert AdmissionPolicy().cost_limit_at(0.0) is None
-
-
-class TestSchedulingPolicy:
-    def test_workload_limit_lookup(self):
-        policy = SchedulingPolicy(per_workload_concurrency=(("bi", 2),))
-        assert policy.workload_limit("bi") == 2
-        assert policy.workload_limit("oltp") is None
 
 
 class TestWorkloadManagementPolicy:

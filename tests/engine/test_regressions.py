@@ -88,9 +88,9 @@ class TestZeroSubmitTimeFalsiness:
     breaking SJF aging and every elapsed-time computation at t=0."""
 
     def test_sjf_aging_counts_from_time_zero(self, sim):
-        from repro.scheduling.queues import ShortestJobFirstScheduler
+        from repro.core.manager import WaitQueue, shortest_job
 
-        scheduler = ShortestJobFirstScheduler(mpl=1, aging_weight=100.0)
+        scheduler = WaitQueue(1, key=shortest_job(aging_weight=100.0))
         manager = WorkloadManager(
             sim, machine=MachineSpec(4.0, 4.0, 4096.0), scheduler=scheduler
         )

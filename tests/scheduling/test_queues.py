@@ -2,18 +2,14 @@
 
 import pytest
 
-from repro.core.manager import WorkloadManager
+from repro.core.interfaces import StaticMpl
+from repro.core.manager import WaitQueue, WorkloadManager, by_priority, shortest_job
 from repro.engine.query import QueryState
 from repro.engine.resources import MachineSpec
 from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
-from repro.scheduling.mpl import FeedbackMpl, QueueingModelMpl, StaticMpl
-from repro.scheduling.queues import (
-    FCFSScheduler,
-    MultiQueueScheduler,
-    PriorityScheduler,
-    ShortestJobFirstScheduler,
-)
+from repro.scheduling.mpl import FeedbackMpl, QueueingModelMpl
+from repro.scheduling.queues import MultiQueueScheduler
 
 from tests.conftest import make_query
 
@@ -27,7 +23,7 @@ def _manager(sim, scheduler, **kwargs):
 
 class TestFCFS:
     def test_dispatch_order_is_arrival_order(self, sim):
-        scheduler = FCFSScheduler(mpl=1)
+        scheduler = WaitQueue(1)
         manager = _manager(sim, scheduler)
         first = make_query(cpu=1.0, io=0.0)
         second = make_query(cpu=0.1, io=0.0)
@@ -37,14 +33,14 @@ class TestFCFS:
         assert second.state is QueryState.QUEUED
 
     def test_unlimited_dispatches_everything(self, sim):
-        scheduler = FCFSScheduler(mpl=None)
+        scheduler = WaitQueue()
         manager = _manager(sim, scheduler)
         for _ in range(10):
             manager.submit(make_query(cpu=1.0, io=0.0))
         assert manager.running_count == 10
 
     def test_queue_introspection(self, sim):
-        scheduler = FCFSScheduler(mpl=1)
+        scheduler = WaitQueue(1)
         manager = _manager(sim, scheduler)
         manager.submit(make_query(cpu=5.0, io=0.0))
         waiting = make_query(cpu=5.0, io=0.0)
@@ -57,7 +53,7 @@ class TestFCFS:
 
 class TestPriority:
     def test_higher_priority_dispatches_first(self, sim):
-        scheduler = PriorityScheduler(mpl=1)
+        scheduler = WaitQueue(1, key=by_priority)
         manager = _manager(sim, scheduler)
         blocker = make_query(cpu=1.0, io=0.0)
         manager.submit(blocker)
@@ -70,7 +66,7 @@ class TestPriority:
         assert low.state is QueryState.QUEUED
 
     def test_fifo_within_priority_level(self, sim):
-        scheduler = PriorityScheduler(mpl=1)
+        scheduler = WaitQueue(1, key=by_priority)
         manager = _manager(sim, scheduler)
         manager.submit(make_query(cpu=1.0, io=0.0))
         first = make_query(cpu=1.0, io=0.0, priority=2)
@@ -84,7 +80,7 @@ class TestPriority:
 
 class TestSJF:
     def test_shortest_estimated_job_first(self, sim):
-        scheduler = ShortestJobFirstScheduler(mpl=1)
+        scheduler = WaitQueue(1, key=shortest_job())
         manager = _manager(sim, scheduler)
         manager.submit(make_query(cpu=1.0, io=0.0))
         big = make_query(cpu=10.0, io=0.0)
@@ -96,7 +92,7 @@ class TestSJF:
         assert big.state is QueryState.QUEUED
 
     def test_decision_uses_estimates(self, sim):
-        scheduler = ShortestJobFirstScheduler(mpl=1)
+        scheduler = WaitQueue(1, key=shortest_job())
         manager = _manager(sim, scheduler)
         manager.submit(make_query(cpu=1.0, io=0.0))
         # true cost tiny but estimate huge -> treated as big
@@ -108,7 +104,7 @@ class TestSJF:
         assert honest.state is QueryState.RUNNING
 
     def test_aging_prevents_starvation(self, sim):
-        scheduler = ShortestJobFirstScheduler(mpl=1, aging_weight=100.0)
+        scheduler = WaitQueue(1, key=shortest_job(aging_weight=100.0))
         manager = _manager(sim, scheduler)
         manager.submit(make_query(cpu=1.0, io=0.0))
         big_old = make_query(cpu=10.0, io=0.0)
@@ -180,9 +176,10 @@ class TestAttachIdempotency:
     def test_reattach_does_not_double_count_completions(self, sim):
         """Regression: every attach used to add a fresh engine-exit
         listener, so dynamic MPL controllers saw 2x, 3x… throughput
-        after a manager rebuild or scheduler swap."""
+        after a manager rebuild or scheduler swap.  Exits now reach the
+        scheduler through the manager (``Scheduler.notify_exit``)."""
         mpl = FeedbackMpl(initial=4)
-        scheduler = FCFSScheduler(mpl=mpl)
+        scheduler = WaitQueue(mpl)
         manager = _manager(sim, scheduler)
         for _ in range(3):
             scheduler.attach(manager.context)  # e.g. node reactivation
@@ -201,17 +198,20 @@ class TestAttachIdempotency:
         assert mpl._completions == 1
 
     def test_distinct_engines_each_get_a_listener(self):
+        """One scheduler under two managers hears of both engines' exits."""
         mpl = FeedbackMpl(initial=4)
-        scheduler = FCFSScheduler(mpl=mpl)
-        first = _manager(Simulator(seed=31), scheduler)
-        second = _manager(Simulator(seed=32), scheduler)
-        assert len(scheduler._mpl_hooked_engines) == 2
-        assert first.context.engine is not second.context.engine
+        scheduler = WaitQueue(mpl)
+        sims = Simulator(seed=31), Simulator(seed=32)
+        for sim in sims:
+            _manager(sim, scheduler).submit(make_query(cpu=0.5, io=0.0))
+        for sim in sims:
+            sim.run_until(4.0)  # before the controller's adjust interval
+        assert mpl._completions == 2
 
 
 class TestMplControllers:
     def test_static_mpl(self, sim):
-        manager = _manager(sim, FCFSScheduler(mpl=None))
+        manager = _manager(sim, WaitQueue())
         controller = StaticMpl(3)
         assert controller.current_limit(manager.context) == 3
         assert StaticMpl(None).current_limit(manager.context) is None
@@ -221,7 +221,7 @@ class TestMplControllers:
             StaticMpl(0)
 
     def test_queueing_model_memory_bound(self, sim):
-        scheduler = FCFSScheduler(mpl=QueueingModelMpl())
+        scheduler = WaitQueue(QueueingModelMpl())
         manager = _manager(
             sim,
             scheduler,
@@ -234,7 +234,7 @@ class TestMplControllers:
 
     def test_queueing_model_rate_bound(self, sim):
         controller = QueueingModelMpl(utilization_target=1.0)
-        scheduler = FCFSScheduler(mpl=controller)
+        scheduler = WaitQueue(controller)
         manager = _manager(
             sim,
             scheduler,
@@ -249,12 +249,12 @@ class TestMplControllers:
 
     def test_queueing_model_empty_system_returns_ceiling(self, sim):
         controller = QueueingModelMpl(ceiling=42)
-        manager = _manager(sim, FCFSScheduler())
+        manager = _manager(sim, WaitQueue())
         assert controller.current_limit(manager.context) == 42
 
     def test_feedback_mpl_adjusts(self, sim):
         controller = FeedbackMpl(initial=4, interval=1.0, step=1, hysteresis=0.0)
-        manager = _manager(sim, FCFSScheduler(mpl=controller))
+        manager = _manager(sim, WaitQueue(controller))
         controller._last_throughput = 100.0
         controller._completions = 0  # collapse -> reverse direction
         controller._adjust(manager.context)

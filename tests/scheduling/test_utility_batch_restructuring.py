@@ -3,12 +3,11 @@
 import pytest
 
 from repro.core.interfaces import decisions_by
-from repro.core.manager import FCFSDispatcher, WorkloadManager
+from repro.core.manager import FCFSDispatcher, WaitQueue, WorkloadManager, wspt
 from repro.engine.query import QueryState
 from repro.engine.resources import MachineSpec
 from repro.engine.simulator import Simulator
 from repro.scheduling.batch import (
-    BatchScheduler,
     interaction_aware_order,
     wspt_order,
 )
@@ -134,7 +133,7 @@ class TestBatchOrdering:
         )
 
     def test_batch_scheduler_dispatches_in_rank_order(self, sim):
-        scheduler = BatchScheduler(mpl=1)
+        scheduler = WaitQueue(1, key=wspt)
         manager = _manager(sim, scheduler)
         big = make_query(cpu=10.0, io=0.0)
         small = make_query(cpu=0.5, io=0.0)

@@ -123,6 +123,36 @@ class TestThresholds:
         assert slow.demotions >= 1
         assert slow.service_class == "medium"
 
+    def test_stop_execution_threshold_honours_its_workload(self, sim):
+        """A kill scoped to ``big-queries`` was database-wide."""
+        config = DB2WorkloadManagerConfig(
+            work_classes=_config().work_classes,
+            thresholds=(
+                DB2Threshold(
+                    ThresholdKind.ELAPSED_TIME,
+                    5.0,
+                    ThresholdAction.STOP_EXECUTION,
+                    workload="big-queries",
+                ),
+            ),
+        )
+        manager = _manager(sim, config)
+        big = make_query(cpu=60.0, io=60.0)
+        bystander = make_query(cpu=40.0, io=0.0)
+        manager.submit(big)
+        manager.submit(bystander)
+        assert (big.workload_name, bystander.workload_name) == ("big-queries", "default")
+        manager.run(horizon=10.0, drain=0.0)
+        assert big.state is QueryState.KILLED
+        assert bystander.state is QueryState.RUNNING
+
+    def test_workload_scoped_demote_is_refused(self):
+        scoped = DB2Threshold(
+            ThresholdKind.ELAPSED_TIME, 20.0, ThresholdAction.DEMOTE, workload="orders"
+        )
+        with pytest.raises(ConfigurationError, match="elapsed_time > 20 -> demote.*'orders'"):
+            DB2WorkloadManagerConfig(thresholds=(scoped,)).build()
+
     def test_invalid_threshold_combinations(self):
         with pytest.raises(ConfigurationError):
             DB2WorkloadManagerConfig(

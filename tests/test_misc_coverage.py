@@ -133,9 +133,9 @@ class TestPhaseDetectorValidation:
 class TestQueueingModelWithQueueSample:
     def test_limit_uses_queued_queries_in_mix(self, sim):
         from repro.scheduling.mpl import QueueingModelMpl
-        from repro.scheduling.queues import FCFSScheduler
+        from repro.core.manager import WaitQueue
 
-        scheduler = FCFSScheduler(mpl=QueueingModelMpl())
+        scheduler = WaitQueue(QueueingModelMpl())
         manager = WorkloadManager(
             sim,
             machine=MachineSpec(cpu_capacity=2, disk_capacity=2, memory_mb=400),
