@@ -17,8 +17,8 @@ test-ledger:
 # The experiment benches (EXP1-18, tables, ablations): the consumers of
 # src/ APIs that no tier-1 test imports, so an API change fails here and
 # not in whoever next runs `make artifacts`.  Rewrites benchmarks/results/
-# (exp12 prints a process-global query id that depends on which tests
-# ran): regenerate committed artifacts with `make artifacts` only.
+# with seeded, order-independent text: `git status benchmarks/results`
+# is clean afterwards unless behaviour changed (CI checks exactly that).
 test-experiments:
 	$(PY) -m pytest benchmarks/ --ignore=benchmarks/ledger -q
 

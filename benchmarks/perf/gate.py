@@ -164,6 +164,10 @@ def run_row(row: Row, mode: str, workers: int = 1) -> Dict[str, object]:
     return result
 
 
+def _digest(entry: Mapping[str, object]) -> str:
+    return str(entry.get("digest") or entry.get("plan_digest"))
+
+
 def check(
     results: Mapping[str, Mapping[str, object]],
     committed: Mapping[str, Mapping[str, object]],
@@ -200,7 +204,7 @@ def check(
         ]
         wall, recorded = float(result["wall_s"]), entry.get("wall_s")
         ratio = f"{wall / recorded:.2f}x" if recorded else "-"
-        digest = str(result.get("digest") or result.get("plan_digest"))
+        digest = _digest(result)
         counters = " ".join(
             f"{key}={result[key]}" for key in GATED if isinstance(result.get(key), int)
         )
@@ -213,6 +217,31 @@ def check(
         ok = False
     log("  (wall and its ratio to the recorded wall are advisory, never gated)")
     return ok
+
+
+def describe_rerecord(
+    name: str, old: Optional[Mapping[str, object]], new: Mapping[str, object]
+) -> str:
+    """What ``--update-baseline`` is about to do to one entry, read from
+    the entry it overwrites: ``old digest → new digest`` and each gated
+    counter that moved, or ``digest only`` — the evidence line a declared
+    re-baseline (DESIGN.md §7) quotes.  A key the old entry did not hold
+    has no old value to compare: it is listed as newly gated."""
+    if old is None:
+        return f"  {name}: new entry"
+    old_digest, new_digest = _digest(old)[:12], _digest(new)[:12]
+    counters = [key for key in GATED if "digest" not in key and key in new]
+    moved = [
+        f"{key} {old[key]} → {new[key]}"
+        for key in counters
+        if key in old and old[key] != new[key]
+    ]
+    moved += [f"{key} {old[key]} → dropped" for key in old if key not in new]
+    added = [f"{key}={new[key]}" for key in counters if key not in old]
+    if old_digest == new_digest and not moved and not added:
+        return f"  {name}: {old_digest} unchanged"
+    line = f"  {name}: {old_digest} → {new_digest}  {', '.join(moved) or 'digest only'}"
+    return line + (f"; newly gated: {', '.join(added)}" if added else "")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -273,7 +302,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     section = baseline.setdefault(args.mode, {})
     if args.update_baseline:
         for name, result in results.items():
-            section[name] = {k: result[k] for k in GATED + ADVISORY if k in result}
+            entry = {k: result[k] for k in GATED + ADVISORY if k in result}
+            print(describe_rerecord(name, section.get(name), entry))
+            section[name] = entry
     ok = check(results, section, [row.name for row in declared])
     if args.update_baseline and ok:
         BASELINE_PATH.write_text(json.dumps(baseline, indent=2, sort_keys=True) + "\n")

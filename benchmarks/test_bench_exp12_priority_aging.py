@@ -98,6 +98,11 @@ def run_variant(aging: bool, seed=SEEDS[0]):
         None,
     )
     return {
+        # query ids are process-global: the run's own numbering starts here
+        "first_query_id": min(
+            [record.query_id for record in manager.query_log]
+            + manager.engine.running_ids()
+        ),
         "tactical_rt": tactical.mean_response_time(),
         "tactical_n": tactical.completions,
         "demotion_events": decisions_by(
@@ -135,10 +140,11 @@ def test_exp12_priority_aging(benchmark):
             f"hog weight={row['hog_weight']}"
         )
     lines.append("")
-    lines.append("demotion events (time, query, new level):")
+    lines.append("demotion events (time, workload and query's ordinal in the run, new level):")
     for event in aged["demotion_events"]:
+        ordinal = event.query_id - aged["first_query_id"] + 1
         lines.append(
-            f"  t={event.time:.1f}s query {event.query_id} -> {event.detail}"
+            f"  t={event.time:.1f}s {event.workload} query #{ordinal} -> {event.detail}"
         )
 
     claims = [

@@ -6,9 +6,10 @@ determined by weighted max-min fair resource sharing
 (:mod:`repro.engine.resources`), inflated I/O under memory pressure
 (:mod:`repro.engine.bufferpool`), and lock waits
 (:mod:`repro.engine.locks`).  Speeds are recomputed at every state
-change — admission, completion, kill, pause, weight change, lock event —
-and the next milestone (a completion or a lock-acquisition point) is
-scheduled on the simulator.
+change — admission, completion, kill, pause, weight change, lock wait
+or wake — and the next milestone (a completion or a lock-acquisition
+point) is scheduled on the simulator.  A granted lock changes nobody's
+speed: it moves one query's milestone and nothing else (DESIGN.md §7).
 
 Everything execution control needs is a first-class operation here:
 
@@ -195,6 +196,9 @@ class ExecutionEngine:
         # The one armed milestone event, and the query it fires for.
         self._milestone_handle = None
         self._milestone_qid = -1
+        # Every row's ETA as the last real solve's pick computed it, aligned
+        # with ``live_indices()``; ``None`` when that pick kept none.
+        self._etas = None
         self._cpu = self.resources[ResourceKind.CPU]
         self._disk = self.resources[ResourceKind.DISK]
         self.completed_count = 0
@@ -547,20 +551,15 @@ class ExecutionEngine:
 
     def _solve(self) -> None:
         self._realloc_pending = False
+        if self._solved_version == self._alloc_version and self._milestone_handle is not None:
+            # Nothing feeding the allocator changed and the milestone is
+            # still armed: the speeds stand, and so does every ETA.
+            return
         now = self.sim.now
         idx = self.store.live_indices()
-        if self._solved_version == self._alloc_version:
-            # Nothing feeding the allocator changed: keep the current
-            # speeds.  Re-record the (unchanged) usage so the
-            # utilization integrals accrue exactly as they would have,
-            # and re-arm the milestone if this call consumed it.
-            self._cpu.record(now, self._cpu.instantaneous_usage)
-            self._disk.record(now, self._disk.instantaneous_usage)
-            if self._milestone_handle is None:
-                self._arm_milestone(self._next_milestone(idx))
-            return
         if self._store_epoch != self._demand_epoch:
             self._refresh_demands()
+        self._etas = None  # the pick keeps its own while a row has a lock point ahead
         if idx.size >= _VECTOR_MIN_RUNNING:
             usage_cpu, usage_disk = self._solve_vectorized(idx)
             pick = self._pick_vectorized(idx)
@@ -652,16 +651,6 @@ class ExecutionEngine:
         usage_disk = float(np.dot(speeds[positive], disk_demand[positive]))
         return usage_cpu, usage_disk
 
-    def _next_milestone(self, idx: np.ndarray):
-        """``(time, query id)`` of the next milestone as the store has
-        it, or ``None`` when nothing running is moving or done."""
-        if idx.size >= _VECTOR_MIN_RUNNING:
-            return self._pick_vectorized(idx)
-        store = self.store
-        return self._pick_scalar(
-            idx, store.progress[idx].tolist(), store.speed[idx].tolist()
-        )
-
     def _pick_vectorized(self, idx: np.ndarray):
         store = self.store
         now = self.sim.now
@@ -679,35 +668,39 @@ class ExecutionEngine:
         gap = store.milestone[idx] - progress
         np.maximum(gap, 0.0, out=gap)
         eta[moving] = now + gap[moving] / speed[moving]
+        self._etas = eta  # built anyway: kept whether or not a lock is ahead
         pos = int(np.argmin(eta))
         return float(eta[pos]), int(store.qid[idx[pos]])
 
     def _pick_scalar(self, idx: np.ndarray, progresses: List[float], speeds: List[float]):
-        """The one scalar pick loop, over lists aligned with ``idx``:
-        :meth:`_solve_scalar` passes what it gathered and solved, the
-        memoized solve what :meth:`_next_milestone` read back."""
+        """The scalar pick loop, over the lists :meth:`_solve_scalar`
+        gathered and solved (aligned with ``idx``)."""
         if not progresses:
             return None
         store = self.store
         now = self.sim.now
         milestones = store.milestone[idx].tolist()
         locks_pending = store.locks_pending[idx].tolist()
+        # Lock-free sets keep nothing: no grant can ask for an ETA.
+        etas = [np.inf] * len(progresses) if True in locks_pending else None
         best_time, best = None, -1
         for i in range(len(progresses)):
             progress = progresses[i]
             if progress >= 1.0 - 1e-12 and not locks_pending[i]:
                 # as in the vector pick: reap it at this instant
-                best_time, best = now, i
-                break
+                return now, int(store.qid[idx[i]])
             speed = speeds[i]
             if speed <= 0:
                 continue
             gap = milestones[i] - progress
             eta = now + (gap if gap > 0.0 else 0.0) / speed
+            if etas is not None:
+                etas[i] = eta
             if best < 0 or eta < best_time:
                 best_time, best = eta, i
         if best < 0:
             return None
+        self._etas = etas
         return best_time, int(store.qid[idx[best]])
 
     def _arm_milestone(self, pick) -> None:
@@ -724,8 +717,34 @@ class ExecutionEngine:
     def _on_milestone(self) -> None:
         query_id = self._milestone_qid
         self._milestone_handle = None
-        self._sync_all()
         entry = self._running.get(query_id)
+        lock_ahead = entry is not None and entry.next_lock < len(entry.lock_points)
+        outcome = None
+        etas = self._etas
+        if (
+            lock_ahead
+            and etas is not None
+            and self._solved_version == self._alloc_version
+            and not self._realloc_pending
+        ):
+            # No speed has changed since the solve whose pick armed this
+            # event, so the row is at its lock point and every kept ETA
+            # holds.  A grant changes no speed either: this row's ETA
+            # moves with its milestone (the progress column stays "as of
+            # ``_last_sync_time``": nothing is advanced) and the minimum
+            # of the vector is the next milestone.
+            outcome = self.lock_manager.try_acquire(query_id, entry.next_lock)
+            if outcome is LockOutcome.GRANTED:
+                store = self.store
+                slot = store.index[query_id]
+                self._lock_granted(entry, slot)
+                idx = store.live_indices()
+                gap = float(store.milestone[slot] - store.progress[slot])
+                etas[idx.searchsorted(slot)] = self._last_sync_time + gap / float(store.speed[slot])
+                pos = etas.index(min(etas)) if type(etas) is list else etas.argmin()
+                self._arm_milestone((float(etas[pos]), int(store.qid[idx[pos]])))
+                return
+        self._sync_all()
         if entry is None:  # left the engine since scheduling
             self._reallocate()
             return
@@ -733,7 +752,7 @@ class ExecutionEngine:
         slot = store.index[query_id]
         milestone = float(store.milestone[slot])
         progress = float(store.progress[slot])
-        reached = progress >= milestone - 1e-9
+        reached = outcome is not None or progress >= milestone - 1e-9
         if not reached:
             # A fast query can sit further than 1e-9 of progress from its
             # milestone yet closer in time than the clock resolves at
@@ -747,17 +766,18 @@ class ExecutionEngine:
             if progress < milestone:
                 store.progress[slot] = milestone
                 progress = milestone
-            if entry.next_lock < len(entry.lock_points):
-                self._acquire_next_lock(entry)
+            if lock_ahead:
+                self._acquire_next_lock(entry, outcome)
                 return
             if progress >= 1.0 - 1e-12:
                 self._finish(entry, CompletionOutcome.COMPLETED)
                 return
         self._reallocate()
 
-    def _acquire_next_lock(self, entry: _Running) -> None:
+    def _acquire_next_lock(self, entry: _Running, outcome: Optional[LockOutcome]) -> None:
         query_id = entry.query.query_id
-        outcome = self.lock_manager.try_acquire(query_id, entry.next_lock)
+        if outcome is None:  # else the milestone event has asked: once per lock point
+            outcome = self.lock_manager.try_acquire(query_id, entry.next_lock)
         if outcome is LockOutcome.GRANTED:
             self._lock_granted(entry, self.store.index[query_id])
             self._reallocate()

@@ -92,7 +92,7 @@ class LockManager:
         if query_id in self._txns:
             raise SimulationError(f"transaction {query_id} already registered")
         count = min(lock_count, self.num_items)
-        items = list(self._rng.choice(self.num_items, size=count, replace=False))
+        items = self._rng.choice(self.num_items, size=count, replace=False).tolist()
         self._txns[query_id] = _Transaction(query_id=query_id, timestamp=now, items=items)
         return [j / (count + 1) for j in range(1, count + 1)]
 
@@ -106,8 +106,8 @@ class LockManager:
         self.stats.requests += 1
         holder = self._holders.get(item)
         if holder is None or holder == query_id:
-            self._holders[item] = query_id
-            if item not in txn.acquired:
+            if holder is None:  # else already held, and so already in ``acquired``
+                self._holders[item] = query_id
                 txn.acquired.append(item)
             return LockOutcome.GRANTED
         self.stats.conflicts += 1

@@ -23,6 +23,14 @@ class TestRegistration:
         points = manager.register(1, 10, now=0.0)
         assert len(points) == 3
 
+    def test_items_are_plain_ints_from_the_same_draws(self):
+        manager = _manager(num_items=50, seed=3)
+        manager.register(1, 4, now=0.0)
+        items = manager._txns[1].items
+        reference = np.random.Generator(np.random.PCG64(3)).choice(50, size=4, replace=False)
+        assert items == [int(item) for item in reference]
+        assert all(type(item) is int for item in items)  # not numpy.int64
+
     def test_double_register_rejected(self):
         manager = _manager()
         manager.register(1, 2, now=0.0)
@@ -93,6 +101,7 @@ class TestGrantWaitDie:
         assert manager.try_acquire(1, 0) is LockOutcome.GRANTED
         assert manager.try_acquire(1, 0) is LockOutcome.GRANTED
         assert manager.locks_held() == 1
+        assert len(manager._txns[1].acquired) == 1  # held once, listed once
 
 
 class TestConflictRatio:

@@ -399,11 +399,12 @@ class TestTracerContract:
         # the engine.event.milestone seam is matched on the label's head
         sim = Simulator()
         engine = ExecutionEngine(sim)
-        engine.start(submitted_query(sim, cpu=1.0, io=0.5, locks=1))
+        # (an in-place lock grant re-arms through the same call as a solve)
+        engine.start(submitted_query(sim, cpu=1.0, io=0.5, locks=3))
         labels = []
         while engine._milestone_handle is not None:
             labels.append(engine._milestone_handle.label)
             sim.step()
         assert engine.completed_count == 1
-        assert len(labels) == 2  # the lock point, then the completion
+        assert len(labels) == 4  # the three lock points, then the completion
         assert all(label.startswith("milestone:") for label in labels)

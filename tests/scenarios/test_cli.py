@@ -234,7 +234,7 @@ def test_sweep_table_is_the_committed_golden(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[:-1] == GOLDEN_SWEEP.splitlines()
     assert lines[-1].startswith("4 runs in ")
-    assert lines[-1].endswith("(2 workers); sweep digest a9b955e81a1fddab…")
+    assert lines[-1].endswith("(2 workers); sweep digest 9bd385b19e5c6544…")
 
 
 GOLDEN_SWEEP = """\
@@ -242,10 +242,10 @@ Sweeping 2 placement policies × 2 seeds (4 runs, 2 workers, 3 nodes, 10s horizo
 
 policy                  seed   done   rej resub oltp p95  bi mean  digest
 -------------------------------------------------------------------------
-push/cost                 42    296     0     0    0.064        -  b7199abfeab3…
-push/cost                 43    289     0     0    0.138    8.826  d0c56cb9ce3f…
-push/least                42    296     0     0    0.064        -  31a096736910…
-push/least                43    289     0     0    0.053    8.826  009d34e123f4…
+push/cost                 42    296     0     0    0.064        -  4139fa2acfef…
+push/cost                 43    289     0     0    0.138    8.826  8fadc3a3474a…
+push/least                42    296     0     0    0.064        -  afb096d32e3b…
+push/least                43    289     0     0    0.053    8.826  958b2dcec97a…
 -------------------------------------------------------------------------
 push/cost (all)            2    585     0     0    0.138        -  worst-seed p95
 push/least (all)           2    585     0     0    0.064        -  worst-seed p95

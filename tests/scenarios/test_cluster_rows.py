@@ -25,7 +25,9 @@ def test_run_scenario_reproduces_the_committed_ci_cluster_entry():
     row = cluster_row(_killed_n1_run())
     gated = {key: row[key] for key in committed if key not in gate.ADVISORY}
     assert gated == {k: v for k, v in committed.items() if k not in gate.ADVISORY}
-    assert set(gated) == {
+    # what the bespoke runner recorded is still gated (a re-record adds
+    # whatever else ``cluster_row`` reports: ``rejected``, ``arrivals``)
+    assert set(gated) >= {
         "digest", "submitted", "completed", "events", "resubmitted", "sim_time"
     }
     assert row["invariants"] == {"conserved": True}

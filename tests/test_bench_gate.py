@@ -127,6 +127,36 @@ def test_update_baseline_writes_only_the_rows_and_mode_it_ran(fake_gate):
     assert gate.main(["--only", "cluster"]) == 0
 
 
+def test_update_baseline_prints_what_it_overwrites(fake_gate, capsys, monkeypatch):
+    """The re-baseline evidence is read from the entry being replaced:
+    old → new digest, and every gated counter that moved, by name."""
+    short, flipped = DIGEST[:12], "ba" + DIGEST[2:]
+    assert gate.main(["--only", "cluster", "--update-baseline"]) == 0
+    assert f"  cluster: {short} → {short}  completed 9 → 7" in capsys.readouterr().out
+    monkeypatch.setattr(
+        gate, "run_row", lambda row, mode, workers=1: _result(digest=flipped, completed=7)
+    )
+    assert gate.main(["--only", "cluster", "--update-baseline"]) == 0
+    assert f"  cluster: {short} → {flipped[:12]}  digest only" in capsys.readouterr().out
+
+
+def test_describe_rerecord_of_an_equal_or_a_new_entry():
+    assert gate.describe_rerecord("r", ENTRY, dict(ENTRY, wall_s=9.0)) == (
+        f"  r: {DIGEST[:12]} unchanged"
+    )
+    assert gate.describe_rerecord("r", None, ENTRY) == "  r: new entry"
+
+
+def test_describe_rerecord_names_keys_the_old_entry_did_not_gate():
+    old = {k: v for k, v in ENTRY.items() if k not in ("events", "sim_time")}
+    flipped = "ba" + DIGEST[2:]
+    assert gate.describe_rerecord("r", old, dict(ENTRY, digest=flipped)) == (
+        f"  r: {DIGEST[:12]} → {flipped[:12]}  digest only; "
+        "newly gated: events=40, sim_time=105.60000000000001"
+    )
+    assert "polls 3 → dropped" in gate.describe_rerecord("r", dict(ENTRY, polls=3), ENTRY)
+
+
 def test_unknown_row_is_a_usage_error(fake_gate):
     with pytest.raises(SystemExit) as excinfo:
         gate.main(["--only", "matcher_push_256"])  # declared for full only
