@@ -22,10 +22,18 @@ test-ledger:
 test-experiments:
 	$(PY) -m pytest benchmarks/ --ignore=benchmarks/ledger -q
 
-# Every example runs to exit 0 (~7 s): they consume src/ APIs that the
-# inventory test only checks exist.
+# Every example runs to exit 0 and prints exactly its committed golden,
+# examples/expected/<name>.txt (~7 s; seeded, so byte-stable): they
+# consume src/ APIs that the inventory test only checks exist.  A diff
+# fails the target; after an intended output change, rewrite the golden
+# with `$(PY) examples/<name>.py > examples/expected/<name>.txt` and say
+# why in CHANGES.md.
 examples:
-	@set -e; for f in examples/*.py; do echo "== $$f"; $(PY) $$f >/dev/null; done
+	@set -e; out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
+	for f in examples/*.py; do \
+		echo "== $$f"; $(PY) $$f > "$$out"; \
+		diff -u "examples/expected/$$(basename $$f .py).txt" "$$out"; \
+	done
 
 # Static checks (ruff, config in pyproject.toml).  CI installs ruff;
 # locally the target degrades to a no-op when ruff is unavailable.

@@ -52,7 +52,6 @@ from repro.core import (
     SLASet,
     PerformanceObjective,
     ObjectiveKind,
-    WorkloadManagementPolicy,
     AdmissionPolicy,
     classify_descriptor,
     classify_component,
@@ -100,7 +99,6 @@ __all__ = [
     "SLASet",
     "PerformanceObjective",
     "ObjectiveKind",
-    "WorkloadManagementPolicy",
     "AdmissionPolicy",
     "classify_descriptor",
     "classify_component",

@@ -38,8 +38,8 @@ class ThresholdAdmission(AdmissionController):
     Parameters
     ----------
     default_policy:
-        Applied to workloads with no specific policy; if None, the
-        manager's :class:`WorkloadManagementPolicy` supplies it.
+        Applied to workloads with no specific policy; if None, an empty
+        :class:`AdmissionPolicy` (no limit: every request is admitted).
     per_workload:
         Workload name → :class:`AdmissionPolicy` overrides.
     """
@@ -57,22 +57,16 @@ class ThresholdAdmission(AdmissionController):
         default_policy: Optional[AdmissionPolicy] = None,
         per_workload: Optional[Mapping[str, AdmissionPolicy]] = None,
     ) -> None:
-        self.default_policy = default_policy
+        self.default_policy = default_policy or AdmissionPolicy()
         self.per_workload: Dict[str, AdmissionPolicy] = dict(per_workload or {})
         # exposed for experiments
         self.cost_rejections = 0
         self.mpl_delays = 0
         self.mpl_rejections = 0
 
-    def policy_for(
-        self, query: Query, context: ManagerContext
-    ) -> AdmissionPolicy:
+    def policy_for(self, query: Query) -> AdmissionPolicy:
         """Resolve the admission policy applying to this request."""
-        if query.workload_name in self.per_workload:
-            return self.per_workload[query.workload_name]
-        if self.default_policy is not None:
-            return self.default_policy
-        return context.policy.admission_for(query.workload_name)
+        return self.per_workload.get(query.workload_name, self.default_policy)
 
     def _workload_running(self, workload: Optional[str], context: ManagerContext) -> int:
         return sum(
@@ -82,7 +76,7 @@ class ThresholdAdmission(AdmissionController):
         )
 
     def decide(self, query: Query, context: ManagerContext) -> AdmissionDecision:
-        policy = self.policy_for(query, context)
+        policy = self.policy_for(query)
 
         cost_limit = policy.cost_limit_at(context.now)
         if cost_limit is not None:

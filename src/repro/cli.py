@@ -319,13 +319,14 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _backend_specs(names: str):
+    from repro.errors import ConfigurationError
     from repro.workloads.generator import WORKLOAD_BUILDERS
 
     specs = []
     for name in names.split(","):
         name = name.strip()
         if name not in WORKLOAD_BUILDERS:
-            raise SystemExit(
+            raise ConfigurationError(
                 f"unknown workload {name!r}; choose from {tuple(WORKLOAD_BUILDERS)}"
             )
         specs.append(WORKLOAD_BUILDERS[name]())

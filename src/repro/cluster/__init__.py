@@ -14,9 +14,6 @@ a pluggable binding policy: ``push`` places each request on a node at
 arrival, ``pull`` parks it in a :class:`~repro.cluster.taskqueue.TaskQueue`
 until a node with a free execution slot pulls matching work through the
 :class:`~repro.cluster.matcher.Matcher` (DIRAC-style late binding).
-Elastic
-provisioning (:mod:`repro.cluster.elastic`) reuses the §3.4 feedback
-controllers to grow and shrink the active node set, and
 :mod:`repro.cluster.metrics` rolls per-node statistics up into
 cluster-level views.
 """
@@ -30,7 +27,6 @@ from repro.cluster.dispatcher import (
     make_binding,
     tenant_key,
 )
-from repro.cluster.elastic import ElasticProvisioner
 from repro.cluster.failover import FaultEvent, FaultInjector, FaultKind, FaultPlan
 from repro.cluster.matcher import Matcher
 from repro.cluster.metrics import ClusterMetrics
@@ -63,7 +59,6 @@ __all__ = [
     "ClusterMetrics",
     "ClusterNode",
     "CostBalancedPlacement",
-    "ElasticProvisioner",
     "FaultEvent",
     "FaultInjector",
     "FaultKind",

@@ -407,10 +407,6 @@ class ClusterDispatcher:
             )
         self._route(query)
 
-    def tenant_outstanding(self, tenant: str) -> int:
-        """Requests a tenant currently has anywhere in the cluster."""
-        return self._tenant_outstanding.get(tenant, 0)
-
     def resubmit(self, query: Query, delay: float = 0.0) -> None:
         """Re-enter a request whose previous placement was lost.
 
@@ -563,9 +559,6 @@ class ClusterDispatcher:
     @property
     def cluster_queue_depth(self) -> int:
         return self.binding.queue_depth
-
-    def active_nodes(self) -> List[ClusterNode]:
-        return [n for n in self.nodes if n.health is NodeHealth.UP]
 
     def outstanding_work(self) -> int:
         return self.binding.queue_depth + sum(

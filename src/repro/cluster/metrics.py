@@ -6,7 +6,7 @@ Built on the per-node streaming :class:`~repro.core.metrics` collectors
 for one workload merged on demand, and reading it writes to no
 collector.  The collector itself only stores what no node knows:
 placement and resubmission counts and the cluster tier's decision record
-(cluster rejections, node health, injected faults, provisioning actions).
+(cluster rejections, node health, injected faults).
 """
 
 from __future__ import annotations
@@ -110,8 +110,8 @@ class ClusterMetrics:
         """Per-node character lanes for the ASCII cluster timeline.
 
         Load shading comes from each node's monitor samples (running
-        count vs. its MPL); health changes overlay crash (``x``), drain
-        (``~``) and standby (``.``) intervals.
+        count vs. its MPL); health changes overlay crash (``x``) and
+        drain (``~``) intervals.
         """
         ramp = " .:-=+*#"
         lanes: Dict[str, str] = {}
@@ -134,11 +134,7 @@ class ClusterMetrics:
                     chars.append(" ")
             # overlay health intervals
             changes = [e for e in health if e.detail["node"] == node.name]
-            marks = {
-                NodeHealth.DOWN: "x",
-                NodeHealth.DRAINING: "~",
-                NodeHealth.STANDBY: ".",
-            }
+            marks = {NodeHealth.DOWN: "x", NodeHealth.DRAINING: "~"}
             for index, change in enumerate(changes):
                 mark = marks.get(change.detail["health"])
                 if mark is None:

@@ -12,7 +12,7 @@ Each node carries:
   ``max_outstanding`` admission ceiling the dispatcher respects);
 * a health state (:class:`NodeHealth`) driving placement eligibility —
   DRAINING nodes finish their work but take no new placements, DOWN
-  nodes are dead, STANDBY nodes are provisioned-but-inactive spares;
+  nodes are dead;
 * a DIRAC-style heartbeat: a periodic snapshot of MPL, queue depth,
   utilization and per-class velocity published into the shared clock,
   the information a matcher/dispatcher would pull before placing work.
@@ -44,7 +44,6 @@ class NodeHealth(enum.Enum):
     UP = "up"               # healthy, taking placements
     DRAINING = "draining"   # finishes outstanding work, no new placements
     DOWN = "down"           # crashed: in-flight work is lost
-    STANDBY = "standby"     # provisioned spare, inactive until activated
 
     @property
     def accepts_placements(self) -> bool:
@@ -84,8 +83,6 @@ class ClusterNode:
         Saturation ceiling the dispatcher checks before placing: a node
         with ``outstanding_work >= max_outstanding`` is not eligible.
         Defaults to ``4 * mpl`` (a bounded node-local backlog).
-    health:
-        Initial health; STANDBY spares join via :meth:`activate`.
     tags:
         Static capability tags (e.g. ``("big-memory", "ssd")``) matched
         against task-queue requirement tags in pull dispatch.
@@ -108,7 +105,6 @@ class ClusterNode:
         slas: Optional[SLASet] = None,
         control_period: float = 1.0,
         heartbeat_period: float = 1.0,
-        health: NodeHealth = NodeHealth.UP,
         tags: Iterable[str] = (),
         speed_factor: float = 1.0,
     ) -> None:
@@ -133,7 +129,7 @@ class ClusterNode:
             slas=slas,
             control_period=control_period,
         )
-        self.health = health
+        self.health = NodeHealth.UP
         self.tags = frozenset(tags)
         self.base_speed_factor = speed_factor   # what restore/activate return to
         self.speed_factor = speed_factor        # < 1.0 models a slow node
@@ -146,10 +142,6 @@ class ClusterNode:
         self._heartbeat_proc = self.scope.schedule_periodic(
             heartbeat_period, self.publish_heartbeat, label=f"heartbeat:{name}"
         )
-        if health is not NodeHealth.UP:
-            # spares/down nodes do not tick or beat until activated
-            self.manager.shutdown()
-            self._heartbeat_proc.stop()
         # on_change: the manager pings when running or queued may have
         # moved; health, speed and est-work mutations call _changed below
         self._change_listeners: List[Callable[["ClusterNode"], None]] = []
@@ -268,16 +260,9 @@ class ClusterNode:
             self.health = NodeHealth.DRAINING
             self._changed()
 
-    def park(self) -> None:
-        """Park a finished (drained) node as a standby spare."""
-        self.health = NodeHealth.STANDBY
-        self.manager.shutdown()
-        self._heartbeat_proc.stop()
-        self._changed()
-
     def activate(self) -> None:
-        """Bring a STANDBY / DRAINING / recovered node (back) into service."""
-        was_stopped = self.health in (NodeHealth.STANDBY, NodeHealth.DOWN)
+        """Bring a DRAINING or recovered node (back) into service."""
+        was_stopped = self.health is NodeHealth.DOWN
         self.health = NodeHealth.UP
         self.speed_factor = self.base_speed_factor
         if was_stopped:
@@ -292,7 +277,7 @@ class ClusterNode:
     def degrade(self, factor: float) -> None:
         """Slow the node to ``factor`` of full speed (fault injection).
 
-        On a DOWN or STANDBY node this is a documented **no-op**: the
+        On a DOWN node this is a documented **no-op**: the
         node's manager is shut down (throttling its engine would touch
         a dead server), it holds no placements a slowdown could affect,
         and :meth:`activate` resets speed anyway.  Chaos plans may
@@ -308,7 +293,7 @@ class ClusterNode:
         self._enforce_speed()
 
     def restore_speed(self) -> None:
-        """Undo :meth:`degrade` (no-op on DOWN/STANDBY, like degrade)."""
+        """Undo :meth:`degrade` (no-op on a DOWN node, like degrade)."""
         if not self.serviceable:
             return
         self.speed_factor = self.base_speed_factor
@@ -319,8 +304,8 @@ class ClusterNode:
     def serviceable(self) -> bool:
         """True while the node's manager is live (UP or DRAINING).
 
-        DOWN and STANDBY nodes have a shut-down manager: speed changes
-        against them are no-ops by contract.
+        A DOWN node has a shut-down manager: speed changes against it
+        are no-ops by contract.
         """
         return self.health in (NodeHealth.UP, NodeHealth.DRAINING)
 

@@ -32,7 +32,6 @@ from repro.core.policy import (
     ThresholdKind,
     ThresholdAction,
     AdmissionPolicy,
-    WorkloadManagementPolicy,
 )
 from repro.core.metrics import MetricsCollector, WorkloadStats, SystemSample
 from repro.core.interfaces import (
@@ -46,7 +45,7 @@ from repro.core.interfaces import (
     Characterizer,
     ManagerContext,
 )
-from repro.core.manager import WorkloadManager, WorkloadInfo
+from repro.core.manager import WorkloadManager
 from repro.core.capacity import (
     CapacityAwareAdmission,
     CapacityEstimate,
@@ -79,7 +78,6 @@ __all__ = [
     "ThresholdKind",
     "ThresholdAction",
     "AdmissionPolicy",
-    "WorkloadManagementPolicy",
     "MetricsCollector",
     "WorkloadStats",
     "SystemSample",
@@ -93,7 +91,6 @@ __all__ = [
     "Characterizer",
     "ManagerContext",
     "WorkloadManager",
-    "WorkloadInfo",
     "ApproachDescriptor",
     "Feature",
     "ADMISSION_APPROACHES",

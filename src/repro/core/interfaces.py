@@ -10,7 +10,7 @@ sockets defined here:
 * :class:`ExecutionController` — run-time control actions (§3.4).
 
 Controllers receive a :class:`ManagerContext` giving them monitored
-access to the engine, metrics, SLAs and policy — the same information a
+access to the engine, metrics, SLAs and query log — the same information a
 commercial facility's components share.
 """
 
@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Any, List, Optional, TYPE_CHECKING, Union
 
 from repro.core.metrics import MetricsCollector
-from repro.core.policy import WorkloadManagementPolicy
 from repro.core.sla import SLASet
 from repro.engine.executor import ExecutionEngine
 from repro.engine.query import Query, workload_key
@@ -107,7 +106,6 @@ class ManagerContext:
     engine: ExecutionEngine
     metrics: MetricsCollector
     slas: SLASet
-    policy: WorkloadManagementPolicy
     sessions: SessionRegistry
     query_log: QueryLog
     manager: Optional["WorkloadManager"] = None

@@ -17,9 +17,8 @@ management — the baseline of every experiment.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro.core.interfaces import (
     AdmissionController,
@@ -33,7 +32,6 @@ from repro.core.interfaces import (
     Scheduler,
 )
 from repro.core.metrics import MetricsCollector, SystemSample
-from repro.core.policy import WorkloadManagementPolicy
 from repro.core.sla import SLASet
 from repro.engine.executor import CompletionOutcome, EngineConfig, ExecutionEngine
 from repro.engine.query import Query, QueryState, workload_key
@@ -42,14 +40,6 @@ from repro.engine.sessions import SessionRegistry
 from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
 from repro.workloads.traces import QueryLog
-
-
-@dataclass(frozen=True)
-class WorkloadInfo:
-    """Registration of a workload known to the manager."""
-
-    name: str
-    priority: int = 1
 
 
 class TagCharacterizer(Characterizer):
@@ -194,8 +184,9 @@ class WorkloadManager:
         is given.
     characterizer, admission, scheduler, execution_controllers:
         The pluggable stages; all optional (see class docstring).
-    slas, policy:
-        Server-level objectives and management policy.
+    slas:
+        Server-level objectives; an SLA's importance becomes the
+        priority of the requests identified as its workload.
     control_period:
         Seconds between execution-control/monitor ticks.
     weight_fn:
@@ -214,7 +205,6 @@ class WorkloadManager:
         scheduler: Optional[Scheduler] = None,
         execution_controllers: Sequence[ExecutionController] = (),
         slas: Optional[SLASet] = None,
-        policy: Optional[WorkloadManagementPolicy] = None,
         control_period: float = 1.0,
         weight_fn: Optional[WeightFn] = None,
     ) -> None:
@@ -224,7 +214,6 @@ class WorkloadManager:
         self.query_log = QueryLog()
         self.sessions = SessionRegistry()
         self.slas = slas or SLASet()
-        self.policy = policy or WorkloadManagementPolicy()
         self.characterizer = characterizer or TagCharacterizer()
         self.admission = admission or AcceptAllAdmission()
         self.scheduler = scheduler or WaitQueue()
@@ -237,12 +226,10 @@ class WorkloadManager:
             engine=self.engine,
             metrics=self.metrics,
             slas=self.slas,
-            policy=self.policy,
             sessions=self.sessions,
             query_log=self.query_log,
             manager=self,
         )
-        self._workloads: Dict[str, WorkloadInfo] = {}
         self._delayed: List[Query] = []
         self._listeners: List[CompletionListener] = []
         self._backlog_listeners: List[Callable[[], None]] = []
@@ -263,16 +250,6 @@ class WorkloadManager:
     # ------------------------------------------------------------------
     # configuration
     # ------------------------------------------------------------------
-    def register_workload(self, name: str, priority: int = 1) -> None:
-        """Declare a workload so its priority is known at identification."""
-        self._workloads[name] = WorkloadInfo(name=name, priority=priority)
-
-    def workload_priority(self, name: Optional[str]) -> int:
-        if name and name in self._workloads:
-            return self._workloads[name].priority
-        sla = self.slas.get(name)
-        return sla.importance if sla else 1
-
     def add_execution_controller(self, controller: ExecutionController) -> None:
         controller.attach(self.context)
         self.execution_controllers.append(controller)
@@ -343,13 +320,9 @@ class WorkloadManager:
         workload = self.characterizer.identify(query, self.context)
         if workload is not None:
             query.workload_name = workload
-            registered = self._workloads.get(workload)
-            if registered is not None:
-                query.priority = registered.priority
-            else:
-                sla = self.slas.get(workload)
-                if sla is not None:
-                    query.priority = sla.importance
+            sla = self.slas.get(workload)
+            if sla is not None:
+                query.priority = sla.importance
 
         decision = self.admission.decide(query, self.context)
         if decision.outcome is AdmissionOutcome.REJECT:

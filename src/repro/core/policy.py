@@ -14,7 +14,7 @@ Table 1.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError, PolicyError
@@ -175,22 +175,3 @@ class AdmissionPolicy:
                     limit = override
         return limit
 
-
-@dataclass(frozen=True)
-class WorkloadManagementPolicy:
-    """The full policy of a server: per-workload and default controls.
-
-    This is the object Table 1's "associated policy" column refers to —
-    admission, scheduling and execution policies are *derived from* a
-    workload-management policy.
-    """
-
-    name: str = "default"
-    default_admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
-    admission_by_workload: Tuple[Tuple[str, AdmissionPolicy], ...] = ()
-
-    def admission_for(self, workload: Optional[str]) -> AdmissionPolicy:
-        for name, policy in self.admission_by_workload:
-            if name == workload:
-                return policy
-        return self.default_admission

@@ -44,36 +44,22 @@ class Event:
     The simulator's heap holds ``(time, seq, event)``; the tuple decides
     the order (time, then FIFO by ``seq`` among events of one instant)
     and the event carries only what firing and cancelling need.
-    :meth:`cancel` marks it dead and keeps the simulator's live-event
-    counter exact, and ``done`` blocks a late cancel on an already-fired
-    event from drifting the count.
     """
 
-    __slots__ = ("time", "action", "label", "cancelled", "done", "sim")
+    __slots__ = ("time", "action", "label", "cancelled")
 
-    def __init__(
-        self,
-        time: float,
-        action: Callable[[], None],
-        label: str,
-        sim: "Simulator",
-    ) -> None:
+    def __init__(self, time: float, action: Callable[[], None], label: str) -> None:
         self.time = time
         self.action = action
         self.label = label
         self.cancelled = False
-        self.done = False
-        self.sim = sim
 
     def cancel(self) -> None:
         """Prevent the event's action from running when it is dequeued."""
-        if self.cancelled or self.done:
-            return
         self.cancelled = True
-        self.sim._live_events -= 1
 
     def __repr__(self) -> str:
-        state = "cancelled" if self.cancelled else ("done" if self.done else "pending")
+        state = "cancelled" if self.cancelled else "live"
         return f"Event(t={self.time:.6f}, {self.label!r}, {state})"
 
 
@@ -107,7 +93,6 @@ class Simulator:
         self._rngs: Dict[str, np.random.Generator] = {}
         self._running = False
         self._events_fired = 0
-        self._live_events = 0
         #: (enter, exit) pairs bracketing same-timestamp event batches.
         self._batch_hooks: List[Tuple[Callable[[], None], Callable[[], None]]] = []
 
@@ -158,9 +143,8 @@ class Simulator:
                     f"(now={now:.6f})"
                 )
             time = now
-        event = Event(time, action, label, self)
+        event = Event(time, action, label)
         heapq.heappush(self._queue, (time, next(self._seq), event))
-        self._live_events += 1
         return event
 
     def schedule(
@@ -220,10 +204,8 @@ class Simulator:
         queue = self._queue
         while queue:
             time, _, event = heapq.heappop(queue)
-            event.done = True
             if event.cancelled:
                 continue
-            self._live_events -= 1
             self._now = time
             self._events_fired += 1
             event.action()
@@ -270,10 +252,8 @@ class Simulator:
             if time > until:
                 break
             head = heapq.heappop(queue)[2]
-            head.done = True
             if head.cancelled:
                 continue
-            self._live_events -= 1
             self._now = time
             self._events_fired += 1
             if hooks and queue and queue[0][0] == time:
@@ -290,10 +270,8 @@ class Simulator:
                         raise _over_budget(what, max_events, fired)
                     while queue and queue[0][0] == time:
                         nxt = heapq.heappop(queue)[2]
-                        nxt.done = True
                         if nxt.cancelled:
                             continue
-                        self._live_events -= 1
                         self._events_fired += 1
                         nxt.action()
                         fired += 1
@@ -308,15 +286,6 @@ class Simulator:
                 if max_events is not None and fired >= max_events:
                     raise _over_budget(what, max_events, fired)
         return fired
-
-    def pending_events(self) -> int:
-        """Number of not-yet-cancelled events in the queue.
-
-        O(1): a live counter maintained on push, fire and cancel, so
-        decision paths (elastic provisioning, dispatch) can poll it
-        freely without scanning the heap.
-        """
-        return self._live_events
 
     # ------------------------------------------------------------------
     # scoping (multi-instance simulations)
@@ -358,7 +327,6 @@ class ScopedSimulator:
         "step",
         "run_until",
         "run",
-        "pending_events",
         "add_batch_hooks",
     )
 

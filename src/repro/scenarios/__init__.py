@@ -52,7 +52,6 @@ from repro.scenarios.matrix import (
 )
 from repro.scenarios.sweep import run_scenario_matrix, scenario_matrix_tasks
 from repro.scenarios.report import render_survival_report
-from repro.scenarios.trace import trace_tenant
 
 __all__ = [
     "ArrivalSpec",
@@ -76,5 +75,4 @@ __all__ = [
     "scenario_matrix_tasks",
     "scenario_names",
     "summarize_run",
-    "trace_tenant",
 ]

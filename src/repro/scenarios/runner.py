@@ -30,7 +30,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from hashlib import sha256
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 from repro.cluster.dispatcher import UNTENANTED, ClusterDispatcher, tenant_key
 from repro.cluster.failover import FaultInjector
@@ -71,7 +71,6 @@ class ScenarioResult:
     dispatcher: ClusterDispatcher
     intake: Dict[str, int] = field(default_factory=dict)
     outcomes: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    traces: Tuple["TraceTenant", ...] = ()  # noqa: F821 - scenarios.trace
     injector: Optional[FaultInjector] = None
 
     def run(self, drain: Optional[float] = None) -> "ScenarioResult":
@@ -121,14 +120,8 @@ def arm_scenario(
     policy: PolicyConfig,
     seed: int = 42,
     sim: Optional[Simulator] = None,
-    traces: Sequence["TraceTenant"] = (),  # noqa: F821 - scenarios.trace
 ) -> ScenarioResult:
-    """Build the cluster, attach arrivals, arm faults; run nothing.
-
-    ``traces`` adds trace-driven tenants
-    (:func:`repro.scenarios.trace.trace_tenant`) alongside the spec's
-    declarative ones — same intake seam, same quota/share machinery.
-    """
+    """Build the cluster, attach arrivals, arm faults; run nothing."""
     sim = sim or Simulator(seed=seed)
     shares = spec.shares()
     dispatcher = build_cluster(
@@ -148,13 +141,7 @@ def arm_scenario(
         tenant_quotas=spec.quotas() if policy.cluster_quotas else None,
         tenant_shares=shares if policy.queue_shares else None,
     )
-    result = ScenarioResult(
-        spec=spec,
-        policy=policy,
-        seed=seed,
-        dispatcher=dispatcher,
-        traces=tuple(traces),
-    )
+    result = ScenarioResult(spec=spec, policy=policy, seed=seed, dispatcher=dispatcher)
 
     def submit(query: Query) -> None:
         tenant = tenant_key(query) or UNTENANTED
@@ -179,8 +166,6 @@ def arm_scenario(
     ).build(sim, submit, sessions=dispatcher.sessions)
     dispatcher.add_completion_listener(on_terminal)
     dispatcher.add_completion_listener(generator.notify_done)
-    for trace in result.traces:
-        trace.schedule(sim, submit, horizon=spec.horizon)
 
     plan = spec.chaos.build_plan(spec.nodes, spec.horizon)
     if plan is not None:
@@ -195,10 +180,9 @@ def run_scenario(
     seed: int = 42,
     drain: Optional[float] = None,
     sim: Optional[Simulator] = None,
-    traces: Sequence["TraceTenant"] = (),  # noqa: F821 - scenarios.trace
 ) -> ScenarioResult:
     """Run ``spec`` under ``policy``; returns the live result."""
-    return arm_scenario(spec, policy, seed=seed, sim=sim, traces=traces).run(drain)
+    return arm_scenario(spec, policy, seed=seed, sim=sim).run(drain)
 
 
 # ----------------------------------------------------------------------
@@ -257,8 +241,8 @@ def _tenant_section(
 def summarize_run(result: ScenarioResult) -> Dict[str, object]:
     """Reduce a run to the sweep/report dict (small, picklable).
 
-    ``tenants`` has one section per tenant, per trace tenant and, when
-    the spec has untenanted workloads, one under ``<untenanted>``.
+    ``tenants`` has one section per tenant and, when the spec has
+    untenanted workloads, one under ``<untenanted>``.
     ``in_flight`` is measured (queued at the dispatcher plus outstanding
     on the nodes), never derived from the other counters, so callers can
     test conservation with it.
@@ -291,12 +275,6 @@ def summarize_run(result: ScenarioResult) -> Dict[str, object]:
                 )
                 for pattern in spec.workloads
             },
-        )
-    for trace in result.traces:
-        tenants[trace.name] = _tenant_section(
-            result,
-            trace.name,
-            {trace.label: _workload_section(result, trace.workload_name)},
         )
     return {
         "scenario": spec.name,

@@ -18,6 +18,7 @@ from typing import List, Optional, Union
 import numpy as np
 
 from repro.engine.query import CostVector, Query, QueryState, StatementType
+from repro.errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -221,14 +222,31 @@ class QueryLog:
 
     @staticmethod
     def from_jsonl(path: Union[str, Path]) -> "QueryLog":
-        """Load a log written by :meth:`to_jsonl` (blank lines skipped)."""
+        """Load a log written by :meth:`to_jsonl` (blank lines skipped).
+
+        A missing or unreadable file, a line that is not JSON, and a
+        record with a missing or invalid field each raise one
+        :class:`~repro.errors.ConfigurationError` naming the path (and
+        the line number).
+        """
+        try:
+            lines = Path(path).read_text(encoding="utf-8").splitlines()
+        except (OSError, UnicodeDecodeError) as error:
+            raise ConfigurationError(
+                f"trace file not found or unreadable: {path} ({error})"
+            ) from None
         log = QueryLog()
-        with Path(path).open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
+        for number, line in enumerate(lines, 1):
+            if not line.strip():
+                continue
+            try:
                 log.append(QueryLogRecord.from_dict(json.loads(line)))
+            except json.JSONDecodeError as error:
+                raise ConfigurationError(f"{path}:{number}: malformed JSON ({error})") from None
+            except KeyError as error:
+                raise ConfigurationError(f"{path}:{number}: record lacks field {error}") from None
+            except (AttributeError, TypeError, ValueError) as error:
+                raise ConfigurationError(f"{path}:{number}: invalid record ({error})") from None
         return log
 
     # ------------------------------------------------------------------

@@ -5,19 +5,18 @@ import pytest
 from repro.admission.threshold import ThresholdAdmission
 from repro.core.interfaces import AdmissionOutcome
 from repro.core.manager import WorkloadManager
-from repro.core.policy import AdmissionPolicy, WorkloadManagementPolicy
+from repro.core.policy import AdmissionPolicy
 from repro.engine.resources import MachineSpec
 from repro.engine.simulator import Simulator
 
 from tests.conftest import make_query
 
 
-def _context(sim, admission, policy=None):
+def _context(sim, admission):
     manager = WorkloadManager(
         sim,
         machine=MachineSpec(cpu_capacity=4, disk_capacity=4, memory_mb=4096),
         admission=admission,
-        policy=policy,
     )
     return manager, manager.context
 
@@ -105,14 +104,17 @@ class TestMplThreshold:
         other.workload_name = "oltp"
         assert admission.decide(other, context).outcome is AdmissionOutcome.ACCEPT
 
-    def test_policy_falls_back_to_manager_policy(self, sim):
+    def test_no_policy_admits_at_any_load(self, sim):
+        # what the Teradata model's bare gate does in every run
         admission = ThresholdAdmission()
-        policy = WorkloadManagementPolicy(
-            default_admission=AdmissionPolicy(reject_over_cost=3.0)
-        )
-        _, context = _context(sim, admission, policy=policy)
-        decision = admission.decide(make_query(cpu=5.0, io=5.0), context)
-        assert decision.outcome is AdmissionOutcome.REJECT
+        assert admission.default_policy == AdmissionPolicy()
+        manager, context = _context(sim, admission)
+        for _ in range(8):
+            manager.submit(make_query(cpu=50.0, io=50.0))
+        decision = admission.decide(make_query(cpu=500.0, io=500.0), context)
+        assert decision.outcome is AdmissionOutcome.ACCEPT
+        assert manager.running_count == 8
+        assert (admission.cost_rejections, admission.mpl_delays) == (0, 0)
 
 
 class TestEndToEnd:

@@ -47,12 +47,12 @@ class TestCacheInvalidation:
             "n2",
         ]
 
-    def test_drain_and_park_invalidate(self):
+    def test_drain_and_crash_invalidate(self):
         self.dispatcher.eligible_nodes()
         self.dispatcher.nodes[0].drain()
         assert self.dispatcher._eligible_cache is None
         self.dispatcher.eligible_nodes()
-        self.dispatcher.nodes[2].park()
+        self.dispatcher.nodes[2].crash()
         assert self.dispatcher._eligible_cache is None
         assert [n.name for n in self.dispatcher.eligible_nodes()] == ["n1"]
 

@@ -43,12 +43,15 @@ class TestHealth:
         assert node.outstanding_work == 1
         assert not node.accepting  # UP but saturated
 
-    def test_standby_node_starts_inactive(self, sim):
-        node = _node(sim, health=NodeHealth.STANDBY)
+    def test_crashed_node_stays_inactive_until_activated(self, sim):
+        node = _node(sim)
+        assert node.health is NodeHealth.UP  # every node starts UP
+        node.crash()
         assert not node.accepting
         sim.run_until(5.0)
         assert node.heartbeats == []  # no periodic activity until activated
         node.activate()
+        assert node.accepting
         sim.run_until(10.0)
         assert node.heartbeats != []
 
@@ -87,7 +90,7 @@ class TestCapacityAccounting:
 
 
 class TestSpeedChangeGuards:
-    """degrade()/restore_speed() are documented no-ops off UP/DRAINING.
+    """degrade()/restore_speed() are documented no-ops on a DOWN node.
 
     Regression: both used to call ``_enforce_speed`` unconditionally,
     poking a shut-down manager when a chaos plan raced a degrade
@@ -107,11 +110,6 @@ class TestSpeedChangeGuards:
         node.crash()
         node.restore_speed()
         assert node.speed_factor == 0.5  # untouched until reactivation
-
-    def test_degrade_is_noop_on_standby_node(self, sim):
-        node = _node(sim, health=NodeHealth.STANDBY)
-        node.degrade(0.5)
-        assert node.speed_factor == 1.0
 
     def test_invalid_factor_still_raises_on_down_node(self, sim):
         node = _node(sim)

@@ -141,7 +141,7 @@ class TestWholeRunAudit:
                 lambda: d.activate_node(n1),
                 lambda: d.crash_node(n1),
                 lambda: d.activate_node(n1),
-                n1.park,
+                n1.crash,
                 n1.activate,
                 lambda: n1.submit(make_query(cpu=9.0, io=0.0, sql="bi:q")),
             ):

@@ -17,7 +17,6 @@ from repro.admission.throughput_feedback import ThroughputFeedbackAdmission
 from repro.cluster import (
     ClusterDispatcher,
     ClusterNode,
-    ElasticProvisioner,
     FaultInjector,
     FaultPlan,
     NodeHealth,
@@ -175,27 +174,9 @@ def _resource_pools(sim):
     return pools, "share_history", _hog(manager, 2.0, cpu=10.0, workload="app-group")
 
 
-def _cluster(sim, active=2, standby=0, **kwargs):
-    nodes = [
-        ClusterNode(
-            sim,
-            name=f"n{i}",
-            mpl=2,
-            max_outstanding=2,
-            health=NodeHealth.UP if i < active else NodeHealth.STANDBY,
-        )
-        for i in range(active + standby)
-    ]
+def _cluster(sim, **kwargs):
+    nodes = [ClusterNode(sim, name=f"n{i}", mpl=2, max_outstanding=2) for i in range(2)]
     return ClusterDispatcher(sim, nodes, placement=make_policy("least"), **kwargs)
-
-
-def _elastic(sim):
-    dispatcher = _cluster(sim, active=1, standby=2)
-    provisioner = ElasticProvisioner(dispatcher, setpoint=0.3, period=1.0)
-    for _ in range(8):
-        dispatcher.submit(make_query(cpu=4.0, io=0.0, sql="bi:q"))
-    sim.run_until(5.0)
-    return provisioner, "decisions", dispatcher.metrics.decisions
 
 
 def _faults(sim):
@@ -227,7 +208,6 @@ EMITTERS = {
     "EconomicResourceAllocator": _economic,
     "AutonomicLoop": _autonomic,
     "ResourcePoolController": _resource_pools,
-    "ElasticProvisioner": _elastic,
     "FaultInjector": _faults,
     "ClusterDispatcher": _health,
 }
@@ -333,7 +313,6 @@ DELETED = [
     ("EconomicResourceAllocator", "allocation_history"),
     ("AutonomicLoop", "decisions"),
     ("ResourcePoolController", "share_history"),
-    ("ElasticProvisioner", "decisions"),
     ("FaultInjector", "fired"),
     ("ClusterMetrics", "health_changes"),
     ("PIController", "history"),
@@ -365,7 +344,7 @@ def _assigned_attributes():
 
 def test_no_deleted_history_attribute_is_assigned_in_src():
     assigned = _assigned_attributes()
-    assert len(DELETED) == 17
+    assert len(DELETED) == 16
     for cls, attribute in DELETED:
         assert attribute not in assigned[cls], f"{cls}.{attribute} is back"
     # the record types the private lists were made of are gone too

@@ -51,12 +51,11 @@ class TestSubmission:
         manager.submit(query)
         assert query.workload_name is None
 
-    def test_registered_workload_sets_priority(self, sim):
+    def test_workload_without_sla_keeps_the_query_priority(self, sim):
         manager = _manager(sim)
-        manager.register_workload("vip", priority=5)
-        query = make_query(sql="vip:q")
+        query = make_query(sql="vip:q", priority=5)
         manager.submit(query)
-        assert query.priority == 5
+        assert query.workload_name == "vip" and query.priority == 5
 
     def test_sla_importance_sets_priority(self, sim):
         slas = SLASet([response_time_sla("gold", average=1.0, importance=4)])

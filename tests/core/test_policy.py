@@ -8,7 +8,6 @@ from repro.core.policy import (
     Threshold,
     ThresholdAction,
     ThresholdKind,
-    WorkloadManagementPolicy,
 )
 from repro.errors import PolicyError
 
@@ -77,13 +76,3 @@ class TestAdmissionPolicy:
     def test_no_limit_when_unset(self):
         assert AdmissionPolicy().cost_limit_at(0.0) is None
 
-
-class TestWorkloadManagementPolicy:
-    def test_admission_for_falls_back_to_default(self):
-        special = AdmissionPolicy(reject_over_cost=10.0)
-        policy = WorkloadManagementPolicy(
-            default_admission=AdmissionPolicy(reject_over_cost=99.0),
-            admission_by_workload=(("bi", special),),
-        )
-        assert policy.admission_for("bi") is special
-        assert policy.admission_for("oltp").reject_over_cost == 99.0

@@ -87,7 +87,7 @@ class TestExitCodes:
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2
-        assert "scenario error:" in captured.err
+        assert f"{argv[0]} error:" in captured.err
         assert needle in captured.err
         assert "Traceback" not in captured.err
 
@@ -224,6 +224,19 @@ class TestExitCodes:
             ["scenario", "report", "--json", str(tmp_path / "nope.json")],
             "not found",
         )
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            ("backend calibrate --trace-in {tmp}/missing.jsonl", "not found"),
+            ("backend calibrate --trace-in {tmp}/partial.jsonl", ":1: record lacks field"),
+            ("backend run --workloads nope", "unknown workload 'nope'"),
+        ],
+        ids=["missing-trace", "trace-line-without-field", "unknown-workload"],
+    )
+    def test_bad_backend_input(self, capsys, tmp_path, argv, needle):
+        (tmp_path / "partial.jsonl").write_text('{"query_id": 1}\n')
+        self._fails_cleanly(capsys, argv.format(tmp=tmp_path).split(), needle)
 
 
 def test_sweep_table_is_the_committed_golden(capsys):

@@ -14,7 +14,6 @@ from repro.scenarios.spec import (
     TenantSpec,
     WorkloadPattern,
 )
-from repro.scenarios.trace import trace_tenant
 
 BASELINE = PolicyConfig(name="baseline")
 QUOTAS = PolicyConfig(name="quotas", cluster_quotas=True)
@@ -178,74 +177,3 @@ class TestDeterminism:
         round_tripped = json.loads(json.dumps(summary))
         assert round_tripped["digest"] == summary["digest"]
 
-
-class TestTraceTenants:
-    def _write_trace(self, path, count=6, spacing=0.5):
-        records = []
-        for index in range(count):
-            records.append(
-                {
-                    "query_id": index + 1,
-                    "workload": "captured",
-                    "statement_type": "READ",
-                    "priority": 2,
-                    "submit_time": index * spacing,
-                    "start_time": None,
-                    "end_time": None,
-                    "final_state": "completed",
-                    "estimated_cost": {"cpu_seconds": 0.02, "io_seconds": 0.02},
-                    "true_cost": {"cpu_seconds": 0.02, "io_seconds": 0.02},
-                    "session_id": None,
-                    "sql": "app:point_select",
-                }
-            )
-        path.write_text(
-            "\n".join(json.dumps(record) for record in records) + "\n"
-        )
-
-    def test_trace_runs_as_tenant(self, tmp_path):
-        trace_path = tmp_path / "trace.jsonl"
-        self._write_trace(trace_path)
-        replay = trace_tenant(trace_path, tenant="replayed", label="capture")
-        assert replay.workload_name == "replayed/capture"
-        assert all(
-            q.sql.startswith("replayed/capture:") for q in replay.queries
-        )
-
-        result = run_scenario(
-            _small_noisy_spec(horizon=10.0),
-            QUOTAS,
-            seed=2,
-            traces=(replay,),
-        )
-        ledger = result.tenant_ledger("replayed")
-        assert ledger["intake"] == len(replay.queries)
-        assert ledger["in_flight"] == 0
-        summary = summarize_run(result)
-        assert "replayed" in summary["tenants"]
-        assert (
-            summary["tenants"]["replayed"]["workloads"]["capture"][
-                "completions"
-            ]
-            > 0
-        )
-
-    def test_trace_validation(self, tmp_path):
-        from repro.errors import ConfigurationError
-
-        trace_path = tmp_path / "trace.jsonl"
-        self._write_trace(trace_path, count=2)
-        with pytest.raises(ConfigurationError):
-            trace_tenant(trace_path, tenant="a/b")
-        with pytest.raises(ConfigurationError):
-            trace_tenant(trace_path, tenant="ok", time_scale=0.0)
-        empty = tmp_path / "empty.jsonl"
-        empty.write_text("")
-        with pytest.raises(ConfigurationError):
-            trace_tenant(empty, tenant="ok")
-
-    def test_time_scale_compresses_schedule(self, tmp_path):
-        trace_path = tmp_path / "trace.jsonl"
-        self._write_trace(trace_path, count=4, spacing=2.0)
-        fast = trace_tenant(trace_path, tenant="t", time_scale=0.5)
-        assert fast.times == (0.0, 1.0, 2.0, 3.0)

@@ -146,8 +146,6 @@ class TestMultiQueue:
         manager.submit(blocker)
         low = make_query(cpu=1.0, io=0.0, sql="low:q", priority=1)
         high = make_query(cpu=1.0, io=0.0, sql="high:q", priority=5)
-        manager.register_workload("low", priority=1)
-        manager.register_workload("high", priority=5)
         manager.submit(low)
         manager.submit(high)
         sim.run_until(1.0)

@@ -189,9 +189,10 @@ class TestBackend:
         assert "policy: throttling" in out
         assert "calibration" in out
 
-    def test_unknown_workload_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["backend", "run", "--workloads", "webscale"])
+    def test_unknown_workload_rejected(self, capsys):
+        # a bad-input exit 2, not SystemExit(str) and exit 1
+        assert main(["backend", "run", "--workloads", "webscale"]) == 2
+        assert "unknown workload 'webscale'" in capsys.readouterr().err
 
     def test_postgres_without_dsn_is_unavailable(self, monkeypatch, capsys):
         from repro.backends import DSN_ENV

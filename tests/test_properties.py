@@ -91,7 +91,7 @@ class TestConservation:
                     assert (
                         entry.speed > 0
                         or entry.blocked
-                        or sim.pending_events() > 0
+                        or any(not event.cancelled for *_, event in sim._queue)
                     ), query
         stats = manager.metrics.stats_for("wl")
         assert stats.completions == sum(

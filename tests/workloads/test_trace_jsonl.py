@@ -8,6 +8,7 @@ from repro.core.manager import WorkloadManager
 from repro.engine.query import CostVector, QueryState, StatementType
 from repro.engine.resources import MachineSpec
 from repro.engine.simulator import Simulator
+from repro.errors import ConfigurationError
 from repro.workloads.traces import QueryLog, QueryLogRecord
 
 from tests.conftest import make_query
@@ -101,3 +102,29 @@ class TestLogSerialization:
         manager.query_log.to_jsonl(path)
         loaded = QueryLog.from_jsonl(path)
         assert list(loaded) == list(manager.query_log)
+
+
+class TestMalformedTrace:
+    """Bad input is one ConfigurationError naming the file and line."""
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="not found or unreadable"):
+            QueryLog.from_jsonl(tmp_path / "missing.jsonl")
+
+    @pytest.mark.parametrize(
+        "line, needle",
+        [
+            ("{broken", "malformed JSON"),
+            ('{"query_id": 1}', "lacks field 'statement_type'"),
+            (json.dumps({**_record().as_dict(), "statement_type": "NOPE"}), "invalid record"),
+            (json.dumps({**_record().as_dict(), "true_cost": 3}), "invalid record"),
+            ("[1, 2]", "invalid record"),
+        ],
+        ids=["not-json", "missing-field", "bad-enum", "cost-not-an-object", "not-an-object"],
+    )
+    def test_bad_line_names_path_and_line(self, tmp_path, line, needle):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(json.dumps(_record().as_dict()) + "\n\n" + line + "\n")
+        with pytest.raises(ConfigurationError, match=needle) as raised:
+            QueryLog.from_jsonl(path)
+        assert f"{path}:3:" in str(raised.value)
