@@ -3,7 +3,7 @@
 PY ?= python
 export PYTHONPATH := src:.
 
-.PHONY: test test-ledger test-experiments examples bench bench-full bench-parallel bench-baseline ledger artifacts lint loc
+.PHONY: test test-ledger test-experiments survival examples bench bench-full bench-parallel bench-baseline ledger artifacts lint loc
 
 test:
 	$(PY) -m pytest tests/ -q
@@ -21,6 +21,12 @@ test-ledger:
 # is clean afterwards unless behaviour changed (CI checks exactly that).
 test-experiments:
 	$(PY) -m pytest benchmarks/ --ignore=benchmarks/ledger -q
+
+# The committed scenario survival matrix (~6 s, seeded): rewrites
+# benchmarks/results/SURVIVAL_MATRIX.md, which CI then diffs like the
+# experiment results.
+survival:
+	$(PY) -m repro scenario report --out benchmarks/results/SURVIVAL_MATRIX.md
 
 # Every example runs to exit 0 and prints exactly its committed golden,
 # examples/expected/<name>.txt (~7 s; seeded, so byte-stable): they
@@ -87,4 +93,4 @@ artifacts:
 	$(PY) -m pytest benchmarks/ -q
 	mkdir -p benchmarks/results
 	$(BENCH) --json-out benchmarks/results/bench.json
-	$(PY) -m repro scenario report --out benchmarks/results/SURVIVAL_MATRIX.md
+	$(MAKE) survival

@@ -5,15 +5,18 @@ cluster of independent simulated DBMS engines sharing one deterministic
 clock.  Each :class:`~repro.cluster.node.ClusterNode` wraps a full
 engine + :class:`~repro.core.manager.WorkloadManager` stack on a scoped
 RNG namespace; the :class:`~repro.cluster.dispatcher.ClusterDispatcher`
-is the cluster-level workload manager — admission (bounded cluster
-queue), placement (pluggable policies from
+is the cluster-level workload manager — admission (per-tenant quotas,
+:class:`~repro.cluster.dispatcher.TenantQuota`, and one bound on the
+cluster queue), placement (pluggable policies from
 :mod:`repro.cluster.placement`: round-robin, least-outstanding,
 cost-balanced, SLA-aware greedy), and re-placement of locally rejected
 or crash-lost work (:mod:`repro.cluster.failover`).  Dispatch itself is
 a pluggable binding policy: ``push`` places each request on a node at
 arrival, ``pull`` parks it in a :class:`~repro.cluster.taskqueue.TaskQueue`
-until a node with a free execution slot pulls matching work through the
-:class:`~repro.cluster.matcher.Matcher` (DIRAC-style late binding).
+(the node tier's :class:`~repro.scheduling.queues.PartitionedQueue`
+served by share deficit) until a node with a free execution slot pulls
+work through the :class:`~repro.cluster.matcher.Matcher` (DIRAC-style
+late binding).
 :mod:`repro.cluster.metrics` rolls per-node statistics up into
 cluster-level views.
 """
@@ -47,7 +50,7 @@ from repro.cluster.placement import (
     predict_response_time,
 )
 from repro.cluster.scenario import CLUSTER_SLAS, build_cluster
-from repro.cluster.taskqueue import TaskEntry, TaskQueue
+from repro.cluster.taskqueue import TaskQueue
 
 __all__ = [
     "CLUSTER_SLAS",
@@ -72,7 +75,6 @@ __all__ = [
     "PushBinding",
     "RoundRobinPlacement",
     "SLAAwarePlacement",
-    "TaskEntry",
     "TaskQueue",
     "build_cluster",
     "make_binding",

@@ -5,6 +5,8 @@ DIRAC matcher / WiSeDB advisor of this simulator.  It owns the shared
 substrate every dispatch mode uses: request intake and conservation
 counters, the per-query exclusion sets, placement commit, node-local
 rejection interception, crash reclaim and the cluster metrics rollup.
+Intake applies two controls: per-tenant quotas (:class:`TenantQuota`)
+on arrival, and one bound on the cluster wait structure after routing.
 *When* work binds to a node is a pluggable **binding policy** — the
 paper's §3.2/§3.3 split between where decisions happen and when work
 binds to capacity:
@@ -12,12 +14,12 @@ binds to capacity:
 * **push** (:class:`PushBinding`, the default) — the dispatcher picks a
   node the moment a request arrives, via a
   :class:`~repro.cluster.placement.PlacementPolicy`; saturated clusters
-  park arrivals in a bounded FIFO cluster queue retried on capacity
-  events (early binding, load-balancer shape);
+  park arrivals in a FIFO cluster queue retried on capacity events
+  (early binding, load-balancer shape);
 * **pull** (:class:`PullBinding`) — arrivals park in a priority-ordered
-  :class:`~repro.cluster.taskqueue.TaskQueue` and nodes pull matching
-  work through the :class:`~repro.cluster.matcher.Matcher` at the
-  moment they free an execution slot (late binding, DIRAC pilot shape).
+  :class:`~repro.cluster.taskqueue.TaskQueue` and nodes pull work
+  through the :class:`~repro.cluster.matcher.Matcher` at the moment
+  they free an execution slot (late binding, DIRAC pilot shape).
 
 Both modes share recovery paths, all deterministic:
 
@@ -41,7 +43,7 @@ from repro.cluster.matcher import Matcher
 from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.node import ClusterNode, NodeHealth
 from repro.cluster.placement import PlacementPolicy, RoundRobinPlacement
-from repro.cluster.taskqueue import KeyFn, RequirementsFn, TaskQueue
+from repro.cluster.taskqueue import TaskQueue
 from repro.core.interfaces import AdmissionDecision
 from repro.core.sla import SLASet
 from repro.engine.query import Query, QueryState, tenant_key
@@ -54,11 +56,50 @@ CompletionListener = Callable[[Query], None]
 #: Binding-policy names accepted by the ``dispatch`` parameter / CLI.
 DISPATCH_MODES = ("push", "pull")
 
-#: Extracts a query's tenant for quota accounting; ``None`` exempts it.
-TenantFn = Callable[[Query], Optional[str]]
-
 #: The bucket tenant-keyed ledgers and queues file tenantless work under.
 UNTENANTED = "<untenanted>"
+
+
+class TenantQuota:
+    """Cluster-tier admission quotas: a cap on each tenant's outstanding work.
+
+    A request is counted against its tenant (:func:`tenant_key`) from
+    :meth:`admit` to :meth:`release` at its terminal outcome; a tenant
+    at its quota has new arrivals rejected at intake — the noisy
+    neighbor's flood bounces at the front door instead of burying every
+    queue.  Untenanted work and tenants without a quota are never
+    refused.
+    """
+
+    def __init__(self, quotas: Dict[str, int]) -> None:
+        for tenant, quota in quotas.items():
+            if quota < 0:
+                raise ConfigurationError(
+                    f"tenant quota for {tenant!r} must be >= 0, got {quota}"
+                )
+        self.quotas = dict(quotas)
+        self._outstanding: Dict[str, int] = {}
+        self._counted: Dict[int, str] = {}
+
+    def admit(self, query: Query) -> Optional[str]:
+        """``None`` when ``query`` may enter (it is then counted), else
+        the reason it may not."""
+        tenant = tenant_key(query)
+        if tenant is None:
+            return None
+        quota = self.quotas.get(tenant)
+        outstanding = self._outstanding.get(tenant, 0)
+        if quota is not None and outstanding >= quota:
+            return f"tenant {tenant!r} at its quota of {quota}"
+        self._counted[query.query_id] = tenant
+        self._outstanding[tenant] = outstanding + 1
+        return None
+
+    def release(self, query: Query) -> None:
+        """``query`` reached its terminal outcome."""
+        tenant = self._counted.pop(query.query_id, None)
+        if tenant is not None:
+            self._outstanding[tenant] -= 1
 
 
 class BindingPolicy(abc.ABC):
@@ -85,6 +126,10 @@ class BindingPolicy(abc.ABC):
     @abc.abstractmethod
     def sweep(self) -> None:
         """Periodic tick: retry anything waiting at the cluster level."""
+
+    @abc.abstractmethod
+    def withdraw(self, query: Query) -> bool:
+        """Take back ``query``, just routed, if it waits at the cluster level."""
 
     @property
     @abc.abstractmethod
@@ -117,20 +162,17 @@ class PushBinding(BindingPolicy):
             if node is not None:
                 d._place(query, node)
                 return
-        self._enqueue_or_reject(query)
-
-    def _enqueue_or_reject(self, query: Query) -> None:
-        d = self.dispatcher
-        if (
-            d.max_queue_depth is not None
-            and len(self.queue) >= d.max_queue_depth
-        ):
-            d._cluster_reject(query, f"cluster queue full ({len(self.queue)})")
-            return
         # waiting in the cluster queue wipes per-placement exclusions:
         # by the time it is retried the refusing node may have capacity
         d._excluded.pop(query.query_id, None)
         self.queue.append(query)
+
+    def withdraw(self, query: Query) -> bool:
+        # a routed request that waits is the one route just appended
+        if self.queue and self.queue[-1] is query:
+            self.queue.pop()
+            return True
+        return False
 
     # -- binding moments -----------------------------------------------
     def on_capacity(self, node: ClusterNode) -> None:
@@ -183,25 +225,12 @@ class PullBinding(BindingPolicy):
 
     name = "pull"
 
-    def __init__(
-        self,
-        class_shares: Optional[Dict[str, float]] = None,
-        requirements_fn: Optional[RequirementsFn] = None,
-        key_fn: Optional[KeyFn] = None,
-    ) -> None:
-        self._class_shares = class_shares
-        self._requirements_fn = requirements_fn
-        self._key_fn = key_fn
-        self.taskqueue: Optional[TaskQueue] = None
+    def __init__(self, taskqueue: Optional[TaskQueue] = None) -> None:
+        self.taskqueue = taskqueue if taskqueue is not None else TaskQueue()
         self.matcher: Optional[Matcher] = None
 
     def attach(self, dispatcher: "ClusterDispatcher") -> None:
         super().attach(dispatcher)
-        self.taskqueue = TaskQueue(
-            class_shares=self._class_shares,
-            requirements_fn=self._requirements_fn,
-            key_fn=self._key_fn,
-        )
         self.matcher = Matcher(
             dispatcher.nodes,
             self.taskqueue,
@@ -212,19 +241,13 @@ class PullBinding(BindingPolicy):
 
     # -- intake --------------------------------------------------------
     def route(self, query: Query) -> None:
-        d = self.dispatcher
-        self.taskqueue.push(query, d.sim.now)
+        self.taskqueue.push(query)
         # an idle pilot's match request is always pending: fresh work
         # binds immediately when any node has a free slot for it
         self.matcher.offer()
-        if (
-            d.max_queue_depth is not None
-            and len(self.taskqueue) > d.max_queue_depth
-        ):
-            # nothing pulled it and the queue is over its bound: the
-            # *arriving* request is the one the cluster turns away
-            if self.taskqueue.remove(query.query_id) is not None:
-                d._cluster_reject(query, f"task queue full ({d.max_queue_depth})")
+
+    def withdraw(self, query: Query) -> bool:
+        return self.taskqueue.remove(query.query_id) is not None
 
     # -- binding moments -----------------------------------------------
     def on_capacity(self, node: ClusterNode) -> None:
@@ -249,21 +272,12 @@ class PullBinding(BindingPolicy):
         return self.taskqueue.queued_queries()
 
 
-def make_binding(
-    dispatch: str,
-    class_shares: Optional[Dict[str, float]] = None,
-    requirements_fn: Optional[RequirementsFn] = None,
-    key_fn: Optional[KeyFn] = None,
-) -> BindingPolicy:
+def make_binding(dispatch: str) -> BindingPolicy:
     """Build a binding policy from its short CLI name."""
     if dispatch == "push":
         return PushBinding()
     if dispatch == "pull":
-        return PullBinding(
-            class_shares=class_shares,
-            requirements_fn=requirements_fn,
-            key_fn=key_fn,
-        )
+        return PullBinding()
     raise ConfigurationError(
         f"unknown dispatch mode {dispatch!r}; one of {DISPATCH_MODES}"
     )
@@ -285,7 +299,8 @@ class ClusterDispatcher:
     max_queue_depth:
         Bound on the cluster wait structure; ``None`` = unbounded
         (never cluster-reject), ``0`` = reject the moment no node can
-        take the arrival.
+        take the arrival.  A routed request that leaves the structure
+        over its bound is the one the cluster turns away.
     control_period:
         Seconds between dispatcher ticks (queue retry / poll cadence).
     dispatch:
@@ -293,15 +308,10 @@ class ClusterDispatcher:
         pre-built :class:`BindingPolicy` via ``binding``.
     binding:
         Explicit binding policy instance (overrides ``dispatch``) —
-        how pull runs get custom class shares or requirement tags.
+        how pull runs get a tenant-keyed task queue.
     tenant_quotas:
-        ``{tenant: max outstanding}`` cluster-tier admission quotas.  A
-        tenant at its quota has new arrivals cluster-rejected at intake
-        — the noisy neighbor's flood bounces at the front door instead
-        of burying every queue.  ``None`` (default) disables quotas.
-    tenant_of:
-        Tenant extractor for quota accounting; defaults to
-        :func:`tenant_key`.  Queries mapping to ``None`` are exempt.
+        ``{tenant: max outstanding}`` cluster-tier admission quotas
+        (:class:`TenantQuota`); ``None`` (default) disables quotas.
     """
 
     def __init__(
@@ -315,7 +325,6 @@ class ClusterDispatcher:
         dispatch: str = "push",
         binding: Optional[BindingPolicy] = None,
         tenant_quotas: Optional[Dict[str, int]] = None,
-        tenant_of: Optional[TenantFn] = None,
     ) -> None:
         if not nodes:
             raise ConfigurationError("a cluster needs at least one node")
@@ -324,11 +333,7 @@ class ClusterDispatcher:
             raise ConfigurationError(f"duplicate node names: {names}")
         if max_queue_depth is not None and max_queue_depth < 0:
             raise ConfigurationError("max_queue_depth must be >= 0 or None")
-        for tenant, quota in (tenant_quotas or {}).items():
-            if quota < 0:
-                raise ConfigurationError(
-                    f"tenant quota for {tenant!r} must be >= 0, got {quota}"
-                )
+        self.quota = TenantQuota(tenant_quotas) if tenant_quotas else None
         self.sim = sim
         self.nodes = list(nodes)
         self._by_name = dict(zip(names, self.nodes))
@@ -339,11 +344,6 @@ class ClusterDispatcher:
         self.sessions = SessionRegistry()
         self.binding = binding if binding is not None else make_binding(dispatch)
         self.binding.attach(self)
-        self.tenant_quotas = dict(tenant_quotas or {})
-        self.tenant_of = tenant_of or tenant_key
-        self._tenant_outstanding: Dict[str, int] = {}
-        self._query_tenant: Dict[int, str] = {}
-        self.quota_rejections: Dict[str, int] = {}
         self._listeners: List[CompletionListener] = []
         self._excluded: Dict[int, Set[str]] = {}  # query_id -> nodes that refused
         self.arrivals = 0
@@ -388,23 +388,11 @@ class ClusterDispatcher:
         if query.submit_time is None:
             query.submit_time = self.sim.now
         self.arrivals += 1
-        tenant = self.tenant_of(query) if self.tenant_quotas else None
-        if tenant is not None:
-            quota = self.tenant_quotas.get(tenant)
-            if (
-                quota is not None
-                and self._tenant_outstanding.get(tenant, 0) >= quota
-            ):
-                self.quota_rejections[tenant] = (
-                    self.quota_rejections.get(tenant, 0) + 1
-                )
-                self._cluster_reject(query, f"tenant {tenant!r} at its quota of {quota}")
+        if self.quota is not None:
+            reason = self.quota.admit(query)
+            if reason is not None:
+                self._cluster_reject(query, reason, self.quota)
                 return
-            # quota accounting follows the query to its terminal outcome
-            self._query_tenant[query.query_id] = tenant
-            self._tenant_outstanding[tenant] = (
-                self._tenant_outstanding.get(tenant, 0) + 1
-            )
         self._route(query)
 
     def resubmit(self, query: Query, delay: float = 0.0) -> None:
@@ -430,7 +418,13 @@ class ClusterDispatcher:
         self._route(query)
 
     def _route(self, query: Query) -> None:
-        self.binding.route(query)
+        binding = self.binding
+        binding.route(query)
+        depth = self.max_queue_depth
+        if depth is not None and binding.queue_depth > depth and binding.withdraw(query):
+            # nothing took it and the cluster queue is over its bound:
+            # the *arriving* request is the one the cluster turns away
+            self._cluster_reject(query, f"cluster queue full ({depth})")
 
     # ------------------------------------------------------------------
     # eligibility (shared by push placement and the HOL scan)
@@ -472,12 +466,12 @@ class ClusterDispatcher:
         # a synchronous node-local rejection re-routes via the
         # interceptor before node.submit returns; nothing more to do
 
-    def _cluster_reject(self, query: Query, reason: str) -> None:
+    def _cluster_reject(self, query: Query, reason: str, emitter: object = None) -> None:
         self._excluded.pop(query.query_id, None)
         query.transition(QueryState.REJECTED)
         query.end_time = self.sim.now
         self.metrics.cluster_rejections += 1
-        self.metrics.record(self.sim.now, self, "reject", query, reason)
+        self.metrics.record(self.sim.now, emitter or self, "reject", query, reason)
         self._notify(query)
 
     # ------------------------------------------------------------------
@@ -570,9 +564,8 @@ class ClusterDispatcher:
         self._listeners.append(listener)
 
     def _notify(self, query: Query) -> None:
-        tenant = self._query_tenant.pop(query.query_id, None)
-        if tenant is not None:
-            self._tenant_outstanding[tenant] -= 1
+        if self.quota is not None:
+            self.quota.release(query)
         for listener in list(self._listeners):
             listener(query)
 

@@ -9,15 +9,11 @@ Work therefore binds to capacity as late as possible: a request waiting
 in the :class:`~repro.cluster.taskqueue.TaskQueue` is never committed
 to a node that is busy, degraded away from it, or about to crash.
 
-Matching checks, per (node, entry) pair:
+Matching checks, per (node, request) pair:
 
 * **health** — only UP nodes pull (``NodeHealth.accepts_placements``);
 * **slot headroom** — the node must have a free execution slot
   (``running < mpl``) *and* be under its ``max_outstanding`` ceiling;
-* **capabilities** — the entry's requirement tags must be covered by
-  the node's capability set (which includes its static tags plus the
-  derived ``speed:full`` tag, so degraded nodes stop matching entries
-  that demand full speed);
 * **exclusions** — a node that locally refused a request never pulls
   that same request again (the dispatcher's per-query exclusion set).
 
@@ -35,7 +31,7 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.cluster.node import ClusterNode
 from repro.cluster.ranked import RankedNodes
-from repro.cluster.taskqueue import TaskEntry, TaskQueue
+from repro.cluster.taskqueue import TaskQueue
 from repro.engine.query import Query
 
 #: Callback the dispatcher provides to commit one match (records the
@@ -46,7 +42,7 @@ ExclusionFn = Callable[[Query, ClusterNode], bool]
 
 
 class Matcher:
-    """Serves :class:`TaskQueue` entries to nodes with free slots."""
+    """Serves :class:`TaskQueue` requests to nodes with free slots."""
 
     def __init__(
         self,
@@ -130,14 +126,12 @@ class Matcher:
         return placed
 
     def _serve_one(self, node: ClusterNode) -> bool:
-        """Bind one entry to ``node``, which the caller saw has a slot."""
-        entry: Optional[TaskEntry] = self.queue.match(
-            node.capabilities, blocked=self._blocked[node]
-        )
-        if entry is None:
+        """Bind one request to ``node``, which the caller saw has a slot."""
+        query = self.queue.match(self._blocked[node])
+        if query is None:
             return False
         self.matches += 1
-        self._place(entry.query, node)
+        self._place(query, node)
         return True
 
     def hungry_nodes(self) -> List[ClusterNode]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.interfaces import AdmissionController, Scheduler
 from repro.core.manager import WaitQueue, WorkloadManager
@@ -83,9 +83,6 @@ class ClusterNode:
         Saturation ceiling the dispatcher checks before placing: a node
         with ``outstanding_work >= max_outstanding`` is not eligible.
         Defaults to ``4 * mpl`` (a bounded node-local backlog).
-    tags:
-        Static capability tags (e.g. ``("big-memory", "ssd")``) matched
-        against task-queue requirement tags in pull dispatch.
     speed_factor:
         Initial service speed in (0, 1]; values below 1 model a
         permanently slower machine (heterogeneous clusters).  Runtime
@@ -105,7 +102,6 @@ class ClusterNode:
         slas: Optional[SLASet] = None,
         control_period: float = 1.0,
         heartbeat_period: float = 1.0,
-        tags: Iterable[str] = (),
         speed_factor: float = 1.0,
     ) -> None:
         if mpl < 1:
@@ -130,7 +126,6 @@ class ClusterNode:
             control_period=control_period,
         )
         self.health = NodeHealth.UP
-        self.tags = frozenset(tags)
         self.base_speed_factor = speed_factor   # what restore/activate return to
         self.speed_factor = speed_factor        # < 1.0 models a slow node
         self.heartbeat_period = heartbeat_period
@@ -180,19 +175,6 @@ class ClusterNode:
             self.health.accepts_placements
             and self.outstanding_work < self.max_outstanding
         )
-
-    @property
-    def capabilities(self) -> FrozenSet[str]:
-        """What this node offers to capability matching (pull dispatch).
-
-        The static :attr:`tags` plus the derived ``speed:full`` tag,
-        present only while the node runs at full speed — so task-queue
-        entries requiring ``speed:full`` stop matching a degraded node
-        the instant it slows down.
-        """
-        if self.speed_factor >= 1.0:
-            return self.tags | {"speed:full"}
-        return self.tags
 
     def on_change(self, listener: Callable[["ClusterNode"], None]) -> None:
         """Called after every event that may move :attr:`health`,

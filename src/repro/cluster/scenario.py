@@ -14,11 +14,12 @@ from typing import Callable, Dict, Optional, Sequence
 from repro.cluster.dispatcher import (
     UNTENANTED,
     ClusterDispatcher,
-    make_binding,
+    PullBinding,
     tenant_key,
 )
 from repro.cluster.node import ClusterNode
 from repro.cluster.placement import make_policy
+from repro.cluster.taskqueue import TaskQueue
 from repro.core.sla import SLASet, response_time_sla
 from repro.engine.simulator import Simulator
 
@@ -85,10 +86,8 @@ def build_cluster(
     ]
     binding = None
     if tenant_shares and dispatch == "pull":
-        binding = make_binding(
-            "pull",
-            class_shares=tenant_shares,
-            key_fn=lambda query: tenant_key(query) or UNTENANTED,
+        binding = PullBinding(
+            TaskQueue(tenant_shares, key=lambda query: tenant_key(query) or UNTENANTED)
         )
     return ClusterDispatcher(
         sim,

@@ -1,172 +1,76 @@
-"""The cluster task queue: priority-ordered, per-class shares, tags.
+"""The cluster task queue: the node tier's partitioned queue under a share rule.
 
 This is the pull half of the dispatch substrate (DIRAC's TaskQueueDB in
 miniature).  In *push* dispatch the dispatcher binds every arrival to a
-node immediately; in *pull* dispatch arrivals park here — one entry per
-request, bucketed by workload class — until a node with a free
-execution slot asks the :class:`~repro.cluster.matcher.Matcher` for
-work.  Ordering within the queue is the cluster-level analogue of the
-paper's §3.3 wait-queue management:
+node immediately; in *pull* dispatch arrivals park here until a node
+with a free execution slot asks the
+:class:`~repro.cluster.matcher.Matcher` for work.  The wait structure is
+the one the node tier uses,
+:class:`~repro.scheduling.queues.PartitionedQueue`: one bucket per
+workload class (or per tenant), higher business priority first and
+FIFO within a priority level (:func:`~repro.core.manager.by_priority`).
+What this module adds is the cluster's bucket rule:
 
-* **per-class shares** — when several workload classes have waiting
-  entries, classes are served in deficit order (entries served so far
-  divided by the class's share), so a class with share 3 receives ~3x
-  the dispatch slots of a share-1 class under contention;
-* **priority order** — within a class, higher business priority first,
-  FIFO within a priority level;
-* **requirement tags** — an entry may carry capability tags
-  (``frozenset`` of strings); it only ever matches a node whose
-  :attr:`~repro.cluster.node.ClusterNode.capabilities` cover them —
-  DIRAC's requirement/capability matching.
+* **share deficit** — buckets with waiting requests are served in
+  ``(served / share, head rank, name)`` order, so a bucket with share 3
+  receives ~3x the dispatch slots of a share-1 bucket under contention;
+* **the blocked filter** — :meth:`TaskQueue.match` skips the requests
+  the pulling node must not take (those it refused before).
 
 Everything here is pure data structure — no clock, no RNG — and every
-tie is broken deterministically (class name, then insertion sequence),
-so pull dispatch inherits the simulator's bit-determinism.
+tie is broken deterministically (bucket name, then arrival), so pull
+dispatch inherits the simulator's bit-determinism.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional
+from heapq import heappop, heappush
+from typing import Callable, Dict, List, Optional
 
+from repro.core.manager import by_priority
 from repro.engine.query import Query, workload_key
-
-#: Derives an entry's requirement tags from the query; the default
-#: (``None``) requires nothing, so every node is capability-eligible.
-RequirementsFn = Callable[[Query], FrozenSet[str]]
-
-#: Derives an entry's share-bucket key from the query; the default
-#: (``None``) buckets by workload class.  Multi-tenant scenarios pass a
-#: tenant extractor here so shares split dispatch *between tenants*.
-KeyFn = Callable[[Query], str]
-
-NO_REQUIREMENTS: FrozenSet[str] = frozenset()
+from repro.scheduling.queues import PartitionedQueue
 
 
-@dataclass(frozen=True)
-class TaskEntry:
-    """One queued request, ready for capability matching.
-
-    ``sort_key`` orders entries within a class: higher priority first,
-    then insertion sequence (FIFO) — the deterministic tie-break.
-    """
-
-    query: Query
-    workload: str
-    priority: int
-    seq: int
-    enqueue_time: float
-    requirements: FrozenSet[str] = NO_REQUIREMENTS
-
-    @property
-    def sort_key(self) -> tuple:
-        return (-self.priority, self.seq)
+def _workload_bucket(query: Query) -> str:
+    key = workload_key(query)
+    return "<unassigned>" if key is None else key
 
 
-@dataclass
-class _ClassBucket:
-    """Per-class heap of entries plus the share bookkeeping."""
-
-    share: float
-    served: float = 0.0
-    heap: List[tuple] = field(default_factory=list)  # (sort_key, entry)
-
-    @property
-    def deficit(self) -> float:
-        """Entries served so far, normalized by the class share.
-
-        The matcher serves the class with the smallest deficit first,
-        which converges on share-proportional dispatch counts whenever
-        several classes have matching work waiting.
-        """
-        return self.served / max(self.share, 1e-9)
-
-
-class TaskQueue:
-    """Priority-ordered, share-aware, tag-matching wait queue.
+class TaskQueue(PartitionedQueue):
+    """Priority-ordered, share-aware wait queue of the pull binding.
 
     Parameters
     ----------
-    class_shares:
-        ``{workload: share}`` dispatch shares; classes not listed get
-        ``default_share``.  Shares only matter under contention —
-        an uncontended class is served whenever it matches.
-    default_share:
-        Share for classes without an explicit entry.
-    requirements_fn:
-        Optional ``query -> frozenset`` deriving requirement tags per
-        entry (e.g. route ``bi`` queries only to ``"big-memory"``
-        nodes).  ``None`` means no entry requires anything.
-    key_fn:
-        Optional ``query -> str`` deriving the share-bucket key.  The
-        default buckets by workload class (``workload_name`` or the
-        ``name:`` sql prefix); tenant-isolated clusters pass a tenant
-        extractor so ``class_shares`` become per-tenant queue shares.
+    shares:
+        ``{bucket: share}`` dispatch shares; buckets not listed get 1.
+        Shares only matter under contention — an uncontended bucket is
+        served whenever it has a request the caller may take.
+    key:
+        ``query -> bucket name``.  The default buckets by workload class
+        (``workload_name`` or the ``name:`` sql prefix); tenant-isolated
+        clusters pass a tenant extractor so shares split dispatch
+        *between tenants*.
     """
 
     def __init__(
         self,
-        class_shares: Optional[Dict[str, float]] = None,
-        default_share: float = 1.0,
-        requirements_fn: Optional[RequirementsFn] = None,
-        key_fn: Optional[KeyFn] = None,
+        shares: Optional[Dict[str, float]] = None,
+        key: Callable[[Query], str] = _workload_bucket,
     ) -> None:
-        if default_share <= 0:
-            raise ValueError("default_share must be > 0")
-        for name, share in (class_shares or {}).items():
+        for name, share in (shares or {}).items():
             if share <= 0:
                 raise ValueError(f"share for {name!r} must be > 0")
-        self.class_shares = dict(class_shares or {})
-        self.default_share = default_share
-        self.requirements_fn = requirements_fn
-        self.key_fn = key_fn
-        self._buckets: Dict[str, _ClassBucket] = {}
-        self._seq = 0
-        self._len = 0
+        super().__init__(key, order=by_priority)
+        self.shares = dict(shares or {})
+        #: requests served per bucket: the deficit is ``served / share``
+        self.served: Dict[str, float] = {}
+        self._weight: Dict[str, float] = {}  # the deficit's divisor, max(share, 1e-9)
 
-    # ------------------------------------------------------------------
-    # intake
-    # ------------------------------------------------------------------
-    def _class_key(self, query: Query) -> str:
-        if self.key_fn is not None:
-            return self.key_fn(query)
-        key = workload_key(query)
-        return "<unassigned>" if key is None else key
+    # the ledger's seam table cuts ``TaskQueue.push`` in this class's body
+    push = PartitionedQueue.push
 
-    def _bucket(self, workload: str) -> _ClassBucket:
-        bucket = self._buckets.get(workload)
-        if bucket is None:
-            bucket = self._buckets[workload] = _ClassBucket(
-                share=self.class_shares.get(workload, self.default_share)
-            )
-        return bucket
-
-    def push(self, query: Query, now: float) -> TaskEntry:
-        """Queue one request; returns its entry (for introspection)."""
-        workload = self._class_key(query)
-        requirements = (
-            self.requirements_fn(query)
-            if self.requirements_fn is not None
-            else NO_REQUIREMENTS
-        )
-        entry = TaskEntry(
-            query=query,
-            workload=workload,
-            priority=query.priority,
-            seq=self._seq,
-            enqueue_time=now,
-            requirements=frozenset(requirements),
-        )
-        self._seq += 1
-        bucket = self._bucket(workload)
-        if not bucket.heap:
-            self._level_refilled(bucket)
-        heapq.heappush(bucket.heap, (entry.sort_key, entry))
-        self._len += 1
-        return entry
-
-    def _level_refilled(self, bucket: _ClassBucket) -> None:
+    def _refill(self, name: str) -> List[tuple]:
         """Reset share credit for a bucket going empty → non-empty.
 
         Deficit must not accumulate while a class/tenant has no eligible
@@ -178,117 +82,50 @@ class TaskQueue:
         level with the least-served *backlogged* bucket: the fair split
         applies from now on, not retroactively.
         """
+        served, weight = self.served, self._weight
+        heap = self.buckets.get(name)
+        if heap is None:
+            heap = self.buckets[name] = []
+            served[name] = 0.0
+            weight[name] = max(self.shares.get(name, 1.0), 1e-9)
         active = [
-            other.deficit
-            for other in self._buckets.values()
-            if other.heap and other is not bucket
+            served[other] / weight[other] for other, waiting in self.buckets.items() if waiting
         ]
-        if not active:
-            return
-        floor = min(active)
-        if bucket.deficit < floor:
-            bucket.served = floor * max(bucket.share, 1e-9)
+        if active:
+            floor = min(active)
+            if served[name] / weight[name] < floor:
+                served[name] = floor * weight[name]
+        return heap
 
-    # ------------------------------------------------------------------
-    # matching
-    # ------------------------------------------------------------------
-    def match(
-        self,
-        capabilities: FrozenSet[str],
-        blocked: Optional[Callable[[Query], bool]] = None,
-    ) -> Optional[TaskEntry]:
-        """Pop the best entry a node with ``capabilities`` can take.
+    def match(self, blocked: Optional[Callable[[Query], bool]] = None) -> Optional[Query]:
+        """Pop the best request the caller may take; ``None`` if there is none.
 
-        Classes are visited in (deficit, -head priority, name) order;
-        within a class, entries in priority-FIFO order.  ``blocked``
-        filters entries the caller must skip (e.g. queries this node
-        already refused).  Returns ``None`` when nothing matches.
+        Buckets are visited in (deficit, head rank, name) order, each in
+        pop order.  ``blocked`` filters the requests the caller must
+        skip; they keep their places.
         """
-        for workload in self._class_order():
-            entry = self._match_in(workload, capabilities, blocked)
-            if entry is not None:
-                return entry
+        buckets, served, weight = self.buckets, self.served, self._weight
+        ranked = sorted(
+            [(served[name] / weight[name], heap[0][0], name) for name, heap in buckets.items() if heap]
+        )
+        for _, _, name in ranked:
+            heap = buckets[name]
+            skipped = []
+            found = None
+            while heap:
+                entry = heappop(heap)
+                if blocked is None or not blocked(entry[2]):
+                    found = entry[2]
+                    break
+                skipped.append(entry)
+            for entry in skipped:
+                heappush(heap, entry)
+            if found is not None:
+                served[name] += 1
+                self._len -= 1
+                return found
         return None
-
-    def _class_order(self) -> List[str]:
-        ranked = []
-        for workload, bucket in self._buckets.items():
-            if not bucket.heap:
-                continue
-            head_priority = -bucket.heap[0][0][0]
-            ranked.append((bucket.deficit, -head_priority, workload))
-        ranked.sort()
-        return [workload for _, _, workload in ranked]
-
-    def _match_in(
-        self,
-        workload: str,
-        capabilities: FrozenSet[str],
-        blocked: Optional[Callable[[Query], bool]],
-    ) -> Optional[TaskEntry]:
-        bucket = self._buckets[workload]
-        skipped: List[tuple] = []
-        found: Optional[TaskEntry] = None
-        while bucket.heap:
-            item = heapq.heappop(bucket.heap)
-            entry = item[1]
-            if entry.requirements <= capabilities and not (
-                blocked is not None and blocked(entry.query)
-            ):
-                found = entry
-                break
-            skipped.append(item)
-        for item in skipped:
-            heapq.heappush(bucket.heap, item)
-        if found is not None:
-            bucket.served += 1
-            self._len -= 1
-        return found
-
-    # ------------------------------------------------------------------
-    # maintenance / introspection
-    # ------------------------------------------------------------------
-    def remove(self, query_id: int) -> Optional[Query]:
-        """Withdraw one queued request by id (bound enforcement)."""
-        for bucket in self._buckets.values():
-            for index, (_, entry) in enumerate(bucket.heap):
-                if entry.query.query_id == query_id:
-                    bucket.heap[index] = bucket.heap[-1]
-                    bucket.heap.pop()
-                    heapq.heapify(bucket.heap)
-                    self._len -= 1
-                    return entry.query
-        return None
-
-    def __len__(self) -> int:
-        return self._len
 
     def queued_queries(self) -> List[Query]:
-        """Snapshot in deterministic (class, priority, FIFO) order."""
-        out: List[Query] = []
-        for workload in sorted(self._buckets):
-            bucket = self._buckets[workload]
-            for _, entry in sorted(bucket.heap):
-                out.append(entry.query)
-        return out
-
-    def queued_entries(self) -> List[TaskEntry]:
-        out: List[TaskEntry] = []
-        for workload in sorted(self._buckets):
-            for _, entry in sorted(self._buckets[workload].heap):
-                out.append(entry)
-        return out
-
-    def class_depths(self) -> Dict[str, int]:
-        return {
-            workload: len(bucket.heap)
-            for workload, bucket in sorted(self._buckets.items())
-            if bucket.heap
-        }
-
-    def served_counts(self) -> Dict[str, int]:
-        return {
-            workload: bucket.served
-            for workload, bucket in sorted(self._buckets.items())
-            if bucket.served
-        }
+        """Snapshot in (bucket name, pop) order."""
+        return [entry[2] for name in sorted(self.buckets) for entry in sorted(self.buckets[name])]

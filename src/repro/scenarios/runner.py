@@ -35,6 +35,7 @@ from typing import Dict, Optional
 from repro.cluster.dispatcher import UNTENANTED, ClusterDispatcher, tenant_key
 from repro.cluster.failover import FaultInjector
 from repro.cluster.scenario import build_cluster
+from repro.core.interfaces import decisions_by
 from repro.core.sla import ObjectiveKind, SLASet, response_time_sla
 from repro.engine.query import Query, QueryState
 from repro.engine.simulator import Simulator
@@ -224,14 +225,14 @@ def _tenant_section(
     share: float = 1.0,
     quota: Optional[int] = None,
 ) -> Dict[str, object]:
-    dispatcher = result.dispatcher
     slas = [w["sla"] for w in workloads.values() if w["sla"] is not None]
+    quota_rejects = decisions_by(result.dispatcher.metrics.decisions, "TenantQuota", "reject")
     return {
         **result.tenant_ledger(name),
         "noisy": noisy,
         "share": share,
         "quota": quota,
-        "quota_rejections": dispatcher.quota_rejections.get(name, 0),
+        "quota_rejections": sum(e.workload.split("/", 1)[0] == name for e in quota_rejects),
         "sla_met": sum(1 for sla in slas if sla["met"]),
         "sla_total": len(slas),
         "workloads": workloads,

@@ -12,8 +12,8 @@ environment stays fully functional, it just speaks JSON).
 Tenant naming convention: every workload a tenant runs is registered
 as ``tenant/label`` (so generated queries carry ``tenant/label:class``
 sql tags), which is what the tenant extractors across the stack —
-:func:`repro.cluster.dispatcher.tenant_key`, the task queue ``key_fn``
-and :class:`repro.scheduling.queues.TenantShareScheduler` — key on.
+:func:`repro.cluster.dispatcher.tenant_key`, the tenant-keyed task
+queue and :class:`repro.scheduling.queues.TenantShareScheduler` — key on.
 A scenario's untenanted ``workloads`` are registered by bare ``label``:
 they belong to no tenant, and their generator RNG streams are the ones
 a hand-built ``Scenario`` of the same workload names would draw.

@@ -3,8 +3,10 @@
 * :class:`~repro.core.manager.WaitQueue` — the one wait queue drained
   under a static or controller-driven MPL, in arrival order or by a key
   (:func:`by_priority`, :func:`shortest_job`, :func:`wspt`);
-* :mod:`repro.scheduling.queues` — partitioned wait queues: per-workload
-  and per-tenant multi-queue dispatch;
+* :mod:`repro.scheduling.queues` — partitioned wait queues: one core,
+  :class:`~repro.scheduling.queues.PartitionedQueue`, under per-workload
+  and per-tenant MPL caps on a node (and under share deficit in the
+  cluster's :class:`~repro.cluster.taskqueue.TaskQueue`);
 * :mod:`repro.scheduling.mpl` — dynamic MPL determination: analytical
   queueing-model bounds [35][40][69] and feedback hill-climbing [17][28];
 * :mod:`repro.scheduling.utility` — the Niu et al. query scheduler:
@@ -20,6 +22,7 @@ from repro.core.interfaces import MplController, StaticMpl
 from repro.core.manager import WaitQueue, by_priority, shortest_job, wspt
 from repro.scheduling.queues import (
     MultiQueueScheduler,
+    PartitionedQueue,
     TenantShareScheduler,
     tenant_mpl_caps,
 )
@@ -34,6 +37,7 @@ __all__ = [
     "shortest_job",
     "wspt",
     "MultiQueueScheduler",
+    "PartitionedQueue",
     "TenantShareScheduler",
     "tenant_mpl_caps",
     "MplController",

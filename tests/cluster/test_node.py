@@ -132,14 +132,6 @@ class TestSpeedChangeGuards:
         # back to its *configured* speed, not full speed
         assert node.speed_factor == 0.7
 
-    def test_capabilities_track_speed(self, sim):
-        node = _node(sim, tags=("big-memory",))
-        assert node.capabilities == {"big-memory", "speed:full"}
-        node.degrade(0.5)
-        assert node.capabilities == {"big-memory"}
-        node.restore_speed()
-        assert "speed:full" in node.capabilities
-
     def test_speed_factor_validated(self, sim):
         with pytest.raises(ConfigurationError):
             ClusterNode(sim, name="bad", speed_factor=0.0)

@@ -10,7 +10,7 @@ and gate rows that repair moves):
   window is still open comes back at full speed;
 * (b) a degrade's own RECOVER on a full-speed node leaves the queries
   already running throttled at the degraded factor until they finish,
-  while ``capabilities`` already reports ``speed:full``.
+  while ``speed_factor`` already reads 1.0.
 """
 
 import pytest
@@ -48,7 +48,7 @@ def test_restore_speed_lifts_the_throttle_on_running_work():
 def test_recover_after_a_degrade_lifts_the_throttle_on_running_work():
     node = _degraded_node_with_work(Simulator(seed=3))
     node.activate()  # what a degrade's own FaultKind.RECOVER calls
-    assert "speed:full" in node.capabilities
+    assert node.speed_factor == 1.0
     assert _throttles(node) == [1.0]
 
 

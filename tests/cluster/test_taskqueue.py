@@ -1,38 +1,45 @@
-"""TaskQueue unit tests: ordering, shares, tags, removal, determinism."""
+"""TaskQueue unit tests: ordering, shares, the blocked filter, removal."""
 
 import pytest
 
-from repro.cluster.taskqueue import NO_REQUIREMENTS, TaskQueue
+from repro.cluster.taskqueue import TaskQueue
+from repro.engine.query import workload_key
 
 from tests.conftest import make_query
 
-ALL = frozenset({"speed:full"})
 
-
-def _push(queue, n=1, now=0.0, **query_kwargs):
+def _push(queue, n=1, **query_kwargs):
     queries = [make_query(**query_kwargs) for _ in range(n)]
     for query in queries:
-        queue.push(query, now)
+        queue.push(query)
     return queries
+
+
+def _class_of(query):
+    return workload_key(query).split("/", 1)[0]
+
+
+def _depths(queue):
+    return {name: len(heap) for name, heap in queue.buckets.items() if heap}
 
 
 class TestOrdering:
     def test_fifo_within_a_priority_level(self):
         queue = TaskQueue()
         queries = _push(queue, n=3, sql="oltp:q", priority=2)
-        popped = [queue.match(ALL).query for _ in range(3)]
+        popped = [queue.match() for _ in range(3)]
         assert popped == queries
 
     def test_higher_priority_first(self):
         queue = TaskQueue()
         low = _push(queue, sql="oltp:q", priority=1)[0]
         high = _push(queue, sql="oltp:q", priority=5)[0]
-        assert queue.match(ALL).query is high
-        assert queue.match(ALL).query is low
+        assert queue.match() is high
+        assert queue.match() is low
 
     def test_empty_queue_matches_nothing(self):
         queue = TaskQueue()
-        assert queue.match(ALL) is None
+        assert queue.match() is None
         assert len(queue) == 0
 
     def test_class_key_from_workload_then_sql_prefix(self):
@@ -41,35 +48,31 @@ class TestOrdering:
         prefixed = make_query(sql="oltp:q1")
         bare = make_query(sql="select 2")
         for query in (tagged, prefixed, bare):
-            queue.push(query, 0.0)
-        assert queue.class_depths() == {
-            "<unassigned>": 1,
-            "bi": 1,
-            "oltp": 1,
-        }
+            queue.push(query)
+        assert _depths(queue) == {"<unassigned>": 1, "bi": 1, "oltp": 1}
 
 
 class TestShares:
     def test_shares_split_dispatches_under_contention(self):
-        queue = TaskQueue(class_shares={"oltp": 3.0, "bi": 1.0})
+        queue = TaskQueue({"oltp": 3.0, "bi": 1.0})
         _push(queue, n=30, sql="oltp:q")
         _push(queue, n=30, sql="bi:q")
-        first_12 = [queue.match(ALL).workload for _ in range(12)]
+        first_12 = [_class_of(queue.match()) for _ in range(12)]
         # deficit scheduling: ~3 oltp dispatches per bi dispatch
         assert first_12.count("oltp") == 9
         assert first_12.count("bi") == 3
 
     def test_uncontended_class_is_served_regardless_of_share(self):
-        queue = TaskQueue(class_shares={"bi": 0.001})
+        queue = TaskQueue({"bi": 0.001})
         _push(queue, n=2, sql="bi:q")
-        assert queue.match(ALL) is not None
-        assert queue.match(ALL) is not None
+        assert queue.match() is not None
+        assert queue.match() is not None
 
     def test_invalid_shares_rejected(self):
         with pytest.raises(ValueError):
-            TaskQueue(class_shares={"oltp": 0.0})
+            TaskQueue({"oltp": 0.0})
         with pytest.raises(ValueError):
-            TaskQueue(default_share=-1.0)
+            TaskQueue({"bi": -1.0})
 
     def test_no_deficit_credit_while_drained(self):
         """Regression: an empty class must not bank share credit.
@@ -80,65 +83,46 @@ class TestShares:
         slot until it "caught up" on share it had no work for.  The fair
         1:1 split must apply from the refill onward instead.
         """
-        queue = TaskQueue(class_shares={"oltp": 1.0, "bi": 1.0})
+        queue = TaskQueue({"oltp": 1.0, "bi": 1.0})
         _push(queue, n=1, sql="bi:q")
-        assert queue.match(ALL).workload == "bi"  # bi drains to empty
+        assert _class_of(queue.match()) == "bi"  # bi drains to empty
         _push(queue, n=100, sql="oltp:q")
         for _ in range(50):
-            assert queue.match(ALL).workload == "oltp"
+            assert _class_of(queue.match()) == "oltp"
         _push(queue, n=40, sql="bi:q")  # refill mid-backlog
-        next_20 = [queue.match(ALL).workload for _ in range(20)]
+        next_20 = [_class_of(queue.match()) for _ in range(20)]
         # equal shares -> alternating split, not a bi monopoly
         assert next_20.count("bi") == 10
         assert next_20.count("oltp") == 10
 
     def test_refill_with_no_contention_keeps_credit_semantics(self):
         """A refill with nothing else queued leaves deficits untouched."""
-        queue = TaskQueue(class_shares={"oltp": 1.0, "bi": 1.0})
+        queue = TaskQueue({"oltp": 1.0, "bi": 1.0})
         _push(queue, n=2, sql="bi:q")
-        queue.match(ALL)
-        queue.match(ALL)
-        served_before = queue.served_counts()["bi"]
+        queue.match()
+        queue.match()
+        served_before = queue.served["bi"]
         _push(queue, n=1, sql="bi:q")  # refill against an empty queue
-        assert queue.served_counts()["bi"] == served_before
+        assert queue.served["bi"] == served_before
 
 
 class TestTenantKeys:
     def test_key_fn_buckets_by_tenant(self):
-        queue = TaskQueue(
-            class_shares={"acme": 1.0, "zeta": 1.0},
-            key_fn=lambda q: q.sql.split("/", 1)[0],
-        )
+        queue = TaskQueue({"acme": 1.0, "zeta": 1.0}, key=_class_of)
         _push(queue, n=10, sql="acme/oltp:q")
         _push(queue, n=10, sql="zeta/bi:q")
-        assert queue.class_depths() == {"acme": 10, "zeta": 10}
-        first_10 = [queue.match(ALL).workload for _ in range(10)]
+        assert _depths(queue) == {"acme": 10, "zeta": 10}
+        first_10 = [_class_of(queue.match()) for _ in range(10)]
         assert first_10.count("acme") == 5
         assert first_10.count("zeta") == 5
 
 
 class TestRequirements:
-    def test_entry_only_matches_covering_capabilities(self):
-        queue = TaskQueue(
-            requirements_fn=lambda q: (
-                frozenset({"big-memory"}) if q.sql.startswith("bi") else
-                NO_REQUIREMENTS
-            )
-        )
-        bi = _push(queue, sql="bi:scan")[0]
-        oltp = _push(queue, sql="oltp:q")[0]
-        # a small node can only take the oltp entry...
-        assert queue.match(frozenset()).query is oltp
-        assert queue.match(frozenset()) is None
-        # ...the bi entry waits for a big-memory node
-        assert queue.match(frozenset({"big-memory", "x"})).query is bi
-
     def test_blocked_filter_skips_without_reordering(self):
         queue = TaskQueue()
         first, second = _push(queue, n=2, sql="oltp:q")
-        entry = queue.match(ALL, blocked=lambda q: q is first)
-        assert entry.query is second
-        assert queue.match(ALL).query is first  # still queued, still FIFO
+        assert queue.match(blocked=lambda q: q is first) is second
+        assert queue.match() is first  # still queued, still FIFO
 
 
 class TestMaintenance:
@@ -149,17 +133,14 @@ class TestMaintenance:
         assert queue.remove(victim.query_id) is victim
         assert len(queue) == 2
         assert queue.remove(victim.query_id) is None
-        remaining = [queue.match(ALL).query for _ in range(2)]
+        remaining = [queue.match() for _ in range(2)]
         assert remaining == [queries[0], queries[2]]
 
     def test_snapshots_are_deterministic(self):
         queue = TaskQueue()
-        _push(queue, n=2, sql="oltp:q")
-        _push(queue, n=2, sql="bi:q", priority=4)
+        oltp = _push(queue, n=2, sql="oltp:q")
+        bi = _push(queue, n=2, sql="bi:q", priority=4)
         snapshot = queue.queued_queries()
-        assert snapshot == queue.queued_queries()
-        assert [e.workload for e in queue.queued_entries()] == [
-            "bi", "bi", "oltp", "oltp"
-        ]
-        queue.match(ALL)
-        assert queue.served_counts() == {"bi": 1}
+        assert snapshot == queue.queued_queries() == bi + oltp  # by bucket name
+        queue.match()
+        assert {name: n for name, n in queue.served.items() if n} == {"bi": 1}

@@ -279,9 +279,25 @@ def test_cluster_quota_rejection_names_the_tenant_and_quota():
     assert bounced.state is QueryState.REJECTED
     (event,) = decisions_by(dispatcher.metrics.decisions, action="reject")
     assert (event.controller, event.query_id, event.workload) == (
-        "ClusterDispatcher", bounced.query_id, "acme/bi",
+        "TenantQuota", bounced.query_id, "acme/bi",
     )
     assert "'acme'" in event.detail and "quota of 1" in event.detail
+
+
+@pytest.mark.parametrize("dispatch", ["push", "pull"])
+def test_a_full_cluster_queue_rejects_the_arriving_request(dispatch):
+    # two nodes of two slots each take four; one waits, the sixth bounces
+    dispatcher = _cluster(Simulator(seed=11), max_queue_depth=1, dispatch=dispatch)
+    queries = [make_query(cpu=50.0, io=0.0, sql="bi:q") for _ in range(6)]
+    for query in queries:
+        dispatcher.submit(query)
+    waiting, arriving = queries[4:]
+    assert dispatcher.binding.queued_queries() == [waiting]
+    assert arriving.state is QueryState.REJECTED
+    (event,) = decisions_by(dispatcher.metrics.decisions, action="reject")
+    assert (event.controller, event.query_id, event.detail) == (
+        "ClusterDispatcher", arriving.query_id, "cluster queue full (1)",
+    )
 
 
 def test_intercepted_rejection_records_nothing():

@@ -129,7 +129,7 @@ class TestMultiQueue:
         assert a.state is QueryState.RUNNING
         assert b.state is QueryState.QUEUED
         assert c.state is QueryState.RUNNING
-        assert scheduler.queue_length("bi") == 1
+        assert scheduler.queued_queries() == [b]
 
     def test_global_mpl_applies_across_workloads(self, sim):
         scheduler = MultiQueueScheduler(global_mpl=2)
