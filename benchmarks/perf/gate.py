@@ -226,20 +226,28 @@ def describe_rerecord(
     the entry it overwrites: ``old digest → new digest`` and each gated
     counter that moved, or ``digest only`` — the evidence line a declared
     re-baseline (DESIGN.md §7) quotes.  A key the old entry did not hold
-    has no old value to compare: it is listed as newly gated."""
+    has no old value to compare: it is listed as newly gated.  When the
+    digest is equal and only ``events`` moved, the line also gives events
+    per completion before and after: the whole evidence of a change that
+    fires fewer events for the same outcomes."""
     if old is None:
         return f"  {name}: new entry"
     old_digest, new_digest = _digest(old)[:12], _digest(new)[:12]
     counters = [key for key in GATED if "digest" not in key and key in new]
-    moved = [
-        f"{key} {old[key]} → {new[key]}"
-        for key in counters
-        if key in old and old[key] != new[key]
-    ]
+    moved_keys = [key for key in counters if key in old and old[key] != new[key]]
+    moved = [f"{key} {old[key]} → {new[key]}" for key in moved_keys]
     moved += [f"{key} {old[key]} → dropped" for key in old if key not in new]
     added = [f"{key}={new[key]}" for key in counters if key not in old]
     if old_digest == new_digest and not moved and not added:
         return f"  {name}: {old_digest} unchanged"
+    only_events = moved_keys == ["events"] and len(moved) == 1 and not added
+    done = new.get("completed")
+    if old_digest == new_digest and only_events and done:
+        before, after = old["events"], new["events"]
+        return (
+            f"  {name}: {old_digest} digest unchanged  events {before} → {after} "
+            f"({before / done:.2f} → {after / done:.2f} per completion)"
+        )
     line = f"  {name}: {old_digest} → {new_digest}  {', '.join(moved) or 'digest only'}"
     return line + (f"; newly gated: {', '.join(added)}" if added else "")
 

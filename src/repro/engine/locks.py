@@ -14,6 +14,12 @@ The module also computes the **conflict ratio** of Moenkeberg & Weikum
 
 A ratio near 1 means little contention; past a critical threshold
 (≈1.3 in [56]) the system is approaching data-contention thrashing.
+
+A transaction whose items no other live transaction lists can never
+conflict, so it is **quiet**: the executor lets it hold each item
+implicitly once its progress passes the item's point, and asks nothing
+here until a registration that lists one of its items turns it **loud**
+(DESIGN.md §7, "A lock point nobody else lists is not an event").
 """
 
 from __future__ import annotations
@@ -62,9 +68,10 @@ class LockManager:
     """Exclusive locks over a hot set of ``num_items`` items.
 
     The executor drives it: ``register`` when a transaction enters the
-    engine, ``try_acquire`` at each acquisition point, ``release_all`` at
-    completion/kill/abort.  The lock manager never schedules events
-    itself; it returns who to wake and the executor does the waking.
+    engine, ``try_acquire`` at each acquisition point of a loud
+    transaction, ``release_all`` at completion/kill/abort.  The lock
+    manager never schedules events itself; it returns who to wake and the
+    executor does the waking.
     """
 
     def __init__(self, num_items: int, rng: np.random.Generator) -> None:
@@ -74,7 +81,11 @@ class LockManager:
         self._rng = rng
         self._holders: Dict[int, int] = {}              # item -> query_id
         self._waiters: Dict[int, List[int]] = {}        # item -> FIFO of query_ids
+        self._listers: Dict[int, List[int]] = {}        # item -> live txns listing it
         self._txns: Dict[int, _Transaction] = {}
+        #: live transactions no other live transaction shares an item with
+        self.quiet: Dict[int, _Transaction] = {}
+        self._turned_loud: List[int] = []
         self.stats = LockConflictStats()
 
     # ------------------------------------------------------------------
@@ -88,16 +99,42 @@ class LockManager:
         ``j / (lock_count + 1)``, spreading acquisitions through the run
         (which is what lets blocked transactions hold locks — the
         precondition for contention thrashing).
+
+        The new transaction is :attr:`quiet` unless another live
+        transaction lists one of its items; then both are loud, and a
+        rival that was quiet is reported once by :meth:`newly_loud`.
         """
         if query_id in self._txns:
             raise SimulationError(f"transaction {query_id} already registered")
         count = min(lock_count, self.num_items)
         items = self._rng.choice(self.num_items, size=count, replace=False).tolist()
-        self._txns[query_id] = _Transaction(query_id=query_id, timestamp=now, items=items)
+        txn = self._txns[query_id] = _Transaction(
+            query_id=query_id, timestamp=now, items=items
+        )
+        quiet = True
+        for item in items:
+            if item not in self._listers:
+                self._listers[item] = [query_id]
+                continue
+            quiet = False
+            listers = self._listers[item]
+            for rival_id in listers:
+                if rival_id in self.quiet:
+                    del self.quiet[rival_id]
+                    self._turned_loud.append(rival_id)
+            listers.append(query_id)
+        if quiet:
+            self.quiet[query_id] = txn
         return [j / (count + 1) for j in range(1, count + 1)]
 
     def is_registered(self, query_id: int) -> bool:
         return query_id in self._txns
+
+    def newly_loud(self) -> List[int]:
+        """Quiet transactions that registrations since the last call
+        turned loud, in the order they turned."""
+        turned, self._turned_loud = self._turned_loud, []
+        return turned
 
     def try_acquire(self, query_id: int, lock_index: int) -> LockOutcome:
         """Attempt to take lock ``lock_index`` of the transaction's list."""
@@ -127,6 +164,14 @@ class LockManager:
         txn = self._txns.pop(query_id, None)
         if txn is None:
             return []
+        if query_id in self.quiet:
+            del self.quiet[query_id]
+        for item in txn.items:
+            listers = self._listers[item]
+            if listers == [query_id]:
+                del self._listers[item]
+            else:
+                listers.remove(query_id)
         if txn.waiting_for is not None:
             queue = self._waiters.get(txn.waiting_for, [])
             if query_id in queue:
@@ -156,10 +201,15 @@ class LockManager:
         """Transactions currently waiting on a lock."""
         return {qid for qid, txn in self._txns.items() if txn.waiting_for is not None}
 
-    def conflict_ratio(self) -> float:
-        """Moenkeberg & Weikum's conflict ratio [56]; 1.0 when idle."""
-        total = sum(len(t.acquired) for t in self._txns.values())
-        active = sum(
+    def conflict_ratio(self, implicit: int = 0) -> float:
+        """Moenkeberg & Weikum's conflict ratio [56]; 1.0 when idle.
+
+        ``implicit`` counts the locks quiet transactions hold by having
+        passed their points; a quiet transaction is never blocked, so they
+        count in both the numerator and the denominator.
+        """
+        total = implicit + sum(len(t.acquired) for t in self._txns.values())
+        active = implicit + sum(
             len(t.acquired) for t in self._txns.values() if t.waiting_for is None
         )
         if active == 0:
@@ -167,13 +217,17 @@ class LockManager:
         return total / active
 
     def locks_held(self) -> int:
+        """Locks held explicitly (a quiet transaction's are implicit)."""
         return len(self._holders)
 
     def reset(self) -> None:
         """Drop all state (between experiment repetitions)."""
         self._holders.clear()
         self._waiters.clear()
+        self._listers.clear()
         self._txns.clear()
+        self.quiet.clear()
+        self._turned_loud.clear()
         self.stats = LockConflictStats()
 
     def _require(self, query_id: int) -> _Transaction:

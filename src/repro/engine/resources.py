@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Mapping, MutableMapping
+from typing import Dict, Hashable, List, MutableMapping
 
 import numpy as np
 
@@ -67,128 +67,6 @@ class MachineSpec:
         }
 
 
-@dataclass
-class ShareRequest:
-    """One query's claim in a fair-share allocation round.
-
-    ``demands`` maps a rate resource to the server-seconds of service per
-    unit of query progress (i.e. the cost-vector seconds, possibly
-    inflated by buffer-pool spill).  ``speed_cap`` bounds the achievable
-    speed (1.0 = unloaded speed; a throttle of 50% halves it; a paused
-    query has cap 0).
-    """
-
-    key: Hashable
-    weight: float
-    demands: Mapping[ResourceKind, float]
-    speed_cap: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.weight < 0:
-            raise ValueError(f"weight must be >= 0, got {self.weight}")
-        if self.speed_cap < 0:
-            raise ValueError(f"speed_cap must be >= 0, got {self.speed_cap}")
-
-    @property
-    def bottleneck_demand(self) -> float:
-        """The largest per-progress demand (determines unloaded duration)."""
-        return max(self.demands.values(), default=0.0)
-
-
-@dataclass(frozen=True)
-class Allocation:
-    """Result of a fair-share round for one request."""
-
-    speed: float
-    usage: Mapping[ResourceKind, float]
-
-
-def allocate_fair_shares_reference(
-    requests: Iterable[ShareRequest],
-    capacities: Mapping[ResourceKind, float],
-) -> Dict[Hashable, Allocation]:
-    """Reference weighted max-min fair allocation by progressive filling.
-
-    The obviously-correct implementation: one constraint binds per
-    round, so it runs O(active) rounds of O(active) work each.  No
-    engine calls it; it is the oracle the tests hold the two fills the
-    engine does run against (``tests/engine/test_fair_share_equivalence.py``).
-
-    Returns, for every request, the progress speed it receives and its
-    per-resource usage (server-units).  Guarantees:
-
-    * no resource is used beyond its capacity (within float tolerance);
-    * no request exceeds its ``speed_cap``;
-    * the allocation is weighted max-min fair: a request's speed can only
-      be below ``cap`` if some resource it uses is saturated, and at that
-      saturation speeds are proportional to weights.
-
-    Resources whose binding times tie within ``1e-15`` bind in the
-    iteration order of ``capacities``.
-    """
-    requests = list(requests)
-    speeds: Dict[Hashable, float] = {}
-    # Requests that demand nothing run at their cap (completed instantly
-    # by the executor); zero-weight or zero-cap requests get speed 0.
-    active: List[ShareRequest] = []
-    for req in requests:
-        positive = {k: v for k, v in req.demands.items() if v > 0}
-        if not positive or req.weight == 0 or req.speed_cap == 0:
-            speeds[req.key] = req.speed_cap if not positive and req.weight > 0 else 0.0
-            continue
-        active.append(ShareRequest(req.key, req.weight, positive, req.speed_cap))
-        speeds[req.key] = 0.0
-
-    headroom = {kind: float(cap) for kind, cap in capacities.items()}
-    remaining = list(active)
-
-    # Progressive filling: in each round grow all remaining speeds by
-    # dt * weight, where dt is chosen so exactly one constraint binds.
-    for _round in range(2 * len(active) + 2):
-        if not remaining:
-            break
-        # Usage growth per unit dt on each resource.
-        growth: Dict[ResourceKind, float] = dict.fromkeys(capacities, 0.0)
-        for req in remaining:
-            for kind, demand in req.demands.items():
-                growth[kind] = growth.get(kind, 0.0) + req.weight * demand
-
-        dt_best = float("inf")
-        binding_resource = None
-        binding_request = None
-        for kind, rate in growth.items():
-            if rate <= 0:
-                continue
-            dt = headroom.get(kind, 0.0) / rate
-            if dt < dt_best - 1e-15:
-                dt_best, binding_resource, binding_request = dt, kind, None
-        for req in remaining:
-            dt = (req.speed_cap - speeds[req.key]) / req.weight
-            if dt < dt_best - 1e-15:
-                dt_best, binding_resource, binding_request = dt, None, req
-
-        dt_best = max(dt_best, 0.0)
-        for req in remaining:
-            grow = dt_best * req.weight
-            speeds[req.key] += grow
-            for kind, demand in req.demands.items():
-                headroom[kind] = headroom.get(kind, 0.0) - grow * demand
-
-        if binding_request is not None:
-            remaining = [r for r in remaining if r.key != binding_request.key]
-        elif binding_resource is not None:
-            remaining = [r for r in remaining if binding_resource not in r.demands]
-        else:  # all caps reached simultaneously
-            break
-
-    allocations: Dict[Hashable, Allocation] = {}
-    for req in requests:
-        speed = speeds.get(req.key, 0.0)
-        usage = {kind: speed * demand for kind, demand in req.demands.items() if demand > 0}
-        allocations[req.key] = Allocation(speed=speed, usage=usage)
-    return allocations
-
-
 def fill_two_resource(
     active: List[List],
     speeds: MutableMapping[Hashable, float] | List[float],
@@ -200,12 +78,11 @@ def fill_two_resource(
     ``active`` items are ``[key, weight, cpu_demand, disk_demand, cap]``
     with positive weight, positive cap, at least one positive demand and
     absent demands exactly ``0.0``; ``speeds`` must be pre-seeded with
-    ``0.0`` per key (the engine keys by position into a list).  The rounds are the reference's — identical growth
-    sums accumulated in identical request order (an absent demand
-    contributes an exact ``+ 0.0``), the same ``1e-15`` binding
-    tolerances, one binding constraint per round — without its
-    enum-keyed dict operations, so results are bit-identical to
-    :func:`allocate_fair_shares_reference` over ``{CPU, DISK}``.
+    ``0.0`` per key (the engine keys by position into a list).  One
+    constraint binds per round, growth sums accumulate in request order
+    and ties within ``1e-15`` bind CPU before disk: the rounds of the
+    dict-based reference allocator in ``tests/engine/fills.py``, to which
+    the results are bit-identical.
     """
     cpu, disk = ResourceKind.CPU, ResourceKind.DISK
     headroom_cpu, headroom_disk = float(cpu_cap), float(disk_cap)
@@ -274,9 +151,8 @@ def fair_share_fill_vectorized(
     the headroom and retires every request within relative ``1e-12`` of
     its cap at once (with a forced-progress fallback), and it
     accumulates growth and usage sums with :func:`numpy.dot` (pairwise
-    summation) — so results agree with
-    :func:`allocate_fair_shares_reference` to within ``1e-9`` per speed
-    rather than bit-for-bit.
+    summation) — so results agree with the reference allocator to within
+    ``1e-9`` per speed rather than bit-for-bit.
     """
     n = int(weights.shape[0])
     speeds = np.zeros(n, dtype=np.float64)

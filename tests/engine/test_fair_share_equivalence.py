@@ -2,7 +2,7 @@
 
 An engine solves with :func:`fill_two_resource` below its vector cutover
 and with :func:`fair_share_fill_vectorized` at or above it.  These tests
-pin both to the :func:`allocate_fair_shares_reference` oracle — the
+pin both to the reference allocator in ``fills.py`` — the
 scalar fill bit for bit, the numpy fill to solver tolerance — and to the
 fair-share invariants, across generated request mixes on both sides of
 the cutover.
@@ -13,9 +13,10 @@ import math
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.engine.resources import ResourceKind, ShareRequest
+from repro.engine.resources import ResourceKind
 from tests.engine.fills import (
     LIVE_FILLS,
+    ShareRequest,
     exact_speeds,
     reference_speeds,
     usage,

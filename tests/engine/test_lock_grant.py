@@ -20,7 +20,10 @@ real pick), which every other outcome still takes:
     no solve.
 
 Running sets of 1–40 put both sides of ``_VECTOR_MIN_RUNNING`` under
-every property.
+every property.  Every transaction here is loud from its registration
+(``EagerLocks``, the oracle of ``test_quiet_locks.py``), so each lock
+point is a milestone event whether or not another transaction lists its
+item.
 """
 
 from __future__ import annotations
@@ -33,16 +36,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.executor import (
-    _VECTOR_MIN_RUNNING,
-    CompletionOutcome,
-    EngineConfig,
-    ExecutionEngine,
-)
+from repro.engine.executor import CompletionOutcome, EngineConfig, ExecutionEngine
 from repro.engine.query import QueryState
 from repro.engine.resources import MachineSpec
 from repro.engine.simulator import Simulator
 from tests.conftest import submitted_query
+from tests.engine.test_quiet_locks import eager, either_side_of_the_cutover
 
 _MACHINE = MachineSpec(cpu_capacity=2.0, disk_capacity=1.0, memory_mb=65536.0)
 #: nobody waits for anybody: every speed is its cap
@@ -62,17 +61,9 @@ entry_strategy = st.tuples(
 hot_set_strategy = st.sampled_from([4, 1000])
 
 
-def _either_side_of_the_cutover(element):
-    """Lists of 1–40: short ones run the scalar loops, long ones numpy."""
-    return st.one_of(
-        st.lists(element, min_size=1, max_size=_VECTOR_MIN_RUNNING - 1),
-        st.lists(element, min_size=_VECTOR_MIN_RUNNING, max_size=40),
-    )
-
-
 def _engine(hot_set: int = 1000, machine: MachineSpec = _MACHINE):
     sim = Simulator(seed=5)
-    return sim, ExecutionEngine(sim, machine, EngineConfig(hot_set_size=hot_set))
+    return sim, eager(ExecutionEngine(sim, machine, EngineConfig(hot_set_size=hot_set)))
 
 
 def _sweeps_and_solves(engine: ExecutionEngine) -> Dict[str, int]:
@@ -119,7 +110,7 @@ def _close(a: float, b: float) -> bool:
 # (a) the armed milestone after an in-place grant
 # ----------------------------------------------------------------------
 @given(
-    entries=_either_side_of_the_cutover(entry_strategy),
+    entries=either_side_of_the_cutover(entry_strategy),
     hot_set=hot_set_strategy,
     warmup=st.floats(min_value=0.0, max_value=0.5),
 )
@@ -224,7 +215,7 @@ job_strategy = st.tuples(
 )
 
 
-@given(jobs=_either_side_of_the_cutover(job_strategy), hot_set=hot_set_strategy)
+@given(jobs=either_side_of_the_cutover(job_strategy), hot_set=hot_set_strategy)
 @settings(max_examples=80, deadline=None)
 def test_run_through_in_place_grants_equals_the_run_without_them(jobs, hot_set):
     fast, *fast_rest = _run_to_the_end(jobs, hot_set)

@@ -48,6 +48,43 @@ class TestRegistration:
         assert not manager.is_registered(2)
 
 
+class TestQuietness:
+    def test_a_transaction_nobody_else_lists_is_quiet(self):
+        manager = _manager(num_items=1000)
+        manager.register(1, 2, now=0.0)
+        manager.register(2, 2, now=0.0)
+        assert set(manager._txns[1].items).isdisjoint(manager._txns[2].items)
+        assert list(manager.quiet) == [1, 2]
+        assert manager.newly_loud() == []
+
+    def test_an_overlapping_registration_turns_both_loud_and_reports_once(self):
+        manager = _manager(num_items=1)
+        manager.register(1, 1, now=0.0)
+        manager.register(2, 1, now=1.0)
+        manager.register(3, 1, now=2.0)  # 2 was never quiet, 1 is loud already
+        assert manager.quiet == {}
+        assert manager.newly_loud() == [1]
+        assert manager.newly_loud() == []
+
+    def test_a_released_transaction_lists_nothing(self):
+        manager = _manager(num_items=1)
+        manager.register(1, 1, now=0.0)
+        manager.release_all(1)
+        manager.register(2, 1, now=1.0)
+        assert list(manager.quiet) == [2] and manager._listers == {0: [2]}
+
+    def test_implicit_locks_count_as_held_by_active_transactions(self):
+        manager = _manager(num_items=2)
+        manager.register(1, 2, now=0.0)  # items 0 and 1, in some order
+        manager.register(2, 1, now=1.0)
+        manager._txns[2].items = [manager._txns[1].items[1]]
+        manager.try_acquire(2, 0)
+        manager.try_acquire(1, 0)
+        manager.try_acquire(1, 1)  # waits: two locks held, one of them active
+        assert manager.conflict_ratio() == 2.0
+        assert manager.conflict_ratio(2) == 4 / 3
+
+
 class TestGrantWaitDie:
     def test_uncontended_lock_granted(self):
         manager = _manager(num_items=1)

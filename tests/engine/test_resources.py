@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.resources import MachineSpec, Resource, ShareRequest
+from repro.engine.resources import MachineSpec, Resource
 from repro.errors import CapacityError
-from tests.engine.fills import ALL_FILLS, CPU, DISK, LIVE_FILLS, usage
+from tests.engine.fills import ALL_FILLS, CPU, DISK, LIVE_FILLS, ShareRequest, usage
 
 
 def _caps(cpu=4.0, disk=4.0):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.executor import ExecutionEngine
+from repro.engine.executor import EngineConfig, ExecutionEngine
 from repro.engine.simulator import Event, ScopedSimulator, Simulator
 from repro.errors import SimulationBudgetExceeded, SimulationError
 
@@ -391,11 +391,16 @@ class TestTracerContract:
     def test_engine_arms_its_milestone_under_the_milestone_label(self):
         # the engine.event.milestone seam is matched on the label's head
         sim = Simulator()
-        engine = ExecutionEngine(sim)
+        engine = ExecutionEngine(sim, config=EngineConfig(hot_set_size=3))
         # (an in-place lock grant re-arms through the same call as a solve)
-        engine.start(submitted_query(sim, cpu=1.0, io=0.5, locks=3))
+        txn = submitted_query(sim, cpu=1.0, io=0.5, locks=3)
+        # lists one of its three items, so its lock points are events; its
+        # own point is 50 s away
+        rival = submitted_query(sim, cpu=100.0, io=0.0, locks=1)
+        engine.start(txn)
+        engine.start(rival)
         labels = []
-        while engine._milestone_handle is not None:
+        while engine.is_running(txn.query_id):
             labels.append(engine._milestone_handle.label)
             sim.step()
         assert engine.completed_count == 1

@@ -147,6 +147,18 @@ def test_describe_rerecord_of_an_equal_or_a_new_entry():
     assert gate.describe_rerecord("r", None, ENTRY) == "  r: new entry"
 
 
+def test_describe_rerecord_of_an_events_only_move_is_one_line_per_completion():
+    assert gate.describe_rerecord("r", ENTRY, dict(ENTRY, events=27)) == (
+        f"  r: {DIGEST[:12]} digest unchanged  events 40 → 27 (4.44 → 3.00 per completion)"
+    )
+    # anything else moving with it, or the digest, keeps the general form
+    both = gate.describe_rerecord("r", ENTRY, dict(ENTRY, events=27, submitted=11))
+    assert both == f"  r: {DIGEST[:12]} → {DIGEST[:12]}  submitted 10 → 11, events 40 → 27"
+    flipped = "ba" + DIGEST[2:]
+    moved = gate.describe_rerecord("r", ENTRY, dict(ENTRY, digest=flipped, events=27))
+    assert moved == f"  r: {DIGEST[:12]} → {flipped[:12]}  events 40 → 27"
+
+
 def test_describe_rerecord_names_keys_the_old_entry_did_not_gate():
     old = {k: v for k, v in ENTRY.items() if k not in ("events", "sim_time")}
     flipped = "ba" + DIGEST[2:]

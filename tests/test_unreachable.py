@@ -7,9 +7,10 @@ live-event counter, the manager-level policy object, workload
 registration and two zero-caller dispatcher reads were reachable from
 none of them and were deleted.  So were the task queue's capability-tag
 matching (no spec, verb, bench, ledger row or example set a tag) and
-the options and readers no caller set.  Bringing one back means bringing
-the spec field and the measured cell that reach it, and editing this
-list.
+the options and readers no caller set.  The fair-share reference
+allocator, which no engine calls, moved into ``tests/engine/fills.py``.
+Bringing one back means bringing the spec field and the measured cell
+that reach it, and editing this list.
 """
 
 import ast
@@ -56,6 +57,9 @@ DELETED_NAMES = {
     "class_depths",
     "served_counts",
     "queued_entries",
+    "allocate_fair_shares_reference",
+    "ShareRequest",
+    "Allocation",
 }
 DELETED_MODULES = ("cluster/elastic.py", "scenarios/trace.py")
 
