@@ -25,7 +25,7 @@ from repro.parallel.digest import combine, dispatcher_digest, outcome_digest
 from repro.core.interfaces import ExecutionController, ManagerContext
 from repro.core.manager import FCFSDispatcher
 from repro.core.sla import SLASet, response_time_sla
-from repro.core.policy import Threshold, ThresholdAction, ThresholdKind
+from repro.core.policy import AdmissionPolicy, Threshold, ThresholdAction, ThresholdKind
 from repro.engine.simulator import Simulator
 from repro.execution.reprioritization import PriorityAgingController
 from repro.scenarios import get_policy, get_scenario, run_scenario, summarize_run
@@ -329,7 +329,6 @@ def run_backend(
     ``statements``) is gated; everything measured is under ``measured``.
     """
     from repro.backends import (
-        AdmissionGate,
         RunConfig,
         SQLiteBackend,
         SleepThrottle,
@@ -347,7 +346,7 @@ def run_backend(
         plan,
         SQLiteBackend,
         config,
-        admission=AdmissionGate(cost_limit=5.0),
+        admission=AdmissionPolicy(reject_over_cost=5.0),
         throttle=SleepThrottle(workloads=frozenset({"bi"}), sleep_fraction=0.6),
         keep_real_reports=True,
     )

@@ -15,7 +15,9 @@ and period overrides support day/night operating rules.
 
 This class implements both — the features of the DB2 work-class cost
 gates, SQL Server's Query Governor Cost Limit, and Teradata's query
-resource filters + object throttles.
+resource filters + object throttles.  The comparisons themselves are
+:meth:`AdmissionPolicy.violation`, which the real-DBMS runner
+(:class:`~repro.backends.runner.BackendRunner`) calls too.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from repro.core.interfaces import (
     AdmissionDecision,
     ManagerContext,
 )
-from repro.core.policy import AdmissionPolicy
+from repro.core.policy import AdmissionPolicy, ThresholdAction, ThresholdKind
 from repro.engine.query import Query
 
 
@@ -77,41 +79,26 @@ class ThresholdAdmission(AdmissionController):
 
     def decide(self, query: Query, context: ManagerContext) -> AdmissionDecision:
         policy = self.policy_for(query)
-
-        cost_limit = policy.cost_limit_at(context.now)
-        if cost_limit is not None:
-            estimated = query.estimated_cost.total_work
-            if estimated > cost_limit:
-                self.cost_rejections += 1
-                return AdmissionDecision.reject(
-                    f"estimated cost {estimated:.1f}s exceeds limit "
-                    f"{cost_limit:.1f}s"
-                )
-        if policy.queue_over_cost is not None:
-            if query.estimated_cost.total_work > policy.queue_over_cost:
-                return AdmissionDecision.delay(
-                    "estimated cost over queueing threshold"
-                )
-
+        running = 0
         if policy.max_concurrency is not None:
             # Per-workload MPL if the policy came from a per-workload
             # entry, global otherwise: we count conservatively at the
             # scope the policy was configured for.
-            scoped = query.workload_name in self.per_workload
             running = (
                 self._workload_running(query.workload_name, context)
-                if scoped
+                if query.workload_name in self.per_workload
                 else context.engine.running_count
             )
-            if running >= policy.max_concurrency:
-                if policy.queue_when_full:
-                    self.mpl_delays += 1
-                    return AdmissionDecision.delay(
-                        f"MPL {policy.max_concurrency} reached ({running} running)"
-                    )
-                self.mpl_rejections += 1
-                return AdmissionDecision.reject(
-                    f"MPL {policy.max_concurrency} reached ({running} running)"
-                )
-
-        return AdmissionDecision.accept("within thresholds")
+        broken = policy.violation(query.estimated_cost.total_work, running, context.now)
+        if broken is None:
+            return AdmissionDecision.accept("within thresholds")
+        kind, action, reason = broken
+        if action is ThresholdAction.QUEUE:
+            if kind is ThresholdKind.CONCURRENCY:
+                self.mpl_delays += 1
+            return AdmissionDecision.delay(reason)
+        if kind is ThresholdKind.CONCURRENCY:
+            self.mpl_rejections += 1
+        else:
+            self.cost_rejections += 1
+        return AdmissionDecision.reject(reason)

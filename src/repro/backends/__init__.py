@@ -2,8 +2,11 @@
 
 Everything else in the library runs on simulated time; this package
 runs the *same* workload specifications against a real engine — an
-in-process SQLite database by default, PostgreSQL when a DSN is
-configured — and closes the loop back to the simulator:
+in-process SQLite database — and closes the loop back to the simulator.
+It speaks the simulator's vocabulary: admission is an
+:class:`~repro.core.policy.AdmissionPolicy`, throttling the §4.2.2
+:class:`SleepThrottle` and outcomes a
+:class:`~repro.core.metrics.WorkloadStats`:
 
 * :mod:`repro.backends.base` — the :class:`BackendDriver` protocol,
   backend-neutral :class:`Operation` shapes and the
@@ -25,12 +28,10 @@ configured — and closes the loop back to the simulator:
 
 from repro.backends.base import (
     BackendDriver,
-    BackendUnavailable,
     ERROR_FINAL_STATE,
     ErrorKind,
     Operation,
     OpKind,
-    make_backend,
 )
 from repro.backends.calibrate import (
     ClassFit,
@@ -41,12 +42,11 @@ from repro.backends.calibrate import (
 from repro.backends.compare import (
     ComparisonReport,
     MetricDelta,
-    MetricSummary,
     PolicyComparison,
     metric_deltas,
+    outcome_metrics,
     run_comparison,
     run_sim_on_plan,
-    summarize_log,
 )
 from repro.backends.plan import (
     PlannedStatement,
@@ -54,10 +54,8 @@ from repro.backends.plan import (
     plan_statements,
 )
 from repro.backends.pool import ConnectionPool, PoolStats
-from repro.backends.postgres import DSN_ENV, PostgresBackend
 from repro.backends.rate import ArrivalPacer, TokenBucket
 from repro.backends.runner import (
-    AdmissionGate,
     BackendRunner,
     RunConfig,
     RunReport,
@@ -67,26 +65,21 @@ from repro.backends.runner import (
 from repro.backends.sqlite import SQLiteBackend
 
 __all__ = [
-    "AdmissionGate",
     "ArrivalPacer",
     "BackendDriver",
     "BackendRunner",
-    "BackendUnavailable",
     "ClassFit",
     "ComparisonReport",
     "ConnectionPool",
     "CostModel",
-    "DSN_ENV",
     "ERROR_FINAL_STATE",
     "ErrorKind",
     "MetricDelta",
-    "MetricSummary",
     "OpKind",
     "Operation",
     "PlannedStatement",
     "PolicyComparison",
     "PoolStats",
-    "PostgresBackend",
     "RunConfig",
     "RunReport",
     "SQLiteBackend",
@@ -94,12 +87,11 @@ __all__ = [
     "StatementPlan",
     "TokenBucket",
     "fit_cost_model",
-    "make_backend",
     "metric_deltas",
+    "outcome_metrics",
     "plan_statements",
     "run_comparison",
     "run_plan",
     "run_sim_on_plan",
     "service_error",
-    "summarize_log",
 ]

@@ -15,7 +15,9 @@ per-statement robustness — the mapping from the engine's zoo of
 exceptions onto the small :class:`ErrorKind` taxonomy the runner's
 retry/kill logic acts on.  Statements themselves are backend-neutral
 :class:`Operation` values rendered to SQL by each driver, so one planned
-workload runs identically against SQLite, Postgres, or the simulator.
+workload runs identically against any driver or the simulator.  One
+driver ships, :class:`~repro.backends.sqlite.SQLiteBackend`; tests
+script failures through the same protocol.
 """
 
 from __future__ import annotations
@@ -26,14 +28,6 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.engine.query import QueryState
-
-
-class BackendUnavailable(RuntimeError):
-    """The requested backend cannot run here (missing driver or DSN).
-
-    Raised at construction/setup time so callers (CLI, benchmarks,
-    tests) can skip cleanly instead of failing mid-run.
-    """
 
 
 class ErrorKind(enum.Enum):
@@ -148,20 +142,3 @@ class BackendDriver(abc.ABC):
 
     def teardown(self) -> None:
         """Release everything :meth:`setup` created (optional override)."""
-
-
-def make_backend(name: str, **kwargs: Any) -> BackendDriver:
-    """Construct a driver by name (``sqlite`` or ``postgres``).
-
-    Raises :class:`BackendUnavailable` when the named backend cannot run
-    in this environment, and ``ValueError`` for unknown names.
-    """
-    if name == "sqlite":
-        from repro.backends.sqlite import SQLiteBackend
-
-        return SQLiteBackend(**kwargs)
-    if name == "postgres":
-        from repro.backends.postgres import PostgresBackend
-
-        return PostgresBackend(**kwargs)
-    raise ValueError(f"unknown backend {name!r} (expected sqlite or postgres)")

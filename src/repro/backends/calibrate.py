@@ -1,8 +1,8 @@
 """Calibration: fit simulator cost models from real execution traces.
 
 The simulator's :class:`~repro.engine.query.CostVector` speaks abstract
-"seconds of demand"; a real backend speaks microseconds of SQLite or
-Postgres wall time.  Calibration closes that unit gap: from a captured
+"seconds of demand"; a real backend speaks microseconds of wall time.
+Calibration closes that unit gap: from a captured
 :class:`~repro.workloads.traces.QueryLog` it fits, per statement class
 (the ``workload:class`` sql label), a linear model
 

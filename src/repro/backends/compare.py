@@ -6,21 +6,26 @@ workload-management outcomes from a real engine's?*  It runs one
 admission policy and one throttling policy through both executions:
 
 * **real** — :class:`~repro.backends.runner.BackendRunner` against a
-  :class:`~repro.backends.base.BackendDriver`, with the
-  :class:`~repro.backends.runner.AdmissionGate` /
-  :class:`~repro.backends.runner.SleepThrottle` realizations;
+  :class:`~repro.backends.base.BackendDriver`, rejecting on the
+  :class:`~repro.core.policy.AdmissionPolicy` and sleeping as the
+  :class:`~repro.backends.runner.SleepThrottle` says;
 * **simulated** — the standard :class:`~repro.core.manager.WorkloadManager`
-  with :class:`~repro.admission.threshold.ThresholdAdmission` and an
-  engine-level constant throttle (``set_throttle(qid, 1 - sleep)``),
-  which §4.2.2 equates with the sleep-loop realization.
+  with :class:`~repro.admission.threshold.ThresholdAdmission` over the
+  same policy and the same throttle applied as an engine-level speed
+  cap (``set_throttle(qid, 1 - sleep)``), which §4.2.2 equates with the
+  sleep loop.
 
 The sim models the real runner's thread pool as a machine of ``mpl``
 CPU units behind an FCFS dispatcher with ``max_concurrency=mpl``: at
 most ``mpl`` statements run, each at full speed — exactly one worker
 thread each.  Cost-threshold admission decisions match bit-for-bit
-across the two executions because both consult the same pre-drawn
-optimizer estimates; MPL and timing-dependent effects are where the
-engines may genuinely diverge, which is what the deltas measure.
+across the two executions because both ask the same
+:meth:`~repro.core.policy.AdmissionPolicy.violation` about the same
+pre-drawn optimizer estimates at the same plan instants; MPL and
+timing-dependent effects are where the engines may genuinely diverge,
+which is what the deltas measure.  Both sides' logs fold into a
+:class:`~repro.core.metrics.WorkloadStats`, read by
+:func:`outcome_metrics`.
 
 Both sides consume the same digest-gated
 :class:`~repro.backends.plan.StatementPlan`; the simulated side's costs
@@ -34,100 +39,39 @@ closer to the real mean than uncalibrated — is computed, not asserted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence
-
-import numpy as np
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.admission.threshold import ThresholdAdmission
 from repro.backends.base import BackendDriver
 from repro.backends.calibrate import CostModel, fit_cost_model, service_error
 from repro.backends.plan import StatementPlan
-from repro.backends.runner import (
-    AdmissionGate,
-    BackendRunner,
-    RunConfig,
-    RunReport,
-    SleepThrottle,
-)
+from repro.backends.runner import BackendRunner, RunConfig, RunReport, SleepThrottle
 from repro.core.manager import WaitQueue, WorkloadManager
+from repro.core.metrics import WorkloadStats
 from repro.core.policy import AdmissionPolicy
-from repro.engine.query import QueryState
 from repro.engine.resources import MachineSpec
 from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
 from repro.workloads.traces import QueryLog
 
 
-@dataclass(frozen=True)
-class MetricSummary:
-    """The comparison metrics of one run, in schedule-time units."""
-
-    count: int
-    completed: int
-    rejected: int
-    killed: int
-    aborted: int
-    throughput: float          # completions per schedule second
-    mean_rt: float             # mean response time of completions
-    p50_rt: float
-    p95_rt: float
-    rejection_rate: float
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "completed": self.completed,
-            "rejected": self.rejected,
-            "killed": self.killed,
-            "aborted": self.aborted,
-            "throughput": self.throughput,
-            "mean_rt": self.mean_rt,
-            "p50_rt": self.p50_rt,
-            "p95_rt": self.p95_rt,
-            "rejection_rate": self.rejection_rate,
-        }
-
-
-def summarize_log(
-    log: QueryLog, horizon: float, time_scale: float = 1.0
-) -> MetricSummary:
-    """Aggregate a query log into comparison metrics.
-
-    ``time_scale`` converts the log's clock into schedule units: pass
-    the real run's configured scale for captured traces and ``1.0`` for
-    simulator logs (which are already on the schedule axis).
-    """
-    if horizon <= 0:
-        raise ConfigurationError(f"horizon must be positive, got {horizon}")
-    if time_scale <= 0:
-        raise ConfigurationError(f"time_scale must be positive, got {time_scale}")
-    states = {state: 0 for state in QueryState}
-    response_times = []
-    for record in log:
-        states[record.final_state] += 1
-        if record.completed and record.response_time is not None:
-            response_times.append(record.response_time / time_scale)
-    completed = states[QueryState.COMPLETED]
-    count = len(log)
-    if response_times:
-        rts = np.asarray(response_times, dtype=np.float64)
-        mean_rt = float(rts.mean())
-        p50_rt = float(np.percentile(rts, 50))
-        p95_rt = float(np.percentile(rts, 95))
-    else:
-        mean_rt = p50_rt = p95_rt = 0.0
-    return MetricSummary(
-        count=count,
-        completed=completed,
-        rejected=states[QueryState.REJECTED],
-        killed=states[QueryState.KILLED],
-        aborted=states[QueryState.ABORTED],
-        throughput=completed / horizon,
-        mean_rt=mean_rt,
-        p50_rt=p50_rt,
-        p95_rt=p95_rt,
-        rejection_rate=states[QueryState.REJECTED] / count if count else 0.0,
-    )
+def outcome_metrics(stats: WorkloadStats, horizon: float) -> Dict[str, float]:
+    """The comparison columns of one run's aggregate, in schedule units:
+    outcome counts, completions per second of ``horizon``, response-time
+    mean/p50/p95 (0.0 with no completion) and the rejection rate."""
+    count = stats.completions + stats.rejections + stats.kills + stats.aborts
+    return {
+        "count": count,
+        "completed": stats.completions,
+        "rejected": stats.rejections,
+        "killed": stats.kills,
+        "aborted": stats.aborts,
+        "throughput": stats.overall_throughput(horizon),
+        "mean_rt": stats.mean_response_time() or 0.0,
+        "p50_rt": stats.percentile_response_time(50.0) or 0.0,
+        "p95_rt": stats.percentile_response_time(95.0) or 0.0,
+        "rejection_rate": stats.rejections / count if count else 0.0,
+    }
 
 
 @dataclass(frozen=True)
@@ -158,43 +102,21 @@ class MetricDelta:
         }
 
 
-#: The per-metric deltas the harness reports (ISSUE acceptance set).
+#: The per-metric deltas the harness reports.
 DELTA_METRICS = ("throughput", "mean_rt", "p50_rt", "p95_rt", "rejection_rate")
 
 
-def metric_deltas(real: MetricSummary, sim: MetricSummary) -> List[MetricDelta]:
-    real_d, sim_d = real.as_dict(), sim.as_dict()
-    return [MetricDelta(name, real_d[name], sim_d[name]) for name in DELTA_METRICS]
-
-
-class _SimThrottle:
-    """Engine-level constant throttle applied the instant a query starts.
-
-    Starts only happen inside ``pump()``, which runs during ``submit``
-    and during engine-exit callbacks — both of which re-apply the cap
-    here at the same simulated instant, so a throttled query never makes
-    unthrottled progress (matching the real sleep-loop, which stretches
-    the *whole* service time).
-    """
-
-    def __init__(self, workloads: FrozenSet[str], sleep_fraction: float) -> None:
-        self.factor = 1.0 - sleep_fraction
-        self.workloads = workloads
-
-    def apply(self, manager: WorkloadManager) -> None:
-        engine = manager.engine
-        for query in engine.running_queries():
-            if self.workloads and query.workload_name not in self.workloads:
-                continue
-            if engine.throttle_of(query.query_id) != self.factor:
-                engine.set_throttle(query.query_id, self.factor)
+def metric_deltas(
+    real: Mapping[str, float], sim: Mapping[str, float]
+) -> List[MetricDelta]:
+    return [MetricDelta(name, real[name], sim[name]) for name in DELTA_METRICS]
 
 
 def run_sim_on_plan(
     plan: StatementPlan,
     mpl: int = 4,
     cost_model: Optional[CostModel] = None,
-    admission: Optional[AdmissionGate] = None,
+    admission: Optional[AdmissionPolicy] = None,
     throttle: Optional[SleepThrottle] = None,
     horizon: Optional[float] = None,
     control_period: float = 1.0,
@@ -213,26 +135,31 @@ def run_sim_on_plan(
         raise ConfigurationError(f"mpl must be >= 1, got {mpl}")
     horizon = horizon if horizon is not None else plan.horizon
     sim = Simulator(seed=plan.seed)
-    admission_controller = None
-    if admission is not None:
-        admission_controller = ThresholdAdmission(
-            default_policy=AdmissionPolicy(
-                reject_over_cost=admission.cost_limit,
-                max_concurrency=admission.max_outstanding,
-                queue_when_full=False,
-            )
-        )
     manager = WorkloadManager(
         sim,
         machine=MachineSpec(cpu_capacity=float(mpl), disk_capacity=float(mpl)),
-        admission=admission_controller,
+        admission=None if admission is None else ThresholdAdmission(admission),
         scheduler=WaitQueue(mpl),
         control_period=control_period,
     )
-    sim_throttle = None
+    cap_throttled = None
     if throttle is not None and throttle.sleep_fraction > 0:
-        sim_throttle = _SimThrottle(throttle.workloads, throttle.sleep_fraction)
-        manager.engine.on_exit(lambda _q, _o: sim_throttle.apply(manager))
+        engine, cap = manager.engine, 1.0 - throttle.sleep_fraction
+
+        def cap_throttled() -> None:
+            # Starts only happen inside pump(), which runs during submit
+            # and during engine-exit callbacks; both re-apply the cap at
+            # the same instant, so a throttled query never makes
+            # unthrottled progress (the real sleep loop stretches the
+            # whole service time).
+            for query in engine.running_queries():
+                if (
+                    throttle.applies_to(query.workload_name)
+                    and engine.throttle_of(query.query_id) != cap
+                ):
+                    engine.set_throttle(query.query_id, cap)
+
+        engine.on_exit(lambda _q, _o: cap_throttled())
 
     def _submit(statement) -> None:
         query = statement.make_query()
@@ -241,8 +168,8 @@ def run_sim_on_plan(
                 statement.sql_label, statement.estimated_cost
             )
         manager.submit(query)
-        if sim_throttle is not None:
-            sim_throttle.apply(manager)
+        if cap_throttled is not None:
+            cap_throttled()
 
     for statement in plan:
         sim.schedule_at(
@@ -269,15 +196,15 @@ class PolicyComparison:
     """Real vs simulated outcomes of one policy on one plan."""
 
     label: str
-    real: MetricSummary
-    sim: MetricSummary
+    real: Dict[str, float]  # outcome_metrics of each side
+    sim: Dict[str, float]
     deltas: List[MetricDelta] = field(default_factory=list)
 
     def as_dict(self) -> Dict[str, object]:
         return {
             "label": self.label,
-            "real": self.real.as_dict(),
-            "sim": self.sim.as_dict(),
+            "real": self.real,
+            "sim": self.sim,
             "deltas": [delta.as_dict() for delta in self.deltas],
         }
 
@@ -290,7 +217,7 @@ class ComparisonReport:
     statements: int
     mpl: int
     time_scale: float
-    baseline_real: MetricSummary
+    baseline_real: Dict[str, float]
     policies: List[PolicyComparison]
     mean_rt_error_uncalibrated: float
     mean_rt_error_calibrated: float
@@ -310,7 +237,7 @@ class ComparisonReport:
             "statements": self.statements,
             "mpl": self.mpl,
             "time_scale": self.time_scale,
-            "baseline_real": self.baseline_real.as_dict(),
+            "baseline_real": self.baseline_real,
             "policies": [policy.as_dict() for policy in self.policies],
             "mean_rt_error_uncalibrated": self.mean_rt_error_uncalibrated,
             "mean_rt_error_calibrated": self.mean_rt_error_calibrated,
@@ -349,7 +276,7 @@ def run_comparison(
     plan: StatementPlan,
     driver_factory: Callable[[], BackendDriver],
     config: Optional[RunConfig] = None,
-    admission: Optional[AdmissionGate] = None,
+    admission: Optional[AdmissionPolicy] = None,
     throttle: Optional[SleepThrottle] = None,
     keep_real_reports: bool = False,
 ) -> ComparisonReport:
@@ -361,42 +288,42 @@ def run_comparison(
     driver per real run so runs never share backend state.
     """
     config = config or RunConfig()
-    admission = admission or AdmissionGate(cost_limit=1.0)
+    admission = admission or AdmissionPolicy(reject_over_cost=1.0)
     throttle = throttle or SleepThrottle(sleep_fraction=0.5)
-    horizon = plan.horizon
     scale = config.time_scale
+
+    def metrics(log: QueryLog, time_scale: float = 1.0) -> Dict[str, float]:
+        return outcome_metrics(WorkloadStats.from_log(log, time_scale), plan.horizon)
 
     baseline = BackendRunner(driver_factory(), plan, config).run()
     model = fit_cost_model(baseline.log, time_scale=scale)
-    baseline_real = summarize_log(baseline.log, horizon, scale)
-
-    sim_uncal = summarize_log(run_sim_on_plan(plan, config.mpl), horizon)
-    sim_cal = summarize_log(
-        run_sim_on_plan(plan, config.mpl, cost_model=model), horizon
-    )
+    baseline_real = metrics(baseline.log, scale)
+    sim_uncal = metrics(run_sim_on_plan(plan, config.mpl))
+    sim_cal = metrics(run_sim_on_plan(plan, config.mpl, cost_model=model))
 
     policies: List[PolicyComparison] = []
     real_reports: Dict[str, RunReport] = {}
     if keep_real_reports:
         real_reports["baseline"] = baseline
-    for label, gate, thr in (
+    for label, policy, thr in (
         ("admission", admission, None),
         ("throttling", None, throttle),
     ):
         real = BackendRunner(
-            driver_factory(), plan, config, admission=gate, throttle=thr
+            driver_factory(), plan, config, admission=policy, throttle=thr
         ).run()
-        real_summary = summarize_log(real.log, horizon, scale)
-        sim_log = run_sim_on_plan(
-            plan, config.mpl, cost_model=model, admission=gate, throttle=thr
+        real_metrics = metrics(real.log, scale)
+        sim_metrics = metrics(
+            run_sim_on_plan(
+                plan, config.mpl, cost_model=model, admission=policy, throttle=thr
+            )
         )
-        sim_summary = summarize_log(sim_log, horizon)
         policies.append(
             PolicyComparison(
                 label=label,
-                real=real_summary,
-                sim=sim_summary,
-                deltas=metric_deltas(real_summary, sim_summary),
+                real=real_metrics,
+                sim=sim_metrics,
+                deltas=metric_deltas(real_metrics, sim_metrics),
             )
         )
         if keep_real_reports:
@@ -409,8 +336,8 @@ def run_comparison(
         time_scale=scale,
         baseline_real=baseline_real,
         policies=policies,
-        mean_rt_error_uncalibrated=abs(sim_uncal.mean_rt - baseline_real.mean_rt),
-        mean_rt_error_calibrated=abs(sim_cal.mean_rt - baseline_real.mean_rt),
+        mean_rt_error_uncalibrated=abs(sim_uncal["mean_rt"] - baseline_real["mean_rt"]),
+        mean_rt_error_calibrated=abs(sim_cal["mean_rt"] - baseline_real["mean_rt"]),
         service_error_uncalibrated=service_error(
             baseline.log, None, time_scale=scale
         ),

@@ -6,10 +6,12 @@ against a real :class:`~repro.backends.base.BackendDriver`:
 * the main thread paces arrivals at their scheduled instants
   (:class:`~repro.backends.rate.ArrivalPacer`) and applies the optional
   max-rate token bucket;
-* an admission gate — the real-system twin of
-  :class:`~repro.admission.threshold.ThresholdAdmission` — may reject a
-  statement on its *estimated* cost or on the outstanding count before
-  it ever reaches the engine;
+* an optional :class:`~repro.core.policy.AdmissionPolicy` — the one
+  :class:`~repro.admission.threshold.ThresholdAdmission` reads — may
+  reject a statement on its *estimated* cost, read at its plan instant,
+  or on the outstanding count standing in for "running", before it
+  ever reaches the engine.  Only a reject verdict rejects: a queue
+  verdict is admitted, because the worker pool is the wait queue;
 * a bounded worker pool (``mpl`` threads — the MPL of the real system)
   executes admitted statements over pooled connections, with a
   per-statement timeout, bounded exponential-backoff retry of transient
@@ -43,6 +45,7 @@ from repro.backends.base import (
 from repro.backends.plan import PlannedStatement, StatementPlan
 from repro.backends.pool import ConnectionPool, PoolStats
 from repro.backends.rate import ArrivalPacer, TokenBucket
+from repro.core.policy import AdmissionPolicy, ThresholdAction
 from repro.engine.query import Query, QueryState
 from repro.errors import ConfigurationError
 from repro.workloads.traces import QueryLog
@@ -69,34 +72,6 @@ class RunConfig:
             raise ConfigurationError(f"mpl must be >= 1, got {self.mpl}")
         if self.max_retries < 0:
             raise ConfigurationError("max_retries must be >= 0")
-
-
-@dataclass(frozen=True)
-class AdmissionGate:
-    """Arrival-time thresholds applied before dispatch (paper §3.2).
-
-    ``cost_limit`` rejects on the optimizer's estimate, exactly like
-    ``ThresholdAdmission`` with ``reject_over_cost``; ``max_outstanding``
-    rejects when admitted-but-unfinished statements reach the bound
-    (an MPL gate with ``queue_when_full=False`` — queueing at the MPL
-    is what the bounded worker pool itself provides).
-    """
-
-    cost_limit: Optional[float] = None
-    max_outstanding: Optional[int] = None
-
-    def decide(self, query: Query, outstanding: int) -> Optional[str]:
-        """Rejection reason, or None to admit."""
-        if self.cost_limit is not None:
-            estimated = query.estimated_cost.total_work
-            if estimated > self.cost_limit:
-                return (
-                    f"estimated cost {estimated:.1f}s exceeds limit "
-                    f"{self.cost_limit:.1f}s"
-                )
-        if self.max_outstanding is not None and outstanding >= self.max_outstanding:
-            return f"outstanding limit {self.max_outstanding} reached"
-        return None
 
 
 @dataclass(frozen=True)
@@ -180,7 +155,7 @@ class BackendRunner:
         driver: BackendDriver,
         plan: StatementPlan,
         config: Optional[RunConfig] = None,
-        admission: Optional[AdmissionGate] = None,
+        admission: Optional[AdmissionPolicy] = None,
         throttle: Optional[SleepThrottle] = None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
@@ -248,8 +223,10 @@ class BackendRunner:
                 if self.admission is not None:
                     with self._lock:
                         outstanding = self._outstanding
-                    reason = self.admission.decide(query, outstanding)
-                    if reason is not None:
+                    broken = self.admission.violation(
+                        query.estimated_cost.total_work, outstanding, statement.submit_at
+                    )
+                    if broken is not None and broken[1] is ThresholdAction.REJECT:
                         query.transition(QueryState.REJECTED)
                         query.end_time = self._now()
                         report.rejected += 1
@@ -348,7 +325,7 @@ def run_plan(
     driver: BackendDriver,
     plan: StatementPlan,
     config: Optional[RunConfig] = None,
-    admission: Optional[AdmissionGate] = None,
+    admission: Optional[AdmissionPolicy] = None,
     throttle: Optional[SleepThrottle] = None,
 ) -> RunReport:
     """One-call convenience wrapper around :class:`BackendRunner`."""

@@ -53,7 +53,10 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 def _cmd_demo(args: argparse.Namespace) -> int:
     from repro import MachineSpec, Simulator, WorkloadManager, mixed_scenario
+    from repro.errors import ConfigurationError
 
+    if args.horizon <= 0:
+        raise ConfigurationError(f"horizon must be > 0, got {args.horizon}")
     sim = Simulator(seed=args.seed)
     manager = WorkloadManager(
         sim,
@@ -357,12 +360,15 @@ def _backend_config(args: argparse.Namespace):
 
 
 def _backend_policies(args: argparse.Namespace):
-    from repro.backends import AdmissionGate, SleepThrottle
+    from repro.backends import SleepThrottle
+    from repro.core.policy import AdmissionPolicy
 
-    gate = None
+    admission = None
     if args.cost_limit is not None or args.max_outstanding is not None:
-        gate = AdmissionGate(
-            cost_limit=args.cost_limit, max_outstanding=args.max_outstanding
+        admission = AdmissionPolicy(
+            reject_over_cost=args.cost_limit,
+            max_concurrency=args.max_outstanding,
+            queue_when_full=False,
         )
     throttle = None
     if args.sleep_fraction > 0:
@@ -372,19 +378,19 @@ def _backend_policies(args: argparse.Namespace):
         throttle = SleepThrottle(
             workloads=workloads, sleep_fraction=args.sleep_fraction
         )
-    return gate, throttle
+    return admission, throttle
 
 
 def _cmd_backend(args: argparse.Namespace) -> int:
     from repro.backends import (
         BackendRunner,
-        BackendUnavailable,
+        SQLiteBackend,
         fit_cost_model,
-        make_backend,
+        outcome_metrics,
         run_comparison,
         service_error,
-        summarize_log,
     )
+    from repro.core.metrics import WorkloadStats
     from repro.workloads.traces import QueryLog
 
     if args.verb == "calibrate":
@@ -409,50 +415,51 @@ def _cmd_backend(args: argparse.Namespace) -> int:
               f"calibrated {cal:.6f}s")
         return 0
 
-    try:
-        if args.verb == "run":
-            plan = _backend_plan(args)
-            gate, throttle = _backend_policies(args)
-            driver = make_backend(args.backend)
-            print(
-                f"executing {len(plan)} planned statements on "
-                f"{args.backend} (digest {plan.digest()[:16]}…)"
-            )
-            report = BackendRunner(
-                driver,
-                plan,
-                _backend_config(args),
-                admission=gate,
-                throttle=throttle,
-            ).run()
-            print(report.summary_line())
-            summary = summarize_log(report.log, plan.horizon, args.time_scale)
-            for name, value in summary.as_dict().items():
-                print(f"  {name:<15} {value:.6f}")
-            if args.trace_out:
-                count = report.log.to_jsonl(args.trace_out)
-                print(f"wrote {count} trace records to {args.trace_out}")
-            return 0 if report.conserved else 1
-
-        # compare
-        plan = _backend_plan(args)
-        gate, throttle = _backend_policies(args)
-        report = run_comparison(
-            plan,
-            lambda: make_backend(args.backend),
-            _backend_config(args),
-            admission=gate,
-            throttle=throttle,
-            keep_real_reports=bool(args.trace_out),
+    plan = _backend_plan(args)
+    admission, throttle = _backend_policies(args)
+    if args.verb == "run":
+        driver = SQLiteBackend()
+        print(
+            f"executing {len(plan)} planned statements on "
+            f"{driver.name} (digest {plan.digest()[:16]}…)"
         )
-        print(report.render())
+        report = BackendRunner(
+            driver,
+            plan,
+            _backend_config(args),
+            admission=admission,
+            throttle=throttle,
+        ).run()
+        print(report.summary_line())
+        stats = WorkloadStats.from_log(report.log, args.time_scale)
+        for name, value in outcome_metrics(stats, plan.horizon).items():
+            print(f"  {name:<15} {value:.6f}")
         if args.trace_out:
-            count = report.real_reports["baseline"].log.to_jsonl(args.trace_out)
-            print(f"\nwrote {count} baseline trace records to {args.trace_out}")
-        return 0
-    except BackendUnavailable as reason:
-        print(f"backend unavailable: {reason}")
-        return 3
+            count = report.log.to_jsonl(args.trace_out)
+            print(f"wrote {count} trace records to {args.trace_out}")
+        return 0 if report.conserved else 1
+
+    # compare
+    report = run_comparison(
+        plan,
+        SQLiteBackend,
+        _backend_config(args),
+        admission=admission,
+        throttle=throttle,
+        keep_real_reports=bool(args.trace_out),
+    )
+    print(report.render())
+    if args.trace_out:
+        count = report.real_reports["baseline"].log.to_jsonl(args.trace_out)
+        print(f"\nwrote {count} baseline trace records to {args.trace_out}")
+    return 0
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text} is not a non-negative integer")
+    return value
 
 
 def _positive_int(text: str) -> int:
@@ -486,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     tables.set_defaults(func=_cmd_tables)
 
     demo = subparsers.add_parser("demo", help="run the mixed-workload demo")
-    demo.add_argument("--seed", type=int, default=42)
+    demo.add_argument("--seed", type=_non_negative_int, default=42)
     demo.add_argument("--horizon", type=float, default=60.0)
     demo.set_defaults(func=_cmd_demo)
 
@@ -500,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(POLICY_NAMES),
         help="placement policy",
     )
-    cluster.add_argument("--seed", type=int, default=42)
+    cluster.add_argument("--seed", type=_non_negative_int, default=42)
     cluster.add_argument("--horizon", type=float, default=60.0)
     cluster.add_argument(
         "--kill-node", default=None, metavar="NAME",
@@ -532,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--seeds",
-        type=int,
+        type=_non_negative_int,
         nargs="+",
         default=[42, 43, 44],
         help="seed replications per policy",
@@ -556,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     backend = subparsers.add_parser(
         "backend",
-        help="execute workloads on a real DBMS backend (sqlite/postgres)",
+        help="execute workloads on a real DBMS (in-process SQLite)",
     )
     backend.add_argument(
         "verb",
@@ -565,16 +572,13 @@ def build_parser() -> argparse.ArgumentParser:
         "sim vs real under admission + throttling policies",
     )
     backend.add_argument(
-        "--backend", default="sqlite", choices=["sqlite", "postgres"]
-    )
-    backend.add_argument(
         "--workloads",
         default="oltp,bi",
         help="comma-separated canonical workloads (oltp, bi, reports, utilities)",
     )
     backend.add_argument("--horizon", type=float, default=60.0,
                          help="schedule horizon in schedule seconds")
-    backend.add_argument("--seed", type=int, default=0)
+    backend.add_argument("--seed", type=_non_negative_int, default=0)
     backend.add_argument("--mpl", type=int, default=4,
                          help="concurrent statements (worker threads)")
     backend.add_argument(
@@ -634,9 +638,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--exclude-noisy", action="store_true",
         help="drop the noisy tenants (the leakage companion run)",
     )
-    scenario.add_argument("--seed", type=int, default=42)
+    scenario.add_argument("--seed", type=_non_negative_int, default=42)
     scenario.add_argument(
-        "--seeds", type=int, nargs="+", default=[42],
+        "--seeds", type=_non_negative_int, nargs="+", default=[42],
         help="seed replications (sweep verb)",
     )
     scenario.add_argument(

@@ -9,22 +9,28 @@ and time-stamped system samples (utilization, memory pressure, conflict
 ratio) that indicator-based controls consume.
 
 :class:`WorkloadStats` is the only outcome aggregate: a collector holds
-one per workload and a cluster rollup is :meth:`WorkloadStats.merged`
-over the nodes' — same type, same read methods.  The collector observes:
-only ``record_*`` changes it; ``stats_for``, ``evaluate_sla``,
-``attainment`` and ``summary_line`` leave it and its digest untouched.
+one per workload, a cluster rollup is :meth:`WorkloadStats.merged`
+over the nodes' and a query log, a real DBMS run's included, folds into
+one with :meth:`WorkloadStats.from_log` — same type, same read methods.
+The collector observes: only ``record_*`` changes it; ``stats_for``,
+``evaluate_sla``, ``attainment`` and ``summary_line`` leave it and its
+digest untouched.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, Iterable, List, Mapping, Optional
 
 import numpy as np
 
 from repro.core.sla import ObjectiveKind, ServiceLevelAgreement, SLASet
-from repro.engine.query import Query
+from repro.engine.query import Query, QueryState
+from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.workloads.traces import QueryLogRecord
 
 
 @dataclass
@@ -74,6 +80,33 @@ class WorkloadStats:
             out.queue_delays.extend(part.queue_delays)
             out.velocities.extend(part.velocities)
             out.completion_times.extend(part.completion_times)
+        out.completion_times.sort()
+        return out
+
+    @classmethod
+    def from_log(cls, log: Iterable[QueryLogRecord], time_scale: float = 1.0) -> WorkloadStats:
+        """A query log's terminal records as one aggregate, in log order.
+
+        ``time_scale`` is the log's clock seconds per schedule second:
+        a real run's trace passes its configured scale (response and
+        completion times are divided by it), a simulator log 1.0.
+        """
+        if time_scale <= 0:
+            raise ConfigurationError(f"time_scale must be positive, got {time_scale}")
+        out = cls(workload="*")
+        for record in log:
+            state = record.final_state
+            if state is QueryState.COMPLETED:
+                out.completions += 1
+                if record.response_time is not None:
+                    out.response_times.append(record.response_time / time_scale)
+                    out.completion_times.append(record.end_time / time_scale)
+            elif state is QueryState.REJECTED:
+                out.rejections += 1
+            elif state is QueryState.KILLED:
+                out.kills += 1
+            elif state is QueryState.ABORTED:
+                out.aborts += 1
         out.completion_times.sort()
         return out
 

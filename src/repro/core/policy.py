@@ -175,3 +175,35 @@ class AdmissionPolicy:
                     limit = override
         return limit
 
+    def violation(
+        self, estimated: float, running: int, time: float = 0.0
+    ) -> Optional[Tuple[ThresholdKind, ThresholdAction, str]]:
+        """The first threshold a request breaks, or None to admit it.
+
+        ``estimated`` is the optimizer's total work, ``running`` what the
+        MPL counts and ``time`` the schedule instant the cost limit is
+        read at.  A break is ``(kind, action, reason)``: the cost limit
+        rejects, the queueing cost limit queues, and the MPL queues or
+        rejects as ``queue_when_full`` says.
+        """
+        cost_limit = self.cost_limit_at(time)
+        if cost_limit is not None and estimated > cost_limit:
+            return (
+                ThresholdKind.ESTIMATED_COST,
+                ThresholdAction.REJECT,
+                f"estimated cost {estimated:.1f}s exceeds limit {cost_limit:.1f}s",
+            )
+        if self.queue_over_cost is not None and estimated > self.queue_over_cost:
+            return (
+                ThresholdKind.ESTIMATED_COST,
+                ThresholdAction.QUEUE,
+                "estimated cost over queueing threshold",
+            )
+        if self.max_concurrency is not None and running >= self.max_concurrency:
+            return (
+                ThresholdKind.CONCURRENCY,
+                ThresholdAction.QUEUE if self.queue_when_full else ThresholdAction.REJECT,
+                f"MPL {self.max_concurrency} reached ({running} running)",
+            )
+        return None
+

@@ -1,15 +1,6 @@
-"""Tests for the driver protocol, error taxonomy, and backend factory."""
+"""Tests for the error taxonomy of the driver protocol."""
 
-import pytest
-
-from repro.backends.base import (
-    ERROR_FINAL_STATE,
-    BackendUnavailable,
-    ErrorKind,
-    make_backend,
-)
-from repro.backends.postgres import DSN_ENV, _import_driver
-from repro.backends.sqlite import SQLiteBackend
+from repro.backends.base import ERROR_FINAL_STATE, ErrorKind
 from repro.engine.query import QueryState
 
 
@@ -28,26 +19,3 @@ class TestErrorKind:
         assert ERROR_FINAL_STATE[ErrorKind.TRANSIENT] is QueryState.ABORTED
         assert ERROR_FINAL_STATE[ErrorKind.CONSTRAINT] is QueryState.ABORTED
 
-
-class TestMakeBackend:
-    def test_sqlite_always_available(self):
-        driver = make_backend("sqlite")
-        assert isinstance(driver, SQLiteBackend)
-        assert driver.name == "sqlite"
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            make_backend("oracle")
-
-    def test_postgres_without_dsn_unavailable(self, monkeypatch):
-        monkeypatch.delenv(DSN_ENV, raising=False)
-        with pytest.raises(BackendUnavailable, match="DSN"):
-            make_backend("postgres")
-
-    def test_postgres_without_driver_unavailable(self, monkeypatch):
-        module, _flavor = _import_driver()
-        if module is not None:
-            pytest.skip("a psycopg driver is installed here")
-        monkeypatch.setenv(DSN_ENV, "postgresql://localhost/repro")
-        with pytest.raises(BackendUnavailable, match="psycopg"):
-            make_backend("postgres")

@@ -6,13 +6,15 @@ from repro.backends.compare import (
     DELTA_METRICS,
     MetricDelta,
     metric_deltas,
+    outcome_metrics,
     run_comparison,
     run_sim_on_plan,
-    summarize_log,
 )
 from repro.backends.plan import plan_statements
-from repro.backends.runner import AdmissionGate, RunConfig, SleepThrottle
+from repro.backends.runner import RunConfig, SleepThrottle
 from repro.backends.sqlite import SQLiteBackend
+from repro.core.metrics import WorkloadStats
+from repro.core.policy import AdmissionPolicy
 from repro.engine.query import CostVector, QueryState, StatementType
 from repro.errors import ConfigurationError
 from repro.workloads.generator import bi_workload, oltp_workload
@@ -44,6 +46,10 @@ def _log(records):
     return log
 
 
+def summarize(log, horizon, time_scale=1.0):
+    return outcome_metrics(WorkloadStats.from_log(log, time_scale), horizon)
+
+
 def _small_plan(seed=11, horizon=10.0):
     return plan_statements(
         [oltp_workload(), bi_workload(rate=0.4)], horizon=horizon, seed=seed
@@ -60,38 +66,36 @@ class TestSummarizeLog:
                 _record(4, QueryState.KILLED, 0.0, 5.0),
             ]
         )
-        summary = summarize_log(log, horizon=10.0)
-        assert summary.count == 4
-        assert summary.completed == 2
-        assert summary.rejected == 1
-        assert summary.killed == 1
-        assert summary.throughput == pytest.approx(0.2)
-        assert summary.mean_rt == pytest.approx(2.0)
-        assert summary.p50_rt == pytest.approx(2.0)
-        assert summary.rejection_rate == pytest.approx(0.25)
+        summary = summarize(log, horizon=10.0)
+        assert summary["count"] == 4
+        assert summary["completed"] == 2
+        assert summary["rejected"] == 1
+        assert summary["killed"] == 1
+        assert summary["throughput"] == pytest.approx(0.2)
+        assert summary["mean_rt"] == pytest.approx(2.0)
+        assert summary["p50_rt"] == pytest.approx(2.0)
+        assert summary["rejection_rate"] == pytest.approx(0.25)
 
     def test_time_scale_converts_response_times(self):
         log = _log([_record(1, QueryState.COMPLETED, 0.0, 0.01)])
-        summary = summarize_log(log, horizon=10.0, time_scale=0.005)
-        assert summary.mean_rt == pytest.approx(2.0)
+        summary = summarize(log, horizon=10.0, time_scale=0.005)
+        assert summary["mean_rt"] == pytest.approx(2.0)
 
     def test_empty_log_is_all_zero(self):
-        summary = summarize_log(_log([]), horizon=5.0)
-        assert summary.count == 0
-        assert summary.mean_rt == 0.0
-        assert summary.rejection_rate == 0.0
+        summary = summarize(_log([]), horizon=5.0)
+        assert summary["count"] == 0
+        assert summary["mean_rt"] == 0.0
+        assert summary["rejection_rate"] == 0.0
 
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            summarize_log(_log([]), horizon=0.0)
-        with pytest.raises(ConfigurationError):
-            summarize_log(_log([]), horizon=1.0, time_scale=0.0)
+        with pytest.raises(ConfigurationError, match="time_scale"):
+            WorkloadStats.from_log(_log([]), time_scale=0.0)
 
 
 class TestMetricDeltas:
     def test_covers_the_acceptance_metric_set(self):
         log = _log([_record(1, QueryState.COMPLETED, 0.0, 1.0)])
-        real = summarize_log(log, horizon=10.0)
+        real = summarize(log, horizon=10.0)
         deltas = metric_deltas(real, real)
         assert [d.metric for d in deltas] == list(DELTA_METRICS)
         assert all(d.delta == 0.0 for d in deltas)
@@ -124,10 +128,10 @@ class TestRunSimOnPlan:
 
     def test_admission_gate_maps_to_threshold_policy(self):
         plan = _small_plan()
-        gate = AdmissionGate(cost_limit=1.0)
-        log = run_sim_on_plan(plan, mpl=4, admission=gate)
+        policy = AdmissionPolicy(reject_over_cost=1.0)
+        log = run_sim_on_plan(plan, mpl=4, admission=policy)
         expensive = sum(
-            1 for s in plan if s.estimated_cost.total_work > gate.cost_limit
+            1 for s in plan if s.estimated_cost.total_work > policy.reject_over_cost
         )
         rejected = sum(
             1 for r in log if r.final_state is QueryState.REJECTED
@@ -138,7 +142,7 @@ class TestRunSimOnPlan:
 
     def test_throttle_slows_matching_workloads(self):
         plan = _small_plan(horizon=20.0)
-        baseline = summarize_log(run_sim_on_plan(plan, mpl=4), plan.horizon)
+        baseline = summarize(run_sim_on_plan(plan, mpl=4), plan.horizon)
         throttled_log = run_sim_on_plan(
             plan,
             mpl=4,
@@ -154,9 +158,7 @@ class TestRunSimOnPlan:
             r.response_time for r in throttled_log.records("bi", True)
         ]
         assert sum(bi_throttled) > sum(bi_base)
-        assert baseline.completed >= summarize_log(
-            throttled_log, plan.horizon
-        ).completed
+        assert baseline["completed"] >= summarize(throttled_log, plan.horizon)["completed"]
 
     def test_mpl_validated(self):
         with pytest.raises(ConfigurationError):
@@ -174,7 +176,7 @@ class TestRunComparison:
             plan,
             SQLiteBackend,
             config,
-            admission=AdmissionGate(cost_limit=2.0),
+            admission=AdmissionPolicy(reject_over_cost=2.0),
             throttle=SleepThrottle(
                 workloads=frozenset({"bi"}), sleep_fraction=0.5
             ),

@@ -5,13 +5,8 @@ import pytest
 from repro.backends.base import BackendDriver, ErrorKind
 from repro.backends.plan import PlannedStatement, StatementPlan
 from repro.backends.base import Operation, OpKind
-from repro.backends.runner import (
-    AdmissionGate,
-    BackendRunner,
-    RunConfig,
-    SleepThrottle,
-    run_plan,
-)
+from repro.backends.runner import BackendRunner, RunConfig, SleepThrottle, run_plan
+from repro.core.policy import AdmissionPolicy, ThresholdAction, ThresholdKind
 from repro.engine.query import CostVector, QueryState, StatementType
 from repro.errors import ConfigurationError
 
@@ -120,7 +115,7 @@ class TestAdmission:
             [_statement(0, work=0.1), _statement(1, work=5.0), _statement(2, work=0.2)]
         )
         report = run_plan(
-            ScriptedDriver(), plan, FAST, admission=AdmissionGate(cost_limit=1.0)
+            ScriptedDriver(), plan, FAST, admission=AdmissionPolicy(reject_over_cost=1.0)
         )
         assert report.completed == 2
         assert report.rejected == 1
@@ -137,19 +132,50 @@ class TestAdmission:
             ScriptedDriver(),
             plan,
             FAST,
-            admission=AdmissionGate(max_outstanding=0),
+            admission=AdmissionPolicy(max_concurrency=0, queue_when_full=False),
         )
         assert report.rejected == 5
         assert report.completed == 0
         assert report.conserved
 
     def test_gate_reports_a_reason(self):
-        gate = AdmissionGate(cost_limit=1.0, max_outstanding=4)
-        query = _statement(0, work=3.0).make_query()
-        assert "exceeds limit" in gate.decide(query, outstanding=0)
-        cheap = _statement(0, work=0.5).make_query()
-        assert "outstanding" in gate.decide(cheap, outstanding=4)
-        assert gate.decide(cheap, outstanding=3) is None
+        policy = AdmissionPolicy(
+            reject_over_cost=1.0, max_concurrency=4, queue_when_full=False
+        )
+        kind, action, reason = policy.violation(3.0, running=0)
+        assert (kind, action) == (ThresholdKind.ESTIMATED_COST, ThresholdAction.REJECT)
+        assert reason == "estimated cost 3.0s exceeds limit 1.0s"
+        assert policy.violation(0.5, running=4) == (
+            ThresholdKind.CONCURRENCY,
+            ThresholdAction.REJECT,
+            "MPL 4 reached (4 running)",
+        )
+        assert policy.violation(0.5, running=3) is None
+
+    def test_a_queue_verdict_admits(self):
+        # the worker pool is the real side's wait queue
+        plan = _plan(_statement(i, work=5.0) for i in range(4))
+        report = run_plan(
+            ScriptedDriver(),
+            plan,
+            FAST,
+            admission=AdmissionPolicy(queue_over_cost=1.0, max_concurrency=0),
+        )
+        assert (report.completed, report.rejected) == (4, 0)
+
+    def test_cost_limit_is_read_at_the_plan_instant(self):
+        # the override covers plan time [0, 0.5); at time_scale 1e-6 the
+        # wall clock never leaves it
+        policy = AdmissionPolicy(
+            reject_over_cost=1.0, period_overrides=((0.0, 0.5, 10.0),)
+        )
+        plan = _plan(
+            [_statement(0, work=5.0, submit_at=0.1), _statement(1, work=5.0, submit_at=0.9)]
+        )
+        driver = ScriptedDriver()
+        report = run_plan(driver, plan, FAST, admission=policy)
+        assert (report.completed, report.rejected) == (1, 1)
+        assert driver.executed == [0]
 
 
 class TestRobustness:

@@ -102,6 +102,50 @@ class TestBadInput:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith(f"{argv[0]} error: ") and names in err
 
+    @pytest.mark.parametrize(
+        "verb,argv",
+        [
+            # a seed numpy cannot take, on every verb that takes one
+            ("demo", "--seed -1"),
+            ("cluster", "--seed -1"),
+            ("scenario", "run --seed -1"),
+            ("backend", "run --seed -1"),
+            ("backend", "compare --seed -1"),
+            ("sweep", "--seeds 42 -1"),
+            ("scenario", "sweep --seeds -1"),
+            # a horizon that would simulate nothing
+            ("demo", "--horizon -1"),
+            ("demo", "--horizon 0"),
+            # unknown names and missing files
+            ("scenario", "run --name nope"),
+            ("scenario", "run --policy nope"),
+            ("backend", "run --workloads nope"),
+            ("scenario", "run --spec {tmp}/missing.json"),
+            ("backend", "calibrate --trace-in {tmp}/missing.jsonl"),
+            # out-of-range numbers
+            ("backend", "run --horizon 1 --time-scale 0"),
+            ("backend", "compare --horizon 1 --time-scale 0"),
+            ("backend", "run --horizon 1 --rows 0"),
+            ("backend", "run --horizon 1 --mpl 0"),
+            ("backend", "run --horizon 1 --max-rate -1"),
+            ("backend", "run --horizon 1 --sleep-fraction 1.5"),
+            ("sweep", "--workers 0"),
+            ("scenario", "sweep --workers 0"),
+            ("cluster", "--nodes 0"),
+        ],
+        ids=lambda value: value.split("{")[0].strip(),
+    )
+    def test_bad_input_corpus(self, verb, argv, tmp_path, capsys):
+        try:
+            code = main([verb, *argv.format(tmp=tmp_path).split()])
+        except SystemExit as exited:  # argparse rejected it before the verb ran
+            code = exited.code
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert code == 2
+        assert len(errors) == 1 and verb in errors[0], err
+        assert "Traceback" not in err
+
 
 class TestClassify:
     def test_classify_known_features(self, capsys):
@@ -193,16 +237,6 @@ class TestBackend:
         # a bad-input exit 2, not SystemExit(str) and exit 1
         assert main(["backend", "run", "--workloads", "webscale"]) == 2
         assert "unknown workload 'webscale'" in capsys.readouterr().err
-
-    def test_postgres_without_dsn_is_unavailable(self, monkeypatch, capsys):
-        from repro.backends import DSN_ENV
-
-        monkeypatch.delenv(DSN_ENV, raising=False)
-        code = main(
-            ["backend", "run", "--backend", "postgres", "--horizon", "1"]
-        )
-        assert code == 3
-        assert "backend unavailable" in capsys.readouterr().out
 
     def test_rejects_unknown_verb(self):
         with pytest.raises(SystemExit):

@@ -9,6 +9,12 @@ none of them and were deleted.  So were the task queue's capability-tag
 matching (no spec, verb, bench, ledger row or example set a tag) and
 the options and readers no caller set.  The fair-share reference
 allocator, which no engine calls, moved into ``tests/engine/fills.py``.
+The PostgreSQL driver, reachable only through its "unavailable" path,
+was deleted with its factory and environment variable; the real-DBMS
+path's own copies of threshold admission, the constant throttle and the
+outcome reduction gave way to ``AdmissionPolicy``, ``SleepThrottle``
+and ``WorkloadStats`` (``tests/backends/test_equivalence.py`` keeps the
+copies as oracles).
 Bringing one back means bringing the spec field and the measured cell
 that reach it, and editing this list.
 """
@@ -18,7 +24,10 @@ import dataclasses
 import inspect
 import pathlib
 
+import pytest
+
 import repro
+from repro.cli import build_parser
 from repro.cluster import ClusterDispatcher, ClusterNode, NodeHealth, TaskQueue
 from repro.cluster.dispatcher import PullBinding, make_binding
 from repro.core.interfaces import ManagerContext
@@ -60,8 +69,17 @@ DELETED_NAMES = {
     "allocate_fair_shares_reference",
     "ShareRequest",
     "Allocation",
+    "PostgresBackend",
+    "DSN_ENV",
+    "REPRO_PG_DSN",
+    "make_backend",
+    "BackendUnavailable",
+    "AdmissionGate",
+    "_SimThrottle",
+    "MetricSummary",
+    "summarize_log",
 }
-DELETED_MODULES = ("cluster/elastic.py", "scenarios/trace.py")
+DELETED_MODULES = ("cluster/elastic.py", "scenarios/trace.py", "backends/postgres.py")
 
 
 def _names(node):
@@ -114,3 +132,9 @@ def test_removed_readers_stay_removed():
     sim = Simulator(seed=1)
     dispatcher = ClusterDispatcher(sim, [ClusterNode(sim, name="n0")], tenant_quotas={"a": 1})
     assert not hasattr(dispatcher, "quota_rejections")
+
+
+def test_the_backend_verb_has_no_driver_option(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["backend", "run", "--backend", "sqlite"])
+    assert "unrecognized arguments: --backend sqlite" in capsys.readouterr().err
