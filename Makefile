@@ -3,7 +3,7 @@
 PY ?= python
 export PYTHONPATH := src:.
 
-.PHONY: test test-ledger test-experiments survival examples bench bench-full bench-parallel bench-baseline ledger artifacts lint loc
+.PHONY: test test-ledger test-experiments survival examples bench bench-full bench-parallel bench-baseline ledger ledger-pairs artifacts lint loc
 
 test:
 	$(PY) -m pytest tests/ -q
@@ -85,6 +85,15 @@ bench-baseline:
 # instrument perf claims are made with; see benchmarks/ledger/README.md.
 ledger:
 	$(PY) -m benchmarks.ledger
+
+# Alternating pairs of BENCHMARK.json's command (benchmarks/pairs.py):
+# REF's committed files against this working tree, seeds 1..N, odd pairs
+# REF first; prints both medians and quartiles and "better k/N" per
+# workload and end-to-end metric.  W (comma-separated) defaults to all six.
+REF ?= HEAD
+N ?= 10
+ledger-pairs:
+	$(PY) benchmarks/pairs.py --ref $(REF) --pairs $(N) $(if $(W),--workloads $(W))
 
 # Regenerate every paper artifact under benchmarks/results/, plus the
 # gate's JSON and the survival report, so one target leaves a complete,

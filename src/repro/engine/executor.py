@@ -33,7 +33,8 @@ advance and milestone selection perform bit-identical float arithmetic
 on either side; the fair-share *fill* is the exact scalar
 :func:`~repro.engine.resources.fill_two_resource` below the cutover and
 the numpy :func:`~repro.engine.resources.fair_share_fill_vectorized`,
-whose sum order differs in the last bits, at or above it.
+whose sum order differs in the last bits, at or above it.  The vector
+side builds a mask only when a reduction says some row needs one.
 """
 
 from __future__ import annotations
@@ -184,6 +185,7 @@ class ExecutionEngine:
         # 29 attributes: at 30, CPython 3.11 stops sharing the instance
         # dict's keys, and each engine costs ~1.3 KB more and builds ~1 µs
         # slower (a 256-node cluster builds 256 of them).
+        # tests/engine/test_hotpath.py fails at 30.
         self.sim = sim
         self.machine = machine or MachineSpec()
         self.config = config or EngineConfig()
@@ -454,19 +456,24 @@ class ExecutionEngine:
             return
         dt = now - previous
         if n >= _VECTOR_MIN_RUNNING:
+            # A mask only when a reduction says some row needs one.
             speed = store.speed[idx]
-            moving = speed > 0.0
-            if not moving.any():
-                return
-            midx = idx[moving]
-            old_progress = store.progress[midx]
-            new_progress = old_progress + speed[moving] * dt
-            if bool(((new_progress >= 1.0) & (old_progress < 1.0)).any()):
-                # A query crossing the finish line leaves the active
-                # request set, so the memoized allocation is stale
-                # until the next real solve.
-                self._alloc_version += 1
-            store.progress[midx] = np.minimum(new_progress, 1.0)
+            if not speed.min() > 0.0:
+                moving = speed > 0.0
+                if not moving.any():
+                    return
+                idx = idx[moving]
+                speed = speed[moving]
+            old_progress = store.progress[idx]
+            new_progress = old_progress + speed * dt
+            if new_progress.max() >= 1.0:
+                if ((new_progress >= 1.0) & (old_progress < 1.0)).any():
+                    # A query crossing the finish line leaves the active
+                    # request set, so the memoized allocation is stale
+                    # until the next real solve.
+                    self._alloc_version += 1
+                np.minimum(new_progress, 1.0, out=new_progress)
+            store.progress[idx] = new_progress
             return
         slots = idx.tolist()
         speeds = store.speed[idx].tolist()
@@ -578,9 +585,11 @@ class ExecutionEngine:
         if self._store_epoch != self._demand_epoch:
             self._refresh_demands()
         self._etas = None  # the pick keeps its own while a row has a lock point ahead
+        # Each solve hands the pick the columns it gathered, by return
+        # value: a hand-off kept on ``self`` would be a 30th attribute.
         if idx.size >= _VECTOR_MIN_RUNNING:
-            usage_cpu, usage_disk = self._solve_vectorized(idx)
-            pick = self._pick_vectorized(idx)
+            usage_cpu, usage_disk, progresses, speeds = self._solve_vectorized(idx)
+            pick = self._pick_vectorized(idx, progresses, speeds)
         else:
             usage_cpu, usage_disk, progresses, speeds = self._solve_scalar(idx)
             pick = self._pick_scalar(idx, progresses, speeds)
@@ -639,55 +648,80 @@ class ExecutionEngine:
         """Vectorized solve: numpy fill + dotted usage sums.
 
         Results agree with :meth:`_solve_scalar` to solver tolerance
-        (1e-9 per speed) but not bit-for-bit — sum order differs.
+        (1e-9 per speed) but not bit-for-bit — sum order differs.  A
+        mask is built only when a reduction says some row is trivial,
+        finished, paused or blocked; with every row active the columns
+        are read and written through ``idx`` as they are.  Returns the
+        two usages, the progress column aligned with ``idx`` as the
+        pick must see it, and the solved speeds when they cover every
+        row (``None`` otherwise: the pick reads the speed column).
         """
         store = self.store
         bottleneck = store.bottleneck[idx]
         progress = store.progress[idx]
-        trivial = bottleneck <= 1e-9
-        if bool(trivial.any()):
-            store.progress[idx[trivial]] = 1.0
         caps = store.speed_cap[idx]
-        active_mask = ~trivial & (progress < 1.0) & (caps > 0.0)
-        store.speed[idx] = 0.0
-        if not bool(active_mask.any()):
-            return 0.0, 0.0
-        act = idx[active_mask]
+        if bottleneck.min() <= 1e-9:
+            trivial = bottleneck <= 1e-9
+            store.progress[idx[trivial]] = 1.0
+            progress[trivial] = 1.0
+            every_row = False
+        else:
+            every_row = progress.max() < 1.0 and caps.min() > 0.0
+        if every_row:
+            act = idx
+        else:
+            active_mask = (progress < 1.0) & (caps > 0.0)
+            store.speed[idx] = 0.0
+            if not active_mask.any():
+                return 0.0, 0.0, progress, None
+            act = idx[active_mask]
+            caps = caps[active_mask]
         cpu_demand = store.cpu_base[act]
         disk_demand = store.disk_demand[act]
         speeds = fair_share_fill_vectorized(
             store.solve_weight[act],
             cpu_demand,
             disk_demand,
-            caps[active_mask],
+            caps,
             self._cpu_cap,
             self._disk_cap,
         )
         store.speed[act] = speeds
-        positive = speeds > 0.0
-        usage_cpu = float(np.dot(speeds[positive], cpu_demand[positive]))
-        usage_disk = float(np.dot(speeds[positive], disk_demand[positive]))
-        return usage_cpu, usage_disk
+        if speeds.min() > 0.0:
+            usage_cpu = float(speeds.dot(cpu_demand))
+            usage_disk = float(speeds.dot(disk_demand))
+        else:
+            positive = speeds > 0.0
+            moving = speeds[positive]
+            usage_cpu = float(moving.dot(cpu_demand[positive]))
+            usage_disk = float(moving.dot(disk_demand[positive]))
+        return usage_cpu, usage_disk, progress, speeds if every_row else None
 
-    def _pick_vectorized(self, idx: np.ndarray):
+    def _pick_vectorized(self, idx: np.ndarray, progress: np.ndarray, speed):
+        """The vector pick, over the progress :meth:`_solve_vectorized`
+        gathered and, when it covers every row, the speeds it solved."""
         store = self.store
         now = self.sim.now
-        progress = store.progress[idx]
-        done = (progress >= 1.0 - 1e-12) & ~store.locks_pending[idx]
-        if bool(done.any()):
-            # Finished during a sync triggered by someone else's
-            # event; reap it via an immediate milestone of its own.
-            return now, int(store.qid[idx[int(np.argmax(done))]])
-        speed = store.speed[idx]
-        moving = speed > 0.0
-        if not bool(moving.any()):
-            return None
-        eta = np.full(idx.size, np.inf)
+        if progress.max() >= 1.0 - 1e-12:
+            done = (progress >= 1.0 - 1e-12) & ~store.locks_pending[idx]
+            if done.any():
+                # Finished during a sync triggered by someone else's
+                # event; reap it via an immediate milestone of its own.
+                return now, int(store.qid[idx[done.argmax()]])
+        if speed is None:
+            speed = store.speed[idx]
         gap = store.milestone[idx] - progress
         np.maximum(gap, 0.0, out=gap)
-        eta[moving] = now + gap[moving] / speed[moving]
+        if speed.min() > 0.0:
+            eta = now + gap / speed
+        else:
+            moving = speed > 0.0
+            if not moving.any():
+                return None
+            eta = np.full(idx.size, np.inf)
+            eta[moving] = now + gap[moving] / speed[moving]
         self._etas = eta  # built anyway: kept whether or not a lock is ahead
-        pos = int(np.argmin(eta))
+        pos = eta.argmin()
         return float(eta[pos]), int(store.qid[idx[pos]])
 
     def _pick_scalar(self, idx: np.ndarray, progresses: List[float], speeds: List[float]):

@@ -154,7 +154,7 @@ class RunStore:
         """Slots of live rows in insertion order (cached; treat read-only)."""
         cache = self._live_cache
         if cache is None:
-            cache = self._live_cache = np.flatnonzero(self.alive[: self.size])
+            cache = self._live_cache = self.alive[: self.size].nonzero()[0]
         return cache
 
     # ------------------------------------------------------------------

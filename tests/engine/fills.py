@@ -7,7 +7,8 @@ either: its solve settles the trivial queries itself (nothing demanded,
 paused, zero weight) and hands the fills parallel columns of the active
 ones.  The adapters below do the same split, so one list of requests can
 be put to the reference allocator and to both live fills; each returns
-``{key: speed}``.
+``{key: speed}``.  Below them is the engine's vector step with every
+mask built, the oracle of ``test_vector_step.py``.
 """
 
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ from typing import Dict, Hashable, Iterable, List, Mapping
 
 import numpy as np
 
+from repro.engine import executor
 from repro.engine.resources import (
     ResourceKind,
     fair_share_fill_vectorized,
@@ -193,3 +195,185 @@ ALL_FILLS = (reference_speeds,) + LIVE_FILLS
 def usage(requests, speeds, kind):
     """Server-units of ``kind`` in use at the given speeds."""
     return sum(speeds[req.key] * req.demands.get(kind, 0.0) for req in requests)
+
+
+# ----------------------------------------------------------------------
+# The vector step with every mask built (DESIGN.md §7)
+# ----------------------------------------------------------------------
+# The engine's vector side builds a mask only when a reduction says some
+# row needs one, and hands the solve's columns to the pick by return
+# value.  Below is the same step with every mask built and every column
+# gathered through it, as it ran before that rule: its only copy, the
+# oracle ``test_vector_step.py`` holds the live step against bit for bit.
+# ``masked_solve_vectorized`` and ``masked_pick_vectorized`` keep their
+# old signatures; ``MASKED_STEP`` adapts them to the live ``_solve``.
+
+
+def masked_fill_vectorized(weights, cpu_demand, disk_demand, caps, cpu_cap, disk_cap):
+    """``fair_share_fill_vectorized`` gathering every round's columns
+    through an index that starts as ``arange(n)``."""
+    n = int(weights.shape[0])
+    speeds = np.zeros(n, dtype=np.float64)
+    if n == 0:
+        return speeds
+    idx = np.arange(n)
+    headroom_cpu, headroom_disk = float(cpu_cap), float(disk_cap)
+    for _round in range(2 * n + 2):
+        if idx.size == 0:
+            break
+        w = weights[idx]
+        dc = cpu_demand[idx]
+        dd = disk_demand[idx]
+        cap = caps[idx]
+        gap = cap - speeds[idx]
+        gap_pos = np.maximum(gap, 0.0)
+        need_cpu = float(np.dot(gap_pos, dc))
+        need_disk = float(np.dot(gap_pos, dd))
+        if (need_cpu == 0.0 or need_cpu <= headroom_cpu) and (
+            need_disk == 0.0 or need_disk <= headroom_disk
+        ):
+            np.maximum.at(speeds, idx, cap)
+            break
+
+        growth_cpu = float(np.dot(w, dc))
+        growth_disk = float(np.dot(w, dd))
+        dt_best = float("inf")
+        binding = None  # "cpu" | "disk" | "cap"
+        if growth_cpu > 0:
+            dt = headroom_cpu / growth_cpu
+            if dt < dt_best - 1e-15:
+                dt_best, binding = dt, "cpu"
+        if growth_disk > 0:
+            dt = headroom_disk / growth_disk
+            if dt < dt_best - 1e-15:
+                dt_best, binding = dt, "disk"
+        cap_dts = gap / w
+        cap_min = float(cap_dts.min())
+        if cap_min < dt_best - 1e-15:
+            dt_best, binding = cap_min, "cap"
+
+        if dt_best < 0.0:
+            dt_best = 0.0
+        grow = dt_best * w
+        speeds[idx] += grow
+        headroom_cpu -= float(np.dot(grow, dc))
+        headroom_disk -= float(np.dot(grow, dd))
+
+        if binding == "cpu":
+            idx = idx[dc == 0.0]
+        elif binding == "disk":
+            idx = idx[dd == 0.0]
+        elif binding == "cap":
+            rem_gap = caps[idx] - speeds[idx]
+            keep = rem_gap > 1e-12 * np.maximum(1.0, np.abs(caps[idx]))
+            if bool(keep.all()):
+                keep[int(np.argmin(rem_gap / weights[idx]))] = False
+            idx = idx[keep]
+        else:  # all caps reached simultaneously
+            break
+    return speeds
+
+
+def masked_sync_all(engine) -> None:
+    """``ExecutionEngine._sync_all`` with the ``moving`` mask always built."""
+    now = engine.sim.now
+    previous = engine._last_sync_time
+    if now == previous:
+        return
+    engine._last_sync_time = now
+    store = engine.store
+    idx = store.live_indices()
+    n = idx.size
+    if n == 0:
+        return
+    dt = now - previous
+    if n >= executor._VECTOR_MIN_RUNNING:
+        speed = store.speed[idx]
+        moving = speed > 0.0
+        if not moving.any():
+            return
+        midx = idx[moving]
+        old_progress = store.progress[midx]
+        new_progress = old_progress + speed[moving] * dt
+        if bool(((new_progress >= 1.0) & (old_progress < 1.0)).any()):
+            engine._alloc_version += 1
+        store.progress[midx] = np.minimum(new_progress, 1.0)
+        return
+    slots = idx.tolist()
+    speeds = store.speed[idx].tolist()
+    progresses = store.progress[idx].tolist()
+    progress_col = store.progress
+    for i in range(n):
+        speed = speeds[i]
+        if speed > 0.0:
+            progress = progresses[i] + speed * dt
+            if progress >= 1.0:
+                if progresses[i] < 1.0:
+                    engine._alloc_version += 1
+                progress = 1.0
+            progress_col[slots[i]] = progress
+
+
+def masked_solve_vectorized(engine, idx):
+    """``_solve_vectorized`` with the trivial, active and positive masks
+    always built; returns the two usages only."""
+    store = engine.store
+    bottleneck = store.bottleneck[idx]
+    progress = store.progress[idx]
+    trivial = bottleneck <= 1e-9
+    if bool(trivial.any()):
+        store.progress[idx[trivial]] = 1.0
+    caps = store.speed_cap[idx]
+    active_mask = ~trivial & (progress < 1.0) & (caps > 0.0)
+    store.speed[idx] = 0.0
+    if not bool(active_mask.any()):
+        return 0.0, 0.0
+    act = idx[active_mask]
+    cpu_demand = store.cpu_base[act]
+    disk_demand = store.disk_demand[act]
+    speeds = masked_fill_vectorized(
+        store.solve_weight[act],
+        cpu_demand,
+        disk_demand,
+        caps[active_mask],
+        engine._cpu_cap,
+        engine._disk_cap,
+    )
+    store.speed[act] = speeds
+    positive = speeds > 0.0
+    usage_cpu = float(np.dot(speeds[positive], cpu_demand[positive]))
+    usage_disk = float(np.dot(speeds[positive], disk_demand[positive]))
+    return usage_cpu, usage_disk
+
+
+def masked_pick_vectorized(engine, idx):
+    """``_pick_vectorized`` re-gathering progress and speed from the store."""
+    store = engine.store
+    now = engine.sim.now
+    progress = store.progress[idx]
+    done = (progress >= 1.0 - 1e-12) & ~store.locks_pending[idx]
+    if bool(done.any()):
+        return now, int(store.qid[idx[int(np.argmax(done))]])
+    speed = store.speed[idx]
+    moving = speed > 0.0
+    if not bool(moving.any()):
+        return None
+    eta = np.full(idx.size, np.inf)
+    gap = store.milestone[idx] - progress
+    np.maximum(gap, 0.0, out=gap)
+    eta[moving] = now + gap[moving] / speed[moving]
+    engine._etas = eta
+    pos = int(np.argmin(eta))
+    return float(eta[pos]), int(store.qid[idx[pos]])
+
+
+#: ``ExecutionEngine`` attributes to patch for the masked step
+MASKED_STEP = {
+    "_sync_all": masked_sync_all,
+    "_solve_vectorized": lambda engine, idx: (
+        *masked_solve_vectorized(engine, idx), None, None
+    ),
+    "_pick_vectorized": lambda engine, idx, progress, speeds: (
+        masked_pick_vectorized(engine, idx)
+    ),
+}

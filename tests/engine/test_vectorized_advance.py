@@ -8,8 +8,8 @@ tests force each side by patching that constant:
 * the **advance** (``_sync_all``) and **milestone selection**
   (``_pick_scalar`` / ``_pick_vectorized``) are required to be
   **bit-identical** on either side, so with the fill held fixed (the
-  vector solve patched to the scalar one's usages, the vector pick
-  still reading the store) completion-time streams and digests must be
+  vector solve patched to the scalar one, whose progress and speeds the
+  vector pick reads as arrays) completion-time streams and digests must be
   exactly equal between a forced-scalar and a forced-vector run;
 * the **fair-share fill** switches at the same cutover — the vectorized
   fill reorders float sums, so it is pinned to solver tolerance instead
@@ -29,6 +29,7 @@ import struct
 from typing import List, Tuple
 from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -69,10 +70,13 @@ def _run(
     """
     solve = ExecutionEngine._solve_vectorized
     if exact_fill:
-        # the scalar solve also returns the lists its own pick reads;
-        # the vector side keeps only the usages and picks from the store
+        # the scalar solve hands its pick lists; the vector pick takes
+        # the same progress and speeds as arrays
         def solve(engine, idx):
-            return ExecutionEngine._solve_scalar(engine, idx)[:2]
+            usage_cpu, usage_disk, progresses, speeds = ExecutionEngine._solve_scalar(
+                engine, idx
+            )
+            return usage_cpu, usage_disk, np.array(progresses), np.array(speeds)
 
     with mock.patch.object(
         executor, "_VECTOR_MIN_RUNNING", min_running
