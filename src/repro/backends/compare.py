@@ -118,9 +118,6 @@ def run_sim_on_plan(
     cost_model: Optional[CostModel] = None,
     admission: Optional[AdmissionPolicy] = None,
     throttle: Optional[SleepThrottle] = None,
-    horizon: Optional[float] = None,
-    control_period: float = 1.0,
-    max_drain_rounds: int = 10_000,
 ) -> QueryLog:
     """Run a statement plan through the simulator and return its log.
 
@@ -133,14 +130,12 @@ def run_sim_on_plan(
     """
     if mpl < 1:
         raise ConfigurationError(f"mpl must be >= 1, got {mpl}")
-    horizon = horizon if horizon is not None else plan.horizon
     sim = Simulator(seed=plan.seed)
     manager = WorkloadManager(
         sim,
         machine=MachineSpec(cpu_capacity=float(mpl), disk_capacity=float(mpl)),
         admission=None if admission is None else ThresholdAdmission(admission),
         scheduler=WaitQueue(mpl),
-        control_period=control_period,
     )
     cap_throttled = None
     if throttle is not None and throttle.sleep_fraction > 0:
@@ -177,10 +172,10 @@ def run_sim_on_plan(
             lambda s=statement: _submit(s),
             label=f"backend-plan:{statement.index}",
         )
-    sim.run_until(horizon)
+    sim.run_until(plan.horizon)
     rounds = 0
-    while manager.outstanding_work() > 0 and rounds < max_drain_rounds:
-        sim.run_until(sim.now + max(1.0, control_period))
+    while manager.outstanding_work() > 0 and rounds < 10_000:
+        sim.run_until(sim.now + 1.0)
         rounds += 1
     manager.shutdown()
     if manager.outstanding_work() > 0:

@@ -5,8 +5,9 @@ consumes the *same* :class:`~repro.workloads.models.WorkloadSpec`
 objects the simulator consumes — same arrival processes, same request
 classes, same cost distributions — and pre-draws the entire statement
 stream with a seeded generator: arrival instants, request classes, cost
-vectors, optimizer estimates and the concrete backend-neutral
-:class:`~repro.backends.base.Operation` each statement executes.
+vectors (which the optimizer's estimates equal) and the concrete
+backend-neutral :class:`~repro.backends.base.Operation` each statement
+executes.
 Classes and costs come from the one column draw the simulator's
 generator reads (:meth:`WorkloadSpec.draw
 <repro.workloads.models.WorkloadSpec.draw>`), taken once per spec for
@@ -29,9 +30,13 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.backends.base import Operation, OpKind
-from repro.engine.query import CostVector, Query, QueryState, StatementType
+from repro.engine.query import CostVector, Query, StatementType
 from repro.errors import ConfigurationError
 from repro.workloads.models import ClosedArrivals, WorkloadSpec
+
+#: Operation keys are drawn from ``[0, KEY_SPACE)``; the plan digest
+#: hashes it, so a plan says which key space its operations address.
+KEY_SPACE = 10_000
 
 
 @dataclass(frozen=True)
@@ -69,7 +74,6 @@ class StatementPlan:
     statements: Tuple[PlannedStatement, ...]
     horizon: float
     seed: int
-    key_space: int
 
     def __len__(self) -> int:
         return len(self.statements)
@@ -80,7 +84,7 @@ class StatementPlan:
     def digest(self) -> str:
         """SHA-256 over every planned field — the determinism gate."""
         h = sha256()
-        h.update(struct.pack("<dqq", self.horizon, self.seed, self.key_space))
+        h.update(struct.pack("<dqq", self.horizon, self.seed, KEY_SPACE))
         for s in self.statements:
             h.update(struct.pack("<qd", s.index, s.submit_at))
             h.update(s.sql_label.encode("utf-8"))
@@ -110,27 +114,22 @@ class StatementPlan:
 
 
 def _operation_for(
-    statement_type: StatementType,
-    true_cost: CostVector,
-    key: int,
-    key_space: int,
-    work_scale: float,
-    heavy_read_threshold: float,
+    statement_type: StatementType, true_cost: CostVector, key: int
 ) -> Operation:
     """Map a drawn request onto a backend operation.
 
     The touched-row ``span`` grows linearly with the spec's sampled
-    demand (``work_scale`` rows per cost-second), so heavy BI draws
+    demand (200 rows per cost-second), so heavy BI draws
     become genuinely heavier SQL — the property calibration later
     exploits to fit cost models with non-trivial slopes.
     """
     work = true_cost.total_work
-    span = max(1, min(key_space, int(work * work_scale)))
+    span = max(1, min(KEY_SPACE, int(work * 200.0)))
     if statement_type in (StatementType.WRITE, StatementType.DML):
         return Operation(OpKind.POINT_WRITE, key=key, span=min(span, 64))
     if statement_type in (StatementType.UTILITY, StatementType.DDL, StatementType.LOAD):
         return Operation(OpKind.MAINTENANCE, key=key, span=1)
-    if work >= heavy_read_threshold:
+    if work >= 1.0:  # a read of a cost-second or more scans a range
         return Operation(OpKind.RANGE_AGG, key=key, span=span)
     return Operation(OpKind.POINT_READ, key=key, span=1)
 
@@ -139,10 +138,6 @@ def plan_statements(
     specs: Sequence[WorkloadSpec],
     horizon: float,
     seed: int = 0,
-    key_space: int = 10_000,
-    work_scale: float = 200.0,
-    heavy_read_threshold: float = 1.0,
-    optimizer_sigma: float = 0.0,
     max_statements: Optional[int] = None,
 ) -> StatementPlan:
     """Pre-draw the full statement stream for ``specs`` over ``horizon``.
@@ -150,20 +145,15 @@ def plan_statements(
     Per-spec draws use independent child seeds (``[seed, spec_index]``)
     so adding a workload never perturbs another workload's stream; each
     stream is consumed column by column — arrival instants, the request
-    columns of :meth:`WorkloadSpec.draw`, estimate errors (only when
-    ``optimizer_sigma`` > 0), operation keys.  The
+    columns of :meth:`WorkloadSpec.draw`, operation keys.  The
     merged stream is ordered by arrival time with (spec, arrival) order
     breaking ties — the same order a simulator event heap would realize.
 
-    ``optimizer_sigma`` > 0 perturbs estimates with multiplicative
-    log-normal error, reproducing the §2.3 estimate gap on the real
-    backend; the default is a perfect optimizer so admission decisions
-    match bit-for-bit between sim and real runs.
+    The optimizer is perfect (estimates equal true costs), so admission
+    decisions match bit-for-bit between sim and real runs.
     """
     if horizon <= 0:
         raise ConfigurationError(f"horizon must be positive, got {horizon}")
-    if key_space < 1:
-        raise ConfigurationError("key_space must be >= 1")
     drawn = []
     for spec_index, spec in enumerate(specs):
         if isinstance(spec.arrivals, ClosedArrivals):
@@ -176,27 +166,14 @@ def plan_statements(
         arrivals = spec.arrivals.arrival_times(rng, horizon)
         n = len(arrivals)
         columns = spec.draw(rng, n)
-        if optimizer_sigma > 0:
-            factors = np.exp(rng.normal(0.0, optimizer_sigma, size=n)).tolist()
-        else:
-            factors = [None] * n
-        keys = rng.integers(0, key_space, size=n).tolist()
+        keys = rng.integers(0, KEY_SPACE, size=n).tolist()
         for arrival_index, (
             submit_at,
             (request_class, *cost, _fractions),
-            factor,
             key,
-        ) in enumerate(zip(arrivals, zip(*columns), factors, keys)):
+        ) in enumerate(zip(arrivals, zip(*columns), keys)):
             true_cost = CostVector(*cost)
-            estimated = true_cost if factor is None else true_cost.scaled(factor)
-            op = _operation_for(
-                request_class.statement_type,
-                true_cost,
-                key,
-                key_space,
-                work_scale,
-                heavy_read_threshold,
-            )
+            op = _operation_for(request_class.statement_type, true_cost, key)
             drawn.append(
                 (
                     float(submit_at),
@@ -205,7 +182,6 @@ def plan_statements(
                     spec,
                     request_class,
                     true_cost,
-                    estimated,
                     op,
                 )
             )
@@ -220,7 +196,7 @@ def plan_statements(
             request_class=request_class.name,
             statement_type=request_class.statement_type,
             priority=spec.priority,
-            estimated_cost=estimated,
+            estimated_cost=true_cost,
             true_cost=true_cost,
             op=op,
             sql_label=f"{spec.name}:{request_class.name}",
@@ -232,20 +208,7 @@ def plan_statements(
             spec,
             request_class,
             true_cost,
-            estimated,
             op,
         ) in enumerate(drawn)
     )
-    return StatementPlan(
-        statements=statements, horizon=horizon, seed=seed, key_space=key_space
-    )
-
-
-def rejected_copy(statement: PlannedStatement, now: float) -> Query:
-    """A query object recording an admission rejection at ``now``."""
-    query = statement.make_query()
-    query.transition(QueryState.SUBMITTED)
-    query.submit_time = now
-    query.transition(QueryState.REJECTED)
-    query.end_time = now
-    return query
+    return StatementPlan(statements=statements, horizon=horizon, seed=seed)

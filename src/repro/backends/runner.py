@@ -55,17 +55,12 @@ from repro.workloads.traces import QueryLog
 class RunConfig:
     """Knobs of a real-backend run."""
 
-    mpl: int = 4                               # concurrent statements
-    pool_size: Optional[int] = None            # default: mpl
+    mpl: int = 4                               # concurrent statements, and connections
     max_rate: Optional[float] = None           # token bucket, stmts/sec
-    burst: Optional[float] = None              # bucket capacity
     time_scale: float = 1.0                    # real secs per schedule sec
     statement_timeout_s: Optional[float] = 5.0
     max_retries: int = 2
-    retry_backoff_s: float = 0.005             # base of exponential backoff
     rows: int = 10_000                         # seeded table size
-    setup_seed: int = 0
-    health_check_every: int = 25
 
     def __post_init__(self) -> None:
         if self.mpl < 1:
@@ -190,26 +185,17 @@ class BackendRunner:
         # Pool, pacer and bucket validate their settings and touch nothing
         # yet (the pool connects on acquire, the pacer anchors on start),
         # so a run that cannot start raises before ``driver.setup``.
-        pool = ConnectionPool(
-            self.driver,
-            size=config.pool_size or config.mpl,
-            health_check_every=config.health_check_every,
-        )
+        pool = ConnectionPool(self.driver, size=config.mpl)
         report.pool = pool.stats
         pacer = ArrivalPacer(
             time_scale=config.time_scale, clock=self._clock, sleep=self._sleep
         )
         bucket = (
-            TokenBucket(
-                config.max_rate,
-                burst=config.burst,
-                clock=self._clock,
-                sleep=self._sleep,
-            )
+            TokenBucket(config.max_rate, clock=self._clock, sleep=self._sleep)
             if config.max_rate is not None
             else None
         )
-        self.driver.setup(seed=config.setup_seed, rows=config.rows)
+        self.driver.setup(seed=0, rows=config.rows)
         executor = ThreadPoolExecutor(
             max_workers=config.mpl, thread_name_prefix="repro-backend"
         )
@@ -283,8 +269,7 @@ class BackendRunner:
                         attempts += 1
                         with self._lock:
                             report.retries += 1
-                        backoff = config.retry_backoff_s * (2 ** (attempts - 1))
-                        self._sleep(backoff)
+                        self._sleep(0.005 * 2 ** (attempts - 1))  # exponential backoff
                         continue
                     final = ERROR_FINAL_STATE[kind]
                     query.transition(final)

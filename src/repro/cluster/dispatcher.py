@@ -540,10 +540,6 @@ class ClusterDispatcher:
         node.degrade(factor)
         self.metrics.record_health(self.sim.now, self, node)
 
-    def restore_node_speed(self, node: ClusterNode) -> None:
-        node.restore_speed()
-        self.metrics.record_health(self.sim.now, self, node)
-
     def node(self, name: str) -> ClusterNode:
         return self._by_name[name]
 

@@ -12,6 +12,12 @@ same KILLED → SUBMITTED record/resubmit lifecycle replay and
 kill-and-resubmit policies use); queued work on the node never started,
 so it is evacuated and re-placed without a restart penalty.  DRAINING
 nodes finish their outstanding work but take no new placements.
+
+Each fault kind moves one node variable.  CRASH, DRAIN and RECOVER move
+its health and nothing else; DEGRADE moves its speed, as a factor of the
+node's base speed, in any health state, and ``DEGRADE factor=1.0`` ends
+a degradation.  So a node that crashes and recovers inside a degrade
+window comes back still degraded.
 """
 
 from __future__ import annotations
@@ -28,9 +34,9 @@ class FaultKind(enum.Enum):
     """What happens to the node at the fault time."""
 
     CRASH = "crash"          # node dies; in-flight work lost and resubmitted
-    DEGRADE = "degrade"      # node slows to `factor` of full speed
+    DEGRADE = "degrade"      # node runs at `factor` of its base speed
     DRAIN = "drain"          # stop placements, finish outstanding work
-    RECOVER = "recover"      # back to UP at full speed
+    RECOVER = "recover"      # back to UP
 
 
 @dataclass(frozen=True)
@@ -40,7 +46,7 @@ class FaultEvent:
     time: float
     node: str
     kind: FaultKind
-    factor: float = 1.0      # DEGRADE only: speed multiplier in (0, 1]
+    factor: float = 1.0      # DEGRADE only: speed multiplier in (0, 1]; 1.0 ends one
 
     def __post_init__(self) -> None:
         if self.time < 0:

@@ -84,9 +84,11 @@ class ClusterNode:
         with ``outstanding_work >= max_outstanding`` is not eligible.
         Defaults to ``4 * mpl`` (a bounded node-local backlog).
     speed_factor:
-        Initial service speed in (0, 1]; values below 1 model a
-        permanently slower machine (heterogeneous clusters).  Runtime
-        slowdowns use :meth:`degrade` / :meth:`restore_speed`.
+        Base service speed in (0, 1]; values below 1 model a
+        permanently slower machine (heterogeneous clusters).  It is the
+        node engine's speed ceiling, so every query the node runs, from
+        its first instant, runs at most this fast; runtime slowdowns
+        (:meth:`degrade`) scale it.
     """
 
     def __init__(
@@ -125,9 +127,12 @@ class ClusterNode:
             slas=slas,
             control_period=control_period,
         )
+        # One node variable per fault kind: crash, drain and recover move
+        # ``health``; degrade moves ``speed_factor`` (base × degradation).
         self.health = NodeHealth.UP
-        self.base_speed_factor = speed_factor   # what restore/activate return to
-        self.speed_factor = speed_factor        # < 1.0 models a slow node
+        self.base_speed_factor = speed_factor
+        self.speed_factor = speed_factor
+        self.manager.engine.set_speed(speed_factor)
         self.heartbeat_period = heartbeat_period
         self.heartbeats: List[NodeHeartbeat] = []
         self.placed_count = 0
@@ -211,10 +216,7 @@ class ClusterNode:
         self._outstanding_est[query.query_id] = est
         self._outstanding_est_total += est
         self._changed()
-        decision = self.manager.submit(query)
-        if self.speed_factor < 1.0:
-            self._enforce_speed()
-        return decision
+        return self.manager.submit(query)
 
     def _note_exit(self, query: Query) -> None:
         est = self._outstanding_est.pop(query.query_id, None)
@@ -246,7 +248,6 @@ class ClusterNode:
         """Bring a DRAINING or recovered node (back) into service."""
         was_stopped = self.health is NodeHealth.DOWN
         self.health = NodeHealth.UP
-        self.speed_factor = self.base_speed_factor
         if was_stopped:
             self.manager.resume_ticks()
             self._heartbeat_proc = self.scope.schedule_periodic(
@@ -257,46 +258,19 @@ class ClusterNode:
         self._changed()
 
     def degrade(self, factor: float) -> None:
-        """Slow the node to ``factor`` of full speed (fault injection).
+        """Run the node at ``factor`` of its base speed (fault injection);
+        ``factor=1.0`` ends a degradation.
 
-        On a DOWN node this is a documented **no-op**: the
-        node's manager is shut down (throttling its engine would touch
-        a dead server), it holds no placements a slowdown could affect,
-        and :meth:`activate` resets speed anyway.  Chaos plans may
-        therefore race a degrade against a crash without blowing up the
-        run.  DRAINING nodes still run work, so they do degrade.
+        Kept in any health state: health and speed are separate
+        variables, so a node that crashes and recovers inside a degrade
+        window comes back degraded.  Running work changes speed at this
+        instant; a DOWN node runs none, so nothing is scheduled.
         """
         if not 0.0 < factor <= 1.0:
             raise ConfigurationError(f"degrade factor must be in (0,1], got {factor}")
-        if not self.serviceable:
-            return
-        self.speed_factor = factor
+        self.speed_factor = self.base_speed_factor * factor
         self._changed()
-        self._enforce_speed()
-
-    def restore_speed(self) -> None:
-        """Undo :meth:`degrade` (no-op on a DOWN node, like degrade)."""
-        if not self.serviceable:
-            return
-        self.speed_factor = self.base_speed_factor
-        self._changed()
-        self._enforce_speed()
-
-    @property
-    def serviceable(self) -> bool:
-        """True while the node's manager is live (UP or DRAINING).
-
-        A DOWN node has a shut-down manager: speed changes against it
-        are no-ops by contract.
-        """
-        return self.health in (NodeHealth.UP, NodeHealth.DRAINING)
-
-    def _enforce_speed(self) -> None:
-        engine = self.manager.engine
-        with engine.reallocation_batch():
-            for query_id in engine.running_ids():
-                if engine.throttle_of(query_id) != self.speed_factor:
-                    engine.set_throttle(query_id, self.speed_factor)
+        self.manager.engine.set_speed(self.speed_factor)
 
     # ------------------------------------------------------------------
     # heartbeat
@@ -327,11 +301,6 @@ class ClusterNode:
         """Publish a snapshot into the shared clock (periodic)."""
         beat = self.snapshot()
         self.heartbeats.append(beat)
-        if self.speed_factor < 1.0:
-            # a degraded node re-asserts its slowdown on work started
-            # since the last beat (new placements run full-speed for at
-            # most one heartbeat period otherwise)
-            self._enforce_speed()
         return beat
 
     @property

@@ -18,6 +18,8 @@ Everything execution control needs is a first-class operation here:
 * ``set_weight``     — query reprioritization / priority aging / economic
   resource allocation change the weight;
 * ``set_throttle``   — request throttling caps the speed (0 pauses);
+* ``set_speed``      — a slower machine (a slow or degraded cluster node)
+  caps every query's speed; a throttle multiplies it;
 * ``kill``           — query cancellation;
 * ``remove_suspended`` — suspend-and-resume checkpoints then evicts;
 * automatic wait-die aborts surface as ``ABORTED`` outcomes so policies
@@ -85,24 +87,16 @@ class EngineConfig:
     """Tunables of the execution engine.
 
     ``hot_set_size`` is the number of lockable items (smaller = more
-    contention); ``spill_penalty`` is forwarded to the buffer pool;
-    ``max_parallelism`` is the per-query ceiling on resource units,
-    i.e. intra-query parallelism (1.0 = a query can at most keep one
-    core and one disk unit busy).
+    contention); ``spill_penalty`` is forwarded to the buffer pool.
     """
 
     hot_set_size: int = 1000
     spill_penalty: float = 3.0
-    max_parallelism: float = 1.0
 
     def __post_init__(self) -> None:
         if self.hot_set_size < 1:
             raise ConfigurationError(
                 f"hot_set_size must be >= 1, got {self.hot_set_size}"
-            )
-        if self.max_parallelism <= 0:
-            raise ConfigurationError(
-                f"max_parallelism must be > 0, got {self.max_parallelism}"
             )
         if self.spill_penalty < 0:
             raise ConfigurationError(
@@ -188,13 +182,16 @@ class ExecutionEngine:
         # tests/engine/test_hotpath.py fails at 30.
         self.sim = sim
         self.machine = machine or MachineSpec()
-        self.config = config or EngineConfig()
+        config = config or EngineConfig()
+        # The per-query speed ceiling: 1.0 lets a query keep one core and
+        # one disk unit busy; a slower machine runs every query below it.
+        self._speed = 1.0
         self.buffer_pool = BufferPool(
             capacity_mb=self.machine.memory_mb,
-            spill_penalty=self.config.spill_penalty,
+            spill_penalty=config.spill_penalty,
         )
         self.lock_manager = LockManager(
-            num_items=self.config.hot_set_size, rng=sim.rng("locks")
+            num_items=config.hot_set_size, rng=sim.rng("locks")
         )
         self.resources = {
             kind: Resource(kind=kind, capacity=cap)
@@ -364,9 +361,7 @@ class ExecutionEngine:
         store.bottleneck[slot] = bottleneck
         if bottleneck > 1e-9:
             store.solve_weight[slot] = weight / bottleneck
-            store.speed_cap[slot] = (
-                1.0 * self.config.max_parallelism / bottleneck
-            )
+            store.speed_cap[slot] = self._speed / bottleneck
         if lock_points and not quiet:
             store.milestone[slot] = lock_points[0]
             store.locks_pending[slot] = True
@@ -423,6 +418,19 @@ class ExecutionEngine:
             store.throttle[slot] = factor
             self._update_cap_slot(slot)
             self._alloc_version += 1
+        self._reallocate()
+
+    def set_speed(self, factor: float) -> None:
+        """Run every query, present and future, at most ``factor`` of full
+        speed: the machine itself is slower.  A throttle multiplies it."""
+        if not 0.0 < factor <= 1.0:
+            raise ValueError(f"speed factor must be in (0,1], got {factor}")
+        if factor == self._speed:
+            return
+        self._sync_all()
+        self._speed = factor
+        self._demand_epoch += 1
+        self._alloc_version += 1
         self._reallocate()
 
     def pause(self, query_id: int) -> None:
@@ -506,9 +514,7 @@ class ExecutionEngine:
         bottleneck = float(store.bottleneck[slot])
         if bottleneck > 1e-9:
             store.speed_cap[slot] = (
-                float(store.throttle[slot])
-                * self.config.max_parallelism
-                / bottleneck
+                float(store.throttle[slot]) * self._speed / bottleneck
             )
         else:
             store.speed_cap[slot] = 0.0
@@ -527,7 +533,7 @@ class ExecutionEngine:
             store.bottleneck[idx] = bottleneck
             safe = np.where(bottleneck > 1e-9, bottleneck, 1.0)
             store.solve_weight[idx] = store.weight[idx] / safe
-            cap = store.throttle[idx] * self.config.max_parallelism / safe
+            cap = store.throttle[idx] * self._speed / safe
             dead = (
                 store.blocked[idx]
                 | (store.throttle[idx] <= 0.0)

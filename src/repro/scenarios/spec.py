@@ -222,12 +222,13 @@ class ChaosSpec:
     ``crash_waves`` evenly spaced waves each take out a rotating
     ``kill_fraction`` slice of the cluster for ``outage`` of the
     horizon, then revive it; ``degrade`` adds ``(time, node_index,
-    factor)`` slow-downs with recovery ``degrade_recovery`` of the
-    horizon later; ``crashes`` adds ``(at, node_name, recover_at |
-    None)`` kills of one named node, both times as fractions of the
-    horizon (``None`` leaves it down).  Everything is a pure function
-    of the spec, so chaos runs are exactly as digest-stable as clean
-    ones.
+    factor)`` slow-downs, each ended ``degrade_recovery`` of the horizon
+    later by a ``DEGRADE`` back to factor 1.0 (a crash wave inside the
+    window leaves the slow-down in place); ``crashes`` adds ``(at,
+    node_name, recover_at | None)`` kills of one named node, both times
+    as fractions of the horizon (``None`` leaves it down).  Everything
+    is a pure function of the spec, so chaos runs are exactly as
+    digest-stable as clean ones.
     """
 
     crash_waves: int = 0
@@ -280,8 +281,8 @@ class ChaosSpec:
             name = f"n{node_index % max(nodes, 1)}"
             at = at_fraction * horizon
             events.append(FaultEvent(at, name, FaultKind.DEGRADE, factor=factor))
-            recover_at = min(latest, at + self.degrade_recovery * horizon)
-            events.append(FaultEvent(recover_at, name, FaultKind.RECOVER))
+            end_at = min(latest, at + self.degrade_recovery * horizon)
+            events.append(FaultEvent(end_at, name, FaultKind.DEGRADE, factor=1.0))
         for at, name, recover_at in self.crashes:
             events += FaultPlan.node_kill(
                 name,

@@ -5,8 +5,8 @@ import dataclasses
 import pytest
 
 from repro.backends.base import OpKind
-from repro.backends.plan import plan_statements, rejected_copy
-from repro.engine.query import QueryState, StatementType
+from repro.backends.plan import KEY_SPACE, plan_statements
+from repro.engine.query import StatementType
 from repro.errors import ConfigurationError
 from repro.workloads.generator import bi_workload, oltp_workload
 from repro.workloads.models import ClosedArrivals
@@ -92,13 +92,10 @@ class TestPlanShape:
         for statement in _plan():
             assert statement.estimated_cost == statement.true_cost
 
-    def test_optimizer_sigma_perturbs_estimates_deterministically(self):
-        noisy = _plan(seed=4, optimizer_sigma=0.5)
-        again = _plan(seed=4, optimizer_sigma=0.5)
-        assert any(
-            s.estimated_cost != s.true_cost for s in noisy
-        )
-        assert noisy.digest() == again.digest()
+    def test_operation_keys_lie_in_the_key_space(self):
+        plan = _plan(horizon=60.0)
+        assert all(0 <= s.op.key < KEY_SPACE for s in plan)
+        assert all(s.op.span <= KEY_SPACE for s in plan)
 
 
 class TestValidation:
@@ -112,10 +109,6 @@ class TestValidation:
     def test_bad_horizon_rejected(self):
         with pytest.raises(ConfigurationError):
             plan_statements([oltp_workload()], horizon=0.0)
-
-    def test_bad_key_space_rejected(self):
-        with pytest.raises(ConfigurationError):
-            plan_statements([oltp_workload()], horizon=1.0, key_space=0)
 
 
 class TestQueryConstruction:
@@ -131,10 +124,3 @@ class TestQueryConstruction:
     def test_make_query_returns_fresh_objects(self):
         statement = _plan().statements[0]
         assert statement.make_query().query_id != statement.make_query().query_id
-
-    def test_rejected_copy_is_terminal(self):
-        statement = _plan().statements[0]
-        query = rejected_copy(statement, now=3.5)
-        assert query.state is QueryState.REJECTED
-        assert query.submit_time == 3.5
-        assert query.end_time == 3.5

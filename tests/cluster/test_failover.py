@@ -106,6 +106,7 @@ class TestCrashRecovery:
                     FaultEvent(1.0, "n1", FaultKind.DEGRADE, factor=0.5),
                     FaultEvent(2.0, "n1", FaultKind.DRAIN),
                     FaultEvent(3.0, "n1", FaultKind.RECOVER),
+                    FaultEvent(4.0, "n1", FaultKind.DEGRADE, factor=1.0),
                 )
             )
         )
@@ -115,9 +116,11 @@ class TestCrashRecovery:
         sim.run_until(2.5)
         assert node.health is NodeHealth.DRAINING
         sim.run_until(3.5)
+        assert node.health is NodeHealth.UP and node.speed_factor == 0.5
+        sim.run_until(4.5)
         assert node.health is NodeHealth.UP and node.speed_factor == 1.0
         fired = decisions_by(dispatcher.metrics.decisions, "FaultInjector")
-        assert [e.action for e in fired] == ["degrade", "drain", "recover"]
+        assert [e.action for e in fired] == ["degrade", "drain", "recover", "degrade"]
         assert fired[0].detail == FaultEvent(1.0, "n1", FaultKind.DEGRADE, factor=0.5)
         dispatcher.shutdown()
 

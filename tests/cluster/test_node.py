@@ -74,7 +74,7 @@ class TestCapacityAccounting:
         )
         node.degrade(0.25)
         assert node.rate_capacity == pytest.approx(full * 0.25)
-        node.restore_speed()
+        node.degrade(1.0)
         assert node.rate_capacity == pytest.approx(full)
 
     def test_degrade_factor_validated(self, sim):
@@ -90,26 +90,22 @@ class TestCapacityAccounting:
 
 
 class TestSpeedChangeGuards:
-    """degrade()/restore_speed() are documented no-ops on a DOWN node.
+    """Health and speed are separate node variables: a degrade is kept in
+    any health state, and a health change leaves speed alone."""
 
-    Regression: both used to call ``_enforce_speed`` unconditionally,
-    poking a shut-down manager when a chaos plan raced a degrade
-    against a crash.
-    """
-
-    def test_degrade_is_noop_on_down_node(self, sim):
+    def test_degrade_on_down_node_is_kept_schedules_nothing(
+        self, sim, monkeypatch
+    ):
         node = _node(sim)
         node.crash()
-        node.degrade(0.5)
-        assert node.speed_factor == 1.0
-        assert not node.serviceable
-
-    def test_restore_is_noop_on_down_node(self, sim):
-        node = _node(sim)
-        node.degrade(0.5)
-        node.crash()
-        node.restore_speed()
-        assert node.speed_factor == 0.5  # untouched until reactivation
+        scheduled = []
+        with monkeypatch.context() as patch:
+            patch.setattr(sim, "schedule_at", lambda *args, **kw: scheduled.append(args))
+            node.degrade(0.5)
+        assert node.speed_factor == 0.5
+        assert scheduled == []
+        node.activate()
+        assert node.speed_factor == 0.5  # recovery does not end a degradation
 
     def test_invalid_factor_still_raises_on_down_node(self, sim):
         node = _node(sim)
@@ -120,17 +116,18 @@ class TestSpeedChangeGuards:
     def test_degrade_works_while_draining(self, sim):
         node = _node(sim)
         node.drain()
-        assert node.serviceable
         node.degrade(0.5)
         assert node.speed_factor == 0.5
 
-    def test_activate_restores_base_speed_factor(self, sim):
-        node = _node(sim, speed_factor=0.7)
-        node.degrade(0.3)
+    def test_degrade_scales_base_speed_and_survives_activate(self, sim):
+        node = _node(sim, speed_factor=0.5)
+        node.degrade(0.5)
+        assert node.speed_factor == 0.25
         node.crash()
         node.activate()
-        # back to its *configured* speed, not full speed
-        assert node.speed_factor == 0.7
+        assert node.speed_factor == 0.25
+        node.degrade(1.0)
+        assert node.speed_factor == 0.5  # back to its *configured* speed
 
     def test_speed_factor_validated(self, sim):
         with pytest.raises(ConfigurationError):

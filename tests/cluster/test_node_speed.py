@@ -1,63 +1,69 @@
-"""A node's speed across RECOVER: the intended behaviour, not yet met.
+"""A node's speed is its engine's speed ceiling, owned by DEGRADE alone.
 
-``FaultKind.RECOVER`` calls :meth:`ClusterNode.activate`, which resets
-``speed_factor`` to ``base_speed_factor`` and re-throttles running work
-only when the new factor is below 1.  Two consequences, pinned here as
-strict xfails so the repair flips them (ROADMAP item 9 names the ledger
-and gate rows that repair moves):
+Each fault kind moves one node variable: CRASH, DRAIN and RECOVER move
+health, DEGRADE moves speed.  So:
 
-* (a) a degraded node that crashes and recovers while its degrade
-  window is still open comes back at full speed;
-* (b) a degrade's own RECOVER on a full-speed node leaves the queries
-  already running throttled at the degraded factor until they finish,
-  while ``speed_factor`` already reads 1.0.
+* a degrade ended by ``DEGRADE factor=1.0`` lifts the slowdown on the
+  work already running;
+* a degraded node that crashes and recovers while its degrade window is
+  still open comes back degraded;
+* work a slow node starts from its own queue after an exit runs at the
+  node's speed from its first instant.
 """
 
 import pytest
 
 from repro.cluster import ClusterDispatcher, ClusterNode, FaultInjector, make_policy
 from repro.cluster.failover import FaultEvent, FaultKind, FaultPlan
+from repro.engine.query import QueryState
 from repro.engine.simulator import Simulator
+from repro.scenarios import ChaosSpec
 
 from tests.conftest import make_query
 
 
-def _throttles(node):
+def _speeds(node):
     engine = node.manager.engine
-    return [engine.throttle_of(qid) for qid in engine.running_ids()]
+    return [engine.speed_of(qid) for qid in engine.running_ids()]
 
 
 def _degraded_node_with_work(sim):
     node = ClusterNode(sim, name="n0", mpl=2)
+    # 50 cpu-seconds on a 4-core node: one query, alone, runs at 1/50
     node.submit(make_query(cpu=50.0, io=0.0, sql="bi:q"))
+    assert _speeds(node) == [pytest.approx(1 / 50)]
     node.degrade(0.5)
-    assert _throttles(node) == [0.5]
+    assert _speeds(node) == [pytest.approx(0.5 / 50)]
     return node
 
 
 def test_restore_speed_lifts_the_throttle_on_running_work():
-    # the path RECOVER should match: restore re-enforces at any factor
+    # restoring speed is ``degrade(1.0)``; the slowdown it lifts is the
+    # node's speed ceiling, which no throttle carries any more
     node = _degraded_node_with_work(Simulator(seed=3))
-    node.restore_speed()
-    assert node.speed_factor == 1.0 and _throttles(node) == [1.0]
+    node.degrade(1.0)
+    assert node.speed_factor == 1.0 and _speeds(node) == [pytest.approx(1 / 50)]
 
 
-@pytest.mark.xfail(
-    strict=True, reason="activate() re-throttles running work only below speed 1"
-)
 def test_recover_after_a_degrade_lifts_the_throttle_on_running_work():
-    node = _degraded_node_with_work(Simulator(seed=3))
-    node.activate()  # what a degrade's own FaultKind.RECOVER calls
+    # a degrade window's end as the scenario language schedules it; the
+    # "throttle" is the node's speed, and no throttle is set any more
+    sim = Simulator(seed=3)
+    node = ClusterNode(sim, name="n0", mpl=2)
+    dispatcher = ClusterDispatcher(sim, [node], placement=make_policy("least"))
+    plan = ChaosSpec(degrade=((0.0, 0, 0.5),), degrade_recovery=0.1).build_plan(1, 10.0)
+    FaultInjector(dispatcher).arm(plan)
+    node.submit(make_query(cpu=50.0, io=0.0, sql="bi:q"))
+    sim.run_until(0.5)
+    assert _speeds(node) == [pytest.approx(0.5 / 50)]
+    sim.run_until(1.5)
     assert node.speed_factor == 1.0
-    assert _throttles(node) == [1.0]
+    assert _speeds(node) == [pytest.approx(1 / 50)]
 
 
-@pytest.mark.xfail(
-    strict=True, reason="activate() resets speed while the degrade window is open"
-)
 def test_crash_recovery_inside_a_degrade_window_stays_degraded():
     # the cluster_256 spec's shape: degraded at t=0, a crash wave takes
-    # the node and revives it, and the degrade's own RECOVER comes last
+    # the node and revives it, and the degrade window ends last
     sim = Simulator(seed=3)
     nodes = [ClusterNode(sim, name=f"n{i}", mpl=2) for i in range(2)]
     dispatcher = ClusterDispatcher(sim, nodes, placement=make_policy("least"))
@@ -67,10 +73,29 @@ def test_crash_recovery_inside_a_degrade_window_stays_degraded():
                 FaultEvent(0.0, "n0", FaultKind.DEGRADE, factor=0.4),
                 FaultEvent(1.0, "n0", FaultKind.CRASH),
                 FaultEvent(2.0, "n0", FaultKind.RECOVER),
-                FaultEvent(5.0, "n0", FaultKind.RECOVER),
+                FaultEvent(5.0, "n0", FaultKind.DEGRADE, factor=1.0),
             )
         )
     )
     sim.run_until(3.0)
     assert nodes[0].accepting
     assert nodes[0].speed_factor == 0.4
+    query = make_query(cpu=50.0, io=0.0, sql="bi:q")
+    nodes[0].submit(query)
+    assert _speeds(nodes[0]) == [pytest.approx(0.4 / 50)]
+
+
+def test_work_a_slow_node_starts_after_an_exit_runs_at_its_speed():
+    # MPL 1 at speed 0.4: the second query waits in the node's own queue
+    # and starts when the first exits at t=2.5, between two heartbeats
+    sim = Simulator(seed=3)
+    node = ClusterNode(sim, name="n0", mpl=1, speed_factor=0.4)
+    first = make_query(cpu=1.0, io=0.0, sql="bi:q")
+    second = make_query(cpu=3.0, io=0.0, sql="bi:q")
+    node.submit(first)
+    node.submit(second)
+    assert node.running == 1 and node.queued == 1
+    sim.run_until(100.0)
+    assert first.state is QueryState.COMPLETED and second.state is QueryState.COMPLETED
+    assert first.end_time == pytest.approx(1.0 / 0.4)
+    assert second.end_time == pytest.approx(first.end_time + 3.0 / 0.4)

@@ -103,7 +103,7 @@ CHURN = {
     "degrade_restore": dict(
         actions=[
             (2.0, lambda d, n: d.degrade_node(n, 0.4)),
-            (6.0, lambda d, n: d.restore_node_speed(n)),
+            (6.0, lambda d, n: d.degrade_node(n, 1.0)),
         ]
     ),
     "drain_activate": dict(
@@ -136,7 +136,7 @@ class TestWholeRunAudit:
         with _audit() as seen:
             for edge in (
                 lambda: d.degrade_node(n1, 0.5),
-                lambda: d.restore_node_speed(n1),
+                lambda: d.degrade_node(n1, 1.0),
                 lambda: d.drain_node(n1),
                 lambda: d.activate_node(n1),
                 lambda: d.crash_node(n1),

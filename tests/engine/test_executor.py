@@ -23,8 +23,6 @@ def _engine(sim, cpu=4.0, disk=4.0, mem=4096.0, hot_set=500, spill=3.0):
     "field, value",
     [
         ("hot_set_size", 0),
-        ("max_parallelism", 0.0),
-        ("max_parallelism", -1.0),
         ("spill_penalty", -2.0),
     ],
 )
@@ -117,6 +115,31 @@ class TestControls:
         engine.on_exit(lambda q, o: done.append(sim.now))
         sim.run()
         assert done == pytest.approx([8.0])
+
+    def test_speed_ceiling_covers_all_work_and_stacks_with_throttle(self, sim):
+        engine = _engine(sim)
+        first = submitted_query(sim, cpu=4.0, io=0.0)
+        engine.start(first)
+        sim.run_until(1.0)  # a quarter done at full speed
+        engine.set_speed(0.5)
+        second = submitted_query(sim, cpu=1.0, io=0.0)
+        engine.start(second)
+        engine.set_throttle(second.query_id, 0.5)
+        assert engine.throttle_of(first.query_id) == 1.0
+        assert engine.speed_of(first.query_id) == pytest.approx(0.5 / 4.0)
+        assert engine.speed_of(second.query_id) == pytest.approx(0.25)
+        done = {}
+        engine.on_exit(lambda q, o: done.setdefault(q.query_id, sim.now))
+        sim.run()
+        assert done == {
+            first.query_id: pytest.approx(1.0 + 3.0 / 0.5),
+            second.query_id: pytest.approx(1.0 + 1.0 / 0.25),
+        }
+
+    @pytest.mark.parametrize("factor", [0.0, -0.5, 1.5])
+    def test_invalid_speed_rejected(self, sim, factor):
+        with pytest.raises(ValueError):
+            _engine(sim).set_speed(factor)
 
     def test_pause_and_resume(self, sim):
         engine = _engine(sim)

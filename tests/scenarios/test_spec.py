@@ -166,6 +166,13 @@ class TestChaosSpec:
         times = [event.time for event in plan.events]
         assert times == sorted(times)
 
+    def test_a_degrade_window_ends_with_a_degrade_to_base_speed(self):
+        plan = ChaosSpec(degrade=((0.25, 1, 0.5),), degrade_recovery=0.5).build_plan(4, 20.0)
+        assert [(e.time, e.node, e.kind.value, e.factor) for e in plan.events] == [
+            (5.0, "n1", "degrade", 0.5),
+            (15.0, "n1", "degrade", 1.0),
+        ]
+
     def test_named_crash_kills_and_optionally_revives_one_node(self):
         plan = ChaosSpec(
             crashes=((0.45, "n1", 0.7), (0.5, "n3", None))

@@ -14,7 +14,11 @@ was deleted with its factory and environment variable; the real-DBMS
 path's own copies of threshold admission, the constant throttle and the
 outcome reduction gave way to ``AdmissionPolicy``, ``SleepThrottle``
 and ``WorkloadStats`` (``tests/backends/test_equivalence.py`` keeps the
-copies as oracles).
+copies as oracles).  A node's speed stopped being a per-query throttle
+the node re-asserted: it is the engine's speed ceiling, set at build and
+by every degrade, so the re-assertion, the speed restore paths and the
+engine's parallelism option went, as did the backend options no CLI
+verb, gate row or ledger row sets.
 Bringing one back means bringing the spec field and the measured cell
 that reach it, and editing this list.
 """
@@ -27,11 +31,13 @@ import pathlib
 import pytest
 
 import repro
+from repro.backends import RunConfig, plan_statements, run_sim_on_plan
 from repro.cli import build_parser
 from repro.cluster import ClusterDispatcher, ClusterNode, NodeHealth, TaskQueue
 from repro.cluster.dispatcher import PullBinding, make_binding
 from repro.core.interfaces import ManagerContext
 from repro.core.manager import WorkloadManager
+from repro.engine.executor import EngineConfig
 from repro.engine.simulator import Event, Simulator
 from repro.scheduling.queues import MultiQueueScheduler, TenantShareScheduler
 
@@ -78,6 +84,13 @@ DELETED_NAMES = {
     "_SimThrottle",
     "MetricSummary",
     "summarize_log",
+    "max_parallelism",
+    "_enforce_speed",
+    "restore_speed",
+    "restore_node_speed",
+    "serviceable",
+    "rejected_copy",
+    "optimizer_sigma",
 }
 DELETED_MODULES = ("cluster/elastic.py", "scenarios/trace.py", "backends/postgres.py")
 
@@ -124,6 +137,31 @@ def test_removed_parameters_stay_removed():
     assert list(inspect.signature(make_binding).parameters) == ["dispatch"]
     assert list(inspect.signature(PullBinding).parameters) == ["taskqueue"]
     assert "tenant_of" not in inspect.signature(ClusterDispatcher).parameters
+    assert [f.name for f in dataclasses.fields(EngineConfig)] == [
+        "hot_set_size",
+        "spill_penalty",
+    ]
+    assert [f.name for f in dataclasses.fields(RunConfig)] == [
+        "mpl",
+        "max_rate",
+        "time_scale",
+        "statement_timeout_s",
+        "max_retries",
+        "rows",
+    ]
+    assert list(inspect.signature(plan_statements).parameters) == [
+        "specs",
+        "horizon",
+        "seed",
+        "max_statements",
+    ]
+    assert list(inspect.signature(run_sim_on_plan).parameters) == [
+        "plan",
+        "mpl",
+        "cost_model",
+        "admission",
+        "throttle",
+    ]
 
 
 def test_removed_readers_stay_removed():
