@@ -28,11 +28,14 @@ Everything execution control needs is a first-class operation here:
 Hot-path layout (DESIGN.md §7): the running set lives in a columnar
 :class:`~repro.engine.runstore.RunStore`; per-query ``_Running`` handles
 carry only cold bookkeeping (the query object, lock points) and expose
-the array fields as properties.  The fluid advance, milestone selection
-and solve run vectorized over the arrays for running sets of at least
-``_VECTOR_MIN_RUNNING`` queries and as plain scalar loops below it.  The
-advance and milestone selection perform bit-identical float arithmetic
-on either side; the fair-share *fill* is the exact scalar
+the store's fields as properties.  ``_VECTOR_MIN_RUNNING`` is the one
+cutover: the engine hands it to its store, which holds Python lists
+below it and numpy columns at or above it, and takes the step the
+representation calls for.  Below it the advance, solve, pick and demand
+refresh are scalar loops reading and writing the lists in place; at or
+above it they run vectorized over the arrays.  The advance and milestone
+selection perform bit-identical float arithmetic on either side; the
+fair-share *fill* is the exact scalar
 :func:`~repro.engine.resources.fill_two_resource` below the cutover and
 the numpy :func:`~repro.engine.resources.fair_share_fill_vectorized`,
 whose sum order differs in the last bits, at or above it.  The vector
@@ -104,9 +107,10 @@ class EngineConfig:
             )
 
 
-#: Running-set size at which the advance, milestone selection and solve
-#: switch from scalar Python loops to numpy array operations; the scalar
-#: loops win below it on constant factors.
+#: Running-set size at which the store switches from lists to numpy
+#: columns, and the advance, milestone selection and solve from scalar
+#: Python loops to numpy array operations; the scalar loops win below it
+#: on constant factors.
 _VECTOR_MIN_RUNNING = 17
 
 
@@ -115,7 +119,7 @@ class _Running:
 
     Hot fields (progress, speed, weight, throttle, demands, caps,
     milestones) live in the engine's :class:`RunStore`; this object
-    keeps only what the arrays cannot hold — the query object and the
+    keeps only what the columns cannot hold — the query object and the
     lock-point sequence — plus properties reading through to the store
     so existing callers (tests, policies) see the familiar attributes.
     ``next_lock`` indexes the next lock point the row takes at a
@@ -197,14 +201,14 @@ class ExecutionEngine:
             kind: Resource(kind=kind, capacity=cap)
             for kind, cap in self.machine.rate_capacities().items()
         }
-        self.store = RunStore()
+        self.store = RunStore(_VECTOR_MIN_RUNNING)
         self._running: Dict[int, _Running] = {}
         self._callbacks: List[CompletionCallback] = []
         # The one armed milestone event, and the query it fires for.
         self._milestone_handle = None
         self._milestone_qid = -1
-        # Every row's ETA as the last real solve's pick computed it, aligned
-        # with ``live_indices()``; ``None`` when that pick kept none.
+        # Every row's ETA as the last real solve's pick computed it, in
+        # insertion order; ``None`` when that pick kept none.
         self._etas = None
         self._cpu = self.resources[ResourceKind.CPU]
         self._disk = self.resources[ResourceKind.DISK]
@@ -340,35 +344,31 @@ class ExecutionEngine:
         entry = _Running(query, self.store, lock_points)
         self._running[query_id] = entry
         self._membership_changed()
-        store = self.store
-        slot = store.add(query_id)
-        store.progress[slot] = query.progress
         weight = weight if weight > 1e-9 else 1e-9
-        store.weight[slot] = weight
-        store.throttle[slot] = 1.0
-        store.start_time[slot] = now
         dc = cost.cpu_seconds
         if dc <= 0:
             dc = 0.0
         di = cost.io_seconds
         if di <= 0:
             di = 0.0
-        store.cpu_base[slot] = dc
-        store.io_base[slot] = di
         io = di * self._last_inflation
-        store.disk_demand[slot] = io
         bottleneck = dc if dc >= io else io
-        store.bottleneck[slot] = bottleneck
+        solve_weight = speed_cap = 0.0
         if bottleneck > 1e-9:
-            store.solve_weight[slot] = weight / bottleneck
-            store.speed_cap[slot] = self._speed / bottleneck
-        if lock_points and not quiet:
-            store.milestone[slot] = lock_points[0]
-            store.locks_pending[slot] = True
-        else:
-            store.milestone[slot] = 1.0
-            if lock_points:  # quiet: it passes them without events
+            solve_weight = weight / bottleneck
+            speed_cap = self._speed / bottleneck
+        milestone, pending = 1.0, False
+        if lock_points:
+            if quiet:  # it passes them without events
                 entry.next_lock = len(lock_points)
+            else:
+                milestone, pending = lock_points[0], True
+        self.store.add(
+            query_id,
+            (query.progress, 0.0, weight, 1.0, dc, di, io,
+             bottleneck, solve_weight, speed_cap, milestone),
+            pending,
+        )
         # Sub-nanosecond demands complete instantly; without the epsilon
         # a denormal demand overflows the speed-cap division below.
         if cost.nominal_duration <= 1e-9:
@@ -458,12 +458,9 @@ class ExecutionEngine:
             return
         self._last_sync_time = now
         store = self.store
-        idx = store.live_indices()
-        n = idx.size
-        if n == 0:
-            return
         dt = now - previous
-        if n >= _VECTOR_MIN_RUNNING:
+        if store.vector:
+            idx = store.live_indices()
             # A mask only when a reduction says some row needs one.
             speed = store.speed[idx]
             if not speed.min() > 0.0:
@@ -483,11 +480,9 @@ class ExecutionEngine:
                 np.minimum(new_progress, 1.0, out=new_progress)
             store.progress[idx] = new_progress
             return
-        slots = idx.tolist()
-        speeds = store.speed[idx].tolist()
-        progresses = store.progress[idx].tolist()
-        progress_col = store.progress
-        for i in range(n):
+        speeds = store.speed
+        progresses = store.progress
+        for i in range(store.count):
             speed = speeds[i]
             if speed > 0.0:
                 progress = progresses[i] + speed * dt
@@ -495,7 +490,7 @@ class ExecutionEngine:
                     if progresses[i] < 1.0:
                         self._alloc_version += 1
                     progress = 1.0
-                progress_col[slots[i]] = progress
+                progresses[i] = progress
 
     def _membership_changed(self) -> None:
         self._snapshot = None
@@ -522,18 +517,29 @@ class ExecutionEngine:
     def _refresh_demands(self) -> None:
         """Recompute inflation-dependent columns for the current epoch.
 
-        Elementwise, so bit-identical to a per-entry scalar rebuild.
+        Elementwise, so the list loop and the array step are bit-identical.
         """
         store = self.store
-        idx = store.live_indices()
-        if idx.size:
-            io = store.io_base[idx] * self._last_inflation
+        inflation, speed = self._last_inflation, self._speed
+        if not store.vector:
+            weights, throttles, blocked = store.weight, store.throttle, store.blocked
+            cpu, io_base, bottlenecks = store.cpu_base, store.io_base, store.bottleneck
+            for i in range(store.count):
+                io = store.disk_demand[i] = io_base[i] * inflation
+                bottleneck = bottlenecks[i] = cpu[i] if cpu[i] >= io else io
+                safe = bottleneck if bottleneck > 1e-9 else 1.0
+                store.solve_weight[i] = weights[i] / safe
+                dead = blocked[i] or throttles[i] <= 0.0 or bottleneck <= 1e-9
+                store.speed_cap[i] = 0.0 if dead else throttles[i] * speed / safe
+        else:
+            idx = store.live_indices()
+            io = store.io_base[idx] * inflation
             store.disk_demand[idx] = io
             bottleneck = np.maximum(store.cpu_base[idx], io)
             store.bottleneck[idx] = bottleneck
             safe = np.where(bottleneck > 1e-9, bottleneck, 1.0)
             store.solve_weight[idx] = store.weight[idx] / safe
-            cap = store.throttle[idx] * self._speed / safe
+            cap = store.throttle[idx] * speed / safe
             dead = (
                 store.blocked[idx]
                 | (store.throttle[idx] <= 0.0)
@@ -587,50 +593,48 @@ class ExecutionEngine:
             # still armed: the speeds stand, and so does every ETA.
             return
         now = self.sim.now
-        idx = self.store.live_indices()
+        store = self.store
         if self._store_epoch != self._demand_epoch:
             self._refresh_demands()
         self._etas = None  # the pick keeps its own while a row has a lock point ahead
-        # Each solve hands the pick the columns it gathered, by return
-        # value: a hand-off kept on ``self`` would be a 30th attribute.
-        if idx.size >= _VECTOR_MIN_RUNNING:
+        if store.vector:
+            # The vector solve hands the pick the columns it gathered, by
+            # return value: a hand-off kept on ``self`` would be a 30th
+            # attribute.
+            idx = store.live_indices()
             usage_cpu, usage_disk, progresses, speeds = self._solve_vectorized(idx)
             pick = self._pick_vectorized(idx, progresses, speeds)
         else:
-            usage_cpu, usage_disk, progresses, speeds = self._solve_scalar(idx)
-            pick = self._pick_scalar(idx, progresses, speeds)
+            usage_cpu, usage_disk = self._solve_scalar(store.count)
+            pick = self._pick_scalar(store.count)
         self._cpu.record(now, usage_cpu)
         self._disk.record(now, usage_disk)
         self._solved_version = self._alloc_version
         self._arm_milestone(pick)
 
-    def _solve_scalar(self, idx: np.ndarray):
-        """Feed the exact scalar fill from the columnar store.
+    def _solve_scalar(self, n: int):
+        """Feed the exact scalar fill from the store's ``n`` list rows.
 
         Iteration order and accumulation order follow the store's
         insertion order — the float-accumulation contract the committed
-        digests pin.  Returns the two usages and, aligned with ``idx``,
-        the progress and solved-speed lists :meth:`_pick_scalar` needs,
-        so the step below the cutover gathers each column once.
+        digests pin.  The fill's speeds list becomes the speed column.
+        Returns the two usages.
         """
         store = self.store
-        n = int(idx.size)
         speeds = [0.0] * n
-        if n == 0:
-            return 0.0, 0.0, speeds, speeds
-        bottlenecks = store.bottleneck[idx].tolist()
-        progresses = store.progress[idx].tolist()
-        weights = store.solve_weight[idx].tolist()
-        cpu_demands = store.cpu_base[idx].tolist()
-        disk_demands = store.disk_demand[idx].tolist()
-        caps = store.speed_cap[idx].tolist()
-        # keyed by position in ``idx``: the fill writes into ``speeds``
+        bottlenecks = store.bottleneck
+        progresses = store.progress
+        weights = store.solve_weight
+        cpu_demands = store.cpu_base
+        disk_demands = store.disk_demand
+        caps = store.speed_cap
+        # keyed by position: the fill writes into ``speeds``
         active: List[List] = []
         for i in range(n):
             if bottlenecks[i] <= 1e-9:
                 # vanishing remaining demand: mark done so the milestone
                 # reaper completes it rather than dividing by ~zero
-                store.progress[idx[i]] = progresses[i] = 1.0
+                progresses[i] = 1.0
                 continue
             if progresses[i] >= 1.0:
                 continue
@@ -647,8 +651,8 @@ class ExecutionEngine:
                     continue
                 usage_cpu += speed * item[2]
                 usage_disk += speed * item[3]
-        store.speed[idx] = speeds
-        return usage_cpu, usage_disk, progresses, speeds
+        store.speed = speeds
+        return usage_cpu, usage_disk
 
     def _solve_vectorized(self, idx: np.ndarray):
         """Vectorized solve: numpy fill + dotted usage sums.
@@ -730,23 +734,25 @@ class ExecutionEngine:
         pos = eta.argmin()
         return float(eta[pos]), int(store.qid[idx[pos]])
 
-    def _pick_scalar(self, idx: np.ndarray, progresses: List[float], speeds: List[float]):
-        """The scalar pick loop, over the lists :meth:`_solve_scalar`
-        gathered and solved (aligned with ``idx``)."""
-        if not progresses:
+    def _pick_scalar(self, n: int):
+        """The scalar pick loop over the store's ``n`` list rows, as
+        :meth:`_solve_scalar` left them."""
+        if not n:
             return None
         store = self.store
         now = self.sim.now
-        milestones = store.milestone[idx].tolist()
-        locks_pending = store.locks_pending[idx].tolist()
+        progresses = store.progress
+        speeds = store.speed
+        milestones = store.milestone
+        locks_pending = store.locks_pending
         # Lock-free sets keep nothing: no grant can ask for an ETA.
-        etas = [np.inf] * len(progresses) if True in locks_pending else None
+        etas = [np.inf] * n if True in locks_pending else None
         best_time, best = None, -1
-        for i in range(len(progresses)):
+        for i in range(n):
             progress = progresses[i]
             if progress >= 1.0 - 1e-12 and not locks_pending[i]:
                 # as in the vector pick: reap it at this instant
-                return now, int(store.qid[idx[i]])
+                return now, store.qid[i]
             speed = speeds[i]
             if speed <= 0:
                 continue
@@ -759,7 +765,7 @@ class ExecutionEngine:
         if best < 0:
             return None
         self._etas = etas
-        return best_time, int(store.qid[idx[best]])
+        return best_time, store.qid[best]
 
     def _arm_milestone(self, pick) -> None:
         """Replace the armed milestone event, if any, by one for ``pick``."""
@@ -796,11 +802,10 @@ class ExecutionEngine:
                 store = self.store
                 slot = store.index[query_id]
                 self._lock_granted(entry, slot)
-                idx = store.live_indices()
                 gap = float(store.milestone[slot] - store.progress[slot])
-                etas[idx.searchsorted(slot)] = self._last_sync_time + gap / float(store.speed[slot])
-                pos = etas.index(min(etas)) if type(etas) is list else etas.argmin()
-                self._arm_milestone((float(etas[pos]), int(store.qid[idx[pos]])))
+                etas[store.position(slot)] = self._last_sync_time + gap / float(store.speed[slot])
+                pos = etas.index(min(etas)) if type(etas) is list else int(etas.argmin())
+                self._arm_milestone((float(etas[pos]), int(store.qid[store.slot_at(pos)])))
                 return
         self._sync_all()
         if entry is None:  # left the engine since scheduling

@@ -1,47 +1,50 @@
-"""Columnar (struct-of-arrays) storage for the engine's running set.
+"""Columnar storage for the engine's running set (DESIGN.md §7).
 
-The execution engine's hot loops — fluid advance, milestone selection,
-fair-share solving — touch a handful of scalar fields per running query.
-Storing those fields as parallel numpy arrays instead of attributes on
-per-query Python objects lets the hot loops run as single array
-operations (and makes the scalar fallback loops cache-friendly).
+The engine's hot loops — fluid advance, milestone selection, fair-share
+solving — touch a handful of fields per running query, one column each.
+A column is a Python list, read and written in place by the scalar
+loops, while fewer than the engine's vector cutover rows are live, and a
+numpy array, read by the vector step, at or above it.  The store
+converts in :meth:`add` and :meth:`remove`, so the representation always
+matches the step that reads it.
 
-Design constraints (see DESIGN.md §7):
+Design constraints:
 
 * **Insertion order is observable.**  The engine's float accumulation
   order (growth sums in the fair-share fill, usage totals) follows the
-  running-set iteration order, and committed digests depend on it.  The
-  store therefore preserves insertion order exactly like the dict it
-  replaced: new entries append at the tail, removals leave tombstones,
-  and compaction gathers live rows without reordering them.  A
-  swap-remove free list would be O(1) but would silently reorder float
-  sums and break bit-identity.
-* **Slots are unstable across compaction.**  Callers must map ids to
-  slots through :attr:`index` at use time rather than caching slot
-  numbers across membership changes.
+  running-set iteration order, and committed digests depend on it.  In
+  list mode a removal deletes the row, so a slot is its position; in
+  array mode a removal leaves a tombstone and compaction gathers live
+  rows without reordering them.  A swap-remove free list would be O(1)
+  but would silently reorder float sums and break bit-identity.
+* **Slots are unstable across membership changes.**  Callers must map
+  ids to slots through :attr:`index` at use time rather than caching
+  slot numbers across an add or remove.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List, Sequence
 
 import numpy as np
 
 #: Minimum number of tombstoned rows before compaction is considered.
 _COMPACT_MIN_DEAD = 32
 
+#: Rows an array-mode store allocates when it converts.
+_ARRAY_CAPACITY = 64
+
 
 class RunStore:
-    """Order-preserving struct-of-arrays table of running queries.
+    """Order-preserving columnar table of running queries.
 
     Columns (all indexed by slot):
 
-    ``qid``          query id (int64; -1 in dead slots)
+    ``qid``          query id (-1 in a tombstone)
     ``progress``     fluid progress in [0, 1]
     ``speed``        current fair-share speed
     ``weight``       business fair-share weight
     ``throttle``     throttle factor in [0, 1]
-    ``start_time``   when the query entered the engine
     ``cpu_base``     CPU seconds demanded per unit progress (>= 0)
     ``io_base``      raw disk seconds per unit progress (>= 0)
     ``disk_demand``  ``io_base`` inflated by the current buffer-pool epoch
@@ -51,39 +54,18 @@ class RunStore:
     ``milestone``    progress value of the next lock point or 1.0
     ``blocked``      waiting on a lock
     ``locks_pending``query still has lock points ahead
-    ``alive``        slot holds a live entry
-    """
+    ``alive``        slot holds a live entry (array mode only)
 
-    __slots__ = (
-        "capacity",
-        "size",
-        "count",
-        "index",
-        "qid",
-        "progress",
-        "speed",
-        "weight",
-        "throttle",
-        "start_time",
-        "cpu_base",
-        "io_base",
-        "disk_demand",
-        "bottleneck",
-        "solve_weight",
-        "speed_cap",
-        "milestone",
-        "blocked",
-        "locks_pending",
-        "alive",
-        "_live_cache",
-    )
+    ``vector`` is true while the columns are numpy arrays; ``size`` and
+    ``capacity`` (the dense prefix of live rows and tombstones, and the
+    allocated length) are meaningful only then.
+    """
 
     _FLOAT_COLS = (
         "progress",
         "speed",
         "weight",
         "throttle",
-        "start_time",
         "cpu_base",
         "io_base",
         "disk_demand",
@@ -92,107 +74,147 @@ class RunStore:
         "speed_cap",
         "milestone",
     )
-    _BOOL_COLS = ("blocked", "locks_pending", "alive")
+    #: every column but ``alive``, with its array dtype
+    _COLUMNS = (
+        ("qid", np.int64),
+        *((name, np.float64) for name in _FLOAT_COLS),
+        ("blocked", bool),
+        ("locks_pending", bool),
+    )
 
-    def __init__(self, capacity: int = 64) -> None:
-        self.capacity = max(int(capacity), 8)
-        self.size = 0        # dense prefix length (live + tombstones)
-        self.count = 0       # live entries
-        self.index: Dict[int, int] = {}
-        self.qid = np.full(self.capacity, -1, dtype=np.int64)
-        for name in self._FLOAT_COLS:
-            setattr(self, name, np.zeros(self.capacity, dtype=np.float64))
-        for name in self._BOOL_COLS:
-            setattr(self, name, np.zeros(self.capacity, dtype=bool))
-        self._live_cache: np.ndarray | None = None
+    __slots__ = (
+        "cutover",
+        "vector",
+        "capacity",
+        "size",
+        "count",
+        "index",
+        *(name for name, _ in _COLUMNS),
+        "alive",
+        "_live_cache",
+    )
+
+    def __init__(self, cutover: int) -> None:
+        self.cutover = cutover
+        self.count = 0
+        self._use_lists([[] for _ in self._COLUMNS])
 
     # ------------------------------------------------------------------
-    def add(self, query_id: int) -> int:
-        """Append a row for ``query_id`` and return its slot.
-
-        The caller fills the columns; the row starts zeroed with
-        ``alive`` set.  Appending keeps insertion order; capacity is
-        reclaimed from tombstones (order-preserving) before growing.
-        """
+    def add(self, query_id: int, row: Sequence[float], locks_pending: bool) -> int:
+        """Append ``query_id`` with ``row`` (its ``_FLOAT_COLS`` values in
+        order), not blocked, and return its slot."""
         if query_id in self.index:
             raise ValueError(f"query {query_id} already stored")
-        if self.size == self.capacity:
-            if self.size - self.count >= _COMPACT_MIN_DEAD:
-                self.compact()
-            else:
-                self._grow()
-        slot = self.size
-        self.size = slot + 1
-        self.count += 1
-        self.qid[slot] = query_id
-        for name in self._FLOAT_COLS:
-            getattr(self, name)[slot] = 0.0
-        self.blocked[slot] = False
-        self.locks_pending[slot] = False
-        self.alive[slot] = True
+        if self.vector:
+            if self.size == self.capacity:
+                self._use_arrays(self._live_columns())
+            slot = self.size
+            self.size = slot + 1
+            self.qid[slot] = query_id
+            for name, value in zip(self._FLOAT_COLS, row):
+                getattr(self, name)[slot] = value
+            self.blocked[slot] = False
+            self.locks_pending[slot] = locks_pending
+            self.alive[slot] = True
+            self._live_cache = None
+        else:
+            slot = self.count
+            self.qid.append(query_id)
+            self.progress.append(row[0])
+            self.speed.append(row[1])
+            self.weight.append(row[2])
+            self.throttle.append(row[3])
+            self.cpu_base.append(row[4])
+            self.io_base.append(row[5])
+            self.disk_demand.append(row[6])
+            self.bottleneck.append(row[7])
+            self.solve_weight.append(row[8])
+            self.speed_cap.append(row[9])
+            self.milestone.append(row[10])
+            self.blocked.append(False)
+            self.locks_pending.append(locks_pending)
         self.index[query_id] = slot
-        self._live_cache = None
+        self.count += 1
+        if not self.vector and self.count >= self.cutover:
+            self._use_arrays([getattr(self, name) for name, _ in self._COLUMNS])
         return slot
 
     def remove(self, query_id: int) -> None:
-        """Tombstone the row for ``query_id`` (order-preserving)."""
+        """Drop the row for ``query_id``, keeping the others' order."""
         slot = self.index.pop(query_id)
+        self.count -= 1
+        if not self.vector:
+            del (
+                self.qid[slot], self.progress[slot], self.speed[slot],
+                self.weight[slot], self.throttle[slot], self.cpu_base[slot],
+                self.io_base[slot], self.disk_demand[slot], self.bottleneck[slot],
+                self.solve_weight[slot], self.speed_cap[slot], self.milestone[slot],
+                self.blocked[slot], self.locks_pending[slot],
+            )
+            index, qid = self.index, self.qid
+            for position in range(slot, self.count):
+                index[qid[position]] = position
+            return
         self.alive[slot] = False
         self.qid[slot] = -1
         # Dead rows must not poison vectorized passes that operate on
         # the dense prefix rather than gathered live rows.
         self.speed[slot] = 0.0
-        self.count -= 1
         self._live_cache = None
-        if (
+        if self.count < self.cutover:
+            self._use_lists([column.tolist() for column in self._live_columns()])
+        elif (
             self.size - self.count >= _COMPACT_MIN_DEAD
             and self.size - self.count > self.count
         ):
-            self.compact()
+            self._use_arrays(self._live_columns())
 
     def live_indices(self) -> np.ndarray:
         """Slots of live rows in insertion order (cached; treat read-only)."""
+        if not self.vector:
+            return np.arange(self.count)
         cache = self._live_cache
         if cache is None:
             cache = self._live_cache = self.alive[: self.size].nonzero()[0]
         return cache
 
-    # ------------------------------------------------------------------
-    def compact(self) -> None:
-        """Drop tombstones by gathering live rows, preserving order."""
-        if self.size == self.count:
-            return
-        keep = np.flatnonzero(self.alive[: self.size])
-        n = int(keep.size)
-        self.qid[:n] = self.qid[keep]
-        self.qid[n : self.size] = -1
-        for name in self._FLOAT_COLS:
-            col = getattr(self, name)
-            col[:n] = col[keep]
-        for name in self._BOOL_COLS:
-            col = getattr(self, name)
-            col[:n] = col[keep]
-            col[n : self.size] = False
-        self.size = n
-        self.index = {int(q): i for i, q in enumerate(self.qid[:n])}
-        self._live_cache = None
+    def position(self, slot: int) -> int:
+        """A live slot's position in insertion order."""
+        return int(self.live_indices().searchsorted(slot)) if self.vector else slot
 
-    def _grow(self) -> None:
-        new_capacity = self.capacity * 2
-        grown_qid = np.full(new_capacity, -1, dtype=np.int64)
-        grown_qid[: self.size] = self.qid[: self.size]
-        self.qid = grown_qid
-        for name in self._FLOAT_COLS:
-            col = getattr(self, name)
-            grown = np.zeros(new_capacity, dtype=np.float64)
-            grown[: self.size] = col[: self.size]
-            setattr(self, name, grown)
-        for name in self._BOOL_COLS:
-            col = getattr(self, name)
-            grown = np.zeros(new_capacity, dtype=bool)
-            grown[: self.size] = col[: self.size]
-            setattr(self, name, grown)
-        self.capacity = new_capacity
+    def slot_at(self, position: int) -> int:
+        """The slot of the live row at ``position`` in insertion order."""
+        return int(self.live_indices()[position]) if self.vector else position
+
+    # ------------------------------------------------------------------
+    def _live_columns(self) -> list:
+        """Every array column's live rows, in insertion order."""
+        live = self.live_indices()
+        return [getattr(self, name)[live] for name, _ in self._COLUMNS]
+
+    def _use_lists(self, columns: List[list]) -> None:
+        """Hold ``columns``, the live rows in order, as lists."""
+        for (name, _), column in zip(self._COLUMNS, columns):
+            setattr(self, name, column)
+        self.index = {query_id: slot for slot, query_id in enumerate(self.qid)}
+        self.vector = False
+        self.alive = self._live_cache = None
+
+    def _use_arrays(self, columns: list) -> None:
+        """Hold ``columns``, the live rows in order, as arrays with room
+        for as many again (compaction and growth in one)."""
+        n = self.count
+        self.capacity = capacity = max(_ARRAY_CAPACITY, 2 * n)
+        for (name, dtype), values in zip(self._COLUMNS, columns):
+            column = np.zeros(capacity, dtype=dtype)
+            column[:n] = values
+            setattr(self, name, column)
+        self.alive = np.zeros(capacity, dtype=bool)
+        self.alive[:n] = True
+        self.index = {query_id: slot for slot, query_id in enumerate(self.qid[:n].tolist())}
+        self.size = n
+        self.vector = True
+        self._live_cache = None
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -203,10 +225,10 @@ class RunStore:
 
     def live_qids(self) -> List[int]:
         """Query ids of live rows in insertion order."""
+        if not self.vector:
+            return list(self.qid)
         return [int(q) for q in self.qid[self.live_indices()]]
 
     def __repr__(self) -> str:
-        return (
-            f"RunStore(count={self.count}, size={self.size}, "
-            f"capacity={self.capacity})"
-        )
+        mode = f"size={self.size}, capacity={self.capacity}" if self.vector else "lists"
+        return f"RunStore(count={self.count}, {mode})"

@@ -22,7 +22,8 @@ a hand-built ``Scenario`` of the same workload names would draw.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, replace
+from dataclasses import fields as dataclass_fields
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Tuple, Union
 
@@ -392,60 +393,155 @@ class ScenarioSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "ScenarioSpec":
+        """The spec ``data`` describes; a malformed one raises one
+        ``ConfigurationError`` naming the field's path and what it
+        expected, e.g. ``tenants[0].workloads: expected a list of
+        mappings, got int``."""
         try:
             return _scenario_from_dict(data)
-        except (KeyError, TypeError, ValueError, ConfigurationError) as error:
-            raise ConfigurationError(
-                f"malformed scenario spec: {error}"
-            ) from error
+        except ConfigurationError as error:
+            raise ConfigurationError(f"malformed scenario spec: {error}") from error
 
 
-def _arrival_from_dict(data: dict) -> ArrivalSpec:
-    fields = dict(data)
-    fields["phases"] = tuple(
-        (float(s), float(r)) for s, r in fields.get("phases", ())
+# ----------------------------------------------------------------------
+# from_dict: every nested value is checked for shape where it is read, so
+# an error names its path ("tenants[0].workloads[1].arrival.rate")
+# ----------------------------------------------------------------------
+def _fail(path: str, message: str) -> ConfigurationError:
+    return ConfigurationError(f"{path}: {message}" if path else message)
+
+
+def _join(path: str, name: str) -> str:
+    return f"{path}.{name}" if path else name
+
+
+def _type_fits(value, default) -> bool:
+    """Whether ``value`` can stand in a field whose default is ``default``."""
+    if isinstance(default, bool) or isinstance(value, bool):
+        return isinstance(value, bool) and isinstance(default, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
+def _fields(path: str, data, cls) -> dict:
+    """``data`` as keyword arguments of the dataclass ``cls``: a mapping
+    with no unknown and no missing field, and scalars of the defaults' types."""
+    if not isinstance(data, dict):
+        raise _fail(path, f"expected a mapping, got {type(data).__name__}")
+    known = {f.name: f for f in dataclass_fields(cls)}
+    for name, value in data.items():
+        if name not in known:
+            raise _fail(path, f"unknown field {name!r}; expected one of {sorted(known)}")
+        default = known[name].default
+        if isinstance(default, (int, float, str)) and not _type_fits(value, default):
+            raise _fail(
+                _join(path, name),
+                f"expected {type(default).__name__}, got {type(value).__name__}",
+            )
+    for name, f in known.items():
+        if name not in data and f.default is MISSING and f.default_factory is MISSING:
+            raise _fail(path, f"missing field {name!r}")
+    return dict(data)
+
+
+def _items(path: str, value, what: str = "mappings"):
+    """``(path[i], item)`` for each item of the list ``value``."""
+    if not isinstance(value, (list, tuple)):
+        raise _fail(path, f"expected a list of {what}, got {type(value).__name__}")
+    return [(f"{path}[{i}]", item) for i, item in enumerate(value)]
+
+
+def _rows(path: str, value, shape: str, convert) -> tuple:
+    """Each item of the list ``value``, a list shaped like ``shape``
+    (e.g. ``[start, rate]``), converted by ``convert``."""
+    arity = shape.count(",") + 1
+    rows = []
+    for item_path, item in _items(path, value, f"{shape} lists"):
+        try:
+            if not isinstance(item, (list, tuple)) or len(item) != arity:
+                raise TypeError(f"got {item!r}")
+            rows.append(convert(*item))
+        except (TypeError, ValueError) as error:
+            raise _fail(item_path, f"expected {shape}: {error}") from None
+    return tuple(rows)
+
+
+def _build(path: str, cls, fields: dict):
+    """``cls(**fields)``, naming ``path`` in any validation error."""
+    try:
+        return cls(**fields)
+    except (ConfigurationError, TypeError, ValueError) as error:
+        raise _fail(path, str(error)) from error
+
+
+def _arrival_from_dict(path: str, data) -> ArrivalSpec:
+    fields = _fields(path, data, ArrivalSpec)
+    fields["phases"] = _rows(
+        _join(path, "phases"),
+        fields.get("phases", ()),
+        "[start, rate]",
+        lambda start, rate: (float(start), float(rate)),
     )
-    return ArrivalSpec(**fields)
+    return _build(path, ArrivalSpec, fields)
 
 
-def _pattern_from_dict(data: dict) -> WorkloadPattern:
-    fields = dict(data)
-    fields["arrival"] = _arrival_from_dict(fields["arrival"])
+def _pattern_from_dict(path: str, data) -> WorkloadPattern:
+    fields = _fields(path, data, WorkloadPattern)
+    fields["arrival"] = _arrival_from_dict(_join(path, "arrival"), fields["arrival"])
     sla = fields.get("sla")
-    fields["sla"] = SLASpec(**sla) if isinstance(sla, dict) else sla
-    fields["params"] = tuple(sorted(dict(fields.get("params", {})).items()))
-    return WorkloadPattern(**fields)
+    if sla is not None:
+        sla_path = _join(path, "sla")
+        fields["sla"] = _build(sla_path, SLASpec, _fields(sla_path, sla, SLASpec))
+    params = fields.get("params", {})
+    if not isinstance(params, dict):
+        raise _fail(_join(path, "params"), f"expected a mapping, got {type(params).__name__}")
+    fields["params"] = tuple(sorted(params.items()))
+    return _build(path, WorkloadPattern, fields)
 
 
-def _tenant_from_dict(data: dict) -> TenantSpec:
-    fields = dict(data)
-    fields["workloads"] = tuple(
-        _pattern_from_dict(p) for p in fields["workloads"]
+def _patterns(path: str, value) -> Tuple[WorkloadPattern, ...]:
+    return tuple(_pattern_from_dict(p, item) for p, item in _items(path, value))
+
+
+def _tenant_from_dict(path: str, data) -> TenantSpec:
+    fields = _fields(path, data, TenantSpec)
+    fields["workloads"] = _patterns(_join(path, "workloads"), fields["workloads"])
+    return _build(path, TenantSpec, fields)
+
+
+def _chaos_from_dict(path: str, data) -> ChaosSpec:
+    fields = _fields(path, data, ChaosSpec)
+    fields["degrade"] = _rows(
+        _join(path, "degrade"),
+        fields.get("degrade", ()),
+        "[at, node index, factor]",
+        lambda at, node, factor: (float(at), int(node), float(factor)),
     )
-    return TenantSpec(**fields)
+    fields["crashes"] = _rows(
+        _join(path, "crashes"),
+        fields.get("crashes", ()),
+        "[at, node, recover at]",
+        lambda at, node, back: (float(at), str(node), None if back is None else float(back)),
+    )
+    return _build(path, ChaosSpec, fields)
 
 
-def _scenario_from_dict(data: dict) -> ScenarioSpec:
-    fields = dict(data)
+def _scenario_from_dict(data) -> ScenarioSpec:
+    fields = _fields("", data, ScenarioSpec)
     fields["tenants"] = tuple(
-        _tenant_from_dict(t) for t in fields.get("tenants", ())
+        _tenant_from_dict(p, item) for p, item in _items("tenants", fields.get("tenants", ()))
     )
-    fields["workloads"] = tuple(
-        _pattern_from_dict(p) for p in fields.get("workloads", ())
-    )
-    fields["speeds"] = tuple(float(s) for s in fields.get("speeds", ()))
-    chaos = fields.get("chaos")
-    if isinstance(chaos, dict):
-        chaos = dict(chaos)
-        chaos["degrade"] = tuple(
-            (float(a), int(n), float(f)) for a, n, f in chaos.get("degrade", ())
-        )
-        chaos["crashes"] = tuple(
-            (float(at), str(node), None if back is None else float(back))
-            for at, node, back in chaos.get("crashes", ())
-        )
-        fields["chaos"] = ChaosSpec(**chaos)
-    return ScenarioSpec(**fields)
+    fields["workloads"] = _patterns("workloads", fields.get("workloads", ()))
+    speeds = []
+    for path, speed in _items("speeds", fields.get("speeds", ()), "numbers"):
+        if not _type_fits(speed, 1.0):
+            raise _fail(path, f"expected a number, got {type(speed).__name__}")
+        speeds.append(float(speed))
+    fields["speeds"] = tuple(speeds)
+    if "chaos" in fields:
+        fields["chaos"] = _chaos_from_dict("chaos", fields["chaos"])
+    return _build("", ScenarioSpec, fields)
 
 
 @dataclass(frozen=True)

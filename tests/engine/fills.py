@@ -7,8 +7,9 @@ either: its solve settles the trivial queries itself (nothing demanded,
 paused, zero weight) and hands the fills parallel columns of the active
 ones.  The adapters below do the same split, so one list of requests can
 be put to the reference allocator and to both live fills; each returns
-``{key: speed}``.  Below them is the engine's vector step with every
-mask built, the oracle of ``test_vector_step.py``.
+``{key: speed}``.  Below them are two oracles of the engine's step: the
+vector step with every mask built (``test_vector_step.py``), and the
+scalar step reading numpy columns through ``idx`` (``test_scalar_step.py``).
 """
 
 from dataclasses import dataclass
@@ -17,6 +18,7 @@ from typing import Dict, Hashable, Iterable, List, Mapping
 import numpy as np
 
 from repro.engine import executor
+from repro.engine.executor import ExecutionEngine
 from repro.engine.resources import (
     ResourceKind,
     fair_share_fill_vectorized,
@@ -274,8 +276,17 @@ def masked_fill_vectorized(weights, cpu_demand, disk_demand, caps, cpu_cap, disk
     return speeds
 
 
+#: the live step, as the oracles below patch over it
+_LIVE_SYNC_ALL = ExecutionEngine._sync_all
+_LIVE_SOLVE_VECTORIZED = ExecutionEngine._solve_vectorized
+_LIVE_PICK_VECTORIZED = ExecutionEngine._pick_vectorized
+
+
 def masked_sync_all(engine) -> None:
-    """``ExecutionEngine._sync_all`` with the ``moving`` mask always built."""
+    """``ExecutionEngine._sync_all`` with the ``moving`` mask always built
+    on the vector side; a list-mode store takes the live loop."""
+    if not engine.store.vector:
+        return _LIVE_SYNC_ALL(engine)
     now = engine.sim.now
     previous = engine._last_sync_time
     if now == previous:
@@ -283,35 +294,17 @@ def masked_sync_all(engine) -> None:
     engine._last_sync_time = now
     store = engine.store
     idx = store.live_indices()
-    n = idx.size
-    if n == 0:
-        return
     dt = now - previous
-    if n >= executor._VECTOR_MIN_RUNNING:
-        speed = store.speed[idx]
-        moving = speed > 0.0
-        if not moving.any():
-            return
-        midx = idx[moving]
-        old_progress = store.progress[midx]
-        new_progress = old_progress + speed[moving] * dt
-        if bool(((new_progress >= 1.0) & (old_progress < 1.0)).any()):
-            engine._alloc_version += 1
-        store.progress[midx] = np.minimum(new_progress, 1.0)
+    speed = store.speed[idx]
+    moving = speed > 0.0
+    if not moving.any():
         return
-    slots = idx.tolist()
-    speeds = store.speed[idx].tolist()
-    progresses = store.progress[idx].tolist()
-    progress_col = store.progress
-    for i in range(n):
-        speed = speeds[i]
-        if speed > 0.0:
-            progress = progresses[i] + speed * dt
-            if progress >= 1.0:
-                if progresses[i] < 1.0:
-                    engine._alloc_version += 1
-                progress = 1.0
-            progress_col[slots[i]] = progress
+    midx = idx[moving]
+    old_progress = store.progress[midx]
+    new_progress = old_progress + speed[moving] * dt
+    if bool(((new_progress >= 1.0) & (old_progress < 1.0)).any()):
+        engine._alloc_version += 1
+    store.progress[midx] = np.minimum(new_progress, 1.0)
 
 
 def masked_solve_vectorized(engine, idx):
@@ -376,4 +369,137 @@ MASKED_STEP = {
     "_pick_vectorized": lambda engine, idx, progress, speeds: (
         masked_pick_vectorized(engine, idx)
     ),
+}
+
+
+# ----------------------------------------------------------------------
+# The scalar step reading numpy columns through ``idx`` (DESIGN.md §7)
+# ----------------------------------------------------------------------
+# Below the cutover the engine's store holds Python lists and the scalar
+# advance, solve and pick read and write them in place.  Below is the
+# same step as it ran when every column was a numpy array: the scalar
+# loops gather their columns through ``idx`` (``col[idx].tolist()``) and
+# scatter the speeds back.  ``GATHER_STEP`` runs it on an engine built
+# with the cutover patched to 1, so its store is numpy at every size:
+# below the real cutover the patched methods take the gather loops, at or
+# above it the live vector step.  ``test_scalar_step.py`` holds the live
+# list-mode engine against it bit for bit.
+
+#: the real cutover, read before any test patches it
+CUTOVER = executor._VECTOR_MIN_RUNNING
+
+
+def gather_sync_all(engine) -> None:
+    """The scalar advance over numpy columns gathered through ``idx``."""
+    store = engine.store
+    if not store.vector or store.count >= CUTOVER:
+        return _LIVE_SYNC_ALL(engine)
+    now = engine.sim.now
+    previous = engine._last_sync_time
+    if now == previous:
+        return
+    engine._last_sync_time = now
+    idx = store.live_indices()
+    dt = now - previous
+    slots = idx.tolist()
+    speeds = store.speed[idx].tolist()
+    progresses = store.progress[idx].tolist()
+    progress_col = store.progress
+    for i in range(idx.size):
+        speed = speeds[i]
+        if speed > 0.0:
+            progress = progresses[i] + speed * dt
+            if progress >= 1.0:
+                if progresses[i] < 1.0:
+                    engine._alloc_version += 1
+                progress = 1.0
+            progress_col[slots[i]] = progress
+
+
+def gather_solve_scalar(engine, idx):
+    """The exact scalar fill fed from numpy columns gathered through
+    ``idx``, its speeds scattered back; returns the two usages and the
+    progress and speed lists aligned with ``idx``."""
+    store = engine.store
+    n = int(idx.size)
+    speeds = [0.0] * n
+    if n == 0:
+        return 0.0, 0.0, speeds, speeds
+    bottlenecks = store.bottleneck[idx].tolist()
+    progresses = store.progress[idx].tolist()
+    weights = store.solve_weight[idx].tolist()
+    cpu_demands = store.cpu_base[idx].tolist()
+    disk_demands = store.disk_demand[idx].tolist()
+    caps = store.speed_cap[idx].tolist()
+    active = []
+    for i in range(n):
+        if bottlenecks[i] <= 1e-9:
+            store.progress[idx[i]] = progresses[i] = 1.0
+            continue
+        if progresses[i] >= 1.0:
+            continue
+        cap = caps[i]
+        if cap == 0.0:
+            continue
+        active.append([i, weights[i], cpu_demands[i], disk_demands[i], cap])
+    usage_cpu = usage_disk = 0.0
+    if active:
+        fill_two_resource(active, speeds, engine._cpu_cap, engine._disk_cap)
+        for item in active:
+            speed = speeds[item[0]]
+            if speed <= 0:
+                continue
+            usage_cpu += speed * item[2]
+            usage_disk += speed * item[3]
+    store.speed[idx] = speeds
+    return usage_cpu, usage_disk, progresses, speeds
+
+
+def gather_pick_scalar(engine, idx, progresses, speeds):
+    """The scalar pick over the lists :func:`gather_solve_scalar` returned
+    and the milestone and lock columns gathered through ``idx``."""
+    if not progresses:
+        return None
+    store = engine.store
+    now = engine.sim.now
+    milestones = store.milestone[idx].tolist()
+    locks_pending = store.locks_pending[idx].tolist()
+    etas = [np.inf] * len(progresses) if True in locks_pending else None
+    best_time, best = None, -1
+    for i in range(len(progresses)):
+        progress = progresses[i]
+        if progress >= 1.0 - 1e-12 and not locks_pending[i]:
+            return now, int(store.qid[idx[i]])
+        speed = speeds[i]
+        if speed <= 0:
+            continue
+        gap = milestones[i] - progress
+        eta = now + (gap if gap > 0.0 else 0.0) / speed
+        if etas is not None:
+            etas[i] = eta
+        if best < 0 or eta < best_time:
+            best_time, best = eta, i
+    if best < 0:
+        return None
+    engine._etas = etas
+    return best_time, int(store.qid[idx[best]])
+
+
+def _gather_solve(engine, idx):
+    if idx.size >= CUTOVER:
+        return _LIVE_SOLVE_VECTORIZED(engine, idx)
+    return gather_solve_scalar(engine, idx)
+
+
+def _gather_pick(engine, idx, progresses, speeds):
+    if idx.size >= CUTOVER:
+        return _LIVE_PICK_VECTORIZED(engine, idx, progresses, speeds)
+    return gather_pick_scalar(engine, idx, progresses, speeds)
+
+
+#: ``ExecutionEngine`` attributes to patch for the gather-based step
+GATHER_STEP = {
+    "_sync_all": gather_sync_all,
+    "_solve_vectorized": _gather_solve,
+    "_pick_vectorized": _gather_pick,
 }

@@ -2,15 +2,20 @@
 path on randomized small workloads.
 
 The engine picks its hot-path loops from the running-set size alone
-(``executor._VECTOR_MIN_RUNNING``); no argument selects them.  These
-tests force each side by patching that constant:
+(``executor._VECTOR_MIN_RUNNING``); no argument selects them.  The
+constant is the one cutover: the engine hands it to its ``RunStore``,
+which holds Python lists below it and numpy columns at or above it, and
+the engine takes the step the representation calls for.  These tests
+force each side by patching that constant before an engine is built
+(``test_a_patched_cutover_moves_the_store_and_the_step_together``):
 
 * the **advance** (``_sync_all``) and **milestone selection**
   (``_pick_scalar`` / ``_pick_vectorized``) are required to be
   **bit-identical** on either side, so with the fill held fixed (the
-  vector solve patched to the scalar one, whose progress and speeds the
-  vector pick reads as arrays) completion-time streams and digests must be
-  exactly equal between a forced-scalar and a forced-vector run;
+  vector solve patched to the gather-based scalar solve of
+  ``tests/engine/fills.py``, whose progress and speeds the vector pick
+  reads as arrays) completion-time streams and digests must be exactly
+  equal between a forced-scalar and a forced-vector run;
 * the **fair-share fill** switches at the same cutover — the vectorized
   fill reorders float sums, so it is pinned to solver tolerance instead
   (see ``test_fair_share_equivalence``), and here end-to-end completion
@@ -30,6 +35,7 @@ from typing import List, Tuple
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,6 +45,7 @@ from repro.engine.query import QueryState
 from repro.engine.resources import MachineSpec
 from repro.engine.simulator import Simulator
 from tests.conftest import make_query
+from tests.engine.fills import gather_solve_scalar
 
 _MACHINE = MachineSpec(cpu_capacity=4.0, disk_capacity=2.0, memory_mb=65536.0)
 
@@ -70,12 +77,10 @@ def _run(
     """
     solve = ExecutionEngine._solve_vectorized
     if exact_fill:
-        # the scalar solve hands its pick lists; the vector pick takes
-        # the same progress and speeds as arrays
+        # the scalar fill over the numpy store; the vector pick takes its
+        # progress and speeds as arrays
         def solve(engine, idx):
-            usage_cpu, usage_disk, progresses, speeds = ExecutionEngine._solve_scalar(
-                engine, idx
-            )
+            usage_cpu, usage_disk, progresses, speeds = gather_solve_scalar(engine, idx)
             return usage_cpu, usage_disk, np.array(progresses), np.array(speeds)
 
     with mock.patch.object(
@@ -153,3 +158,36 @@ def test_same_timestamp_collision_batch_is_bit_identical():
     vector, vector_digest = _run(jobs, ALL_VECTOR, exact_fill=True)
     assert vector == scalar
     assert vector_digest == scalar_digest
+
+
+@pytest.mark.parametrize("cutover", [1, 5, executor._VECTOR_MIN_RUNNING])
+def test_a_patched_cutover_moves_the_store_and_the_step_together(cutover):
+    """Every solve of an engine built under a patched cutover takes the
+    vector step exactly when its store holds numpy columns, and the store
+    holds them exactly when at least ``cutover`` rows are live — growing
+    past it one start at a time and shrinking back one kill at a time."""
+    with mock.patch.object(executor, "_VECTOR_MIN_RUNNING", cutover):
+        sim = Simulator(seed=2)
+        engine = ExecutionEngine(sim, _MACHINE)
+    solves = []
+
+    def recording(step, vector):
+        def run(arg):
+            solves.append((vector, engine.store.vector, engine.store.count))
+            return step(arg)
+
+        return run
+
+    engine._solve_scalar = recording(engine._solve_scalar, False)
+    engine._solve_vectorized = recording(engine._solve_vectorized, True)
+    queries = [make_query(cpu=5.0, io=1.0, mem=1.0) for _ in range(cutover + 3)]
+    for query in queries:
+        query.transition(QueryState.SUBMITTED)
+        engine.start(query)
+        assert isinstance(engine.store.speed, np.ndarray) == (engine.running_count >= cutover)
+    for query in queries:
+        engine.kill(query.query_id)
+        assert isinstance(engine.store.speed, list) == (engine.running_count < cutover)
+    assert len(solves) == 2 * len(queries)
+    assert all(vector == stored == (count >= cutover) for vector, stored, count in solves)
+    assert {vector for vector, _, _ in solves} == {False, True}

@@ -215,6 +215,45 @@ class TestPolicyConfig:
         assert "queue-shares" in full.describe()
 
 
+def _with_pattern(**fields):
+    """A scenario whose one untenanted workload has ``fields`` on top."""
+    return {"name": "x", "workloads": [{"kind": "oltp", "arrival": {}, **fields}]}
+
+
+#: (input, the start of the message after "malformed scenario spec: ")
+MALFORMED = [
+    ({"name": "x", "tenants": "nope"}, "tenants: expected a list of mappings, got str"),
+    (
+        {"name": "x", "tenants": [{"name": "a", "workloads": 5}]},
+        "tenants[0].workloads: expected a list of mappings, got int",
+    ),
+    ({"tenants": []}, "missing field 'name'"),
+    ({"name": "x", "tenants": ["a"]}, "tenants[0]: expected a mapping, got str"),
+    ({"name": "x", "tenants": [{"bogus": 1}]}, "tenants[0]: unknown field 'bogus'"),
+    ({"name": "x", "workloads": [{"kind": "oltp"}]}, "workloads[0]: missing field 'arrival'"),
+    (_with_pattern(kind="nope"), "workloads[0]: unknown workload kind 'nope'"),
+    (_with_pattern(arrival=[]), "workloads[0].arrival: expected a mapping, got list"),
+    (_with_pattern(arrival={"rate": "fast"}), "workloads[0].arrival.rate: expected float, got str"),
+    (
+        _with_pattern(arrival={"phases": [[1.0, 2.0, 3.0]]}),
+        "workloads[0].arrival.phases[0]: expected [start, rate]",
+    ),
+    (_with_pattern(arrival={"kind": "poisson"}), "workloads[0].arrival: unknown arrival kind"),
+    (_with_pattern(sla={"p99": 1.0}), "workloads[0].sla: unknown field 'p99'"),
+    (_with_pattern(params=[["sigma", 1.0]]), "workloads[0].params: expected a mapping, got list"),
+    (_with_pattern(priority="high"), "workloads[0].priority: expected int, got str"),
+    ({**_with_pattern(), "chaos": 3}, "chaos: expected a mapping, got int"),
+    (
+        {**_with_pattern(), "chaos": {"degrade": [[0.5, "n1", 0.5]]}},
+        "chaos.degrade[0]: expected [at, node index, factor]",
+    ),
+    ({**_with_pattern(), "chaos": {"crash_waves": -1}}, "chaos: crash_waves must be >= 0"),
+    ({**_with_pattern(), "speeds": [1.0, "slow"]}, "speeds[1]: expected a number, got str"),
+    ({**_with_pattern(), "nodes": True}, "nodes: expected int, got bool"),
+    ({**_with_pattern(), "horizon": -1.0}, "horizon must be > 0"),
+]
+
+
 class TestSerialization:
     def _roundtrip(self, spec):
         data = json.loads(json.dumps(spec.as_dict()))
@@ -261,6 +300,20 @@ class TestSerialization:
             ScenarioSpec.from_dict({"name": "x"})
         with pytest.raises(ConfigurationError, match="malformed scenario"):
             ScenarioSpec.from_dict({"name": "x", "tenants": [{"bogus": 1}]})
+
+    @pytest.mark.parametrize("data, message", MALFORMED)
+    def test_a_malformed_spec_names_the_field(self, data, message, tmp_path):
+        """One ``ConfigurationError`` naming the field's path and what it
+        expected, from ``from_dict`` and from a JSON file alike."""
+        expected = f"malformed scenario spec: {message}"
+        with pytest.raises(ConfigurationError) as raised:
+            ScenarioSpec.from_dict(data)
+        assert str(raised.value).startswith(expected)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigurationError) as raised:
+            load_scenario_file(path)
+        assert str(raised.value).startswith(expected)
 
 
 class TestFileLoading:
