@@ -59,6 +59,9 @@ DISPATCH_MODES = ("push", "pull")
 #: The bucket tenant-keyed ledgers and queues file tenantless work under.
 UNTENANTED = "<untenanted>"
 
+#: Seconds between dispatcher ticks (queue retry / poll cadence).
+CONTROL_PERIOD = 1.0
+
 
 class TenantQuota:
     """Cluster-tier admission quotas: a cap on each tenant's outstanding work.
@@ -301,8 +304,6 @@ class ClusterDispatcher:
         (never cluster-reject), ``0`` = reject the moment no node can
         take the arrival.  A routed request that leaves the structure
         over its bound is the one the cluster turns away.
-    control_period:
-        Seconds between dispatcher ticks (queue retry / poll cadence).
     dispatch:
         ``"push"`` (default) or ``"pull"``; alternatively pass a
         pre-built :class:`BindingPolicy` via ``binding``.
@@ -321,7 +322,6 @@ class ClusterDispatcher:
         placement: Optional[PlacementPolicy] = None,
         slas: Optional[SLASet] = None,
         max_queue_depth: Optional[int] = None,
-        control_period: float = 1.0,
         dispatch: str = "push",
         binding: Optional[BindingPolicy] = None,
         tenant_quotas: Optional[Dict[str, int]] = None,
@@ -361,7 +361,7 @@ class ClusterDispatcher:
             node.on_accepting_change(self._on_accepting_change)
             self.metrics.record_health(sim.now, self, node)
         self._ticker = sim.schedule_periodic(
-            control_period, self._tick, label="cluster:tick"
+            CONTROL_PERIOD, self._tick, label="cluster:tick"
         )
 
     @property

@@ -37,6 +37,9 @@ from repro.errors import ConfigurationError
 #: ``benchmarks`` box, so a 4-node cluster matches the classic setup.
 NODE_MACHINE = MachineSpec(cpu_capacity=4.0, disk_capacity=2.0, memory_mb=2048.0)
 
+#: Seconds between two heartbeats of a node.
+HEARTBEAT_PERIOD = 1.0
+
 
 class NodeHealth(enum.Enum):
     """Placement-relevant liveness of a node."""
@@ -102,8 +105,6 @@ class ClusterNode:
         scheduler: Optional[Scheduler] = None,
         admission: Optional[AdmissionController] = None,
         slas: Optional[SLASet] = None,
-        control_period: float = 1.0,
-        heartbeat_period: float = 1.0,
         speed_factor: float = 1.0,
     ) -> None:
         if mpl < 1:
@@ -125,7 +126,6 @@ class ClusterNode:
             scheduler=scheduler or WaitQueue(mpl),
             admission=admission,
             slas=slas,
-            control_period=control_period,
         )
         # One node variable per fault kind: crash, drain and recover move
         # ``health``; degrade moves ``speed_factor`` (base × degradation).
@@ -133,14 +133,13 @@ class ClusterNode:
         self.base_speed_factor = speed_factor
         self.speed_factor = speed_factor
         self.manager.engine.set_speed(speed_factor)
-        self.heartbeat_period = heartbeat_period
         self.heartbeats: List[NodeHeartbeat] = []
         self.placed_count = 0
         self._outstanding_est: Dict[int, float] = {}
         self._outstanding_est_total = 0.0
         self.manager.add_completion_listener(self._note_exit)
         self._heartbeat_proc = self.scope.schedule_periodic(
-            heartbeat_period, self.publish_heartbeat, label=f"heartbeat:{name}"
+            HEARTBEAT_PERIOD, self.publish_heartbeat, label=f"heartbeat:{name}"
         )
         # on_change: the manager pings when running or queued may have
         # moved; health, speed and est-work mutations call _changed below
@@ -251,7 +250,7 @@ class ClusterNode:
         if was_stopped:
             self.manager.resume_ticks()
             self._heartbeat_proc = self.scope.schedule_periodic(
-                self.heartbeat_period,
+                HEARTBEAT_PERIOD,
                 self.publish_heartbeat,
                 label=f"heartbeat:{self.name}",
             )

@@ -356,13 +356,9 @@ class WorkloadManager:
         if self._pumping:
             return
         self._pumping = True
-        # A dispatch burst happens at one instant: coalesce the
-        # per-start fair-share reallocations into a single solve.  The
-        # batch brackets are called directly (not via the
-        # ``reallocation_batch`` contextmanager) because pump runs on
-        # every submit and every engine exit.
+        # A dispatch burst happens at one instant: the engine solves its
+        # fair-share reallocation once, after the instant's last event.
         engine = self.engine
-        engine._batch_enter()
         try:
             for _ in range(10_000):  # safety bound against livelock
                 batch = self.scheduler.next_batch(self.context)
@@ -371,7 +367,6 @@ class WorkloadManager:
                 for query in batch:
                     engine.start(query, weight=self.weight_fn(query))
         finally:
-            engine._batch_exit()
             self._pumping = False
 
     def _retry_delayed(self) -> None:

@@ -5,13 +5,16 @@ Every running query advances a progress variable from 0 to 1 at a speed
 determined by weighted max-min fair resource sharing
 (:mod:`repro.engine.resources`), inflated I/O under memory pressure
 (:mod:`repro.engine.bufferpool`), and lock waits
-(:mod:`repro.engine.locks`).  Speeds are recomputed at every state
+(:mod:`repro.engine.locks`).  Speeds are recomputed after every state
 change — admission, completion, kill, pause, weight change, lock wait
 or wake — and the next milestone (a completion or a lock-acquisition
-point) is scheduled on the simulator.  A granted lock changes nobody's
-speed: it moves one query's milestone and nothing else, and a lock point
-whose item no other live transaction lists is no milestone at all
-(DESIGN.md §7).
+point) is scheduled on the simulator.  The solve runs once per instant,
+however many changes the instant held: a change marks it pending and
+defers it with :meth:`~repro.engine.simulator.Simulator.defer`, and
+``speed_of`` and ``utilization`` run a pending solve early.  A granted
+lock changes nobody's speed: it moves one query's milestone and nothing
+else, and a lock point whose item no other live transaction lists is no
+milestone at all (DESIGN.md §7).
 
 Everything execution control needs is a first-class operation here:
 
@@ -27,13 +30,13 @@ Everything execution control needs is a first-class operation here:
 
 Hot-path layout (DESIGN.md §7): the running set lives in a columnar
 :class:`~repro.engine.runstore.RunStore`; per-query ``_Running`` handles
-carry only cold bookkeeping (the query object, lock points) and expose
-the store's fields as properties.  ``_VECTOR_MIN_RUNNING`` is the one
-cutover: the engine hands it to its store, which holds Python lists
-below it and numpy columns at or above it, and takes the step the
-representation calls for.  Below it the advance, solve, pick and demand
-refresh are scalar loops reading and writing the lists in place; at or
-above it they run vectorized over the arrays.  The advance and milestone
+carry only cold bookkeeping (the query object, lock points).
+``_VECTOR_MIN_RUNNING`` is the one cutover: the engine hands it to its
+store, which holds Python lists below it and numpy columns at or above
+it, and takes the step the representation calls for.  Below it the
+advance, solve, pick and demand refresh are scalar loops reading and
+writing the lists in place; at or above it they run vectorized over the
+arrays.  The advance and milestone
 selection perform bit-identical float arithmetic on either side; the
 fair-share *fill* is the exact scalar
 :func:`~repro.engine.resources.fill_two_resource` below the cutover and
@@ -45,7 +48,6 @@ side builds a mask only when a reduction says some row needs one.
 from __future__ import annotations
 
 import enum
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
@@ -120,46 +122,18 @@ class _Running:
     Hot fields (progress, speed, weight, throttle, demands, caps,
     milestones) live in the engine's :class:`RunStore`; this object
     keeps only what the columns cannot hold — the query object and the
-    lock-point sequence — plus properties reading through to the store
-    so existing callers (tests, policies) see the familiar attributes.
-    ``next_lock`` indexes the next lock point the row takes at a
-    milestone event: ``len(lock_points)`` once none is left, and while
-    the transaction is quiet, which passes its points without events.
+    lock-point sequence.  ``next_lock`` indexes the next lock point the
+    row takes at a milestone event: ``len(lock_points)`` once none is
+    left, and while the transaction is quiet, which passes its points
+    without events.
     """
 
-    __slots__ = ("query", "store", "lock_points", "next_lock")
+    __slots__ = ("query", "lock_points", "next_lock")
 
-    def __init__(
-        self, query: Query, store: RunStore, lock_points: Sequence[float]
-    ) -> None:
+    def __init__(self, query: Query, lock_points: Sequence[float]) -> None:
         self.query = query
-        self.store = store
         self.lock_points = lock_points
         self.next_lock = 0
-
-    @property
-    def slot(self) -> int:
-        return self.store.index[self.query.query_id]
-
-    @property
-    def speed(self) -> float:
-        return float(self.store.speed[self.slot])
-
-    @property
-    def blocked(self) -> bool:
-        return bool(self.store.blocked[self.slot])
-
-    @property
-    def weight(self) -> float:
-        return float(self.store.weight[self.slot])
-
-    @property
-    def throttle(self) -> float:
-        return float(self.store.throttle[self.slot])
-
-    @property
-    def bottleneck(self) -> float:
-        return float(self.store.bottleneck[self.slot])
 
     def __repr__(self) -> str:
         return (
@@ -180,10 +154,10 @@ class ExecutionEngine:
         machine: Optional[MachineSpec] = None,
         config: Optional[EngineConfig] = None,
     ) -> None:
-        # 29 attributes: at 30, CPython 3.11 stops sharing the instance
+        # 28 attributes: at 30, CPython 3.11 stops sharing the instance
         # dict's keys, and each engine costs ~1.3 KB more and builds ~1 µs
         # slower (a 256-node cluster builds 256 of them).
-        # tests/engine/test_hotpath.py fails at 30.
+        # tests/engine/test_hotpath.py fails at 29.
         self.sim = sim
         self.machine = machine or MachineSpec()
         config = config or EngineConfig()
@@ -230,11 +204,9 @@ class ExecutionEngine:
         self._demand_epoch = 0
         self._store_epoch = 0
         self._last_inflation = self.buffer_pool.io_inflation()
-        # Deferred-reallocation batching (see ``reallocation_batch``).
-        self._defer_depth = 0
+        # A solve deferred to the end of the instant (see ``_reallocate``).
         self._realloc_pending = False
         self._last_sync_time = -1.0
-        sim.add_batch_hooks(self._batch_enter, self._batch_exit)
 
     # ------------------------------------------------------------------
     # observers
@@ -341,7 +313,7 @@ class ExecutionEngine:
             if not quiet:  # only a loud registration turns a rival loud
                 for rival_id in locks.newly_loud():
                     self._take_passed_locks(self._running[rival_id])
-        entry = _Running(query, self.store, lock_points)
+        entry = _Running(query, lock_points)
         self._running[query_id] = entry
         self._membership_changed()
         weight = weight if weight > 1e-9 else 1e-9
@@ -548,43 +520,16 @@ class ExecutionEngine:
             store.speed_cap[idx] = np.where(dead, 0.0, cap)
         self._store_epoch = self._demand_epoch
 
-    def _batch_enter(self) -> None:
-        self._defer_depth += 1
-
-    def _batch_exit(self) -> None:
-        self._defer_depth -= 1
-        if self._defer_depth == 0 and self._realloc_pending:
-            self._solve()
-
-    @contextmanager
-    def reallocation_batch(self):
-        """Coalesce reallocations across a batch of same-timestamp engine
-        operations (e.g. a dispatch burst, or a finish plus the starts
-        its callbacks trigger) into a single solver run at batch exit.
-
-        Reads that depend on fresh speeds (``speed_of``,
-        ``utilization``) flush the pending solve on demand, so a batch
-        is observationally transparent; the pending solve always runs
-        before control returns to the simulator.  The simulator's
-        same-timestamp event batches enter the same depth counter via
-        :meth:`Simulator.add_batch_hooks`.
-        """
-        self._batch_enter()
-        try:
-            yield
-        finally:
-            self._batch_exit()
-
     def _flush_reallocation(self) -> None:
         if self._realloc_pending:
             self._solve()
 
     def _reallocate(self) -> None:
-        """Recompute speeds and (re)schedule the next milestone event."""
-        if self._defer_depth > 0:
+        """Recompute speeds and (re)schedule the next milestone event once
+        the current instant's events have fired: one solve per instant."""
+        if not self._realloc_pending:
             self._realloc_pending = True
-            return
-        self._solve()
+            self.sim.defer(self._flush_reallocation)
 
     def _solve(self) -> None:
         self._realloc_pending = False
@@ -949,12 +894,6 @@ class ExecutionEngine:
                 woken_entry.query.transition(QueryState.RUNNING)
                 self._lock_granted(woken_entry, woken_slot)
                 self._update_cap_slot(woken_slot)
-        # One solve covers this exit plus whatever the exit callbacks do
-        # at the same instant (resubmits, replacement dispatches).
-        self._batch_enter()
-        try:
-            self._reallocate()
-            for callback in list(self._callbacks):
-                callback(query, outcome)
-        finally:
-            self._batch_exit()
+        self._reallocate()
+        for callback in list(self._callbacks):
+            callback(query, outcome)

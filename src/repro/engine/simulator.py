@@ -19,10 +19,9 @@ seq, event)``, ordered by ``heapq`` with C float/int compares; ``seq``
 is unique, lives nowhere else, and keeps the :class:`Event` (the
 cancellation handle, one ``__slots__`` object per callback) from ever
 being compared.  A cancelled entry stays queued until it is popped and
-skipped.  The run loops dispatch all events sharing one timestamp as a
-*batch* bracketed by registered enter/exit hooks, so an engine can
-defer its reallocation solve until the last event of the instant has
-fired.
+skipped.  :meth:`Simulator.defer` runs an action once every event of
+the current instant has fired, so an engine that changed state N times
+at one instant solves its reallocation once.
 """
 
 from __future__ import annotations
@@ -30,8 +29,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import zlib
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -91,10 +91,9 @@ class Simulator:
         self._queue: List[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._rngs: Dict[str, np.random.Generator] = {}
-        self._running = False
         self._events_fired = 0
-        #: (enter, exit) pairs bracketing same-timestamp event batches.
-        self._batch_hooks: List[Tuple[Callable[[], None], Callable[[], None]]] = []
+        #: actions waiting for the current instant to end; see :meth:`defer`
+        self._deferred: Deque[Callable[[], None]] = deque()
 
     # ------------------------------------------------------------------
     # time
@@ -175,51 +174,31 @@ class Simulator:
         process._arm(first)
         return process
 
-    # ------------------------------------------------------------------
-    # batch hooks
-    # ------------------------------------------------------------------
-    def add_batch_hooks(
-        self, enter: Callable[[], None], exit: Callable[[], None]
-    ) -> None:
-        """Register an enter/exit pair bracketing same-timestamp batches.
+    def defer(self, action: Callable[[], None]) -> None:
+        """Run ``action`` once every event of the current instant has fired.
 
-        When the run loop finds several events queued for one instant it
-        calls every ``enter`` hook, fires the whole batch, then calls the
-        ``exit`` hooks in reverse order.  Execution engines register
-        their reallocation deferral here so N events at one timestamp
-        trigger one fair-share solve instead of N.  Hooks must be
-        idempotent per batch and must not advance time.
+        Deferred actions run in the order they were deferred, before the
+        clock moves on and before :meth:`run_until` or :meth:`run`
+        returns; events they schedule at the current instant fire after
+        them, and an action deferred while they run joins the same
+        flush.  One deferred outside a run runs in the next run, after
+        the events due at the current time.  An execution engine defers
+        its fair-share solve here, so N state changes at one instant
+        cost one solve.
         """
-        self._batch_hooks.append((enter, exit))
+        self._deferred.append(action)
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the next pending event.  Returns False if none remain.
-
-        ``step`` fires exactly one event and never batches, so callers
-        single-stepping a simulation observe every event boundary.
-        """
-        queue = self._queue
-        while queue:
-            time, _, event = heapq.heappop(queue)
-            if event.cancelled:
-                continue
-            self._now = time
-            self._events_fired += 1
-            event.action()
-            return True
-        return False
-
     def run_until(self, time: float, max_events: Optional[int] = None) -> int:
         """Run events until simulated ``time`` (inclusive of events at it).
 
         Returns the number of events fired by this call, which callers
         advancing in slices subtract from their ``max_events`` budget.
-        Events sharing a timestamp are dispatched as one batch bracketed
-        by the registered batch hooks.  If ``max_events`` is given and
-        exhausted before ``time`` is reached,
+        ``run_until(sim.now)`` fires what is due now and flushes the
+        deferred actions.  If ``max_events`` is given and exhausted
+        before ``time`` is reached,
         :class:`~repro.errors.SimulationBudgetExceeded` is raised — the
         run never silently truncates.
         """
@@ -243,49 +222,27 @@ class Simulator:
     def _dispatch(
         self, until: float, max_events: Optional[int], what: str
     ) -> int:
-        """Shared batched dispatch loop for :meth:`run_until` / :meth:`run`."""
+        """The one dispatch loop of :meth:`run_until` and :meth:`run`."""
         queue = self._queue
-        hooks = self._batch_hooks
+        deferred = self._deferred
         fired = 0
-        while queue:
-            time = queue[0][0]
-            if time > until:
-                break
-            head = heapq.heappop(queue)[2]
-            if head.cancelled:
+        while True:
+            due = queue and queue[0][0] <= until
+            if deferred and not (due and queue[0][0] == self._now):
+                while deferred:  # the instant is over: flush before the clock moves
+                    deferred.popleft()()
+                continue
+            if not due:
+                return fired
+            time, _, event = heapq.heappop(queue)
+            if event.cancelled:
                 continue
             self._now = time
             self._events_fired += 1
-            if hooks and queue and queue[0][0] == time:
-                # Same-timestamp batch: bracket with the registered
-                # hooks and drain every event at this instant.  Events
-                # scheduled *during* the batch at the same time join it
-                # (heap order keeps (time, seq) FIFO semantics intact).
-                for enter, _ in hooks:
-                    enter()
-                try:
-                    head.action()
-                    fired += 1
-                    if max_events is not None and fired >= max_events:
-                        raise _over_budget(what, max_events, fired)
-                    while queue and queue[0][0] == time:
-                        nxt = heapq.heappop(queue)[2]
-                        if nxt.cancelled:
-                            continue
-                        self._events_fired += 1
-                        nxt.action()
-                        fired += 1
-                        if max_events is not None and fired >= max_events:
-                            raise _over_budget(what, max_events, fired)
-                finally:
-                    for _, exit in reversed(hooks):
-                        exit()
-            else:
-                head.action()
-                fired += 1
-                if max_events is not None and fired >= max_events:
-                    raise _over_budget(what, max_events, fired)
-        return fired
+            event.action()
+            fired += 1
+            if max_events is not None and fired >= max_events:
+                raise _over_budget(what, max_events, fired)
 
     # ------------------------------------------------------------------
     # scoping (multi-instance simulations)
@@ -324,10 +281,9 @@ class ScopedSimulator:
         "schedule",
         "schedule_at",
         "schedule_periodic",
-        "step",
+        "defer",
         "run_until",
         "run",
-        "add_batch_hooks",
     )
 
     def __init__(self, base: Simulator, scope: str) -> None:

@@ -70,11 +70,13 @@ def ab_compare(
     The candidate sees the identical request sequence — including
     requests the baseline rejected or killed (they are replayed as
     fresh submissions, which is the point: a better policy may admit
-    them).
+    them) — from the same sessions: its registry resolves the
+    baseline's session ids.
     """
     baseline = record_run(baseline_factory, scenario, seed=seed, drain=drain)
     replay_sim = Simulator(seed=seed + 1)  # candidate's own control RNG
     candidate = candidate_factory(replay_sim)
+    candidate.sessions.update(baseline.sessions)
     schedule_replay(replay_sim, candidate, baseline.query_log)
     horizon = scenario.horizon
     candidate.run(horizon, drain=horizon if drain is None else drain)

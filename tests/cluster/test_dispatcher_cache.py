@@ -9,7 +9,7 @@ from repro.cluster.scenario import build_cluster
 from repro.engine.simulator import Simulator
 from repro.scenarios import get_policy, get_scenario, run_scenario
 
-from tests.conftest import make_query
+from tests.conftest import make_query, next_instant
 
 
 def _query(qid: int, cost: float = 0.1):
@@ -87,7 +87,7 @@ class TestCacheInvalidation:
         dispatcher.submit(_query(2, cost=0.3))  # parks in the cluster queue
         assert dispatcher.cluster_queue_depth == 1
         while dispatcher.completions == 0:
-            assert sim.step(), "first query never completed"
+            assert next_instant(sim), "first query never completed"
         # same event as the first completion: the queue already drained
         assert dispatcher.cluster_queue_depth == 0
 

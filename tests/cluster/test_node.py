@@ -154,7 +154,7 @@ class TestDegradedExecution:
 
 class TestHeartbeat:
     def test_heartbeats_publish_periodically(self, sim):
-        node = _node(sim, heartbeat_period=1.0)
+        node = _node(sim)
         node.submit(make_query(cpu=10.0, io=0.0, sql="oltp:q"))
         sim.run_until(5.5)
         assert len(node.heartbeats) == 5

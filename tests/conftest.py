@@ -66,6 +66,16 @@ def submitted_query(sim: Simulator, **kwargs) -> Query:
     return query
 
 
+def next_instant(sim: Simulator) -> int:
+    """Fire every event of the next instant that has a live one, and the
+    actions that instant defers.  Returns the number of events fired:
+    0 when no live event is queued."""
+    times = [time for time, _, event in sim._queue if not event.cancelled]
+    if not times:
+        return 0
+    return sim.run_until(min(times))
+
+
 def staged_plan(state_mb: float = 50.0) -> QueryPlan:
     """A 4-operator plan with a blocking sort in the middle."""
     return QueryPlan(

@@ -20,7 +20,7 @@ from repro.engine.resources import MachineSpec
 from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
 
-from tests.conftest import make_query
+from tests.conftest import make_query, next_instant
 
 
 def _manager(sim, **kwargs):
@@ -275,12 +275,15 @@ class TestBacklogListener:
         return manager, check
 
     def test_submit_reports_the_pump(self, sim):
+        # The exits (t=2.25, 4.5) miss the 1 s tick grid: a tick at the
+        # same instant would report for an exit that did not.
         manager, check = self._watched(sim, scheduler=FCFSDispatcher(max_concurrency=1))
-        manager.submit(make_query(cpu=2.0, io=0.0))
+        manager.submit(make_query(cpu=2.25, io=0.0))
         check((1, 0))  # queued -> running kept the sum; the parent saw (0, 1)
-        manager.submit(make_query(cpu=2.0, io=0.0))
+        manager.submit(make_query(cpu=2.25, io=0.0))
         check((1, 1))
-        while sim.step():  # every exit (and the pump behind it) is reported
+        while fired := next_instant(sim):  # every exit (and the pump behind it) is reported
+            assert fired == 1, f"{fired} events share t={sim.now}"
             check()
             if not manager.outstanding_work():
                 break
@@ -298,13 +301,14 @@ class TestBacklogListener:
     def test_abort_resubmission(self, sim):
         from repro.engine.executor import EngineConfig
 
+        # The holder's exit (t=4.75) misses the 1 s tick grid, as above.
         manager, check = self._watched(sim, engine_config=EngineConfig(hot_set_size=1))
-        manager.submit(make_query(cpu=5.0, io=0.0, locks=1))
+        manager.submit(make_query(cpu=4.75, io=0.0, locks=1))
         sim.run_until(2.6)
         victim = make_query(cpu=1.0, io=0.0, locks=1)
         manager.submit(victim)
         while manager.outstanding_work() or victim.state is not QueryState.COMPLETED:
-            assert sim.step()
+            assert next_instant(sim) == 1, f"events share t={sim.now}"
             check()
         assert victim.restarts >= 1
 

@@ -155,6 +155,27 @@ class TestControls:
         sim.run()
         assert done == pytest.approx([14.0])
 
+    def test_a_tick_throttling_three_queries_solves_once(self, sim):
+        engine = _engine(sim)
+        queries = [submitted_query(sim, cpu=10.0, io=0.0) for _ in range(3)]
+        for query in queries:
+            engine.start(query)
+        sim.run_until(1.0)
+        solves = []
+        solve = engine._solve_scalar
+        engine._solve_scalar = lambda n: solves.append(n) or solve(n)
+
+        def tick():  # one event: a controller throttling every query
+            for query in queries:
+                engine.set_throttle(query.query_id, 0.5)
+
+        sim.schedule_at(2.0, tick)
+        sim.run_until(2.0)
+        assert solves == [3]  # one solve over the three rows, not one per change
+        for query in queries:
+            assert engine.speed_of(query.query_id) == pytest.approx(0.05)
+        assert solves == [3]
+
     def test_invalid_throttle_rejected(self, sim):
         engine = _engine(sim)
         query = submitted_query(sim, cpu=4.0)

@@ -13,9 +13,9 @@ real pick), which every other outcome still takes:
 (b) a run through in-place grants equals the same run with them forced
     off (a patch here; the engine has no switch);
 (c) progress and speed read between two grants are the analytic values;
-(d) ``WAIT`` stops the row at its lock point, ``DIE`` aborts, a pending
-    batch reallocation takes the full path, control operations between
-    grants replace the kept vector;
+(d) ``WAIT`` stops the row at its lock point, ``DIE`` aborts, a
+    reallocation pending at the instant takes the full path, control
+    operations between grants replace the kept vector;
 (e) a transaction's grants beside lock-free queries cost no sweep and
     no solve.
 
@@ -40,7 +40,7 @@ from repro.engine.executor import CompletionOutcome, EngineConfig, ExecutionEngi
 from repro.engine.query import QueryState
 from repro.engine.resources import MachineSpec
 from repro.engine.simulator import Simulator
-from tests.conftest import submitted_query
+from tests.conftest import next_instant, submitted_query
 from tests.engine.test_quiet_locks import eager, either_side_of_the_cutover
 
 _MACHINE = MachineSpec(cpu_capacity=2.0, disk_capacity=1.0, memory_mb=65536.0)
@@ -149,7 +149,7 @@ def test_in_place_grant_arms_what_a_full_sync_and_real_pick_would(entries, hot_s
     for _ in range(60):
         requests = engine.lock_manager.stats.requests
         before = dict(counts)
-        if engine._milestone_handle is None or not sim.step():
+        if engine._milestone_handle is None or not next_instant(sim):
             break
         if engine.lock_manager.stats.requests == requests or counts != before:
             continue  # not a lock point, or not granted in place
@@ -245,6 +245,7 @@ def test_progress_and_speed_between_two_grants_are_analytic(bystanders):
     others = [submitted_query(sim, cpu=4.0 + i, io=0.0) for i in range(bystanders)]
     for query in [txn, *others]:
         engine.start(query)
+    sim.run_until(sim.now)  # the starts' one solve
     counts = _sweeps_and_solves(engine)
     sim.run_until(0.5)  # two grants in place: the columns still read t = 0
     assert counts == {"sweeps": 0, "solves": 0}
@@ -303,11 +304,12 @@ def test_grant_in_a_batch_with_a_pending_reallocation_takes_the_full_path():
     sim, engine = _engine(machine=_ROOMY)
     txn = submitted_query(sim, cpu=1.0, io=0.0, locks=1)  # lock point at t = 0.5
     bystander = submitted_query(sim, cpu=10.0, io=0.0)
-    # Scheduled first, so it fires first in the batch at t = 0.5: a
+    # Scheduled first, so it fires first at the instant t = 0.5: a
     # control operation that changes nothing still asks for a reallocation.
     sim.schedule_at(0.5, lambda: engine.set_throttle(bystander.query_id, 1.0))
     engine.start(txn)
     engine.start(bystander)
+    sim.run_until(sim.now)  # the starts' one solve
     counts = _sweeps_and_solves(engine)
     version = engine._alloc_version
     sim.run_until(0.5)
@@ -326,8 +328,9 @@ def test_control_operations_between_grants_replace_the_kept_vector(operation):
     rivals = [submitted_query(sim, cpu=3.0, io=0.0) for _ in range(2)]
     for query in [txn, *rivals]:
         engine.start(query)
+    sim.run_until(sim.now)  # the starts' one solve arms the first lock point
     while engine.lock_manager.stats.requests < 2:
-        assert sim.step()
+        assert next_instant(sim)
     kept = engine._etas
     assert kept is not None and engine._last_sync_time == 0.0
     sim.run_until(sim.now + 0.01)
@@ -337,12 +340,13 @@ def test_control_operations_between_grants_replace_the_kept_vector(operation):
         engine.set_throttle(rivals[0].query_id, 0.25)
     else:
         engine.kill(rivals[0].query_id)
+    sim.run_until(sim.now)  # the operation's solve
     assert engine._etas is not kept and engine._last_sync_time == sim.now
     etas = _analytic_etas(engine)
     assert engine._milestone_qid == txn.query_id
     assert engine._milestone_handle.time == pytest.approx(etas[txn.query_id], rel=1e-12)
     counts = _sweeps_and_solves(engine)
-    assert sim.step() and engine.lock_manager.stats.requests == 3
+    assert next_instant(sim) and engine.lock_manager.stats.requests == 3
     assert counts == {"sweeps": 0, "solves": 0}  # in place again, at the new speeds
 
 
@@ -357,12 +361,14 @@ def test_eight_grants_cost_no_sweep_and_no_solve(bystanders):
     queries += [submitted_query(sim, cpu=50.0 + i, io=0.0) for i in range(bystanders)]
     for query in queries:
         engine.start(query)
+    sim.run_until(sim.now)
     starts = len(queries)
-    assert counts == {"sweeps": 1, "solves": starts}  # the sweep is the clock leaving -1
+    # the sweep is the clock leaving -1; the starts of one instant solve once
+    assert counts == {"sweeps": 1, "solves": 1}
     for _ in range(8):
-        assert sim.step()
+        assert next_instant(sim)
     assert engine.lock_manager.stats.requests == 8
-    assert counts == {"sweeps": 1, "solves": starts}
+    assert counts == {"sweeps": 1, "solves": 1}
     sim.run()
     assert engine.completed_count == starts
-    assert counts == {"sweeps": 1 + starts, "solves": 2 * starts}  # one per finish
+    assert counts == {"sweeps": 1 + starts, "solves": 1 + starts}  # one per finish

@@ -177,6 +177,7 @@ def test_a_quiet_transaction_fires_only_its_completion():
     sim, engine = _engine()
     txn = submitted_query(sim, cpu=1.0, io=0.0, locks=8)
     engine.start(txn)
+    sim.run_until(sim.now)  # the start's solve arms the completion
     assert engine._milestone_handle.time == 1.0
     sim.run_until(0.5)
     assert sim.events_fired == 0
@@ -194,6 +195,7 @@ def test_a_rival_turns_a_quiet_row_loud_at_its_synced_progress():
     sim.run_until(0.5)
     rival = submitted_query(sim, cpu=10.0, io=0.0, locks=1)  # its point is at t = 5.5
     engine.start(rival)
+    sim.run_until(sim.now)  # the start's solve arms the third point
     locks = engine.lock_manager
     assert locks.quiet == {}
     # the two points passed are taken now, in order, and the third is armed

@@ -11,7 +11,7 @@ from repro.engine.executor import EngineConfig, ExecutionEngine
 from repro.engine.simulator import Event, ScopedSimulator, Simulator
 from repro.errors import SimulationBudgetExceeded, SimulationError
 
-from tests.conftest import submitted_query
+from tests.conftest import next_instant, submitted_query
 
 NAN = float("nan")
 
@@ -152,9 +152,6 @@ class TestRunUntil:
         with pytest.raises(SimulationError):
             sim.run(max_events=50)
 
-    def test_step_returns_false_when_empty(self):
-        assert Simulator().step() is False
-
 
 class TestPeriodic:
     def test_periodic_fires_at_period(self):
@@ -244,15 +241,17 @@ class TestEventOrdering:
 
     @pytest.mark.parametrize("driver", ["batched", "unbatched", "step"])
     def test_same_instant_ties_fire_fifo(self, driver):
+        """``batched``: an action deferred at the instant; ``unbatched``:
+        none; ``step``: the run driven one instant at a time."""
         sim = Simulator()
-        if driver == "batched":
-            sim.add_batch_hooks(lambda: None, lambda: None)
         order = []
 
         def spawn():
             order.append("b")
-            # scheduled during the batch, at its instant: they join it
-            # behind everything already queued for that instant
+            if driver == "batched":
+                sim.defer(lambda: order.append("deferred"))
+            # scheduled during the instant, at it: they fire behind
+            # everything already queued for that instant
             sim.schedule_at(1.0, lambda: order.append("late-1"))
             sim.schedule(0.0, lambda: order.append("late-2"))
 
@@ -264,15 +263,16 @@ class TestEventOrdering:
         head.cancel()  # a cancelled head of the instant is skipped
         assert len(sim._queue) == 5  # ... once popped: it stays queued till then
         if driver == "step":
-            while sim.step():
+            while next_instant(sim):
                 pass
         else:
             assert sim.run_until(1.0) == 6
-        assert order == ["first", "a", "b", "c", "late-1", "late-2"]
+        deferred = ["deferred"] if driver == "batched" else []
+        assert order == ["first", "a", "b", "c", "late-1", "late-2", *deferred]
         assert sim.events_fired == 6 and sim.now == 1.0
         last.cancel()  # a cancel after the fire is harmless
         head.cancel()
-        assert sim._queue == [] and not sim.step()
+        assert sim._queue == [] and not next_instant(sim)
 
 
 class TestBudget:
@@ -301,78 +301,78 @@ class TestBudget:
         assert issubclass(SimulationBudgetExceeded, SimulationError)
 
 
-class TestBatchHooks:
-    def test_same_timestamp_events_bracketed_once(self):
+class TestDefer:
+    def test_a_deferred_action_runs_once_after_the_instants_last_event(self):
         sim = Simulator()
         trace = []
-        sim.add_batch_hooks(
-            lambda: trace.append("enter"), lambda: trace.append("exit")
-        )
-        for name in ("a", "b", "c"):
-            sim.schedule_at(1.0, lambda n=name: trace.append(n))
-        sim.schedule_at(2.0, lambda: trace.append("solo"))
-        sim.run_until(3.0)
-        # one bracket around the 3-event batch; the lone event unbracketed
-        assert trace == ["enter", "a", "b", "c", "exit", "solo"]
-
-    def test_events_scheduled_during_batch_join_it(self):
-        sim = Simulator()
-        trace = []
-        sim.add_batch_hooks(
-            lambda: trace.append("enter"), lambda: trace.append("exit")
-        )
 
         def first():
             trace.append("first")
-            sim.schedule(0.0, lambda: trace.append("joined"))
+            sim.defer(lambda: trace.append("deferred"))
+            sim.schedule(0.0, lambda: trace.append("joined"))  # during the instant
 
         sim.schedule_at(1.0, first)
         sim.schedule_at(1.0, lambda: trace.append("second"))
-        sim.run_until(2.0)
-        assert trace == ["enter", "first", "second", "joined", "exit"]
+        sim.schedule_at(2.0, lambda: trace.append("later"))
+        sim.run_until(3.0)
+        assert trace == ["first", "second", "joined", "deferred", "later"]
 
-    def test_exit_hooks_run_in_reverse_order(self):
+    def test_it_runs_before_the_clock_advances_and_before_a_run_returns(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule_at(1.0, lambda: sim.defer(lambda: seen.append(sim.now)))
+        sim.schedule_at(2.0, lambda: seen.append("next"))
+        assert sim.run_until(1.0) == 1  # nothing else is due: it flushes on the way out
+        assert seen == [1.0]
+        sim.defer(lambda: seen.append(("outside a run", sim.now)))
+        sim.run_until(5.0)
+        assert seen == [1.0, ("outside a run", 1.0), "next"] and sim.now == 5.0
+        sim.defer(lambda: seen.append("drained"))
+        sim.run()
+        assert seen[-1] == "drained" and not sim._deferred
+
+    def test_actions_run_in_defer_order_and_one_deferred_in_a_flush_joins_it(self):
         sim = Simulator()
         trace = []
-        sim.add_batch_hooks(
-            lambda: trace.append("enter1"), lambda: trace.append("exit1")
-        )
-        sim.add_batch_hooks(
-            lambda: trace.append("enter2"), lambda: trace.append("exit2")
-        )
-        sim.schedule_at(1.0, lambda: trace.append("a"))
-        sim.schedule_at(1.0, lambda: trace.append("b"))
-        sim.run_until(2.0)
-        assert trace == ["enter1", "enter2", "a", "b", "exit2", "exit1"]
 
-    def test_exit_hooks_run_when_batch_raises(self):
+        def first():
+            trace.append("first")
+            sim.defer(lambda: trace.append("nested"))
+            sim.schedule(0.0, lambda: trace.append("event at the instant"))
+
+        def at_one():
+            sim.defer(first)
+            sim.defer(lambda: trace.append("second"))
+
+        sim.schedule_at(1.0, at_one)
+        sim.schedule_at(2.0, lambda: trace.append("later"))
+        sim.run_until(3.0)
+        # the flush ends before an event it scheduled at the instant fires
+        assert trace == ["first", "second", "nested", "event at the instant", "later"]
+
+    def test_a_raising_action_runs_once_and_leaves_the_rest_to_the_next_run(self):
         sim = Simulator()
         trace = []
-        sim.add_batch_hooks(
-            lambda: trace.append("enter"), lambda: trace.append("exit")
-        )
 
         def boom():
+            trace.append("boom")
             raise RuntimeError("boom")
 
-        sim.schedule_at(1.0, boom)
-        sim.schedule_at(1.0, lambda: trace.append("never"))
+        sim.defer(boom)
+        sim.defer(lambda: trace.append("after"))
         with pytest.raises(RuntimeError):
-            sim.run_until(2.0)
-        assert trace == ["enter", "exit"]
+            sim.run_until(1.0)
+        assert trace == ["boom"] and sim.now == 0.0
+        sim.run_until(1.0)
+        assert trace == ["boom", "after"] and sim.now == 1.0
 
-    def test_step_never_batches(self):
+    def test_a_scoped_view_defers_on_its_base(self):
         sim = Simulator()
         trace = []
-        sim.add_batch_hooks(
-            lambda: trace.append("enter"), lambda: trace.append("exit")
-        )
-        sim.schedule_at(1.0, lambda: trace.append("a"))
-        sim.schedule_at(1.0, lambda: trace.append("b"))
-        assert sim.step()
-        assert trace == ["a"]
-        assert sim.step()
-        assert trace == ["a", "b"]
+        sim.scoped("n0").defer(lambda: trace.append("n0"))
+        sim.defer(lambda: trace.append("base"))
+        sim.run_until(0.0)
+        assert trace == ["n0", "base"]
 
 
 class TestTracerContract:
@@ -399,10 +399,11 @@ class TestTracerContract:
         rival = submitted_query(sim, cpu=100.0, io=0.0, locks=1)
         engine.start(txn)
         engine.start(rival)
+        sim.run_until(sim.now)  # the starts' solve arms the first lock point
         labels = []
         while engine.is_running(txn.query_id):
             labels.append(engine._milestone_handle.label)
-            sim.step()
+            next_instant(sim)
         assert engine.completed_count == 1
         assert len(labels) == 4  # the three lock points, then the completion
         assert all(label.startswith("milestone:") for label in labels)

@@ -176,7 +176,7 @@ def _run(jobs, machine: MachineSpec, hot_set: int):
             engine.set_weight(query_id, engine.weight_of(query_id))
         elif kind == "poke":  # a control operation that changes nothing, and a read
             engine.set_weight(query_id, engine.weight_of(query_id))
-            engine.speed_of(query_id)  # solves now, inside the event's batch
+            engine.speed_of(query_id)  # solves now, before the instant ends
 
     for job_index, (step, cpu, io, weight, locks, kind, delay) in enumerate(jobs):
         query = submitted_query(sim, cpu=cpu, io=io, mem=1.0, locks=locks)

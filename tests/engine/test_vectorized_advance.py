@@ -150,7 +150,7 @@ def test_vector_engine_matches_scalar_to_tolerance(jobs):
 
 
 def test_same_timestamp_collision_batch_is_bit_identical():
-    """A full same-instant burst (the batch-dispatch hook path) stays
+    """A full same-instant burst (one deferred solve for the instant) stays
     bit-identical with the vectorized advance on."""
     jobs = [(0, 0.5 + 0.01 * i, 0.25 + 0.02 * i, 1.0 + 0.1 * i) for i in range(20)]
     jobs += [(0, 0.0, 0.0, 1.0), (1, 0.0, 0.0, 2.0)]  # zero-work collisions
@@ -184,9 +184,11 @@ def test_a_patched_cutover_moves_the_store_and_the_step_together(cutover):
     for query in queries:
         query.transition(QueryState.SUBMITTED)
         engine.start(query)
+        sim.run_until(sim.now)  # one solve per start
         assert isinstance(engine.store.speed, np.ndarray) == (engine.running_count >= cutover)
     for query in queries:
         engine.kill(query.query_id)
+        sim.run_until(sim.now)
         assert isinstance(engine.store.speed, list) == (engine.running_count < cutover)
     assert len(solves) == 2 * len(queries)
     assert all(vector == stored == (count >= cutover) for vector, stored, count in solves)

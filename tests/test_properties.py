@@ -87,10 +87,9 @@ class TestConservation:
                 if in_engine:
                     # in flight means still advancing: positive speed or
                     # a pending wake-up (lock wait / reaper event)
-                    entry = manager.engine._running[query.query_id]
                     assert (
-                        entry.speed > 0
-                        or entry.blocked
+                        manager.engine.speed_of(query.query_id) > 0
+                        or query.state is QueryState.BLOCKED
                         or any(not event.cancelled for *_, event in sim._queue)
                     ), query
         stats = manager.metrics.stats_for("wl")

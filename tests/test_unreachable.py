@@ -91,6 +91,12 @@ DELETED_NAMES = {
     "serviceable",
     "rejected_copy",
     "optimizer_sigma",
+    "add_batch_hooks",
+    "_batch_hooks",
+    "_batch_enter",
+    "_batch_exit",
+    "reallocation_batch",
+    "_defer_depth",
 }
 DELETED_MODULES = ("cluster/elastic.py", "scenarios/trace.py", "backends/postgres.py")
 
@@ -132,6 +138,11 @@ def test_removed_parameters_stay_removed():
     assert "health" not in inspect.signature(ClusterNode).parameters
     assert [health.name for health in NodeHealth] == ["UP", "DRAINING", "DOWN"]
     assert "tags" not in inspect.signature(ClusterNode).parameters
+    # one cadence each, a module constant: no run set another
+    assert not {"heartbeat_period", "control_period"} & set(
+        inspect.signature(ClusterNode).parameters
+    )
+    assert "control_period" not in inspect.signature(ClusterDispatcher).parameters
     assert list(inspect.signature(TaskQueue).parameters) == ["shares", "key"]
     assert list(inspect.signature(TenantShareScheduler).parameters) == ["mpl", "shares"]
     assert list(inspect.signature(make_binding).parameters) == ["dispatch"]
@@ -168,6 +179,8 @@ def test_removed_readers_stay_removed():
     # names that live on elsewhere as strings, so the AST guard cannot hold them
     assert not hasattr(MultiQueueScheduler, "queue_length")
     sim = Simulator(seed=1)
+    # one dispatch loop: no single-event stepper, no never-read run flag
+    assert not hasattr(Simulator, "step") and not hasattr(sim, "_running")
     dispatcher = ClusterDispatcher(sim, [ClusterNode(sim, name="n0")], tenant_quotas={"a": 1})
     assert not hasattr(dispatcher, "quota_rejections")
 

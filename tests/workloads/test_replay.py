@@ -8,6 +8,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.characterization.static import (
+    AttributePredicate,
+    StaticCharacterizer,
+    WorkloadDefinition,
+)
 from repro.core.manager import FCFSDispatcher, WorkloadManager
 from repro.engine.query import QueryState
 from repro.engine.resources import MachineSpec
@@ -124,6 +129,35 @@ class TestAbCompare:
         helped = sum(c <= b + 1e-9 for b, c in zip(base_p95s, cand_p95s))
         assert helped >= 3, list(zip(base_p95s, cand_p95s))
         assert statistics.median(cand_p95s) <= statistics.median(base_p95s)
+
+    def test_the_replay_resolves_the_baselines_sessions(self):
+        # a "who" rule must classify a replayed request as it classified
+        # the recorded one: the candidate resolves the baseline's sessions
+        def classified(sim):
+            return WorkloadManager(
+                sim,
+                machine=MACHINE,
+                characterizer=StaticCharacterizer(
+                    [
+                        WorkloadDefinition(
+                            workload="payroll",
+                            who=(AttributePredicate("application", "payroll"),),
+                        )
+                    ]
+                ),
+            )
+
+        scenario = Scenario(
+            specs=(oltp_workload(rate=4.0, application="payroll"), bi_workload(rate=0.15)),
+            horizon=30.0,
+        )
+        baseline, candidate = ab_compare(classified, classified, scenario, seed=6)
+
+        def classes(manager):  # each session's requests land in one workload
+            return {(record.session_id, record.workload) for record in manager.query_log}
+
+        assert sum(record.workload == "payroll" for record in baseline.query_log) > 50
+        assert classes(candidate) == classes(baseline)
 
     def test_ab_is_deterministic(self):
         first = ab_compare(_plain, _managed, _scenario(), seed=11)
