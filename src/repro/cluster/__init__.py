@@ -9,10 +9,11 @@ is the cluster-level workload manager — admission (per-tenant quotas,
 :class:`~repro.cluster.dispatcher.TenantQuota`, and one bound on the
 cluster queue), placement (pluggable policies from
 :mod:`repro.cluster.placement`: round-robin, least-outstanding,
-cost-balanced, SLA-aware greedy), and re-placement of locally rejected
-or crash-lost work (:mod:`repro.cluster.failover`).  Dispatch itself is
-a pluggable binding policy: ``push`` places each request on a node at
-arrival, ``pull`` parks it in a :class:`~repro.cluster.taskqueue.TaskQueue`
+cost-balanced, SLA-aware greedy), and re-placement of crash-lost work
+(:mod:`repro.cluster.failover`); a node's own admission verdict is
+final.  Dispatch itself is a pluggable binding policy: ``push`` places
+each request on a node at arrival, ``pull`` parks it in a
+:class:`~repro.cluster.taskqueue.TaskQueue`
 (the node tier's :class:`~repro.scheduling.queues.PartitionedQueue`
 served by share deficit) until a node with a free execution slot pulls
 work through the :class:`~repro.cluster.matcher.Matcher` (DIRAC-style

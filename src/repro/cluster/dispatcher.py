@@ -1,10 +1,10 @@
-"""The cluster dispatcher: admission, binding and re-placement.
+"""The cluster dispatcher: admission, binding and crash reclaim.
 
 The :class:`ClusterDispatcher` is the cluster-level control point — the
 DIRAC matcher / WiSeDB advisor of this simulator.  It owns the shared
 substrate every dispatch mode uses: request intake and conservation
-counters, the per-query exclusion sets, placement commit, node-local
-rejection interception, crash reclaim and the cluster metrics rollup.
+counters, placement commit, the funnel of node outcomes to clients,
+crash reclaim and the cluster metrics rollup.
 Intake applies two controls: per-tenant quotas (:class:`TenantQuota`)
 on arrival, and one bound on the cluster wait structure after routing.
 *When* work binds to a node is a pluggable **binding policy** — the
@@ -21,12 +21,11 @@ binds to capacity:
   through the :class:`~repro.cluster.matcher.Matcher` at the moment
   they free an execution slot (late binding, DIRAC pilot shape).
 
-Both modes share recovery paths, all deterministic:
+Both modes share two node-feedback paths, all deterministic:
 
-* a node manager that *locally* rejects a request hands it back through
-  the :meth:`~repro.core.manager.WorkloadManager.set_rejection_interceptor`
-  hook and the dispatcher re-binds it elsewhere (the refusing node is
-  excluded for that request);
+* a node's own verdict is final: a request its admission controller
+  rejects ends ``REJECTED``, recorded in that node's decision record
+  and reported to clients like any other terminal outcome;
 * queries lost to a node crash (killed in-flight, evacuated from its
   wait queue) are resubmitted through normal intake — the same
   record/resubmit lifecycle the replay machinery uses (KILLED →
@@ -37,14 +36,13 @@ from __future__ import annotations
 
 import abc
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Set
+from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.cluster.matcher import Matcher
 from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.node import ClusterNode, NodeHealth
 from repro.cluster.placement import PlacementPolicy, RoundRobinPlacement
 from repro.cluster.taskqueue import TaskQueue
-from repro.core.interfaces import AdmissionDecision
 from repro.core.sla import SLASet
 from repro.engine.query import Query, QueryState, tenant_key
 from repro.engine.sessions import SessionRegistry
@@ -151,6 +149,7 @@ class PushBinding(BindingPolicy):
 
     def __init__(self) -> None:
         self.queue: Deque[Query] = deque()
+        self._draining = False  # re-entrancy guard: a placement can call back
 
     def attach(self, dispatcher: "ClusterDispatcher") -> None:
         super().attach(dispatcher)
@@ -159,16 +158,11 @@ class PushBinding(BindingPolicy):
     # -- intake --------------------------------------------------------
     def route(self, query: Query) -> None:
         d = self.dispatcher
-        candidates = d._eligible_for(query)
+        candidates = d._eligible_for()
         if candidates:
-            node = d.placement.choose(query, candidates)
-            if node is not None:
-                d._place(query, node)
-                return
-        # waiting in the cluster queue wipes per-placement exclusions:
-        # by the time it is retried the refusing node may have capacity
-        d._excluded.pop(query.query_id, None)
-        self.queue.append(query)
+            d._place(query, d.placement.choose(query, candidates))
+        else:
+            self.queue.append(query)
 
     def withdraw(self, query: Query) -> bool:
         # a routed request that waits is the one route just appended
@@ -185,34 +179,28 @@ class PushBinding(BindingPolicy):
         self.drain()
 
     def drain(self) -> None:
-        """Retry queued requests while any node will take them.
+        """Place the FIFO head while any node is eligible.
 
-        A blocked head no longer starves the tail: when the head's
-        placement comes back empty (its exclusions emptied the
-        candidate list, or the policy returned ``None``) the scan
-        moves past it — bounded to one look at each queued request, in
-        FIFO order, with blocked requests keeping their positions.
-        Only a cluster-wide lack of eligible nodes stops the scan,
-        because then no queued request can be placed at all.
+        Every eligible node takes any request, so the queue drains in
+        arrival order and stops only when no node accepts.  A node that
+        rejects a placement reports the exit at once, which calls back
+        here; the nested call returns and this loop carries on, so a
+        refused backlog drains without one stack frame per request.
         """
+        if self._draining:
+            return
+        self._draining = True
         d = self.dispatcher
-        blocked: List[Query] = []
-        for _ in range(len(self.queue)):
-            if not self.queue:
-                break
-            query = self.queue.popleft()
-            candidates = d._eligible_for(query)
-            node = (
-                d.placement.choose(query, candidates) if candidates else None
-            )
-            if node is None:
-                blocked.append(query)
-                if not d._eligible_for(None):
-                    break  # nothing can take anything; stop scanning
-                continue
-            d._place(query, node)
-        for query in reversed(blocked):
-            self.queue.appendleft(query)
+        queue = self.queue
+        try:
+            while queue:
+                candidates = d._eligible_for()
+                if not candidates:
+                    break
+                query = queue.popleft()
+                d._place(query, d.placement.choose(query, candidates))
+        finally:
+            self._draining = False
 
     # -- introspection -------------------------------------------------
     @property
@@ -234,13 +222,7 @@ class PullBinding(BindingPolicy):
 
     def attach(self, dispatcher: "ClusterDispatcher") -> None:
         super().attach(dispatcher)
-        self.matcher = Matcher(
-            dispatcher.nodes,
-            self.taskqueue,
-            place=dispatcher._place,
-            excluded=lambda query, node: node.name
-            in dispatcher._excluded.get(query.query_id, ()),
-        )
+        self.matcher = Matcher(dispatcher.nodes, self.taskqueue, place=dispatcher._place)
 
     # -- intake --------------------------------------------------------
     def route(self, query: Query) -> None:
@@ -257,13 +239,6 @@ class PullBinding(BindingPolicy):
         self.matcher.pull(node)
 
     def sweep(self) -> None:
-        # the poll cadence doubles as exclusion amnesty (the push-mode
-        # analogue wipes exclusions when a request enters the cluster
-        # queue): a node that refused a request under one load may take
-        # it a control period later
-        d = self.dispatcher
-        for query in self.taskqueue.queued_queries():
-            d._excluded.pop(query.query_id, None)
         self.matcher.offer()
 
     # -- introspection -------------------------------------------------
@@ -345,18 +320,12 @@ class ClusterDispatcher:
         self.binding = binding if binding is not None else make_binding(dispatch)
         self.binding.attach(self)
         self._listeners: List[CompletionListener] = []
-        self._excluded: Dict[int, Set[str]] = {}  # query_id -> nodes that refused
         self.arrivals = 0
         self.completions = 0
         self._eligible_cache: Optional[List[ClusterNode]] = None
         for node in self.nodes:
             node.manager.add_completion_listener(
                 lambda query, n=node: self._on_node_exit(n, query)
-            )
-            node.manager.set_rejection_interceptor(
-                lambda query, decision, n=node: self._intercept_rejection(
-                    n, query, decision
-                )
             )
             node.on_accepting_change(self._on_accepting_change)
             self.metrics.record_health(sim.now, self, node)
@@ -405,7 +374,6 @@ class ClusterDispatcher:
         query.progress = 0.0
         query.restarts += 1
         self.metrics.resubmissions += 1
-        self._excluded.pop(query.query_id, None)
         if delay > 0:
             self.sim.schedule(
                 delay, lambda: self._reenter(query), label="cluster:resubmit"
@@ -427,34 +395,29 @@ class ClusterDispatcher:
             self._cluster_reject(query, f"cluster queue full ({depth})")
 
     # ------------------------------------------------------------------
-    # eligibility (shared by push placement and the HOL scan)
+    # eligibility (what push placement chooses from)
     # ------------------------------------------------------------------
-    def eligible_nodes(self, query: Optional[Query] = None) -> List[ClusterNode]:
-        """UP, unsaturated nodes (minus any that refused this query)."""
-        return list(self._eligible_for(query))
+    def eligible_nodes(self) -> List[ClusterNode]:
+        """UP, unsaturated nodes in stable cluster order."""
+        return list(self._eligible_for())
 
     def _on_accepting_change(self, node: ClusterNode) -> None:
         self._eligible_cache = None
 
-    def _eligible_for(self, query: Optional[Query]) -> List[ClusterNode]:
+    def _eligible_for(self) -> List[ClusterNode]:
         """The eligible set, cached between accepting-bit flips.
 
-        Returns the shared cache list when the query has no exclusions;
-        callers must treat it as read-only.  Nodes notify
-        :meth:`_on_accepting_change` whenever their accepting bit flips
-        (health transitions, ``max_outstanding`` edge crossings), so the
-        cached list is always equal to a fresh scan.
+        Returns the shared cache list; callers must treat it as
+        read-only.  Nodes notify :meth:`_on_accepting_change` whenever
+        their accepting bit flips (health transitions,
+        ``max_outstanding`` edge crossings), so the cached list is
+        always equal to a fresh scan.
         """
         eligible = self._eligible_cache
         if eligible is None:
             eligible = self._eligible_cache = [
                 node for node in self.nodes if node.accepting
             ]
-        excluded = (
-            self._excluded.get(query.query_id) if query is not None else None
-        )
-        if excluded:
-            return [node for node in eligible if node.name not in excluded]
         return eligible
 
     # ------------------------------------------------------------------
@@ -463,11 +426,8 @@ class ClusterDispatcher:
     def _place(self, query: Query, node: ClusterNode) -> None:
         self.metrics.record_placement(node)
         node.submit(query)
-        # a synchronous node-local rejection re-routes via the
-        # interceptor before node.submit returns; nothing more to do
 
     def _cluster_reject(self, query: Query, reason: str, emitter: object = None) -> None:
-        self._excluded.pop(query.query_id, None)
         query.transition(QueryState.REJECTED)
         query.end_time = self.sim.now
         self.metrics.cluster_rejections += 1
@@ -477,18 +437,6 @@ class ClusterDispatcher:
     # ------------------------------------------------------------------
     # node feedback
     # ------------------------------------------------------------------
-    def _intercept_rejection(
-        self, node: ClusterNode, query: Query, decision: AdmissionDecision
-    ) -> bool:
-        """A node's local admission refused: reclaim and re-bind."""
-        node.release(query)
-        if query.state is QueryState.QUEUED:  # refused from a delayed retry
-            query.transition(QueryState.SUBMITTED)
-        self._excluded.setdefault(query.query_id, set()).add(node.name)
-        self.metrics.replacements += 1
-        self._route(query)
-        return True
-
     def _on_node_exit(self, node: ClusterNode, query: Query) -> None:
         if query.state is QueryState.KILLED and node.health is NodeHealth.DOWN:
             # in-flight work lost to a crash: resubmit through intake
@@ -496,7 +444,6 @@ class ClusterDispatcher:
         else:
             if query.state is QueryState.COMPLETED:
                 self.completions += 1
-            self._excluded.pop(query.query_id, None)
             self._notify(query)
         self.binding.on_capacity(node)
 

@@ -9,13 +9,15 @@ Work therefore binds to capacity as late as possible: a request waiting
 in the :class:`~repro.cluster.taskqueue.TaskQueue` is never committed
 to a node that is busy, degraded away from it, or about to crash.
 
-Matching checks, per (node, request) pair:
+A node may pull when it is
 
-* **health** — only UP nodes pull (``NodeHealth.accepts_placements``);
-* **slot headroom** — the node must have a free execution slot
-  (``running < mpl``) *and* be under its ``max_outstanding`` ceiling;
-* **exclusions** — a node that locally refused a request never pulls
-  that same request again (the dispatcher's per-query exclusion set).
+* **healthy** — only UP nodes pull (``NodeHealth.accepts_placements``);
+* **under its slot headroom** — it has a free execution slot
+  (``running < mpl``) *and* is under its ``max_outstanding`` ceiling.
+
+A node that may pull takes the task queue's next request; its own
+admission controller then decides that request's fate, and a
+rejection is final.
 
 When several idle nodes compete for the head of the queue the fastest
 one wins (``speed_factor`` descending, then fewest outstanding, then
@@ -27,7 +29,7 @@ order is kept, not recomputed per binding: nodes with a slot sit in one
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 from repro.cluster.node import ClusterNode
 from repro.cluster.ranked import RankedNodes
@@ -37,32 +39,20 @@ from repro.engine.query import Query
 #: Callback the dispatcher provides to commit one match (records the
 #: placement and submits to the node's manager).
 PlaceFn = Callable[[Query, ClusterNode], None]
-#: Per-(query, node) exclusion test — True means "this node refused it".
-ExclusionFn = Callable[[Query, ClusterNode], bool]
 
 
 class Matcher:
     """Serves :class:`TaskQueue` requests to nodes with free slots."""
 
     def __init__(
-        self,
-        nodes: Sequence[ClusterNode],
-        queue: TaskQueue,
-        place: PlaceFn,
-        excluded: Optional[ExclusionFn] = None,
+        self, nodes: Sequence[ClusterNode], queue: TaskQueue, place: PlaceFn
     ) -> None:
         self.nodes = list(nodes)
         self.queue = queue
         self._place = place
-        excluded = excluded or (lambda query, node: False)
-        # per node: the ``blocked(query)`` filter TaskQueue.match takes
-        self._blocked = {
-            node: (lambda query, n=node: excluded(query, n))
-            for node in self.nodes
-        }
         self._hungry = RankedNodes(self.nodes, self.has_slot, self._rank)
         self.matches = 0
-        self._serving = False  # re-entrancy guard: place() can re-route
+        self._serving = False  # re-entrancy guard: place() can call back into pull()
 
     # ------------------------------------------------------------------
     # capacity predicates
@@ -94,7 +84,8 @@ class Matcher:
         self._serving = True
         placed = 0
         try:
-            while self.has_slot(node) and self._serve_one(node):
+            while len(self.queue) and self.has_slot(node):
+                self._serve_one(node)
                 placed += 1
         finally:
             self._serving = False
@@ -115,24 +106,20 @@ class Matcher:
         placed = 0
         try:
             while len(self.queue):
-                for node in self._hungry:
-                    if self._serve_one(node):
-                        placed += 1
-                        break
-                else:
-                    break  # no hungry node can take anything queued
+                node = next(iter(self._hungry), None)
+                if node is None:
+                    break  # no node has a free slot
+                self._serve_one(node)
+                placed += 1
         finally:
             self._serving = False
         return placed
 
-    def _serve_one(self, node: ClusterNode) -> bool:
-        """Bind one request to ``node``, which the caller saw has a slot."""
-        query = self.queue.match(self._blocked[node])
-        if query is None:
-            return False
+    def _serve_one(self, node: ClusterNode) -> None:
+        """Bind the queue's next request to ``node``; the caller saw a
+        slot on ``node`` and a nonempty queue."""
         self.matches += 1
-        self._place(query, node)
-        return True
+        self._place(self.queue.match(), node)
 
     def hungry_nodes(self) -> List[ClusterNode]:
         """Nodes with a free slot, in serving order (introspection)."""

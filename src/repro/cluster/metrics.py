@@ -26,7 +26,6 @@ class ClusterMetrics:
         self.nodes = list(nodes)
         self.placements: Dict[str, int] = {node.name: 0 for node in self.nodes}
         self.placement_decisions = 0
-        self.replacements = 0          # re-placed after a node-local rejection
         self.resubmissions = 0         # crash-lost work resubmitted
         self.cluster_rejections = 0    # refused at the cluster front end
         self.decisions: List[ControlEvent] = []
@@ -80,7 +79,6 @@ class ClusterMetrics:
             "CLUSTER ROLLUP "
             f"(t={now:.0f}s, {len(self.nodes)} nodes, "
             f"{self.placement_decisions} placements, "
-            f"{self.replacements} re-placements, "
             f"{self.resubmissions} crash resubmissions, "
             f"{self.cluster_rejections} cluster rejections)",
             f"{'workload':>12} {'done':>7} {'rej':>5} {'kill':>5} "

@@ -8,8 +8,9 @@ seed-stable RNG streams while all nodes advance on one clock
 
 Each node carries:
 
-* a capacity envelope (its machine spec, a node-local MPL and an
-  ``max_outstanding`` admission ceiling the dispatcher respects);
+* a capacity envelope (the standard :data:`NODE_MACHINE` with the
+  default engine configuration, a node-local MPL and a
+  ``max_outstanding`` ceiling the dispatcher respects);
 * a health state (:class:`NodeHealth`) driving placement eligibility —
   DRAINING nodes finish their work but take no new placements, DOWN
   nodes are dead;
@@ -26,8 +27,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.interfaces import AdmissionController, Scheduler
 from repro.core.manager import WaitQueue, WorkloadManager
-from repro.core.sla import SLASet
-from repro.engine.executor import EngineConfig
 from repro.engine.query import Query
 from repro.engine.resources import MachineSpec, ResourceKind
 from repro.engine.simulator import Simulator
@@ -78,14 +77,17 @@ class ClusterNode:
         The *shared* simulator; the node builds its own scoped view.
     name:
         Unique node name (also the RNG scope).
-    machine, engine_config:
-        Per-node capacity, default :data:`NODE_MACHINE`.
     mpl:
         Node-local multiprogramming limit (FCFS dispatch ceiling).
     max_outstanding:
         Saturation ceiling the dispatcher checks before placing: a node
         with ``outstanding_work >= max_outstanding`` is not eligible.
         Defaults to ``4 * mpl`` (a bounded node-local backlog).
+    scheduler, admission:
+        The node manager's stages (default: a FIFO ``WaitQueue(mpl)``
+        and no admission control).  A request the node's admission
+        controller rejects ends ``REJECTED``; the cluster does not
+        retry it elsewhere.
     speed_factor:
         Base service speed in (0, 1]; values below 1 model a
         permanently slower machine (heterogeneous clusters).  It is the
@@ -98,13 +100,10 @@ class ClusterNode:
         self,
         sim: Simulator,
         name: str,
-        machine: Optional[MachineSpec] = None,
-        engine_config: Optional[EngineConfig] = None,
         mpl: int = 12,
         max_outstanding: Optional[int] = None,
         scheduler: Optional[Scheduler] = None,
         admission: Optional[AdmissionController] = None,
-        slas: Optional[SLASet] = None,
         speed_factor: float = 1.0,
     ) -> None:
         if mpl < 1:
@@ -118,14 +117,11 @@ class ClusterNode:
         self.scope = sim.scoped(f"node:{name}")
         self.mpl = mpl
         self.max_outstanding = 4 * mpl if max_outstanding is None else max_outstanding
-        self.machine = machine or NODE_MACHINE
         self.manager = WorkloadManager(
             self.scope,
-            machine=self.machine,
-            engine_config=engine_config,
+            machine=NODE_MACHINE,
             scheduler=scheduler or WaitQueue(mpl),
             admission=admission,
-            slas=slas,
         )
         # One node variable per fault kind: crash, drain and recover move
         # ``health``; degrade moves ``speed_factor`` (base × degradation).
@@ -170,7 +166,7 @@ class ClusterNode:
     def rate_capacity(self) -> float:
         """Total device-seconds of service per second this node delivers."""
         scale = self.speed_factor if self.speed_factor > 0 else 1e-9
-        return (self.machine.cpu_capacity + self.machine.disk_capacity) * scale
+        return (NODE_MACHINE.cpu_capacity + NODE_MACHINE.disk_capacity) * scale
 
     @property
     def accepting(self) -> bool:

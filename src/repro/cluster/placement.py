@@ -48,13 +48,13 @@ class PlacementPolicy(abc.ABC):
         """The cluster's full node list, given once when the dispatcher attaches."""
 
     @abc.abstractmethod
-    def choose(
-        self, query: Query, nodes: Sequence[ClusterNode]
-    ) -> Optional[ClusterNode]:
-        """Return the chosen node, or None to make the dispatcher queue.
+    def choose(self, query: Query, nodes: Sequence[ClusterNode]) -> ClusterNode:
+        """Return one of ``nodes``, the node ``query`` is placed on.
 
         ``nodes`` is the dispatcher's eligible set (UP, below their
-        saturation ceiling) in stable cluster order; it is never empty.
+        saturation ceiling) in stable cluster order; it is never empty,
+        and the dispatcher queues a request only when no node is
+        eligible.
         """
 
 
@@ -66,9 +66,7 @@ class RoundRobinPlacement(PlacementPolicy):
     def __init__(self) -> None:
         self._next = 0
 
-    def choose(
-        self, query: Query, nodes: Sequence[ClusterNode]
-    ) -> Optional[ClusterNode]:
+    def choose(self, query: Query, nodes: Sequence[ClusterNode]) -> ClusterNode:
         node = nodes[self._next % len(nodes)]
         self._next += 1
         return node
@@ -82,13 +80,9 @@ class LoadRankedPlacement(PlacementPolicy):
     def bind(self, nodes: Sequence[ClusterNode]) -> None:
         self._ranked = RankedNodes(nodes, attrgetter("accepting"), self.load_key)
 
-    def choose(
-        self, query: Query, nodes: Sequence[ClusterNode]
-    ) -> Optional[ClusterNode]:
-        # ``nodes`` = the accepting set minus exclusions; equal sizes: none
-        ranked = self._ranked
-        allowed = None if len(nodes) == len(ranked) else set(nodes)
-        return next((n for n in ranked if allowed is None or n in allowed), None)
+    def choose(self, query: Query, nodes: Sequence[ClusterNode]) -> ClusterNode:
+        # ``nodes`` is the accepting set, which the index holds in order
+        return next(iter(self._ranked))
 
 
 class LeastOutstandingPlacement(LoadRankedPlacement):
@@ -164,9 +158,7 @@ class SLAAwarePlacement(PlacementPolicy):
         self._deadline_cache[workload] = deadline
         return deadline
 
-    def choose(
-        self, query: Query, nodes: Sequence[ClusterNode]
-    ) -> Optional[ClusterNode]:
+    def choose(self, query: Query, nodes: Sequence[ClusterNode]) -> ClusterNode:
         deadline = self.deadline_for(query)
         predictions = [(predict_response_time(node, query), node) for node in nodes]
         feasible = [(p, node) for p, node in predictions if p <= deadline]

@@ -9,13 +9,12 @@ the one the node tier uses,
 :class:`~repro.scheduling.queues.PartitionedQueue`: one bucket per
 workload class (or per tenant), higher business priority first and
 FIFO within a priority level (:func:`~repro.core.manager.by_priority`).
-What this module adds is the cluster's bucket rule:
-
-* **share deficit** — buckets with waiting requests are served in
-  ``(served / share, head rank, name)`` order, so a bucket with share 3
-  receives ~3x the dispatch slots of a share-1 bucket under contention;
-* **the blocked filter** — :meth:`TaskQueue.match` skips the requests
-  the pulling node must not take (those it refused before).
+What this module adds is the cluster's bucket rule, the **share
+deficit**: :meth:`TaskQueue.match` pops the head of the waiting bucket
+least in ``(served / share, head rank, name)`` order, so a bucket with
+share 3 receives ~3x the dispatch slots of a share-1 bucket under
+contention.  Any pulling node takes whatever it is matched: its own
+admission controller decides the request's fate.
 
 Everything here is pure data structure — no clock, no RNG — and every
 tie is broken deterministically (bucket name, then arrival), so pull
@@ -24,7 +23,7 @@ dispatch inherits the simulator's bit-determinism.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heappop
 from typing import Callable, Dict, List, Optional
 
 from repro.core.manager import by_priority
@@ -45,7 +44,7 @@ class TaskQueue(PartitionedQueue):
     shares:
         ``{bucket: share}`` dispatch shares; buckets not listed get 1.
         Shares only matter under contention — an uncontended bucket is
-        served whenever it has a request the caller may take.
+        served whenever it has a request waiting.
     key:
         ``query -> bucket name``.  The default buckets by workload class
         (``workload_name`` or the ``name:`` sql prefix); tenant-isolated
@@ -97,34 +96,21 @@ class TaskQueue(PartitionedQueue):
                 served[name] = floor * weight[name]
         return heap
 
-    def match(self, blocked: Optional[Callable[[Query], bool]] = None) -> Optional[Query]:
-        """Pop the best request the caller may take; ``None`` if there is none.
-
-        Buckets are visited in (deficit, head rank, name) order, each in
-        pop order.  ``blocked`` filters the requests the caller must
-        skip; they keep their places.
-        """
+    def match(self) -> Optional[Query]:
+        """Pop the head of the min-(deficit, head rank, name) bucket;
+        ``None`` when nothing waits."""
         buckets, served, weight = self.buckets, self.served, self._weight
-        ranked = sorted(
-            [(served[name] / weight[name], heap[0][0], name) for name, heap in buckets.items() if heap]
-        )
-        for _, _, name in ranked:
-            heap = buckets[name]
-            skipped = []
-            found = None
-            while heap:
-                entry = heappop(heap)
-                if blocked is None or not blocked(entry[2]):
-                    found = entry[2]
-                    break
-                skipped.append(entry)
-            for entry in skipped:
-                heappush(heap, entry)
-            if found is not None:
-                served[name] += 1
-                self._len -= 1
-                return found
-        return None
+        waiting = [
+            (served[name] / weight[name], heap[0][0], name)
+            for name, heap in buckets.items()
+            if heap
+        ]
+        if not waiting:
+            return None
+        name = min(waiting)[2]
+        served[name] += 1
+        self._len -= 1
+        return heappop(buckets[name])[2]
 
     def queued_queries(self) -> List[Query]:
         """Snapshot in (bucket name, pop) order."""

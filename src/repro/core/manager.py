@@ -165,11 +165,6 @@ def wspt(query: Query) -> float:
 
 WeightFn = Callable[[Query], float]
 CompletionListener = Callable[[Query], None]
-#: Called when local admission rejects a request.  Returning True means
-#: the interceptor took ownership of the query (e.g. a cluster
-#: dispatcher re-placing it on another node): the manager then neither
-#: finalizes the rejection nor records it.
-RejectionInterceptor = Callable[[Query, AdmissionDecision], bool]
 
 
 class WorkloadManager:
@@ -233,7 +228,6 @@ class WorkloadManager:
         self._delayed: List[Query] = []
         self._listeners: List[CompletionListener] = []
         self._backlog_listeners: List[Callable[[], None]] = []
-        self._rejection_interceptor: Optional[RejectionInterceptor] = None
         self._pumping = False
         self.submitted_count = 0
         self.rejected_count = 0
@@ -278,26 +272,8 @@ class WorkloadManager:
         for listener in self._backlog_listeners:
             listener()
 
-    def set_rejection_interceptor(
-        self, interceptor: Optional[RejectionInterceptor]
-    ) -> None:
-        """Install a hook consulted before any rejection is finalized.
-
-        A cluster-level dispatcher uses this to reclaim requests this
-        server turns away and re-place them on another node; the local
-        manager records nothing for intercepted rejections.
-        """
-        self._rejection_interceptor = interceptor
-
-    def _reject(self, query: Query, decision: AdmissionDecision) -> bool:
-        """Finalize a rejection unless an interceptor takes the query.
-
-        Returns True when the rejection stuck locally.
-        """
-        if self._rejection_interceptor is not None and self._rejection_interceptor(
-            query, decision
-        ):
-            return False
+    def _reject(self, query: Query, decision: AdmissionDecision) -> None:
+        """Finalize a rejection: the admission verdict is the outcome."""
         query.transition(QueryState.REJECTED)
         query.end_time = self.sim.now
         self.rejected_count += 1
@@ -305,7 +281,6 @@ class WorkloadManager:
         self.query_log.record_query(query)
         self.context.record(self.admission, "reject", query, decision.reason)
         self._notify(query)
-        return True
 
     # ------------------------------------------------------------------
     # request intake

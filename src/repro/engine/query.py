@@ -189,7 +189,6 @@ class Query:
     # -- lifecycle bookkeeping, managed by the engine/manager ----------
     state: QueryState = QueryState.CREATED
     submit_time: Optional[float] = None
-    admit_time: Optional[float] = None
     start_time: Optional[float] = None
     end_time: Optional[float] = None
     progress: float = 0.0           # fraction of work completed, in [0, 1]
@@ -239,8 +238,8 @@ class Query:
     # ------------------------------------------------------------------
     _ALLOWED = {
         QueryState.CREATED: {QueryState.SUBMITTED},
-        # SUBMITTED -> SUBMITTED: a cluster dispatcher re-placing a
-        # request onto another server re-runs that server's intake.
+        # SUBMITTED -> SUBMITTED: a cluster dispatcher placing a
+        # request on a node re-runs that node's intake.
         QueryState.SUBMITTED: {
             QueryState.SUBMITTED,
             QueryState.QUEUED,
@@ -292,7 +291,6 @@ class Query:
             query_id=next(_query_ids),
             state=QueryState.CREATED,
             submit_time=None,
-            admit_time=None,
             start_time=None,
             end_time=None,
             progress=0.0,

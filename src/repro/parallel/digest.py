@@ -71,7 +71,7 @@ def dispatcher_digest(dispatcher) -> str:
             dispatcher.completions,
             dispatcher.rejections,
             dispatcher.resubmissions,
-            dispatcher.metrics.replacements,
+            0,  # retired slot: node rejections were once re-placed; kept so digests hold
         )
     )
     for node in dispatcher.nodes:

@@ -1,9 +1,12 @@
-"""ClusterDispatcher unit tests: routing, queueing, re-placement."""
+"""ClusterDispatcher unit tests: routing, queueing, node rejections."""
 
 import pytest
 
+from repro.admission.threshold import ThresholdAdmission
 from repro.cluster import ClusterDispatcher, ClusterNode, make_policy
 from repro.cluster.scenario import CLUSTER_SLAS
+from repro.core.interfaces import decisions_by
+from repro.core.policy import AdmissionPolicy
 from repro.engine.query import QueryState
 from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
@@ -97,106 +100,99 @@ class TestRouting:
         assert len([q for q in seen if q.state is QueryState.REJECTED]) == 2
 
 
-class TestNodeLocalRejectionReplacement:
-    def test_local_rejection_reroutes_to_another_node(self):
-        from repro.admission.threshold import ThresholdAdmission
-        from repro.core.policy import AdmissionPolicy
+class TestNodeRejectionIsFinal:
+    """A request a node's admission rejects ends REJECTED, once.
 
-        sim = Simulator(seed=5)
-        # n0 rejects anything costing > 1 device-second; n1 takes all
-        picky = ClusterNode(
-            sim,
-            name="n0",
-            admission=ThresholdAdmission(AdmissionPolicy(reject_over_cost=1.0)),
-        )
-        open_node = ClusterNode(sim, name="n1")
-        dispatcher = ClusterDispatcher(
-            sim, [picky, open_node], placement=make_policy("round-robin")
-        )
-        heavy = make_query(cpu=5.0, io=0.0, sql="bi:q")
-        dispatcher.submit(heavy)  # round-robin tries n0 first
-        assert heavy.state is not QueryState.REJECTED
-        assert dispatcher.metrics.replacements == 1
-        assert open_node.placed_count == 1
-        assert picky.outstanding_work == 0
-        dispatcher.run(0.0, drain=60.0)
-        assert heavy.state is QueryState.COMPLETED
-        # the node-local manager recorded nothing for the reclaimed query
-        assert picky.manager.rejected_count == 0
+    Regression: the dispatcher used to intercept the rejection and
+    re-place the request with the refusing node excluded; when every
+    node refused, it bounced between the nodes and the cluster queue
+    forever (61 re-placements by t=60 s on one node), recorded nowhere
+    and reported to no client.
+    """
 
-    def test_rejected_everywhere_falls_to_cluster_queue(self):
-        from repro.admission.threshold import ThresholdAdmission
-        from repro.core.policy import AdmissionPolicy
-
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("dispatch", ["push", "pull"])
+    def test_rejected_everywhere_ends_rejected_once(self, dispatch, count):
+        policy = AdmissionPolicy(reject_over_cost=1.0)
         sim = Simulator(seed=5)
         nodes = [
-            ClusterNode(
-                sim,
-                name=f"n{i}",
-                admission=ThresholdAdmission(AdmissionPolicy(reject_over_cost=1.0)),
-            )
-            for i in range(2)
+            ClusterNode(sim, name=f"n{i}", admission=ThresholdAdmission(policy))
+            for i in range(count)
         ]
         dispatcher = ClusterDispatcher(
-            sim, nodes, placement=make_policy("round-robin")
+            sim, nodes, placement=make_policy("round-robin"), dispatch=dispatch
         )
+        seen = []
+        dispatcher.add_completion_listener(seen.append)
         heavy = make_query(cpu=5.0, io=0.0, sql="bi:q")
         dispatcher.submit(heavy)
-        # both nodes refused; the query waits at the cluster level
-        assert dispatcher.cluster_queue_depth == 1
-        assert heavy.state is QueryState.SUBMITTED
+        dispatcher.run(60.0)
+        assert heavy.state is QueryState.REJECTED
+        assert seen == [heavy]
+        (refuser,) = [n for n in nodes if n.manager.rejected_count]
+        assert refuser.manager.rejected_count == 1
+        (event,) = decisions_by(refuser.manager.context.decisions, action="reject")
+        _, _, reason = policy.violation(heavy.estimated_cost.total_work, 0)
+        assert (event.query_id, event.detail) == (heavy.query_id, reason)
+        assert dispatcher.cluster_queue_depth == 0
+        assert dispatcher.outstanding_work() == 0
+
+    @pytest.mark.parametrize("dispatch", ["push", "pull"])
+    def test_a_refused_backlog_drains_without_recursing(self, dispatch):
+        # each refusal frees the slot it was placed in and calls back
+        # into the binding: a backlog deeper than the interpreter's
+        # recursion limit must still drain in one loop
+        sim = Simulator(seed=5)
+        gate = ThresholdAdmission(AdmissionPolicy(reject_over_cost=1.0))
+        node = ClusterNode(sim, name="n0", mpl=1, max_outstanding=1, admission=gate)
+        dispatcher = ClusterDispatcher(sim, [node], dispatch=dispatch)
+        seen = []
+        dispatcher.add_completion_listener(seen.append)
+        dispatcher.submit(make_query(cpu=0.5, io=0.0, sql="oltp:q"))  # saturates n0
+        backlog = [make_query(cpu=5.0, io=0.0, sql="bi:q") for _ in range(1500)]
+        for query in backlog:
+            dispatcher.submit(query)
+        assert dispatcher.cluster_queue_depth == len(backlog)
+        dispatcher.run(10.0)
+        assert all(query.state is QueryState.REJECTED for query in backlog)
+        assert node.manager.rejected_count == len(backlog)
+        assert len(seen) == len(backlog) + 1
+        assert dispatcher.cluster_queue_depth == 0
 
 
 class TestHeadOfLineBlocking:
     def test_picky_head_does_not_starve_placeable_tail(self):
-        """Regression: a queued head no placement will take used to stop
-        the drain scan cold, starving requests behind it that any node
-        would have accepted."""
-        from repro.cluster.placement import PlacementPolicy
-
-        class NoBiPlacement(PlacementPolicy):
-            # a custom policy may return None for work it won't place
-            def choose(self, query, candidates):
-                if query.sql.startswith("bi:"):
-                    return None
-                return candidates[0] if candidates else None
-
+        """A queued head the node refuses ends REJECTED at its turn; the
+        request behind it is placed in the same drain and completes."""
         sim = Simulator(seed=5)
-        node = ClusterNode(sim, name="n0", mpl=1, max_outstanding=1)
-        dispatcher = ClusterDispatcher(sim, [node], placement=NoBiPlacement())
-        blocker = make_query(cpu=5.0, io=0.0, sql="oltp:first")
-        picky = make_query(cpu=1.0, io=0.0, sql="bi:head")
-        tail = make_query(cpu=1.0, io=0.0, sql="oltp:tail")
+        gate = ThresholdAdmission(AdmissionPolicy(reject_over_cost=1.0))
+        node = ClusterNode(sim, name="n0", mpl=1, max_outstanding=1, admission=gate)
+        dispatcher = ClusterDispatcher(sim, [node], placement=make_policy("round-robin"))
+        blocker = make_query(cpu=0.5, io=0.0, sql="oltp:first")
+        picky = make_query(cpu=5.0, io=0.0, sql="bi:head")
+        tail = make_query(cpu=0.5, io=0.0, sql="oltp:tail")
         dispatcher.submit(blocker)  # saturates the node
-        dispatcher.submit(picky)  # queues; never placeable
+        dispatcher.submit(picky)  # queues; the node will refuse it
         dispatcher.submit(tail)  # queues behind the picky head
         assert dispatcher.cluster_queue_depth == 2
         dispatcher.run(10.0, drain=60.0)
-        # the tail was placed and completed even though the head never was
+        assert picky.state is QueryState.REJECTED
         assert tail.state is QueryState.COMPLETED
-        assert picky.state is QueryState.SUBMITTED
-        assert dispatcher.cluster_queue_depth == 1
+        assert dispatcher.cluster_queue_depth == 0
         assert dispatcher.completions == 2
+        assert node.manager.rejected_count == 1
 
     def test_blocked_head_keeps_its_queue_position(self):
-        from repro.cluster.placement import PlacementPolicy
-
-        class NoBiPlacement(PlacementPolicy):
-            def choose(self, query, candidates):
-                if query.sql.startswith("bi:"):
-                    return None
-                return candidates[0] if candidates else None
-
         sim = Simulator(seed=5)
         node = ClusterNode(sim, name="n0", mpl=1, max_outstanding=1)
-        dispatcher = ClusterDispatcher(sim, [node], placement=NoBiPlacement())
+        dispatcher = ClusterDispatcher(sim, [node], placement=make_policy("round-robin"))
         dispatcher.submit(make_query(cpu=50.0, io=0.0, sql="oltp:run"))
-        picky = make_query(cpu=1.0, io=0.0, sql="bi:head")
+        head = make_query(cpu=1.0, io=0.0, sql="bi:head")
         tail = make_query(cpu=1.0, io=0.0, sql="oltp:tail")
-        dispatcher.submit(picky)
+        dispatcher.submit(head)
         dispatcher.submit(tail)
         dispatcher.binding.drain()  # scan while the node is saturated
-        assert dispatcher.binding.queued_queries() == [picky, tail]
+        assert dispatcher.binding.queued_queries() == [head, tail]
 
 
 class TestDraining:

@@ -2,12 +2,10 @@
 
 import pytest
 
-from repro.admission.threshold import ThresholdAdmission
-from repro.cluster import ClusterDispatcher, ClusterNode, PullBinding, make_policy
+from repro.cluster import ClusterDispatcher, ClusterNode, PullBinding
 from repro.cluster.dispatcher import make_binding
 from repro.cluster.matcher import Matcher
 from repro.cluster.scenario import CLUSTER_SLAS
-from repro.core.policy import AdmissionPolicy
 from repro.engine.query import QueryState
 from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
@@ -107,23 +105,6 @@ class TestBoundedTaskQueue:
 
 
 class TestRecovery:
-    def test_local_rejection_rebinds_elsewhere(self):
-        sim = Simulator(seed=5)
-        picky = ClusterNode(
-            sim,
-            name="a-picky",  # name sorts first so it would pull first
-            admission=ThresholdAdmission(AdmissionPolicy(reject_over_cost=1.0)),
-        )
-        open_node = ClusterNode(sim, name="b-open")
-        dispatcher = ClusterDispatcher(sim, [picky, open_node], dispatch="pull")
-        heavy = make_query(cpu=5.0, io=0.0, sql="bi:q")
-        dispatcher.submit(heavy)
-        assert heavy.state is not QueryState.REJECTED
-        assert open_node.running == 1
-        assert dispatcher.metrics.replacements == 1
-        dispatcher.run(0.0, drain=60.0)
-        assert heavy.state is QueryState.COMPLETED
-
     def test_crash_evacuates_and_resubmits(self):
         sim, dispatcher = _pull_cluster(count=2, mpl=1)
         queries = [make_query(cpu=3.0, io=0.0, sql="oltp:q") for _ in range(4)]
@@ -137,27 +118,6 @@ class TestRecovery:
         assert dispatcher.completions == 4
         assert dispatcher.resubmissions == 1
         assert dispatcher.outstanding_work() == 0
-
-    def test_tick_grants_exclusion_amnesty(self):
-        sim = Simulator(seed=5)
-        picky = ClusterNode(
-            sim,
-            name="n0",
-            mpl=1,
-            admission=ThresholdAdmission(AdmissionPolicy(reject_over_cost=1.0)),
-        )
-        dispatcher = ClusterDispatcher(sim, [picky], dispatch="pull")
-        heavy = make_query(cpu=5.0, io=0.0, sql="bi:q")
-        dispatcher.submit(heavy)
-        # the only node refused it; it waits with that node excluded
-        assert dispatcher.cluster_queue_depth == 1
-        assert dispatcher._excluded[heavy.query_id] == {"n0"}
-        assert dispatcher.metrics.replacements == 1
-        sim.run_until(1.5)  # the periodic sweep wipes exclusions...
-        # ...so the tick offered it to n0 again (which re-refused it):
-        # without amnesty the retry count could never grow
-        assert dispatcher.metrics.replacements == 2
-        assert dispatcher.cluster_queue_depth == 1
 
 
 class TestMatcherUnit:

@@ -16,13 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.admission.threshold import ThresholdAdmission
 from repro.cluster import ClusterDispatcher, ClusterNode, make_policy
 from repro.cluster.matcher import Matcher
 from repro.cluster.placement import CostBalancedPlacement, LoadRankedPlacement
 from repro.cluster.ranked import RankedNodes
 from repro.cluster.scenario import build_cluster
-from repro.core.policy import AdmissionPolicy
 from repro.engine.simulator import Simulator
 from repro.scenarios import arm_scenario, get_policy, get_scenario, run_scenario
 
@@ -38,7 +36,7 @@ def _audit():
     """Check every index read and every load-ranked pick against a scan."""
     real_iter, real_len = RankedNodes.__iter__, RankedNodes.__len__
     real_choose = LoadRankedPlacement.choose
-    seen = SimpleNamespace(reads=0, picks=0, excluded_picks=0)
+    seen = SimpleNamespace(reads=0, picks=0)
 
     def audited_iter(index):
         seen.reads += 1
@@ -53,7 +51,6 @@ def _audit():
 
     def audited_choose(policy, query, nodes):
         seen.picks += 1
-        seen.excluded_picks += len(nodes) < len(policy._ranked)
         got = real_choose(policy, query, nodes)
         assert got is min(nodes, key=policy.load_key), "pick != min over candidates"
         return got
@@ -153,22 +150,18 @@ class TestWholeRunAudit:
     @pytest.mark.parametrize("policy", ["least", "cost"])
     def test_excluded_node_is_skipped_in_rank_order(self, policy):
         sim = Simulator(seed=7)
-        picky = ClusterNode(
-            sim,
-            name="a-picky",  # ranks first on every tie
-            admission=ThresholdAdmission(AdmissionPolicy(reject_over_cost=1.0)),
-        )
+        first = ClusterNode(sim, name="a-first")  # ranks first on every tie
         loaded, idle = ClusterNode(sim, name="b"), ClusterNode(sim, name="c")
         dispatcher = ClusterDispatcher(
-            sim, [picky, loaded, idle], placement=make_policy(policy)
+            sim, [first, loaded, idle], placement=make_policy(policy)
         )
+        dispatcher.drain_node(first)  # out of the eligible set
         with _audit() as seen:
             loaded.submit(make_query(cpu=3.0, io=0.0, sql="bi:q"))
             dispatcher.submit(make_query(cpu=5.0, io=0.0, sql="bi:q"))
-        # a-picky refused it; the retry walked past it to the idle node
-        assert (seen.picks, seen.excluded_picks) == (2, 1)
-        assert dispatcher.metrics.replacements == 1
-        assert (picky.running, loaded.running, idle.running) == (0, 1, 1)
+        # the pick walked past the draining node and the loaded one
+        assert seen.picks == 1
+        assert (first.running, loaded.running, idle.running) == (0, 1, 1)
 
 
 class _Item:

@@ -1,4 +1,4 @@
-"""TaskQueue unit tests: ordering, shares, the blocked filter, removal."""
+"""TaskQueue unit tests: ordering, shares, removal."""
 
 import pytest
 
@@ -115,14 +115,6 @@ class TestTenantKeys:
         first_10 = [_class_of(queue.match()) for _ in range(10)]
         assert first_10.count("acme") == 5
         assert first_10.count("zeta") == 5
-
-
-class TestRequirements:
-    def test_blocked_filter_skips_without_reordering(self):
-        queue = TaskQueue()
-        first, second = _push(queue, n=2, sql="oltp:q")
-        assert queue.match(blocked=lambda q: q is first) is second
-        assert queue.match() is first  # still queued, still FIFO
 
 
 class TestMaintenance:

@@ -235,7 +235,7 @@ def test_a_degrade_is_distinguishable_from_a_health_flip():
 
 
 # ----------------------------------------------------------------------
-# (b) a rejection keeps its reason; an intercepted one records nothing
+# (b) a rejection keeps its reason, on a cluster node too
 # ----------------------------------------------------------------------
 def _picky():
     return ThresholdAdmission(AdmissionPolicy(reject_over_cost=1.0))
@@ -300,15 +300,20 @@ def test_a_full_cluster_queue_rejects_the_arriving_request(dispatch):
     )
 
 
-def test_intercepted_rejection_records_nothing():
+def test_a_node_rejection_in_a_cluster_is_recorded_by_that_node():
     sim = Simulator(seed=11)
-    nodes = [ClusterNode(sim, name="n0", admission=_picky()), ClusterNode(sim, name="n1")]
+    gate = _picky()
+    nodes = [ClusterNode(sim, name="n0", admission=gate), ClusterNode(sim, name="n1")]
     dispatcher = ClusterDispatcher(sim, nodes, placement=make_policy("round-robin"))
     heavy = make_query(cpu=5.0, io=0.0, sql="bi:q")
-    dispatcher.submit(heavy)  # n0 refuses, the dispatcher re-places on n1
-    assert dispatcher.metrics.replacements == 1
-    assert heavy.state is not QueryState.REJECTED
-    assert nodes[0].manager.context.decisions == []
+    dispatcher.submit(heavy)  # round-robin places it on n0, which refuses
+    assert heavy.state is QueryState.REJECTED
+    _, _, reason = gate.default_policy.violation(heavy.estimated_cost.total_work, 0)
+    assert nodes[0].manager.context.decisions == [
+        ControlEvent(0.0, "ThresholdAdmission", "reject", heavy.query_id, "bi", reason)
+    ]
+    assert nodes[1].manager.context.decisions == []
+    # the verdict is the node's: the cluster tier records no rejection
     assert decisions_by(dispatcher.metrics.decisions, action="reject") == []
 
 

@@ -25,7 +25,7 @@ UNTENANTED = "<untenanted>"
 
 
 # ----------------------------------------------------------------------
-# the cluster task queue as it was, minus requirement tags
+# the cluster task queue as it was, minus requirement tags and blocked filter
 # ----------------------------------------------------------------------
 @dataclass
 class _ClassBucket:
@@ -63,27 +63,17 @@ class OldTaskQueue:
         heapq.heappush(bucket.heap, ((-query.priority, self._seq), query))
         self._seq += 1
 
-    def match(self, blocked=None):
+    def match(self):
         ranked = sorted(
             (bucket.deficit, bucket.heap[0][0][0], workload)
             for workload, bucket in self._buckets.items()
             if bucket.heap
         )
-        for _, _, workload in ranked:
-            bucket = self._buckets[workload]
-            skipped, found = [], None
-            while bucket.heap:
-                item = heapq.heappop(bucket.heap)
-                if not (blocked is not None and blocked(item[1])):
-                    found = item[1]
-                    break
-                skipped.append(item)
-            for item in skipped:
-                heapq.heappush(bucket.heap, item)
-            if found is not None:
-                bucket.served += 1
-                return found
-        return None
+        if not ranked:
+            return None
+        bucket = self._buckets[ranked[0][2]]
+        bucket.served += 1
+        return heapq.heappop(bucket.heap)[1]
 
     def remove(self, query_id):
         for bucket in self._buckets.values():
@@ -201,7 +191,7 @@ ORDINAL = st.integers(0, 40)
 TASK_OPS = st.lists(
     st.one_of(
         st.tuples(st.just("push"), st.sampled_from(SQLS), st.integers(0, 4)),
-        st.tuples(st.just("match"), st.none() | st.frozensets(ORDINAL, max_size=8)),
+        st.tuples(st.just("match")),
         st.tuples(st.just("remove"), ORDINAL),
     ),
     max_size=60,
@@ -228,11 +218,7 @@ def test_task_queue_matches_the_old_one(ops, shares, by_tenant):
             old.push(query)
             new.push(query)
         elif op[0] == "match":
-            blocked = None
-            if op[1] is not None:
-                ids = {pushed[i].query_id for i in op[1] if i < len(pushed)}
-                blocked = lambda query: query.query_id in ids  # noqa: E731
-            assert new.match(blocked) is old.match(blocked)
+            assert new.match() is old.match()
         elif op[1] < len(pushed):
             query_id = pushed[op[1]].query_id
             assert new.remove(query_id) is old.remove(query_id)

@@ -18,7 +18,11 @@ copies as oracles).  A node's speed stopped being a per-query throttle
 the node re-asserted: it is the engine's speed ceiling, set at build and
 by every degrade, so the re-assertion, the speed restore paths and the
 engine's parallelism option went, as did the backend options no CLI
-verb, gate row or ledger row sets.
+verb, gate row or ledger row sets.  A node's admission rejection became
+final: the cluster's re-placement loop (the manager's rejection
+interceptor, the dispatcher's per-query exclusions and the task queue's
+blocked filter) went with its counter, reached by no run and wrong where
+a test reached it.
 Bringing one back means bringing the spec field and the measured cell
 that reach it, and editing this list.
 """
@@ -35,6 +39,7 @@ from repro.backends import RunConfig, plan_statements, run_sim_on_plan
 from repro.cli import build_parser
 from repro.cluster import ClusterDispatcher, ClusterNode, NodeHealth, TaskQueue
 from repro.cluster.dispatcher import PullBinding, make_binding
+from repro.cluster.matcher import Matcher
 from repro.core.interfaces import ManagerContext
 from repro.core.manager import WorkloadManager
 from repro.engine.executor import EngineConfig
@@ -97,6 +102,13 @@ DELETED_NAMES = {
     "_batch_exit",
     "reallocation_batch",
     "_defer_depth",
+    "set_rejection_interceptor",
+    "RejectionInterceptor",
+    "_intercept_rejection",
+    "ExclusionFn",
+    "_excluded",
+    "replacements",
+    "admit_time",
 }
 DELETED_MODULES = ("cluster/elastic.py", "scenarios/trace.py", "backends/postgres.py")
 
@@ -138,6 +150,15 @@ def test_removed_parameters_stay_removed():
     assert "health" not in inspect.signature(ClusterNode).parameters
     assert [health.name for health in NodeHealth] == ["UP", "DRAINING", "DOWN"]
     assert "tags" not in inspect.signature(ClusterNode).parameters
+    # every node is the standard machine, default engine, no node SLAs
+    assert not {"machine", "engine_config", "slas"} & set(
+        inspect.signature(ClusterNode).parameters
+    )
+    # a node's rejection is final: nothing filters who may take a request
+    assert list(inspect.signature(Matcher).parameters) == ["nodes", "queue", "place"]
+    assert list(inspect.signature(TaskQueue.match).parameters) == ["self"]
+    assert list(inspect.signature(ClusterDispatcher.eligible_nodes).parameters) == ["self"]
+    assert list(inspect.signature(ClusterDispatcher._eligible_for).parameters) == ["self"]
     # one cadence each, a module constant: no run set another
     assert not {"heartbeat_period", "control_period"} & set(
         inspect.signature(ClusterNode).parameters
