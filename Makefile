@@ -3,7 +3,7 @@
 PY ?= python
 export PYTHONPATH := src:.
 
-.PHONY: test test-ledger test-experiments survival examples bench bench-full bench-parallel bench-baseline ledger ledger-pairs artifacts lint loc
+.PHONY: test test-ledger test-experiments survival examples bench bench-full bench-parallel bench-baseline ledger ledger-pairs artifacts lint loc reach
 
 test:
 	$(PY) -m pytest tests/ -q
@@ -47,6 +47,12 @@ lint:
 	@$(PY) -m ruff --version >/dev/null 2>&1 \
 		&& $(PY) -m ruff check src/ tests/ benchmarks/ examples/ \
 		|| echo "ruff not installed; skipping lint (pip install ruff)"
+
+# Every src/repro function no run calls, per module with line counts
+# (benchmarks/reach.py, ~10 min, not in CI): ROADMAP item 8's input,
+# not a deletion list.  Rewrites benchmarks/results/ as test-experiments does.
+reach:
+	$(PY) benchmarks/reach.py
 
 # Every size figure ROADMAP.md states a target for, as `wc -l` lines, so
 # a deletion claim in CHANGES.md is pasted from here, not hand-assembled.

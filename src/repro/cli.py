@@ -78,19 +78,26 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 def _cmd_cluster(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
+    from repro.errors import ConfigurationError
     from repro.reporting.figures import ascii_cluster_timeline
     from repro.scenarios import ChaosSpec, get_policy, get_scenario, run_scenario
 
     spec = get_scenario("cluster_overload", nodes=args.nodes, horizon=args.horizon)
     killing = ""
     if args.kill_node is not None:
-        crash = (
-            args.kill_at / spec.horizon,
-            args.kill_node,
-            None if args.recover_at is None else args.recover_at / spec.horizon,
-        )
+        # checked in the seconds typed, before ChaosSpec's horizon fractions
+        node, at, recover_at, horizon = args.kill_node, args.kill_at, args.recover_at, spec.horizon
+        if not 0.0 <= at <= horizon:
+            raise ConfigurationError(
+                f"crash of {node!r} at t={at:g}s: must be in [0, {horizon:g}]s, the horizon"
+            )
+        if recover_at is not None and recover_at <= at:
+            raise ConfigurationError(
+                f"crash of {node!r} at t={at:g}s must recover later, not at t={recover_at:g}s"
+            )
+        crash = (at / horizon, node, None if recover_at is None else recover_at / horizon)
         spec = replace(spec, chaos=ChaosSpec(crashes=(crash,)))
-        killing = f", killing {args.kill_node} at t={args.kill_at:.0f}s"
+        killing = f", killing {node} at t={at:.0f}s"
     print(
         f"Dispatching OLTP+BI across {args.nodes} nodes "
         f"({args.policy} placement, {args.dispatch} dispatch, "

@@ -19,7 +19,9 @@ served by share deficit) until a node with a free execution slot pulls
 work through the :class:`~repro.cluster.matcher.Matcher` (DIRAC-style
 late binding).
 :mod:`repro.cluster.metrics` rolls per-node statistics up into
-cluster-level views.
+cluster-level views.  The package builds no cluster itself:
+:func:`repro.scenarios.arm_scenario` assembles the nodes, the binding
+and the dispatcher from one scenario spec and one policy.
 """
 
 from repro.cluster.dispatcher import (
@@ -28,7 +30,6 @@ from repro.cluster.dispatcher import (
     ClusterDispatcher,
     PullBinding,
     PushBinding,
-    make_binding,
     tenant_key,
 )
 from repro.cluster.failover import FaultEvent, FaultInjector, FaultKind, FaultPlan
@@ -50,11 +51,9 @@ from repro.cluster.placement import (
     make_policy,
     predict_response_time,
 )
-from repro.cluster.scenario import CLUSTER_SLAS, build_cluster
 from repro.cluster.taskqueue import TaskQueue
 
 __all__ = [
-    "CLUSTER_SLAS",
     "DISPATCH_MODES",
     "POLICY_NAMES",
     "NODE_MACHINE",
@@ -77,8 +76,6 @@ __all__ = [
     "RoundRobinPlacement",
     "SLAAwarePlacement",
     "TaskQueue",
-    "build_cluster",
-    "make_binding",
     "make_policy",
     "predict_response_time",
     "tenant_key",

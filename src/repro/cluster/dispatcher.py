@@ -43,15 +43,13 @@ from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.node import ClusterNode, NodeHealth
 from repro.cluster.placement import PlacementPolicy, RoundRobinPlacement
 from repro.cluster.taskqueue import TaskQueue
-from repro.core.sla import SLASet
 from repro.engine.query import Query, QueryState, tenant_key
-from repro.engine.sessions import SessionRegistry
 from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
 
 CompletionListener = Callable[[Query], None]
 
-#: Binding-policy names accepted by the ``dispatch`` parameter / CLI.
+#: Binding-policy names: ``PolicyConfig.dispatch`` and the CLI's ``--dispatch``.
 DISPATCH_MODES = ("push", "pull")
 
 #: The bucket tenant-keyed ledgers and queues file tenantless work under.
@@ -111,8 +109,6 @@ class BindingPolicy(abc.ABC):
     metrics — lives on the dispatcher substrate it is attached to.
     """
 
-    name: str = "abstract"
-
     def attach(self, dispatcher: "ClusterDispatcher") -> None:
         self.dispatcher = dispatcher
 
@@ -137,15 +133,9 @@ class BindingPolicy(abc.ABC):
     def queue_depth(self) -> int:
         """Requests waiting at the cluster level."""
 
-    @abc.abstractmethod
-    def queued_queries(self) -> List[Query]:
-        """Snapshot of the cluster-level wait structure."""
-
 
 class PushBinding(BindingPolicy):
     """Early binding: place on arrival, FIFO cluster queue as overflow."""
-
-    name = "push"
 
     def __init__(self) -> None:
         self.queue: Deque[Query] = deque()
@@ -207,14 +197,9 @@ class PushBinding(BindingPolicy):
     def queue_depth(self) -> int:
         return len(self.queue)
 
-    def queued_queries(self) -> List[Query]:
-        return list(self.queue)
-
 
 class PullBinding(BindingPolicy):
     """Late binding: task queue + matcher, nodes pull at free slots."""
-
-    name = "pull"
 
     def __init__(self, taskqueue: Optional[TaskQueue] = None) -> None:
         self.taskqueue = taskqueue if taskqueue is not None else TaskQueue()
@@ -246,20 +231,6 @@ class PullBinding(BindingPolicy):
     def queue_depth(self) -> int:
         return len(self.taskqueue)
 
-    def queued_queries(self) -> List[Query]:
-        return self.taskqueue.queued_queries()
-
-
-def make_binding(dispatch: str) -> BindingPolicy:
-    """Build a binding policy from its short CLI name."""
-    if dispatch == "push":
-        return PushBinding()
-    if dispatch == "pull":
-        return PullBinding()
-    raise ConfigurationError(
-        f"unknown dispatch mode {dispatch!r}; one of {DISPATCH_MODES}"
-    )
-
 
 class ClusterDispatcher:
     """Routes one request stream across N simulated DBMS nodes.
@@ -274,17 +245,16 @@ class ClusterDispatcher:
         Placement policy for push mode; defaults to round-robin.
         Ignored by pull mode, where the matcher binds work to whichever
         node pulls it.
+    binding:
+        The :class:`BindingPolicy`; defaults to a fresh
+        :class:`PushBinding`.  A pull run passes a :class:`PullBinding`,
+        over a tenant-keyed :class:`~repro.cluster.taskqueue.TaskQueue`
+        when tenants have dispatch shares.
     max_queue_depth:
         Bound on the cluster wait structure; ``None`` = unbounded
         (never cluster-reject), ``0`` = reject the moment no node can
         take the arrival.  A routed request that leaves the structure
         over its bound is the one the cluster turns away.
-    dispatch:
-        ``"push"`` (default) or ``"pull"``; alternatively pass a
-        pre-built :class:`BindingPolicy` via ``binding``.
-    binding:
-        Explicit binding policy instance (overrides ``dispatch``) —
-        how pull runs get a tenant-keyed task queue.
     tenant_quotas:
         ``{tenant: max outstanding}`` cluster-tier admission quotas
         (:class:`TenantQuota`); ``None`` (default) disables quotas.
@@ -295,10 +265,8 @@ class ClusterDispatcher:
         sim: Simulator,
         nodes: Sequence[ClusterNode],
         placement: Optional[PlacementPolicy] = None,
-        slas: Optional[SLASet] = None,
-        max_queue_depth: Optional[int] = None,
-        dispatch: str = "push",
         binding: Optional[BindingPolicy] = None,
+        max_queue_depth: Optional[int] = None,
         tenant_quotas: Optional[Dict[str, int]] = None,
     ) -> None:
         if not nodes:
@@ -313,11 +281,9 @@ class ClusterDispatcher:
         self.nodes = list(nodes)
         self._by_name = dict(zip(names, self.nodes))
         self.placement = placement or RoundRobinPlacement()
-        self.slas = slas or SLASet()
         self.max_queue_depth = max_queue_depth
         self.metrics = ClusterMetrics(self.nodes)
-        self.sessions = SessionRegistry()
-        self.binding = binding if binding is not None else make_binding(dispatch)
+        self.binding = binding if binding is not None else PushBinding()
         self.binding.attach(self)
         self._listeners: List[CompletionListener] = []
         self.arrivals = 0
@@ -332,11 +298,6 @@ class ClusterDispatcher:
         self._ticker = sim.schedule_periodic(
             CONTROL_PERIOD, self._tick, label="cluster:tick"
         )
-
-    @property
-    def dispatch(self) -> str:
-        """The active binding-policy name (``"push"`` or ``"pull"``)."""
-        return self.binding.name
 
     @property
     def rejections(self) -> int:
@@ -473,10 +434,6 @@ class ClusterDispatcher:
             reclaimed += 1
         self.binding.sweep()
         return reclaimed
-
-    def drain_node(self, node: ClusterNode) -> None:
-        node.drain()
-        self.metrics.record_health(self.sim.now, self, node)
 
     def activate_node(self, node: ClusterNode) -> None:
         node.activate()

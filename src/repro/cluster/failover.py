@@ -10,11 +10,10 @@ Crash semantics (DIRAC-style): in-flight queries on the crashed node
 are *lost* and resubmitted through the dispatcher's normal intake (the
 same KILLED → SUBMITTED record/resubmit lifecycle replay and
 kill-and-resubmit policies use); queued work on the node never started,
-so it is evacuated and re-placed without a restart penalty.  DRAINING
-nodes finish their outstanding work but take no new placements.
+so it is evacuated and re-placed without a restart penalty.
 
-Each fault kind moves one node variable.  CRASH, DRAIN and RECOVER move
-its health and nothing else; DEGRADE moves its speed, as a factor of the
+Each fault kind moves one node variable.  CRASH and RECOVER move its
+health and nothing else; DEGRADE moves its speed, as a factor of the
 node's base speed, in any health state, and ``DEGRADE factor=1.0`` ends
 a degradation.  So a node that crashes and recovers inside a degrade
 window comes back still degraded.
@@ -35,7 +34,6 @@ class FaultKind(enum.Enum):
 
     CRASH = "crash"          # node dies; in-flight work lost and resubmitted
     DEGRADE = "degrade"      # node runs at `factor` of its base speed
-    DRAIN = "drain"          # stop placements, finish outstanding work
     RECOVER = "recover"      # back to UP
 
 
@@ -103,7 +101,5 @@ class FaultInjector:
             self.lost_and_resubmitted += dispatcher.crash_node(node)
         elif event.kind is FaultKind.DEGRADE:
             dispatcher.degrade_node(node, event.factor)
-        elif event.kind is FaultKind.DRAIN:
-            dispatcher.drain_node(node)
         elif event.kind is FaultKind.RECOVER:
             dispatcher.activate_node(node)

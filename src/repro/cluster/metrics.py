@@ -108,8 +108,8 @@ class ClusterMetrics:
         """Per-node character lanes for the ASCII cluster timeline.
 
         Load shading comes from each node's monitor samples (running
-        count vs. its MPL); health changes overlay crash (``x``) and
-        drain (``~``) intervals.
+        count vs. its MPL); health changes overlay crash (``x``)
+        intervals.
         """
         ramp = " .:-=+*#"
         lanes: Dict[str, str] = {}
@@ -132,10 +132,8 @@ class ClusterMetrics:
                     chars.append(" ")
             # overlay health intervals
             changes = [e for e in health if e.detail["node"] == node.name]
-            marks = {NodeHealth.DOWN: "x", NodeHealth.DRAINING: "~"}
             for index, change in enumerate(changes):
-                mark = marks.get(change.detail["health"])
-                if mark is None:
+                if change.detail["health"] is not NodeHealth.DOWN:
                     continue
                 until = (
                     changes[index + 1].time if index + 1 < len(changes) else horizon
@@ -143,6 +141,6 @@ class ClusterMetrics:
                 lo = min(bins - 1, int(change.time / width * bins))
                 hi = min(bins, max(lo + 1, int(until / width * bins) + 1))
                 for k in range(lo, hi):
-                    chars[k] = mark
+                    chars[k] = "x"
             lanes[node.name] = "".join(chars)
         return lanes

@@ -12,8 +12,7 @@ Each node carries:
   default engine configuration, a node-local MPL and a
   ``max_outstanding`` ceiling the dispatcher respects);
 * a health state (:class:`NodeHealth`) driving placement eligibility —
-  DRAINING nodes finish their work but take no new placements, DOWN
-  nodes are dead;
+  UP nodes take placements, DOWN nodes are dead;
 * a DIRAC-style heartbeat: a periodic snapshot of MPL, queue depth,
   utilization and per-class velocity published into the shared clock,
   the information a matcher/dispatcher would pull before placing work.
@@ -44,7 +43,6 @@ class NodeHealth(enum.Enum):
     """Placement-relevant liveness of a node."""
 
     UP = "up"               # healthy, taking placements
-    DRAINING = "draining"   # finishes outstanding work, no new placements
     DOWN = "down"           # crashed: in-flight work is lost
 
     @property
@@ -123,7 +121,7 @@ class ClusterNode:
             scheduler=scheduler or WaitQueue(mpl),
             admission=admission,
         )
-        # One node variable per fault kind: crash, drain and recover move
+        # One node variable per fault kind: crash and recover move
         # ``health``; degrade moves ``speed_factor`` (base × degradation).
         self.health = NodeHealth.UP
         self.base_speed_factor = speed_factor
@@ -233,14 +231,9 @@ class ClusterNode:
         self._heartbeat_proc.stop()
         self._changed()
 
-    def drain(self) -> None:
-        """Stop taking placements; outstanding work runs to completion."""
-        if self.health is NodeHealth.UP:
-            self.health = NodeHealth.DRAINING
-            self._changed()
-
     def activate(self) -> None:
-        """Bring a DRAINING or recovered node (back) into service."""
+        """Bring a crashed node back into service; an UP node stays
+        as it is."""
         was_stopped = self.health is NodeHealth.DOWN
         self.health = NodeHealth.UP
         if was_stopped:

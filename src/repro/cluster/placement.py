@@ -20,10 +20,10 @@ point, one level up.  Four policies are provided:
 All policies are pure functions of the candidate list plus internal
 state — no wall clock, no RNG — so placements are bit-deterministic for
 a given arrival sequence.  Candidate lists are pre-filtered by the
-dispatcher: a policy never sees a DOWN, DRAINING or saturated
-node.  The load-keyed policies (``least``, ``cost``) do not scan that
-list per arrival: they keep the cluster's accepting nodes ordered by
-their key in a :class:`~repro.cluster.ranked.RankedNodes` index
+dispatcher: a policy never sees a DOWN or saturated node.  The
+load-keyed policies (``least``, ``cost``) do not scan that list per
+arrival: they keep the cluster's accepting nodes ordered by their key
+in a :class:`~repro.cluster.ranked.RankedNodes` index
 (:meth:`PlacementPolicy.bind`) and take the first ranked candidate.
 """
 

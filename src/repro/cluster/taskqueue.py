@@ -111,7 +111,3 @@ class TaskQueue(PartitionedQueue):
         served[name] += 1
         self._len -= 1
         return heappop(buckets[name])[2]
-
-    def queued_queries(self) -> List[Query]:
-        """Snapshot in (bucket name, pop) order."""
-        return [entry[2] for name in sorted(self.buckets) for entry in sorted(self.buckets[name])]

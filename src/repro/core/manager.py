@@ -17,6 +17,7 @@ management — the baseline of every experiment.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, List, Optional, Sequence
 
@@ -175,8 +176,7 @@ class WorkloadManager:
     sim:
         The simulator everything is scheduled on.
     machine, engine_config:
-        Forwarded to a fresh :class:`ExecutionEngine` unless ``engine``
-        is given.
+        Build the manager's :class:`ExecutionEngine`.
     characterizer, admission, scheduler, execution_controllers:
         The pluggable stages; all optional (see class docstring).
     slas:
@@ -193,7 +193,6 @@ class WorkloadManager:
         self,
         sim: Simulator,
         machine: Optional[MachineSpec] = None,
-        engine: Optional[ExecutionEngine] = None,
         engine_config: Optional[EngineConfig] = None,
         characterizer: Optional[Characterizer] = None,
         admission: Optional[AdmissionController] = None,
@@ -204,7 +203,7 @@ class WorkloadManager:
         weight_fn: Optional[WeightFn] = None,
     ) -> None:
         self.sim = sim
-        self.engine = engine or ExecutionEngine(sim, machine, engine_config)
+        self.engine = ExecutionEngine(sim, machine, engine_config)
         self.metrics = MetricsCollector()
         self.query_log = QueryLog()
         self.sessions = SessionRegistry()
@@ -321,7 +320,7 @@ class WorkloadManager:
 
     def resubmit(self, query: Query, delay: float = 0.0) -> None:
         """Schedule a killed/aborted query to re-enter the server."""
-        self.sim.schedule(delay, lambda: self.submit(query), label="resubmit")
+        self.sim.schedule(delay, partial(self.submit, query), label="resubmit")
 
     # ------------------------------------------------------------------
     # dispatch

@@ -247,7 +247,7 @@ class Query:
             QueryState.REJECTED,
         },
         # QUEUED -> SUBMITTED: a queued request withdrawn from a
-        # draining/crashed node and re-submitted elsewhere.
+        # crashed node and re-submitted elsewhere.
         QueryState.QUEUED: {
             QueryState.SUBMITTED,
             QueryState.RUNNING,

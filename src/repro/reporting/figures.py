@@ -133,11 +133,11 @@ def ascii_cluster_timeline(
     """Render per-node load/health lanes as one labelled timeline.
 
     ``lanes`` maps node name to an equal-length character lane — load
-    shading (`` .:-=+*#``) with health overlays ``x`` (down) and ``~``
-    (draining) — as produced by
-    :meth:`repro.cluster.metrics.ClusterMetrics.timeline_lanes`.  The
-    legend still names ``.=standby``, a state nodes no longer have, so
-    the committed EXP18 output stays byte-identical.
+    shading (`` .:-=+*#``) with the health overlay ``x`` (down) — as
+    produced by :meth:`repro.cluster.metrics.ClusterMetrics.timeline_lanes`.
+    The legend still names ``~=draining`` and ``.=standby``, states
+    nodes no longer have, so the committed EXP18 output stays
+    byte-identical.
     """
     if not lanes:
         raise ValueError("lanes must be non-empty")

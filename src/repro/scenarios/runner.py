@@ -1,13 +1,15 @@
 """Run one scenario under one policy; summarize it.
 
 A scenario is data; a run is :func:`run_scenario` — the only cluster
-runner.  :func:`arm_scenario` assembles the cluster a
-:class:`PolicyConfig` describes — node speeds, per-tenant node
-schedulers, admission quotas, queue shares — attaches every workload's
-arrival stream, arms the chaos timeline and returns the un-run
-:class:`ScenarioResult` (live dispatcher plus the tenant conservation
-ledger); :meth:`ScenarioResult.run` runs it to the horizon plus a drain
-window.  ``run_scenario`` is the two in one call; a caller that needs a
+runner.  :func:`arm_scenario` is the one place a cluster is assembled:
+from a :class:`ScenarioSpec` and a :class:`PolicyConfig` it builds the
+nodes (speeds, per-tenant node schedulers), the binding (push, or pull
+with tenant queue shares), the placement policy over the spec's own
+SLAs and the dispatcher (admission quotas, queue bound), attaches
+every workload's arrival stream, arms the chaos timeline and returns
+the un-run :class:`ScenarioResult` (live dispatcher plus the tenant
+conservation ledger); :meth:`ScenarioResult.run` runs it to the
+horizon plus a drain window.  ``run_scenario`` is the two in one call; a caller that needs a
 listener or a timed action in place before the first event uses the
 seam between them.  :func:`summarize_run` reduces a finished run to the
 small picklable dict the parallel sweeps, the report and the benchmarks
@@ -32,9 +34,17 @@ from dataclasses import dataclass, field
 from hashlib import sha256
 from typing import Dict, Optional
 
-from repro.cluster.dispatcher import UNTENANTED, ClusterDispatcher, tenant_key
+from repro.cluster.dispatcher import (
+    UNTENANTED,
+    ClusterDispatcher,
+    PullBinding,
+    PushBinding,
+    tenant_key,
+)
 from repro.cluster.failover import FaultInjector
-from repro.cluster.scenario import build_cluster
+from repro.cluster.node import ClusterNode
+from repro.cluster.placement import make_policy
+from repro.cluster.taskqueue import TaskQueue
 from repro.core.interfaces import decisions_by
 from repro.core.sla import ObjectiveKind, SLASet, response_time_sla
 from repro.engine.query import Query, QueryState
@@ -43,6 +53,10 @@ from repro.parallel.digest import dispatcher_digest
 from repro.scenarios.spec import PolicyConfig, ScenarioSpec
 from repro.scheduling.queues import TenantShareScheduler
 from repro.workloads.generator import Scenario
+
+
+def _tenant(query: Query) -> str:
+    return tenant_key(query) or UNTENANTED
 
 
 def scenario_slas(spec: ScenarioSpec) -> SLASet:
@@ -122,37 +136,50 @@ def arm_scenario(
     seed: int = 42,
     sim: Optional[Simulator] = None,
 ) -> ScenarioResult:
-    """Build the cluster, attach arrivals, arm faults; run nothing."""
+    """Build the cluster, attach arrivals, arm faults; run nothing.
+
+    Nodes ``n0 … n{k-1}`` are built in order, each on its own RNG scope.
+    """
     sim = sim or Simulator(seed=seed)
-    shares = spec.shares()
-    dispatcher = build_cluster(
+    shares, speeds = spec.shares(), spec.speeds
+    nodes = [
+        ClusterNode(
+            sim,
+            name=f"n{index}",
+            mpl=spec.mpl,
+            scheduler=(
+                TenantShareScheduler(spec.mpl, shares)
+                if policy.node_shares and shares
+                else None
+            ),
+            speed_factor=speeds[index % len(speeds)] if speeds else 1.0,
+        )
+        for index in range(spec.nodes)
+    ]
+    if policy.dispatch == "push":
+        binding = PushBinding()
+    elif policy.queue_shares and shares:
+        binding = PullBinding(TaskQueue(shares, key=_tenant))
+    else:
+        binding = PullBinding()
+    dispatcher = ClusterDispatcher(
         sim,
-        nodes=spec.nodes,
-        policy=policy.placement,
-        mpl=spec.mpl,
+        nodes,
+        placement=make_policy(policy.placement, slas=scenario_slas(spec)),
+        binding=binding,
         max_queue_depth=spec.max_queue_depth,
-        slas=scenario_slas(spec),
-        dispatch=policy.dispatch,
-        speed_factors=spec.speeds,
-        scheduler_factory=(
-            (lambda: TenantShareScheduler(spec.mpl, shares))
-            if policy.node_shares and shares
-            else None
-        ),
         tenant_quotas=spec.quotas() if policy.cluster_quotas else None,
-        tenant_shares=shares if policy.queue_shares else None,
     )
     result = ScenarioResult(spec=spec, policy=policy, seed=seed, dispatcher=dispatcher)
 
     def submit(query: Query) -> None:
-        tenant = tenant_key(query) or UNTENANTED
+        tenant = _tenant(query)
         result.intake[tenant] = result.intake.get(tenant, 0) + 1
         dispatcher.submit(query)
 
     def on_terminal(query: Query) -> None:
-        tenant = tenant_key(query) or UNTENANTED
         bucket = result.outcomes.setdefault(
-            tenant, {"completed": 0, "rejected": 0, "killed": 0}
+            _tenant(query), {"completed": 0, "rejected": 0, "killed": 0}
         )
         if query.state is QueryState.COMPLETED:
             bucket["completed"] += 1
@@ -164,7 +191,7 @@ def arm_scenario(
     generator = Scenario(
         specs=tuple(pattern.build(tenant) for tenant, pattern in spec.patterns()),
         horizon=spec.horizon,
-    ).build(sim, submit, sessions=dispatcher.sessions)
+    ).build(sim, submit)
     dispatcher.add_completion_listener(on_terminal)
     dispatcher.add_completion_listener(generator.notify_done)
 
@@ -189,10 +216,10 @@ def run_scenario(
 # ----------------------------------------------------------------------
 # summarization (the picklable reduction the sweep and report consume)
 # ----------------------------------------------------------------------
-def _sla_section(result: ScenarioResult, name: str, stats) -> Optional[dict]:
-    """The verdict of the SLA the dispatcher holds for ``name``; as in
+def _sla_section(result: ScenarioResult, slas: SLASet, name: str, stats) -> Optional[dict]:
+    """The verdict of the spec's SLA for ``name``; as in
     :meth:`MetricsCollector.attainment`, no data is not met."""
-    sla = result.dispatcher.slas.get(name)
+    sla = slas.get(name)
     if sla is None:
         return None
     results = sla.evaluate(stats.measurements(result.dispatcher.sim.now))
@@ -205,7 +232,7 @@ def _sla_section(result: ScenarioResult, name: str, stats) -> Optional[dict]:
     }
 
 
-def _workload_section(result: ScenarioResult, name: str) -> Dict[str, object]:
+def _workload_section(result: ScenarioResult, slas: SLASet, name: str) -> Dict[str, object]:
     roll = result.dispatcher.metrics.rollup(name)
     return {
         "completions": roll.completions,
@@ -213,7 +240,7 @@ def _workload_section(result: ScenarioResult, name: str) -> Dict[str, object]:
         "kills": roll.kills,
         "mean": roll.mean_response_time(),
         "p95": roll.percentile_response_time(95.0),
-        "sla": _sla_section(result, name, roll),
+        "sla": _sla_section(result, slas, name, roll),
     }
 
 
@@ -250,13 +277,14 @@ def summarize_run(result: ScenarioResult) -> Dict[str, object]:
     """
     dispatcher = result.dispatcher
     spec = result.spec
+    slas = scenario_slas(spec)
     tenants: Dict[str, dict] = {
         tenant.name: _tenant_section(
             result,
             tenant.name,
             {
                 pattern.effective_label: _workload_section(
-                    result, pattern.name_for(tenant.name)
+                    result, slas, pattern.name_for(tenant.name)
                 )
                 for pattern in tenant.workloads
             },
@@ -272,7 +300,7 @@ def summarize_run(result: ScenarioResult) -> Dict[str, object]:
             UNTENANTED,
             {
                 pattern.effective_label: _workload_section(
-                    result, pattern.name_for()
+                    result, slas, pattern.name_for()
                 )
                 for pattern in spec.workloads
             },

@@ -561,6 +561,17 @@ class PolicyConfig:
     placement: str = "least"
 
     def __post_init__(self) -> None:
+        from repro.cluster.dispatcher import DISPATCH_MODES
+        from repro.cluster.placement import POLICY_NAMES
+
+        if self.dispatch not in DISPATCH_MODES:
+            raise ConfigurationError(
+                f"unknown dispatch mode {self.dispatch!r}; one of {DISPATCH_MODES}"
+            )
+        if self.placement not in POLICY_NAMES:
+            raise ConfigurationError(
+                f"unknown placement policy {self.placement!r}; one of {POLICY_NAMES}"
+            )
         if self.queue_shares and self.dispatch != "pull":
             raise ConfigurationError(
                 "queue_shares needs pull dispatch (the task queue owns them)"

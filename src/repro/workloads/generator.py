@@ -21,6 +21,7 @@ mix the paper's introduction motivates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.optimizer import Optimizer, OptimizerProfile
@@ -112,7 +113,7 @@ class WorkloadGenerator:
             for time in spec.arrivals.arrival_times(rng, horizon):
                 self.sim.schedule_at(
                     time,
-                    lambda s=spec: self._emit(s),
+                    partial(self._emit, spec),
                     label=f"arrival:{spec.name}",
                 )
 
@@ -135,7 +136,7 @@ class WorkloadGenerator:
             rng = self._think_rngs[spec_name] = self.sim.rng(f"think:{spec_name}")
         think = max(0.0, spec.arrivals.think_time.sample(rng))
         self.sim.schedule(
-            think, lambda s=spec: self._emit(s), label=f"think:{spec.name}"
+            think, partial(self._emit, spec), label=f"think:{spec.name}"
         )
 
     # ------------------------------------------------------------------

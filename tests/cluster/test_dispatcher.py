@@ -3,15 +3,19 @@
 import pytest
 
 from repro.admission.threshold import ThresholdAdmission
-from repro.cluster import ClusterDispatcher, ClusterNode, make_policy
-from repro.cluster.scenario import CLUSTER_SLAS
+from repro.cluster import ClusterDispatcher, ClusterNode, PullBinding, PushBinding, make_policy
 from repro.core.interfaces import decisions_by
 from repro.core.policy import AdmissionPolicy
 from repro.engine.query import QueryState
 from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
+from repro.scenarios import get_scenario
+from repro.scenarios.runner import scenario_slas
 
 from tests.conftest import make_query
+
+SLAS = scenario_slas(get_scenario("cluster_overload"))
+BINDINGS = {"push": PushBinding, "pull": PullBinding}
 
 
 def _cluster(seed=5, count=3, policy="least", mpl=2, max_outstanding=2, **kwargs):
@@ -21,11 +25,7 @@ def _cluster(seed=5, count=3, policy="least", mpl=2, max_outstanding=2, **kwargs
         for i in range(count)
     ]
     dispatcher = ClusterDispatcher(
-        sim,
-        nodes,
-        placement=make_policy(policy, slas=CLUSTER_SLAS),
-        slas=CLUSTER_SLAS,
-        **kwargs,
+        sim, nodes, placement=make_policy(policy, slas=SLAS), **kwargs
     )
     return sim, dispatcher
 
@@ -120,7 +120,7 @@ class TestNodeRejectionIsFinal:
             for i in range(count)
         ]
         dispatcher = ClusterDispatcher(
-            sim, nodes, placement=make_policy("round-robin"), dispatch=dispatch
+            sim, nodes, placement=make_policy("round-robin"), binding=BINDINGS[dispatch]()
         )
         seen = []
         dispatcher.add_completion_listener(seen.append)
@@ -145,7 +145,7 @@ class TestNodeRejectionIsFinal:
         sim = Simulator(seed=5)
         gate = ThresholdAdmission(AdmissionPolicy(reject_over_cost=1.0))
         node = ClusterNode(sim, name="n0", mpl=1, max_outstanding=1, admission=gate)
-        dispatcher = ClusterDispatcher(sim, [node], dispatch=dispatch)
+        dispatcher = ClusterDispatcher(sim, [node], binding=BINDINGS[dispatch]())
         seen = []
         dispatcher.add_completion_listener(seen.append)
         dispatcher.submit(make_query(cpu=0.5, io=0.0, sql="oltp:q"))  # saturates n0
@@ -192,17 +192,17 @@ class TestHeadOfLineBlocking:
         dispatcher.submit(head)
         dispatcher.submit(tail)
         dispatcher.binding.drain()  # scan while the node is saturated
-        assert dispatcher.binding.queued_queries() == [head, tail]
+        assert list(dispatcher.binding.queue) == [head, tail]
 
 
-class TestDraining:
-    def test_draining_node_finishes_but_takes_nothing_new(self):
-        sim, dispatcher = _cluster(count=2, policy="round-robin")
+class TestSaturatedNode:
+    def test_saturated_node_finishes_but_takes_nothing_new(self):
+        sim, dispatcher = _cluster(count=2, policy="round-robin", max_outstanding=1)
         first = make_query(cpu=2.0, io=0.0, sql="oltp:q")
-        dispatcher.submit(first)  # -> n0
+        dispatcher.submit(first)  # -> n0, which it saturates
         victim = dispatcher.node("n0")
         assert victim.outstanding_work == 1
-        dispatcher.drain_node(victim)
+        assert not victim.accepting
         placed_before = victim.placed_count
         for _ in range(4):
             dispatcher.submit(make_query(cpu=0.5, io=0.0, sql="oltp:q"))

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from unittest import mock
 
-from repro.cluster.dispatcher import ClusterDispatcher
-from repro.cluster.scenario import build_cluster
+from repro.cluster import ClusterDispatcher, ClusterNode, make_policy
 from repro.engine.simulator import Simulator
 from repro.scenarios import get_policy, get_scenario, run_scenario
 
@@ -17,11 +16,16 @@ def _query(qid: int, cost: float = 0.1):
     return make_query(cpu=cost, io=cost, sql="oltp:q", workload="oltp")
 
 
+def _cluster(sim, count, policy, mpl, max_outstanding):
+    nodes = [ClusterNode(sim, f"n{i}", mpl, max_outstanding) for i in range(count)]
+    return ClusterDispatcher(sim, nodes, placement=make_policy(policy))
+
+
 class TestCacheInvalidation:
     def setup_method(self):
         self.sim = Simulator(seed=3)
-        self.dispatcher = build_cluster(
-            self.sim, nodes=3, policy="round-robin", mpl=2, max_outstanding=2
+        self.dispatcher = _cluster(
+            self.sim, count=3, policy="round-robin", mpl=2, max_outstanding=2
         )
 
     def test_cache_populated_on_first_scan_and_reused(self):
@@ -47,9 +51,10 @@ class TestCacheInvalidation:
             "n2",
         ]
 
-    def test_drain_and_crash_invalidate(self):
+    def test_saturation_and_crash_invalidate(self):
         self.dispatcher.eligible_nodes()
-        self.dispatcher.nodes[0].drain()
+        for qid in (1, 2):  # max_outstanding=2: n0 saturates
+            self.dispatcher.nodes[0].submit(_query(qid))
         assert self.dispatcher._eligible_cache is None
         self.dispatcher.eligible_nodes()
         self.dispatcher.nodes[2].crash()
@@ -79,9 +84,7 @@ class TestCacheInvalidation:
         # ordering (invalidate after notify) the parked query waits for
         # the next periodic tick instead.
         sim = Simulator(seed=5)
-        dispatcher = build_cluster(
-            sim, nodes=1, policy="least", mpl=1, max_outstanding=1
-        )
+        dispatcher = _cluster(sim, count=1, policy="least", mpl=1, max_outstanding=1)
         dispatcher.eligible_nodes()  # populate the cache
         dispatcher.submit(_query(1, cost=0.3))  # occupies the only slot
         dispatcher.submit(_query(2, cost=0.3))  # parks in the cluster queue

@@ -104,7 +104,6 @@ class TestCrashRecovery:
             FaultPlan(
                 (
                     FaultEvent(1.0, "n1", FaultKind.DEGRADE, factor=0.5),
-                    FaultEvent(2.0, "n1", FaultKind.DRAIN),
                     FaultEvent(3.0, "n1", FaultKind.RECOVER),
                     FaultEvent(4.0, "n1", FaultKind.DEGRADE, factor=1.0),
                 )
@@ -113,14 +112,12 @@ class TestCrashRecovery:
         node = dispatcher.node("n1")
         sim.run_until(1.5)
         assert node.speed_factor == 0.5
-        sim.run_until(2.5)
-        assert node.health is NodeHealth.DRAINING
         sim.run_until(3.5)
         assert node.health is NodeHealth.UP and node.speed_factor == 0.5
         sim.run_until(4.5)
         assert node.health is NodeHealth.UP and node.speed_factor == 1.0
         fired = decisions_by(dispatcher.metrics.decisions, "FaultInjector")
-        assert [e.action for e in fired] == ["degrade", "drain", "recover", "degrade"]
+        assert [e.action for e in fired] == ["degrade", "recover", "degrade"]
         assert fired[0].detail == FaultEvent(1.0, "n1", FaultKind.DEGRADE, factor=0.5)
         dispatcher.shutdown()
 

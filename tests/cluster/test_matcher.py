@@ -2,13 +2,12 @@
 
 import pytest
 
-from repro.cluster import ClusterDispatcher, ClusterNode, PullBinding
-from repro.cluster.dispatcher import make_binding
+from repro.cluster import ClusterDispatcher, ClusterNode, PullBinding, PushBinding
 from repro.cluster.matcher import Matcher
-from repro.cluster.scenario import CLUSTER_SLAS
 from repro.engine.query import QueryState
 from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
+from repro.scenarios import PolicyConfig
 
 from tests.conftest import make_query
 
@@ -19,21 +18,20 @@ def _pull_cluster(seed=5, count=3, mpl=1, max_outstanding=None, **kwargs):
         ClusterNode(sim, name=f"n{i}", mpl=mpl, max_outstanding=max_outstanding)
         for i in range(count)
     ]
-    dispatcher = ClusterDispatcher(
-        sim, nodes, slas=CLUSTER_SLAS, dispatch="pull", **kwargs
-    )
+    dispatcher = ClusterDispatcher(sim, nodes, binding=PullBinding(), **kwargs)
     return sim, dispatcher
 
 
-class TestBindingFactory:
+class TestBindingChoice:
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_binding("teleport")
+        with pytest.raises(ConfigurationError, match="teleport"):
+            PolicyConfig(name="x", dispatch="teleport")
 
-    def test_dispatch_property_reports_mode(self):
-        _, dispatcher = _pull_cluster()
-        assert dispatcher.dispatch == "pull"
+    def test_binding_is_the_one_passed_and_defaults_to_push(self):
+        sim, dispatcher = _pull_cluster()
         assert isinstance(dispatcher.binding, PullBinding)
+        default = ClusterDispatcher(sim, [ClusterNode(sim, name="solo")])
+        assert isinstance(default.binding, PushBinding)
 
 
 class TestLateBinding:
@@ -72,16 +70,21 @@ class TestLateBinding:
         sim = Simulator(seed=5)
         slow = ClusterNode(sim, name="slow", mpl=1, speed_factor=0.5)
         fast = ClusterNode(sim, name="fast", mpl=1)
-        dispatcher = ClusterDispatcher(sim, [slow, fast], dispatch="pull")
+        dispatcher = ClusterDispatcher(sim, [slow, fast], binding=PullBinding())
         query = make_query(cpu=1.0, io=0.0, sql="oltp:q")
         dispatcher.submit(query)
         assert fast.running == 1
         assert slow.running == 0
 
-    def test_down_and_draining_nodes_do_not_pull(self):
-        sim, dispatcher = _pull_cluster(count=3)
+    def test_down_and_saturated_nodes_do_not_pull(self):
+        sim = Simulator(seed=5)
+        nodes = [
+            ClusterNode(sim, name="n0", mpl=1),
+            ClusterNode(sim, name="n1", mpl=1, max_outstanding=0),  # always saturated
+            ClusterNode(sim, name="n2", mpl=1),
+        ]
+        dispatcher = ClusterDispatcher(sim, nodes, binding=PullBinding())
         dispatcher.crash_node(dispatcher.node("n0"))
-        dispatcher.drain_node(dispatcher.node("n1"))
         for _ in range(4):
             dispatcher.submit(make_query(cpu=1.0, io=0.0, sql="oltp:q"))
         assert dispatcher.node("n0").running == 0
@@ -135,7 +138,7 @@ class TestMatcherUnit:
             ClusterNode(sim, name="a", mpl=2),
             ClusterNode(sim, name="c", mpl=2, speed_factor=0.5),
         ]
-        dispatcher = ClusterDispatcher(sim, nodes, dispatch="pull")
+        dispatcher = ClusterDispatcher(sim, nodes, binding=PullBinding())
         order = [n.name for n in dispatcher.binding.matcher.hungry_nodes()]
         assert order == ["a", "b", "c"]
 

@@ -23,19 +23,11 @@ def _node(sim, **kwargs):
 class TestHealth:
     def test_only_up_accepts_placements(self, sim):
         node = _node(sim)
-        assert node.accepting
-        node.drain()
-        assert node.health is NodeHealth.DRAINING and not node.accepting
-        node.activate()
-        assert node.accepting
+        assert node.health is NodeHealth.UP and node.accepting
         node.crash()
         assert node.health is NodeHealth.DOWN and not node.accepting
-
-    def test_drain_only_from_up(self, sim):
-        node = _node(sim)
-        node.crash()
-        node.drain()  # no-op on a DOWN node
-        assert node.health is NodeHealth.DOWN
+        node.activate()
+        assert node.health is NodeHealth.UP and node.accepting
 
     def test_saturation_blocks_placement(self, sim):
         node = _node(sim, max_outstanding=1)
@@ -112,12 +104,6 @@ class TestSpeedChangeGuards:
         node.crash()
         with pytest.raises(ConfigurationError):
             node.degrade(0.0)
-
-    def test_degrade_works_while_draining(self, sim):
-        node = _node(sim)
-        node.drain()
-        node.degrade(0.5)
-        assert node.speed_factor == 0.5
 
     def test_degrade_scales_base_speed_and_survives_activate(self, sim):
         node = _node(sim, speed_factor=0.5)

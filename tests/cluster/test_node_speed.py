@@ -1,7 +1,7 @@
 """A node's speed is its engine's speed ceiling, owned by DEGRADE alone.
 
-Each fault kind moves one node variable: CRASH, DRAIN and RECOVER move
-health, DEGRADE moves speed.  So:
+Each fault kind moves one node variable: CRASH and RECOVER move health,
+DEGRADE moves speed.  So:
 
 * a degrade ended by ``DEGRADE factor=1.0`` lifts the slowdown on the
   work already running;

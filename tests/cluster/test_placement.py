@@ -3,8 +3,10 @@
 Property tests (hypothesis) assert the two cluster-level invariants
 that matter for reproducibility and correctness: a seeded arrival
 sequence always produces the identical placement sequence, and no
-policy ever places work onto a DOWN / DRAINING / saturated node (the
-dispatcher's eligibility filter holds under arbitrary health churn).  The SLA-aware placer's scoring is unit-tested directly.
+policy ever places work onto a DOWN or saturated node (the
+dispatcher's eligibility filter holds under arbitrary health churn).
+The SLA-aware placer's scoring is unit-tested directly, against the
+SLAs the ``cluster_overload`` scenario declares.
 """
 
 import pytest
@@ -22,11 +24,14 @@ from repro.cluster import (
     make_policy,
     predict_response_time,
 )
-from repro.cluster.scenario import CLUSTER_SLAS
 from repro.engine.simulator import Simulator
 from repro.errors import SimulationError
+from repro.scenarios import get_scenario
+from repro.scenarios.runner import scenario_slas
 
 from tests.conftest import make_query
+
+SLAS = scenario_slas(get_scenario("cluster_overload"))
 
 
 class FakeNode:
@@ -66,17 +71,10 @@ def _build(seed, policy, healths):
         for i in range(len(healths))
     ]
     for node, health in zip(nodes, healths):
-        # every node starts UP; DOWN and DRAINING are reached as in a run
+        # every node starts UP; DOWN is reached as in a run
         if health is NodeHealth.DOWN:
             node.crash()
-        elif health is NodeHealth.DRAINING:
-            node.drain()
-    dispatcher = ClusterDispatcher(
-        sim,
-        nodes,
-        placement=make_policy(policy, slas=CLUSTER_SLAS),
-        slas=CLUSTER_SLAS,
-    )
+    dispatcher = ClusterDispatcher(sim, nodes, placement=make_policy(policy, slas=SLAS))
     return sim, dispatcher
 
 
@@ -123,7 +121,7 @@ def test_placement_sequence_is_deterministic(rows, policy, seed):
     rows=query_descriptions,
     policy=policy_names,
     healths=st.lists(
-        st.sampled_from([NodeHealth.UP, NodeHealth.DRAINING, NodeHealth.DOWN]),
+        st.sampled_from(list(NodeHealth)),
         min_size=2,
         max_size=4,
     ).filter(lambda hs: NodeHealth.UP in hs),
@@ -172,7 +170,7 @@ class TestCostBalanced:
 
 class TestSLAScoring:
     def _policy(self):
-        return SLAAwarePlacement(CLUSTER_SLAS, default_deadline=60.0)
+        return SLAAwarePlacement(SLAS, default_deadline=60.0)
 
     def test_deadline_prefers_p95_then_average(self):
         policy = self._policy()
@@ -223,7 +221,7 @@ class TestMakePolicy:
             ("cost", CostBalancedPlacement),
             ("sla", SLAAwarePlacement),
         ):
-            assert isinstance(make_policy(name, slas=CLUSTER_SLAS), cls)
+            assert isinstance(make_policy(name, slas=SLAS), cls)
 
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError):

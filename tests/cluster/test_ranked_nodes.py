@@ -16,11 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ClusterDispatcher, ClusterNode, make_policy
+from repro.cluster import ClusterDispatcher, ClusterNode, PullBinding, PushBinding, make_policy
 from repro.cluster.matcher import Matcher
 from repro.cluster.placement import CostBalancedPlacement, LoadRankedPlacement
 from repro.cluster.ranked import RankedNodes
-from repro.cluster.scenario import build_cluster
 from repro.engine.simulator import Simulator
 from repro.scenarios import arm_scenario, get_policy, get_scenario, run_scenario
 
@@ -103,10 +102,14 @@ CHURN = {
             (6.0, lambda d, n: d.degrade_node(n, 1.0)),
         ]
     ),
-    "drain_activate": dict(
+    # n1 crashes and comes back inside its degrade window: it recovers
+    # slow, and the restore is a speed edge on a node that was DOWN
+    "crash_inside_degrade": dict(
         actions=[
-            (2.0, lambda d, n: d.drain_node(n)),
+            (2.0, lambda d, n: d.degrade_node(n, 0.4)),
+            (3.0, lambda d, n: d.crash_node(n)),
             (5.0, lambda d, n: d.activate_node(n)),
+            (6.0, lambda d, n: d.degrade_node(n, 1.0)),
         ]
     ),
 }
@@ -127,15 +130,17 @@ class TestWholeRunAudit:
     def test_idle_cluster_sees_every_health_and_speed_edge(self, dispatch, policy):
         # no traffic: nothing but the edge's own notification can dirty n1
         sim = Simulator(seed=3)
-        d = build_cluster(sim, nodes=3, policy=policy, dispatch=dispatch)
+        binding = PullBinding() if dispatch == "pull" else PushBinding()
+        nodes = [ClusterNode(sim, name=f"n{i}") for i in range(3)]
+        d = ClusterDispatcher(sim, nodes, placement=make_policy(policy), binding=binding)
         index = d.binding.matcher._hungry if dispatch == "pull" else d.placement._ranked
         n1 = d.node("n1")
         with _audit() as seen:
             for edge in (
                 lambda: d.degrade_node(n1, 0.5),
-                lambda: d.degrade_node(n1, 1.0),
-                lambda: d.drain_node(n1),
+                lambda: d.crash_node(n1),  # a crash inside the degrade window
                 lambda: d.activate_node(n1),
+                lambda: d.degrade_node(n1, 1.0),
                 lambda: d.crash_node(n1),
                 lambda: d.activate_node(n1),
                 n1.crash,
@@ -155,11 +160,11 @@ class TestWholeRunAudit:
         dispatcher = ClusterDispatcher(
             sim, [first, loaded, idle], placement=make_policy(policy)
         )
-        dispatcher.drain_node(first)  # out of the eligible set
+        dispatcher.crash_node(first)  # out of the eligible set
         with _audit() as seen:
             loaded.submit(make_query(cpu=3.0, io=0.0, sql="bi:q"))
             dispatcher.submit(make_query(cpu=5.0, io=0.0, sql="bi:q"))
-        # the pick walked past the draining node and the loaded one
+        # the pick walked past the crashed node and the loaded one
         assert seen.picks == 1
         assert (first.running, loaded.running, idle.running) == (0, 1, 1)
 

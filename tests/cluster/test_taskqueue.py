@@ -133,6 +133,6 @@ class TestMaintenance:
         oltp = _push(queue, n=2, sql="oltp:q")
         bi = _push(queue, n=2, sql="bi:q", priority=4)
         snapshot = queue.queued_queries()
-        assert snapshot == queue.queued_queries() == bi + oltp  # by bucket name
+        assert snapshot == queue.queued_queries() == oltp + bi  # bucket by bucket, first seen
         queue.match()
         assert {name: n for name, n in queue.served.items() if n} == {"bi": 1}

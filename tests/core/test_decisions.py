@@ -20,6 +20,8 @@ from repro.cluster import (
     FaultInjector,
     FaultPlan,
     NodeHealth,
+    PullBinding,
+    PushBinding,
     make_policy,
 )
 from repro.control.controllers import PIController
@@ -287,12 +289,14 @@ def test_cluster_quota_rejection_names_the_tenant_and_quota():
 @pytest.mark.parametrize("dispatch", ["push", "pull"])
 def test_a_full_cluster_queue_rejects_the_arriving_request(dispatch):
     # two nodes of two slots each take four; one waits, the sixth bounces
-    dispatcher = _cluster(Simulator(seed=11), max_queue_depth=1, dispatch=dispatch)
+    binding = PushBinding() if dispatch == "push" else PullBinding()
+    dispatcher = _cluster(Simulator(seed=11), max_queue_depth=1, binding=binding)
     queries = [make_query(cpu=50.0, io=0.0, sql="bi:q") for _ in range(6)]
     for query in queries:
         dispatcher.submit(query)
     waiting, arriving = queries[4:]
-    assert dispatcher.binding.queued_queries() == [waiting]
+    queued = list(binding.queue) if dispatch == "push" else binding.taskqueue.queued_queries()
+    assert queued == [waiting]
     assert arriving.state is QueryState.REJECTED
     (event,) = decisions_by(dispatcher.metrics.decisions, action="reject")
     assert (event.controller, event.query_id, event.detail) == (

@@ -202,6 +202,11 @@ class TestPolicyConfig:
         with pytest.raises(ConfigurationError):
             PolicyConfig(name="bad", queue_shares=True, dispatch="push")
 
+    def test_unknown_placement_is_a_configuration_error(self):
+        # the dispatch twin is test_matcher.py::TestBindingChoice
+        with pytest.raises(ConfigurationError, match="unknown placement policy 'dartboard'"):
+            PolicyConfig(name="bad", placement="dartboard")
+
     def test_describe_lists_armed_controls(self):
         assert "none" in PolicyConfig(name="base").describe()
         full = PolicyConfig(

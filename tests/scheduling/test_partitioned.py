@@ -89,7 +89,8 @@ class OldTaskQueue:
         return sum(len(bucket.heap) for bucket in self._buckets.values())
 
     def queued_queries(self):
-        return [q for w in sorted(self._buckets) for _, q in sorted(self._buckets[w].heap)]
+        # bucket by bucket in first-seen order, as PartitionedQueue snapshots
+        return [q for bucket in self._buckets.values() for _, q in sorted(bucket.heap)]
 
     def served_counts(self):
         return {w: b.served for w, b in self._buckets.items() if b.served}

@@ -92,6 +92,11 @@ class TestBadInput:
             (["cluster", "--horizon", "0", "--kill-node", "n1"], "horizon"),
             (["cluster", "--kill-node", "n1", "--kill-at", "9", "--recover-at", "9"],
              "recover"),
+            # the seconds the user typed, not fractions of the horizon
+            (["cluster", "--kill-node", "n1", "--kill-at", "100", "--horizon", "30"],
+             "at t=100s: must be in [0, 30]s"),
+            (["cluster", "--kill-node", "n1", "--kill-at", "10", "--recover-at", "5",
+              "--horizon", "30"], "at t=10s must recover later, not at t=5s"),
             (["scenario", "run", "--policy", "push/dartboard"], "dartboard"),
         ],
         ids=lambda value: " ".join(value) if isinstance(value, list) else None,

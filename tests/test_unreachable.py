@@ -22,7 +22,11 @@ verb, gate row or ledger row sets.  A node's admission rejection became
 final: the cluster's re-placement loop (the manager's rejection
 interceptor, the dispatcher's per-query exclusions and the task queue's
 blocked filter) went with its counter, reached by no run and wrong where
-a test reached it.
+a test reached it.  The cluster is assembled in one place,
+``arm_scenario``: the pass-through builder, its copy of the overload
+SLAs, the dispatcher's second way to name a binding, its SLA and
+session copies, and the DRAINING node state that no fault kind, verb or
+spec reached went with it.
 Bringing one back means bringing the spec field and the measured cell
 that reach it, and editing this list.
 """
@@ -37,8 +41,8 @@ import pytest
 import repro
 from repro.backends import RunConfig, plan_statements, run_sim_on_plan
 from repro.cli import build_parser
-from repro.cluster import ClusterDispatcher, ClusterNode, NodeHealth, TaskQueue
-from repro.cluster.dispatcher import PullBinding, make_binding
+from repro.cluster import ClusterDispatcher, ClusterNode, FaultKind, NodeHealth, TaskQueue
+from repro.cluster.dispatcher import PullBinding
 from repro.cluster.matcher import Matcher
 from repro.core.interfaces import ManagerContext
 from repro.core.manager import WorkloadManager
@@ -109,8 +113,18 @@ DELETED_NAMES = {
     "_excluded",
     "replacements",
     "admit_time",
+    "build_cluster",
+    "CLUSTER_SLAS",
+    "make_binding",
+    "drain_node",
+    "DRAINING",
 }
-DELETED_MODULES = ("cluster/elastic.py", "scenarios/trace.py", "backends/postgres.py")
+DELETED_MODULES = (
+    "cluster/elastic.py",
+    "scenarios/trace.py",
+    "backends/postgres.py",
+    "cluster/scenario.py",
+)
 
 
 def _names(node):
@@ -146,9 +160,21 @@ def test_an_event_carries_only_what_firing_and_cancelling_need():
 
 def test_removed_parameters_stay_removed():
     assert "policy" not in inspect.signature(WorkloadManager).parameters
+    # the manager always builds its own engine
+    assert "engine" not in inspect.signature(WorkloadManager).parameters
     assert "policy" not in {f.name for f in dataclasses.fields(ManagerContext)}
     assert "health" not in inspect.signature(ClusterNode).parameters
-    assert [health.name for health in NodeHealth] == ["UP", "DRAINING", "DOWN"]
+    assert [health.name for health in NodeHealth] == ["UP", "DOWN"]
+    assert sorted(kind.name for kind in FaultKind) == ["CRASH", "DEGRADE", "RECOVER"]
+    # one way to choose a binding; no SLA or session copies
+    assert list(inspect.signature(ClusterDispatcher).parameters) == [
+        "sim",
+        "nodes",
+        "placement",
+        "binding",
+        "max_queue_depth",
+        "tenant_quotas",
+    ]
     assert "tags" not in inspect.signature(ClusterNode).parameters
     # every node is the standard machine, default engine, no node SLAs
     assert not {"machine", "engine_config", "slas"} & set(
@@ -166,7 +192,6 @@ def test_removed_parameters_stay_removed():
     assert "control_period" not in inspect.signature(ClusterDispatcher).parameters
     assert list(inspect.signature(TaskQueue).parameters) == ["shares", "key"]
     assert list(inspect.signature(TenantShareScheduler).parameters) == ["mpl", "shares"]
-    assert list(inspect.signature(make_binding).parameters) == ["dispatch"]
     assert list(inspect.signature(PullBinding).parameters) == ["taskqueue"]
     assert "tenant_of" not in inspect.signature(ClusterDispatcher).parameters
     assert [f.name for f in dataclasses.fields(EngineConfig)] == [
