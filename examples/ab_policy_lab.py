@@ -1,13 +1,19 @@
 #!/usr/bin/env python3
-"""A/B policy lab: compare management policies on an identical trace.
+"""A/B policy lab: compare management policies on one request stream.
 
-Records a consolidation scenario under an unmanaged baseline, then
-replays the *exact same request stream* (same costs, arrival times,
-optimizer estimates) under two candidates:
+Runs a consolidation scenario three times on one seed: under an
+unmanaged baseline and under two candidates,
 
 * a hand-tuned threshold stack (BI concurrency throttle), and
 * the §5.2-inspired :class:`CapacityAwareAdmission`, whose thresholds
   are derived from a live capacity estimate instead of manual knobs.
+
+Every generator stream is named and seeded, so the three runs submit
+the *same* requests (same arrival times, costs, optimizer estimates,
+plans and sessions) and differ only in what each policy does with them.
+A closed population would get the same clients, think-time distribution
+and cost rows under each policy, not the same arrival instants: its
+clients wait for their answers, as a closed system should.
 
 Run:  python examples/ab_policy_lab.py
 """
@@ -17,9 +23,9 @@ from repro.core.capacity import CapacityAwareAdmission, CapacityEstimator
 from repro.reporting.figures import ascii_bar_chart
 from repro.scheduling.queues import MultiQueueScheduler
 from repro.workloads.generator import Scenario, bi_workload, oltp_workload
-from repro.workloads.replay import ab_compare
 
 MACHINE = MachineSpec(cpu_capacity=4.0, disk_capacity=2.0, memory_mb=2048.0)
+SEED = 31
 
 
 def scenario() -> Scenario:
@@ -58,13 +64,22 @@ def capacity_aware(sim: Simulator) -> WorkloadManager:
     )
 
 
+def run(factory) -> WorkloadManager:
+    """Run the scenario on :data:`SEED` under ``factory``'s manager."""
+    sim, lab = Simulator(seed=SEED), scenario()
+    manager = factory(sim)
+    generator = lab.build(sim, manager.submit, sessions=manager.sessions)
+    manager.add_completion_listener(generator.notify_done)
+    manager.run(lab.horizon, drain=lab.horizon)
+    return manager
+
+
 def main() -> None:
-    results = {}
-    base, tuned = ab_compare(baseline, hand_tuned, scenario(), seed=31)
-    results["baseline"] = base
-    results["hand-tuned throttle"] = tuned
-    _, capacity = ab_compare(baseline, capacity_aware, scenario(), seed=31)
-    results["capacity-aware"] = capacity
+    results = {
+        "baseline": run(baseline),
+        "hand-tuned throttle": run(hand_tuned),
+        "capacity-aware": run(capacity_aware),
+    }
 
     print("Same request stream, three policies:\n")
     p95s = {}
@@ -79,7 +94,7 @@ def main() -> None:
 
     print(
         ascii_bar_chart(
-            p95s, title="OLTP p95 on the identical trace", unit="s"
+            p95s, title="OLTP p95 on the same request stream", unit="s"
         )
     )
     print(

@@ -39,16 +39,18 @@ closer to the real mean than uncalibrated — is computed, not asserted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.admission.threshold import ThresholdAdmission
 from repro.backends.base import BackendDriver
 from repro.backends.calibrate import CostModel, fit_cost_model, service_error
-from repro.backends.plan import StatementPlan
+from repro.backends.plan import PlannedStatement, StatementPlan
 from repro.backends.runner import BackendRunner, RunConfig, RunReport, SleepThrottle
 from repro.core.manager import WaitQueue, WorkloadManager
 from repro.core.metrics import WorkloadStats
 from repro.core.policy import AdmissionPolicy
+from repro.engine.executor import ExecutionEngine
 from repro.engine.resources import MachineSpec
 from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
@@ -112,6 +114,38 @@ def metric_deltas(
     return [MetricDelta(name, real[name], sim[name]) for name in DELTA_METRICS]
 
 
+def _apply_cap(engine: ExecutionEngine, throttle: SleepThrottle, cap: float, *_exit) -> None:
+    """Throttle every running query ``throttle`` applies to at ``cap``.
+
+    Starts only happen inside pump(), which runs during submit and
+    during engine-exit callbacks; both re-apply the cap at the same
+    instant, so a throttled query never makes unthrottled progress (the
+    real sleep loop stretches the whole service time).
+    """
+    for query in engine.running_queries():
+        if (
+            throttle.applies_to(query.workload_name)
+            and engine.throttle_of(query.query_id) != cap
+        ):
+            engine.set_throttle(query.query_id, cap)
+
+
+def _submit(
+    manager: WorkloadManager,
+    cost_model: Optional[CostModel],
+    apply_cap: Optional[Callable[[], None]],
+    statement: PlannedStatement,
+) -> None:
+    query = statement.make_query()
+    if cost_model is not None:
+        query.true_cost = cost_model.calibrated_cost(
+            statement.sql_label, statement.estimated_cost
+        )
+    manager.submit(query)
+    if apply_cap is not None:
+        apply_cap()
+
+
 def run_sim_on_plan(
     plan: StatementPlan,
     mpl: int = 4,
@@ -137,39 +171,14 @@ def run_sim_on_plan(
         admission=None if admission is None else ThresholdAdmission(admission),
         scheduler=WaitQueue(mpl),
     )
-    cap_throttled = None
+    apply_cap = None
     if throttle is not None and throttle.sleep_fraction > 0:
-        engine, cap = manager.engine, 1.0 - throttle.sleep_fraction
-
-        def cap_throttled() -> None:
-            # Starts only happen inside pump(), which runs during submit
-            # and during engine-exit callbacks; both re-apply the cap at
-            # the same instant, so a throttled query never makes
-            # unthrottled progress (the real sleep loop stretches the
-            # whole service time).
-            for query in engine.running_queries():
-                if (
-                    throttle.applies_to(query.workload_name)
-                    and engine.throttle_of(query.query_id) != cap
-                ):
-                    engine.set_throttle(query.query_id, cap)
-
-        engine.on_exit(lambda _q, _o: cap_throttled())
-
-    def _submit(statement) -> None:
-        query = statement.make_query()
-        if cost_model is not None:
-            query.true_cost = cost_model.calibrated_cost(
-                statement.sql_label, statement.estimated_cost
-            )
-        manager.submit(query)
-        if cap_throttled is not None:
-            cap_throttled()
-
+        apply_cap = partial(_apply_cap, manager.engine, throttle, 1.0 - throttle.sleep_fraction)
+        manager.engine.on_exit(apply_cap)
     for statement in plan:
         sim.schedule_at(
             statement.submit_at,
-            lambda s=statement: _submit(s),
+            partial(_submit, manager, cost_model, apply_cap, statement),
             label=f"backend-plan:{statement.index}",
         )
     sim.run_until(plan.horizon)

@@ -24,7 +24,7 @@ against a real :class:`~repro.backends.base.BackendDriver`:
 
 Every statement — completed, rejected, killed or aborted — is recorded
 through the standard :class:`~repro.workloads.traces.QueryLog`, so
-windowed characterization, replay and the DBQL pipeline work unchanged
+windowed characterization and the DBQL pipeline work unchanged
 on real traces.  Times in the log are wall-clock seconds relative to
 the run's start.
 """

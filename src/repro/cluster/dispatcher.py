@@ -28,7 +28,7 @@ Both modes share two node-feedback paths, all deterministic:
   and reported to clients like any other terminal outcome;
 * queries lost to a node crash (killed in-flight, evacuated from its
   wait queue) are resubmitted through normal intake — the same
-  record/resubmit lifecycle the replay machinery uses (KILLED →
+  record/resubmit lifecycle kill-and-resubmit policies use (KILLED →
   SUBMITTED), with progress reset because crashed work is lost.
 """
 
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import abc
 from collections import deque
+from functools import partial
 from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.cluster.matcher import Matcher
@@ -290,9 +291,7 @@ class ClusterDispatcher:
         self.completions = 0
         self._eligible_cache: Optional[List[ClusterNode]] = None
         for node in self.nodes:
-            node.manager.add_completion_listener(
-                lambda query, n=node: self._on_node_exit(n, query)
-            )
+            node.manager.add_completion_listener(partial(self._on_node_exit, node))
             node.on_accepting_change(self._on_accepting_change)
             self.metrics.record_health(sim.now, self, node)
         self._ticker = sim.schedule_periodic(
@@ -336,9 +335,7 @@ class ClusterDispatcher:
         query.restarts += 1
         self.metrics.resubmissions += 1
         if delay > 0:
-            self.sim.schedule(
-                delay, lambda: self._reenter(query), label="cluster:resubmit"
-            )
+            self.sim.schedule(delay, partial(self._reenter, query), label="cluster:resubmit")
         else:
             self._reenter(query)
 

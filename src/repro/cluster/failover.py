@@ -8,9 +8,9 @@ chaos scenarios unchanged.
 
 Crash semantics (DIRAC-style): in-flight queries on the crashed node
 are *lost* and resubmitted through the dispatcher's normal intake (the
-same KILLED → SUBMITTED record/resubmit lifecycle replay and
-kill-and-resubmit policies use); queued work on the node never started,
-so it is evacuated and re-placed without a restart penalty.
+same KILLED → SUBMITTED record/resubmit lifecycle kill-and-resubmit
+policies use); queued work on the node never started, so it is
+evacuated and re-placed without a restart penalty.
 
 Each fault kind moves one node variable.  CRASH and RECOVER move its
 health and nothing else; DEGRADE moves its speed, as a factor of the
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Sequence
 
 from repro.cluster.dispatcher import ClusterDispatcher
@@ -89,7 +90,7 @@ class FaultInjector:
                 )
             self.dispatcher.sim.schedule_at(
                 event.time,
-                lambda e=event: self._fire(e),
+                partial(self._fire, event),
                 label=f"fault:{event.kind.value}:{event.node}",
             )
 

@@ -138,6 +138,8 @@ class ClusterNode:
         # on_change: the manager pings when running or queued may have
         # moved; health, speed and est-work mutations call _changed below
         self._change_listeners: List[Callable[["ClusterNode"], None]] = []
+        self._accepting_listeners: List[Callable[["ClusterNode"], None]] = []
+        self._was_accepting = self.accepting  # the bit the last ping saw
         self.manager.add_backlog_listener(self._changed)
 
     # ------------------------------------------------------------------
@@ -184,20 +186,16 @@ class ClusterNode:
 
     def on_accepting_change(self, listener: Callable[["ClusterNode"], None]) -> None:
         """:meth:`on_change` filtered to flips of :attr:`accepting`."""
-        last = self.accepting
-
-        def on_edge(node: "ClusterNode") -> None:
-            nonlocal last
-            current = node.accepting
-            if current != last:
-                last = current
-                listener(node)
-
-        self.on_change(on_edge)
+        self._accepting_listeners.append(listener)
 
     def _changed(self) -> None:
         for listener in self._change_listeners:
             listener(self)
+        accepting = self.accepting
+        if accepting != self._was_accepting:
+            self._was_accepting = accepting
+            for listener in self._accepting_listeners:
+                listener(self)
 
     # ------------------------------------------------------------------
     # placement-side intake

@@ -67,11 +67,6 @@ class SessionRegistry:
         self._sessions[session.session_id] = session
         return session
 
-    def update(self, other: "SessionRegistry") -> None:
-        """Resolve every session open in ``other`` here too, as a replay
-        of ``other``'s requests carries their session ids."""
-        self._sessions.update(other._sessions)
-
     def close(self, session_id: int) -> None:
         self._sessions.pop(session_id, None)
 

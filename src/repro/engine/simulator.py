@@ -264,16 +264,17 @@ class Simulator:
 class ScopedSimulator:
     """A :class:`Simulator` facade with a private RNG namespace.
 
-    Everything except :meth:`rng` delegates to the base simulator, so
-    components built against the ``Simulator`` interface (engines,
-    managers, generators) run unmodified on a scoped view while their
-    randomness stays isolated per scope.
+    It offers what components built against the ``Simulator`` interface
+    (engines, managers, generators) use — the clock, :meth:`rng` and the
+    scheduling methods — so they run unmodified on a scoped view while
+    their randomness stays isolated per scope.
 
-    Hot delegated methods (``schedule``, ``schedule_at``, …) are bound
-    as instance attributes at construction: cluster engines call them
-    on every event, and routing each call through ``__getattr__`` costs
-    a failed instance/class lookup plus a ``getattr`` per call.
-    ``__getattr__`` remains as the fallback for everything else.
+    The scheduling methods (``schedule``, ``schedule_at``, …) are the
+    base's bound methods, set as instance attributes at construction:
+    cluster engines call them on every event, so a call costs no
+    delegation.  There is no catch-all delegation: a copy of a view
+    (``copy.deepcopy`` of a run) is rebuilt attribute by attribute,
+    and a fallback ``__getattr__`` would recurse on the half-built copy.
     """
 
     #: Base-simulator methods bound directly onto every scoped view.
@@ -310,9 +311,6 @@ class ScopedSimulator:
 
     def rng(self, stream: str) -> np.random.Generator:
         return self._base.rng(f"{self.scope}/{stream}")
-
-    def __getattr__(self, name: str):
-        return getattr(self._base, name)
 
     def __repr__(self) -> str:
         return f"ScopedSimulator(scope={self.scope!r}, base={self._base!r})"

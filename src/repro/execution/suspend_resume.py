@@ -26,6 +26,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.classify import Feature
@@ -251,7 +252,7 @@ class SuspendResumeController(ExecutionController):
             context.engine.pause(victim.query_id)
             context.sim.schedule(
                 plan.suspend_cost,
-                lambda v=victim, p=plan: self._complete_suspension(v, p, context),
+                partial(self._complete_suspension, victim, plan, context),
                 label=f"suspend:q{victim.query_id}",
             )
             self._dumping.add(victim.query_id)
@@ -287,7 +288,7 @@ class SuspendResumeController(ExecutionController):
         context.record(self, "resume", query)
         context.sim.schedule(
             read_cost,
-            lambda q=query: self._restart(q, context),
+            partial(self._restart, query, context),
             label=f"resume:q{query.query_id}",
         )
 

@@ -23,6 +23,7 @@ slow down" running work (§4.2.2):
 from __future__ import annotations
 
 import enum
+from functools import partial
 from typing import Callable, Dict, Optional, Sequence
 
 from repro.control.controllers import (
@@ -250,7 +251,7 @@ class QueryThrottlingController(ExecutionController):
                 context.engine.pause(qid)
                 handle = context.sim.schedule(
                     pause,
-                    lambda q=qid: self._resume(q, context),
+                    partial(self._resume, qid, context),
                     label=f"interrupt-throttle:q{qid}",
                 )
                 self._paused[qid] = handle

@@ -135,9 +135,6 @@ def ascii_cluster_timeline(
     ``lanes`` maps node name to an equal-length character lane — load
     shading (`` .:-=+*#``) with the health overlay ``x`` (down) — as
     produced by :meth:`repro.cluster.metrics.ClusterMetrics.timeline_lanes`.
-    The legend still names ``~=draining`` and ``.=standby``, states
-    nodes no longer have, so the committed EXP18 output stays
-    byte-identical.
     """
     if not lanes:
         raise ValueError("lanes must be non-empty")
@@ -149,7 +146,7 @@ def ascii_cluster_timeline(
     lines: List[str] = [title] if title else []
     lines.append(
         " " * label_width
-        + "  load: ' .:-=+*#' (running/MPL)   health: x=down ~=draining .=standby"
+        + "  load: ' .:-=+*#' (running/MPL)   health: x=down"
     )
     for name, lane in lanes.items():
         lines.append(f"{name.rjust(label_width)} |{lane}|")

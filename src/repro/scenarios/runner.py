@@ -95,6 +95,24 @@ class ScenarioResult:
         self.dispatcher.run(horizon, drain=horizon if drain is None else drain)
         return self
 
+    def submit(self, query: Query) -> None:
+        """The generator→dispatcher seam: count intake, then submit."""
+        tenant = _tenant(query)
+        self.intake[tenant] = self.intake.get(tenant, 0) + 1
+        self.dispatcher.submit(query)
+
+    def on_terminal(self, query: Query) -> None:
+        """The dispatcher's client-visible funnel: count the outcome."""
+        bucket = self.outcomes.setdefault(
+            _tenant(query), {"completed": 0, "rejected": 0, "killed": 0}
+        )
+        if query.state is QueryState.COMPLETED:
+            bucket["completed"] += 1
+        elif query.state is QueryState.REJECTED:
+            bucket["rejected"] += 1
+        else:
+            bucket["killed"] += 1
+
     def tenant_ledger(self, tenant: str) -> Dict[str, int]:
         """``{intake, completed, rejected, killed, in_flight}`` for one
         tenant; ``in_flight`` is the conservation remainder."""
@@ -171,28 +189,11 @@ def arm_scenario(
         tenant_quotas=spec.quotas() if policy.cluster_quotas else None,
     )
     result = ScenarioResult(spec=spec, policy=policy, seed=seed, dispatcher=dispatcher)
-
-    def submit(query: Query) -> None:
-        tenant = _tenant(query)
-        result.intake[tenant] = result.intake.get(tenant, 0) + 1
-        dispatcher.submit(query)
-
-    def on_terminal(query: Query) -> None:
-        bucket = result.outcomes.setdefault(
-            _tenant(query), {"completed": 0, "rejected": 0, "killed": 0}
-        )
-        if query.state is QueryState.COMPLETED:
-            bucket["completed"] += 1
-        elif query.state is QueryState.REJECTED:
-            bucket["rejected"] += 1
-        else:
-            bucket["killed"] += 1
-
     generator = Scenario(
         specs=tuple(pattern.build(tenant) for tenant, pattern in spec.patterns()),
         horizon=spec.horizon,
-    ).build(sim, submit)
-    dispatcher.add_completion_listener(on_terminal)
+    ).build(sim, result.submit)
+    dispatcher.add_completion_listener(result.on_terminal)
     dispatcher.add_completion_listener(generator.notify_done)
 
     plan = spec.chaos.build_plan(spec.nodes, spec.horizon)

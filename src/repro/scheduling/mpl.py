@@ -18,6 +18,7 @@ concurrently."  Two surveyed families:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional, Tuple
 
 from repro.core.interfaces import ManagerContext, MplController
@@ -124,7 +125,7 @@ class FeedbackMpl(MplController):
 
     def attach(self, context: ManagerContext) -> None:
         context.sim.schedule_periodic(
-            self.interval, lambda: self._adjust(context), label="feedback-mpl"
+            self.interval, partial(self._adjust, context), label="feedback-mpl"
         )
         context.record(self.emitter, "set_mpl", detail=self.limit)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional
 
 from repro.core.classify import Feature
@@ -66,7 +67,7 @@ class RestructuringScheduler(Scheduler):
         self.inner.attach(context)
         if context.manager is not None:
             context.manager.add_completion_listener(
-                lambda query: self._on_done(query, context)
+                partial(self._on_done, context=context)
             )
 
     def enqueue(self, query: Query, context: ManagerContext) -> None:

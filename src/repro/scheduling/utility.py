@@ -30,6 +30,7 @@ Concrete model used here (§4.2.1's structure with explicit math):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional
 
 from repro.core.classify import Feature
@@ -119,7 +120,7 @@ class UtilityScheduler(Scheduler):
     def attach(self, context: ManagerContext) -> None:
         context.sim.schedule_periodic(
             self.replan_interval,
-            lambda: self._replan(context),
+            partial(self._replan, context),
             start=0.0,
             label="utility-scheduler:replan",
         )

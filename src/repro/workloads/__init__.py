@@ -9,8 +9,8 @@ utilities.  This package synthesizes those mixes deterministically:
   workload specifications (open Poisson or closed think-time arrivals);
 * :mod:`repro.workloads.generator` — drives specs on a simulator and
   provides ready-made OLTP / BI / batch / utility builders;
-* :mod:`repro.workloads.traces` — a DBQL-style query log for recording,
-  analysis (Teradata Workload Analyzer flavour) and replay.
+* :mod:`repro.workloads.traces` — a DBQL-style query log for recording
+  and analysis (Teradata Workload Analyzer flavour).
 """
 
 from repro.workloads.models import (

@@ -1,11 +1,11 @@
-"""Query log (DBQL-style) recording, analysis windows, and replay.
+"""Query log (DBQL-style) recording and analysis windows.
 
 Teradata's Workload Analyzer recommends workload definitions "by
 analyzing the data of database query log (DBQL)" (paper §4.1.3), and the
 dynamic-characterization techniques of §3.1 learn from observed request
 streams.  This module provides the log those components consume: an
 append-only record of everything that flowed through the manager, with
-windowed aggregation for feature extraction and replay support.
+windowed aggregation for feature extraction.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def _opt_float(value) -> Optional[float]:
 
 
 class QueryLog:
-    """Append-only query log with window aggregation and replay."""
+    """Append-only query log with window aggregation."""
 
     def __init__(self) -> None:
         self._records: List[QueryLogRecord] = []
@@ -248,29 +248,3 @@ class QueryLog:
             except (AttributeError, TypeError, ValueError) as error:
                 raise ConfigurationError(f"{path}:{number}: invalid record ({error})") from None
         return log
-
-    # ------------------------------------------------------------------
-    # replay
-    # ------------------------------------------------------------------
-    def replay_queries(self) -> List[Query]:
-        """Fresh queries replicating the logged stream (same costs/times).
-
-        The caller schedules each at its record's ``submit_time``; useful
-        for A/B-ing two policies on an identical request sequence.
-        """
-        replayed = []
-        for record in self._records:
-            query = Query(
-                true_cost=record.true_cost,
-                estimated_cost=record.estimated_cost,
-                statement_type=record.statement_type,
-                priority=record.priority,
-                session_id=record.session_id,
-                sql=record.sql,
-            )
-            replayed.append(query)
-        return replayed
-
-    def arrival_schedule(self) -> List[float]:
-        """Submit times aligned with :meth:`replay_queries` order."""
-        return [record.submit_time for record in self._records]

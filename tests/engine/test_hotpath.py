@@ -1,8 +1,11 @@
 """Hot-path layout: the hot methods a scoped view binds at construction
-behave exactly like delegation to the base simulator, and an engine
+act on the base simulator, a deep copy of scoped views keeps them on
+one copied clock, and an engine
 stays within the instance-attribute budget its ``__init__`` states."""
 
 from __future__ import annotations
+
+import copy
 
 from repro.engine.executor import ExecutionEngine
 from repro.engine.simulator import Simulator
@@ -32,7 +35,7 @@ class TestScopedSimulatorBinding:
         fired = []
         scoped.schedule(1.0, lambda: fired.append("a"))
         scoped.schedule_at(2.0, lambda: fired.append("b"))
-        assert scoped._queue is sim._queue and len(sim._queue) == 2
+        assert len(sim._queue) == 2
         scoped.run_until(5.0)
         assert fired == ["a", "b"]
         assert scoped.now == sim.now == 5.0
@@ -46,12 +49,16 @@ class TestScopedSimulatorBinding:
         assert a == base  # scoped stream == explicit prefixed stream
         assert a != b  # sibling scopes draw independently
 
-    def test_getattr_fallback_still_works(self):
+    def test_a_deep_copy_keeps_one_clock_across_its_views(self):
+        # a forked run copies its simulator through every scoped view
+        # that reaches it: the copies must share one copied base
         sim = Simulator(seed=1)
-        scoped = sim.scoped("n0")
-        # not in _BOUND_METHODS: reaches the base via __getattr__
-        assert scoped.scoped("inner").scope == "inner"
-        assert scoped.base is sim
+        a, b = copy.deepcopy((sim.scoped("a"), sim.scoped("b")))
+        assert a.base is b.base and a.base is not sim
+        a.schedule(3.0, lambda: None)
+        b.run_until(4.0)
+        assert a.now == b.now == 4.0 and sim.now == 0.0
+        assert a.events_fired == 1 and sim.events_fired == 0
 
     def test_two_scoped_views_share_the_clock(self):
         sim = Simulator(seed=1)

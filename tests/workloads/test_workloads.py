@@ -308,19 +308,6 @@ class TestTraces:
         series = manager.query_log.throughput(width=1.0, horizon=5.0)
         assert sum(series) == pytest.approx(4 / 1.0 / 5.0 * 5.0)
 
-    def test_replay_preserves_costs_and_times(self, sim):
-        manager = WorkloadManager(sim)
-        original = make_query(cpu=0.7, io=0.3, sql="w:q", priority=2)
-        manager.submit(original)
-        manager.run(0.0, drain=5.0)
-        log = manager.query_log
-        replayed = log.replay_queries()
-        schedule = log.arrival_schedule()
-        assert len(replayed) == 1
-        assert replayed[0].true_cost == original.true_cost
-        assert replayed[0].query_id != original.query_id
-        assert schedule == [0.0]
-
     def test_window_validation(self):
         from repro.workloads.traces import QueryLog
 
