@@ -147,8 +147,7 @@ def run_row(row: Row, mode: str, workers: int = 1) -> Dict[str, object]:
     ]
 
     def run() -> Dict[str, object]:
-        # seeded runs fail the same way every time, so no retries
-        sweep = run_tasks(tasks, workers=workers, max_retries=0)
+        sweep = run_tasks(tasks, workers=workers)
         reduced = reduce_shards(sweep.values)
         reduced["wall_s"] = sweep.wall_s
         return reduced

@@ -14,7 +14,8 @@ gold's goal.
 
 import functools
 
-from repro.core.manager import WaitQueue, by_priority
+from repro.core.manager import WaitQueue
+from repro.scheduling.queues import by_priority
 from repro.core.sla import SLASet, response_time_sla
 from repro.engine.simulator import Simulator
 from repro.scheduling.utility import ServiceClassConfig, UtilityScheduler

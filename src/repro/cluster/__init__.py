@@ -12,12 +12,13 @@ cluster queue), placement (pluggable policies from
 cost-balanced, SLA-aware greedy), and re-placement of crash-lost work
 (:mod:`repro.cluster.failover`); a node's own admission verdict is
 final.  Dispatch itself is a pluggable binding policy: ``push`` places
-each request on a node at arrival, ``pull`` parks it in a
-:class:`~repro.cluster.taskqueue.TaskQueue`
-(the node tier's :class:`~repro.scheduling.queues.PartitionedQueue`
-served by share deficit) until a node with a free execution slot pulls
-work through the :class:`~repro.cluster.matcher.Matcher` (DIRAC-style
-late binding).
+each request on a node at arrival and parks what no node takes in a
+FIFO cluster queue, ``pull`` parks every request in a
+:class:`~repro.cluster.taskqueue.TaskQueue` (served by share deficit)
+until a node with a free execution slot pulls work through the
+:class:`~repro.cluster.matcher.Matcher` (DIRAC-style late binding).
+Both cluster queues are the node tier's one wait structure,
+:class:`~repro.core.interfaces.PartitionedQueue`.
 :mod:`repro.cluster.metrics` rolls per-node statistics up into
 cluster-level views.  The package builds no cluster itself:
 :func:`repro.scenarios.arm_scenario` assembles the nodes, the binding

@@ -35,15 +35,15 @@ Both modes share two node-feedback paths, all deterministic:
 from __future__ import annotations
 
 import abc
-from collections import deque
 from functools import partial
-from typing import Callable, Deque, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.cluster.matcher import Matcher
 from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.node import ClusterNode, NodeHealth
 from repro.cluster.placement import PlacementPolicy, RoundRobinPlacement
 from repro.cluster.taskqueue import TaskQueue
+from repro.core.interfaces import PartitionedQueue
 from repro.engine.query import Query, QueryState, tenant_key
 from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
@@ -105,10 +105,13 @@ class TenantQuota:
 class BindingPolicy(abc.ABC):
     """When queued work binds to node capacity (the push/pull seam).
 
-    A binding policy owns the cluster-level wait structure and decides
-    the binding moment; everything else — intake, commit, reclaim,
-    metrics — lives on the dispatcher substrate it is attached to.
+    A binding policy keeps the requests waiting at the cluster level in
+    :attr:`queue` and decides the binding moment; everything else —
+    intake, commit, reclaim, metrics — lives on the dispatcher substrate
+    it is attached to.
     """
+
+    queue: PartitionedQueue
 
     def attach(self, dispatcher: "ClusterDispatcher") -> None:
         self.dispatcher = dispatcher
@@ -125,21 +128,21 @@ class BindingPolicy(abc.ABC):
     def sweep(self) -> None:
         """Periodic tick: retry anything waiting at the cluster level."""
 
-    @abc.abstractmethod
     def withdraw(self, query: Query) -> bool:
         """Take back ``query``, just routed, if it waits at the cluster level."""
+        return self.queue.remove(query.query_id) is not None
 
     @property
-    @abc.abstractmethod
     def queue_depth(self) -> int:
         """Requests waiting at the cluster level."""
+        return len(self.queue)
 
 
 class PushBinding(BindingPolicy):
     """Early binding: place on arrival, FIFO cluster queue as overflow."""
 
     def __init__(self) -> None:
-        self.queue: Deque[Query] = deque()
+        self.queue = PartitionedQueue()
         self._draining = False  # re-entrancy guard: a placement can call back
 
     def attach(self, dispatcher: "ClusterDispatcher") -> None:
@@ -153,14 +156,7 @@ class PushBinding(BindingPolicy):
         if candidates:
             d._place(query, d.placement.choose(query, candidates))
         else:
-            self.queue.append(query)
-
-    def withdraw(self, query: Query) -> bool:
-        # a routed request that waits is the one route just appended
-        if self.queue and self.queue[-1] is query:
-            self.queue.pop()
-            return True
-        return False
+            self.queue.push(query)
 
     # -- binding moments -----------------------------------------------
     def on_capacity(self, node: ClusterNode) -> None:
@@ -184,41 +180,33 @@ class PushBinding(BindingPolicy):
         d = self.dispatcher
         queue = self.queue
         try:
-            while queue:
+            while len(queue):
                 candidates = d._eligible_for()
                 if not candidates:
                     break
-                query = queue.popleft()
+                query = queue.pop()
                 d._place(query, d.placement.choose(query, candidates))
         finally:
             self._draining = False
-
-    # -- introspection -------------------------------------------------
-    @property
-    def queue_depth(self) -> int:
-        return len(self.queue)
 
 
 class PullBinding(BindingPolicy):
     """Late binding: task queue + matcher, nodes pull at free slots."""
 
     def __init__(self, taskqueue: Optional[TaskQueue] = None) -> None:
-        self.taskqueue = taskqueue if taskqueue is not None else TaskQueue()
+        self.queue = taskqueue if taskqueue is not None else TaskQueue()
         self.matcher: Optional[Matcher] = None
 
     def attach(self, dispatcher: "ClusterDispatcher") -> None:
         super().attach(dispatcher)
-        self.matcher = Matcher(dispatcher.nodes, self.taskqueue, place=dispatcher._place)
+        self.matcher = Matcher(dispatcher.nodes, self.queue, place=dispatcher._place)
 
     # -- intake --------------------------------------------------------
     def route(self, query: Query) -> None:
-        self.taskqueue.push(query)
+        self.queue.push(query)
         # an idle pilot's match request is always pending: fresh work
         # binds immediately when any node has a free slot for it
         self.matcher.offer()
-
-    def withdraw(self, query: Query) -> bool:
-        return self.taskqueue.remove(query.query_id) is not None
 
     # -- binding moments -----------------------------------------------
     def on_capacity(self, node: ClusterNode) -> None:
@@ -226,11 +214,6 @@ class PullBinding(BindingPolicy):
 
     def sweep(self) -> None:
         self.matcher.offer()
-
-    # -- introspection -------------------------------------------------
-    @property
-    def queue_depth(self) -> int:
-        return len(self.taskqueue)
 
 
 class ClusterDispatcher:
@@ -382,7 +365,6 @@ class ClusterDispatcher:
     # placement commit + cluster rejection (shared substrate)
     # ------------------------------------------------------------------
     def _place(self, query: Query, node: ClusterNode) -> None:
-        self.metrics.record_placement(node)
         node.submit(query)
 
     def _cluster_reject(self, query: Query, reason: str, emitter: object = None) -> None:

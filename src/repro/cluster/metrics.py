@@ -5,8 +5,9 @@ Built on the per-node streaming :class:`~repro.core.metrics` collectors
 :class:`~repro.core.metrics.WorkloadStats`, the node managers' entries
 for one workload merged on demand, and reading it writes to no
 collector.  The collector itself only stores what no node knows:
-placement and resubmission counts and the cluster tier's decision record
-(cluster rejections, node health, injected faults).
+resubmission and cluster-rejection counts and the cluster tier's
+decision record (cluster rejections, node health, injected faults);
+placements are each node's ``placed_count``.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ class ClusterMetrics:
 
     def __init__(self, nodes: Sequence[ClusterNode]) -> None:
         self.nodes = list(nodes)
-        self.placements: Dict[str, int] = {node.name: 0 for node in self.nodes}
-        self.placement_decisions = 0
         self.resubmissions = 0         # crash-lost work resubmitted
         self.cluster_rejections = 0    # refused at the cluster front end
         self.decisions: List[ControlEvent] = []
@@ -33,10 +32,6 @@ class ClusterMetrics:
     # ------------------------------------------------------------------
     # event recording (called by the dispatcher)
     # ------------------------------------------------------------------
-    def record_placement(self, node: ClusterNode) -> None:
-        self.placement_decisions += 1
-        self.placements[node.name] = self.placements.get(node.name, 0) + 1
-
     def record(
         self,
         time: float,
@@ -78,7 +73,7 @@ class ClusterMetrics:
         lines = [
             "CLUSTER ROLLUP "
             f"(t={now:.0f}s, {len(self.nodes)} nodes, "
-            f"{self.placement_decisions} placements, "
+            f"{sum(node.placed_count for node in self.nodes)} placements, "
             f"{self.resubmissions} crash resubmissions, "
             f"{self.cluster_rejections} cluster rejections)",
             f"{'workload':>12} {'done':>7} {'rej':>5} {'kill':>5} "
@@ -97,10 +92,7 @@ class ClusterMetrics:
             )
         lines.append(
             f"{'per-node':>12} "
-            + "  ".join(
-                f"{node.name}={self.placements.get(node.name, 0)}"
-                for node in self.nodes
-            )
+            + "  ".join(f"{node.name}={node.placed_count}" for node in self.nodes)
         )
         return "\n".join(lines)
 

@@ -5,10 +5,10 @@ miniature).  In *push* dispatch the dispatcher binds every arrival to a
 node immediately; in *pull* dispatch arrivals park here until a node
 with a free execution slot asks the
 :class:`~repro.cluster.matcher.Matcher` for work.  The wait structure is
-the one the node tier uses,
-:class:`~repro.scheduling.queues.PartitionedQueue`: one bucket per
+the one every wait queue uses,
+:class:`~repro.core.interfaces.PartitionedQueue`: one bucket per
 workload class (or per tenant), higher business priority first and
-FIFO within a priority level (:func:`~repro.core.manager.by_priority`).
+FIFO within a priority level (:func:`~repro.scheduling.queues.by_priority`).
 What this module adds is the cluster's bucket rule, the **share
 deficit**: :meth:`TaskQueue.match` pops the head of the waiting bucket
 least in ``(served / share, head rank, name)`` order, so a bucket with
@@ -23,12 +23,11 @@ dispatch inherits the simulator's bit-determinism.
 
 from __future__ import annotations
 
-from heapq import heappop
 from typing import Callable, Dict, List, Optional
 
-from repro.core.manager import by_priority
+from repro.core.interfaces import PartitionedQueue
 from repro.engine.query import Query, workload_key
-from repro.scheduling.queues import PartitionedQueue
+from repro.scheduling.queues import by_priority
 
 
 def _workload_bucket(query: Query) -> str:
@@ -109,5 +108,4 @@ class TaskQueue(PartitionedQueue):
             return None
         name = min(waiting)[2]
         served[name] += 1
-        self._len -= 1
-        return heappop(buckets[name])[2]
+        return self.pop(name)

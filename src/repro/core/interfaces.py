@@ -6,7 +6,8 @@ sockets defined here:
 
 * :class:`Characterizer` — workload identification (§2.2, §3.1);
 * :class:`AdmissionController` — the admission decision (§3.2);
-* :class:`Scheduler` — wait-queue management and dispatch (§3.3);
+* :class:`Scheduler` — dispatch from a :class:`PartitionedQueue`, the
+  wait queue(s) every waiting request of either tier sits in (§3.3);
 * :class:`ExecutionController` — run-time control actions (§3.4).
 
 Controllers receive a :class:`ManagerContext` giving them monitored
@@ -19,7 +20,8 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, TYPE_CHECKING, Union
+from heapq import heapify, heappop, heappush
+from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING, Union
 
 from repro.core.metrics import MetricsCollector
 from repro.core.sla import SLASet
@@ -193,8 +195,77 @@ class StaticMpl(MplController):
 MplLike = Union[None, int, MplController]
 
 
+#: A function of a request at enqueue: its bucket's name, or its rank (smallest first).
+QueueKey = Callable[[Query], Any]
+
+
+class PartitionedQueue:
+    """Requests waiting in one wait queue or classified into several.
+
+    ``key(query)`` names a request's bucket (``None``: one bucket, ``""``).
+    Each bucket is a heap of ``(rank, arrival, query)``: by ``order(query)``
+    (``None``: arrival order), arrival order within equal ranks.
+    :attr:`buckets` keeps the order buckets were first seen in, drained
+    ones included.  Which bucket's head leaves next is the owner's rule.
+    """
+
+    def __init__(self, key: Optional[QueueKey] = None, order: Optional[QueueKey] = None) -> None:
+        self.key = key
+        self.order = order
+        self.buckets: Dict[str, List[tuple]] = {}
+        self._arrivals = 0
+        self._len = 0
+
+    def push(self, query: Query) -> None:
+        name = "" if self.key is None else self.key(query)
+        heap = self.buckets.get(name)
+        if not heap:
+            heap = self._refill(name)
+        self._arrivals += 1
+        rank = 0 if self.order is None else self.order(query)
+        heappush(heap, (rank, self._arrivals, query))
+        self._len += 1
+
+    def _refill(self, name: str) -> List[tuple]:
+        """The heap of bucket ``name``, empty or new, about to take a request."""
+        return self.buckets.setdefault(name, [])
+
+    def pop(self, name: str = "") -> Query:
+        """Take the head of bucket ``name`` (non-empty; ``""``: the one bucket)."""
+        self._len -= 1
+        return heappop(self.buckets[name])[2]
+
+    def pop_all(self) -> List[Query]:
+        """Empty every bucket; its requests in :meth:`queued_queries` order."""
+        queries = self.queued_queries()
+        for heap in self.buckets.values():
+            heap.clear()
+        self._len = 0
+        return queries
+
+    def __len__(self) -> int:
+        return self._len
+
+    def queued_queries(self) -> List[Query]:
+        """The waiting requests, bucket by bucket, each in pop order."""
+        return [entry[2] for heap in self.buckets.values() for entry in sorted(heap)]
+
+    def remove(self, query_id: int) -> Optional[Query]:
+        """Withdraw one waiting request; ``None`` if it is not here."""
+        for heap in self.buckets.values():
+            for index, entry in enumerate(heap):
+                if entry[2].query_id == query_id:
+                    del heap[index]
+                    heapify(heap)
+                    self._len -= 1
+                    return entry[2]
+        return None
+
+
 class Scheduler(abc.ABC):
-    """Owns the wait queue(s) and decides what runs when (§3.3)."""
+    """Decides what runs when (§3.3): its requests wait in :attr:`queue`."""
+
+    queue: PartitionedQueue
 
     @abc.abstractmethod
     def enqueue(self, query: Query, context: ManagerContext) -> None:
@@ -208,21 +279,16 @@ class Scheduler(abc.ABC):
         scheduler enforces its MPLs by returning an empty list.
         """
 
-    @abc.abstractmethod
     def queued_count(self) -> int:
         """Requests currently waiting."""
+        return len(self.queue)
 
-    @abc.abstractmethod
     def queued_queries(self) -> List[Query]:
-        """Snapshot of the waiting requests (monitors, MPL models, evacuation)."""
-
-    def remove(self, query_id: int) -> Optional[Query]:
-        """Withdraw a queued request (kill-in-queue); None if absent."""
-        return None
+        """Snapshot of the waiting requests (monitors, MPL models)."""
+        return self.queue.queued_queries()
 
     def notify_exit(self, query: Query, context: ManagerContext) -> None:
-        """Observe a request leaving the engine, whatever the outcome
-        (how a dynamic MPL hears of completions)."""
+        """Observe a request leaving the engine, whatever the outcome (dynamic MPLs)."""
 
     def attach(self, context: ManagerContext) -> None:
         """Called once when plugged into a manager (optional override)."""

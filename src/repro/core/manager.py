@@ -16,10 +16,8 @@ management — the baseline of every experiment.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import partial
-from heapq import heapify, heappop, heappush
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.core.interfaces import (
     AdmissionController,
@@ -30,6 +28,8 @@ from repro.core.interfaces import (
     ManagerContext,
     MplController,
     MplLike,
+    PartitionedQueue,
+    QueueKey,
     Scheduler,
 )
 from repro.core.metrics import MetricsCollector, SystemSample
@@ -63,30 +63,23 @@ class AcceptAllAdmission(AdmissionController):
         return AdmissionDecision.accept("no admission control")
 
 
-QueueKey = Callable[[Query], Any]
-
-
 class WaitQueue(Scheduler):
     """One wait queue drained under an MPL: the single-queue scheduler.
 
-    ``key=None`` dispatches in arrival order; a ``key`` (:func:`by_priority`,
-    :func:`shortest_job`, :func:`wspt`, or any function of the query) is
-    evaluated once at enqueue and the smallest key runs first, arrival
-    order within equal keys.  ``max_concurrency=None`` dispatches
-    everything immediately — the fully uncontrolled baseline that
-    exhibits thrashing under load; an int is a static MPL, an
-    :class:`~repro.core.interfaces.MplController` a dynamic one.
+    The queue is a one-bucket :class:`~repro.core.interfaces.PartitionedQueue`
+    ordered by ``key`` (``None``: arrival order), a discipline of
+    :mod:`repro.scheduling.queues` or any function of the query, evaluated
+    once at enqueue.  ``max_concurrency=None`` dispatches everything at
+    once — the uncontrolled baseline that thrashes under load; an int is
+    a static MPL, an :class:`~repro.core.interfaces.MplController` a
+    dynamic one.
     """
 
     def __init__(self, max_concurrency: MplLike = None, key: Optional[QueueKey] = None) -> None:
         if isinstance(max_concurrency, int) and max_concurrency < 1:
             raise ConfigurationError("max_concurrency must be >= 1 or None")
         self.mpl = MplController.of(max_concurrency)
-        self._key = key
-        self._arrivals = 0
-        # arrival order: a deque of queries (O(1) head pop, where
-        # list.pop(0) is O(backlog)); keyed: a heap of (key, arrival, query)
-        self._queue: Any = deque() if key is None else []
+        self.queue = PartitionedQueue(order=key)
 
     def attach(self, context: ManagerContext) -> None:
         self.mpl.attach(context)
@@ -95,73 +88,22 @@ class WaitQueue(Scheduler):
         self.mpl.notify_completion()
 
     def enqueue(self, query: Query, context: ManagerContext) -> None:
-        if self._key is None:
-            self._queue.append(query)
-        else:
-            self._arrivals += 1
-            heappush(self._queue, (self._key(query), self._arrivals, query))
+        self.queue.push(query)
 
     def next_batch(self, context: ManagerContext) -> List[Query]:
-        queue = self._queue
-        if not queue:
-            return []
-        limit = self.mpl.current_limit(context)
-        room = len(queue) if limit is None else limit - context.engine.running_count
-        if self._key is not None:
-            return [heappop(queue)[2] for _ in range(min(room, len(queue)))]
+        queue = self.queue
+        room = len(queue)
+        limit = self.mpl.current_limit(context) if room else None
+        if limit is not None:
+            room = limit - context.engine.running_count
         batch: List[Query] = []
-        while queue and len(batch) < room:
-            batch.append(queue.popleft())
+        while len(batch) < room and len(queue):
+            batch.append(queue.pop())
         return batch
-
-    def queued_count(self) -> int:
-        return len(self._queue)
-
-    def queued_queries(self) -> List[Query]:
-        """The waiting requests in the order they would dispatch."""
-        if self._key is None:
-            return list(self._queue)
-        return [entry[2] for entry in sorted(self._queue)]
-
-    def remove(self, query_id: int) -> Optional[Query]:
-        keyed = self._key is not None
-        for index, entry in enumerate(self._queue):
-            query = entry[2] if keyed else entry
-            if query.query_id == query_id:
-                del self._queue[index]
-                if keyed:
-                    heapify(self._queue)
-                return query
-        return None
 
 
 #: The name the default scheduler has always had (benchmarks import it).
 FCFSDispatcher = WaitQueue
-
-
-def by_priority(query: Query) -> int:
-    """Higher business priority first; FIFO within a priority level."""
-    return -query.priority
-
-
-def shortest_job(aging_weight: float = 0.0) -> QueueKey:
-    """Smallest estimated total work first — the simplest rank function
-    of [24], starvation-prone by design.  ``aging_weight`` credits each
-    second already waited: the rank ``work - w * (now - submit)`` orders
-    any two waiting requests as ``work + w * submit`` does, ``w * now``
-    being common to both."""
-
-    def key(query: Query) -> float:
-        return query.estimated_cost.total_work + aging_weight * (query.submit_time or 0.0)
-
-    return key
-
-
-def wspt(query: Query) -> float:
-    """Weighted shortest processing time (rank = estimated work /
-    priority): the optimal serial order for priority-weighted total
-    completion time and the canonical batch rank function [24]."""
-    return query.estimated_cost.total_work / max(query.priority, 1)
 
 
 WeightFn = Callable[[Query], float]
@@ -446,18 +388,10 @@ class WorkloadManager:
         return self.queued_count + self.running_count
 
     def evacuate_queued(self) -> List[Query]:
-        """Withdraw every waiting request (wait queue + delayed holds).
-
-        Used when this server crashes or drains abruptly: the withdrawn
-        queries are returned still in QUEUED state so a cluster
-        dispatcher can re-place them on surviving nodes.  Running work
-        is untouched.
-        """
-        evacuated: List[Query] = []
-        for query in self.scheduler.queued_queries():
-            removed = self.scheduler.remove(query.query_id)
-            if removed is not None:
-                evacuated.append(removed)
+        """Withdraw every waiting request (wait queue, then delayed holds)
+        in one pass, still QUEUED, for a crashed node's dispatcher to
+        re-place; running work is untouched."""
+        evacuated = self.scheduler.queue.pop_all()
         evacuated.extend(self._delayed)
         self._delayed.clear()
         if self._backlog_listeners:

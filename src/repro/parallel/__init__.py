@@ -3,8 +3,8 @@
 Our simulations are seed-deterministic and shared-nothing per run —
 embarrassingly parallel.  This package supplies the runtime and nothing
 else: picklable task descriptors (:mod:`~repro.parallel.spec`), a
-process-pool runner with warm start, chunked dispatch, bounded
-singleton retry, shard-level failure isolation and a serial fallback
+process-pool runner with warm start, chunked dispatch, shard-level
+failure isolation and a serial fallback
 (:mod:`~repro.parallel.runner`), and task-ordered reduction with
 SHA-256 digest verification (:mod:`~repro.parallel.digest`).  It
 imports nothing from the simulator at import time; the grids of runs

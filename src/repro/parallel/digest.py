@@ -60,7 +60,8 @@ def outcome_digest(manager) -> str:
 
 def dispatcher_digest(dispatcher) -> str:
     """SHA-256 over a whole cluster run: every node's outcome streams
-    plus the dispatcher's conservation counters and placement counts."""
+    plus the dispatcher's conservation counters and each node's
+    placement count."""
     h = sha256()
     for node in dispatcher.nodes:
         h.update(outcome_digest(node.manager).encode("ascii"))
@@ -75,7 +76,7 @@ def dispatcher_digest(dispatcher) -> str:
         )
     )
     for node in dispatcher.nodes:
-        h.update(struct.pack("<q", dispatcher.metrics.placements[node.name]))
+        h.update(struct.pack("<q", node.placed_count))
     return h.hexdigest()
 
 

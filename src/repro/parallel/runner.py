@@ -12,15 +12,15 @@ contract:
 * every task is itself seed-deterministic (the library-wide rule);
 * reduction order is fixed by the task list, never by completion order.
 
-Operationally there is one loop: tasks are cut into shards (chunked
+Operationally there is one pass: tasks are cut into shards (chunked
 dispatch amortizes IPC), each shard is dispatched — a future on a
-warm-started pool, or run in place when there is none — shards are
-collected in dispatch order, and failed tasks go round again as
-singleton shards, a bounded number of times.  A task's exception is a
-per-task value, so the rest of its shard completes; a shard-level
-failure (unpicklable result, dead worker, pool broken on submit) fails
-exactly that shard's tasks.  ``workers <= 1``, a single task, or a
-platform that cannot start a process pool run in this process.
+warm-started pool, or run in place when there is none — and shards are
+collected in dispatch order.  A task's exception is a per-task value,
+so the rest of its shard completes; a shard-level failure (unpicklable
+result, dead worker, pool broken on submit) fails exactly that shard's
+tasks.  Nothing is retried: a seeded task fails the same way every
+time.  ``workers <= 1``, a single task, or a platform that cannot start
+a process pool run in this process.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from repro.parallel.digest import combine
 from repro.parallel.spec import RunTask
 from repro.parallel.tasks import execute_task, runner_module
 
-#: One attempt at one task: ``(value, None)`` or ``(None, error text)``.
+#: One run of one task: ``(value, None)`` or ``(None, error text)``.
 Attempt = Tuple[Optional[Dict[str, object]], Optional[str]]
 
 
@@ -56,7 +56,7 @@ def _execute_shard(tasks: Tuple[RunTask, ...]) -> List[Attempt]:
     """Run a shard's tasks in order, in a worker or in place.
 
     A task failure is captured per task so the rest of the shard still
-    completes; the parent decides what to retry.
+    completes; the parent reports it.
     """
     attempts: List[Attempt] = []
     for task in tasks:
@@ -69,12 +69,11 @@ def _execute_shard(tasks: Tuple[RunTask, ...]) -> List[Attempt]:
 
 @dataclass
 class TaskOutcome:
-    """Terminal state of one task after all attempts."""
+    """Terminal state of one task."""
 
     task: RunTask
     value: Optional[Dict[str, object]] = None
     error: Optional[str] = None
-    attempts: int = 0
 
     @property
     def ok(self) -> bool:
@@ -149,15 +148,12 @@ def _collect(
         return [(None, f"{type(error).__name__}: {error}")] * count
 
 
-def run_tasks(
-    tasks: Sequence[RunTask], workers: int = 1, max_retries: int = 2
-) -> SweepResult:
-    """Run every task and reduce the results in task order.
+def run_tasks(tasks: Sequence[RunTask], workers: int = 1) -> SweepResult:
+    """Run every task once and reduce the results in task order.
 
     ``workers <= 1`` runs everything in-process — the same code path
-    the workers execute.  A failed task gets ``max_retries`` extra
-    attempts, each as its own shard; one still failed after them raises
-    :class:`~repro.errors.ParallelExecutionError`.
+    the workers execute.  Any failed task raises
+    :class:`~repro.errors.ParallelExecutionError` with its error.
     """
     tasks = list(tasks)
     outcomes = [TaskOutcome(task=task) for task in tasks]
@@ -174,29 +170,18 @@ def run_tasks(
     size = max(1, len(tasks) // (result.workers * 4))
     shards = [outcomes[i : i + size] for i in range(0, len(tasks), size)]
     try:
-        for _ in range(1 + max_retries):
-            dispatched = [
-                _dispatch(pool, tuple(outcome.task for outcome in shard))
-                for shard in shards
-            ]
-            failed: List[TaskOutcome] = []
-            for shard, handle in zip(shards, dispatched):
-                for outcome, attempt in zip(shard, _collect(handle, len(shard))):
-                    outcome.attempts += 1
-                    outcome.value, outcome.error = attempt
-                    if not outcome.ok:
-                        failed.append(outcome)
-            if not failed:
-                break
-            # retries are singleton shards: isolate the failure
-            shards = [[outcome] for outcome in failed]
+        dispatched = [
+            _dispatch(pool, tuple(outcome.task for outcome in shard)) for shard in shards
+        ]
+        for shard, handle in zip(shards, dispatched):
+            for outcome, (value, error) in zip(shard, _collect(handle, len(shard))):
+                outcome.value, outcome.error = value, error
     finally:
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
     result.wall_s = round(time.perf_counter() - start, 3)
+    failed = [outcome for outcome in outcomes if not outcome.ok]
     if failed:
         detail = "; ".join(f"{o.task.key}: {o.error}" for o in failed[:5])
-        raise ParallelExecutionError(
-            f"{len(failed)} task(s) failed after retries: {detail}"
-        )
+        raise ParallelExecutionError(f"{len(failed)} task(s) failed: {detail}")
     return result

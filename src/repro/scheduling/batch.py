@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.core.manager import wspt
+from repro.scheduling.queues import wspt
 from repro.engine.query import Query
 
 

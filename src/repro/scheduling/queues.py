@@ -5,81 +5,66 @@ placed in a wait queue or classified into multiple wait queues
 according to their performance objectives and/or business priorities.
 A scheduler then orders requests from the wait queue(s)."
 
-The single wait queue (arrival, priority, shortest-job and WSPT order)
-is :class:`repro.core.manager.WaitQueue`.  The multiple wait queues are
-one core, :class:`PartitionedQueue`, which each tier drains under its
-own bucket rule:
+Both are one structure,
+:class:`~repro.core.interfaces.PartitionedQueue`: the single wait queue
+(:class:`repro.core.manager.WaitQueue`) is its one-bucket case.  The
+multiple wait queues are that core drained under each owner's bucket
+rule:
 
 * :class:`MultiQueueScheduler` — one queue per workload with
   per-workload MPLs plus a global MPL (Teradata-style object throttles);
 * :class:`TenantShareScheduler` — the same sweep keyed by tenant, with
   caps apportioned from share weights;
+* :class:`repro.scheduling.utility.UtilityScheduler` — one queue per
+  service class under utility-chosen cost limits;
 * :class:`repro.cluster.taskqueue.TaskQueue` — the cluster's pull-side
   queue, buckets served by share deficit.
 
-The global MPL is an int (static threshold) or an
-:class:`~repro.core.interfaces.MplController` (dynamic determination).
+The order within a bucket is a key function, the discipline a
+single-queue scheduler is named by: :func:`by_priority`,
+:func:`shortest_job`, :func:`wspt`.  The global MPL is an int (static
+threshold) or an :class:`~repro.core.interfaces.MplController`
+(dynamic determination).
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
-from repro.core.interfaces import ManagerContext, MplController, MplLike, Scheduler
-from repro.core.manager import QueueKey
+from repro.core.interfaces import (
+    ManagerContext,
+    MplController,
+    MplLike,
+    PartitionedQueue,
+    QueueKey,
+    Scheduler,
+)
 from repro.engine.query import Query, tenant_key, workload_key
 
 
-class PartitionedQueue:
-    """Requests classified into multiple wait queues, one per bucket.
+def by_priority(query: Query) -> int:
+    """Higher business priority first; FIFO within a priority level."""
+    return -query.priority
 
-    ``key(query)`` names a request's bucket.  Each bucket is a heap of
-    ``(rank, arrival, query)`` ordered as
-    :class:`~repro.core.manager.WaitQueue` orders its one queue: by
-    ``order(query)`` (``None``: arrival order), arrival order within
-    equal ranks.  :attr:`buckets` keeps the order buckets were first
-    seen in, drained ones included: the node sweep breaks ties by it and
-    crash evacuation reads it.
-    """
 
-    def __init__(self, key: Callable[[Query], str], order: Optional[QueueKey] = None) -> None:
-        self.key = key
-        self.order = order
-        self.buckets: Dict[str, List[tuple]] = {}
-        self._arrivals = 0
-        self._len = 0
+def shortest_job(aging_weight: float = 0.0) -> QueueKey:
+    """Smallest estimated total work first — the simplest rank function
+    of [24], starvation-prone by design.  ``aging_weight`` credits each
+    second already waited: the rank ``work - w * (now - submit)`` orders
+    any two waiting requests as ``work + w * submit`` does, ``w * now``
+    being common to both."""
 
-    def push(self, query: Query) -> None:
-        name = self.key(query)
-        heap = self.buckets.get(name)
-        if not heap:
-            heap = self._refill(name)
-        self._arrivals += 1
-        rank = 0 if self.order is None else self.order(query)
-        heappush(heap, (rank, self._arrivals, query))
-        self._len += 1
+    def key(query: Query) -> float:
+        return query.estimated_cost.total_work + aging_weight * (query.submit_time or 0.0)
 
-    def _refill(self, name: str) -> List[tuple]:
-        """The heap of bucket ``name``, empty or new, about to take a request."""
-        return self.buckets.setdefault(name, [])
+    return key
 
-    def __len__(self) -> int:
-        return self._len
 
-    def queued_queries(self) -> List[Query]:
-        """The waiting requests, bucket by bucket, each in pop order."""
-        return [entry[2] for heap in self.buckets.values() for entry in sorted(heap)]
-
-    def remove(self, query_id: int) -> Optional[Query]:
-        for heap in self.buckets.values():
-            for index, entry in enumerate(heap):
-                if entry[2].query_id == query_id:
-                    del heap[index]
-                    heapify(heap)
-                    self._len -= 1
-                    return entry[2]
-        return None
+def wspt(query: Query) -> float:
+    """Weighted shortest processing time (rank = estimated work /
+    priority): the optimal serial order for priority-weighted total
+    completion time and the canonical batch rank function [24]."""
+    return query.estimated_cost.total_work / max(query.priority, 1)
 
 
 def _workload_bucket(query: Query) -> str:
@@ -140,33 +125,23 @@ class MultiQueueScheduler(Scheduler):
             # non-empty buckets by head priority descending, first seen first
             heads = sorted(
                 [
-                    (-heap[0][2].priority, index, name, heap)
+                    (-heap[0][2].priority, index, name)
                     for index, (name, heap) in enumerate(queue.buckets.items())
                     if heap
                 ]
             )
-            for _, _, name, heap in heads:
+            for _, _, name in heads:
                 if room <= 0:
                     return batch
                 cap = caps.get(name, default)
                 in_flight = running.get(name, 0)
                 if cap is not None and in_flight >= cap:
                     continue
-                batch.append(heappop(heap)[2])
-                queue._len -= 1
+                batch.append(queue.pop(name))
                 running[name] = in_flight + 1
                 room -= 1
                 progressed = True
         return batch
-
-    def queued_count(self) -> int:
-        return len(self.queue)
-
-    def queued_queries(self) -> List[Query]:
-        return self.queue.queued_queries()
-
-    def remove(self, query_id: int) -> Optional[Query]:
-        return self.queue.remove(query_id)
 
 
 def tenant_mpl_caps(mpl: int, shares: Dict[str, float]) -> Dict[str, int]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.classify import Feature
 from repro.core.interfaces import ManagerContext, Scheduler
@@ -55,6 +55,7 @@ class RestructuringScheduler(Scheduler):
         if slice_threshold <= 0 or slice_work <= 0:
             raise ValueError("slice_threshold and slice_work must be positive")
         self.inner = inner
+        self.queue = inner.queue  # slices wait where the inner scheduler keeps its requests
         self.slice_threshold = slice_threshold
         self.slice_work = slice_work
         self.max_slices = max_slices
@@ -123,15 +124,6 @@ class RestructuringScheduler(Scheduler):
     # ------------------------------------------------------------------
     def next_batch(self, context: ManagerContext) -> List[Query]:
         return self.inner.next_batch(context)
-
-    def queued_count(self) -> int:
-        return self.inner.queued_count()
-
-    def queued_queries(self) -> List[Query]:
-        return self.inner.queued_queries()
-
-    def remove(self, query_id: int) -> Optional[Query]:
-        return self.inner.remove(query_id)
 
     def notify_exit(self, query: Query, context: ManagerContext) -> None:
         self.inner.notify_exit(query, context)

@@ -29,12 +29,12 @@ Concrete model used here (§4.2.1's structure with explicit math):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.classify import Feature
-from repro.core.interfaces import ManagerContext, Scheduler
+from repro.core.interfaces import ManagerContext, PartitionedQueue, Scheduler
 from repro.engine.query import Query
 
 #: Utility saturates here: no extra utility for beating the goal.
@@ -59,7 +59,6 @@ class ServiceClassConfig:
 @dataclass
 class _ClassState:
     config: ServiceClassConfig
-    queue: List[Query] = field(default_factory=list)
     arrivals: int = 0
     total_estimated_work: float = 0.0
     cost_limit: float = float("inf")
@@ -112,6 +111,10 @@ class UtilityScheduler(Scheduler):
         self._arrival_times: Dict[str, List[float]] = {
             name: [] for name in self._classes
         }
+        # one FIFO bucket per service class, in _all_states() order
+        self.queue = PartitionedQueue(self._bucket)
+        for state in self._all_states():
+            self.queue.buckets[state.config.workload] = []
         self.plans_generated = 0
 
     # ------------------------------------------------------------------
@@ -130,15 +133,19 @@ class UtilityScheduler(Scheduler):
             return self._classes[query.workload_name]
         return self._default
 
+    def _bucket(self, query: Query) -> str:
+        return self._state_for(query).config.workload
+
     def enqueue(self, query: Query, context: ManagerContext) -> None:
         state = self._state_for(query)
-        state.queue.append(query)
+        self.queue.push(query)
         state.arrivals += 1
         state.total_estimated_work += query.estimated_cost.total_work
         times = self._arrival_times.setdefault(state.config.workload, [])
         times.append(context.now)
 
     def next_batch(self, context: ManagerContext) -> List[Query]:
+        queue = self.queue
         in_flight = self._in_flight_costs(context)
         batch: List[Query] = []
         states = sorted(
@@ -150,36 +157,23 @@ class UtilityScheduler(Scheduler):
         while progressed:
             progressed = False
             for state in states:
-                if not state.queue:
-                    continue
                 name = state.config.workload
-                head = state.queue[0]
-                cost = head.estimated_cost.total_work
+                heap = queue.buckets[name]
+                if not heap:
+                    continue
+                cost = heap[0][2].estimated_cost.total_work
                 if in_flight.get(name, 0.0) + cost <= state.cost_limit:
-                    state.queue.pop(0)
-                    batch.append(head)
+                    batch.append(queue.pop(name))
                     in_flight[name] = in_flight.get(name, 0.0) + cost
                     progressed = True
         if not batch and context.engine.running_count == 0:
             # Work conservation: never idle the machine while work waits.
             for state in states:
-                if state.queue:
-                    batch.append(state.queue.pop(0))
+                name = state.config.workload
+                if queue.buckets[name]:
+                    batch.append(queue.pop(name))
                     break
         return batch
-
-    def queued_count(self) -> int:
-        return sum(len(s.queue) for s in self._all_states())
-
-    def queued_queries(self) -> List[Query]:
-        return [q for s in self._all_states() for q in s.queue]
-
-    def remove(self, query_id: int) -> Optional[Query]:
-        for state in self._all_states():
-            for index, query in enumerate(state.queue):
-                if query.query_id == query_id:
-                    return state.queue.pop(index)
-        return None
 
     # ------------------------------------------------------------------
     # planning

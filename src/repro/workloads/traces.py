@@ -11,6 +11,7 @@ windowed aggregation for feature extraction.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Union
@@ -69,21 +70,29 @@ class QueryLogRecord:
 
     @staticmethod
     def from_dict(data: dict) -> "QueryLogRecord":
-        return QueryLogRecord(
-            query_id=int(data["query_id"]),
+        """The record ``data`` describes; a fractional integer field, a
+        non-finite time or an end before the submission raises
+        ``ValueError``."""
+        record = QueryLogRecord(
+            query_id=_whole("query_id", data["query_id"]),
             workload=data.get("workload"),
             statement_type=StatementType(data["statement_type"]),
-            priority=int(data["priority"]),
-            submit_time=float(data["submit_time"]),
-            start_time=_opt_float(data.get("start_time")),
-            end_time=_opt_float(data.get("end_time")),
+            priority=_whole("priority", data["priority"]),
+            submit_time=_time("submit_time", data["submit_time"]),
+            start_time=_opt_time("start_time", data.get("start_time")),
+            end_time=_opt_time("end_time", data.get("end_time")),
             final_state=QueryState(data["final_state"]),
             estimated_cost=_cost_from_dict(data["estimated_cost"]),
             true_cost=_cost_from_dict(data["true_cost"]),
             session_id=data.get("session_id"),
             sql=data.get("sql", ""),
-            plan_operators=int(data.get("plan_operators", 1)),
+            plan_operators=_whole("plan_operators", data.get("plan_operators", 1)),
         )
+        if record.end_time is not None and record.end_time < record.submit_time:
+            raise ValueError(
+                f"end_time {record.end_time} precedes submit_time {record.submit_time}"
+            )
+        return record
 
 
 def _cost_to_dict(cost: CostVector) -> dict:
@@ -101,13 +110,28 @@ def _cost_from_dict(data: dict) -> CostVector:
         cpu_seconds=float(data.get("cpu_seconds", 0.0)),
         io_seconds=float(data.get("io_seconds", 0.0)),
         memory_mb=float(data.get("memory_mb", 0.0)),
-        lock_count=int(data.get("lock_count", 0)),
-        rows=int(data.get("rows", 0)),
+        lock_count=_whole("lock_count", data.get("lock_count", 0)),
+        rows=_whole("rows", data.get("rows", 0)),
     )
 
 
-def _opt_float(value) -> Optional[float]:
-    return None if value is None else float(value)
+def _whole(name: str, value) -> int:
+    """``value`` as an int; a number with a fractional part is invalid,
+    where ``int`` would truncate it."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} {value!r} is not an integer")
+    return int(value)
+
+
+def _time(name: str, value) -> float:
+    time = float(value)
+    if not math.isfinite(time):
+        raise ValueError(f"{name} {value!r} is not finite")
+    return time
+
+
+def _opt_time(name: str, value) -> Optional[float]:
+    return None if value is None else _time(name, value)
 
 
 class QueryLog:
@@ -225,7 +249,8 @@ class QueryLog:
         """Load a log written by :meth:`to_jsonl` (blank lines skipped).
 
         A missing or unreadable file, a line that is not JSON, and a
-        record with a missing or invalid field each raise one
+        record with a missing or invalid field (a fractional integer, a
+        non-finite time, an end before its submission) each raise one
         :class:`~repro.errors.ConfigurationError` naming the path (and
         the line number).
         """

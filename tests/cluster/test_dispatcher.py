@@ -192,7 +192,7 @@ class TestHeadOfLineBlocking:
         dispatcher.submit(head)
         dispatcher.submit(tail)
         dispatcher.binding.drain()  # scan while the node is saturated
-        assert list(dispatcher.binding.queue) == [head, tail]
+        assert dispatcher.binding.queue.queued_queries() == [head, tail]
 
 
 class TestSaturatedNode:

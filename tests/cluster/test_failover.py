@@ -136,7 +136,7 @@ class TestCrashRecovery:
                 dispatcher.completions,
                 dispatcher.resubmissions,
                 injector.lost_and_resubmitted,
-                dispatcher.metrics.placements,
+                [node.placed_count for node in dispatcher.nodes],
             )
 
         assert run_once() == run_once()

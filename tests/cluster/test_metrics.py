@@ -54,12 +54,10 @@ class TestRollup:
         assert merged.mean_velocity() is None
         assert merged.throughput(10.0, 5.0) == 0.0
 
-    def test_placement_counts_sum_to_decisions(self):
+    def test_node_placement_counts_sum_to_the_rollup_total(self):
         sim, dispatcher = _run_cluster()
-        metrics = dispatcher.metrics
-        assert (
-            sum(metrics.placements.values()) == metrics.placement_decisions == 8
-        )
+        assert sum(node.placed_count for node in dispatcher.nodes) == 8
+        assert "8 placements" in dispatcher.metrics.rollup_table(sim.now)
 
 
 def _rollup_oracle(nodes, workload):

@@ -295,8 +295,7 @@ def test_a_full_cluster_queue_rejects_the_arriving_request(dispatch):
     for query in queries:
         dispatcher.submit(query)
     waiting, arriving = queries[4:]
-    queued = list(binding.queue) if dispatch == "push" else binding.taskqueue.queued_queries()
-    assert queued == [waiting]
+    assert binding.queue.queued_queries() == [waiting]
     assert arriving.state is QueryState.REJECTED
     (event,) = decisions_by(dispatcher.metrics.decisions, action="reject")
     assert (event.controller, event.query_id, event.detail) == (

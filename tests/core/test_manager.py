@@ -147,7 +147,7 @@ class TestDispatch:
         second = make_query(cpu=5.0, io=0.0)
         manager.submit(first)
         manager.submit(second)
-        removed = manager.scheduler.remove(second.query_id)
+        removed = manager.scheduler.queue.remove(second.query_id)
         assert removed is second
         assert manager.queued_count == 0
 

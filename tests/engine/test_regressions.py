@@ -88,7 +88,8 @@ class TestZeroSubmitTimeFalsiness:
     breaking SJF aging and every elapsed-time computation at t=0."""
 
     def test_sjf_aging_counts_from_time_zero(self, sim):
-        from repro.core.manager import WaitQueue, shortest_job
+        from repro.core.manager import WaitQueue
+        from repro.scheduling.queues import shortest_job
 
         scheduler = WaitQueue(1, key=shortest_job(aging_weight=100.0))
         manager = WorkloadManager(

@@ -22,20 +22,6 @@ def quick_task(seed: int = 0, **params: object) -> Dict[str, object]:
     }
 
 
-def flaky_task(seed: int = 0, marker: str = "") -> Dict[str, object]:
-    """Fail until ``marker`` exists on disk, then succeed.
-
-    File-based state is the only kind that survives the process
-    boundary, so the first attempt (in any process) plants the marker
-    and raises; every later attempt sees it and completes.
-    """
-    if not os.path.exists(marker):
-        with open(marker, "w") as fh:
-            fh.write("attempted\n")
-        raise RuntimeError("transient failure (first attempt)")
-    return quick_task(seed=seed, marker=marker)
-
-
 def always_fail(seed: int = 0, tally: str = "") -> Dict[str, object]:
     """Raise every time; each attempt adds a line to ``tally`` if given."""
     if tally:

@@ -1,4 +1,4 @@
-"""run_tasks: the serial path, the pool path, retry, failure isolation."""
+"""run_tasks: the serial path, the pool path, one run per task, failure isolation."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from repro.errors import ConfigurationError, ParallelExecutionError
 from repro.parallel import make_task, run_tasks
 
 QUICK = "tests.parallel.helpers:quick_task"
-FLAKY = "tests.parallel.helpers:flaky_task"
 FAIL = "tests.parallel.helpers:always_fail"
 BAD_TYPE = "tests.parallel.helpers:not_a_dict"
 UNPICKLABLE = "tests.parallel.helpers:unpicklable_result"
@@ -25,7 +24,7 @@ class TestSerialPath:
         assert result.workers == 1
         assert not result.fell_back_serial  # serial by request, not fallback
         assert [o.task.seed for o in result.outcomes] == [0, 1, 2, 3]
-        assert all(o.ok and o.attempts == 1 for o in result.outcomes)
+        assert all(o.ok for o in result.outcomes)
 
     def test_single_task_stays_in_process_even_with_workers(self):
         result = run_tasks(quick_tasks(1), workers=4)
@@ -36,20 +35,16 @@ class TestSerialPath:
         with pytest.raises(ConfigurationError, match="duplicate task keys"):
             run_tasks(tasks, workers=1)
 
-    def test_strict_failure_raises_after_retries(self, tmp_path):
+    def test_failure_raises_its_first_error(self, tmp_path):
         tally = tmp_path / "attempts"
         tasks = [make_task(FAIL, seed=5, tally=str(tally))] + quick_tasks(1)
         with pytest.raises(ParallelExecutionError, match="broken runner"):
-            run_tasks(tasks, workers=1, max_retries=2)
-        assert len(tally.read_text().splitlines()) == 3  # 1 + max_retries
+            run_tasks(tasks, workers=1)
+        assert len(tally.read_text().splitlines()) == 1  # run once, never retried
 
     def test_runner_must_return_dict(self):
         with pytest.raises(ParallelExecutionError, match="expected a result"):
-            run_tasks(
-                [make_task(BAD_TYPE, seed=1), make_task(BAD_TYPE, seed=2)],
-                workers=1,
-                max_retries=0,
-            )
+            run_tasks([make_task(BAD_TYPE, seed=1), make_task(BAD_TYPE, seed=2)], workers=1)
 
 
 class TestPoolPath:
@@ -77,25 +72,14 @@ class TestPoolPath:
         assert all(o.ok for o in result.outcomes)
         assert result.digest == run_tasks(quick_tasks(3), workers=1).digest
 
-    def test_failed_shard_retried_to_success(self, tmp_path):
-        marker = str(tmp_path / "flaky.marker")
-        # 16 tasks over 2 workers are shards of 2: the flaky task has a mate
-        tasks = [make_task(FLAKY, seed=1, marker=marker)] + quick_tasks(15)
-        result = run_tasks(tasks, workers=2, max_retries=2)
-        flaky, *others = result.outcomes
-        assert flaky.ok
-        assert flaky.attempts >= 2
-        # a task's exception is its own: shard-mates keep their first run
-        assert all(o.ok and o.attempts == 1 for o in others)
-
-    def test_persistent_failure_exhausts_retries(self, tmp_path):
+    def test_failure_in_the_pool_runs_once(self, tmp_path):
         tally = tmp_path / "attempts"
         failing = make_task(FAIL, seed=1, tally=str(tally))
         with pytest.raises(ParallelExecutionError) as raised:
-            run_tasks([failing] + quick_tasks(2), workers=2, max_retries=1)
-        assert "1 task(s) failed" in str(raised.value)
+            run_tasks([failing] + quick_tasks(2), workers=2)
+        assert "1 task(s) failed: " in str(raised.value)
         assert failing.key in str(raised.value)
-        assert len(tally.read_text().splitlines()) == 2  # initial + 1 retry
+        assert len(tally.read_text().splitlines()) == 1
 
     @pytest.mark.parametrize("runner", [UNPICKLABLE, DIES])
     def test_shard_level_failure_names_the_task(self, runner):
@@ -104,5 +88,5 @@ class TestPoolPath:
         a raw AttributeError / BrokenProcessPool."""
         broken = make_task(runner, seed=1)
         with pytest.raises(ParallelExecutionError) as raised:
-            run_tasks([broken] + quick_tasks(2), workers=2, max_retries=1)
+            run_tasks([broken] + quick_tasks(2), workers=2)
         assert broken.key in str(raised.value)

@@ -260,7 +260,7 @@ def _drive_node(old, new, ops):
                 running.pop(op[1] % len(running))
         elif op[1] < len(pushed):
             query_id = pushed[op[1]].query_id
-            assert new.remove(query_id) is old.remove(query_id)
+            assert new.queue.remove(query_id) is old.remove(query_id)
         assert new.queued_count() == old.queued_count()
         assert [q.query_id for q in new.queued_queries()] == [
             q.query_id for q in old.queued_queries()

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.core.interfaces import StaticMpl
-from repro.core.manager import WaitQueue, WorkloadManager, by_priority, shortest_job
+from repro.core.manager import WaitQueue, WorkloadManager
 from repro.engine.query import QueryState
 from repro.engine.resources import MachineSpec
 from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
 from repro.scheduling.mpl import FeedbackMpl, QueueingModelMpl
-from repro.scheduling.queues import MultiQueueScheduler
+from repro.scheduling.queues import MultiQueueScheduler, by_priority, shortest_job
 
 from tests.conftest import make_query
 
@@ -47,8 +47,8 @@ class TestFCFS:
         manager.submit(waiting)
         assert scheduler.queued_count() == 1
         assert scheduler.queued_queries() == [waiting]
-        assert scheduler.remove(waiting.query_id) is waiting
-        assert scheduler.remove(99999) is None
+        assert scheduler.queue.remove(waiting.query_id) is waiting
+        assert scheduler.queue.remove(99999) is None
 
 
 class TestPriority:
@@ -167,7 +167,7 @@ class TestMultiQueue:
         manager.submit(make_query(cpu=10.0, io=0.0, sql="a:q"))
         waiting = make_query(cpu=10.0, io=0.0, sql="b:q")
         manager.submit(waiting)
-        assert scheduler.remove(waiting.query_id) is waiting
+        assert scheduler.queue.remove(waiting.query_id) is waiting
 
 
 class TestAttachIdempotency:

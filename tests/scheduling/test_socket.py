@@ -1,7 +1,8 @@
 """The ``Scheduler`` socket's contract, held by every implementation.
 
-(a) every concrete scheduler in ``repro`` answers ``queued_queries`` and
-is emptied by ``evacuate_queued``; (b) a scheduler's MPL controller hears
+(a) every concrete scheduler in ``repro`` keeps its waiting requests in
+a ``PartitionedQueue``, answers ``queued_queries`` and is emptied by
+``evacuate_queued`` in one pass; (b) a scheduler's MPL controller hears
 of each engine exit exactly once, through the manager; (c) the keyed
 ``WaitQueue`` pops in the order the deleted per-discipline classes did;
 (d) nothing in ``src/`` probes for the socket's methods or hooks the
@@ -17,12 +18,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 import repro
-from repro.core.interfaces import MplController, Scheduler
-from repro.core.manager import WaitQueue, WorkloadManager, by_priority, shortest_job, wspt
+from repro.core.interfaces import MplController, PartitionedQueue, Scheduler
+from repro.core.manager import WaitQueue, WorkloadManager
 from repro.engine.executor import CompletionOutcome
 from repro.engine.resources import MachineSpec
 from repro.engine.simulator import Simulator
-from repro.scheduling.queues import MultiQueueScheduler, TenantShareScheduler
+from repro.scheduling.queues import (
+    MultiQueueScheduler,
+    TenantShareScheduler,
+    by_priority,
+    shortest_job,
+    wspt,
+)
 from repro.scheduling.restructuring import RestructuringScheduler
 from repro.scheduling.utility import ServiceClassConfig, UtilityScheduler
 
@@ -81,7 +88,7 @@ def test_every_concrete_scheduler_has_a_factory():
 @pytest.mark.parametrize(
     "factory", [f for factories in FACTORIES.values() for f in factories]
 )
-def test_queued_queries_and_evacuation(factory):
+def test_queued_queries_and_evacuation(factory, monkeypatch):
     sim = Simulator(seed=5)
     manager = _manager(sim, factory())
     sim.run_until(0.5)  # the utility scheduler's first plan sets its cost limits
@@ -94,29 +101,39 @@ def test_queued_queries_and_evacuation(factory):
     for query in waiting:
         manager.submit(query)
     scheduler = manager.scheduler
+    assert isinstance(scheduler.queue, PartitionedQueue)
     assert scheduler.queued_count() == 5
     assert sorted(q.query_id for q in scheduler.queued_queries()) == [
         q.query_id for q in waiting
     ]
+    def one_at_a_time(queue, query_id):
+        raise AssertionError("evacuation withdrew requests one by one")
+
+    monkeypatch.setattr(PartitionedQueue, "remove", one_at_a_time)
     evacuated = manager.evacuate_queued()
     assert sorted(q.query_id for q in evacuated) == [q.query_id for q in waiting]
     assert manager.queued_count == 0 and scheduler.queued_queries() == []
     assert manager.running_count == 1
 
 
-def test_scheduler_needs_queued_queries():
+def test_a_scheduler_supplies_only_its_decisions():
     class Partial(Scheduler):
         def enqueue(self, query, context):
-            pass
+            self.queue.push(query)
+
+    with pytest.raises(TypeError, match="next_batch"):
+        Partial()
+
+    class Whole(Partial):
+        def __init__(self):
+            self.queue = PartitionedQueue()
 
         def next_batch(self, context):
             return []
 
-        def queued_count(self):
-            return 0
-
-    with pytest.raises(TypeError, match="queued_queries"):
-        Partial()
+    scheduler, query = Whole(), make_query()
+    scheduler.enqueue(query, None)
+    assert scheduler.queued_count() == 1 and scheduler.queued_queries() == [query]
 
 
 def test_fcfs_dispatcher_is_the_wait_queue():

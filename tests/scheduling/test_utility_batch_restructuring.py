@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.interfaces import decisions_by
-from repro.core.manager import FCFSDispatcher, WaitQueue, WorkloadManager, wspt
+from repro.core.manager import FCFSDispatcher, WaitQueue, WorkloadManager
+from repro.scheduling.queues import wspt
 from repro.engine.query import QueryState
 from repro.engine.resources import MachineSpec
 from repro.engine.simulator import Simulator
@@ -87,7 +88,7 @@ class TestUtilityScheduler:
         manager.submit(blocker)  # dispatched by work conservation
         waiting = make_query(cpu=5.0, io=0.0, sql="gold:q")
         manager.submit(waiting)
-        assert scheduler.remove(waiting.query_id) is waiting
+        assert scheduler.queue.remove(waiting.query_id) is waiting
 
     def test_predicted_response_time_increases_with_less_allocation(self, sim):
         scheduler = self._scheduler()

@@ -170,7 +170,7 @@ class TestKillInsideQueue:
         waiting = make_query(cpu=5.0, io=0.0)
         manager.submit(blocker)
         manager.submit(waiting)
-        removed = manager.scheduler.remove(waiting.query_id)
+        removed = manager.scheduler.queue.remove(waiting.query_id)
         assert removed is waiting
         manager.run(horizon=0.0, drain=30.0)
         assert blocker.state is QueryState.COMPLETED

@@ -29,7 +29,11 @@ session copies, and the DRAINING node state that no fault kind, verb or
 spec reached went with it.  The record-and-replay A/B harness went
 because two runs of one seed hand two policies the same requests, which
 the replay did not: it lost every request the baseline left unfinished
-and each query's plan and objects.
+and each query's plan and objects.  Every waiting request waits in one
+``PartitionedQueue``, so the sockets keep only their decisions: no run
+withdrew a single queued request through a scheduler, no seeded sweep
+task succeeded on a retry, and the cluster's placement tally counted
+what each node's ``placed_count`` already did.
 Bringing one back means bringing the spec field and the measured cell
 that reach it, and editing this list.
 """
@@ -45,12 +49,14 @@ import repro
 from repro.backends import RunConfig, plan_statements, run_sim_on_plan
 from repro.cli import build_parser
 from repro.cluster import ClusterDispatcher, ClusterNode, FaultKind, NodeHealth, TaskQueue
-from repro.cluster.dispatcher import PullBinding
+from repro.cluster.dispatcher import BindingPolicy, PullBinding
 from repro.cluster.matcher import Matcher
-from repro.core.interfaces import ManagerContext
+from repro.cluster.metrics import ClusterMetrics
+from repro.core.interfaces import ManagerContext, Scheduler
 from repro.core.manager import WorkloadManager
 from repro.engine.executor import EngineConfig
 from repro.engine.simulator import Event, Simulator
+from repro.parallel import run_tasks
 from repro.scheduling.queues import MultiQueueScheduler, TenantShareScheduler
 
 SRC = pathlib.Path(repro.__file__).parent
@@ -126,6 +132,8 @@ DELETED_NAMES = {
     "record_run",
     "replay_queries",
     "arrival_schedule",
+    "record_placement",
+    "placement_decisions",
 }
 DELETED_MODULES = (
     "cluster/elastic.py",
@@ -228,6 +236,11 @@ def test_removed_parameters_stay_removed():
         "admission",
         "throttle",
     ]
+    # the sockets are their decisions; the queue is a PartitionedQueue
+    assert Scheduler.__abstractmethods__ == {"enqueue", "next_batch"}
+    assert BindingPolicy.__abstractmethods__ == {"route", "on_capacity", "sweep"}
+    # a seeded task fails the same way every time: one run, no retries
+    assert list(inspect.signature(run_tasks).parameters) == ["tasks", "workers"]
 
 
 def test_removed_readers_stay_removed():
@@ -238,6 +251,8 @@ def test_removed_readers_stay_removed():
     assert not hasattr(Simulator, "step") and not hasattr(sim, "_running")
     dispatcher = ClusterDispatcher(sim, [ClusterNode(sim, name="n0")], tenant_quotas={"a": 1})
     assert not hasattr(dispatcher, "quota_rejections")
+    # each node counts its own placements
+    assert not hasattr(ClusterMetrics([]), "placements")
 
 
 def test_the_backend_verb_has_no_driver_option(capsys):

@@ -119,8 +119,30 @@ class TestMalformedTrace:
             (json.dumps({**_record().as_dict(), "statement_type": "NOPE"}), "invalid record"),
             (json.dumps({**_record().as_dict(), "true_cost": 3}), "invalid record"),
             ("[1, 2]", "invalid record"),
+            # int() would truncate these and float() accept those: no silent repair
+            (json.dumps({**_record().as_dict(), "query_id": 1.7}), "query_id 1.7 is not an"),
+            (json.dumps({**_record().as_dict(), "priority": 2.9}), "priority 2.9 is not an"),
+            (
+                json.dumps(
+                    {**_record().as_dict(), "true_cost": {"cpu_seconds": 1.0, "lock_count": 2.7}}
+                ),
+                "lock_count 2.7 is not an integer",
+            ),
+            (json.dumps({**_record().as_dict(), "submit_time": "nan"}), "submit_time 'nan' is not"),
+            (json.dumps({**_record().as_dict(), "end_time": -5}), "end_time -5.0 precedes"),
         ],
-        ids=["not-json", "missing-field", "bad-enum", "cost-not-an-object", "not-an-object"],
+        ids=[
+            "not-json",
+            "missing-field",
+            "bad-enum",
+            "cost-not-an-object",
+            "not-an-object",
+            "fractional-id",
+            "fractional-priority",
+            "fractional-lock-count",
+            "nan-time",
+            "end-before-submit",
+        ],
     )
     def test_bad_line_names_path_and_line(self, tmp_path, line, needle):
         path = tmp_path / "trace.jsonl"
