@@ -21,6 +21,7 @@ from repro.characterization.dynamic import (
 from repro.characterization.features import WindowFeatures
 from repro.engine.simulator import Simulator
 from repro.workloads.generator import Scenario, bi_workload, oltp_workload
+from repro.workloads.traces import QueryLog
 
 from benchmarks._scenarios import build_manager, drive
 from benchmarks.conftest import write_result
@@ -33,6 +34,8 @@ def labelled_records():
     """DBQL records with ground-truth workload labels."""
     sim = Simulator(seed=91)
     manager = build_manager(sim, control_period=5.0)
+    log = QueryLog()
+    manager.add_completion_listener(log.record_query)
     scenario = Scenario(
         specs=(
             oltp_workload(rate=6.0),
@@ -41,7 +44,7 @@ def labelled_records():
         horizon=HORIZON,
     )
     drive(manager, scenario, drain=60.0)
-    records = [r for r in manager.query_log if r.workload in ("oltp", "bi")]
+    records = [r for r in log if r.workload in ("oltp", "bi")]
     return records
 
 

@@ -32,6 +32,7 @@ from repro.workloads.models import (
     RequestClass,
     WorkloadSpec,
 )
+from repro.workloads.traces import QueryLog
 
 from benchmarks._scenarios import build_manager, drive
 from benchmarks.conftest import MAJORITY, REPLICATES, seed_tally, write_result
@@ -91,6 +92,8 @@ def run_variant(aging: bool, seed=SEEDS[0]):
         # everyone starts in the 'high' service level (weight 4)
         weight_fn=lambda q: LADDER.weight_of(q.service_class or LADDER.top),
     )
+    log = QueryLog()
+    manager.add_completion_listener(log.record_query)
     drive(manager, _scenario(), drain=0.0)
     tactical = manager.metrics.stats_for("tactical")
     hog_query = next(
@@ -100,7 +103,7 @@ def run_variant(aging: bool, seed=SEEDS[0]):
     return {
         # query ids are process-global: the run's own numbering starts here
         "first_query_id": min(
-            [record.query_id for record in manager.query_log]
+            [record.query_id for record in log]
             + manager.engine.running_ids()
         ),
         "tactical_rt": tactical.mean_response_time(),

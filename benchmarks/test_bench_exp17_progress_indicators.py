@@ -42,6 +42,7 @@ from repro.workloads.models import (
     RequestClass,
     WorkloadSpec,
 )
+from repro.workloads.traces import QueryLog
 
 from benchmarks._scenarios import build_manager, drive
 from benchmarks.conftest import write_result
@@ -98,13 +99,15 @@ def run_policy(spare_over_progress, seed=201):
     manager = build_manager(
         sim, machine=MACHINE, controllers=[controller], control_period=2.0
     )
+    log = QueryLog()
+    manager.add_completion_listener(log.record_query)
     drive(manager, _scenario(), drain=60.0)
     medium = manager.metrics.stats_for("medium")
     monsters = manager.metrics.stats_for("monsters")
     # work thrown away by kills (the §5.2 waste being measured)
     wasted = sum(
         r.true_cost.total_work
-        for r in manager.query_log
+        for r in log
         if r.final_state.value == "killed" and r.workload == "medium"
     )
     return {

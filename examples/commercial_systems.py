@@ -27,6 +27,7 @@ from repro.systems.teradata import (
     TeradataWorkloadDefinition,
 )
 from repro.workloads.generator import Scenario, bi_workload, oltp_workload
+from repro.workloads.traces import QueryLog
 
 HORIZON = 90.0
 MACHINE = MachineSpec(cpu_capacity=4.0, disk_capacity=2.0, memory_mb=2048.0)
@@ -42,9 +43,11 @@ def scenario() -> Scenario:
     )
 
 
-def run(bundle):
+def run(bundle) -> QueryLog:
     sim = Simulator(seed=99)
     manager = bundle.create_manager(sim, machine=MACHINE, control_period=2.0)
+    log = QueryLog()
+    manager.add_completion_listener(log.record_query)
     generator = scenario().build(sim, manager.submit, sessions=manager.sessions)
     manager.add_completion_listener(generator.notify_done)
     manager.run(HORIZON, drain=30.0)
@@ -52,7 +55,7 @@ def run(bundle):
     for workload in sorted(manager.metrics.workloads()):
         print(" ", manager.metrics.summary_line(workload, sim.now))
     print(f"  admission rejections: {manager.rejected_count}")
-    return manager
+    return log
 
 
 def main() -> None:
@@ -70,7 +73,7 @@ def main() -> None:
             DB2Threshold(ThresholdKind.ELAPSED_TIME, 30.0, ThresholdAction.DEMOTE),
         ),
     )
-    db2_manager = run(db2.build())
+    db2_log = run(db2.build())
 
     sqlserver = ResourceGovernorConfig(
         pools=(
@@ -111,7 +114,7 @@ def main() -> None:
 
     print("\n=== Teradata Workload Analyzer over the recorded query log ===")
     analyzer = TeradataWorkloadAnalyzer(min_group_size=10)
-    for recommendation in analyzer.analyze(db2_manager.query_log):
+    for recommendation in analyzer.analyze(db2_log):
         print(
             f"  recommend workload {recommendation.name!r}: "
             f"{recommendation.record_count} queries, mean work "

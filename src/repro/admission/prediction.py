@@ -16,9 +16,9 @@ Two surveyed flavours are provided by :class:`RuntimePredictor`:
 
 Features are things genuinely available before execution: the
 optimizer's estimates, plan shape, statement type and the session's
-workload mapping.  The predictor trains on the query log's completed
-records — exactly the historical observations the paper says estimates
-derive from (§2.1).
+workload mapping.  The predictor trains on completed requests, which
+the admission controller logs as they exit — exactly the historical
+observations the paper says estimates derive from (§2.1).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.core.interfaces import (
     AdmissionDecision,
     ManagerContext,
 )
-from repro.engine.query import Query
+from repro.engine.query import Query, QueryState
 from repro.ml.tree import DecisionTreeRegressor
 from repro.workloads.traces import QueryLog, QueryLogRecord
 
@@ -197,6 +197,8 @@ class PredictionBasedAdmission(AdmissionController):
         self.predictor = predictor or RuntimePredictor()
         self.min_training = min_training
         self.retrain_interval = retrain_interval
+        #: the completions this controller trains on, in exit order
+        self.log = QueryLog()
         self._completions_since_train = 0
         self.rejections = 0
         self.fallback_decisions = 0
@@ -219,13 +221,14 @@ class PredictionBasedAdmission(AdmissionController):
 
     def notify_exit(self, query: Query, context: ManagerContext) -> None:
         self._completions_since_train += 1
-        completed = sum(1 for r in context.query_log if r.completed)
+        if query.state is QueryState.COMPLETED:
+            self.log.record_query(query)
         should_train = (
-            not self.predictor.trained and completed >= self.min_training
+            not self.predictor.trained and len(self.log) >= self.min_training
         ) or (
             self.predictor.trained
             and self._completions_since_train >= self.retrain_interval
         )
         if should_train:
-            self.predictor.fit_from_log(context.query_log)
+            self.predictor.fit_from_log(self.log)
             self._completions_since_train = 0

@@ -171,6 +171,8 @@ def run_sim_on_plan(
         admission=None if admission is None else ThresholdAdmission(admission),
         scheduler=WaitQueue(mpl),
     )
+    log = QueryLog()
+    manager.add_completion_listener(log.record_query)
     apply_cap = None
     if throttle is not None and throttle.sleep_fraction > 0:
         apply_cap = partial(_apply_cap, manager.engine, throttle, 1.0 - throttle.sleep_fraction)
@@ -192,7 +194,7 @@ def run_sim_on_plan(
             f"simulated run failed to drain: {manager.outstanding_work()} "
             "queries still outstanding"
         )
-    return manager.query_log
+    return log
 
 
 @dataclass

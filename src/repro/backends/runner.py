@@ -24,9 +24,9 @@ against a real :class:`~repro.backends.base.BackendDriver`:
 
 Every statement — completed, rejected, killed or aborted — is recorded
 through the standard :class:`~repro.workloads.traces.QueryLog`, so
-windowed characterization and the DBQL pipeline work unchanged
-on real traces.  Times in the log are wall-clock seconds relative to
-the run's start.
+the DBQL pipeline (calibration, the Workload Analyzer, ``WorkloadStats``)
+works unchanged on real traces.  Times in the log are wall-clock seconds
+relative to the run's start.
 """
 
 from __future__ import annotations

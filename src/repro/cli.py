@@ -149,7 +149,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _check_writable(path: Optional[str]) -> None:
-    """A finished sweep is not lost to a typo in ``--json``/``--out``."""
+    """A finished run is not lost to a typo in ``--json``/``--out``/``--trace-out``."""
     from repro.errors import ConfigurationError
 
     if path is None:
@@ -422,6 +422,7 @@ def _cmd_backend(args: argparse.Namespace) -> int:
               f"calibrated {cal:.6f}s")
         return 0
 
+    _check_writable(args.trace_out)
     plan = _backend_plan(args)
     admission, throttle = _backend_policies(args)
     if args.verb == "run":

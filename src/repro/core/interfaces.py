@@ -11,8 +11,9 @@ sockets defined here:
 * :class:`ExecutionController` — run-time control actions (§3.4).
 
 Controllers receive a :class:`ManagerContext` giving them monitored
-access to the engine, metrics, SLAs and query log — the same information a
-commercial facility's components share.
+access to the engine, metrics, SLAs and sessions — the same information a
+commercial facility's components share.  A query log is not among it: a
+caller that wants a DBQL trace attaches one as a completion listener.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from repro.engine.executor import ExecutionEngine
 from repro.engine.query import Query, workload_key
 from repro.engine.sessions import SessionRegistry
 from repro.engine.simulator import Simulator
-from repro.workloads.traces import QueryLog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.core.manager import WorkloadManager
@@ -109,7 +109,6 @@ class ManagerContext:
     metrics: MetricsCollector
     slas: SLASet
     sessions: SessionRegistry
-    query_log: QueryLog
     manager: Optional["WorkloadManager"] = None
     #: append-only record of this manager's control actions (node tier)
     decisions: List[ControlEvent] = field(default_factory=list)

@@ -40,7 +40,6 @@ from repro.engine.resources import MachineSpec, ResourceKind
 from repro.engine.sessions import SessionRegistry
 from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
-from repro.workloads.traces import QueryLog
 
 
 class TagCharacterizer(Characterizer):
@@ -147,7 +146,6 @@ class WorkloadManager:
         self.sim = sim
         self.engine = ExecutionEngine(sim, machine, engine_config)
         self.metrics = MetricsCollector()
-        self.query_log = QueryLog()
         self.sessions = SessionRegistry()
         self.slas = slas or SLASet()
         self.characterizer = characterizer or TagCharacterizer()
@@ -163,7 +161,6 @@ class WorkloadManager:
             metrics=self.metrics,
             slas=self.slas,
             sessions=self.sessions,
-            query_log=self.query_log,
             manager=self,
         )
         self._delayed: List[Query] = []
@@ -190,7 +187,11 @@ class WorkloadManager:
         self.execution_controllers.append(controller)
 
     def add_completion_listener(self, listener: CompletionListener) -> None:
-        """Called for every client-visible terminal outcome."""
+        """Called for every client-visible terminal outcome (completed,
+        rejected or killed), in registration order.  A DBQL trace is one,
+        ``QueryLog.record_query``: attach it before any listener that
+        resubmits the query in place (a cluster dispatcher's), or it logs
+        the resubmitted state."""
         self._listeners.append(listener)
 
     def add_backlog_listener(self, listener: Callable[[], None]) -> None:
@@ -219,7 +220,6 @@ class WorkloadManager:
         query.end_time = self.sim.now
         self.rejected_count += 1
         self.metrics.record_rejection(query)
-        self.query_log.record_query(query)
         self.context.record(self.admission, "reject", query, decision.reason)
         self._notify(query)
 
@@ -324,11 +324,9 @@ class WorkloadManager:
             self._backlog_changed()
         if outcome is CompletionOutcome.COMPLETED:
             self.metrics.record_completion(query, self.sim.now)
-            self.query_log.record_query(query)
             self._notify(query)
         elif outcome is CompletionOutcome.KILLED:
             self.metrics.record_kill(query)
-            self.query_log.record_query(query)
             self._notify(query)
         elif outcome is CompletionOutcome.ABORTED:
             self.metrics.record_abort(query)

@@ -21,6 +21,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.core.manager import WorkloadManager
 from repro.engine.resources import ResourceKind
+from repro.workloads.traces import QueryLog
 
 
 def _workload_rows(manager: WorkloadManager) -> List[str]:
@@ -147,11 +148,15 @@ def sqlserver_resource_pool_stats(
 # Teradata Manager: dashboard workload monitor (§4.1.3 C)
 # ----------------------------------------------------------------------
 def teradata_dashboard(
-    manager: WorkloadManager, collection_period: float = 60.0
+    manager: WorkloadManager, log: QueryLog, collection_period: float = 60.0
 ) -> List[Dict[str, Any]]:
     """Rows mirroring the dashboard's documented columns: CPU usage per
     workload, active sessions, arrival rate in the last collection
-    period, completions, response time, and delay-queue depth."""
+    period, completions, response time, and delay-queue depth.
+
+    Arrivals count ``log``'s terminal records plus the requests still
+    in flight, so ``log`` must be attached to ``manager`` as a
+    completion listener from the start of the run."""
     now = manager.sim.now
     running = manager.engine.running_queries()
     queued = manager.scheduler.queued_queries()
@@ -167,7 +172,7 @@ def teradata_dashboard(
         # arrivals = terminal records plus still-in-flight requests
         recent_arrivals = sum(
             1
-            for record in manager.query_log
+            for record in log
             if record.workload == workload
             and record.submit_time >= now - collection_period
         ) + sum(

@@ -1,11 +1,13 @@
-"""Query log (DBQL-style) recording and analysis windows.
+"""Query log (DBQL-style) recording and JSON Lines trace files.
 
 Teradata's Workload Analyzer recommends workload definitions "by
 analyzing the data of database query log (DBQL)" (paper §4.1.3), and the
 dynamic-characterization techniques of §3.1 learn from observed request
 streams.  This module provides the log those components consume: an
-append-only record of everything that flowed through the manager, with
-windowed aggregation for feature extraction.
+append-only record of each request's final disposition.  A simulator
+run writes one only when a caller attaches it to the manager
+(``manager.add_completion_listener(log.record_query)``); a real-DBMS run
+(:mod:`repro.backends.runner`) always writes its own.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Union
-
-import numpy as np
 
 from repro.engine.query import CostVector, Query, QueryState, StatementType
 from repro.errors import ConfigurationError
@@ -135,7 +135,7 @@ def _opt_time(name: str, value) -> Optional[float]:
 
 
 class QueryLog:
-    """Append-only query log with window aggregation."""
+    """Append-only query log, one record per terminal request."""
 
     def __init__(self) -> None:
         self._records: List[QueryLogRecord] = []
@@ -183,48 +183,6 @@ class QueryLog:
                 continue
             out.append(record)
         return out
-
-    # ------------------------------------------------------------------
-    # windowed aggregation (feature extraction for characterization)
-    # ------------------------------------------------------------------
-    def windows(
-        self, width: float, horizon: Optional[float] = None
-    ) -> List[List[QueryLogRecord]]:
-        """Partition records into fixed-width windows by submit time."""
-        if width <= 0:
-            raise ValueError("window width must be positive")
-        if not self._records:
-            return []
-        end = horizon
-        if end is None:
-            end = max(r.submit_time for r in self._records) + width
-        count = int(np.ceil(end / width))
-        buckets: List[List[QueryLogRecord]] = [[] for _ in range(count)]
-        for record in self._records:
-            index = int(record.submit_time // width)
-            if 0 <= index < count:
-                buckets[index].append(record)
-        return buckets
-
-    def throughput(
-        self, width: float, horizon: Optional[float] = None
-    ) -> List[float]:
-        """Completions per second in each window (by end time)."""
-        if width <= 0:
-            raise ValueError("window width must be positive")
-        completed = [r for r in self._records if r.completed and r.end_time is not None]
-        if not completed:
-            return []
-        end = horizon
-        if end is None:
-            end = max(r.end_time for r in completed) + width
-        count = int(np.ceil(end / width))
-        counts = [0] * count
-        for record in completed:
-            index = int(record.end_time // width)
-            if 0 <= index < count:
-                counts[index] += 1
-        return [c / width for c in counts]
 
     # ------------------------------------------------------------------
     # serialization (JSON Lines, one record per line)

@@ -132,6 +132,8 @@ class TestPredictionAdmission:
             manager.submit(make_query(cpu=0.05, io=0.0, sql="oltp:t"))
         manager.run(horizon=1.0, drain=10.0)
         assert admission.predictor.trained
+        # it trains on its own log of the completions it saw exit
+        assert len(admission.log) == manager.metrics.stats_for("oltp").completions == 15
         # a BI query the optimizer wildly underestimates but whose tag
         # is unseen -> prediction falls back to low values; same-tag
         # heavy history is the realistic case, covered above.  Here we

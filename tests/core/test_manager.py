@@ -1,5 +1,7 @@
 """Integration tests for the WorkloadManager pipeline."""
 
+from functools import partial
+
 import pytest
 
 from repro.core.interfaces import (
@@ -19,6 +21,7 @@ from repro.engine.query import Query, QueryState
 from repro.engine.resources import MachineSpec
 from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
+from repro.workloads.traces import QueryLog
 
 from tests.conftest import make_query, next_instant
 
@@ -87,7 +90,6 @@ class TestRejection:
         assert manager.rejected_count == 1
         assert manager.metrics.stats_for("wl").rejections == 1
         assert notified == [query.query_id]
-        assert len(manager.query_log) == 1
 
 
 class TestDelay:
@@ -231,6 +233,56 @@ class TestListeners:
         manager.engine.kill(query.query_id)
         assert done == [QueryState.KILLED]
         assert manager.metrics.stats_for(None).kills == 1
+
+
+class TestQueryLogListener:
+    """A manager keeps one outcome record per request, its metrics; a
+    DBQL trace is a :class:`QueryLog` a caller attaches as a listener."""
+
+    class _RejectHogs(AdmissionController):
+        def decide(self, query, context):
+            if query.workload_name == "hog":
+                return AdmissionDecision.reject("hog")
+            return AdmissionDecision.accept()
+
+    def _run(self, sim, *listeners):
+        """Three completions, one rejection and one kill; returns the
+        manager and its requests in the order it finalized them."""
+        manager = _manager(sim, admission=self._RejectHogs())
+        for listener in listeners:
+            manager.add_completion_listener(listener)
+        finalized = []
+        manager.add_completion_listener(finalized.append)
+        victim = make_query(cpu=50.0, io=0.0, sql="wl:long")
+        for cpu in (0.3, 0.1, 0.2):
+            manager.submit(make_query(cpu=cpu, io=0.0, sql="wl:q"))
+        manager.submit(victim)
+        manager.submit(make_query(cpu=0.1, io=0.0, sql="hog:q"))
+        sim.schedule_at(2.0, partial(manager.engine.kill, victim.query_id))
+        manager.run(horizon=0.0, drain=5.0)
+        states = [q.state for q in finalized]
+        assert states == [QueryState.REJECTED] + [QueryState.COMPLETED] * 3 + [
+            QueryState.KILLED
+        ]
+        return manager, finalized
+
+    def test_a_run_writes_no_log(self, sim, monkeypatch):
+        def refuse(log, query):
+            raise AssertionError("the manager wrote a query log record")
+
+        monkeypatch.setattr(QueryLog, "record_query", refuse)
+        manager, _ = self._run(sim)
+        assert manager.metrics.stats_for("wl").completions == 3
+        assert manager.metrics.stats_for("wl").kills == 1
+        assert manager.metrics.stats_for("hog").rejections == 1
+
+    def test_an_attached_log_records_each_outcome_once_in_order(self, sim):
+        log = QueryLog()
+        manager, finalized = self._run(sim, log.record_query)
+        assert [(r.query_id, r.final_state) for r in log] == [
+            (q.query_id, q.state) for q in finalized
+        ]
+        assert len(log) == manager.submitted_count
 
 
 class TestBacklogListener:

@@ -17,15 +17,18 @@ from repro.core.policy import AdmissionPolicy
 from repro.engine.query import QueryState
 from repro.execution.throttling import QueryThrottlingController
 from repro.scheduling.queues import MultiQueueScheduler
+from repro.workloads.traces import QueryLog
 
 
 def _machine():
     return MachineSpec(cpu_capacity=4.0, disk_capacity=4.0, memory_mb=4096.0)
 
 
-def run_mix(seed=42, horizon=60.0, manager_kwargs=None):
+def run_mix(seed=42, horizon=60.0, manager_kwargs=None, log=None):
     sim = Simulator(seed=seed)
     manager = WorkloadManager(sim, machine=_machine(), **(manager_kwargs or {}))
+    if log is not None:
+        manager.add_completion_listener(log.record_query)
     scenario = mixed_scenario(horizon=horizon, oltp_rate=8.0, bi_rate=0.1)
     generator = scenario.build(sim, manager.submit, sessions=manager.sessions)
     manager.add_completion_listener(generator.notify_done)
@@ -58,7 +61,7 @@ class TestUncontrolledBaseline:
         # BI arrivals are rare and heavy; some may still be running at
         # the end of the window, but they were generated and admitted
         generated_tags = {"oltp", "bi", "reports"}
-        seen = {r.workload for r in manager.query_log} | {
+        seen = set(workloads) | {
             q.workload_name for q in manager.engine.running_queries()
         }
         assert "bi" in seen or manager.queued_count > 0
@@ -106,10 +109,11 @@ class TestManagedStack:
         assert managed_p95 <= unmanaged_p95
 
     def test_query_log_covers_submissions(self):
-        _, manager, generator = run_mix()
+        log = QueryLog()
+        _, manager, generator = run_mix(log=log)
         # every generated query eventually reached a terminal state or
         # is still queued/running at the end of the window
-        logged = len(manager.query_log)
+        logged = len(log)
         outstanding = manager.outstanding_work()
         assert logged + outstanding >= generator.generated_count - 5
 

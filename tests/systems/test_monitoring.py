@@ -12,17 +12,24 @@ from repro.systems.monitoring import (
     sqlserver_workload_group_stats,
     teradata_dashboard,
 )
+from repro.workloads.traces import QueryLog
 
 from tests.conftest import make_query
 
 
 @pytest.fixture
-def loaded_manager(sim):
+def query_log():
+    return QueryLog()
+
+
+@pytest.fixture
+def loaded_manager(sim, query_log):
     manager = WorkloadManager(
         sim,
         machine=MachineSpec(cpu_capacity=4, disk_capacity=4, memory_mb=4096),
         scheduler=FCFSDispatcher(max_concurrency=3),
     )
+    manager.add_completion_listener(query_log.record_query)
     # two finished, two running, one queued
     for _ in range(2):
         manager.submit(make_query(cpu=0.1, io=0.0, sql="oltp:t"))
@@ -74,8 +81,10 @@ class TestSqlServerViews:
 
 
 class TestTeradataDashboard:
-    def test_dashboard_columns(self, loaded_manager):
-        rows = {r["workload_name"]: r for r in teradata_dashboard(loaded_manager)}
+    def test_dashboard_columns(self, loaded_manager, query_log):
+        rows = {
+            r["workload_name"]: r for r in teradata_dashboard(loaded_manager, query_log)
+        }
         bi = rows["bi"]
         assert bi["active_sessions"] == 3
         assert bi["delay_queue_depth"] == 1
@@ -84,7 +93,9 @@ class TestTeradataDashboard:
         oltp = rows["oltp"]
         assert oltp["completed_requests"] == 2
         assert oltp["avg_response_time"] is not None
+        # the two logged OLTP completions over the 2 s elapsed so far
+        assert oltp["arrival_rate"] == pytest.approx(1.0)
 
     def test_dashboard_on_idle_manager(self, sim):
         manager = WorkloadManager(sim)
-        assert teradata_dashboard(manager) == []
+        assert teradata_dashboard(manager, QueryLog()) == []

@@ -127,6 +127,9 @@ class TestBadInput:
             ("backend", "run --workloads nope"),
             ("scenario", "run --spec {tmp}/missing.json"),
             ("backend", "calibrate --trace-in {tmp}/missing.jsonl"),
+            # an unwritable output fails before the run, not after it
+            ("backend", "run --horizon 1 --trace-out {tmp}/no-such-dir/t.jsonl"),
+            ("backend", "compare --horizon 1 --trace-out {tmp}/no-such-dir/t.jsonl"),
             # out-of-range numbers
             ("backend", "run --horizon 1 --time-scale 0"),
             ("backend", "compare --horizon 1 --time-scale 0"),

@@ -15,6 +15,7 @@ from repro.engine.simulator import Simulator
 from repro.parallel.digest import dispatcher_digest, outcome_digest
 from repro.scenarios import get_policy, get_scenario, run_scenario, summarize_run
 from repro.systems import monitoring
+from repro.workloads.traces import QueryLog
 
 from tests.conftest import make_query
 
@@ -35,7 +36,7 @@ MANAGER_READS = {
     "db2_service_class_stats": monitoring.db2_service_class_stats,
     "sqlserver_workload_group_stats": monitoring.sqlserver_workload_group_stats,
     "sqlserver_resource_pool_stats": monitoring.sqlserver_resource_pool_stats,
-    "teradata_dashboard": monitoring.teradata_dashboard,
+    "teradata_dashboard": lambda m: monitoring.teradata_dashboard(m, QueryLog()),
     "decisions_by": lambda m: decisions_by(m.context.decisions, action="reject"),
 }
 

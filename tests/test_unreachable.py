@@ -33,7 +33,11 @@ and each query's plan and objects.  Every waiting request waits in one
 ``PartitionedQueue``, so the sockets keep only their decisions: no run
 withdrew a single queued request through a scheduler, no seeded sweep
 task succeeded on a retry, and the cluster's placement tally counted
-what each node's ``placed_count`` already did.
+what each node's ``placed_count`` already did.  A manager keeps one
+outcome record per request: the query log every manager wrote beside
+its metrics went, because only a few analyses read it and they attach
+one as a completion listener; its window and throughput aggregations,
+which nothing called, went with it.
 Bringing one back means bringing the spec field and the measured cell
 that reach it, and editing this list.
 """
@@ -58,6 +62,7 @@ from repro.engine.executor import EngineConfig
 from repro.engine.simulator import Event, Simulator
 from repro.parallel import run_tasks
 from repro.scheduling.queues import MultiQueueScheduler, TenantShareScheduler
+from repro.workloads.traces import QueryLog
 
 SRC = pathlib.Path(repro.__file__).parent
 
@@ -134,6 +139,7 @@ DELETED_NAMES = {
     "arrival_schedule",
     "record_placement",
     "placement_decisions",
+    "query_log",
 }
 DELETED_MODULES = (
     "cluster/elastic.py",
@@ -180,6 +186,8 @@ def test_removed_parameters_stay_removed():
     # the manager always builds its own engine
     assert "engine" not in inspect.signature(WorkloadManager).parameters
     assert "policy" not in {f.name for f in dataclasses.fields(ManagerContext)}
+    # the query log is a listener a caller attaches, not a context field
+    assert "query_log" not in {f.name for f in dataclasses.fields(ManagerContext)}
     assert "health" not in inspect.signature(ClusterNode).parameters
     assert [health.name for health in NodeHealth] == ["UP", "DOWN"]
     assert sorted(kind.name for kind in FaultKind) == ["CRASH", "DEGRADE", "RECOVER"]
@@ -253,6 +261,11 @@ def test_removed_readers_stay_removed():
     assert not hasattr(dispatcher, "quota_rejections")
     # each node counts its own placements
     assert not hasattr(ClusterMetrics([]), "placements")
+    # a manager keeps its metrics, no query log; the log aggregates
+    # nothing (both names live on: WorkloadStats.throughput and the
+    # phase detector's ``windows`` argument)
+    assert not hasattr(WorkloadManager(sim), "query_log")
+    assert not hasattr(QueryLog, "windows") and not hasattr(QueryLog, "throughput")
 
 
 def test_the_backend_verb_has_no_driver_option(capsys):

@@ -94,14 +94,16 @@ class TestLogSerialization:
             sim,
             machine=MachineSpec(cpu_capacity=2.0, disk_capacity=2.0),
         )
+        log = QueryLog()
+        manager.add_completion_listener(log.record_query)
         for offset in (0.0, 0.5, 1.0):
             query = make_query(cpu=0.2, io=0.1, sql="wl:q")
             sim.schedule_at(offset, lambda q=query: manager.submit(q))
         manager.run(2.0, drain=20.0)
         path = tmp_path / "sim.jsonl"
-        manager.query_log.to_jsonl(path)
+        assert log.to_jsonl(path) == 3
         loaded = QueryLog.from_jsonl(path)
-        assert list(loaded) == list(manager.query_log)
+        assert list(loaded) == list(log)
 
 
 class TestMalformedTrace:

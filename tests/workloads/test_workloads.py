@@ -27,6 +27,7 @@ from repro.workloads.models import (
     Uniform,
     WorkloadSpec,
 )
+from repro.workloads.traces import QueryLog
 
 from tests.conftest import make_query
 
@@ -279,37 +280,11 @@ class TestGenerator:
 class TestTraces:
     def test_record_and_filter(self, sim):
         manager = WorkloadManager(sim)
+        log = QueryLog()
+        manager.add_completion_listener(log.record_query)
         manager.submit(make_query(cpu=0.1, io=0.0, sql="a:q"))
         manager.submit(make_query(cpu=0.1, io=0.0, sql="b:q"))
         manager.run(0.0, drain=5.0)
-        log = manager.query_log
         assert len(log) == 2
         assert len(log.records(workload="a")) == 1
         assert all(r.completed for r in log.records(completed_only=True))
-
-    def test_windows_partition_by_submit_time(self, sim):
-        from repro.workloads.traces import QueryLog
-
-        log = QueryLog()
-        for t in (0.5, 1.5, 1.7, 9.0):
-            query = make_query()
-            query.submit_time = t
-            log.record_query(query)
-        windows = log.windows(width=1.0, horizon=10.0)
-        assert len(windows) == 10
-        assert len(windows[0]) == 1
-        assert len(windows[1]) == 2
-
-    def test_throughput_series(self, sim):
-        manager = WorkloadManager(sim)
-        for _ in range(4):
-            manager.submit(make_query(cpu=0.5, io=0.0))
-        manager.run(0.0, drain=5.0)
-        series = manager.query_log.throughput(width=1.0, horizon=5.0)
-        assert sum(series) == pytest.approx(4 / 1.0 / 5.0 * 5.0)
-
-    def test_window_validation(self):
-        from repro.workloads.traces import QueryLog
-
-        with pytest.raises(ValueError):
-            QueryLog().windows(width=0.0)
