@@ -25,14 +25,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
-from benchmarks.perf.scenarios import (
-    HIGH_MPL_LEVELS,
-    MILLION_SHARD_COUNT,
-    MILLION_SUBMITTED_FLOOR,
-    reduce_shards,
-)
+from benchmarks.perf import scenarios as runs
 from repro.parallel.runner import run_tasks
-from repro.parallel.spec import make_task
+from repro.parallel.spec import TaskFn, make_task
 
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_core.json"
 
@@ -72,7 +67,7 @@ class Row:
     """
 
     name: str
-    runner: str
+    runner: TaskFn
     seed: int
     params: Mapping[str, Mapping[str, object]]
     shards: Optional[Tuple[str, Sequence[object]]] = None
@@ -80,7 +75,6 @@ class Row:
     floor: Mapping[str, Tuple[str, int]] = field(default_factory=dict)
 
 
-_RUN = "benchmarks.perf.scenarios:run_"
 _SCALE = {"ci": {"scale": 0.08}, "full": {"scale": 1.0}}
 #: EXP18's overload on 4 nodes, n1 down from 45% to 70% of the horizon
 _KILL_N1 = {"scenario": "cluster_overload", "policy": "push/cost",
@@ -95,35 +89,35 @@ def _matcher(dispatch: str, nodes: int, horizon: float) -> Dict[str, object]:
 #: Seeds are part of the committed digests.
 ROWS: Tuple[Row, ...] = (
     # fair-share reallocation over a large running set
-    Row("high_mpl", _RUN + "high_mpl_shard", 7, _SCALE,
-        shards=("mpl", HIGH_MPL_LEVELS), repeat=True),
+    Row("high_mpl", runs.run_high_mpl_shard, 7, _SCALE,
+        shards=("mpl", runs.HIGH_MPL_LEVELS), repeat=True),
     # the per-tick control loop over the running set
-    Row("mixed_pipeline", _RUN + "mixed_pipeline", 11, _SCALE, repeat=True),
+    Row("mixed_pipeline", runs.run_mixed_pipeline, 11, _SCALE, repeat=True),
     # streaming metrics polled every tick
-    Row("sla_polling", _RUN + "sla_polling", 13, _SCALE, repeat=True),
+    Row("sla_polling", runs.run_sla_polling, 13, _SCALE, repeat=True),
     # placement, crash evacuation, resubmission and recovery
-    Row("cluster", _RUN + "cluster_row", 19,
+    Row("cluster", runs.run_cluster_row, 19,
         {"ci": {**_KILL_N1, "horizon": 12.0, "drain": 212.0},
          "full": {**_KILL_N1, "horizon": 150.0, "drain": 350.0}}, repeat=True),
-    Row("million_query", _RUN + "million_query_shard", 23,
+    Row("million_query", runs.run_million_query_shard, 23,
         {"ci": {"scale": 0.04}, "full": {"scale": 1.0}},
-        shards=("shard", range(MILLION_SHARD_COUNT)),
+        shards=("shard", range(runs.MILLION_SHARD_COUNT)),
         floor={"ci": ("submitted", 40_000),
-               "full": ("submitted", MILLION_SUBMITTED_FLOOR)}),
+               "full": ("submitted", runs.MILLION_SUBMITTED_FLOOR)}),
     # push and pull share a seed: same arrivals, speeds and fault plan
-    Row("matcher_push_64", _RUN + "cluster_row", 29,
+    Row("matcher_push_64", runs.run_cluster_row, 29,
         {"ci": _matcher("push", 64, 10.0), "full": _matcher("push", 64, 120.0)}),
-    Row("matcher_pull_64", _RUN + "cluster_row", 29,
+    Row("matcher_pull_64", runs.run_cluster_row, 29,
         {"ci": _matcher("pull", 64, 10.0), "full": _matcher("pull", 64, 120.0)}),
-    Row("matcher_push_256", _RUN + "cluster_row", 29,
+    Row("matcher_push_256", runs.run_cluster_row, 29,
         {"full": _matcher("push", 256, 120.0)}),
-    Row("matcher_pull_256", _RUN + "cluster_row", 29,
+    Row("matcher_pull_256", runs.run_cluster_row, 29,
         {"full": _matcher("pull", 256, 120.0)}),
-    Row("backend", _RUN + "backend", 31,
+    Row("backend", runs.run_backend, 31,
         {"ci": {"horizon": 100.0, "time_scale": 0.005},
          "full": {"horizon": 600.0, "time_scale": 0.01}},
         floor={"ci": ("statements", 1_000), "full": ("statements", 6_000)}),
-    Row("scenarios", _RUN + "scenario_matrix", 42, {"ci": {}}),
+    Row("scenarios", runs.run_scenario_matrix, 42, {"ci": {}}),
 )
 
 
@@ -148,7 +142,7 @@ def run_row(row: Row, mode: str, workers: int = 1) -> Dict[str, object]:
 
     def run() -> Dict[str, object]:
         sweep = run_tasks(tasks, workers=workers)
-        reduced = reduce_shards(sweep.values)
+        reduced = runs.reduce_shards(sweep.values)
         reduced["wall_s"] = sweep.wall_s
         return reduced
 

@@ -109,6 +109,12 @@ WeightFn = Callable[[Query], float]
 CompletionListener = Callable[[Query], None]
 
 
+def priority_weight(query: Query) -> float:
+    """The default fair-share weight: the query's business priority,
+    at least 1."""
+    return float(max(query.priority, 1))
+
+
 class WorkloadManager:
     """Front end of the simulated database server.
 
@@ -152,7 +158,7 @@ class WorkloadManager:
         self.admission = admission or AcceptAllAdmission()
         self.scheduler = scheduler or WaitQueue()
         self.execution_controllers = list(execution_controllers)
-        self.weight_fn = weight_fn or (lambda q: float(max(q.priority, 1)))
+        self.weight_fn = weight_fn or priority_weight
         self.control_period = control_period
 
         self.context = ManagerContext(

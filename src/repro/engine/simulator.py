@@ -27,7 +27,6 @@ at one instant solves its reallocation once.
 from __future__ import annotations
 
 import heapq
-import itertools
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
@@ -89,7 +88,7 @@ class Simulator:
         self._now = 0.0
         #: heap of ``(time, seq, event)``; see the module docstring
         self._queue: List[Tuple[float, int, Event]] = []
-        self._seq = itertools.count()
+        self._seq = 0
         self._rngs: Dict[str, np.random.Generator] = {}
         self._events_fired = 0
         #: actions waiting for the current instant to end; see :meth:`defer`
@@ -143,7 +142,8 @@ class Simulator:
                 )
             time = now
         event = Event(time, action, label)
-        heapq.heappush(self._queue, (time, next(self._seq), event))
+        heapq.heappush(self._queue, (time, self._seq, event))
+        self._seq += 1
         return event
 
     def schedule(

@@ -3,8 +3,8 @@
 Our simulations are seed-deterministic and shared-nothing per run —
 embarrassingly parallel.  This package supplies the runtime and nothing
 else: picklable task descriptors (:mod:`~repro.parallel.spec`), a
-process-pool runner with warm start, chunked dispatch, shard-level
-failure isolation and a serial fallback
+process-pool runner with chunked dispatch, shard-level failure
+isolation and a serial fallback
 (:mod:`~repro.parallel.runner`), and task-ordered reduction with
 SHA-256 digest verification (:mod:`~repro.parallel.digest`).  It
 imports nothing from the simulator at import time; the grids of runs
@@ -17,26 +17,17 @@ it.
 """
 
 from repro.parallel.digest import combine, dispatcher_digest, outcome_digest
-from repro.parallel.runner import SweepResult, TaskOutcome, run_tasks
+from repro.parallel.runner import SweepResult, TaskOutcome, execute_task, run_tasks
 from repro.parallel.spec import RunTask, make_task
-from repro.parallel.tasks import (
-    TASK_REGISTRY,
-    execute_task,
-    register_task,
-    resolve_runner,
-)
 
 __all__ = [
     "RunTask",
     "SweepResult",
-    "TASK_REGISTRY",
     "TaskOutcome",
     "combine",
     "dispatcher_digest",
     "execute_task",
     "make_task",
     "outcome_digest",
-    "register_task",
-    "resolve_runner",
     "run_tasks",
 ]

@@ -7,18 +7,18 @@ regardless of worker count or completion order.  The determinism
 contract:
 
 * tasks are picklable descriptors (:class:`~repro.parallel.spec.RunTask`);
-  workers rebuild the simulator from ``(runner, params, seed)`` and no
+  workers rebuild the simulator from ``(fn, params, seed)`` and no
   live object crosses the process boundary;
 * every task is itself seed-deterministic (the library-wide rule);
 * reduction order is fixed by the task list, never by completion order.
 
 Operationally there is one pass: tasks are cut into shards (chunked
-dispatch amortizes IPC), each shard is dispatched — a future on a
-warm-started pool, or run in place when there is none — and shards are
-collected in dispatch order.  A task's exception is a per-task value,
-so the rest of its shard completes; a shard-level failure (unpicklable
-result, dead worker, pool broken on submit) fails exactly that shard's
-tasks.  Nothing is retried: a seeded task fails the same way every
+dispatch amortizes IPC), each shard is dispatched — a future on a pool
+of at most one worker per shard, or run in place when there is none —
+and shards are collected in dispatch order.  A task's exception is a
+per-task value, so the rest of its shard completes; a shard-level
+failure (unpicklable result, dead worker, pool broken on submit) fails
+exactly that shard's tasks.  Nothing is retried: a seeded task fails the same way every
 time.  ``workers <= 1``, a single task, or a platform that cannot start
 a process pool run in this process.
 """
@@ -34,22 +34,24 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.errors import ConfigurationError, ParallelExecutionError
 from repro.parallel.digest import combine
 from repro.parallel.spec import RunTask
-from repro.parallel.tasks import execute_task, runner_module
 
 #: One run of one task: ``(value, None)`` or ``(None, error text)``.
 Attempt = Tuple[Optional[Dict[str, object]], Optional[str]]
 
 
-def _warm_import(modules: Tuple[str, ...]) -> None:
-    """Worker initializer: pre-import task modules so the first real
-    shard does not pay the import cost inside its timing window."""
-    import importlib
-
-    for name in modules:
-        try:
-            importlib.import_module(name)
-        except Exception:  # tolerated: the shard will surface the error
-            pass
+def execute_task(task: RunTask) -> Dict[str, object]:
+    """Run one task in this process: the one code path of a worker and
+    of a serial run.  The result dict gains ``task_key`` and
+    ``task_wall_s``."""
+    start = time.perf_counter()
+    value = task.fn(seed=task.seed, **task.params)
+    if not isinstance(value, dict):
+        raise TypeError(
+            f"task {task.key!r} returned {type(value).__name__}, "
+            "expected a result dict"
+        )
+    wall_s = round(time.perf_counter() - start, 3)
+    return {**value, "task_key": task.key, "task_wall_s": wall_s}
 
 
 def _execute_shard(tasks: Tuple[RunTask, ...]) -> List[Attempt]:
@@ -85,7 +87,8 @@ class SweepResult:
     """Every task's outcome in task order, plus run telemetry.
 
     :func:`run_tasks` raises rather than return a failed task, so every
-    outcome here carries a value.
+    outcome here carries a value.  ``workers`` is the number of
+    processes that ran them: at most one per shard.
     """
 
     outcomes: List[TaskOutcome]
@@ -104,19 +107,16 @@ class SweepResult:
         return combine(str(value.get("digest", "")) for value in self.values)
 
 
-def _make_pool(
-    workers: int, modules: Tuple[str, ...]
-) -> Optional[ProcessPoolExecutor]:
-    """A warm-started pool, or ``None`` where the platform cannot start
-    one.  ``fork`` is preferred (cheap, inherits warm imports)."""
+def _make_pool(workers: int) -> Optional[ProcessPoolExecutor]:
+    """A pool of ``workers`` processes, or ``None`` where the platform
+    cannot start one.  ``fork`` is preferred: workers inherit the
+    parent's imports.  Under ``spawn``, unpickling a task's function
+    imports its module."""
     methods = multiprocessing.get_all_start_methods()
     method = "fork" if "fork" in methods else "spawn"
     try:
         return ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context(method),
-            initializer=_warm_import,
-            initargs=(modules,),
+            max_workers=workers, mp_context=multiprocessing.get_context(method)
         )
     except (NotImplementedError, ImportError, OSError, ValueError):
         return None
@@ -160,15 +160,19 @@ def run_tasks(tasks: Sequence[RunTask], workers: int = 1) -> SweepResult:
     if len({task.key for task in tasks}) != len(tasks):
         raise ConfigurationError("duplicate task keys in sweep")
     start = time.perf_counter()
-    result = SweepResult(outcomes=outcomes, workers=max(1, workers), wall_s=0.0)
-    pool = None
-    if result.workers > 1 and len(tasks) > 1:
-        modules = tuple(sorted({runner_module(task.runner) for task in tasks}))
-        pool = _make_pool(result.workers, modules)
-        result.fell_back_serial = pool is None
+    workers = max(1, workers)
     # small enough to balance load, large enough to amortize IPC
-    size = max(1, len(tasks) // (result.workers * 4))
+    size = max(1, len(tasks) // (workers * 4))
     shards = [outcomes[i : i + size] for i in range(0, len(tasks), size)]
+    # a ``fork`` pool starts every worker at the first submit: no more
+    # workers than shards
+    result = SweepResult(
+        outcomes=outcomes, workers=max(1, min(workers, len(shards))), wall_s=0.0
+    )
+    pool = None
+    if result.workers > 1:
+        pool = _make_pool(result.workers)
+        result.fell_back_serial = pool is None
     try:
         dispatched = [
             _dispatch(pool, tuple(outcome.task for outcome in shard)) for shard in shards

@@ -1,30 +1,22 @@
 """Task descriptors for the deterministic sweep runtime.
 
-A :class:`RunTask` is a *picklable description* of one independent
-simulation run: a runner (registered task name or ``module:function``
-dotted path), a parameter mapping and a seed.  No live simulator,
-manager or RNG object ever crosses the process boundary — a worker
-rebuilds everything from ``(runner, params, seed)``, which is exactly
-what makes parallel execution bit-identical to serial execution.
-
-Reduction happens in task-list order regardless of which worker
-finishes first (see :mod:`repro.parallel.runner`); a grid of runs is
-expanded into tasks by :mod:`repro.scenarios.sweep`.
+A :class:`RunTask` is one independent simulation run, called as
+``fn(seed=seed, **params)``.  ``fn`` is a module-level function and the
+parameters are values (numbers, strings, frozen specs), so a task
+pickles as it is: pickle sends ``fn`` by reference.  No live simulator,
+manager or RNG crosses the process boundary — ``fn`` rebuilds its run
+from the values, which is what makes parallel execution bit-identical
+to serial execution.  A grid of runs is expanded into tasks by
+:mod:`repro.scenarios.sweep`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Mapping, Optional
 
-#: Parameter payload: sorted ``(name, value)`` pairs, hashable + picklable.
-Params = Tuple[Tuple[str, object], ...]
-
-
-def _format_value(value: object) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+#: A task's function: ``fn(seed=..., **params) -> result dict``.
+TaskFn = Callable[..., Dict[str, object]]
 
 
 @dataclass(frozen=True)
@@ -37,32 +29,18 @@ class RunTask:
     """
 
     key: str
-    runner: str
-    params: Params = ()
+    fn: TaskFn
+    params: Mapping[str, object] = field(default_factory=dict)
     seed: int = 0
-
-    @property
-    def kwargs(self) -> Dict[str, object]:
-        """The parameter mapping a worker calls the runner with."""
-        return dict(self.params)
-
-    def describe(self) -> str:
-        parts = [f"{k}={_format_value(v)}" for k, v in self.params]
-        parts.append(f"seed={self.seed}")
-        return f"{self.runner}({', '.join(parts)})"
 
 
 def make_task(
-    runner: str,
-    seed: int = 0,
-    key: Optional[str] = None,
-    **params: object,
+    fn: TaskFn, seed: int = 0, key: Optional[str] = None, **params: object
 ) -> RunTask:
-    """Build a single :class:`RunTask` with a derived default key."""
-    frozen = tuple(sorted(params.items()))
+    """Build a single :class:`RunTask`; the default key is ``fn``'s name
+    with the sorted parameters and the seed."""
     if key is None:
-        bits = [f"{k}={_format_value(v)}" for k, v in frozen]
+        bits = [f"{k}={v}" for k, v in sorted(params.items())]  # str(float) is its repr
         bits.append(f"seed={seed}")
-        key = f"{runner}[{';'.join(bits)}]"
-    return RunTask(key=key, runner=runner, params=frozen, seed=int(seed))
-
+        key = f"{fn.__name__}[{';'.join(bits)}]"
+    return RunTask(key=key, fn=fn, params=params, seed=int(seed))

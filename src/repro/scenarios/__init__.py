@@ -50,7 +50,7 @@ from repro.scenarios.matrix import (
     policy_names,
     scenario_names,
 )
-from repro.scenarios.sweep import run_scenario_matrix, scenario_matrix_tasks
+from repro.scenarios.sweep import run_scenario_matrix, scenario_matrix_tasks, scenario_task
 from repro.scenarios.report import render_survival_report
 
 __all__ = [
@@ -73,6 +73,7 @@ __all__ = [
     "run_scenario",
     "run_scenario_matrix",
     "scenario_matrix_tasks",
+    "scenario_task",
     "scenario_names",
     "summarize_run",
 ]

@@ -1,8 +1,8 @@
 """The sweep: every grid of runs in the repo is expanded and run here.
 
 :func:`scenario_matrix_tasks` expands scenarios × policies × seeds into
-deterministic ``scenario`` tasks, each noisy scenario's run followed by
-its leakage companion (the same run, antagonists removed);
+deterministic :func:`scenario_task` tasks, each noisy scenario's run
+followed by its leakage companion (the same run, antagonists removed);
 :func:`run_scenario_matrix` runs them over :mod:`repro.parallel`,
 reduced in task order, so the sweep digest is identical for any worker
 count.  ``python -m repro sweep`` (``cluster_overload`` ×
@@ -25,10 +25,34 @@ from repro.scenarios.matrix import (
     policy_names,
     scenario_names,
 )
+from repro.scenarios.runner import run_scenario, summarize_run
+from repro.scenarios.spec import PolicyConfig, ScenarioSpec
 
 #: Seed replications for the committed matrix (one: the matrix is a
 #: deterministic artifact, replications belong to research sweeps).
 SCENARIO_SEEDS: Tuple[int, ...] = (42,)
+
+
+def scenario_task(
+    seed: int,
+    spec: ScenarioSpec,
+    policy: PolicyConfig,
+    exclude_noisy: bool = False,
+    drain: Optional[float] = None,
+) -> Dict[str, object]:
+    """One seeded scenario run, summarized: every run a sweep makes is
+    this task.
+
+    ``exclude_noisy`` runs the leakage companion — the same scenario
+    with its antagonist tenants removed.  The summary dict carries the
+    conservation counters, the per-tenant ledgers, per-workload response
+    aggregates, SLA verdicts and the scenario digest.
+    """
+    if exclude_noisy:
+        spec = spec.without_noisy()
+    summary = summarize_run(run_scenario(spec, policy, seed=seed, drain=drain))
+    summary["exclude_noisy"] = bool(exclude_noisy)
+    return summary
 
 
 def scenario_matrix_tasks(
@@ -40,33 +64,31 @@ def scenario_matrix_tasks(
     """The ordered task list: the grid's runs plus leakage companions.
 
     ``scenarios`` and ``policies`` default to the committed matrix;
-    ``params`` go to every scenario's builder.  Names and ``params`` are
-    resolved here by the resolvers the workers will call: bad input is
-    one error in the parent, not one per worker.  Order is (scenario,
-    policy, seed, companion-last), so the sweep digest is stable.
+    ``params`` go to every scenario's builder.  Each name resolves once,
+    here, and the task carries the resulting spec and policy as values:
+    bad input is one error in the parent, and a worker resolves nothing.
+    Order is (scenario, policy, seed, companion-last), so the sweep
+    digest is stable.
     """
     if not seeds:
         raise ConfigurationError("a sweep needs at least one seed")
-    chosen_policies = list(policies) if policies else list(policy_names())
-    for policy in chosen_policies:
-        get_policy(policy)
+    chosen = [get_policy(name) for name in policies or policy_names()]
     tasks: List[RunTask] = []
-    for scenario in scenarios if scenarios else scenario_names():
-        runs: List[Dict[str, object]] = [{}]
-        if get_scenario(scenario, **params).has_noisy:
-            runs.append({"exclude_noisy": True})
+    for name in scenarios or scenario_names():
+        spec = get_scenario(name, **params)
+        companions = (False, True) if spec.has_noisy else (False,)
         tasks.extend(
             make_task(
-                "scenario",
+                scenario_task,
                 seed=int(seed),
-                scenario=scenario,
+                key=f"{name}|{policy.name}|{seed}" + ("|companion" if companion else ""),
+                spec=spec,
                 policy=policy,
-                **params,
-                **extra,
+                exclude_noisy=companion,
             )
-            for policy in chosen_policies
+            for policy in chosen
             for seed in seeds
-            for extra in runs
+            for companion in companions
         )
     if len({task.key for task in tasks}) != len(tasks):
         raise ConfigurationError("sweep expansion produced duplicate keys")

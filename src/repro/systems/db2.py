@@ -23,6 +23,7 @@ DB2 WLM.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.admission.threshold import ThresholdAdmission
@@ -32,6 +33,7 @@ from repro.characterization.static import (
     WorkClassCriteria,
     WorkloadDefinition,
 )
+from repro.core.manager import priority_weight
 from repro.core.policy import (
     AdmissionPolicy,
     Threshold,
@@ -123,6 +125,14 @@ class DB2Threshold:
 
     def as_policy_threshold(self) -> Threshold:
         return Threshold(self.kind, self.limit, self.action)
+
+
+def subclass_weight(weights: Dict[str, float], query: Query) -> float:
+    """The weight of ``query``'s service subclass, or its priority
+    weight where the ladder does not name its subclass."""
+    if query.service_class in weights:
+        return weights[query.service_class]
+    return priority_weight(query)
 
 
 @dataclass
@@ -240,17 +250,11 @@ class DB2WorkloadManagerConfig:
             else {}
         )
 
-        def weight_fn(query: Query) -> float:
-            level = query.service_class
-            if level in ladder_weights:
-                return ladder_weights[level]
-            return float(max(query.priority, 1))
-
         return SystemBundle(
             characterizer=characterizer,
             admission=admission,
             scheduler=scheduler,
             execution_controllers=controllers,
-            weight_fn=weight_fn,
+            weight_fn=partial(subclass_weight, ladder_weights),
             name="IBM DB2 Workload Manager",
         )

@@ -159,6 +159,12 @@ class ResourcePoolController(ExecutionController):
         context.record(self, "set_shares", detail=shares)
 
 
+def default_group(query: Query, session: Optional[Session]) -> str:
+    """The classifier a configuration without one uses: every request
+    goes to the ``default`` group."""
+    return "default"
+
+
 @dataclass
 class ResourceGovernorConfig:
     """A full Resource Governor + Query Governor setup."""
@@ -180,9 +186,8 @@ class ResourceGovernorConfig:
         group_names = [group.name for group in self.groups]
         priorities = {group.name: group.importance for group in self.groups}
 
-        classifier_fn = self.classifier or (lambda query, session: "default")
         characterizer = ClassifierFunctionCharacterizer(
-            classifier_fn,
+            self.classifier or default_group,
             known_groups=group_names,
             default_group="default",
             priorities=priorities,
@@ -231,14 +236,10 @@ class ResourceGovernorConfig:
             ]
             controllers.append(QueryKillController(rules))
 
-        def weight_fn(query: Query) -> float:
-            return float(max(query.priority, 1))
-
         return SystemBundle(
             characterizer=characterizer,
             admission=admission,
             scheduler=scheduler,
             execution_controllers=controllers,
-            weight_fn=weight_fn,
             name="Microsoft SQL Server Resource/Query Governor",
         )

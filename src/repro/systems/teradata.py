@@ -24,6 +24,7 @@ and regulator execution controllers — the Table 4 technique set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.admission.base import CompositeAdmission
@@ -39,6 +40,7 @@ from repro.core.interfaces import (
     AdmissionDecision,
     ManagerContext,
 )
+from repro.core.manager import priority_weight
 from repro.core.policy import Threshold, ThresholdAction, ThresholdKind
 from repro.engine.query import Query, StatementType
 from repro.errors import ConfigurationError
@@ -315,6 +317,14 @@ class TeradataWorkloadDefinition:
         )
 
 
+def workload_weight(weights: Dict[str, float], query: Query) -> float:
+    """The allocation weight of ``query``'s workload definition, or its
+    priority weight where no definition names its workload."""
+    if query.workload_name in weights:
+        return weights[query.workload_name]
+    return priority_weight(query)
+
+
 @dataclass
 class TeradataASMConfig:
     """A complete Teradata ASM setup, compiled by :meth:`build`."""
@@ -391,17 +401,12 @@ class TeradataASMConfig:
             for definition in self.definitions
         }
 
-        def weight_fn(query: Query) -> float:
-            if query.workload_name in weights:
-                return weights[query.workload_name]
-            return float(max(query.priority, 1))
-
         return SystemBundle(
             characterizer=characterizer,
             admission=admission,
             scheduler=scheduler,
             execution_controllers=controllers,
-            weight_fn=weight_fn,
+            weight_fn=partial(workload_weight, weights),
             name="Teradata Active System Management",
         )
 

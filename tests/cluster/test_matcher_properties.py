@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.parallel import make_task, run_tasks
 from repro.parallel.digest import dispatcher_digest
-from repro.scenarios import get_policy, get_scenario, run_scenario
+from repro.scenarios import get_policy, get_scenario, run_scenario, scenario_task
 
 NODES = 64
 
@@ -85,15 +85,18 @@ class TestWorkerCountStability:
         def rollup(workers):
             tasks = [
                 make_task(
-                    "scenario",
+                    scenario_task,
                     seed=seed,
-                    scenario="matcher_stress",
-                    policy=f"{dispatch}/cost",
-                    nodes=NODES,
-                    horizon=4.0,
+                    key=str(seed),
+                    spec=get_scenario(
+                        "matcher_stress",
+                        nodes=NODES,
+                        horizon=4.0,
+                        oltp_rate_per_node=1.0,
+                        bi_rate=0.25,
+                    ),
+                    policy=get_policy(f"{dispatch}/cost"),
                     drain=8.0,
-                    oltp_rate_per_node=1.0,
-                    bi_rate=0.25,
                 )
                 for seed in (3, 4)
             ]

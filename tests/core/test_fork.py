@@ -5,13 +5,20 @@ copies everything its pending events act on, as long as every action
 handed to the simulator and every listener is a bound method, a
 module-level function or a ``functools.partial`` of one: a closure is
 copied by reference and would keep acting on the original's objects
-(``tests/test_actions.py`` keeps the source that way).  The property
-forks each shape at a random instant and runs both copies, in either
-order, to the end of its drain window: both digests must equal the
-unforked run's.
+(``tests/test_actions.py`` keeps the source that way).  A pickle round
+trip is the same fork through a byte string, and it holds every
+callable a run *stores* — a weight function, a classifier — to that
+rule too: pickle refuses a lambda or a nested function outright.  The
+property forks each shape at a random instant both ways and runs both
+copies, in either order, to the end of its drain window: both digests
+must equal the unforked run's.  A ``DeprecationWarning`` is an error
+here, so an object whose copy CPython deprecates (an
+``itertools.count``, on 3.12) fails the suite before the release that
+removes its copy.
 """
 
 import copy
+import pickle
 from functools import lru_cache
 
 import pytest
@@ -185,15 +192,23 @@ def _unforked(shape: str) -> str:
     return _finish(build(), horizon)
 
 
+def _pickled(run):
+    return pickle.loads(pickle.dumps(run))
+
+
+@pytest.mark.filterwarnings("error::DeprecationWarning")
+@pytest.mark.parametrize("fork_with", [copy.deepcopy, _pickled], ids=["deepcopy", "pickle"])
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 @settings(max_examples=2, deadline=None)
 @given(at=st.floats(0.0, 1.5), fork_first=st.booleans())
 @example(at=0.5, fork_first=True)  # mid-run: hypothesis favours the ends
-def test_a_fork_at_any_instant_reproduces_the_unforked_run(shape, at, fork_first):
+def test_a_fork_at_any_instant_reproduces_the_unforked_run(
+    shape, fork_with, at, fork_first
+):
     build, horizon = SHAPES[shape]
     original = build()
     _clock(original).run_until(at * horizon)
-    fork = copy.deepcopy(original)
+    fork = fork_with(original)
     order = (fork, original) if fork_first else (original, fork)
     digests = [_finish(run, horizon) for run in order]
     assert digests == [_unforked(shape)] * 2

@@ -1,7 +1,7 @@
-"""Picklable task runners for the repro.parallel tests.
+"""Picklable task functions for the repro.parallel tests.
 
 These live in an importable module (``tests.parallel.helpers``) because
-worker processes resolve runners by ``module:function`` path — a lambda
+pickle sends a function by reference, as its module and name: a lambda
 or a test-local closure cannot cross the process boundary.
 """
 

@@ -3,7 +3,7 @@
 The hypothesis property drives randomly-shaped task grids through the
 runner at 1, 2 and 4 workers and requires identical ordered digests —
 worker count and completion order must be unobservable in the reduced
-output.  The cluster test does the same with the real scenario runner
+output.  The cluster test does the same with the real scenario task
 and the user-facing rollup table.
 """
 
@@ -15,9 +15,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.parallel import make_task, run_tasks
-from repro.scenarios.sweep import rollup_table, run_scenario_matrix
-
-QUICK = "tests.parallel.helpers:quick_task"
+from repro.scenarios.sweep import rollup_table, run_scenario_matrix, scenario_task
+from tests.parallel.helpers import quick_task
 
 small_grids = st.dictionaries(
     keys=st.sampled_from(["alpha", "beta", "gamma"]),
@@ -39,7 +38,7 @@ seed_lists = st.lists(
 )
 def test_parallel_digests_equal_serial_for_any_sweep(grid, seeds):
     tasks = [
-        make_task(QUICK, seed=seed, **dict(zip(grid, point)))
+        make_task(quick_task, seed=seed, **dict(zip(grid, point)))
         for point in itertools.product(*grid.values())
         for seed in seeds
     ]
@@ -79,18 +78,11 @@ def test_sweep_row_and_cluster_rollup_agree_on_response_aggregates():
     mean, p95 and measured in-flight that ``ClusterMetrics.rollup`` and
     the dispatcher give for an in-process run of the same spec and seed
     (what the ``python -m repro cluster`` table prints)."""
-    from repro.parallel.tasks import run_scenario_task
     from repro.scenarios import get_policy, get_scenario, run_scenario
 
-    row = run_scenario_task(
-        seed=42, scenario="cluster_overload", policy="push/cost", horizon=20.0, drain=5.0
-    )
-    dispatcher = run_scenario(
-        get_scenario("cluster_overload", horizon=20.0),
-        get_policy("push/cost"),
-        seed=42,
-        drain=5.0,
-    ).dispatcher
+    spec, policy = get_scenario("cluster_overload", horizon=20.0), get_policy("push/cost")
+    row = scenario_task(seed=42, spec=spec, policy=policy, drain=5.0)
+    dispatcher = run_scenario(spec, policy, seed=42, drain=5.0).dispatcher
     (section,) = row["tenants"].values()
     assert set(section["workloads"]) == {"oltp", "bi"}
     for workload, stats in section["workloads"].items():

@@ -9,8 +9,8 @@ import json
 
 from benchmarks.perf import gate
 from benchmarks.perf.scenarios import cluster_row
-from repro.parallel import TASK_REGISTRY
 from repro.scenarios import get_policy, get_scenario, run_scenario
+from repro.scenarios.sweep import scenario_matrix_tasks, scenario_task
 
 
 def _killed_n1_run(horizon=12.0, drain=212.0):
@@ -42,4 +42,5 @@ def test_conservation_is_measured_so_a_dropped_completion_breaks_it():
 
 
 def test_one_task_runs_every_cluster_scenario():
-    assert set(TASK_REGISTRY) == {"scenario"}
+    assert {task.fn for task in scenario_matrix_tasks()} == {scenario_task}
+    assert gate.runs.run_cluster_row in {row.runner for row in gate.ROWS}

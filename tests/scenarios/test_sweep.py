@@ -2,18 +2,23 @@
 the hypothesis-pinned invariants (conservation under churn, digest
 stability across seeds and worker counts)."""
 
+import dataclasses
+import pickle
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.parallel import make_task, run_tasks
 from repro.scenarios.matrix import get_policy, get_scenario
 from repro.scenarios.runner import run_scenario
 from repro.scenarios.sweep import (
     index_results,
     run_scenario_matrix,
     scenario_matrix_tasks,
+    scenario_task,
 )
 
 SLICE = dict(scenarios=["noisy_neighbor"], policies=["baseline", "quotas"])
@@ -26,10 +31,20 @@ class TestTaskExpansion:
     def test_noisy_scenarios_get_companion_tasks(self):
         tasks = scenario_matrix_tasks(**SLICE)
         # per policy: the matrix run then its leakage companion
-        assert len(tasks) == 4
-        params = [dict(task.params) for task in tasks]
-        assert params[0].get("exclude_noisy") is None
-        assert params[1]["exclude_noisy"] is True
+        assert [task.key for task in tasks] == [
+            "noisy_neighbor|baseline|42",
+            "noisy_neighbor|baseline|42|companion",
+            "noisy_neighbor|quotas|42",
+            "noisy_neighbor|quotas|42|companion",
+        ]
+        assert [task.params["exclude_noisy"] for task in tasks] == [False, True] * 2
+
+    def test_a_task_carries_its_spec_and_policy_as_values(self):
+        task, _ = scenario_matrix_tasks(["noisy_neighbor"], ["quotas"])
+        assert task.fn is scenario_task
+        assert task.params["spec"] == get_scenario("noisy_neighbor")
+        assert task.params["policy"] == get_policy("quotas")
+        assert pickle.loads(pickle.dumps(task)) == task
 
     def test_quiet_scenarios_have_no_companions(self):
         tasks = scenario_matrix_tasks(
@@ -56,8 +71,8 @@ class TestTaskExpansion:
             ["cluster_overload"], ["push/cost", "pull/cost"], nodes=3, horizon=8.0
         )
         for task in tasks:
-            assert task.kwargs["nodes"] == 3
-            assert task.kwargs["horizon"] == 8.0
+            assert task.params["spec"].nodes == 3
+            assert task.params["spec"].horizon == 8.0
         # the builder that will run them checks them, in the parent
         with pytest.raises(ConfigurationError, match="horizon"):
             scenario_matrix_tasks(["cluster_overload"], ["push/cost"], horizon=-1.0)
@@ -72,11 +87,11 @@ class TestReplication:
 
     def test_order_is_scenario_policy_seed_with_no_companions(self):
         tasks = scenario_matrix_tasks(["cluster_overload"], self.POLICIES, self.SEEDS)
-        assert [(t.kwargs["policy"], t.seed) for t in tasks] == [
+        assert [(t.params["policy"].name, t.seed) for t in tasks] == [
             (policy, seed) for policy in self.POLICIES for seed in self.SEEDS
         ]
-        assert all(t.kwargs["scenario"] == "cluster_overload" for t in tasks)
-        assert not any("exclude_noisy" in t.kwargs for t in tasks)
+        assert all(t.params["spec"].name == "cluster_overload" for t in tasks)
+        assert not any(t.params["exclude_noisy"] for t in tasks)
 
     def test_digest_is_worker_stable_and_rows_equal_the_sweep_verbs(self, capsys):
         from repro.cli import main
@@ -110,6 +125,19 @@ class TestDigestStability:
         assert [v["digest"] for v in serial.values] == [
             v["digest"] for v in parallel.values
         ]
+
+    def test_a_spec_no_registry_names_runs_in_a_pool(self):
+        """A task ships its spec, so a generated one needs no name."""
+        spec = dataclasses.replace(get_scenario("churn"), name="generated", horizon=8.0)
+        tasks = [
+            make_task(scenario_task, seed=seed, spec=spec, policy=get_policy("quotas"))
+            for seed in (1, 2)
+        ]
+        serial = run_tasks(tasks, workers=1)
+        pooled = run_tasks(tasks, workers=2)
+        assert pooled.workers == 2
+        assert pooled.digest == serial.digest
+        assert [v["scenario"] for v in pooled.values] == ["generated"] * 2
 
     def test_index_results_keys(self):
         result = run_scenario_matrix(**SLICE, workers=1)

@@ -7,7 +7,10 @@ copied that way; a lambda or a nested function is copied by reference,
 so the fork's event would keep acting on the original's objects.  This
 guard fails on any lambda or nested function handed to a method that
 keeps its argument for later: the simulator's scheduling methods and
-the components' listener registrations.
+the components' listener registrations.  Callables a run stores as
+attributes (a manager's weight function, a classifier) are guarded by
+the fork test's pickle arm instead: pickle refuses a lambda or a nested
+function wherever it sits.
 """
 
 import ast

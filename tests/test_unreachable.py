@@ -37,7 +37,11 @@ what each node's ``placed_count`` already did.  A manager keeps one
 outcome record per request: the query log every manager wrote beside
 its metrics went, because only a few analyses read it and they attach
 one as a completion listener; its window and throughput aggregations,
-which nothing called, went with it.
+which nothing called, went with it.  A sweep task carries its function
+and its arguments as values, so the runner registry with its one entry,
+the name and ``module:function`` resolution, the warm-up imports of the
+modules it named and the task's ``describe()``, which only a test read,
+went.
 Bringing one back means bringing the spec field and the measured cell
 that reach it, and editing this list.
 """
@@ -60,7 +64,7 @@ from repro.core.interfaces import ManagerContext, Scheduler
 from repro.core.manager import WorkloadManager
 from repro.engine.executor import EngineConfig
 from repro.engine.simulator import Event, Simulator
-from repro.parallel import run_tasks
+from repro.parallel import RunTask, run_tasks
 from repro.scheduling.queues import MultiQueueScheduler, TenantShareScheduler
 from repro.workloads.traces import QueryLog
 
@@ -140,6 +144,12 @@ DELETED_NAMES = {
     "record_placement",
     "placement_decisions",
     "query_log",
+    "TASK_REGISTRY",
+    "register_task",
+    "resolve_runner",
+    "runner_module",
+    "_warm_import",
+    "run_scenario_task",
 }
 DELETED_MODULES = (
     "cluster/elastic.py",
@@ -147,6 +157,7 @@ DELETED_MODULES = (
     "backends/postgres.py",
     "cluster/scenario.py",
     "workloads/replay.py",
+    "parallel/tasks.py",
 )
 
 
@@ -249,11 +260,14 @@ def test_removed_parameters_stay_removed():
     assert BindingPolicy.__abstractmethods__ == {"route", "on_capacity", "sweep"}
     # a seeded task fails the same way every time: one run, no retries
     assert list(inspect.signature(run_tasks).parameters) == ["tasks", "workers"]
+    # a task is a function and its arguments, not a name to resolve
+    assert [f.name for f in dataclasses.fields(RunTask)] == ["key", "fn", "params", "seed"]
 
 
 def test_removed_readers_stay_removed():
     # names that live on elsewhere as strings, so the AST guard cannot hold them
     assert not hasattr(MultiQueueScheduler, "queue_length")
+    assert not hasattr(RunTask, "describe")
     sim = Simulator(seed=1)
     # one dispatch loop: no single-event stepper, no never-read run flag
     assert not hasattr(Simulator, "step") and not hasattr(sim, "_running")
