@@ -10,12 +10,13 @@ is the cluster-level workload manager — admission (per-tenant quotas,
 cluster queue), placement (pluggable policies from
 :mod:`repro.cluster.placement`: round-robin, least-outstanding,
 cost-balanced, SLA-aware greedy), and re-placement of crash-lost work
-(:mod:`repro.cluster.failover`); a node's own admission verdict is
-final.  Dispatch itself is a pluggable binding policy: ``push`` places
-each request on a node at arrival and parks what no node takes in a
-FIFO cluster queue, ``pull`` parks every request in a
-:class:`~repro.cluster.taskqueue.TaskQueue` (served by share deficit)
-until a node with a free execution slot pulls work through the
+(faults are dispatcher actions, scheduled by
+:meth:`~repro.cluster.dispatcher.ClusterDispatcher.arm_faults`); a
+node's own admission verdict is final.  Dispatch itself is a pluggable
+binding policy: ``push`` places each request on a node at arrival and
+parks what no node takes in a FIFO cluster queue, ``pull`` parks every
+request in a :class:`~repro.cluster.taskqueue.TaskQueue` (served by
+share deficit) until a node with a free execution slot pulls work through the
 :class:`~repro.cluster.matcher.Matcher` (DIRAC-style late binding).
 Both cluster queues are the node tier's one wait structure,
 :class:`~repro.core.interfaces.PartitionedQueue`.
@@ -29,11 +30,12 @@ from repro.cluster.dispatcher import (
     DISPATCH_MODES,
     BindingPolicy,
     ClusterDispatcher,
+    FaultEvent,
+    FaultKind,
     PullBinding,
     PushBinding,
     tenant_key,
 )
-from repro.cluster.failover import FaultEvent, FaultInjector, FaultKind, FaultPlan
 from repro.cluster.matcher import Matcher
 from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.node import (
@@ -64,9 +66,7 @@ __all__ = [
     "ClusterNode",
     "CostBalancedPlacement",
     "FaultEvent",
-    "FaultInjector",
     "FaultKind",
-    "FaultPlan",
     "LeastOutstandingPlacement",
     "Matcher",
     "NodeHealth",

@@ -30,11 +30,22 @@ Both modes share two node-feedback paths, all deterministic:
   wait queue) are resubmitted through normal intake — the same
   record/resubmit lifecycle kill-and-resubmit policies use (KILLED →
   SUBMITTED), with progress reset because crashed work is lost.
+
+Faults are dispatcher actions: :meth:`ClusterDispatcher.arm_faults`
+puts a schedule of :class:`FaultEvent` values on the shared clock, so a
+faulted run is as bit-deterministic as a clean one.  Each fault kind
+moves one node variable.  CRASH and RECOVER move its health and nothing
+else; DEGRADE moves its speed, as a factor of the node's base speed, in
+any health state, and ``DEGRADE factor=1.0`` ends a degradation.  So a
+node that crashes and recovers inside a degrade window comes back still
+degraded.
 """
 
 from __future__ import annotations
 
 import abc
+import enum
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -58,6 +69,32 @@ UNTENANTED = "<untenanted>"
 
 #: Seconds between dispatcher ticks (queue retry / poll cadence).
 CONTROL_PERIOD = 1.0
+
+
+class FaultKind(enum.Enum):
+    """What happens to the node at the fault time."""
+
+    CRASH = "crash"          # node dies; in-flight work lost and resubmitted
+    DEGRADE = "degrade"      # node runs at `factor` of its base speed
+    RECOVER = "recover"      # back to UP
+
+
+@dataclass(frozen=True)
+class FaultEvent:
+    """One scheduled fault."""
+
+    time: float
+    node: str
+    kind: FaultKind
+    factor: float = 1.0      # DEGRADE only: speed multiplier in (0, 1]; 1.0 ends one
+
+    def __post_init__(self) -> None:
+        if self.time < 0:
+            raise ConfigurationError(f"fault time must be >= 0, got {self.time}")
+        if self.kind is FaultKind.DEGRADE and not 0.0 < self.factor <= 1.0:
+            raise ConfigurationError(
+                f"degrade factor must be in (0,1], got {self.factor}"
+            )
 
 
 class TenantQuota:
@@ -266,7 +303,7 @@ class ClusterDispatcher:
         self._by_name = dict(zip(names, self.nodes))
         self.placement = placement or RoundRobinPlacement()
         self.max_queue_depth = max_queue_depth
-        self.metrics = ClusterMetrics(self.nodes)
+        self.metrics = ClusterMetrics(sim, self.nodes)
         self.binding = binding if binding is not None else PushBinding()
         self.binding.attach(self)
         self._listeners: List[CompletionListener] = []
@@ -276,7 +313,7 @@ class ClusterDispatcher:
         for node in self.nodes:
             node.manager.add_completion_listener(partial(self._on_node_exit, node))
             node.on_accepting_change(self._on_accepting_change)
-            self.metrics.record_health(sim.now, self, node)
+            self.metrics.record_health(self, node)
         self._ticker = sim.schedule_periodic(
             CONTROL_PERIOD, self._tick, label="cluster:tick"
         )
@@ -371,7 +408,7 @@ class ClusterDispatcher:
         query.transition(QueryState.REJECTED)
         query.end_time = self.sim.now
         self.metrics.cluster_rejections += 1
-        self.metrics.record(self.sim.now, emitter or self, "reject", query, reason)
+        self.metrics.record(emitter or self, "reject", query, reason)
         self._notify(query)
 
     # ------------------------------------------------------------------
@@ -388,8 +425,38 @@ class ClusterDispatcher:
         self.binding.on_capacity(node)
 
     # ------------------------------------------------------------------
-    # fault handling (used by repro.cluster.failover)
+    # faults
     # ------------------------------------------------------------------
+    def arm_faults(self, events: Sequence[FaultEvent]) -> None:
+        """Schedule every fault in ``events`` on the shared clock, in order.
+
+        Every node name is checked first: a schedule naming a node the
+        cluster does not have raises and leaves the clock untouched.
+        """
+        for event in events:
+            if event.node not in self._by_name:
+                raise ConfigurationError(
+                    f"fault plan names unknown node {event.node!r}; "
+                    f"nodes are {list(self._by_name)}"
+                )
+        for event in events:
+            self.sim.schedule_at(
+                event.time,
+                partial(self._fault, event),
+                label=f"fault:{event.kind.value}:{event.node}",
+            )
+
+    def _fault(self, event: FaultEvent) -> None:
+        """Record ``event``, then act on it."""
+        node = self._by_name[event.node]
+        self.metrics.record(self, event.kind.value, detail=event)
+        if event.kind is FaultKind.CRASH:
+            self.crash_node(node)
+        elif event.kind is FaultKind.DEGRADE:
+            self.degrade_node(node, event.factor)
+        else:
+            self.activate_node(node)
+
     def crash_node(self, node: ClusterNode) -> int:
         """Kill a node: evacuate its queue, lose its in-flight work.
 
@@ -397,7 +464,7 @@ class ClusterDispatcher:
         every one re-enters through :meth:`resubmit` / :meth:`_route`.
         """
         node.crash()
-        self.metrics.record_health(self.sim.now, self, node)
+        self.metrics.record_health(self, node)
         reclaimed = 0
         # queued work survives (it never started): re-place directly
         for queued in node.manager.evacuate_queued():
@@ -416,12 +483,12 @@ class ClusterDispatcher:
 
     def activate_node(self, node: ClusterNode) -> None:
         node.activate()
-        self.metrics.record_health(self.sim.now, self, node)
+        self.metrics.record_health(self, node)
         self.binding.on_capacity(node)
 
     def degrade_node(self, node: ClusterNode, factor: float) -> None:
         node.degrade(factor)
-        self.metrics.record_health(self.sim.now, self, node)
+        self.metrics.record_health(self, node)
 
     def node(self, name: str) -> ClusterNode:
         return self._by_name[name]

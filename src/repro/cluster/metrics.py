@@ -6,7 +6,7 @@ Built on the per-node streaming :class:`~repro.core.metrics` collectors
 for one workload merged on demand, and reading it writes to no
 collector.  The collector itself only stores what no node knows:
 resubmission and cluster-rejection counts and the cluster tier's
-decision record (cluster rejections, node health, injected faults);
+decision record (cluster rejections, node health, faults);
 placements are each node's ``placed_count``.
 """
 
@@ -18,12 +18,14 @@ from repro.cluster.node import ClusterNode, NodeHealth
 from repro.core.interfaces import ControlEvent, decisions_by
 from repro.core.metrics import WorkloadStats
 from repro.engine.query import Query
+from repro.engine.simulator import Simulator
 
 
 class ClusterMetrics:
     """Rollup over a set of nodes plus dispatcher-level counters."""
 
-    def __init__(self, nodes: Sequence[ClusterNode]) -> None:
+    def __init__(self, sim: Simulator, nodes: Sequence[ClusterNode]) -> None:
+        self.sim = sim
         self.nodes = list(nodes)
         self.resubmissions = 0         # crash-lost work resubmitted
         self.cluster_rejections = 0    # refused at the cluster front end
@@ -33,21 +35,16 @@ class ClusterMetrics:
     # event recording (called by the dispatcher)
     # ------------------------------------------------------------------
     def record(
-        self,
-        time: float,
-        emitter: object,
-        action: str,
-        query: Optional[Query] = None,
-        detail: Any = None,
+        self, emitter: object, action: str, query: Optional[Query] = None, detail: Any = None
     ) -> None:
         """Append one action taken by ``emitter`` to :attr:`decisions`."""
-        self.decisions.append(ControlEvent.of(time, emitter, action, query, detail))
+        self.decisions.append(ControlEvent.of(self.sim.now, emitter, action, query, detail))
 
-    def record_health(self, time: float, emitter: object, node: ClusterNode) -> None:
+    def record_health(self, emitter: object, node: ClusterNode) -> None:
         """A ``health`` event: the node's state after ``emitter`` changed
         its health or speed (what :meth:`timeline_lanes` overlays)."""
         detail = {"node": node.name, "health": node.health, "speed": node.speed_factor}
-        self.record(time, emitter, "health", detail=detail)
+        self.record(emitter, "health", detail=detail)
 
     # ------------------------------------------------------------------
     # rollups (read node collectors on demand)

@@ -18,7 +18,7 @@ benchmark harness is reproducible bit-for-bit.
 from repro.engine.simulator import Simulator, Event
 from repro.engine.query import Query, QueryState, CostVector, QueryPlan, PlanOperator
 from repro.engine.optimizer import Optimizer, OptimizerProfile
-from repro.engine.resources import Resource, ResourceKind, MachineSpec
+from repro.engine.resources import ResourceKind, MachineSpec
 from repro.engine.bufferpool import BufferPool
 from repro.engine.locks import LockManager, LockConflictStats
 from repro.engine.executor import ExecutionEngine, EngineConfig
@@ -34,7 +34,6 @@ __all__ = [
     "PlanOperator",
     "Optimizer",
     "OptimizerProfile",
-    "Resource",
     "ResourceKind",
     "MachineSpec",
     "BufferPool",

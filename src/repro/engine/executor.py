@@ -58,7 +58,6 @@ from repro.engine.locks import LockManager, LockOutcome
 from repro.engine.query import Query, QueryState
 from repro.engine.resources import (
     MachineSpec,
-    Resource,
     ResourceKind,
     fair_share_fill_vectorized,
     fill_two_resource,
@@ -154,7 +153,7 @@ class ExecutionEngine:
         machine: Optional[MachineSpec] = None,
         config: Optional[EngineConfig] = None,
     ) -> None:
-        # 28 attributes: at 30, CPython 3.11 stops sharing the instance
+        # 27 attributes: at 30, CPython 3.11 stops sharing the instance
         # dict's keys, and each engine costs ~1.3 KB more and builds ~1 µs
         # slower (a 256-node cluster builds 256 of them).
         # tests/engine/test_hotpath.py fails at 29.
@@ -171,10 +170,6 @@ class ExecutionEngine:
         self.lock_manager = LockManager(
             num_items=config.hot_set_size, rng=sim.rng("locks")
         )
-        self.resources = {
-            kind: Resource(kind=kind, capacity=cap)
-            for kind, cap in self.machine.rate_capacities().items()
-        }
         self.store = RunStore(_VECTOR_MIN_RUNNING)
         self._running: Dict[int, _Running] = {}
         self._callbacks: List[CompletionCallback] = []
@@ -184,13 +179,14 @@ class ExecutionEngine:
         # Every row's ETA as the last real solve's pick computed it, in
         # insertion order; ``None`` when that pick kept none.
         self._etas = None
-        self._cpu = self.resources[ResourceKind.CPU]
-        self._disk = self.resources[ResourceKind.DISK]
         self.completed_count = 0
         self.killed_count = 0
         self.aborted_count = 0
-        self._cpu_cap = float(self._cpu.capacity)
-        self._disk_cap = float(self._disk.capacity)
+        self._cpu_cap = float(self.machine.cpu_capacity)
+        self._disk_cap = float(self.machine.disk_capacity)
+        # Server-units in use since the last real solve, clamped to capacity.
+        self._cpu_usage = 0.0
+        self._disk_usage = 0.0
         # Cached running-set snapshots, invalidated by *replacement* on
         # membership change — callers holding an old snapshot can keep
         # iterating it safely while queries start or finish.
@@ -285,8 +281,11 @@ class ExecutionEngine:
     def utilization(self, kind: ResourceKind) -> float:
         """Instantaneous utilization (0..1) of a rate resource."""
         self._flush_reallocation()
-        resource = self.resources[kind]
-        return resource.instantaneous_usage / resource.capacity
+        if kind is ResourceKind.CPU:
+            return self._cpu_usage / self._cpu_cap
+        if kind is ResourceKind.DISK:
+            return self._disk_usage / self._disk_cap
+        raise KeyError(kind)
 
     # ------------------------------------------------------------------
     # lifecycle operations
@@ -537,14 +536,13 @@ class ExecutionEngine:
             # Nothing feeding the allocator changed and the milestone is
             # still armed: the speeds stand, and so does every ETA.
             return
-        now = self.sim.now
         store = self.store
         if self._store_epoch != self._demand_epoch:
             self._refresh_demands()
         self._etas = None  # the pick keeps its own while a row has a lock point ahead
         if store.vector:
             # The vector solve hands the pick the columns it gathered, by
-            # return value: a hand-off kept on ``self`` would be a 30th
+            # return value: a hand-off kept on ``self`` would be one more
             # attribute.
             idx = store.live_indices()
             usage_cpu, usage_disk, progresses, speeds = self._solve_vectorized(idx)
@@ -552,8 +550,8 @@ class ExecutionEngine:
         else:
             usage_cpu, usage_disk = self._solve_scalar(store.count)
             pick = self._pick_scalar(store.count)
-        self._cpu.record(now, usage_cpu)
-        self._disk.record(now, usage_disk)
+        self._cpu_usage = min(usage_cpu, self._cpu_cap)
+        self._disk_usage = min(usage_disk, self._disk_cap)
         self._solved_version = self._alloc_version
         self._arm_milestone(pick)
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, MutableMapping
+from typing import Hashable, List, MutableMapping
 
 import numpy as np
 
@@ -58,13 +58,6 @@ class MachineSpec:
     def __post_init__(self) -> None:
         if min(self.cpu_capacity, self.disk_capacity, self.memory_mb) <= 0:
             raise CapacityError("machine capacities must be positive")
-
-    def rate_capacities(self) -> Dict[ResourceKind, float]:
-        """Capacities of the rate-shared resources only."""
-        return {
-            ResourceKind.CPU: self.cpu_capacity,
-            ResourceKind.DISK: self.disk_capacity,
-        }
 
 
 def fill_two_resource(
@@ -261,37 +254,3 @@ def _below_cap(rem_gap, caps, weights):
         # its cap so the loop always makes progress
         keep[(rem_gap / weights).argmin()] = False
     return keep
-
-
-@dataclass
-class Resource:
-    """Utilization bookkeeping for one rate resource.
-
-    The executor reports usage after every reallocation; this class
-    integrates usage over time so monitors can read the run's average
-    utilization — one of the "monitor metrics" indicator approaches
-    (Table 2, [79][80]) consume.
-    """
-
-    kind: ResourceKind
-    capacity: float
-    _last_time: float = 0.0
-    _last_usage: float = 0.0
-    _busy_integral: float = 0.0
-
-    def record(self, now: float, usage: float) -> None:
-        """Report that ``usage`` server-units are in use from ``now`` on."""
-        self._busy_integral += self._last_usage * (now - self._last_time)
-        self._last_time = now
-        self._last_usage = min(usage, self.capacity)
-
-    def utilization(self, now: float) -> float:
-        """Average utilization (0..1) over ``[0, now]``."""
-        if now <= 0.0:
-            return self._last_usage / self.capacity if self.capacity else 0.0
-        integral = self._busy_integral + self._last_usage * (now - self._last_time)
-        return max(0.0, min(1.0, integral / (self.capacity * now)))
-
-    @property
-    def instantaneous_usage(self) -> float:
-        return self._last_usage

@@ -50,10 +50,6 @@ class Session:
 
     attributes: ConnectionAttributes
     session_id: int = field(default_factory=lambda: next(_session_ids))
-    queries_submitted: int = 0
-
-    def note_submission(self) -> None:
-        self.queries_submitted += 1
 
 
 class SessionRegistry:

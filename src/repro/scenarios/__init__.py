@@ -2,7 +2,7 @@
 
 ``repro.scenarios`` composes everything the taxonomy pipeline already
 has — arrival processes, workload specs, SLAs, node-tier scheduling,
-cluster-tier dispatch and the deterministic fault injector — into
+cluster-tier dispatch and its deterministic faults — into
 *named, declarative scenarios*: several tenants, each with its own
 arrival pattern (diurnal curve, flash crowd, noisy-neighbor flood,
 batch report window, maintenance storm), class mix, SLA and priority,

@@ -41,7 +41,6 @@ from repro.cluster.dispatcher import (
     PushBinding,
     tenant_key,
 )
-from repro.cluster.failover import FaultInjector
 from repro.cluster.node import ClusterNode
 from repro.cluster.placement import make_policy
 from repro.cluster.taskqueue import TaskQueue
@@ -78,7 +77,7 @@ def scenario_slas(spec: ScenarioSpec) -> SLASet:
 @dataclass
 class ScenarioResult:
     """One scenario run, armed or finished: live dispatcher + tenant
-    ledger (+ the fault injector, when the spec has chaos)."""
+    ledger."""
 
     spec: ScenarioSpec
     policy: PolicyConfig
@@ -86,7 +85,6 @@ class ScenarioResult:
     dispatcher: ClusterDispatcher
     intake: Dict[str, int] = field(default_factory=dict)
     outcomes: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    injector: Optional[FaultInjector] = None
 
     def run(self, drain: Optional[float] = None) -> "ScenarioResult":
         """Run to the horizon, then ``drain`` more seconds (default: the
@@ -195,11 +193,7 @@ def arm_scenario(
     ).build(sim, result.submit)
     dispatcher.add_completion_listener(result.on_terminal)
     dispatcher.add_completion_listener(generator.notify_done)
-
-    plan = spec.chaos.build_plan(spec.nodes, spec.horizon)
-    if plan is not None:
-        result.injector = FaultInjector(dispatcher)
-        result.injector.arm(plan)
+    dispatcher.arm_faults(spec.chaos.build_plan(spec.nodes, spec.horizon))
     return result
 
 

@@ -25,8 +25,9 @@ import json
 from dataclasses import MISSING, asdict, dataclass, field, replace
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
+from repro.cluster.dispatcher import FaultEvent, FaultKind
 from repro.errors import ConfigurationError
 from repro.workloads.generator import WORKLOAD_BUILDERS
 from repro.workloads.models import (
@@ -259,25 +260,20 @@ class ChaosSpec:
     def active(self) -> bool:
         return self.crash_waves > 0 or bool(self.degrade or self.crashes)
 
-    def build_plan(self, nodes: int, horizon: float):
-        """The scenario's FaultPlan (``None`` when chaos is inactive).
+    def build_plan(self, nodes: int, horizon: float) -> Tuple[FaultEvent, ...]:
+        """The scenario's faults, sorted (empty when chaos is inactive).
 
         Faults at one instant fire in ``(node, kind)`` order whichever
         field declared them.
         """
-        from repro.cluster.failover import FaultEvent, FaultKind, FaultPlan
-
-        if not self.active:
-            return None
         latest = horizon * 0.98
-        events = []
+        events: List[FaultEvent] = []
         kill_count = max(1, int(nodes * self.kill_fraction))
         for wave in range(self.crash_waves):
             at = horizon * (wave + 1) / (self.crash_waves + 1)
             recover_at = min(latest, at + self.outage * horizon)
             for slot in range(kill_count):
-                victim = f"n{(wave * kill_count + slot) % nodes}"
-                events += FaultPlan.node_kill(victim, at, recover_at).events
+                events += _node_kill(f"n{(wave * kill_count + slot) % nodes}", at, recover_at)
         for at_fraction, node_index, factor in self.degrade:
             name = f"n{node_index % max(nodes, 1)}"
             at = at_fraction * horizon
@@ -285,13 +281,21 @@ class ChaosSpec:
             end_at = min(latest, at + self.degrade_recovery * horizon)
             events.append(FaultEvent(end_at, name, FaultKind.DEGRADE, factor=1.0))
         for at, name, recover_at in self.crashes:
-            events += FaultPlan.node_kill(
+            events += _node_kill(
                 name,
                 at * horizon,
                 None if recover_at is None else recover_at * horizon,
-            ).events
+            )
         events.sort(key=lambda e: (e.time, e.node, e.kind.value))
-        return FaultPlan(tuple(events))
+        return tuple(events)
+
+
+def _node_kill(node: str, at: float, recover_at: Optional[float]) -> List[FaultEvent]:
+    """Kill one node at ``at``; revive it at ``recover_at`` unless ``None``."""
+    events = [FaultEvent(at, node, FaultKind.CRASH)]
+    if recover_at is not None:
+        events.append(FaultEvent(recover_at, node, FaultKind.RECOVER))
+    return events
 
 
 @dataclass(frozen=True)

@@ -159,7 +159,6 @@ class WorkloadGenerator:
         index = self._next_session.get(name, 0)
         session = sessions[index % len(sessions)]
         self._next_session[name] = index + 1
-        session.note_submission()
         label_key = (name, id(request_class))
         sql = self._sql_labels.get(label_key)
         if sql is None:

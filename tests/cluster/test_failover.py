@@ -1,4 +1,4 @@
-"""Failover tests: fault plans, crash recovery, recover-to-service."""
+"""Failover tests: fault schedules, crash recovery, recover-to-service."""
 
 import pytest
 
@@ -6,9 +6,7 @@ from repro.cluster import (
     ClusterDispatcher,
     ClusterNode,
     FaultEvent,
-    FaultInjector,
     FaultKind,
-    FaultPlan,
     NodeHealth,
     make_policy,
 )
@@ -20,6 +18,13 @@ from repro.errors import ConfigurationError
 from tests.conftest import make_query
 
 
+def _kill(node, at, recover_at=None):
+    events = [FaultEvent(at, node, FaultKind.CRASH)]
+    if recover_at is not None:
+        events.append(FaultEvent(recover_at, node, FaultKind.RECOVER))
+    return events
+
+
 def _cluster(seed=5, count=2, mpl=2):
     sim = Simulator(seed=seed)
     nodes = [ClusterNode(sim, name=f"n{i}", mpl=mpl) for i in range(count)]
@@ -29,7 +34,7 @@ def _cluster(seed=5, count=2, mpl=2):
     return sim, dispatcher
 
 
-class TestFaultPlanValidation:
+class TestFaultValidation:
     def test_negative_time_rejected(self):
         with pytest.raises(ConfigurationError):
             FaultEvent(-1.0, "n0", FaultKind.CRASH)
@@ -40,16 +45,51 @@ class TestFaultPlanValidation:
 
     def test_unknown_node_rejected_at_arm_time(self):
         _, dispatcher = _cluster()
-        injector = FaultInjector(dispatcher)
         with pytest.raises(ConfigurationError, match=r"'ghost'.*n0.*n1"):
-            injector.arm(FaultPlan.node_kill("ghost", at=1.0))
+            dispatcher.arm_faults(_kill("ghost", at=1.0))
 
-    def test_node_kill_builder_includes_recovery(self):
-        plan = FaultPlan.node_kill("n0", at=5.0, recover_at=9.0)
-        assert [e.kind for e in plan.events] == [
-            FaultKind.CRASH,
-            FaultKind.RECOVER,
-        ]
+    def test_rejected_schedule_arms_nothing(self):
+        # the unknown name comes after a valid crash: the whole schedule
+        # is refused before any of it reaches the clock
+        sim, dispatcher = _cluster()
+        pending = len(sim._queue)
+        with pytest.raises(ConfigurationError, match="'ghost'"):
+            dispatcher.arm_faults(
+                [FaultEvent(5.0, "n0", FaultKind.CRASH), FaultEvent(6.0, "ghost", FaultKind.CRASH)]
+            )
+        assert len(sim._queue) == pending
+        sim.run_until(10.0)
+        assert [node.health for node in dispatcher.nodes] == [NodeHealth.UP, NodeHealth.UP]
+        assert not decisions_by(dispatcher.metrics.decisions, "ClusterDispatcher", "crash")
+
+    def test_faults_arm_in_list_order_under_their_labels(self):
+        # same-instant faults keep the order they are listed in
+        sim, dispatcher = _cluster()
+        dispatcher.arm_faults(
+            [
+                FaultEvent(1.0, "n1", FaultKind.DEGRADE, factor=0.5),
+                FaultEvent(1.0, "n0", FaultKind.CRASH),
+            ]
+        )
+        faults = sorted(entry for entry in sim._queue if entry[2].label.startswith("fault:"))
+        assert [event.label for *_, event in faults] == ["fault:degrade:n1", "fault:crash:n0"]
+        dispatcher.shutdown()
+
+    def test_an_empty_schedule_arms_nothing(self):
+        sim, dispatcher = _cluster()
+        pending = len(sim._queue)
+        dispatcher.arm_faults(())
+        assert len(sim._queue) == pending
+
+    def test_a_fault_is_recorded_before_the_dispatcher_acts(self):
+        sim, dispatcher = _cluster()
+        crash = FaultEvent(1.0, "n0", FaultKind.CRASH)
+        dispatcher.arm_faults([crash])
+        sim.run_until(1.5)
+        *_, fault, health = dispatcher.metrics.decisions
+        assert (fault.controller, fault.action, fault.detail) == ("ClusterDispatcher", "crash", crash)
+        assert health.action == "health" and health.detail["health"] is NodeHealth.DOWN
+        dispatcher.shutdown()
 
 
 class TestCrashRecovery:
@@ -57,10 +97,9 @@ class TestCrashRecovery:
         sim, dispatcher = _cluster()
         long_query = make_query(cpu=20.0, io=0.0, sql="bi:q")
         dispatcher.submit(long_query)  # -> n0
-        injector = FaultInjector(dispatcher)
-        injector.arm(FaultPlan.node_kill("n0", at=2.0))
+        dispatcher.arm_faults(_kill("n0", at=2.0))
         dispatcher.run(3.0, drain=120.0)
-        assert injector.lost_and_resubmitted == 1
+        assert dispatcher.metrics.resubmissions == 1
         assert long_query.state is QueryState.COMPLETED
         assert long_query.restarts == 1
         assert dispatcher.node("n1").placed_count == 1  # finished elsewhere
@@ -75,8 +114,7 @@ class TestCrashRecovery:
         dispatcher.submit(other)     # n1 running
         dispatcher.submit(queued)    # n0's local queue
         assert dispatcher.node("n0").queued == 1
-        injector = FaultInjector(dispatcher)
-        injector.arm(FaultPlan.node_kill("n0", at=1.0))
+        dispatcher.arm_faults(_kill("n0", at=1.0))
         dispatcher.run(2.0, drain=200.0)
         assert queued.state is QueryState.COMPLETED
         assert queued.restarts == 0          # never started: no restart
@@ -85,8 +123,7 @@ class TestCrashRecovery:
 
     def test_recovered_node_takes_placements_again(self):
         sim, dispatcher = _cluster()
-        injector = FaultInjector(dispatcher)
-        injector.arm(FaultPlan.node_kill("n0", at=1.0, recover_at=2.0))
+        dispatcher.arm_faults(_kill("n0", at=1.0, recover_at=2.0))
         sim.run_until(3.0)
         node = dispatcher.node("n0")
         assert node.health is NodeHealth.UP
@@ -99,14 +136,11 @@ class TestCrashRecovery:
 
     def test_degrade_and_recover_fire_in_order(self):
         sim, dispatcher = _cluster()
-        injector = FaultInjector(dispatcher)
-        injector.arm(
-            FaultPlan(
-                (
-                    FaultEvent(1.0, "n1", FaultKind.DEGRADE, factor=0.5),
-                    FaultEvent(3.0, "n1", FaultKind.RECOVER),
-                    FaultEvent(4.0, "n1", FaultKind.DEGRADE, factor=1.0),
-                )
+        dispatcher.arm_faults(
+            (
+                FaultEvent(1.0, "n1", FaultKind.DEGRADE, factor=0.5),
+                FaultEvent(3.0, "n1", FaultKind.RECOVER),
+                FaultEvent(4.0, "n1", FaultKind.DEGRADE, factor=1.0),
             )
         )
         node = dispatcher.node("n1")
@@ -116,7 +150,10 @@ class TestCrashRecovery:
         assert node.health is NodeHealth.UP and node.speed_factor == 0.5
         sim.run_until(4.5)
         assert node.health is NodeHealth.UP and node.speed_factor == 1.0
-        fired = decisions_by(dispatcher.metrics.decisions, "FaultInjector")
+        fired = [
+            e for e in decisions_by(dispatcher.metrics.decisions, "ClusterDispatcher")
+            if e.action in ("crash", "degrade", "recover")
+        ]
         assert [e.action for e in fired] == ["degrade", "recover", "degrade"]
         assert fired[0].detail == FaultEvent(1.0, "n1", FaultKind.DEGRADE, factor=0.5)
         dispatcher.shutdown()
@@ -129,13 +166,11 @@ class TestCrashRecovery:
                 sim.schedule_at(
                     0.3 * index, lambda q=query: dispatcher.submit(q)
                 )
-            injector = FaultInjector(dispatcher)
-            injector.arm(FaultPlan.node_kill("n0", at=3.0))
+            dispatcher.arm_faults(_kill("n0", at=3.0))
             dispatcher.run(6.0, drain=120.0)
             return (
                 dispatcher.completions,
                 dispatcher.resubmissions,
-                injector.lost_and_resubmitted,
                 [node.placed_count for node in dispatcher.nodes],
             )
 

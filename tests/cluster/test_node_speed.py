@@ -13,8 +13,7 @@ DEGRADE moves speed.  So:
 
 import pytest
 
-from repro.cluster import ClusterDispatcher, ClusterNode, FaultInjector, make_policy
-from repro.cluster.failover import FaultEvent, FaultKind, FaultPlan
+from repro.cluster import ClusterDispatcher, ClusterNode, FaultEvent, FaultKind, make_policy
 from repro.engine.query import QueryState
 from repro.engine.simulator import Simulator
 from repro.scenarios import ChaosSpec
@@ -51,8 +50,9 @@ def test_recover_after_a_degrade_lifts_the_throttle_on_running_work():
     sim = Simulator(seed=3)
     node = ClusterNode(sim, name="n0", mpl=2)
     dispatcher = ClusterDispatcher(sim, [node], placement=make_policy("least"))
-    plan = ChaosSpec(degrade=((0.0, 0, 0.5),), degrade_recovery=0.1).build_plan(1, 10.0)
-    FaultInjector(dispatcher).arm(plan)
+    dispatcher.arm_faults(
+        ChaosSpec(degrade=((0.0, 0, 0.5),), degrade_recovery=0.1).build_plan(1, 10.0)
+    )
     node.submit(make_query(cpu=50.0, io=0.0, sql="bi:q"))
     sim.run_until(0.5)
     assert _speeds(node) == [pytest.approx(0.5 / 50)]
@@ -67,14 +67,12 @@ def test_crash_recovery_inside_a_degrade_window_stays_degraded():
     sim = Simulator(seed=3)
     nodes = [ClusterNode(sim, name=f"n{i}", mpl=2) for i in range(2)]
     dispatcher = ClusterDispatcher(sim, nodes, placement=make_policy("least"))
-    FaultInjector(dispatcher).arm(
-        FaultPlan(
-            (
-                FaultEvent(0.0, "n0", FaultKind.DEGRADE, factor=0.4),
-                FaultEvent(1.0, "n0", FaultKind.CRASH),
-                FaultEvent(2.0, "n0", FaultKind.RECOVER),
-                FaultEvent(5.0, "n0", FaultKind.DEGRADE, factor=1.0),
-            )
+    dispatcher.arm_faults(
+        (
+            FaultEvent(0.0, "n0", FaultKind.DEGRADE, factor=0.4),
+            FaultEvent(1.0, "n0", FaultKind.CRASH),
+            FaultEvent(2.0, "n0", FaultKind.RECOVER),
+            FaultEvent(5.0, "n0", FaultKind.DEGRADE, factor=1.0),
         )
     )
     sim.run_until(3.0)

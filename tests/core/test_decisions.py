@@ -17,8 +17,8 @@ from repro.admission.throughput_feedback import ThroughputFeedbackAdmission
 from repro.cluster import (
     ClusterDispatcher,
     ClusterNode,
-    FaultInjector,
-    FaultPlan,
+    FaultEvent,
+    FaultKind,
     NodeHealth,
     PullBinding,
     PushBinding,
@@ -183,10 +183,12 @@ def _cluster(sim, **kwargs):
 
 def _faults(sim):
     dispatcher = _cluster(sim)
-    injector = FaultInjector(dispatcher)
-    injector.arm(FaultPlan.node_kill("n1", at=1.0, recover_at=2.0))
+    dispatcher.arm_faults(
+        (FaultEvent(1.0, "n1", FaultKind.CRASH), FaultEvent(2.0, "n1", FaultKind.RECOVER))
+    )
     sim.run_until(3.0)
-    return injector, "fired", dispatcher.metrics.decisions
+    crashes = decisions_by(dispatcher.metrics.decisions, "ClusterDispatcher", "crash")
+    return dispatcher, "lost_and_resubmitted", crashes
 
 
 def _health(sim):
@@ -210,7 +212,7 @@ EMITTERS = {
     "EconomicResourceAllocator": _economic,
     "AutonomicLoop": _autonomic,
     "ResourcePoolController": _resource_pools,
-    "FaultInjector": _faults,
+    "ClusterDispatcher:crash": _faults,
     "ClusterDispatcher": _health,
 }
 
@@ -337,7 +339,6 @@ DELETED = [
     ("EconomicResourceAllocator", "allocation_history"),
     ("AutonomicLoop", "decisions"),
     ("ResourcePoolController", "share_history"),
-    ("FaultInjector", "fired"),
     ("ClusterMetrics", "health_changes"),
     ("PIController", "history"),
 ]
@@ -368,11 +369,12 @@ def _assigned_attributes():
 
 def test_no_deleted_history_attribute_is_assigned_in_src():
     assigned = _assigned_attributes()
-    assert len(DELETED) == 16
+    assert len(DELETED) == 15
     for cls, attribute in DELETED:
         assert attribute not in assigned[cls], f"{cls}.{attribute} is back"
-    # the record types the private lists were made of are gone too
-    assert not {"HealthChange", "ProvisioningDecision"} & set(assigned)
+    # the record types the private lists were made of are gone too, and
+    # so is FaultInjector, whose ``fired`` list the cluster record replaced
+    assert not {"HealthChange", "ProvisioningDecision", "FaultInjector"} & set(assigned)
     # and exactly one function per tier appends to a decision list
     appenders = [
         path.name

@@ -262,6 +262,11 @@ class TestMemoryPressure:
         assert engine.utilization(ResourceKind.CPU) == pytest.approx(0.25)
         assert engine.utilization(ResourceKind.DISK) == pytest.approx(0.0)
 
+    def test_memory_has_no_utilization(self, sim):
+        # memory is a space resource: its use is memory_pressure()
+        with pytest.raises(KeyError):
+            _engine(sim).utilization(ResourceKind.MEMORY)
+
 
 class TestLockingIntegration:
     def test_conflicting_transactions_serialize(self, sim):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.resources import MachineSpec, Resource
+from repro.engine.resources import MachineSpec
 from repro.errors import CapacityError
 from tests.engine.fills import ALL_FILLS, CPU, DISK, LIVE_FILLS, ShareRequest, usage
 
@@ -23,10 +23,6 @@ class TestMachineSpec:
     def test_invalid_capacity_rejected(self):
         with pytest.raises(CapacityError):
             MachineSpec(cpu_capacity=0.0)
-
-    def test_rate_capacities_excludes_memory(self):
-        caps = MachineSpec().rate_capacities()
-        assert set(caps) == {CPU, DISK}
 
 
 class TestShareRequest:
@@ -182,16 +178,3 @@ class TestAllocationProperties:
         for fill in LIVE_FILLS:
             speeds = fill(requests, _caps(cpu=4.0))
             assert usage(requests, speeds, CPU) == pytest.approx(4.0, rel=1e-6)
-
-
-class TestResourceBookkeeping:
-    def test_utilization_integral(self):
-        resource = Resource(kind=CPU, capacity=4.0)
-        resource.record(0.0, 4.0)
-        resource.record(5.0, 0.0)
-        assert resource.utilization(10.0) == pytest.approx(0.5)
-
-    def test_usage_clamped_to_capacity(self):
-        resource = Resource(kind=CPU, capacity=2.0)
-        resource.record(0.0, 100.0)
-        assert resource.instantaneous_usage == 2.0

@@ -91,7 +91,7 @@ def _run(jobs, machine: MachineSpec, hot_set: int):
         store = engine.store
         etas = engine._etas
         kept = None if etas is None else np.asarray(etas, dtype=np.float64).tobytes()
-        usages = (engine._cpu.instantaneous_usage, engine._disk.instantaneous_usage)
+        usages = (engine._cpu_usage, engine._disk_usage)
         job = None if pick is None else (pick[0], index_of[pick[1]])
         rows = [index_of[qid] for qid in store.live_qids()]
         armed.append(

@@ -1,6 +1,6 @@
 """Unit tests for sessions and connection attributes."""
 
-from repro.engine.sessions import ConnectionAttributes, Session, SessionRegistry
+from repro.engine.sessions import ConnectionAttributes, SessionRegistry
 
 
 class TestConnectionAttributes:
@@ -41,9 +41,3 @@ class TestRegistry:
         session = registry.open(ConnectionAttributes())
         registry.close(session.session_id)
         assert registry.get(session.session_id) is None
-
-    def test_note_submission_counter(self):
-        session = Session(attributes=ConnectionAttributes())
-        session.note_submission()
-        session.note_submission()
-        assert session.queries_submitted == 2

@@ -146,7 +146,7 @@ def _run(jobs, machine: MachineSpec, hot_set: int):
     def recording_arm(pick):
         etas = engine._etas
         kept = None if etas is None else np.asarray(etas, dtype=np.float64).tobytes()
-        usages = (engine._cpu.instantaneous_usage, engine._disk.instantaneous_usage)
+        usages = (engine._cpu_usage, engine._disk_usage)
         job = None if pick is None else (pick[0], index_of[pick[1]])
         armed.append((sim.now, job, kept, usages))
         arm(pick)

@@ -155,20 +155,29 @@ class TestTenantAndScenarioValidation:
 
 
 class TestChaosSpec:
-    def test_inactive_builds_no_plan(self):
-        assert ChaosSpec().build_plan(4, 60.0) is None
+    def test_inactive_builds_no_faults(self):
+        assert ChaosSpec().build_plan(4, 60.0) == ()
 
     def test_crash_waves_and_degrade_compose(self):
         chaos = ChaosSpec(crash_waves=1, degrade=((0.5, 1, 0.5),))
         plan = chaos.build_plan(4, 60.0)
-        kinds = {event.kind.value for event in plan.events}
+        kinds = {event.kind.value for event in plan}
         assert {"crash", "recover", "degrade"} <= kinds
-        times = [event.time for event in plan.events]
+        times = [event.time for event in plan]
         assert times == sorted(times)
+
+    def test_a_crash_wave_kills_and_revives_each_victim(self):
+        plan = ChaosSpec(crash_waves=1, kill_fraction=0.5).build_plan(4, 100.0)
+        assert [(e.time, e.node, e.kind.value) for e in plan] == [
+            (50.0, "n0", "crash"),
+            (50.0, "n1", "crash"),
+            (65.0, "n0", "recover"),
+            (65.0, "n1", "recover"),
+        ]
 
     def test_a_degrade_window_ends_with_a_degrade_to_base_speed(self):
         plan = ChaosSpec(degrade=((0.25, 1, 0.5),), degrade_recovery=0.5).build_plan(4, 20.0)
-        assert [(e.time, e.node, e.kind.value, e.factor) for e in plan.events] == [
+        assert [(e.time, e.node, e.kind.value, e.factor) for e in plan] == [
             (5.0, "n1", "degrade", 0.5),
             (15.0, "n1", "degrade", 1.0),
         ]
@@ -177,7 +186,7 @@ class TestChaosSpec:
         plan = ChaosSpec(
             crashes=((0.45, "n1", 0.7), (0.5, "n3", None))
         ).build_plan(4, 20.0)
-        assert [(e.time, e.node, e.kind.value) for e in plan.events] == [
+        assert [(e.time, e.node, e.kind.value) for e in plan] == [
             (0.45 * 20.0, "n1", "crash"),
             (10.0, "n3", "crash"),
             (0.7 * 20.0, "n1", "recover"),

@@ -368,7 +368,7 @@ class TestNodeCrashChaos:
             lambda query: outcomes.update([query.query_id])
         )
         result.run(drain=300.0)
-        return result.dispatcher, result.injector, outcomes
+        return result.dispatcher, outcomes
 
     def _audit(self, dispatcher, outcomes):
         assert (
@@ -380,29 +380,29 @@ class TestNodeCrashChaos:
 
     def test_each_node_crash_conserves_queries(self):
         for victim in ("n0", "n1", "n2", "n3"):
-            dispatcher, injector, outcomes = self._run([victim])
-            assert injector.lost_and_resubmitted >= 1, victim
+            dispatcher, outcomes = self._run([victim])
+            assert dispatcher.metrics.resubmissions >= 1, victim
             self._audit(dispatcher, outcomes)
             assert dispatcher.rejections == 0  # unbounded cluster queue
 
     def test_cascading_crashes_leave_one_survivor(self):
-        dispatcher, injector, outcomes = self._run(["n0", "n1", "n2"])
+        dispatcher, outcomes = self._run(["n0", "n1", "n2"])
         self._audit(dispatcher, outcomes)
         survivor = dispatcher.node("n3")
         from repro.cluster import NodeHealth
 
         assert survivor.health is NodeHealth.UP
-        assert injector.lost_and_resubmitted >= 3
+        assert dispatcher.metrics.resubmissions >= 3
         assert dispatcher.completions > 0
 
     def test_crash_with_bounded_queue_accounts_rejections(self):
-        dispatcher, injector, outcomes = self._run(
+        dispatcher, outcomes = self._run(
             ["n0", "n1", "n2"], queue_depth=5
         )
         self._audit(dispatcher, outcomes)
 
     def test_crashed_node_never_takes_new_placements(self):
-        dispatcher, injector, outcomes = self._run(["n1"])
+        dispatcher, outcomes = self._run(["n1"])
         victim = dispatcher.node("n1")
         placed_at_crash = victim.placed_count
         assert victim.manager.running_count == 0

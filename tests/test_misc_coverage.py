@@ -105,12 +105,16 @@ class TestMachineSpecEdges:
     def test_custom_capacities_flow_to_engine(self, sim):
         from repro.engine.executor import ExecutionEngine
         from repro.engine.resources import ResourceKind
+        from tests.conftest import submitted_query
 
         engine = ExecutionEngine(
             sim, MachineSpec(cpu_capacity=16.0, disk_capacity=8.0, memory_mb=1.0)
         )
-        assert engine.resources[ResourceKind.CPU].capacity == 16.0
+        assert engine.machine.cpu_capacity == 16.0
         assert engine.buffer_pool.capacity_mb == 1.0
+        # one query alone keeps one core busy out of sixteen
+        engine.start(submitted_query(sim, cpu=2.0, io=0.0, mem=0.0))
+        assert engine.utilization(ResourceKind.CPU) == pytest.approx(1 / 16)
 
 
 class TestPhaseDetectorValidation:

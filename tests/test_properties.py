@@ -228,11 +228,12 @@ class TestEngineCapacity:
             query.submit_time = sim.now
             engine.start(query, weight=weight)
             engine.set_throttle(query.query_id, throttle)
+        machine = engine.machine
         for kind, capacity in (
-            (ResourceKind.CPU, 3.0),
-            (ResourceKind.DISK, 2.0),
+            (ResourceKind.CPU, machine.cpu_capacity),
+            (ResourceKind.DISK, machine.disk_capacity),
         ):
-            assert engine.resources[kind].instantaneous_usage <= capacity + 1e-6
+            assert engine.utilization(kind) * capacity <= capacity + 1e-6
 
 
 class TestDeterminism:

@@ -41,7 +41,12 @@ which nothing called, went with it.  A sweep task carries its function
 and its arguments as values, so the runner registry with its one entry,
 the name and ``module:function`` resolution, the warm-up imports of the
 modules it named and the task's ``describe()``, which only a test read,
-went.
+went.  A fault is a dispatcher action: the fault plan wrapper and the
+injector between the scenario language and the dispatcher went with
+the injector's reclaim counter, which only tests and one bench read.
+The engine keeps two usage floats, so the per-resource busy-time
+integral no run read went, and so did the per-session submission
+counter only its own test read.
 Bringing one back means bringing the spec field and the measured cell
 that reach it, and editing this list.
 """
@@ -62,9 +67,10 @@ from repro.cluster.matcher import Matcher
 from repro.cluster.metrics import ClusterMetrics
 from repro.core.interfaces import ManagerContext, Scheduler
 from repro.core.manager import WorkloadManager
-from repro.engine.executor import EngineConfig
+from repro.engine.executor import EngineConfig, ExecutionEngine
 from repro.engine.simulator import Event, Simulator
 from repro.parallel import RunTask, run_tasks
+from repro.scenarios import ScenarioResult
 from repro.scheduling.queues import MultiQueueScheduler, TenantShareScheduler
 from repro.workloads.traces import QueryLog
 
@@ -150,6 +156,14 @@ DELETED_NAMES = {
     "runner_module",
     "_warm_import",
     "run_scenario_task",
+    "FaultPlan",
+    "FaultInjector",
+    "lost_and_resubmitted",
+    "note_submission",
+    "queries_submitted",
+    "Resource",
+    "rate_capacities",
+    "instantaneous_usage",
 }
 DELETED_MODULES = (
     "cluster/elastic.py",
@@ -158,6 +172,7 @@ DELETED_MODULES = (
     "cluster/scenario.py",
     "workloads/replay.py",
     "parallel/tasks.py",
+    "cluster/failover.py",
 )
 
 
@@ -262,6 +277,8 @@ def test_removed_parameters_stay_removed():
     assert list(inspect.signature(run_tasks).parameters) == ["tasks", "workers"]
     # a task is a function and its arguments, not a name to resolve
     assert [f.name for f in dataclasses.fields(RunTask)] == ["key", "fn", "params", "seed"]
+    # the dispatcher arms a scenario's faults; a run keeps no injector
+    assert "injector" not in {f.name for f in dataclasses.fields(ScenarioResult)}
 
 
 def test_removed_readers_stay_removed():
@@ -274,7 +291,9 @@ def test_removed_readers_stay_removed():
     dispatcher = ClusterDispatcher(sim, [ClusterNode(sim, name="n0")], tenant_quotas={"a": 1})
     assert not hasattr(dispatcher, "quota_rejections")
     # each node counts its own placements
-    assert not hasattr(ClusterMetrics([]), "placements")
+    assert not hasattr(ClusterMetrics(sim, []), "placements")
+    # the engine keeps two usage floats, no per-resource bookkeeping
+    assert not hasattr(ExecutionEngine(sim), "resources")
     # a manager keeps its metrics, no query log; the log aggregates
     # nothing (both names live on: WorkloadStats.throughput and the
     # phase detector's ``windows`` argument)
