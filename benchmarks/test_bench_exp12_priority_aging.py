@@ -104,7 +104,7 @@ def run_variant(aging: bool, seed=SEEDS[0]):
         # query ids are process-global: the run's own numbering starts here
         "first_query_id": min(
             [record.query_id for record in log]
-            + manager.engine.running_ids()
+            + [q.query_id for q in manager.engine.running_queries()]
         ),
         "tactical_rt": tactical.mean_response_time(),
         "tactical_n": tactical.completions,

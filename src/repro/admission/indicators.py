@@ -6,10 +6,13 @@ pre-defined thresholds, low priority requests are no longer admitted"
 (paper §3.2).
 
 Indicators are congestion signals computable from ordinary monitoring:
-CPU/disk utilization, memory pressure, conflict ratio, queue length and
-running count.  When any indicator fires, requests below the protected
-priority are delayed; high-priority work keeps flowing — the asymmetry
-is the point of the technique.
+memory pressure, the memory an arriving request's estimate would
+commit, conflict ratio and queue length.  When any indicator fires the
+request is delayed.  The gate delays every request it sees; the §2.3
+asymmetry that keeps high-priority work flowing is
+:class:`~repro.admission.base.PriorityExemptAdmission` wrapped around
+it.  Each read is a module-level function, so an armed gate pickles
+with the run it belongs to.
 """
 
 from __future__ import annotations
@@ -26,56 +29,53 @@ from repro.core.interfaces import (
 from repro.engine.query import Query
 
 
+def memory_pressure(query: Query, context: ManagerContext) -> float:
+    """Committed memory over capacity (sort/hash spill pressure)."""
+    return context.engine.memory_pressure()
+
+
+def projected_memory(query: Query, context: ManagerContext) -> float:
+    """Memory pressure once ``query``'s *estimated* demand is committed:
+    the estimate is the only pre-execution signal a real server has."""
+    engine = context.engine
+    committed = engine.buffer_pool.committed_mb + query.estimated_cost.memory_mb
+    return committed / max(engine.machine.memory_mb, 1e-9)
+
+
+def conflict_ratio(query: Query, context: ManagerContext) -> float:
+    """Lock contention, the critical-ratio signal of [56]."""
+    return min(context.engine.conflict_ratio(), 1e6)
+
+
+def queue_length(query: Query, context: ManagerContext) -> float:
+    """Requests waiting in the manager's queues."""
+    return float(context.manager.queued_count)
+
+
 @dataclass(frozen=True)
 class Indicator:
     """One monitor metric with a congestion threshold."""
 
     name: str
-    read: Callable[[ManagerContext], float]
+    read: Callable[[Query, ManagerContext], float]
     threshold: float
 
-    def fired(self, context: ManagerContext) -> bool:
-        """True when the metric currently exceeds the threshold."""
-        return self.read(context) > self.threshold
 
-    def value(self, context: ManagerContext) -> float:
-        """Current value of the monitored metric."""
-        return self.read(context)
-
-
-def default_indicators(
-    memory_pressure: float = 1.5,
-    conflict_ratio: float = 1.5,
-    queue_length: float = 50.0,
-) -> List[Indicator]:
-    """The congestion-indicator set used in the experiments.
+def default_indicators() -> List[Indicator]:
+    """The default congestion-indicator set.
 
     Mirrors the spirit of [79]: memory (sort/hash spill pressure), lock
     contention, and queueing backlog.
     """
     return [
-        Indicator(
-            "memory_pressure",
-            lambda ctx: ctx.engine.memory_pressure(),
-            memory_pressure,
-        ),
-        Indicator(
-            "conflict_ratio",
-            lambda ctx: min(ctx.engine.conflict_ratio(), 1e6),
-            conflict_ratio,
-        ),
-        Indicator(
-            "queue_length",
-            lambda ctx: float(
-                ctx.manager.queued_count if ctx.manager is not None else 0
-            ),
-            queue_length,
-        ),
+        Indicator("memory_pressure", memory_pressure, 1.5),
+        Indicator("conflict_ratio", conflict_ratio, 1.5),
+        Indicator("queue_length", queue_length, 50.0),
     ]
 
 
 class IndicatorAdmission(AdmissionController):
-    """Delay low-priority requests while congestion indicators fire."""
+    """Delay requests while any congestion indicator fires."""
 
     TECHNIQUE_FEATURES = frozenset(
         {
@@ -85,36 +85,23 @@ class IndicatorAdmission(AdmissionController):
         }
     )
 
-    def __init__(
-        self,
-        indicators: Optional[Sequence[Indicator]] = None,
-        protected_priority: int = 2,
-    ) -> None:
+    def __init__(self, indicators: Optional[Sequence[Indicator]] = None) -> None:
         self.indicators = (
             default_indicators() if indicators is None else list(indicators)
         )
         if not self.indicators:
             raise ValueError("need at least one indicator")
-        self.protected_priority = protected_priority
         self.delays = 0
         self.firings = {indicator.name: 0 for indicator in self.indicators}
 
-    def fired_indicators(self, context: ManagerContext) -> List[Indicator]:
-        """The subset of indicators currently signalling congestion."""
-        return [i for i in self.indicators if i.fired(context)]
-
     def decide(self, query: Query, context: ManagerContext) -> AdmissionDecision:
-        if query.priority >= self.protected_priority:
-            return AdmissionDecision.accept(
-                f"priority {query.priority} protected"
-            )
-        fired = self.fired_indicators(context)
-        if fired:
-            for indicator in fired:
+        fired = []
+        for indicator in self.indicators:
+            value = indicator.read(query, context)
+            if value > indicator.threshold:
                 self.firings[indicator.name] += 1
+                fired.append(f"{indicator.name}={value:.2f}>{indicator.threshold:g}")
+        if fired:
             self.delays += 1
-            names = ", ".join(
-                f"{i.name}={i.value(context):.2f}>{i.threshold:g}" for i in fired
-            )
-            return AdmissionDecision.delay(f"indicators fired: {names}")
+            return AdmissionDecision.delay(f"indicators fired: {', '.join(fired)}")
         return AdmissionDecision.accept("no congestion indicators fired")

@@ -73,7 +73,7 @@ class ThresholdAdmission(AdmissionController):
     def _workload_running(self, workload: Optional[str], context: ManagerContext) -> int:
         return sum(
             1
-            for q in context.engine.iter_running()
+            for q in context.engine.running_queries()
             if q.workload_name == workload
         )
 

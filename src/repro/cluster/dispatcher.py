@@ -475,8 +475,8 @@ class ClusterDispatcher:
         # in-flight work is lost; each kill triggers _on_node_exit which
         # resubmits because the node is already DOWN
         engine = node.manager.engine
-        for query_id in list(engine.running_ids()):
-            engine.kill(query_id)
+        for query in engine.running_queries():
+            engine.kill(query.query_id)
             reclaimed += 1
         self.binding.sweep()
         return reclaimed

@@ -81,7 +81,7 @@ class MonitorStage:
             memory_pressure=context.engine.memory_pressure(),
             conflict_ratio=min(context.engine.conflict_ratio(), 1e6),
             running=context.engine.running_count,
-            queued=context.manager.queued_count if context.manager else 0,
+            queued=context.manager.queued_count,
         )
 
 
@@ -116,7 +116,7 @@ class AnalyzeStage:
             or observations.conflict_ratio > 1.5
         )
         problematic = []
-        for query in context.engine.iter_running():
+        for query in context.engine.running_queries():
             if query.priority > self.problem_priority:
                 continue
             started = query.start_time if query.start_time is not None else observations.time
@@ -227,10 +227,9 @@ class ExecuteStage:
             self._suspended.append(victim)
         elif action is LoopAction.KILL_AND_RESUBMIT:
             engine.kill(qid)
-            if context.manager is not None:
-                context.manager.resubmit(
-                    victim.clone_for_resubmit(), delay=self.resubmit_delay
-                )
+            context.manager.resubmit(
+                victim.clone_for_resubmit(), delay=self.resubmit_delay
+            )
         return victim
 
 

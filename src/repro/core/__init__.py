@@ -46,12 +46,6 @@ from repro.core.interfaces import (
     ManagerContext,
 )
 from repro.core.manager import WorkloadManager
-from repro.core.capacity import (
-    CapacityAwareAdmission,
-    CapacityEstimate,
-    CapacityEstimator,
-    SystemState,
-)
 from repro.core.registry import (
     ApproachDescriptor,
     Feature,
@@ -100,8 +94,4 @@ __all__ = [
     "CONTROL_TYPES",
     "classify_descriptor",
     "classify_component",
-    "CapacityAwareAdmission",
-    "CapacityEstimate",
-    "CapacityEstimator",
-    "SystemState",
 ]

@@ -109,7 +109,7 @@ class ManagerContext:
     metrics: MetricsCollector
     slas: SLASet
     sessions: SessionRegistry
-    manager: Optional["WorkloadManager"] = None
+    manager: "WorkloadManager"
     #: append-only record of this manager's control actions (node tier)
     decisions: List[ControlEvent] = field(default_factory=list)
 

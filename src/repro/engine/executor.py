@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -153,7 +153,7 @@ class ExecutionEngine:
         machine: Optional[MachineSpec] = None,
         config: Optional[EngineConfig] = None,
     ) -> None:
-        # 27 attributes: at 30, CPython 3.11 stops sharing the instance
+        # 26 attributes: at 30, CPython 3.11 stops sharing the instance
         # dict's keys, and each engine costs ~1.3 KB more and builds ~1 µs
         # slower (a 256-node cluster builds 256 of them).
         # tests/engine/test_hotpath.py fails at 29.
@@ -187,11 +187,10 @@ class ExecutionEngine:
         # Server-units in use since the last real solve, clamped to capacity.
         self._cpu_usage = 0.0
         self._disk_usage = 0.0
-        # Cached running-set snapshots, invalidated by *replacement* on
-        # membership change — callers holding an old snapshot can keep
+        # The cached running-set snapshot, invalidated by *replacement* on
+        # membership change: a caller holding an old snapshot can keep
         # iterating it safely while queries start or finish.
         self._snapshot: Optional[List[Query]] = None
-        self._ids_snapshot: Optional[List[int]] = None
         # Allocation memoization: the fair-share solve is skipped when
         # nothing feeding it (membership, weights, caps, blocked flags,
         # demand inflation, completions) changed since the last solve.
@@ -215,13 +214,6 @@ class ExecutionEngine:
     def running_count(self) -> int:
         return len(self._running)
 
-    def running_ids(self) -> List[int]:
-        """IDs of the running queries (cached snapshot; treat as read-only)."""
-        ids = self._ids_snapshot
-        if ids is None:
-            ids = self._ids_snapshot = list(self._running.keys())
-        return ids
-
     def running_queries(self) -> List[Query]:
         """The running queries as a cached snapshot list.
 
@@ -233,15 +225,6 @@ class ExecutionEngine:
         if snap is None:
             snap = self._snapshot = [entry.query for entry in self._running.values()]
         return snap
-
-    def iter_running(self) -> Iterator[Query]:
-        """Iterate the running queries without materializing a list.
-
-        Do not start, kill or otherwise change engine membership while
-        iterating; use :meth:`running_queries` for that.
-        """
-        for entry in self._running.values():
-            yield entry.query
 
     def is_running(self, query_id: int) -> bool:
         return query_id in self._running
@@ -465,7 +448,6 @@ class ExecutionEngine:
 
     def _membership_changed(self) -> None:
         self._snapshot = None
-        self._ids_snapshot = None
         self._alloc_version += 1
         inflation = self.buffer_pool.io_inflation()
         if inflation != self._last_inflation:

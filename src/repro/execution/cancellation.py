@@ -102,7 +102,7 @@ class QueryKillController(ExecutionController):
                 continue  # removed by an earlier kill's side effects
             context.engine.kill(query.query_id)
             action = "kill"
-            if rule.resubmit and context.manager is not None:
+            if rule.resubmit:
                 clone = query.clone_for_resubmit()
                 context.manager.resubmit(clone, delay=rule.resubmit_delay)
                 action = "kill_and_resubmit"

@@ -133,9 +133,7 @@ class FuzzyExecutionController(ExecutionController):
                 context.record(self, "kill", query, score)
             elif score >= self.resubmit_band[0] - leniency:
                 context.engine.kill(query.query_id)
-                if context.manager is not None:
-                    clone = query.clone_for_resubmit()
-                    context.manager.resubmit(clone, delay=10.0)
+                context.manager.resubmit(query.clone_for_resubmit(), delay=10.0)
                 context.record(self, "kill_and_resubmit", query, score)
             elif score >= self.reprioritize_band[0]:
                 halvings = self._reprioritized.get(query.query_id, 0)

@@ -201,11 +201,9 @@ class SuspendResumeController(ExecutionController):
 
     # ------------------------------------------------------------------
     def _default_pressure(self, context: ManagerContext) -> bool:
-        manager = context.manager
-        if manager is not None:
-            queued = manager.scheduler.queued_queries()
-            if any(q.priority >= self.protected_priority for q in queued):
-                return True
+        queued = context.manager.scheduler.queued_queries()
+        if any(q.priority >= self.protected_priority for q in queued):
+            return True
         for query in context.engine.running_queries():
             if query.priority < self.protected_priority:
                 continue

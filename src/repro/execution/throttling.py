@@ -245,9 +245,11 @@ class QueryThrottlingController(ExecutionController):
                 if qid in self._paused or self.throttle_level <= 0:
                     continue
                 # one pause whose length realizes the sleep fraction
-                manager = context.manager
-                period = manager.control_period if manager is not None else 1.0
-                pause = self.throttle_level * period * self.pause_scale
+                pause = (
+                    self.throttle_level
+                    * context.manager.control_period
+                    * self.pause_scale
+                )
                 context.engine.pause(qid)
                 handle = context.sim.schedule(
                     pause,

@@ -64,10 +64,10 @@ class QueueingModelMpl(MplController):
         return cpu, io, mem
 
     def current_limit(self, context: ManagerContext) -> Optional[int]:
-        sample = context.engine.running_queries()
-        manager = context.manager
-        if manager is not None:
-            sample = sample + manager.scheduler.queued_queries()
+        sample = (
+            context.engine.running_queries()
+            + context.manager.scheduler.queued_queries()
+        )
         cpu, io, mem = self._mean_costs(sample)
         if cpu <= 0 and io <= 0:
             return self.ceiling

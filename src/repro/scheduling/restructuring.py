@@ -66,10 +66,9 @@ class RestructuringScheduler(Scheduler):
 
     def attach(self, context: ManagerContext) -> None:
         self.inner.attach(context)
-        if context.manager is not None:
-            context.manager.add_completion_listener(
-                partial(self._on_done, context=context)
-            )
+        context.manager.add_completion_listener(
+            partial(self._on_done, context=context)
+        )
 
     def enqueue(self, query: Query, context: ManagerContext) -> None:
         work = query.estimated_cost.total_work
@@ -110,8 +109,7 @@ class RestructuringScheduler(Scheduler):
             return
         if group.pending:
             self._release_next(group, context)
-            if context.manager is not None:
-                context.manager.pump()
+            context.manager.pump()
         elif group.finished:
             group.original.end_time = context.now
             if group.original.submit_time is not None:

@@ -259,5 +259,4 @@ class UtilityScheduler(Scheduler):
         context.record(
             self, "plan", detail={n: round(a, 3) for n, a in allocations.items()}
         )
-        if context.manager is not None:
-            context.manager.pump()
+        context.manager.pump()

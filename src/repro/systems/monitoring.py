@@ -30,7 +30,7 @@ def _workload_rows(manager: WorkloadManager) -> List[str]:
     names = set(manager.metrics.workloads())
     names.update(
         q.workload_name
-        for q in manager.engine.iter_running()
+        for q in manager.engine.running_queries()
         if q.workload_name
     )
     names.update(
@@ -49,7 +49,7 @@ def db2_workload_occurrences(manager: WorkloadManager) -> List[Dict[str, Any]]:
     query currently executing, with its workload and progress."""
     now = manager.sim.now
     rows = []
-    for query in manager.engine.iter_running():
+    for query in manager.engine.running_queries():
         rows.append(
             {
                 "workload_name": query.workload_name or "SYSDEFAULTUSERWORKLOAD",
@@ -122,7 +122,7 @@ def sqlserver_resource_pool_stats(
     config); without it every group is its own pool.
     """
     pools: Dict[str, Dict[str, Any]] = {}
-    for query in manager.engine.iter_running():
+    for query in manager.engine.running_queries():
         group = query.workload_name or "default"
         pool = (group_to_pool or {}).get(group, group)
         row = pools.setdefault(

@@ -220,7 +220,7 @@ class _UtilityThrottleAdmission(AdmissionController):
             return AdmissionDecision.accept("not a utility")
         running = sum(
             1
-            for q in context.engine.iter_running()
+            for q in context.engine.running_queries()
             if q.statement_type in self._UTILITY_TYPES
         )
         if running >= self.limit:

@@ -1,5 +1,7 @@
 """Tests for conflict-ratio, throughput-feedback and indicator admission."""
 
+from functools import partial
+
 import pytest
 
 from repro.admission.base import CompositeAdmission, PriorityExemptAdmission
@@ -8,6 +10,7 @@ from repro.admission.indicators import (
     Indicator,
     IndicatorAdmission,
     default_indicators,
+    queue_length,
 )
 from repro.admission.threshold import ThresholdAdmission
 from repro.admission.throughput_feedback import ThroughputFeedbackAdmission
@@ -16,13 +19,14 @@ from repro.core.interfaces import (
     AdmissionOutcome,
     decisions_by,
 )
-from repro.core.manager import WorkloadManager
+from repro.core.manager import WaitQueue, WorkloadManager
 from repro.core.policy import AdmissionPolicy
+from repro.engine.query import CostVector
 from repro.engine.resources import MachineSpec
 from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
 
-from tests.conftest import make_query
+from tests.conftest import capacity_gate, make_query
 
 
 def _manager(sim, admission, **kwargs):
@@ -119,34 +123,37 @@ class TestThroughputFeedback:
 
 class TestIndicators:
     def test_accepts_when_quiet(self, sim):
-        admission = IndicatorAdmission(protected_priority=3)
+        admission = IndicatorAdmission()
         manager = _manager(sim, admission)
         decision = admission.decide(make_query(priority=1), manager.context)
         assert decision.outcome is AdmissionOutcome.ACCEPT
 
-    def test_low_priority_delayed_under_pressure(self, sim):
-        admission = IndicatorAdmission(protected_priority=3)
+    def test_delayed_under_pressure(self, sim):
+        admission = IndicatorAdmission()
         manager = _manager(
             sim,
             admission,
             machine=MachineSpec(cpu_capacity=4, disk_capacity=4, memory_mb=100),
         )
         manager.engine.buffer_pool.reserve("hog", 500.0)  # pressure 5.0
-        decision = admission.decide(make_query(priority=1), manager.context)
+        decision = admission.decide(make_query(priority=3), manager.context)
         assert decision.outcome is AdmissionOutcome.DELAY
         assert admission.firings["memory_pressure"] == 1
         assert "memory_pressure" in decision.reason
 
-    def test_high_priority_admitted_under_pressure(self, sim):
-        admission = IndicatorAdmission(protected_priority=3)
+    def test_exempt_priority_passes_through_the_wrapper(self, sim):
+        admission = PriorityExemptAdmission(IndicatorAdmission(), exempt_priority=3)
         manager = _manager(sim, admission)
         manager.engine.buffer_pool.reserve("hog", 1e6)
-        decision = admission.decide(make_query(priority=3), manager.context)
-        assert decision.outcome is AdmissionOutcome.ACCEPT
+        vip = admission.decide(make_query(priority=3), manager.context)
+        assert vip.outcome is AdmissionOutcome.ACCEPT
+        low = admission.decide(make_query(priority=2), manager.context)
+        assert low.outcome is AdmissionOutcome.DELAY
+        assert admission.inner.delays == 1
 
     def test_custom_indicator(self, sim):
-        always = Indicator("always", lambda ctx: 2.0, threshold=1.0)
-        admission = IndicatorAdmission([always], protected_priority=5)
+        always = Indicator("always", lambda query, ctx: 2.0, threshold=1.0)
+        admission = IndicatorAdmission([always])
         manager = _manager(sim, admission)
         decision = admission.decide(make_query(priority=1), manager.context)
         assert decision.outcome is AdmissionOutcome.DELAY
@@ -155,9 +162,108 @@ class TestIndicators:
         names = {indicator.name for indicator in default_indicators()}
         assert names == {"memory_pressure", "conflict_ratio", "queue_length"}
 
+    def test_queue_length_reads_the_managers_backlog(self, sim):
+        admission = IndicatorAdmission([Indicator("queue_length", queue_length, 0.5)])
+        manager = _manager(sim, admission, scheduler=WaitQueue(1))
+        manager.submit(make_query(cpu=5.0, io=0.0))  # queue empty: admitted
+        manager.submit(make_query(cpu=5.0, io=0.0))  # now one waits
+        assert manager.queued_count == 1
+        decision = admission.decide(make_query(), manager.context)
+        assert decision.outcome is AdmissionOutcome.DELAY
+
     def test_empty_indicator_list_rejected(self):
         with pytest.raises(ValueError):
             IndicatorAdmission([])
+
+
+class TestCapacityGate:
+    """The A/B lab's gate: projected memory and conflict ratio."""
+
+    def _manager(self, sim, mem=1000.0):
+        return _manager(
+            sim,
+            capacity_gate(),
+            machine=MachineSpec(cpu_capacity=2.0, disk_capacity=2.0, memory_mb=mem),
+        )
+
+    def test_accepts_a_fitting_request_on_an_idle_machine(self, sim):
+        manager = self._manager(sim)
+        gate = manager.admission
+        query = make_query(cpu=1.0, io=0.0, mem=100.0, priority=1)
+        decision = gate.decide(query, manager.context)
+        assert decision.outcome is AdmissionOutcome.ACCEPT
+        assert gate.inner.delays == 0
+
+    def test_delays_low_priority_when_memory_is_nearly_full(self, sim):
+        manager = self._manager(sim)
+        manager.engine.buffer_pool.reserve("hog", 950.0)
+        gate = manager.admission
+        query = make_query(cpu=1.0, io=0.0, mem=200.0, priority=1)
+        decision = gate.decide(query, manager.context)
+        assert decision.outcome is AdmissionOutcome.DELAY
+        assert gate.inner.delays == 1
+        assert gate.inner.firings == {"projected_memory": 1, "conflict_ratio": 0}
+
+    def test_oversubscribed_memory_delays_even_a_tiny_request(self, sim):
+        manager = self._manager(sim)
+        for _ in range(3):
+            manager.submit(make_query(cpu=10.0, io=0.0, mem=500.0, priority=3))
+        assert manager.engine.memory_pressure() > 1.0
+        tiny = make_query(cpu=1.0, io=0.0, mem=1.0, priority=1)
+        decision = manager.admission.decide(tiny, manager.context)
+        assert decision.outcome is AdmissionOutcome.DELAY
+        assert "projected_memory" in decision.reason
+
+    def test_exempt_priority_admitted_however_full(self, sim):
+        manager = self._manager(sim)
+        manager.engine.buffer_pool.reserve("hog", 10_000.0)
+        gate = manager.admission
+        vip = make_query(cpu=1.0, io=0.0, mem=500.0, priority=3)
+        assert gate.decide(vip, manager.context).outcome is AdmissionOutcome.ACCEPT
+        assert gate.inner.delays == 0
+
+    def test_projected_memory_counts_the_request_estimate(self, sim):
+        manager = self._manager(sim)
+        manager.submit(make_query(cpu=10.0, io=0.0, mem=800.0, priority=1))
+        gate = manager.admission
+        small = make_query(cpu=1.0, io=0.0, mem=100.0, priority=1)
+        huge = make_query(cpu=1.0, io=0.0, mem=800.0, priority=1)
+        assert gate.decide(small, manager.context).outcome is AdmissionOutcome.ACCEPT
+        decision = gate.decide(huge, manager.context)
+        assert decision.outcome is AdmissionOutcome.DELAY
+        assert "projected_memory=1.60>1" in decision.reason
+
+    def test_projected_memory_reads_the_estimate_not_the_true_cost(self, sim):
+        manager = self._manager(sim)
+        gate = manager.admission
+        liar = make_query(cpu=1.0, io=0.0, mem=100.0, priority=1)
+        liar.estimated_cost = CostVector(1.0, 0.0, 5000.0)  # optimizer: 5 GB
+        assert gate.decide(liar, manager.context).outcome is AdmissionOutcome.DELAY
+        hidden = make_query(cpu=1.0, io=0.0, mem=5000.0, priority=1)
+        hidden.estimated_cost = CostVector(1.0, 0.0, 100.0)  # optimizer: 100 MB
+        assert gate.decide(hidden, manager.context).outcome is AdmissionOutcome.ACCEPT
+
+    def test_a_conflict_spike_delays(self, sim, monkeypatch):
+        manager = self._manager(sim)
+        monkeypatch.setattr(manager.engine, "conflict_ratio", lambda: 3.0)
+        decision = manager.admission.decide(make_query(priority=1), manager.context)
+        assert decision.outcome is AdmissionOutcome.DELAY
+        assert "conflict_ratio=3.00>1.5" in decision.reason
+
+    def test_end_to_end_memory_pressure_stays_bounded(self, sim):
+        manager = self._manager(sim, mem=500.0)
+        for index in range(10):
+            query = make_query(cpu=2.0, io=1.0, mem=300.0, priority=1, sql="wl:q")
+            sim.schedule_at(index * 0.2, partial(manager.submit, query))
+        manager.run(horizon=3.0, drain=120.0)
+        assert manager.metrics.stats_for("wl").completions == 10
+        assert manager.admission.inner.delays > 0
+        # one 300 MB query fits a 500 MB machine, two do not: the
+        # sampled pressure never shows a second one admitted
+        samples = manager.metrics.samples()
+        assert samples
+        for sample in samples:
+            assert sample.memory_pressure <= 1.3
 
 
 class TestCombinators:

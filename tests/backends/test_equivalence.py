@@ -168,7 +168,7 @@ POLICIES = st.builds(
 def test_threshold_admission_decides_and_counts_as_before(default, per_workload, running, asks):
     running_queries = [_query(1.0, workload) for workload in running]
     engine = SimpleNamespace(
-        running_count=len(running_queries), iter_running=lambda: iter(running_queries)
+        running_count=len(running_queries), running_queries=lambda: running_queries
     )
     old = InlineThresholdAdmission(default, per_workload)
     new = ThresholdAdmission(default, per_workload)

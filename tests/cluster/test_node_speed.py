@@ -23,7 +23,7 @@ from tests.conftest import make_query
 
 def _speeds(node):
     engine = node.manager.engine
-    return [engine.speed_of(qid) for qid in engine.running_ids()]
+    return [engine.speed_of(q.query_id) for q in engine.running_queries()]
 
 
 def _degraded_node_with_work(sim):

@@ -6,6 +6,8 @@ from typing import Optional
 
 import pytest
 
+from repro.admission import Indicator, IndicatorAdmission, PriorityExemptAdmission
+from repro.admission.indicators import conflict_ratio, projected_memory
 from repro.engine.executor import EngineConfig, ExecutionEngine
 from repro.engine.query import (
     CostVector,
@@ -85,6 +87,20 @@ def staged_plan(state_mb: float = 50.0) -> QueryPlan:
             PlanOperator("join", 0.3, state_mb=state_mb / 2),
             PlanOperator("aggregate", 0.2, state_mb=state_mb / 4, blocking=True),
         )
+    )
+
+
+def capacity_gate() -> PriorityExemptAdmission:
+    """``examples/ab_policy_lab.py``'s capacity-aware gate: projected
+    memory and conflict ratio, priority-3 work exempt."""
+    return PriorityExemptAdmission(
+        IndicatorAdmission(
+            [
+                Indicator("projected_memory", projected_memory, 1.0),
+                Indicator("conflict_ratio", conflict_ratio, 1.5),
+            ]
+        ),
+        exempt_priority=3,
     )
 
 

@@ -7,8 +7,8 @@ module-level function or a ``functools.partial`` of one: a closure is
 copied by reference and would keep acting on the original's objects
 (``tests/test_actions.py`` keeps the source that way).  A pickle round
 trip is the same fork through a byte string, and it holds every
-callable a run *stores* — a weight function, a classifier — to that
-rule too: pickle refuses a lambda or a nested function outright.  The
+callable a run *stores* — a weight function, a classifier, an
+admission indicator's read — to that rule too: pickle refuses a lambda or a nested function outright.  The
 property forks each shape at a random instant both ways and runs both
 copies, in either order, to the end of its drain window: both digests
 must equal the unforked run's.  A ``DeprecationWarning`` is an error
@@ -25,6 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.admission import IndicatorAdmission
 from repro.core.manager import WaitQueue, WorkloadManager
 from repro.core.policy import ThresholdKind
 from repro.engine.resources import MachineSpec
@@ -48,6 +49,8 @@ from repro.workloads.models import (
     Uniform,
     WorkloadSpec,
 )
+
+from tests.conftest import capacity_gate
 
 MACHINE = MachineSpec(cpu_capacity=4.0, disk_capacity=2.0, memory_mb=2048.0)
 
@@ -139,6 +142,24 @@ SHAPES = {
                 machine=MACHINE,
                 scheduler=WaitQueue(FeedbackMpl(initial=4, interval=1.0, step=1)),
             ),
+        ),
+        30.0,
+    ),
+    # both gates hold requests back for most of the run, so a fork
+    # catches delayed requests waiting for their retry
+    "indicator-default": (
+        lambda: _manager_run(
+            30.0,
+            _mix(),
+            lambda sim: WorkloadManager(sim, machine=MACHINE, admission=IndicatorAdmission()),
+        ),
+        30.0,
+    ),
+    "indicator-ab-lab": (
+        lambda: _manager_run(
+            30.0,
+            _mix(),
+            lambda sim: WorkloadManager(sim, machine=MACHINE, admission=capacity_gate()),
         ),
         30.0,
     ),

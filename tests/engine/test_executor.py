@@ -87,7 +87,7 @@ class TestBasicExecution:
         assert engine.running_count == 1
         assert engine.is_running(query.query_id)
         assert engine.weight_of(query.query_id) == 2.0
-        assert query.query_id in engine.running_ids()
+        assert query in engine.running_queries()
 
     def test_progress_advances_with_time(self, sim):
         engine = _engine(sim)

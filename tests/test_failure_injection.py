@@ -39,11 +39,11 @@ class ChaosKiller(ExecutionController):
         self.kills = 0
 
     def control(self, context: ManagerContext) -> None:
-        running = context.engine.running_ids()
+        running = context.engine.running_queries()
         if running:
             rng = context.sim.rng("chaos")
             victim = running[int(rng.integers(0, len(running)))]
-            context.engine.kill(victim)
+            context.engine.kill(victim.query_id)
             self.kills += 1
 
 
@@ -217,8 +217,8 @@ class TestEngineApiMisuse:
 
 
 class TestSnapshotInvalidation:
-    """``running_queries()``/``running_ids()`` return cached snapshots
-    invalidated *by replacement* on membership change: a list handed out
+    """``running_queries()`` returns a cached snapshot invalidated *by
+    replacement* on membership change: a list handed out
     before queries start or finish stays safe to iterate, while fresh
     calls observe the new membership.  These interleavings are exactly
     what controllers do — grab the running set, then kill / suspend /
@@ -241,7 +241,6 @@ class TestSnapshotInvalidation:
             engine.start(submitted_query(sim, cpu=5.0, io=0.0, mem=10.0))
         first = engine.running_queries()
         assert engine.running_queries() is first  # cache hit
-        assert engine.running_ids() is engine.running_ids()
         # throttle and weight changes keep membership: same snapshot
         victim = first[0].query_id
         engine.set_throttle(victim, 0.5)
@@ -279,11 +278,12 @@ class TestSnapshotInvalidation:
             engine.start(submitted_query(sim, cpu=6.0, io=0.0, mem=15.0))
         sim.run_until(1.0)
         snapshot = engine.running_queries()
-        ids = engine.running_ids()
-        # suspend two while iterating the stale id list, start a
+        ids = [query.query_id for query in snapshot]
+        # suspend two while iterating the stale snapshot, start a
         # replacement mid-iteration, resume (un-throttle) another
         suspended = []
-        for index, query_id in enumerate(ids):
+        for index, query in enumerate(snapshot):
+            query_id = query.query_id
             if index < 2:
                 engine.remove_suspended(query_id)
                 suspended.append(query_id)
@@ -297,14 +297,14 @@ class TestSnapshotInvalidation:
         assert len(fresh) == 3  # 4 - 2 suspended + 1 started
         for query_id in suspended:
             assert not engine.is_running(query_id)
-            assert query_id in ids  # stale ids list untouched
+            assert query_id in ids  # stale snapshot untouched
         paused = ids[2]
         assert engine.speed_of(paused) == 0.0
         engine.resume(paused)
         sim.run()
         assert engine.running_count == 0
 
-    def test_iter_running_sees_current_membership(self, sim):
+    def test_fresh_snapshot_sees_current_membership(self, sim):
         from tests.conftest import submitted_query
 
         engine = self._engine(sim)
@@ -313,12 +313,12 @@ class TestSnapshotInvalidation:
         ]
         for query in queries:
             engine.start(query)
-        assert sorted(q.query_id for q in engine.iter_running()) == sorted(
+        assert sorted(q.query_id for q in engine.running_queries()) == sorted(
             q.query_id for q in queries
         )
         engine.kill(queries[0].query_id)
         assert queries[0].query_id not in [
-            q.query_id for q in engine.iter_running()
+            q.query_id for q in engine.running_queries()
         ]
 
     def test_finish_during_drain_invalidates_snapshot(self, sim):

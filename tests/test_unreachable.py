@@ -46,7 +46,11 @@ injector between the scenario language and the dispatcher went with
 the injector's reclaim counter, which only tests and one bench read.
 The engine keeps two usage floats, so the per-resource busy-time
 integral no run read went, and so did the per-session submission
-counter only its own test read.
+counter only its own test read.  The capacity estimator and its gate
+went because the gate was the indicator gate over projected memory and
+conflict ratio, and its load classification changed no decision; the
+indicator gate lost its own priority exemption to
+``PriorityExemptAdmission``, and the engine kept one running-set read.
 Bringing one back means bringing the spec field and the measured cell
 that reach it, and editing this list.
 """
@@ -59,6 +63,7 @@ import pathlib
 import pytest
 
 import repro
+from repro.admission import IndicatorAdmission
 from repro.backends import RunConfig, plan_statements, run_sim_on_plan
 from repro.cli import build_parser
 from repro.cluster import ClusterDispatcher, ClusterNode, FaultKind, NodeHealth, TaskQueue
@@ -164,6 +169,13 @@ DELETED_NAMES = {
     "Resource",
     "rate_capacities",
     "instantaneous_usage",
+    "SystemState",
+    "CapacityEstimate",
+    "CapacityEstimator",
+    "CapacityAwareAdmission",
+    "iter_running",
+    "running_ids",
+    "_ids_snapshot",
 }
 DELETED_MODULES = (
     "cluster/elastic.py",
@@ -173,6 +185,7 @@ DELETED_MODULES = (
     "workloads/replay.py",
     "parallel/tasks.py",
     "cluster/failover.py",
+    "core/capacity.py",
 )
 
 
@@ -279,6 +292,11 @@ def test_removed_parameters_stay_removed():
     assert [f.name for f in dataclasses.fields(RunTask)] == ["key", "fn", "params", "seed"]
     # the dispatcher arms a scenario's faults; a run keeps no injector
     assert "injector" not in {f.name for f in dataclasses.fields(ScenarioResult)}
+    # the §2.3 exemption is PriorityExemptAdmission's, not the gate's
+    assert list(inspect.signature(IndicatorAdmission).parameters) == ["indicators"]
+    # every context belongs to a manager
+    manager_field = {f.name: f for f in dataclasses.fields(ManagerContext)}["manager"]
+    assert manager_field.default is dataclasses.MISSING
 
 
 def test_removed_readers_stay_removed():
