@@ -42,11 +42,14 @@ examples:
 	done
 
 # Static checks (ruff, config in pyproject.toml).  CI installs ruff;
-# locally the target degrades to a no-op when ruff is unavailable.
+# locally the target degrades to a no-op when ruff is unavailable.  Only
+# a missing ruff is skipped: a finding fails the target.
 lint:
-	@$(PY) -m ruff --version >/dev/null 2>&1 \
-		&& $(PY) -m ruff check src/ tests/ benchmarks/ examples/ \
-		|| echo "ruff not installed; skipping lint (pip install ruff)"
+	@if $(PY) -m ruff --version >/dev/null 2>&1; then \
+		$(PY) -m ruff check src/ tests/ benchmarks/ examples/; \
+	else \
+		echo "ruff not installed; skipping lint (pip install ruff)"; \
+	fi
 
 # Every src/repro function no run calls, per module with line counts
 # (benchmarks/reach.py, ~10 min, not in CI): ROADMAP item 8's input,

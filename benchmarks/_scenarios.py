@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.interfaces import AdmissionController, ExecutionController, Scheduler
-from repro.core.manager import FCFSDispatcher, WorkloadManager
+from repro.core.interfaces import AdmissionController, Scheduler
+from repro.core.manager import WorkloadManager
 from repro.core.sla import SLASet
 from repro.engine.executor import EngineConfig
 from repro.engine.optimizer import OptimizerProfile

@@ -13,7 +13,6 @@ runs one validation experiment (EXP1–EXP16 in DESIGN.md).  Each bench:
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 from typing import List, Sequence, Tuple
 

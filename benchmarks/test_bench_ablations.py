@@ -19,8 +19,6 @@ phenomena are driven by the modelled mechanism and not by accident:
 
 import functools
 
-import pytest
-
 from repro.admission.base import PriorityExemptAdmission
 from repro.admission.threshold import ThresholdAdmission
 from repro.core.manager import FCFSDispatcher

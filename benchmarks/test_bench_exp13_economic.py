@@ -16,7 +16,7 @@ each phase, and per-workload velocities follow.
 import functools
 
 from repro.core.interfaces import decisions_by
-from repro.engine.resources import MachineSpec, ResourceKind
+from repro.engine.resources import MachineSpec
 from repro.engine.simulator import Simulator
 from repro.execution.economic import EconomicResourceAllocator
 from repro.workloads.generator import Scenario

@@ -11,9 +11,7 @@ re-weighting) must exercise precisely its classified technique classes.
 import functools
 
 from repro.core.policy import ThresholdAction, ThresholdKind
-from repro.engine.query import StatementType
 from repro.engine.resources import MachineSpec
-from repro.engine.sessions import ConnectionAttributes
 from repro.engine.simulator import Simulator
 from repro.systems.db2 import (
     DB2Threshold,

@@ -13,8 +13,6 @@ collapses by an order of magnitude.
 
 import functools
 
-import pytest
-
 from repro.core.manager import FCFSDispatcher
 from repro.engine.simulator import Simulator
 from repro.reporting.figures import ascii_line_chart

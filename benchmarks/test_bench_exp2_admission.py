@@ -13,11 +13,8 @@ threshold rejects only heavy queries (OLTP passes untouched).
 
 import functools
 
-import pytest
-
 from repro.admission.base import CompositeAdmission, PriorityExemptAdmission
 from repro.admission.threshold import ThresholdAdmission
-from repro.core.manager import FCFSDispatcher
 from repro.core.policy import AdmissionPolicy
 from repro.engine.simulator import Simulator
 from repro.reporting.figures import ascii_bar_chart

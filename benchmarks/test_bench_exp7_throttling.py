@@ -17,7 +17,6 @@ value; utilities still make progress (they are slowed, not starved).
 
 import functools
 
-from repro.core.manager import FCFSDispatcher
 from repro.engine.resources import MachineSpec
 from repro.engine.simulator import Simulator
 from repro.execution.throttling import (

@@ -14,7 +14,6 @@ Claims reproduced (§4.2.3, Chandramouli et al. [10]):
 
 import functools
 
-from repro.core.manager import FCFSDispatcher
 from repro.engine.resources import MachineSpec
 from repro.engine.simulator import Simulator
 from repro.execution.suspend_resume import (

@@ -42,7 +42,7 @@ def test_figure1_taxonomy(benchmark):
     write_result("figure1_taxonomy", figure)
 
     def rebuild_and_classify():
-        tree = build_taxonomy()
+        build_taxonomy()
         return [classify_descriptor(d) for d in all_descriptors()]
 
     classifications = benchmark(rebuild_and_classify)

@@ -6,8 +6,6 @@ conclusions (§2.3 for Table 1, §3.2/§3.4 for Tables 2/3, §4.1.4 for
 Table 4, §4.2.5 for Table 5) and persist the rendered artifacts.
 """
 
-import pytest
-
 from repro.core.classify import classify_descriptor, major_classes_of
 from repro.core.registry import (
     ADMISSION_APPROACHES,

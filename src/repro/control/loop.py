@@ -163,7 +163,6 @@ class PlanStage:
         need = float(symptoms.total_missing_importance)
         victim = symptoms.problematic[0]
         done = self.progress.work_done(victim, context)
-        remaining = 1.0 - done
         # freed resources scale with the victim's remaining footprint
         footprint = min(1.0, victim.true_cost.total_work / 40.0)
         utilities[LoopAction.DEMOTE] = need * 0.4 * footprint

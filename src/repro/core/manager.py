@@ -55,11 +55,14 @@ class TagCharacterizer(Characterizer):
         return workload_key(query)
 
 
+_ACCEPT_ALL = AdmissionDecision.accept("no admission control")
+
+
 class AcceptAllAdmission(AdmissionController):
     """No admission control (the paper's uncontrolled baseline)."""
 
     def decide(self, query: Query, context: ManagerContext) -> AdmissionDecision:
-        return AdmissionDecision.accept("no admission control")
+        return _ACCEPT_ALL
 
 
 class WaitQueue(Scheduler):

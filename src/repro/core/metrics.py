@@ -247,10 +247,12 @@ class MetricsCollector:
     def record_completion(self, query: Query, now: float) -> None:
         stats = self._recorded(query)
         stats.completions += 1
-        if query.response_time is not None:
-            stats.response_times.append(query.response_time)
-        if query.queueing_delay is not None:
-            stats.queue_delays.append(query.queueing_delay)
+        response_time = query.response_time
+        if response_time is not None:
+            stats.response_times.append(response_time)
+        queueing_delay = query.queueing_delay
+        if queueing_delay is not None:
+            stats.queue_delays.append(queueing_delay)
         velocity = query.execution_velocity(now)
         if velocity is not None:
             stats.velocities.append(velocity)

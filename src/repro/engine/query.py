@@ -125,6 +125,11 @@ class PlanOperator:
     blocking: bool = False
 
 
+#: A request class's operator shape, ``(names, blocking flags,
+#: state_mb)``: the part of a plan that does not depend on the draw.
+PlanShape = Tuple[Tuple[str, ...], Tuple[bool, ...], float]
+
+
 @dataclass(frozen=True, slots=True)
 class QueryPlan:
     """An ordered pipeline of operators."""
@@ -135,6 +140,23 @@ class QueryPlan:
         total = sum(op.work_fraction for op in self.operators)
         if self.operators and abs(total - 1.0) > 1e-6:
             raise ValueError(f"plan work fractions sum to {total}, expected 1.0")
+
+    @classmethod
+    def from_split(cls, shape: PlanShape, fractions: Sequence[float]) -> QueryPlan:
+        """The plan of ``shape``'s operators carrying ``fractions``.
+
+        The split is not checked here: :meth:`WorkloadSpec.draw
+        <repro.workloads.models.WorkloadSpec.draw>` checks every row it
+        draws, on the whole block at once.
+        """
+        names, blocking, state_mb = shape
+        plan = object.__new__(cls)
+        object.__setattr__(
+            plan,
+            "operators",
+            tuple(map(PlanOperator, names, fractions, itertools.repeat(state_mb), blocking)),
+        )
+        return plan
 
     def __len__(self) -> int:
         return len(self.operators)
@@ -180,7 +202,7 @@ class Query:
     session_id: Optional[int] = None
     workload_name: Optional[str] = None
     priority: int = 1               # business priority: larger = more important
-    query_id: int = field(default_factory=lambda: next(_query_ids))
+    query_id: int = field(default_factory=_query_ids.__next__)
     sql: str = ""
     #: database objects (tables/views) the query accesses — the "where"
     #: dimension of Teradata's classification criteria (paper §4.1.3)
@@ -276,8 +298,7 @@ class Query:
 
     def transition(self, new_state: QueryState) -> None:
         """Move to ``new_state``, validating against the lifecycle graph."""
-        allowed = self._ALLOWED[self.state]
-        if new_state not in allowed:
+        if not self.state._successors & new_state._bit:
             raise QueryStateError(
                 f"query {self.query_id}: illegal transition "
                 f"{self.state.value} -> {new_state.value}"
@@ -307,6 +328,15 @@ class Query:
             f"est={self.estimated_cost.total_work:.2f}s, "
             f"true={self.true_cost.total_work:.2f}s, prog={self.progress:.2f})"
         )
+
+
+# ``_ALLOWED`` as bits: each state gets one bit and the mask of the
+# states it may move to, so ``transition`` tests a bit instead of hashing
+# two enum members per call.
+for _index, _state in enumerate(QueryState):
+    _state._bit = 1 << _index
+for _state, _targets in Query._ALLOWED.items():
+    _state._successors = sum(target._bit for target in _targets)
 
 
 def workload_key(query: Query) -> Optional[str]:

@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.core.manager import WorkloadManager
-from repro.engine.resources import ResourceKind
 from repro.workloads.traces import QueryLog
 
 

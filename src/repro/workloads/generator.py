@@ -32,6 +32,7 @@ from repro.workloads.models import (
     BatchArrivals,
     ClosedArrivals,
     Constant,
+    Distribution,
     Exponential,
     LogNormal,
     OpenArrivals,
@@ -48,6 +49,22 @@ SubmitFn = Callable[[Query], None]
 #: request count is unknown up front) with the same code as open ones.
 _BLOCK_ROWS = 256
 _NO_ROWS: Iterator[tuple] = iter(())
+
+
+class _ClientLoop:
+    """A closed spec's client loop: what one completion re-arms.
+
+    ``emit`` is the spec's arrival action (bound to this loop); ``rng``,
+    the think stream, stays None until the spec's first re-arm.
+    """
+
+    __slots__ = ("think", "label", "rng", "emit")
+
+    def __init__(self, think: Distribution, label: str) -> None:
+        self.think = think
+        self.label = label
+        self.rng = None
+        self.emit = None
 
 
 class WorkloadGenerator:
@@ -80,16 +97,15 @@ class WorkloadGenerator:
         # attributes (static characterization) can resolve sessions.
         self.sessions = sessions if sessions is not None else SessionRegistry()
         self._specs: List[WorkloadSpec] = []
-        self._spec_by_name: Dict[str, WorkloadSpec] = {}
         self._spec_sessions: Dict[str, List[Session]] = {}
         self._next_session: Dict[str, int] = {}
-        self._closed_outstanding: Dict[int, str] = {}  # query_id -> spec name
+        # Each outstanding closed query maps to its spec's client loop,
+        # so a re-arm is one pop, one sample and one schedule.
+        self._closed_outstanding: Dict[int, _ClientLoop] = {}  # query_id -> loop
         # Per-spec hot-path handles: the unread rows of the current
-        # drawn block, the think RNG streams (memoized by the simulator,
-        # but the f-string + dict lookup per query adds up) and the sql
-        # labels, per (spec, class object): specs may share a class.
+        # drawn block and the sql labels, per (spec, class object):
+        # specs may share a class.
         self._rows: Dict[str, Iterator[tuple]] = {}
-        self._think_rngs: Dict[str, object] = {}
         self._sql_labels: Dict[Tuple[str, int], str] = {}
         self._horizon = 0.0
         self.generated_count = 0
@@ -97,7 +113,6 @@ class WorkloadGenerator:
     def add(self, spec: WorkloadSpec) -> None:
         """Register a workload spec (before :meth:`start`)."""
         self._specs.append(spec)
-        self._spec_by_name[spec.name] = spec
 
     def start(self, horizon: float) -> None:
         """Schedule all arrivals within ``[0, horizon)``."""
@@ -109,13 +124,15 @@ class WorkloadGenerator:
             ]
             self._spec_sessions[spec.name] = sessions
             self._next_session[spec.name] = 0
+            if isinstance(spec.arrivals, ClosedArrivals):
+                loop = _ClientLoop(spec.arrivals.think_time, f"think:{spec.name}")
+                emit = loop.emit = partial(self._emit, spec, loop)
+            else:
+                emit = partial(self._emit, spec, None)
             rng = self.sim.rng(f"arrivals:{spec.name}")
+            label = f"arrival:{spec.name}"
             for time in spec.arrivals.arrival_times(rng, horizon):
-                self.sim.schedule_at(
-                    time,
-                    partial(self._emit, spec),
-                    label=f"arrival:{spec.name}",
-                )
+                self.sim.schedule_at(time, emit, label=label)
 
     def notify_done(self, query: Query) -> None:
         """Tell the generator a query finished (drives closed workloads).
@@ -123,21 +140,15 @@ class WorkloadGenerator:
         Wire this to the manager's completion listener.  Open and batch
         workloads ignore it.
         """
-        spec_name = self._closed_outstanding.pop(query.query_id, None)
-        if spec_name is None:
+        loop = self._closed_outstanding.pop(query.query_id, None)
+        if loop is None or self.sim.now >= self._horizon:
             return
-        spec = self._spec_by_name.get(spec_name)
-        if spec is None or not isinstance(spec.arrivals, ClosedArrivals):
-            return
-        if self.sim.now >= self._horizon:
-            return
-        rng = self._think_rngs.get(spec_name)
+        rng = loop.rng
         if rng is None:
-            rng = self._think_rngs[spec_name] = self.sim.rng(f"think:{spec_name}")
-        think = max(0.0, spec.arrivals.think_time.sample(rng))
-        self.sim.schedule(
-            think, partial(self._emit, spec), label=f"think:{spec.name}"
-        )
+            # Created at the first re-arm, not at start(): set-up builds
+            # no stream a run may never read.
+            rng = loop.rng = self.sim.rng(loop.label)
+        self.sim.schedule(max(0.0, loop.think.sample(rng)), loop.emit, label=loop.label)
 
     # ------------------------------------------------------------------
     def make_query(self, spec: WorkloadSpec) -> Query:
@@ -176,10 +187,10 @@ class WorkloadGenerator:
         self.generated_count += 1
         return query
 
-    def _emit(self, spec: WorkloadSpec) -> None:
+    def _emit(self, spec: WorkloadSpec, loop: Optional[_ClientLoop]) -> None:
         query = self.make_query(spec)
-        if isinstance(spec.arrivals, ClosedArrivals):
-            self._closed_outstanding[query.query_id] = spec.name
+        if loop is not None:
+            self._closed_outstanding[query.query_id] = loop
         self.submit(query)
 
 

@@ -27,7 +27,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.query import CostVector, PlanOperator, QueryPlan, StatementType
+from repro.engine.query import CostVector, QueryPlan, StatementType
 from repro.engine.sessions import ConnectionAttributes
 
 
@@ -168,10 +168,11 @@ class RequestClass:
     objects: Tuple[str, ...] = ()
 
     def _plan_template(self):
-        """Cached (names, alpha, blocking) for the class's plans.
+        """Cached (alpha, shape) for the class's plans.
 
-        The operator names, the Dirichlet alpha vector and the blocking
-        flags are properties of the class, not of the draw.
+        The Dirichlet alpha vector and the operator shape (names,
+        blocking flags, state size) are properties of the class, not of
+        the draw.
         """
         cached = self.__dict__.get("_plan_cache")
         if cached is None:
@@ -180,20 +181,14 @@ class RequestClass:
             blocking = tuple(
                 name in ("sort", "hash-build", "aggregate") for name in names
             )
-            cached = (names, alpha, blocking)
+            cached = (alpha, (names, blocking, self.operator_state_mb))
             object.__setattr__(self, "_plan_cache", cached)
         return cached
 
     def plan(self, fractions: Sequence[float]) -> QueryPlan:
-        """The class's named operators carrying one drawn work split."""
-        names, _, blocking = self._plan_template()
-        state_mb = self.operator_state_mb
-        return QueryPlan(
-            operators=tuple(
-                PlanOperator(name, fraction, state_mb, is_blocking)
-                for name, fraction, is_blocking in zip(names, fractions, blocking)
-            )
-        )
+        """The class's named operators carrying one drawn work split
+        (checked by :meth:`WorkloadSpec.draw`, not here)."""
+        return QueryPlan.from_split(self._plan_template()[1], fractions)
 
 
 # ----------------------------------------------------------------------
@@ -419,9 +414,16 @@ class WorkloadSpec:
                 costs, (cls.cpu, cls.io, cls.memory_mb, cls.locks, cls.rows)
             ):
                 column[members] = distribution.sample_n(rng, n_c)
-            split = rng.dirichlet(cls._plan_template()[1], size=n_c)
-            # Normalize defensively against float drift.
+            split = rng.dirichlet(cls._plan_template()[0], size=n_c)
+            # Normalize defensively against float drift, then check every
+            # row once here: RequestClass.plan does not check its split.
             split /= split.sum(axis=1, keepdims=True)
+            totals = split.sum(axis=1)
+            sums_to_one = np.abs(totals - 1.0) <= 1e-6   # False on a NaN row too
+            if not sums_to_one.all():
+                raise ValueError(
+                    f"plan work fractions sum to {totals[~sums_to_one][0]}, expected 1.0"
+                )
             for row, row_split in zip(members.tolist(), split.tolist()):
                 fractions[row] = row_split
         np.maximum(costs, 0.0, out=costs)

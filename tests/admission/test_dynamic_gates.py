@@ -14,16 +14,11 @@ from repro.admission.indicators import (
 )
 from repro.admission.threshold import ThresholdAdmission
 from repro.admission.throughput_feedback import ThroughputFeedbackAdmission
-from repro.core.interfaces import (
-    AdmissionDecision,
-    AdmissionOutcome,
-    decisions_by,
-)
+from repro.core.interfaces import AdmissionOutcome, decisions_by
 from repro.core.manager import WaitQueue, WorkloadManager
 from repro.core.policy import AdmissionPolicy
 from repro.engine.query import CostVector
 from repro.engine.resources import MachineSpec
-from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
 
 from tests.conftest import capacity_gate, make_query

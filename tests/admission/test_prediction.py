@@ -11,7 +11,6 @@ from repro.core.interfaces import AdmissionOutcome
 from repro.core.manager import WorkloadManager
 from repro.engine.query import QueryState
 from repro.engine.resources import MachineSpec
-from repro.engine.simulator import Simulator
 from repro.workloads.traces import QueryLog
 
 from tests.conftest import make_query

@@ -1,13 +1,10 @@
 """Unit tests for cost/MPL threshold admission control."""
 
-import pytest
-
 from repro.admission.threshold import ThresholdAdmission
 from repro.core.interfaces import AdmissionOutcome
 from repro.core.manager import WorkloadManager
 from repro.core.policy import AdmissionPolicy
 from repro.engine.resources import MachineSpec
-from repro.engine.simulator import Simulator
 
 from tests.conftest import make_query
 

@@ -42,7 +42,6 @@ def _session(manager, application="order-entry", user="clerk"):
 class TestPredicates:
     def test_exact_match(self):
         predicate = AttributePredicate("application", "sales")
-        session_cls = type("S", (), {})
         manager_sim = Simulator()
         manager = _manager(manager_sim, StaticCharacterizer([]))
         session = _session(manager, application="sales")

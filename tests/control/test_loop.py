@@ -1,7 +1,5 @@
 """Tests for the MAPE autonomic loop (§5.3)."""
 
-import pytest
-
 from repro.control.loop import (
     AnalyzeStage,
     AutonomicLoop,
@@ -12,9 +10,7 @@ from repro.control.loop import (
 from repro.core.interfaces import decisions_by
 from repro.core.manager import WorkloadManager
 from repro.core.sla import SLASet, response_time_sla
-from repro.engine.query import QueryState
 from repro.engine.resources import MachineSpec
-from repro.engine.simulator import Simulator
 
 from tests.conftest import make_query
 

@@ -10,16 +10,10 @@ from repro.core.interfaces import (
     ExecutionController,
     ManagerContext,
 )
-from repro.core.manager import (
-    AcceptAllAdmission,
-    FCFSDispatcher,
-    TagCharacterizer,
-    WorkloadManager,
-)
+from repro.core.manager import FCFSDispatcher, WorkloadManager
 from repro.core.sla import SLASet, response_time_sla
-from repro.engine.query import Query, QueryState
+from repro.engine.query import QueryState
 from repro.engine.resources import MachineSpec
-from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
 from repro.workloads.traces import QueryLog
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.metrics import MetricsCollector, SystemSample
-from repro.core.sla import ObjectiveKind, SLASet, response_time_sla
+from repro.core.sla import SLASet, response_time_sla
 from repro.engine.query import QueryState
 
 from tests.conftest import make_query

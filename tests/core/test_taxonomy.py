@@ -1,10 +1,7 @@
 """Structural tests for the taxonomy of Figure 1."""
 
-import pytest
-
 from repro.core.taxonomy import (
     TAXONOMY,
-    TaxonomyNode,
     TechniqueClass,
     build_taxonomy,
     major_classes,

@@ -5,10 +5,9 @@ import pytest
 from repro.engine.executor import CompletionOutcome, EngineConfig, ExecutionEngine
 from repro.engine.query import QueryState
 from repro.engine.resources import MachineSpec, ResourceKind
-from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError, QueryStateError
 
-from tests.conftest import make_query, submitted_query
+from tests.conftest import submitted_query
 
 
 def _engine(sim, cpu=4.0, disk=4.0, mem=4096.0, hot_set=500, spill=3.0):

@@ -10,7 +10,6 @@ from repro.engine.query import (
     Query,
     QueryPlan,
     QueryState,
-    StatementType,
     split_query,
     tenant_key,
     workload_key,
@@ -131,6 +130,26 @@ class TestLifecycle:
         query.transition(QueryState.SUSPENDED)
         query.transition(QueryState.RUNNING)
         assert query.state is QueryState.RUNNING
+
+    @pytest.mark.parametrize("state", list(QueryState), ids=lambda s: s.value)
+    def test_transition_accepts_exactly_the_allowed_moves(self, state):
+        """Every (state, next) pair of the 10 x 10 grid: a move in
+        ``Query._ALLOWED`` lands, any other raises naming both states."""
+        for new_state in QueryState:
+            query = make_query()
+            query.state = state
+            if new_state in Query._ALLOWED[state]:
+                query.transition(new_state)
+                assert query.state is new_state
+            else:
+                message = (
+                    f"query {query.query_id}: illegal transition "
+                    f"{state.value} -> {new_state.value}"
+                )
+                with pytest.raises(QueryStateError) as raised:
+                    query.transition(new_state)
+                assert str(raised.value) == message
+                assert query.state is state
 
     def test_is_terminal_flags(self):
         assert QueryState.COMPLETED.is_terminal

@@ -4,13 +4,10 @@ Each test reproduces a specific defect that once existed; the comment
 names the failure mode so a reappearance is immediately recognizable.
 """
 
-import pytest
-
 from repro.core.manager import WorkloadManager
 from repro.engine.executor import ExecutionEngine
 from repro.engine.query import QueryState
 from repro.engine.resources import MachineSpec
-from repro.engine.simulator import Simulator
 
 from tests.conftest import make_query, submitted_query
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.interfaces import decisions_by
 from repro.core.manager import WorkloadManager
-from repro.core.sla import SLASet, response_time_sla
 from repro.engine.query import QueryState, StatementType
 from repro.engine.resources import MachineSpec
 from repro.errors import ConfigurationError

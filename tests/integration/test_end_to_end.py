@@ -12,9 +12,7 @@ from repro import (
 )
 from repro.admission.base import PriorityExemptAdmission
 from repro.admission.threshold import ThresholdAdmission
-from repro.core.manager import FCFSDispatcher
 from repro.core.policy import AdmissionPolicy
-from repro.engine.query import QueryState
 from repro.execution.throttling import QueryThrottlingController
 from repro.scheduling.queues import MultiQueueScheduler
 from repro.workloads.traces import QueryLog
@@ -60,7 +58,6 @@ class TestUncontrolledBaseline:
         assert {"oltp", "reports"} <= workloads
         # BI arrivals are rare and heavy; some may still be running at
         # the end of the window, but they were generated and admitted
-        generated_tags = {"oltp", "bi", "reports"}
         seen = set(workloads) | {
             q.workload_name for q in manager.engine.running_queries()
         }

@@ -7,7 +7,6 @@ from repro.core.manager import FCFSDispatcher, WaitQueue, WorkloadManager
 from repro.scheduling.queues import wspt
 from repro.engine.query import QueryState
 from repro.engine.resources import MachineSpec
-from repro.engine.simulator import Simulator
 from repro.scheduling.batch import (
     interaction_aware_order,
     wspt_order,

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.manager import FCFSDispatcher, WorkloadManager
 from repro.engine.resources import MachineSpec
-from repro.engine.simulator import Simulator
 from repro.systems.monitoring import (
     db2_service_class_stats,
     db2_workload_occurrences,

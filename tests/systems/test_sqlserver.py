@@ -5,7 +5,6 @@ import pytest
 from repro.engine.query import QueryState
 from repro.engine.resources import MachineSpec
 from repro.engine.sessions import ConnectionAttributes
-from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
 from repro.systems.sqlserver import (
     ResourceGovernorConfig,

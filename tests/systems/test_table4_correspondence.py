@@ -12,7 +12,6 @@ import pytest
 from repro.core.classify import classify_component, suspension_superclass
 from repro.core.policy import ThresholdAction, ThresholdKind
 from repro.core.taxonomy import TechniqueClass as T
-from repro.engine.query import StatementType
 from repro.systems.db2 import (
     DB2Threshold,
     DB2Workload,

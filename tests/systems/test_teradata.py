@@ -6,7 +6,6 @@ from repro.core.policy import ThresholdKind
 from repro.engine.query import QueryState, StatementType
 from repro.engine.resources import MachineSpec
 from repro.engine.sessions import ConnectionAttributes
-from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
 from repro.systems.teradata import (
     ObjectAccessFilter,

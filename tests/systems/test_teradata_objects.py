@@ -5,7 +5,6 @@ import pytest
 
 from repro.engine.query import QueryState, StatementType
 from repro.engine.resources import MachineSpec
-from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
 from repro.systems.teradata import (
     ObjectAccessFilter,
@@ -155,7 +154,7 @@ class TestObjectThrottles:
 class TestObjectPropagation:
     def test_generator_attaches_objects(self, sim):
         from repro.core.manager import WorkloadManager
-        from repro.workloads.generator import Scenario, WorkloadGenerator
+        from repro.workloads.generator import Scenario
         from repro.workloads.models import (
             Constant,
             OpenArrivals,

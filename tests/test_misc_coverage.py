@@ -1,13 +1,10 @@
 """Breadth coverage for small public surfaces not exercised elsewhere."""
 
-import math
-
 import pytest
 
 from repro.core.interfaces import AdmissionDecision, AdmissionOutcome
 from repro.core.manager import WorkloadManager
 from repro.engine.resources import MachineSpec
-from repro.engine.simulator import Simulator
 from repro.errors import (
     CapacityError,
     ClassificationError,

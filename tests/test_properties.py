@@ -14,8 +14,6 @@ locally:
 * determinism — identical seeds produce identical outcome streams.
 """
 
-import math
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st

@@ -10,17 +10,20 @@ splits — and must equal the vectorized draw bit for bit, stream
 position included.
 """
 
+import copy
+import pickle
 import random
 from dataclasses import astuple
 from itertools import chain, islice
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backends.plan import plan_statements
 from repro.core.manager import WorkloadManager
-from repro.engine.query import QueryPlan
+from repro.engine.query import PlanOperator, QueryPlan
 from repro.engine.resources import MachineSpec
 from repro.engine.simulator import Simulator
 from repro.parallel.digest import outcome_digest
@@ -142,7 +145,7 @@ class TestDrawOracle:
             assert cpu >= 0.0 and io >= 0.0 and memory >= 0.0
             assert type(locks) is int and locks >= 0
             assert type(rows) is int and rows >= 0
-            # QueryPlan.__post_init__ raises unless fractions sum to 1 (1e-6)
+            # draw raised unless every split sums to 1 (1e-6)
             plan = request_class.plan(fractions)
             assert isinstance(plan, QueryPlan)
             assert len(plan) == max(1, len(request_class.plan_shape))
@@ -294,3 +297,87 @@ def test_planner_and_simulator_draw_through_the_same_function(monkeypatch):
     manager.run(5.0, drain=1.0)
     assert {name for name, _ in calls} == {"oltp", "bi"}
     assert {n for _, n in calls} == {BLOCK}
+
+
+_BLOCKING = ("sort", "hash-build", "aggregate")
+
+
+def _checked_plan(request_class, fractions):
+    """The plan the class's operators and ``fractions`` make, built and
+    checked at once by ``QueryPlan(operators=...)``."""
+    names = tuple(request_class.plan_shape) or ("scan",)
+    return QueryPlan(
+        operators=tuple(
+            PlanOperator(name, fraction, request_class.operator_state_mb, name in _BLOCKING)
+            for name, fraction in zip(names, fractions)
+        )
+    )
+
+
+class _ZeroSplits:
+    """A generator whose Dirichlet draws are all zeros: rows no
+    renormalization can make sum to 1."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def dirichlet(self, alpha, size):
+        return np.zeros((size, len(alpha)))
+
+
+_PROGRESS = np.linspace(0.0, 1.0, 21).tolist()
+
+#: every way to read a plan
+_PLAN_READS = {
+    "operators": lambda plan: plan.operators,
+    "iter": list,
+    "len": len,
+    "operator_at_progress": lambda plan: [plan.operator_at_progress(p) for p in _PROGRESS],
+    "progress_at_operator_start": lambda plan: [
+        plan.progress_at_operator_start(index) for index in range(7)
+    ],
+    "hash": hash,
+    "repr": repr,
+}
+
+
+class TestDrawnPlan:
+    """``RequestClass.plan`` builds the drawn split's operators without
+    the per-plan sum check; every read equals the checked plan's."""
+
+    CLASSES = (
+        _MIX[0][0],                                   # default shape
+        _MIX[1][0],                                   # five operators, three blocking
+        RequestClass("bare", Constant(1.0), Constant(1.0), plan_shape=()),
+        RequestClass("probe", Constant(0.1), Constant(0.1),
+                     plan_shape=("index-probe", "update"), operator_state_mb=0.5),
+    )
+
+    def _drawn(self, seed=17, n=64):
+        spec = _spec([(cls, 1.0) for cls in self.CLASSES])
+        rows = list(zip(*spec.draw(np.random.default_rng(seed), n)))
+        assert {row[0].name for row in rows} == {cls.name for cls in self.CLASSES}
+        return [(cls.plan(fractions), _checked_plan(cls, fractions)) for cls, *_, fractions in rows]
+
+    def test_len_is_the_class_operator_count(self):
+        pairs = self._drawn()
+        assert {len(drawn) for drawn, _ in pairs} == {1, 2, 3, 5}
+
+    @pytest.mark.parametrize("read", _PLAN_READS.values(), ids=list(_PLAN_READS))
+    def test_every_read_equals_the_checked_plan(self, read):
+        for drawn, checked in self._drawn():
+            assert read(drawn) == read(checked)
+            assert drawn == checked and checked == drawn
+
+    def test_copies_equal_the_checked_plan(self):
+        for drawn, checked in self._drawn():
+            for copied in (pickle.loads(pickle.dumps(drawn)), copy.deepcopy(drawn)):
+                assert copied == checked and copied.operators == checked.operators
+
+    def test_draw_checks_every_split_it_hands_out(self):
+        spec = _spec([(cls, 1.0) for cls in self.CLASSES])
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="sum to"):
+            spec.draw(_ZeroSplits(np.random.default_rng(3)), 8)

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.manager import WorkloadManager
-from repro.engine.query import QueryState, StatementType
+from repro.engine.query import StatementType
 from repro.engine.resources import MachineSpec
 from repro.engine.simulator import Simulator
 from repro.workloads.generator import (
     Scenario,
-    WorkloadGenerator,
     bi_workload,
     mixed_scenario,
     oltp_workload,
@@ -43,7 +42,6 @@ class TestDistributions:
 
     def test_exponential_mean(self):
         dist = Exponential(2.0)
-        samples = [dist.sample(_rng(1)) for _ in range(1)]
         rng = _rng(1)
         values = [dist.sample(rng) for _ in range(5000)]
         assert np.mean(values) == pytest.approx(2.0, rel=0.1)
