@@ -3,8 +3,13 @@ performance (§4.2.4, Krompass et al. [39]).
 
 Claim reproduced: the fuzzy execution controller's actions on
 problematic queries (long-running, low priority, little progress)
-"achiev[e] high performance for high-priority requests"; killed work is
-resubmitted and eventually completes when the system quiets down.
+"achiev[e] high performance for high-priority requests".  A
+kill-and-resubmit victim is not killed: its attempt ends and the same
+request restarts later on a fresh elapsed-time clock, so it counts as a
+restart, not a kill.  A monster needs 400 s of CPU, more than the
+horizon, so none completes in any variant: this bench does not show a
+restarted victim finishing (tests/execution/test_cancellation_krompass.py
+does).
 
 Setup: tactical queries stream in while problematic ad-hoc monsters
 occupy the machine.  Compared: no control / kill-only rules / the fuzzy
@@ -87,6 +92,8 @@ def run_variant(controller=None, seed=81):
         "tactical_rt": tactical.mean_response_time(),
         "tactical_n": tactical.completions,
         "adhoc_kills": adhoc.kills,
+        # monsters take no locks, so every abort is a controller's restart
+        "adhoc_restarts": adhoc.aborts,
         "actions": {
             event.action
             for event in decisions_by(
@@ -122,18 +129,21 @@ def test_exp9_kill_and_reprioritize(benchmark):
         )
         lines.append(
             f"{name:>17}: tactical rt={row['tactical_rt']:.3f}s "
-            f"(n={row['tactical_n']}), adhoc kills={row['adhoc_kills']}{extra}"
+            f"(n={row['tactical_n']}), adhoc kills={row['adhoc_kills']}, "
+            f"restarts={row['adhoc_restarts']}{extra}"
         )
     write_result("exp9_kill_reprioritize", "\n".join(lines))
 
     baseline = outcome["no-control"]["tactical_rt"]
     # hard kill rules cut tactical response time at least in half
     assert outcome["kill-rules"]["tactical_rt"] < baseline / 2.0
-    # the fuzzy controller is deliberately gentler (it resubmits its
-    # victims after 10s, so monsters keep returning): a one-third cut
+    # the fuzzy controller is deliberately gentler (its victims restart
+    # after 10 s, so monsters keep returning): a one-third cut
     assert outcome["fuzzy (Krompass)"]["tactical_rt"] < baseline / 1.5
+    # the controller acted on the monsters: killed or restarted them
     for variant in ("kill-rules", "fuzzy (Krompass)"):
-        assert outcome[variant]["adhoc_kills"] >= 1
+        row = outcome[variant]
+        assert row["adhoc_kills"] + row["adhoc_restarts"] >= 1
     # the fuzzy controller exercises its action repertoire
     actions = outcome["fuzzy (Krompass)"]["actions"]
     assert actions & {"kill", "kill_and_resubmit"}

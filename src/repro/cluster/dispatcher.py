@@ -26,10 +26,10 @@ Both modes share two node-feedback paths, all deterministic:
 * a node's own verdict is final: a request its admission controller
   rejects ends ``REJECTED``, recorded in that node's decision record
   and reported to clients like any other terminal outcome;
-* queries lost to a node crash (killed in-flight, evacuated from its
-  wait queue) are resubmitted through normal intake — the same
-  record/resubmit lifecycle kill-and-resubmit policies use (KILLED →
-  SUBMITTED), with progress reset because crashed work is lost.
+* a node crash re-places its work through normal intake at once: its
+  wait queue is evacuated, and each running attempt ends ``ABORTED`` on
+  the node, its progress lost, as a restarted attempt's does.  The
+  client hears nothing until the same request's outcome.
 
 Faults are dispatcher actions: :meth:`ClusterDispatcher.arm_faults`
 puts a schedule of :class:`FaultEvent` values on the shared clock, so a
@@ -51,7 +51,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.cluster.matcher import Matcher
 from repro.cluster.metrics import ClusterMetrics
-from repro.cluster.node import ClusterNode, NodeHealth
+from repro.cluster.node import ClusterNode
 from repro.cluster.placement import PlacementPolicy, RoundRobinPlacement
 from repro.cluster.taskqueue import TaskQueue
 from repro.core.interfaces import PartitionedQueue
@@ -344,25 +344,6 @@ class ClusterDispatcher:
                 return
         self._route(query)
 
-    def resubmit(self, query: Query, delay: float = 0.0) -> None:
-        """Re-enter a request whose previous placement was lost.
-
-        Crash-lost work restarts from scratch: progress is reset and the
-        restart is counted, then the query goes through normal intake
-        (same deterministic path as kill-and-resubmit policies).
-        """
-        query.progress = 0.0
-        query.restarts += 1
-        self.metrics.resubmissions += 1
-        if delay > 0:
-            self.sim.schedule(delay, partial(self._reenter, query), label="cluster:resubmit")
-        else:
-            self._reenter(query)
-
-    def _reenter(self, query: Query) -> None:
-        query.transition(QueryState.SUBMITTED)
-        self._route(query)
-
     def _route(self, query: Query) -> None:
         binding = self.binding
         binding.route(query)
@@ -415,13 +396,9 @@ class ClusterDispatcher:
     # node feedback
     # ------------------------------------------------------------------
     def _on_node_exit(self, node: ClusterNode, query: Query) -> None:
-        if query.state is QueryState.KILLED and node.health is NodeHealth.DOWN:
-            # in-flight work lost to a crash: resubmit through intake
-            self.resubmit(query)
-        else:
-            if query.state is QueryState.COMPLETED:
-                self.completions += 1
-            self._notify(query)
+        if query.state is QueryState.COMPLETED:
+            self.completions += 1
+        self._notify(query)
         self.binding.on_capacity(node)
 
     # ------------------------------------------------------------------
@@ -460,26 +437,26 @@ class ClusterDispatcher:
     def crash_node(self, node: ClusterNode) -> int:
         """Kill a node: evacuate its queue, lose its in-flight work.
 
-        Returns the number of queries reclaimed (evacuated + killed);
-        every one re-enters through :meth:`resubmit` / :meth:`_route`.
+        Returns the number of queries reclaimed (evacuated + lost
+        in flight); every one re-enters through :meth:`_route`.
         """
         node.crash()
         self.metrics.record_health(self, node)
-        reclaimed = 0
-        # queued work survives (it never started): re-place directly
-        for queued in node.manager.evacuate_queued():
-            node.release(queued)
-            queued.transition(QueryState.SUBMITTED)
-            self._route(queued)
-            reclaimed += 1
-        # in-flight work is lost; each kill triggers _on_node_exit which
-        # resubmits because the node is already DOWN
-        engine = node.manager.engine
-        for query in engine.running_queries():
-            engine.kill(query.query_id)
-            reclaimed += 1
+        manager = node.manager
+        # queued work never started; each in-flight attempt is lost and
+        # ends ABORTED on the node.  Both re-enter as the same requests.
+        reclaimed = manager.evacuate_queued()
+        lost = manager.engine.running_queries()
+        for query in lost:
+            manager.restart(query, None)
+        self.metrics.resubmissions += len(lost)
+        reclaimed.extend(lost)
+        for query in reclaimed:
+            node.release(query)
+            query.transition(QueryState.SUBMITTED)
+            self._route(query)
         self.binding.sweep()
-        return reclaimed
+        return len(reclaimed)
 
     def activate_node(self, node: ClusterNode) -> None:
         node.activate()

@@ -225,10 +225,7 @@ class ExecuteStage:
             engine.pause(qid)
             self._suspended.append(victim)
         elif action is LoopAction.KILL_AND_RESUBMIT:
-            engine.kill(qid)
-            context.manager.resubmit(
-                victim.clone_for_resubmit(), delay=self.resubmit_delay
-            )
+            context.manager.restart(victim, self.resubmit_delay)
         return victim
 
 

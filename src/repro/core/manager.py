@@ -176,6 +176,9 @@ class WorkloadManager:
         self._listeners: List[CompletionListener] = []
         self._backlog_listeners: List[Callable[[], None]] = []
         self._pumping = False
+        # The query :meth:`restart` is ending: its re-entry is not a
+        # wait-die victim's backoff.
+        self._restarting: Optional[Query] = None
         self.submitted_count = 0
         self.rejected_count = 0
 
@@ -196,11 +199,11 @@ class WorkloadManager:
         self.execution_controllers.append(controller)
 
     def add_completion_listener(self, listener: CompletionListener) -> None:
-        """Called for every client-visible terminal outcome (completed,
-        rejected or killed), in registration order.  A DBQL trace is one,
-        ``QueryLog.record_query``: attach it before any listener that
-        resubmits the query in place (a cluster dispatcher's), or it logs
-        the resubmitted state."""
+        """Called once per request, for its client-visible terminal
+        outcome (completed, rejected or killed), in registration order.
+        An attempt that ends ``ABORTED`` is no outcome: the same request
+        re-enters (:meth:`restart`).  A DBQL trace is one listener,
+        ``QueryLog.record_query``."""
         self._listeners.append(listener)
 
     def add_backlog_listener(self, listener: Callable[[], None]) -> None:
@@ -269,9 +272,20 @@ class WorkloadManager:
                 self._backlog_changed()
         return decision
 
-    def resubmit(self, query: Query, delay: float = 0.0) -> None:
-        """Schedule a killed/aborted query to re-enter the server."""
-        self.sim.schedule(delay, partial(self.submit, query), label="resubmit")
+    def restart(self, query: Query, delay: Optional[float]) -> None:
+        """End ``query``'s running attempt ``ABORTED``, the way a wait-die
+        victim's ends, and re-enter the same request ``delay`` seconds
+        later with a fresh elapsed-time clock: the rule that restarted it
+        measures one attempt.  ``None`` leaves the re-entry to the
+        caller: a cluster re-places a crashed node's work itself."""
+        self._restarting = query
+        try:
+            self.engine.abort(query.query_id)
+        finally:
+            self._restarting = None
+        if delay is not None:
+            query.start_time = None
+            self.sim.schedule(delay, partial(self.submit, query), label="resubmit")
 
     # ------------------------------------------------------------------
     # dispatch
@@ -341,7 +355,8 @@ class WorkloadManager:
             self.metrics.record_abort(query)
             backoff = 0.05 * (2 ** min(query.restarts, 6))
             query.restarts += 1
-            self.resubmit(query, delay=backoff)
+            if query is not self._restarting:  # a wait-die victim backs off
+                self.sim.schedule(backoff, partial(self.submit, query), label="resubmit")
         elif outcome is CompletionOutcome.SUSPENDED:
             self.metrics.record_suspension(query)
         self.admission.notify_exit(query, self.context)

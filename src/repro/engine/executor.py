@@ -24,9 +24,9 @@ Everything execution control needs is a first-class operation here:
 * ``set_speed``      — a slower machine (a slow or degraded cluster node)
   caps every query's speed; a throttle multiplies it;
 * ``kill``           — query cancellation;
-* ``remove_suspended`` — suspend-and-resume checkpoints then evicts;
-* automatic wait-die aborts surface as ``ABORTED`` outcomes so policies
-  can resubmit.
+* ``abort``          — end an attempt ``ABORTED`` for its owner to
+  restart, as a wait-die victim's attempt ends;
+* ``remove_suspended`` — suspend-and-resume checkpoints then evicts.
 
 Hot-path layout (DESIGN.md §7): the running set lives in a columnar
 :class:`~repro.engine.runstore.RunStore`; per-query ``_Running`` handles
@@ -79,7 +79,7 @@ class CompletionOutcome(enum.Enum):
 
     COMPLETED = "completed"
     KILLED = "killed"
-    ABORTED = "aborted"       # wait-die victim; policies usually resubmit
+    ABORTED = "aborted"       # attempt lost; the same query re-enters
     SUSPENDED = "suspended"
 
 
@@ -156,7 +156,7 @@ class ExecutionEngine:
         # 26 attributes: at 30, CPython 3.11 stops sharing the instance
         # dict's keys, and each engine costs ~1.3 KB more and builds ~1 µs
         # slower (a 256-node cluster builds 256 of them).
-        # tests/engine/test_hotpath.py fails at 29.
+        # tests/engine/test_hotpath.py fails at 27.
         self.sim = sim
         self.machine = machine or MachineSpec()
         config = config or EngineConfig()
@@ -335,6 +335,14 @@ class ExecutionEngine:
         self._sync_all()
         entry = self._entry(query_id)
         self._finish(entry, CompletionOutcome.KILLED)
+        return entry.query
+
+    def abort(self, query_id: int) -> Query:
+        """End a running query's attempt ``ABORTED``, its progress lost:
+        the branch a wait-die victim takes, for a restart."""
+        self._sync_all()
+        entry = self._entry(query_id)
+        self._finish(entry, CompletionOutcome.ABORTED)
         return entry.query
 
     def remove_suspended(self, query_id: int) -> Query:
@@ -777,7 +785,7 @@ class ExecutionEngine:
             store.speed_cap[slot] = 0.0
             self._alloc_version += 1
             self._reallocate()
-        else:  # DIE: wait-die victim, abort and let policies resubmit
+        else:  # DIE: wait-die victim, its attempt ends and it restarts
             self._finish(entry, CompletionOutcome.ABORTED)
 
     def _lock_granted(self, entry: _Running, slot: int) -> None:

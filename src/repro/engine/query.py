@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import QueryStateError
@@ -41,7 +41,7 @@ class QueryState(enum.Enum):
     SUSPENDED = "suspended"        # checkpointed and evicted from the engine
     KILLED = "killed"              # cancelled by execution control
     COMPLETED = "completed"
-    ABORTED = "aborted"            # lock-protocol abort (wait-die victim)
+    ABORTED = "aborted"            # attempt lost (wait-die, restart, crash); re-enters
 
     @property
     def is_terminal(self) -> bool:
@@ -214,7 +214,7 @@ class Query:
     start_time: Optional[float] = None
     end_time: Optional[float] = None
     progress: float = 0.0           # fraction of work completed, in [0, 1]
-    restarts: int = 0               # wait-die aborts + kill-and-resubmit count
+    restarts: int = 0               # attempts ended ABORTED, each to re-enter
     suspend_count: int = 0
     demotions: int = 0              # priority-aging demotions applied
     service_class: Optional[str] = None
@@ -292,7 +292,7 @@ class Query:
         QueryState.SUSPENDED: {QueryState.RUNNING, QueryState.QUEUED, QueryState.KILLED},
         QueryState.ABORTED: {QueryState.SUBMITTED, QueryState.QUEUED},
         QueryState.REJECTED: set(),
-        QueryState.KILLED: {QueryState.SUBMITTED, QueryState.QUEUED},  # resubmit
+        QueryState.KILLED: set(),
         QueryState.COMPLETED: set(),
     }
 
@@ -304,22 +304,6 @@ class Query:
                 f"{self.state.value} -> {new_state.value}"
             )
         self.state = new_state
-
-    def clone_for_resubmit(self) -> "Query":
-        """A fresh copy of this query for kill-and-resubmit policies."""
-        return replace(
-            self,
-            query_id=next(_query_ids),
-            state=QueryState.CREATED,
-            submit_time=None,
-            start_time=None,
-            end_time=None,
-            progress=0.0,
-            restarts=self.restarts + 1,
-            suspend_count=0,
-            demotions=0,
-            service_class=None,
-        )
 
     def __repr__(self) -> str:  # keep runs debuggable
         return (

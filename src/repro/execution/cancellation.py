@@ -7,11 +7,13 @@ query are immediately released...  The terminated query may be
 re-submitted to the system for later execution based on a query
 execution control policy" (§3.4).
 
-A :class:`KillRule` pairs a trigger threshold with a disposition (kill
-outright or kill-and-resubmit after a delay) and an optional progress
-guard: per §5.2, killing a query that is nearly done frees few
-resources and wastes its work, so rules can consult a progress
-indicator and spare queries beyond ``spare_over_progress``.
+A :class:`KillRule` pairs a trigger threshold with an optional progress
+guard.  The threshold's action is the disposition: ``STOP_EXECUTION``
+kills outright, ``KILL_AND_RESUBMIT`` ends the running attempt and the
+same request re-enters after ``resubmit_delay``.  Per §5.2, killing a
+query that is nearly done frees few resources and wastes its work, so
+rules can consult a progress indicator and spare queries beyond
+``spare_over_progress``.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ class KillRule:
     """One cancellation rule."""
 
     threshold: Threshold
-    resubmit: bool = False
-    resubmit_delay: float = 30.0
+    resubmit_delay: float = 30.0           # KILL_AND_RESUBMIT only
     max_priority: Optional[int] = None     # only kill at or below this
     spare_over_progress: Optional[float] = None  # progress guard
     applies_to_workloads: Optional[Tuple[str, ...]] = None  # None = all
@@ -65,7 +66,6 @@ def elapsed_time_kill(
     )
     return KillRule(
         threshold=Threshold(ThresholdKind.ELAPSED_TIME, limit, action),
-        resubmit=resubmit,
         resubmit_delay=resubmit_delay,
         max_priority=max_priority,
         spare_over_progress=spare_over_progress,
@@ -100,12 +100,12 @@ class QueryKillController(ExecutionController):
                 continue
             if not context.engine.is_running(query.query_id):
                 continue  # removed by an earlier kill's side effects
-            context.engine.kill(query.query_id)
-            action = "kill"
-            if rule.resubmit:
-                clone = query.clone_for_resubmit()
-                context.manager.resubmit(clone, delay=rule.resubmit_delay)
+            if rule.threshold.action is ThresholdAction.KILL_AND_RESUBMIT:
+                context.manager.restart(query, rule.resubmit_delay)
                 action = "kill_and_resubmit"
+            else:
+                context.engine.kill(query.query_id)
+                action = "kill"
             context.record(self, action, query, rule.threshold.describe())
 
     def _matching_rule(

@@ -12,7 +12,7 @@ rule-based inference into a *problem score* per running query; the
 defuzzified score band selects the action:
 
 * mild problem    → reprioritize (halve the fair-share weight);
-* serious problem → kill and resubmit (queued again for later);
+* serious problem → kill and resubmit (the same request restarts later);
 * hopeless        → kill (dispose of intermediate results).
 
 A query that has already been cancelled repeatedly is treated more
@@ -126,14 +126,13 @@ class FuzzyExecutionController(ExecutionController):
                 continue
             assessment = self.assess(query, context)
             score = assessment.score
-            # previously-killed queries resist further resubmit-kills
+            # a request restarted before meets lower bands: it is stopped sooner
             leniency = 0.1 * min(query.restarts, 3)
             if score >= self.resubmit_band[1] - leniency:
                 context.engine.kill(query.query_id)
                 context.record(self, "kill", query, score)
             elif score >= self.resubmit_band[0] - leniency:
-                context.engine.kill(query.query_id)
-                context.manager.resubmit(query.clone_for_resubmit(), delay=10.0)
+                context.manager.restart(query, 10.0)
                 context.record(self, "kill_and_resubmit", query, score)
             elif score >= self.reprioritize_band[0]:
                 halvings = self._reprioritized.get(query.query_id, 0)

@@ -18,7 +18,7 @@ ledger — the determinism contract for the whole suite).
 
 Conservation ledger: intake is counted on the generator→dispatcher
 seam, terminal outcomes on the dispatcher's client-visible completion
-funnel.  Crash-killed work is resubmitted internally (never surfaced
+funnel.  Crash-lost work is re-placed internally (never surfaced
 as a terminal outcome), so for every tenant::
 
     intake == completed + rejected + killed + in_flight

@@ -14,6 +14,7 @@ from repro.core.interfaces import decisions_by
 from repro.engine.query import QueryState
 from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
+from repro.execution.cancellation import QueryKillController, elapsed_time_kill
 
 from tests.conftest import make_query
 
@@ -120,6 +121,25 @@ class TestCrashRecovery:
         assert queued.restarts == 0          # never started: no restart
         assert running.restarts == 1         # lost mid-flight: restarted
         assert dispatcher.completions == 3
+
+    def test_a_crash_loss_is_an_abort_and_a_kill_is_the_controllers(self):
+        sim, dispatcher = _cluster()
+        n0 = dispatcher.node("n0")
+        n0.manager.add_execution_controller(QueryKillController([elapsed_time_kill(1.5)]))
+        hog = make_query(cpu=50.0, io=0.0, sql="bi:q")
+        dispatcher.submit(hog)                                     # -> n0
+        dispatcher.submit(make_query(cpu=0.5, io=0.0, sql="bi:q"))  # -> n1
+        lost = make_query(cpu=5.0, io=0.0, sql="bi:q")
+        sim.schedule_at(2.5, lambda: dispatcher.submit(lost))      # -> n0
+        dispatcher.arm_faults(_kill("n0", at=3.0))
+        dispatcher.run(3.0, drain=60.0)
+        assert hog.state is QueryState.KILLED
+        assert lost.state is QueryState.COMPLETED and lost.restarts == 1
+        stats = n0.manager.metrics.stats_for("bi")
+        assert (stats.kills, stats.aborts) == (1, 1)
+        assert dispatcher.resubmissions == 1
+        roll = dispatcher.metrics.rollup("bi")
+        assert (roll.completions, roll.kills, roll.aborts) == (2, 1, 1)
 
     def test_recovered_node_takes_placements_again(self):
         sim, dispatcher = _cluster()

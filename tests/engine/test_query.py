@@ -114,12 +114,15 @@ class TestLifecycle:
         with pytest.raises(QueryStateError):
             query.transition(QueryState.QUEUED)
 
-    def test_killed_can_resubmit(self):
+    def test_killed_is_final_and_an_aborted_attempt_re_enters(self):
+        # a restart ends the attempt ABORTED and the same request
+        # re-enters; KILLED is the client's outcome and leads nowhere
+        assert Query._ALLOWED[QueryState.KILLED] == set()
         query = make_query()
         query.transition(QueryState.SUBMITTED)
         query.transition(QueryState.QUEUED)
         query.transition(QueryState.RUNNING)
-        query.transition(QueryState.KILLED)
+        query.transition(QueryState.ABORTED)
         query.transition(QueryState.SUBMITTED)
         assert query.state is QueryState.SUBMITTED
 
@@ -201,20 +204,7 @@ class TestTimings:
         assert query.execution_velocity(now=1.0) == 1.0
 
 
-class TestCloneAndSplit:
-    def test_clone_for_resubmit_resets_lifecycle(self):
-        query = make_query()
-        query.transition(QueryState.SUBMITTED)
-        query.submit_time = 1.0
-        query.progress = 0.7
-        clone = query.clone_for_resubmit()
-        assert clone.state is QueryState.CREATED
-        assert clone.progress == 0.0
-        assert clone.submit_time is None
-        assert clone.restarts == query.restarts + 1
-        assert clone.query_id != query.query_id
-        assert clone.true_cost == query.true_cost
-
+class TestSplit:
     def test_split_query_divides_time_costs(self):
         query = make_query(cpu=10.0, io=20.0, sql="big")
         slices = split_query(query, 4)

@@ -46,20 +46,59 @@ class TestKillRules:
         manager.run(horizon=7.0, drain=0.0)
         assert ok.state is QueryState.COMPLETED
 
-    def test_kill_and_resubmit_requeues_clone(self, sim):
+    def test_kill_and_resubmit_restarts_the_same_request(self, sim):
+        # eight requests share four CPUs at half speed, so the 1.5 s hog
+        # crosses the 1.8 s limit at the t = 2 tick; it re-enters at t = 6,
+        # when the fillers are done, on a fresh clock, and its second
+        # attempt runs alone in 1.5 s, under the limit
         controller = QueryKillController(
-            [elapsed_time_kill(limit=2.0, resubmit=True, resubmit_delay=1.0)]
+            [elapsed_time_kill(limit=1.8, resubmit=True, resubmit_delay=4.0, max_priority=1)]
         )
         manager = _manager(sim, [controller])
-        hog = make_query(cpu=4.0, io=0.0)
-        manager.submit(hog)
+        notified = []
+        manager.add_completion_listener(notified.append)
+        hog = make_query(cpu=1.5, io=0.0)
+        fillers = [make_query(cpu=3.0, io=0.0, priority=2) for _ in range(7)]
+        for query in [hog, *fillers]:
+            manager.submit(query)
         manager.run(horizon=12.0, drain=0.0)
-        assert hog.state is QueryState.KILLED
-        # the clone was resubmitted... and killed again (same rule), so
-        # at least one extra submission happened
-        assert manager.submitted_count >= 2
-        kills = decisions_by(manager.context.decisions, "QueryKillController")
-        assert kills[0].action == "kill_and_resubmit"
+        restarts = decisions_by(manager.context.decisions, "QueryKillController")
+        assert [(e.time, e.action, e.query_id) for e in restarts] == [
+            (2.0, "kill_and_resubmit", hog.query_id)
+        ]
+        assert hog.state is QueryState.COMPLETED and hog.restarts == 1
+        assert hog.start_time == pytest.approx(6.0)
+        assert hog.end_time == pytest.approx(7.5)
+        # the client waited through both attempts and hears one outcome
+        assert hog.response_time == pytest.approx(7.5)
+        assert [q for q in notified if q is hog] == [hog]
+        assert all(q.state is QueryState.COMPLETED for q in fillers)
+        # one submission per attempt; the lost attempt is an abort
+        assert manager.submitted_count == len(fillers) + 2
+        stats = manager.metrics.stats_for(None)
+        assert (stats.completions, stats.kills, stats.aborts) == (8, 0, 1)
+
+    @pytest.mark.parametrize(
+        "action, outcome",
+        [
+            (ThresholdAction.KILL_AND_RESUBMIT, "kill_and_resubmit"),
+            (ThresholdAction.STOP_EXECUTION, "kill"),
+        ],
+    )
+    def test_the_threshold_action_is_the_disposition(self, sim, action, outcome):
+        rule = KillRule(Threshold(ThresholdKind.ELAPSED_TIME, 1.0, action), resubmit_delay=0.5)
+        manager = _manager(sim, [QueryKillController([rule])])
+        hog = make_query(cpu=100.0, io=0.0)
+        manager.submit(hog)
+        manager.run(horizon=2.5, drain=0.0)
+        first = decisions_by(manager.context.decisions, "QueryKillController")[0]
+        assert (first.action, first.query_id) == (outcome, hog.query_id)
+        stats = manager.metrics.stats_for(None)
+        if action is ThresholdAction.STOP_EXECUTION:
+            assert hog.state is QueryState.KILLED and stats.kills == 1
+        else:
+            assert hog.restarts >= 1 and stats.kills == 0
+            assert stats.aborts == hog.restarts
 
     def test_unobservable_kind_is_an_error_at_construction(self):
         # ESTIMATED_COST is judged at arrival (admission); a kill rule on
@@ -156,20 +195,23 @@ class TestFuzzyController:
         assert vip.state is QueryState.RUNNING
         assert decisions_by(manager.context.decisions, "FuzzyExecutionController") == []
 
-    def test_problem_query_eventually_killed(self, sim):
+    def test_problem_query_is_stopped(self, sim):
         controller = self._controller()
         manager = _manager(sim, [controller])
         hog = make_query(cpu=2000.0, io=0.0, priority=1)
         manager.submit(hog)
         manager.run(horizon=60.0, drain=0.0)
-        kinds = {
-            event.action
-            for event in decisions_by(
-                manager.context.decisions, "FuzzyExecutionController"
-            )
-        }
-        assert hog.state is QueryState.KILLED
-        assert "kill" in kinds or "kill_and_resubmit" in kinds
+        stops = [
+            event
+            for event in decisions_by(manager.context.decisions, "FuzzyExecutionController")
+            if event.action in ("kill", "kill_and_resubmit")
+        ]
+        assert stops and {event.query_id for event in stops} == {hog.query_id}
+        # each restart re-runs the hog on a fresh clock, which takes a few
+        # ticks to grow long-running again; the last one, at t = 55, is
+        # still waiting out its 10 s delay
+        assert hog.restarts == len(stops) >= 2
+        assert hog.state is QueryState.ABORTED
 
     def test_moderate_problem_reprioritized_first(self, sim):
         controller = FuzzyExecutionController(

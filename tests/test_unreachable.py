@@ -51,6 +51,9 @@ went because the gate was the indicator gate over projected memory and
 conflict ratio, and its load classification changed no decision; the
 indicator gate lost its own priority exemption to
 ``PriorityExemptAdmission``, and the engine kept one running-set read.
+A restart re-runs the same request, so the query's clone went, and so
+did the kill rule's resubmit switch, which restated its threshold's
+action.
 Bringing one back means bringing the spec field and the measured cell
 that reach it, and editing this list.
 """
@@ -74,6 +77,7 @@ from repro.core.interfaces import ManagerContext, Scheduler
 from repro.core.manager import WorkloadManager
 from repro.engine.executor import EngineConfig, ExecutionEngine
 from repro.engine.simulator import Event, Simulator
+from repro.execution.cancellation import KillRule
 from repro.parallel import RunTask, run_tasks
 from repro.scenarios import ScenarioResult
 from repro.scheduling.queues import MultiQueueScheduler, TenantShareScheduler
@@ -294,6 +298,8 @@ def test_removed_parameters_stay_removed():
     assert "injector" not in {f.name for f in dataclasses.fields(ScenarioResult)}
     # the §2.3 exemption is PriorityExemptAdmission's, not the gate's
     assert list(inspect.signature(IndicatorAdmission).parameters) == ["indicators"]
+    # a kill rule's disposition is its threshold's action
+    assert "resubmit" not in {f.name for f in dataclasses.fields(KillRule)}
     # every context belongs to a manager
     manager_field = {f.name: f for f in dataclasses.fields(ManagerContext)}["manager"]
     assert manager_field.default is dataclasses.MISSING
