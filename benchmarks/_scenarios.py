@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.cluster.node import NODE_MACHINE
 from repro.core.interfaces import AdmissionController, Scheduler
 from repro.core.manager import WorkloadManager
 from repro.core.sla import SLASet
@@ -23,8 +24,9 @@ from repro.workloads.models import (
     WorkloadSpec,
 )
 
-#: The standard simulated server used across experiments.
-DEFAULT_MACHINE = MachineSpec(cpu_capacity=4.0, disk_capacity=2.0, memory_mb=2048.0)
+#: The standard simulated server used across experiments: the one box
+#: every cluster node also runs on.
+DEFAULT_MACHINE = NODE_MACHINE
 
 
 def build_manager(

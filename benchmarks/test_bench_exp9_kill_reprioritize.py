@@ -137,8 +137,8 @@ def test_exp9_kill_and_reprioritize(benchmark):
     baseline = outcome["no-control"]["tactical_rt"]
     # hard kill rules cut tactical response time at least in half
     assert outcome["kill-rules"]["tactical_rt"] < baseline / 2.0
-    # the fuzzy controller is deliberately gentler (its victims restart
-    # after 10 s, so monsters keep returning): a one-third cut
+    # the fuzzy controller is deliberately gentler (a victim restarts
+    # after 10 s, up to three times, before it is killed): a one-third cut
     assert outcome["fuzzy (Krompass)"]["tactical_rt"] < baseline / 1.5
     # the controller acted on the monsters: killed or restarted them
     for variant in ("kill-rules", "fuzzy (Krompass)"):

@@ -105,10 +105,7 @@ def main() -> None:
     print("\nLoop decision log (first 20 interventions):")
     shown = 0
     for event in decisions_by(manager.context.decisions, "AutonomicLoop"):
-        if event.action == "none":
-            continue
-        target = f" -> query {event.query_id}" if event.query_id is not None else ""
-        print(f"  t={event.time:6.1f}s  {event.action}{target}")
+        print(f"  t={event.time:6.1f}s  {event.action} -> query {event.query_id}")
         shown += 1
         if shown >= 20:
             break

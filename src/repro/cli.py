@@ -52,16 +52,14 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    from repro import MachineSpec, Simulator, WorkloadManager, mixed_scenario
+    from repro import Simulator, WorkloadManager, mixed_scenario
+    from repro.cluster.node import NODE_MACHINE
     from repro.errors import ConfigurationError
 
     if args.horizon <= 0:
         raise ConfigurationError(f"horizon must be > 0, got {args.horizon}")
     sim = Simulator(seed=args.seed)
-    manager = WorkloadManager(
-        sim,
-        machine=MachineSpec(cpu_capacity=4.0, disk_capacity=2.0, memory_mb=2048.0),
-    )
+    manager = WorkloadManager(sim, machine=NODE_MACHINE)
     scenario = mixed_scenario(horizon=args.horizon)
     generator = scenario.build(sim, manager.submit, sessions=manager.sessions)
     manager.add_completion_listener(generator.notify_done)

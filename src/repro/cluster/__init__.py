@@ -3,9 +3,10 @@
 ``repro.cluster`` scales the single-server taxonomy pipeline out to a
 cluster of independent simulated DBMS engines sharing one deterministic
 clock.  Each :class:`~repro.cluster.node.ClusterNode` wraps a full
-engine + :class:`~repro.core.manager.WorkloadManager` stack on a scoped
-RNG namespace; the :class:`~repro.cluster.dispatcher.ClusterDispatcher`
-is the cluster-level workload manager — admission (per-tenant quotas,
+engine + :class:`~repro.core.manager.WorkloadManager` stack on that
+clock and names its one random stream, the engine's lock stream; the
+:class:`~repro.cluster.dispatcher.ClusterDispatcher` is the
+cluster-level workload manager — admission (per-tenant quotas,
 :class:`~repro.cluster.dispatcher.TenantQuota`, and one bound on the
 cluster queue), placement (pluggable policies from
 :mod:`repro.cluster.placement`: round-robin, least-outstanding,
@@ -23,7 +24,8 @@ Both cluster queues are the node tier's one wait structure,
 :mod:`repro.cluster.metrics` rolls per-node statistics up into
 cluster-level views.  The package builds no cluster itself:
 :func:`repro.scenarios.arm_scenario` assembles the nodes, the binding
-and the dispatcher from one scenario spec and one policy.
+and the dispatcher from one scenario spec and one policy; a cluster of
+one it builds is the single server its node wraps.
 """
 
 from repro.cluster.dispatcher import (

@@ -259,7 +259,7 @@ class ClusterDispatcher:
     Parameters
     ----------
     sim:
-        The shared simulator (the *base* clock, not a scoped view).
+        The shared simulator every node runs on.
     nodes:
         The cluster's nodes in stable order (placement tie-break order).
     placement:

@@ -1,16 +1,20 @@
 """A cluster node: one simulated DBMS server behind the dispatcher.
 
 A :class:`ClusterNode` wraps a full single-server stack — execution
-engine plus :class:`~repro.core.manager.WorkloadManager` — on a
-*scoped* view of the shared simulator, so every node draws from its own
-seed-stable RNG streams while all nodes advance on one clock
-(:meth:`repro.engine.simulator.Simulator.scoped`).
+engine plus :class:`~repro.core.manager.WorkloadManager` — built on the
+cluster's own simulator, so all nodes advance on one clock.  The
+engine's lock stream is the only random stream a node draws; by default
+a node names its own, ``node:<name>/locks``, so its draws are
+seed-stable and adding a node perturbs no other node.  A node built
+with ``lock_stream="locks"`` and no ``max_outstanding`` ceiling is the
+single server it wraps: :func:`repro.scenarios.arm_scenario` builds a
+cluster of one that way.
 
 Each node carries:
 
 * a capacity envelope (the standard :data:`NODE_MACHINE` with the
-  default engine configuration, a node-local MPL and a
-  ``max_outstanding`` ceiling the dispatcher respects);
+  default engine configuration but for its lock stream, a node-local
+  MPL and a ``max_outstanding`` ceiling the dispatcher respects);
 * a health state (:class:`NodeHealth`) driving placement eligibility —
   UP nodes take placements, DOWN nodes are dead;
 * a DIRAC-style heartbeat: a periodic snapshot of MPL, queue depth,
@@ -26,13 +30,14 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.interfaces import AdmissionController, Scheduler
 from repro.core.manager import WaitQueue, WorkloadManager
+from repro.engine.executor import EngineConfig
 from repro.engine.query import Query
 from repro.engine.resources import MachineSpec, ResourceKind
 from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
 
-#: The standard per-node machine: a quarter of the single-server
-#: ``benchmarks`` box, so a 4-node cluster matches the classic setup.
+#: The standard machine: every cluster node, the single-server
+#: benchmarks box and the ``demo`` CLI run on it.
 NODE_MACHINE = MachineSpec(cpu_capacity=4.0, disk_capacity=2.0, memory_mb=2048.0)
 
 #: Seconds between two heartbeats of a node.
@@ -72,15 +77,17 @@ class ClusterNode:
     Parameters
     ----------
     sim:
-        The *shared* simulator; the node builds its own scoped view.
+        The cluster's shared simulator; the node's manager runs on it.
     name:
-        Unique node name (also the RNG scope).
+        Unique node name.
     mpl:
         Node-local multiprogramming limit (FCFS dispatch ceiling).
     max_outstanding:
         Saturation ceiling the dispatcher checks before placing: a node
         with ``outstanding_work >= max_outstanding`` is not eligible.
-        Defaults to ``4 * mpl`` (a bounded node-local backlog).
+        Defaults to ``4 * mpl`` (a bounded node-local backlog);
+        ``math.inf`` sets no ceiling, so the dispatcher holds nothing
+        back from the node's scheduler.
     scheduler, admission:
         The node manager's stages (default: a FIFO ``WaitQueue(mpl)``
         and no admission control).  A request the node's admission
@@ -92,6 +99,9 @@ class ClusterNode:
         node engine's speed ceiling, so every query the node runs, from
         its first instant, runs at most this fast; runtime slowdowns
         (:meth:`degrade`) scale it.
+    lock_stream:
+        The simulator stream the node's engine draws lock items from;
+        defaults to ``node:<name>/locks``, one stream per node.
     """
 
     def __init__(
@@ -99,10 +109,11 @@ class ClusterNode:
         sim: Simulator,
         name: str,
         mpl: int = 12,
-        max_outstanding: Optional[int] = None,
+        max_outstanding: Optional[float] = None,
         scheduler: Optional[Scheduler] = None,
         admission: Optional[AdmissionController] = None,
         speed_factor: float = 1.0,
+        lock_stream: Optional[str] = None,
     ) -> None:
         if mpl < 1:
             raise ConfigurationError(f"node mpl must be >= 1, got {mpl}")
@@ -112,12 +123,14 @@ class ClusterNode:
             )
         self.name = name
         self.sim = sim
-        self.scope = sim.scoped(f"node:{name}")
         self.mpl = mpl
         self.max_outstanding = 4 * mpl if max_outstanding is None else max_outstanding
         self.manager = WorkloadManager(
-            self.scope,
+            sim,
             machine=NODE_MACHINE,
+            engine_config=EngineConfig(
+                lock_stream=f"node:{name}/locks" if lock_stream is None else lock_stream
+            ),
             scheduler=scheduler or WaitQueue(mpl),
             admission=admission,
         )
@@ -132,7 +145,7 @@ class ClusterNode:
         self._outstanding_est: Dict[int, float] = {}
         self._outstanding_est_total = 0.0
         self.manager.add_completion_listener(self._note_exit)
-        self._heartbeat_proc = self.scope.schedule_periodic(
+        self._heartbeat_proc = self.sim.schedule_periodic(
             HEARTBEAT_PERIOD, self.publish_heartbeat, label=f"heartbeat:{name}"
         )
         # on_change: the manager pings when running or queued may have
@@ -236,7 +249,7 @@ class ClusterNode:
         self.health = NodeHealth.UP
         if was_stopped:
             self.manager.resume_ticks()
-            self._heartbeat_proc = self.scope.schedule_periodic(
+            self._heartbeat_proc = self.sim.schedule_periodic(
                 HEARTBEAT_PERIOD,
                 self.publish_heartbeat,
                 label=f"heartbeat:{self.name}",

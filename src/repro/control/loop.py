@@ -264,10 +264,10 @@ class AutonomicLoop(ExecutionController):
         symptoms = self.analyzer.analyze(observations, context)
         action = self.planner.plan(symptoms, context)
         affected = self.effector.execute(action, symptoms, context)
-        if action is not LoopAction.NONE or affected is not None:
+        if affected is not None:  # a no-op is no decision
             context.record(self, action.value, affected)
 
     def actions_taken(self) -> Dict[LoopAction, int]:
-        """How often each :class:`LoopAction` was imposed (or planned)."""
+        """How often each :class:`LoopAction` affected a query."""
         events = decisions_by(self._context.decisions, type(self).__name__)
         return dict(Counter(LoopAction(event.action) for event in events))

@@ -335,7 +335,7 @@ RESEARCH_TECHNIQUES: Tuple[ApproachDescriptor, ...] = (
             Feature.REALLOCATES_RESOURCES,
         ],
         objective="Achieving high performance for high-priority requests",
-        implementation="repro.execution.cancellation",
+        implementation="repro.execution.krompass",
     ),
 )
 

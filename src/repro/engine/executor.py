@@ -91,11 +91,16 @@ class EngineConfig:
     """Tunables of the execution engine.
 
     ``hot_set_size`` is the number of lockable items (smaller = more
-    contention); ``spill_penalty`` is forwarded to the buffer pool.
+    contention); ``spill_penalty`` is forwarded to the buffer pool;
+    ``lock_stream`` names the simulator stream the lock manager draws
+    transactions' lock items from, the engine's one random stream (a
+    node of a multi-node cluster names its own, so engines sharing one
+    simulator draw independently).
     """
 
     hot_set_size: int = 1000
     spill_penalty: float = 3.0
+    lock_stream: str = "locks"
 
     def __post_init__(self) -> None:
         if self.hot_set_size < 1:
@@ -106,6 +111,8 @@ class EngineConfig:
             raise ConfigurationError(
                 f"spill_penalty must be >= 0, got {self.spill_penalty}"
             )
+        if not self.lock_stream:
+            raise ConfigurationError("lock_stream must be a non-empty stream name")
 
 
 #: Running-set size at which the store switches from lists to numpy
@@ -168,7 +175,7 @@ class ExecutionEngine:
             spill_penalty=config.spill_penalty,
         )
         self.lock_manager = LockManager(
-            num_items=config.hot_set_size, rng=sim.rng("locks")
+            num_items=config.hot_set_size, rng=sim.rng(config.lock_stream)
         )
         self.store = RunStore(_VECTOR_MIN_RUNNING)
         self._running: Dict[int, _Running] = {}

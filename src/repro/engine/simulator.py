@@ -244,77 +244,6 @@ class Simulator:
             if max_events is not None and fired >= max_events:
                 raise _over_budget(what, max_events, fired)
 
-    # ------------------------------------------------------------------
-    # scoping (multi-instance simulations)
-    # ------------------------------------------------------------------
-    def scoped(self, scope: str) -> "ScopedSimulator":
-        """A view of this simulator with namespaced RNG streams.
-
-        Multiple simulated servers sharing one clock (see
-        :mod:`repro.cluster`) must not share random streams: if two
-        engines both ask for ``rng("locks")`` their draws interleave and
-        adding a node perturbs every other node's behaviour.  A scoped
-        view shares the clock and event queue but prefixes every stream
-        name with ``scope``, giving each instance its own independent,
-        seed-stable streams.
-        """
-        return ScopedSimulator(self, scope)
-
-
-class ScopedSimulator:
-    """A :class:`Simulator` facade with a private RNG namespace.
-
-    It offers what components built against the ``Simulator`` interface
-    (engines, managers, generators) use — the clock, :meth:`rng` and the
-    scheduling methods — so they run unmodified on a scoped view while
-    their randomness stays isolated per scope.
-
-    The scheduling methods (``schedule``, ``schedule_at``, …) are the
-    base's bound methods, set as instance attributes at construction:
-    cluster engines call them on every event, so a call costs no
-    delegation.  There is no catch-all delegation: a copy of a view
-    (``copy.deepcopy`` of a run) is rebuilt attribute by attribute,
-    and a fallback ``__getattr__`` would recurse on the half-built copy.
-    """
-
-    #: Base-simulator methods bound directly onto every scoped view.
-    _BOUND_METHODS = (
-        "schedule",
-        "schedule_at",
-        "schedule_periodic",
-        "defer",
-        "run_until",
-        "run",
-    )
-
-    def __init__(self, base: Simulator, scope: str) -> None:
-        if not scope:
-            raise SimulationError("scope must be a non-empty string")
-        self._base = base
-        self.scope = scope
-        for name in self._BOUND_METHODS:
-            setattr(self, name, getattr(base, name))
-
-    @property
-    def base(self) -> Simulator:
-        """The underlying shared simulator."""
-        return self._base
-
-    @property
-    def now(self) -> float:
-        """Current simulated time (shared clock)."""
-        return self._base._now
-
-    @property
-    def events_fired(self) -> int:
-        return self._base._events_fired
-
-    def rng(self, stream: str) -> np.random.Generator:
-        return self._base.rng(f"{self.scope}/{stream}")
-
-    def __repr__(self) -> str:
-        return f"ScopedSimulator(scope={self.scope!r}, base={self._base!r})"
-
 
 @dataclass
 class _PeriodicProcess:

@@ -15,8 +15,8 @@ defuzzified score band selects the action:
 * serious problem → kill and resubmit (the same request restarts later);
 * hopeless        → kill (dispose of intermediate results).
 
-A query that has already been cancelled repeatedly is treated more
-leniently toward resubmission-killing (matching the paper's
+A query that has already been cancelled repeatedly meets a lower kill
+edge, so a hopeless request stops restarting (matching the paper's
 "number of query cancellations" input: endless kill loops help nobody).
 """
 
@@ -126,12 +126,14 @@ class FuzzyExecutionController(ExecutionController):
                 continue
             assessment = self.assess(query, context)
             score = assessment.score
-            # a request restarted before meets lower bands: it is stopped sooner
-            leniency = 0.1 * min(query.restarts, 3)
-            if score >= self.resubmit_band[1] - leniency:
+            # a request restarted before meets a lower kill edge: it is
+            # stopped sooner, and after three restarts a fresh attempt's
+            # rising score meets the kill edge before the resubmit band
+            kill_edge = self.resubmit_band[1] - 0.1 * min(query.restarts, 3)
+            if score >= kill_edge:
                 context.engine.kill(query.query_id)
                 context.record(self, "kill", query, score)
-            elif score >= self.resubmit_band[0] - leniency:
+            elif score >= self.resubmit_band[0]:
                 context.manager.restart(query, 10.0)
                 context.record(self, "kill_and_resubmit", query, score)
             elif score >= self.reprioritize_band[0]:

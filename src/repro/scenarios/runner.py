@@ -29,6 +29,7 @@ pin.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from hashlib import sha256
@@ -154,10 +155,14 @@ def arm_scenario(
 ) -> ScenarioResult:
     """Build the cluster, attach arrivals, arm faults; run nothing.
 
-    Nodes ``n0 … n{k-1}`` are built in order, each on its own RNG scope.
+    Nodes ``n0 … n{k-1}`` are built in order, each drawing its own lock
+    stream.  A cluster of one is the server it wraps: its node draws the
+    server's ``locks`` stream and has no outstanding ceiling, so a push
+    dispatcher holds nothing back from the node's scheduler.
     """
     sim = sim or Simulator(seed=seed)
     shares, speeds = spec.shares(), spec.speeds
+    lone = {"lock_stream": "locks", "max_outstanding": math.inf} if spec.nodes == 1 else {}
     nodes = [
         ClusterNode(
             sim,
@@ -169,6 +174,7 @@ def arm_scenario(
                 else None
             ),
             speed_factor=speeds[index % len(speeds)] if speeds else 1.0,
+            **lone,
         )
         for index in range(spec.nodes)
     ]

@@ -25,7 +25,7 @@ from repro.cluster import (
     predict_response_time,
 )
 from repro.engine.simulator import Simulator
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError
 from repro.scenarios import get_scenario
 from repro.scenarios.runner import scenario_slas
 
@@ -228,16 +228,21 @@ class TestMakePolicy:
             make_policy("dart-throwing")
 
 
-class TestScopedRNG:
-    def test_scopes_are_independent_streams(self):
-        sim = Simulator(seed=9)
-        a = sim.scoped("node:a").rng("locks").random(5).tolist()
-        sim2 = Simulator(seed=9)
-        # draining another scope's stream does not perturb node:a
-        sim2.scoped("node:b").rng("locks").random(1000)
-        a2 = sim2.scoped("node:a").rng("locks").random(5).tolist()
-        assert a == a2
+class TestNodeLockStreams:
+    def test_node_streams_are_independent(self):
+        def first_draws(nodes, drain=0):
+            sim = Simulator(seed=9)
+            built = {name: ClusterNode(sim, name) for name in nodes}
+            if drain:
+                built["b"].manager.engine.lock_manager._rng.random(drain)
+            return built["a"].manager.engine.lock_manager._rng.random(5).tolist()
 
-    def test_empty_scope_rejected(self):
-        with pytest.raises(SimulationError):
-            Simulator(seed=1).scoped("")
+        alone = first_draws(["a"])
+        # draining another node's stream does not perturb node a
+        assert first_draws(["a", "b"], drain=1000) == alone
+        assert first_draws(["b", "a"], drain=1000) == alone
+        assert alone == Simulator(seed=9).rng("node:a/locks").random(5).tolist()
+
+    def test_empty_lock_stream_rejected(self):
+        with pytest.raises(ConfigurationError, match="lock_stream"):
+            ClusterNode(Simulator(seed=1), "n0", lock_stream="")

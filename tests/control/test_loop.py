@@ -137,6 +137,31 @@ class TestLoopEndToEnd:
         # with no goals (nothing missing), the loop releases controls
         assert manager.engine.throttle_of(throttled.query_id) == 1.0
 
+    def test_release_with_nothing_to_release_records_nothing(self, sim):
+        loop = AutonomicLoop()
+        manager = _manager(sim, loop=loop, slas=SLASet([]))
+        manager.submit(make_query(cpu=20.0, io=0.0))
+        manager.run(horizon=5.0, drain=0.0)
+        # no goals: the planner picks RELEASE every tick, and nothing is
+        # suspended or throttled, so no tick is a decision
+        assert loop.planner.plan(
+            loop.analyzer.analyze(loop.monitor.observe(manager.context), manager.context),
+            manager.context,
+        ) is LoopAction.RELEASE
+        assert decisions_by(manager.context.decisions, "AutonomicLoop") == []
+        assert loop.actions_taken() == {}
+
+    def test_release_of_a_throttle_is_one_decision(self, sim):
+        loop = AutonomicLoop()
+        manager = _manager(sim, loop=loop, slas=SLASet([]))
+        throttled = make_query(cpu=20.0, io=0.0)
+        manager.submit(throttled)
+        manager.engine.set_throttle(throttled.query_id, 0.3)
+        manager.run(horizon=5.0, drain=0.0)
+        (event,) = decisions_by(manager.context.decisions, "AutonomicLoop")
+        assert (event.action, event.query_id) == ("release", throttled.query_id)
+        assert loop.actions_taken() == {LoopAction.RELEASE: 1}
+
     def test_decision_log_shape(self, sim):
         loop = AutonomicLoop()
         manager = _manager(sim, loop=loop)

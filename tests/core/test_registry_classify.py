@@ -160,6 +160,12 @@ class TestTable5Classification:
         assert T.QUERY_CANCELLATION in leaves
         assert T.QUERY_REPRIORITIZATION in leaves
 
+    def test_krompass_row_names_the_fuzzy_controllers_module(self):
+        from repro.execution.krompass import FuzzyExecutionController
+
+        descriptor = _by_name(RESEARCH_TECHNIQUES, "Krompass et al.")
+        assert descriptor.implementation == FuzzyExecutionController.__module__
+
 
 class TestRegistryIntegrity:
     def test_every_descriptor_classifies_somewhere(self):

@@ -23,6 +23,7 @@ def _engine(sim, cpu=4.0, disk=4.0, mem=4096.0, hot_set=500, spill=3.0):
     [
         ("hot_set_size", 0),
         ("spill_penalty", -2.0),
+        ("lock_stream", ""),
     ],
 )
 def test_engine_config_rejects_out_of_range_values(field, value):

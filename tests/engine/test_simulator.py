@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.executor import EngineConfig, ExecutionEngine
-from repro.engine.simulator import Event, ScopedSimulator, Simulator
+from repro.engine.simulator import Event, Simulator
 from repro.errors import SimulationBudgetExceeded, SimulationError
 
 from tests.conftest import next_instant, submitted_query
@@ -126,11 +126,10 @@ class TestRunUntil:
             sim.schedule_at(t, lambda: None)
         sim.schedule_at(1.5, lambda: None).cancel()
         assert sim.run_until(2.0) == 3
-        assert sim.scoped("n0").run_until(10.0) == 1
+        assert sim.run_until(10.0) == 1
         assert sim.run_until(20.0) == 0
         assert sim.events_fired == 4
         assert typing.get_type_hints(Simulator.run_until)["return"] is int
-        assert "run_until" in ScopedSimulator._BOUND_METHODS
 
     def test_run_until_event_storm_guard(self):
         sim = Simulator()
@@ -365,14 +364,6 @@ class TestDefer:
         assert trace == ["boom"] and sim.now == 0.0
         sim.run_until(1.0)
         assert trace == ["boom", "after"] and sim.now == 1.0
-
-    def test_a_scoped_view_defers_on_its_base(self):
-        sim = Simulator()
-        trace = []
-        sim.scoped("n0").defer(lambda: trace.append("n0"))
-        sim.defer(lambda: trace.append("base"))
-        sim.run_until(0.0)
-        assert trace == ["n0", "base"]
 
 
 class TestTracerContract:

@@ -200,18 +200,33 @@ class TestFuzzyController:
         manager = _manager(sim, [controller])
         hog = make_query(cpu=2000.0, io=0.0, priority=1)
         manager.submit(hog)
-        manager.run(horizon=60.0, drain=0.0)
+        manager.run(horizon=120.0, drain=0.0)
         stops = [
-            event
+            (event.action, event.query_id)
             for event in decisions_by(manager.context.decisions, "FuzzyExecutionController")
             if event.action in ("kill", "kill_and_resubmit")
         ]
-        assert stops and {event.query_id for event in stops} == {hog.query_id}
-        # each restart re-runs the hog on a fresh clock, which takes a few
-        # ticks to grow long-running again; the last one, at t = 55, is
-        # still waiting out its 10 s delay
-        assert hog.restarts == len(stops) >= 2
-        assert hog.state is QueryState.ABORTED
+        # each restart lowers the kill edge by 0.1: the first three
+        # attempts' rising scores meet the resubmit band first, the
+        # fourth's meets the kill edge (0.55) below it
+        assert stops == [("kill_and_resubmit", hog.query_id)] * 3 + [
+            ("kill", hog.query_id)
+        ]
+        assert hog.restarts == 3
+        assert hog.state is QueryState.KILLED
+        assert manager.metrics.stats_for(hog.workload_name).kills == 1
+
+    def test_first_attempt_in_resubmit_band_is_restarted(self, sim):
+        controller = self._controller()
+        manager = _manager(sim, [controller])
+        hog = make_query(cpu=2000.0, io=0.0, priority=1)
+        manager.submit(hog)
+        manager.run(horizon=10.0, drain=0.0)
+        decisions = manager.context.decisions
+        assert decisions_by(decisions, "FuzzyExecutionController", "kill") == []
+        (stop,) = decisions_by(decisions, "FuzzyExecutionController", "kill_and_resubmit")
+        assert controller.resubmit_band[0] <= stop.detail < controller.resubmit_band[1]
+        assert hog.restarts == 1
 
     def test_moderate_problem_reprioritized_first(self, sim):
         controller = FuzzyExecutionController(

@@ -53,7 +53,9 @@ indicator gate lost its own priority exemption to
 ``PriorityExemptAdmission``, and the engine kept one running-set read.
 A restart re-runs the same request, so the query's clone went, and so
 did the kill rule's resubmit switch, which restated its threshold's
-action.
+action.  A node runs on the cluster's own simulator and names its one
+random stream, the engine's lock stream, so the scoped simulator view
+that renamed it went.
 Bringing one back means bringing the spec field and the measured cell
 that reach it, and editing this list.
 """
@@ -180,6 +182,8 @@ DELETED_NAMES = {
     "iter_running",
     "running_ids",
     "_ids_snapshot",
+    "ScopedSimulator",
+    "scoped",
 }
 DELETED_MODULES = (
     "cluster/elastic.py",
@@ -265,6 +269,7 @@ def test_removed_parameters_stay_removed():
     assert [f.name for f in dataclasses.fields(EngineConfig)] == [
         "hot_set_size",
         "spill_penalty",
+        "lock_stream",
     ]
     assert [f.name for f in dataclasses.fields(RunConfig)] == [
         "mpl",
@@ -312,6 +317,8 @@ def test_removed_readers_stay_removed():
     sim = Simulator(seed=1)
     # one dispatch loop: no single-event stepper, no never-read run flag
     assert not hasattr(Simulator, "step") and not hasattr(sim, "_running")
+    # a node names its lock stream: no scoped view renames it
+    assert not hasattr(Simulator, "scoped")
     dispatcher = ClusterDispatcher(sim, [ClusterNode(sim, name="n0")], tenant_quotas={"a": 1})
     assert not hasattr(dispatcher, "quota_rejections")
     # each node counts its own placements
