@@ -32,6 +32,9 @@ import numpy as np
 
 from repro.errors import SimulationError
 
+#: uniform item draws the lock stream yields at a time
+_BLOCK_DRAWS = 32
+
 
 class LockOutcome(enum.Enum):
     """Result of a lock request under wait-die."""
@@ -86,6 +89,9 @@ class LockManager:
         #: live transactions no other live transaction shares an item with
         self.quiet: Dict[int, _Transaction] = {}
         self._turned_loud: List[int] = []
+        # the current block of uniform item draws and the next one to read
+        self._block: List[int] = []
+        self._cursor = 0
         self.stats = LockConflictStats()
 
     # ------------------------------------------------------------------
@@ -94,8 +100,8 @@ class LockManager:
     def register(self, query_id: int, lock_count: int, now: float) -> Sequence[float]:
         """Begin a transaction; returns its lock-acquisition progress points.
 
-        ``lock_count`` items are sampled without replacement from the hot
-        set; lock ``j`` is acquired when the query's progress reaches
+        ``lock_count`` items (at most the hot set's size) are sampled
+        without replacement from the hot set by :meth:`_draw`; lock ``j`` is acquired when the query's progress reaches
         ``j / (lock_count + 1)``, spreading acquisitions through the run
         (which is what lets blocked transactions hold locks — the
         precondition for contention thrashing).
@@ -107,7 +113,7 @@ class LockManager:
         if query_id in self._txns:
             raise SimulationError(f"transaction {query_id} already registered")
         count = min(lock_count, self.num_items)
-        items = self._rng.choice(self.num_items, size=count, replace=False).tolist()
+        items = self._draw(count)
         txn = self._txns[query_id] = _Transaction(
             query_id=query_id, timestamp=now, items=items
         )
@@ -126,6 +132,27 @@ class LockManager:
         if quiet:
             self.quiet[query_id] = txn
         return [j / (count + 1) for j in range(1, count + 1)]
+
+    def _draw(self, count: int) -> List[int]:
+        """``count`` distinct items, each uniform over the ones not yet
+        drawn: uniform draws read in order off a block of the lock stream,
+        a repeat within the transaction skipped."""
+        items: List[int] = []
+        seen: Set[int] = set()
+        block, cursor = self._block, self._cursor
+        while len(items) < count:
+            if cursor == len(block):
+                block = self._block = self._rng.integers(
+                    self.num_items, size=_BLOCK_DRAWS
+                ).tolist()
+                cursor = 0
+            item = block[cursor]
+            cursor += 1
+            if item not in seen:
+                seen.add(item)
+                items.append(item)
+        self._cursor = cursor
+        return items
 
     def is_registered(self, query_id: int) -> bool:
         return query_id in self._txns

@@ -1,234 +1,388 @@
-"""Columnar storage for the engine's running set (DESIGN.md §7).
+"""The engine's running set in virtual time (DESIGN.md §7).
 
-The engine's hot loops — fluid advance, milestone selection, fair-share
-solving — touch a handful of fields per running query, one column each.
-A column is a Python list, read and written in place by the scalar
-loops, while fewer than the engine's vector cutover rows are live, and a
-numpy array, read by the vector step, at or above it.  The store
-converts in :meth:`add` and :meth:`remove`, so the representation always
-matches the step that reads it.
+Weighted max-min fair sharing (:mod:`repro.engine.resources`) has two
+regimes with a closed form, and nearly every instant of every recorded
+run is in one of them:
 
-Design constraints:
+* **one round** — a resource binds first and every active row uses it,
+  so each row moves at ``λ·share`` with one common ``λ = headroom /
+  Σ share·demand`` of the binding resource;
+* **fits** — every row runs at its own speed cap (``λ = 1``).
 
-* **Insertion order is observable.**  The engine's float accumulation
-  order (growth sums in the fair-share fill, usage totals) follows the
-  running-set iteration order, and committed digests depend on it.  In
-  list mode a removal deletes the row, so a slot is its position; in
-  array mode a removal leaves a tombstone and compaction gathers live
-  rows without reordering them.  A swap-remove free list would be O(1)
-  but would silently reorder float sums and break bit-identity.
-* **Slots are unstable across membership changes.**  Callers must map
-  ids to slots through :attr:`index` at use time rather than caching
-  slot numbers across an add or remove.
+In either regime a row's progress is an affine function of one scalar,
+the virtual clock ``V``, which advances at ``λ`` per simulated second
+(generalized processor sharing's virtual time, Parekh and Gallager,
+IEEE/ACM ToN 1993).  A row keeps its progress ``base`` at virtual
+instant ``since`` and its ``rate`` of progress per unit of ``V``, so its
+next milestone is the fixed virtual instant ``finish`` and the engine's
+next milestone is the minimum of a heap.  A start, an exit or a change
+to one row (weight, throttle, block, wake) updates the growth sums and
+the regime test for that row and pushes one heap entry; no other row is
+touched.
+
+Any other instant — neither regime holds (a speed cap binds first, or a
+row does not use the binding resource) — and any change to every row at
+once (machine speed, buffer-pool inflation) takes one **resync**: every
+row's progress is materialized, the exact scalar
+:func:`~repro.engine.resources.fill_two_resource` runs when no closed
+form holds, and ``V`` is rebased to 0.
+
+**The exact-recompute rule.**  Incrementally kept sums drift in floating
+point, and so would a ``V`` that only grows.  A resync re-sums every
+sum in insertion order and rebases ``V``, and one runs (a) when the
+regime test fails or changes, (b) on a machine-wide change, and (c)
+once the incremental updates since the last resync outnumber the rows.
+When the set empties, every sum is reset to exactly 0 and ``V`` to 0.
+Rule (c) costs an O(n) pass per n updates, O(1) amortized, and bounds
+both the drift of the sums and the magnitude of ``V``.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import heapq
+from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
+from repro.engine.resources import fill_two_resource
 
-#: Minimum number of tombstoned rows before compaction is considered.
-_COMPACT_MIN_DEAD = 32
+#: the regimes of the last settle; ``IDLE`` holds no active row
+IDLE, ONE_ROUND, FITS, EXACT = range(4)
 
-#: Rows an array-mode store allocates when it converts.
-_ARRAY_CAPACITY = 64
+_INF = float("inf")
+#: the share of a capacity the caps may use and still "fit"
+_FITS = 1.0 - 1e-9
+
+
+class Row:
+    """One running query.
+
+    ``share`` is the solver's weight (``weight / bottleneck``) and ``cap``
+    its speed cap (0 while blocked or paused: the row is then inactive,
+    outside every sum).  ``next_lock`` indexes the next lock point the
+    row takes at a milestone event: ``len(lock_points)`` once none is
+    left, and while the transaction is quiet, which passes its points
+    without events.
+    """
+
+    __slots__ = (
+        "query", "lock_points", "next_lock", "weight", "throttle", "cpu", "io",
+        "disk", "bottleneck", "share", "cap", "milestone", "blocked",
+        "base", "since", "rate", "finish",
+    )
+
+    def __init__(self, query, lock_points: Sequence[float], weight: float) -> None:
+        self.query = query
+        self.lock_points = lock_points
+        self.next_lock = 0
+        self.weight = weight
+        self.throttle = 1.0
+        self.blocked = False
+        self.milestone = 1.0
+        self.base = query.progress
+        self.since = 0.0
+        self.rate = 0.0
+        self.finish = _INF
+
+    def __repr__(self) -> str:
+        return (
+            f"Row(q={self.query.query_id}, base={self.base:.6g}, "
+            f"rate={self.rate:.6g}, milestone={self.milestone:.6g})"
+        )
 
 
 class RunStore:
-    """Order-preserving columnar table of running queries.
-
-    Columns (all indexed by slot):
-
-    ``qid``          query id (-1 in a tombstone)
-    ``progress``     fluid progress in [0, 1]
-    ``speed``        current fair-share speed
-    ``weight``       business fair-share weight
-    ``throttle``     throttle factor in [0, 1]
-    ``cpu_base``     CPU seconds demanded per unit progress (>= 0)
-    ``io_base``      raw disk seconds per unit progress (>= 0)
-    ``disk_demand``  ``io_base`` inflated by the current buffer-pool epoch
-    ``bottleneck``   max(cpu_base, disk_demand) — unloaded duration
-    ``solve_weight`` ``weight / bottleneck`` — the solver's weight
-    ``speed_cap``    solver speed cap (0 when blocked or paused)
-    ``milestone``    progress value of the next lock point or 1.0
-    ``blocked``      waiting on a lock
-    ``locks_pending``query still has lock points ahead
-    ``alive``        slot holds a live entry (array mode only)
-
-    ``vector`` is true while the columns are numpy arrays; ``size`` and
-    ``capacity`` (the dense prefix of live rows and tombstones, and the
-    allocated length) are meaningful only then.
-    """
-
-    _FLOAT_COLS = (
-        "progress",
-        "speed",
-        "weight",
-        "throttle",
-        "cpu_base",
-        "io_base",
-        "disk_demand",
-        "bottleneck",
-        "solve_weight",
-        "speed_cap",
-        "milestone",
-    )
-    #: every column but ``alive``, with its array dtype
-    _COLUMNS = (
-        ("qid", np.int64),
-        *((name, np.float64) for name in _FLOAT_COLS),
-        ("blocked", bool),
-        ("locks_pending", bool),
-    )
+    """The running rows in insertion order, their sums and the clock."""
 
     __slots__ = (
-        "cutover",
-        "vector",
-        "capacity",
-        "size",
-        "count",
-        "index",
-        *(name for name, _ in _COLUMNS),
-        "alive",
-        "_live_cache",
+        "rows", "cpu_cap", "disk_cap", "time", "vtime", "t0", "v0", "lam", "regime",
+        "dirty", "updates", "heap", "active", "g_cpu", "g_disk", "u_cpu",
+        "u_disk", "no_cpu", "no_disk", "ratio_min", "ratio_count", "usage",
     )
 
-    def __init__(self, cutover: int) -> None:
-        self.cutover = cutover
-        self.count = 0
-        self._use_lists([[] for _ in self._COLUMNS])
+    def __init__(self, cpu_cap: float, disk_cap: float) -> None:
+        self.rows: Dict[int, Row] = {}
+        self.cpu_cap = cpu_cap
+        self.disk_cap = disk_cap
+        self.time = 0.0
+        self._empty()
+
+    def _empty(self) -> None:
+        """Every sum exactly 0 and ``V`` rebased: the set is empty."""
+        self.vtime = self.v0 = 0.0
+        self.t0 = self.time
+        self.lam = 1.0
+        self.regime = IDLE
+        self.dirty = False
+        self.updates = 0
+        self.heap: List[Tuple[float, int]] = []
+        self.active = 0
+        self.g_cpu = self.g_disk = self.u_cpu = self.u_disk = 0.0
+        self.no_cpu = self.no_disk = 0
+        self.ratio_min = _INF
+        self.ratio_count = 0
+        self.usage = (0.0, 0.0)
 
     # ------------------------------------------------------------------
-    def add(self, query_id: int, row: Sequence[float], locks_pending: bool) -> int:
-        """Append ``query_id`` with ``row`` (its ``_FLOAT_COLS`` values in
-        order), not blocked, and return its slot."""
-        if query_id in self.index:
-            raise ValueError(f"query {query_id} already stored")
-        if self.vector:
-            if self.size == self.capacity:
-                self._use_arrays(self._live_columns())
-            slot = self.size
-            self.size = slot + 1
-            self.qid[slot] = query_id
-            for name, value in zip(self._FLOAT_COLS, row):
-                getattr(self, name)[slot] = value
-            self.blocked[slot] = False
-            self.locks_pending[slot] = locks_pending
-            self.alive[slot] = True
-            self._live_cache = None
-        else:
-            slot = self.count
-            self.qid.append(query_id)
-            self.progress.append(row[0])
-            self.speed.append(row[1])
-            self.weight.append(row[2])
-            self.throttle.append(row[3])
-            self.cpu_base.append(row[4])
-            self.io_base.append(row[5])
-            self.disk_demand.append(row[6])
-            self.bottleneck.append(row[7])
-            self.solve_weight.append(row[8])
-            self.speed_cap.append(row[9])
-            self.milestone.append(row[10])
-            self.blocked.append(False)
-            self.locks_pending.append(locks_pending)
-        self.index[query_id] = slot
-        self.count += 1
-        if not self.vector and self.count >= self.cutover:
-            self._use_arrays([getattr(self, name) for name, _ in self._COLUMNS])
-        return slot
+    # reading the clock
+    # ------------------------------------------------------------------
+    def advance(self, now: float) -> None:
+        """Bring ``V`` to ``now``; O(1), every row follows implicitly.
 
-    def remove(self, query_id: int) -> None:
-        """Drop the row for ``query_id``, keeping the others' order."""
-        slot = self.index.pop(query_id)
-        self.count -= 1
-        if not self.vector:
-            del (
-                self.qid[slot], self.progress[slot], self.speed[slot],
-                self.weight[slot], self.throttle[slot], self.cpu_base[slot],
-                self.io_base[slot], self.disk_demand[slot], self.bottleneck[slot],
-                self.solve_weight[slot], self.speed_cap[slot], self.milestone[slot],
-                self.blocked[slot], self.locks_pending[slot],
-            )
-            index, qid = self.index, self.qid
-            for position in range(slot, self.count):
-                index[qid[position]] = position
+        ``V`` is read off the anchor ``(t0, v0)``, which moves only when
+        ``λ`` does, so no rounding accumulates from event to event."""
+        if now != self.time:
+            self.time = now
+            self.vtime = self.v0 + self.lam * (now - self.t0)
+
+    def at(self, vtime: float) -> float:
+        """The simulated instant the clock reads ``vtime`` at."""
+        return self.t0 + (vtime - self.v0) / self.lam
+
+    def progress(self, row: Row) -> float:
+        """The row's progress at the last :meth:`advance`."""
+        if row.rate == 0.0:
+            return row.base
+        progress = row.base + row.rate * (self.vtime - row.since)
+        return progress if progress < 1.0 else 1.0
+
+    def speed(self, row: Row) -> float:
+        """Progress per simulated second since the last settle."""
+        return self.lam * row.rate
+
+    # ------------------------------------------------------------------
+    # one row at a time
+    # ------------------------------------------------------------------
+    def add(self, row: Row) -> None:
+        qid = row.query.query_id
+        if qid in self.rows:
+            raise ValueError(f"query {qid} already stored")
+        self.rows[qid] = row
+        row.since = self.vtime
+        self.attach(row)
+
+    def remove(self, row: Row) -> None:
+        """Drop ``row`` (its progress read first, if wanted)."""
+        del self.rows[row.query.query_id]
+        if not self.rows:
+            self._empty()
             return
-        self.alive[slot] = False
-        self.qid[slot] = -1
-        # Dead rows must not poison vectorized passes that operate on
-        # the dense prefix rather than gathered live rows.
-        self.speed[slot] = 0.0
-        self._live_cache = None
-        if self.count < self.cutover:
-            self._use_lists([column.tolist() for column in self._live_columns()])
-        elif (
-            self.size - self.count >= _COMPACT_MIN_DEAD
-            and self.size - self.count > self.count
-        ):
-            self._use_arrays(self._live_columns())
+        self._leave(row)
 
-    def live_indices(self) -> np.ndarray:
-        """Slots of live rows in insertion order (cached; treat read-only)."""
-        if not self.vector:
-            return np.arange(self.count)
-        cache = self._live_cache
-        if cache is None:
-            cache = self._live_cache = self.alive[: self.size].nonzero()[0]
-        return cache
+    def detach(self, row: Row) -> None:
+        """Anchor the row at its progress now and take it out of the sums,
+        before its weight, cap or demands change; :meth:`attach` after."""
+        row.base = self.progress(row)
+        row.since = self.vtime
+        self._leave(row)
 
-    def position(self, slot: int) -> int:
-        """A live slot's position in insertion order."""
-        return int(self.live_indices().searchsorted(slot)) if self.vector else slot
+    def retarget(self, row: Row) -> None:
+        """The row's milestone moved (a lock point granted or taken)."""
+        if row.rate > 0.0:
+            row.finish = row.since + (row.milestone - row.base) / row.rate
+            heapq.heappush(self.heap, (row.finish, row.query.query_id))
 
-    def slot_at(self, position: int) -> int:
-        """The slot of the live row at ``position`` in insertion order."""
-        return int(self.live_indices()[position]) if self.vector else position
+    def attach(self, row: Row) -> None:
+        """Put the row (back) into the sums at its anchor, with the rate
+        the current regime gives it and one heap entry."""
+        self.updates += 1
+        if row.cap <= 0.0:
+            row.rate, row.finish = 0.0, _INF
+            return
+        share = row.share
+        self.active += 1
+        self.g_cpu += share * row.cpu
+        self.g_disk += share * row.disk
+        self.u_cpu += row.cap * row.cpu
+        self.u_disk += row.cap * row.disk
+        if row.cpu == 0.0:
+            self.no_cpu += 1
+        if row.disk == 0.0:
+            self.no_disk += 1
+        ratio = row.cap / share
+        if ratio < self.ratio_min:
+            self.ratio_min, self.ratio_count = ratio, 1
+        elif ratio == self.ratio_min:
+            self.ratio_count += 1
+        regime = self.regime
+        if regime == IDLE:  # alone in the sums so far: it fits, or the settle resyncs
+            regime = self.regime = FITS
+        if regime == ONE_ROUND:
+            row.rate = share
+        elif regime == FITS:
+            row.rate = row.cap
+        else:  # the rates come from a resync
+            row.rate, row.finish = 0.0, _INF
+            self.dirty = True
+            return
+        row.finish = row.since + (row.milestone - row.base) / row.rate
+        heapq.heappush(self.heap, (row.finish, row.query.query_id))
+
+    def _leave(self, row: Row) -> None:
+        self.updates += 1
+        if row.cap <= 0.0:
+            return
+        share = row.share
+        self.active -= 1
+        self.g_cpu -= share * row.cpu
+        self.g_disk -= share * row.disk
+        self.u_cpu -= row.cap * row.cpu
+        self.u_disk -= row.cap * row.disk
+        if row.cpu == 0.0:
+            self.no_cpu -= 1
+        if row.disk == 0.0:
+            self.no_disk -= 1
+        if row.cap / share == self.ratio_min:
+            self.ratio_count -= 1
+            if self.ratio_count == 0:
+                self.ratio_min = -_INF  # stale: re-found at the next settle
+        row.rate, row.finish = 0.0, _INF
+        if self.regime == EXACT:
+            self.dirty = True
 
     # ------------------------------------------------------------------
-    def _live_columns(self) -> list:
-        """Every array column's live rows, in insertion order."""
-        live = self.live_indices()
-        return [getattr(self, name)[live] for name, _ in self._COLUMNS]
+    # the end of an instant
+    # ------------------------------------------------------------------
+    def settle(self, now: float) -> Optional[Tuple[float, Row]]:
+        """Fix the regime and ``λ`` for the time after ``now`` and return
+        the next milestone ``(time, row)``, or ``None``."""
+        self.advance(now)
+        if not self.rows:
+            return None
+        if self.dirty or self.updates > len(self.rows):
+            self.resync()
+        else:
+            regime, lam = self._classify()
+            if regime != self.regime:
+                self.resync()
+            elif lam != self.lam:
+                self.t0, self.v0, self.lam = now, self.vtime, lam
+        heap, rows = self.heap, self.rows
+        while heap:
+            finish, qid = heap[0]
+            row = rows.get(qid)
+            if row is not None and row.finish == finish:
+                time = self.at(finish)
+                return (time if time > now else now), row
+            heapq.heappop(heap)
+        return None
 
-    def _use_lists(self, columns: List[list]) -> None:
-        """Hold ``columns``, the live rows in order, as lists."""
-        for (name, _), column in zip(self._COLUMNS, columns):
-            setattr(self, name, column)
-        self.index = {query_id: slot for slot, query_id in enumerate(self.qid)}
-        self.vector = False
-        self.alive = self._live_cache = None
+    def _classify(self) -> Tuple[int, float]:
+        """The regime the sums say, and its ``λ`` (1 but in one round)."""
+        if not self.active:
+            return IDLE, 1.0
+        # Every row at its cap, with a margin: the exact fill binds a
+        # resource that ties the last cap (within 1e-15 of its step), and
+        # that freezes a row whose demand on it is negligible far below
+        # its cap.  Inside the margin the one-round test decides, as the
+        # fill's first round would.
+        if self.u_cpu <= self.cpu_cap * _FITS and self.u_disk <= self.disk_cap * _FITS:
+            return FITS, 1.0
+        # the fill's first round: CPU wins ties within 1e-15, then disk,
+        # then a speed cap only if it binds strictly first
+        lam = self.cpu_cap / self.g_cpu if self.g_cpu > 0.0 else _INF
+        unused = self.no_cpu
+        if self.g_disk > 0.0:
+            disk = self.disk_cap / self.g_disk
+            if disk < lam - 1e-15:
+                lam, unused = disk, self.no_disk
+        if unused:
+            return EXACT, 1.0
+        if self.ratio_min == -_INF:
+            self._find_ratio_min()
+        if self.ratio_min < lam - 1e-15:
+            return EXACT, 1.0
+        return ONE_ROUND, lam
 
-    def _use_arrays(self, columns: list) -> None:
-        """Hold ``columns``, the live rows in order, as arrays with room
-        for as many again (compaction and growth in one)."""
-        n = self.count
-        self.capacity = capacity = max(_ARRAY_CAPACITY, 2 * n)
-        for (name, dtype), values in zip(self._COLUMNS, columns):
-            column = np.zeros(capacity, dtype=dtype)
-            column[:n] = values
-            setattr(self, name, column)
-        self.alive = np.zeros(capacity, dtype=bool)
-        self.alive[:n] = True
-        self.index = {query_id: slot for slot, query_id in enumerate(self.qid[:n].tolist())}
-        self.size = n
-        self.vector = True
-        self._live_cache = None
+    def _find_ratio_min(self) -> None:
+        ratio_min, count = _INF, 0
+        for row in self.rows.values():
+            if row.cap > 0.0:
+                ratio = row.cap / row.share
+                if ratio < ratio_min:
+                    ratio_min, count = ratio, 1
+                elif ratio == ratio_min:
+                    count += 1
+        self.ratio_min, self.ratio_count = ratio_min, count
+
+    def resync(self) -> None:
+        """Materialize every row, re-sum in insertion order, rebase ``V``
+        to 0 and set every rate from the regime (the exact fill when no
+        closed form holds); rebuilds the heap."""
+        vtime = self.vtime
+        active: List[Row] = []
+        g_cpu = g_disk = u_cpu = u_disk = 0.0
+        no_cpu = no_disk = 0
+        for row in self.rows.values():
+            if row.rate != 0.0:
+                progress = row.base + row.rate * (vtime - row.since)
+                row.base = progress if progress < 1.0 else 1.0
+            row.since = 0.0
+            if row.cap > 0.0:
+                active.append(row)
+                share = row.share
+                g_cpu += share * row.cpu
+                g_disk += share * row.disk
+                u_cpu += row.cap * row.cpu
+                u_disk += row.cap * row.disk
+                if row.cpu == 0.0:
+                    no_cpu += 1
+                if row.disk == 0.0:
+                    no_disk += 1
+            else:
+                row.rate, row.finish = 0.0, _INF
+        self.vtime = self.v0 = 0.0
+        self.t0 = self.time
+        self.active = len(active)
+        self.g_cpu, self.g_disk, self.u_cpu, self.u_disk = g_cpu, g_disk, u_cpu, u_disk
+        self.no_cpu, self.no_disk = no_cpu, no_disk
+        self._find_ratio_min()
+        self.dirty = False
+        self.updates = 0
+        regime, self.lam = self._classify()
+        self.regime = regime
+        if regime == ONE_ROUND:
+            for row in active:
+                row.rate = row.share
+        elif regime == FITS:
+            for row in active:
+                row.rate = row.cap
+        elif regime == EXACT:
+            speeds = [0.0] * len(active)
+            fill_two_resource(
+                [[i, row.share, row.cpu, row.disk, row.cap] for i, row in enumerate(active)],
+                speeds,
+                self.cpu_cap,
+                self.disk_cap,
+            )
+            usage_cpu = usage_disk = 0.0
+            for row, speed in zip(active, speeds):
+                row.rate = speed
+                usage_cpu += speed * row.cpu
+                usage_disk += speed * row.disk
+            self.usage = (usage_cpu, usage_disk)
+        heap = []
+        for row in active:
+            if row.rate > 0.0:
+                row.finish = (row.milestone - row.base) / row.rate
+                heap.append((row.finish, row.query.query_id))
+            else:
+                row.finish = _INF
+        heapq.heapify(heap)
+        self.heap = heap
+
+    def current_usage(self) -> Tuple[float, float]:
+        """Server-units of CPU and disk in use since the last settle."""
+        if self.regime == ONE_ROUND:
+            return self.lam * self.g_cpu, self.lam * self.g_disk
+        if self.regime == FITS:
+            return self.u_cpu, self.u_disk
+        if self.regime == EXACT:
+            return self.usage
+        return 0.0, 0.0
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return self.count
-
-    def __contains__(self, query_id: int) -> bool:
-        return query_id in self.index
-
-    def live_qids(self) -> List[int]:
-        """Query ids of live rows in insertion order."""
-        if not self.vector:
-            return list(self.qid)
-        return [int(q) for q in self.qid[self.live_indices()]]
+        return len(self.rows)
 
     def __repr__(self) -> str:
-        mode = f"size={self.size}, capacity={self.capacity}" if self.vector else "lists"
-        return f"RunStore(count={self.count}, {mode})"
+        names = ("idle", "one round", "fits", "exact")
+        return f"RunStore(count={len(self.rows)}, {names[self.regime]}, λ={self.lam:.6g})"

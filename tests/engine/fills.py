@@ -1,29 +1,25 @@
-"""The reference fair-share allocator, and the fills run on its requests.
+"""The reference fair-share allocator, the engine's shares on its
+requests, and the clock-versus-exact-fill oracle.
 
 ``allocate_fair_shares_reference`` is the dict-based weighted max-min
-allocator the engine's two fills are held against; it lives here because
+allocator the engine's shares are held against; it lives here because
 no engine calls it.  The engine never builds ``ShareRequest`` objects
-either: its solve settles the trivial queries itself (nothing demanded,
-paused, zero weight) and hands the fills parallel columns of the active
-ones.  The adapters below do the same split, so one list of requests can
-be put to the reference allocator and to both live fills; each returns
-``{key: speed}``.  Below them are two oracles of the engine's step: the
-vector step with every mask built (``test_vector_step.py``), and the
-scalar step reading numpy columns through ``idx`` (``test_scalar_step.py``).
+either: it settles the trivial queries itself (nothing demanded, paused,
+zero weight) and shares the machine among the active ones, by a closed
+form when one holds and by the exact fill otherwise.  The adapters below
+do the same split, so one list of requests can be put to the reference
+allocator, to the exact fill and to the engine's virtual clock; each
+returns ``{key: speed}``.  Below them is the oracle of the clock
+(``test_virtual_clock.py``): the engine with every change resynced
+through the exact fill.
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Dict, Hashable, Iterable, List, Mapping
 
-import numpy as np
-
-from repro.engine import executor
-from repro.engine.executor import ExecutionEngine
-from repro.engine.resources import (
-    ResourceKind,
-    fair_share_fill_vectorized,
-    fill_two_resource,
-)
+from repro.engine.resources import ResourceKind, fill_two_resource
+from repro.engine.runstore import EXACT, IDLE, Row, RunStore
 
 CPU = ResourceKind.CPU
 DISK = ResourceKind.DISK
@@ -177,20 +173,24 @@ def exact_speeds(requests, capacities):
     return speeds
 
 
-def vectorized_speeds(requests, capacities):
+def clock_speeds(requests, capacities):
+    """The speeds a :class:`RunStore` settles the active requests to: a
+    closed form (one round, fits) when one holds, the exact fill else."""
     speeds, rows = _split(requests)
-    columns = [
-        np.array([row[i] for row in rows], dtype=np.float64) for i in (1, 2, 3, 4)
-    ]
-    filled = fair_share_fill_vectorized(
-        *columns, capacities[CPU], capacities[DISK]
-    )
-    speeds.update(zip((row[0] for row in rows), filled.tolist()))
+    store = RunStore(capacities[CPU], capacities[DISK])
+    settled = []
+    for qid, (key, weight, cpu, disk, cap) in enumerate(rows):
+        row = Row(SimpleNamespace(query_id=qid, progress=0.0), (), weight)
+        row.cpu, row.disk, row.share, row.cap = cpu, disk, weight, cap
+        store.add(row)
+        settled.append((key, row))
+    store.settle(0.0)
+    speeds.update((key, store.speed(row)) for key, row in settled)
     return speeds
 
 
-#: the two fills an engine runs, below and at-or-above its vector cutover
-LIVE_FILLS = (exact_speeds, vectorized_speeds)
+#: the fill the engine resyncs with, and the clock's shares
+LIVE_FILLS = (exact_speeds, clock_speeds)
 ALL_FILLS = (reference_speeds,) + LIVE_FILLS
 
 
@@ -199,307 +199,28 @@ def usage(requests, speeds, kind):
     return sum(speeds[req.key] * req.demands.get(kind, 0.0) for req in requests)
 
 
-# ----------------------------------------------------------------------
-# The vector step with every mask built (DESIGN.md §7)
-# ----------------------------------------------------------------------
-# The engine's vector side builds a mask only when a reduction says some
-# row needs one, and hands the solve's columns to the pick by return
-# value.  Below is the same step with every mask built and every column
-# gathered through it, as it ran before that rule: its only copy, the
-# oracle ``test_vector_step.py`` holds the live step against bit for bit.
-# ``masked_solve_vectorized`` and ``masked_pick_vectorized`` keep their
-# old signatures; ``MASKED_STEP`` adapts them to the live ``_solve``.
-
-
-def masked_fill_vectorized(weights, cpu_demand, disk_demand, caps, cpu_cap, disk_cap):
-    """``fair_share_fill_vectorized`` gathering every round's columns
-    through an index that starts as ``arange(n)``."""
-    n = int(weights.shape[0])
-    speeds = np.zeros(n, dtype=np.float64)
-    if n == 0:
-        return speeds
-    idx = np.arange(n)
-    headroom_cpu, headroom_disk = float(cpu_cap), float(disk_cap)
-    for _round in range(2 * n + 2):
-        if idx.size == 0:
-            break
-        w = weights[idx]
-        dc = cpu_demand[idx]
-        dd = disk_demand[idx]
-        cap = caps[idx]
-        gap = cap - speeds[idx]
-        gap_pos = np.maximum(gap, 0.0)
-        need_cpu = float(np.dot(gap_pos, dc))
-        need_disk = float(np.dot(gap_pos, dd))
-        if (need_cpu == 0.0 or need_cpu <= headroom_cpu) and (
-            need_disk == 0.0 or need_disk <= headroom_disk
-        ):
-            np.maximum.at(speeds, idx, cap)
-            break
-
-        growth_cpu = float(np.dot(w, dc))
-        growth_disk = float(np.dot(w, dd))
-        dt_best = float("inf")
-        binding = None  # "cpu" | "disk" | "cap"
-        if growth_cpu > 0:
-            dt = headroom_cpu / growth_cpu
-            if dt < dt_best - 1e-15:
-                dt_best, binding = dt, "cpu"
-        if growth_disk > 0:
-            dt = headroom_disk / growth_disk
-            if dt < dt_best - 1e-15:
-                dt_best, binding = dt, "disk"
-        cap_dts = gap / w
-        cap_min = float(cap_dts.min())
-        if cap_min < dt_best - 1e-15:
-            dt_best, binding = cap_min, "cap"
-
-        if dt_best < 0.0:
-            dt_best = 0.0
-        grow = dt_best * w
-        speeds[idx] += grow
-        headroom_cpu -= float(np.dot(grow, dc))
-        headroom_disk -= float(np.dot(grow, dd))
-
-        if binding == "cpu":
-            idx = idx[dc == 0.0]
-        elif binding == "disk":
-            idx = idx[dd == 0.0]
-        elif binding == "cap":
-            rem_gap = caps[idx] - speeds[idx]
-            keep = rem_gap > 1e-12 * np.maximum(1.0, np.abs(caps[idx]))
-            if bool(keep.all()):
-                keep[int(np.argmin(rem_gap / weights[idx]))] = False
-            idx = idx[keep]
-        else:  # all caps reached simultaneously
-            break
-    return speeds
-
-
-#: the live step, as the oracles below patch over it
-_LIVE_SYNC_ALL = ExecutionEngine._sync_all
-_LIVE_SOLVE_VECTORIZED = ExecutionEngine._solve_vectorized
-_LIVE_PICK_VECTORIZED = ExecutionEngine._pick_vectorized
-
-
-def masked_sync_all(engine) -> None:
-    """``ExecutionEngine._sync_all`` with the ``moving`` mask always built
-    on the vector side; a list-mode store takes the live loop."""
-    if not engine.store.vector:
-        return _LIVE_SYNC_ALL(engine)
-    now = engine.sim.now
-    previous = engine._last_sync_time
-    if now == previous:
-        return
-    engine._last_sync_time = now
-    store = engine.store
-    idx = store.live_indices()
-    dt = now - previous
-    speed = store.speed[idx]
-    moving = speed > 0.0
-    if not moving.any():
-        return
-    midx = idx[moving]
-    old_progress = store.progress[midx]
-    new_progress = old_progress + speed[moving] * dt
-    if bool(((new_progress >= 1.0) & (old_progress < 1.0)).any()):
-        engine._alloc_version += 1
-    store.progress[midx] = np.minimum(new_progress, 1.0)
-
-
-def masked_solve_vectorized(engine, idx):
-    """``_solve_vectorized`` with the trivial, active and positive masks
-    always built; returns the two usages only."""
-    store = engine.store
-    bottleneck = store.bottleneck[idx]
-    progress = store.progress[idx]
-    trivial = bottleneck <= 1e-9
-    if bool(trivial.any()):
-        store.progress[idx[trivial]] = 1.0
-    caps = store.speed_cap[idx]
-    active_mask = ~trivial & (progress < 1.0) & (caps > 0.0)
-    store.speed[idx] = 0.0
-    if not bool(active_mask.any()):
-        return 0.0, 0.0
-    act = idx[active_mask]
-    cpu_demand = store.cpu_base[act]
-    disk_demand = store.disk_demand[act]
-    speeds = masked_fill_vectorized(
-        store.solve_weight[act],
-        cpu_demand,
-        disk_demand,
-        caps[active_mask],
-        engine._cpu_cap,
-        engine._disk_cap,
-    )
-    store.speed[act] = speeds
-    positive = speeds > 0.0
-    usage_cpu = float(np.dot(speeds[positive], cpu_demand[positive]))
-    usage_disk = float(np.dot(speeds[positive], disk_demand[positive]))
-    return usage_cpu, usage_disk
-
-
-def masked_pick_vectorized(engine, idx):
-    """``_pick_vectorized`` re-gathering progress and speed from the store."""
-    store = engine.store
-    now = engine.sim.now
-    progress = store.progress[idx]
-    done = (progress >= 1.0 - 1e-12) & ~store.locks_pending[idx]
-    if bool(done.any()):
-        return now, int(store.qid[idx[int(np.argmax(done))]])
-    speed = store.speed[idx]
-    moving = speed > 0.0
-    if not bool(moving.any()):
-        return None
-    eta = np.full(idx.size, np.inf)
-    gap = store.milestone[idx] - progress
-    np.maximum(gap, 0.0, out=gap)
-    eta[moving] = now + gap[moving] / speed[moving]
-    engine._etas = eta
-    pos = int(np.argmin(eta))
-    return float(eta[pos]), int(store.qid[idx[pos]])
-
-
-#: ``ExecutionEngine`` attributes to patch for the masked step
-MASKED_STEP = {
-    "_sync_all": masked_sync_all,
-    "_solve_vectorized": lambda engine, idx: (
-        *masked_solve_vectorized(engine, idx), None, None
-    ),
-    "_pick_vectorized": lambda engine, idx, progress, speeds: (
-        masked_pick_vectorized(engine, idx)
-    ),
-}
 
 
 # ----------------------------------------------------------------------
-# The scalar step reading numpy columns through ``idx`` (DESIGN.md §7)
+# The clock-versus-exact-fill oracle (DESIGN.md §7)
 # ----------------------------------------------------------------------
-# Below the cutover the engine's store holds Python lists and the scalar
-# advance, solve and pick read and write them in place.  Below is the
-# same step as it ran when every column was a numpy array: the scalar
-# loops gather their columns through ``idx`` (``col[idx].tolist()``) and
-# scatter the speeds back.  ``GATHER_STEP`` runs it on an engine built
-# with the cutover patched to 1, so its store is numpy at every size:
-# below the real cutover the patched methods take the gather loops, at or
-# above it the live vector step.  ``test_scalar_step.py`` holds the live
-# list-mode engine against it bit for bit.
+# The engine shares the machine in virtual time: a closed form (one round,
+# fits) between changes, the exact fill only at a resync.  Below is the
+# engine with the closed forms switched off: every instant that changes a
+# row resyncs, materializing every row's progress and running the exact
+# scalar fill — the exact fill integrated event by event, as the engine
+# ran before the clock.  ``test_virtual_clock.py`` holds the live engine
+# against it within ``PROGRESS_TOL`` at every milestone.
 
-#: the real cutover, read before any test patches it
-CUTOVER = executor._VECTOR_MIN_RUNNING
+#: the oracle's bound on any row's progress at any milestone
+PROGRESS_TOL = 1e-9
 
 
-def gather_sync_all(engine) -> None:
-    """The scalar advance over numpy columns gathered through ``idx``."""
-    store = engine.store
-    if not store.vector or store.count >= CUTOVER:
-        return _LIVE_SYNC_ALL(engine)
-    now = engine.sim.now
-    previous = engine._last_sync_time
-    if now == previous:
-        return
-    engine._last_sync_time = now
-    idx = store.live_indices()
-    dt = now - previous
-    slots = idx.tolist()
-    speeds = store.speed[idx].tolist()
-    progresses = store.progress[idx].tolist()
-    progress_col = store.progress
-    for i in range(idx.size):
-        speed = speeds[i]
-        if speed > 0.0:
-            progress = progresses[i] + speed * dt
-            if progress >= 1.0:
-                if progresses[i] < 1.0:
-                    engine._alloc_version += 1
-                progress = 1.0
-            progress_col[slots[i]] = progress
+def exact_classify(store: RunStore):
+    """``RunStore._classify`` with no closed form: every settle that
+    follows a change resyncs through the exact fill."""
+    return (EXACT if store.active else IDLE), 1.0
 
 
-def gather_solve_scalar(engine, idx):
-    """The exact scalar fill fed from numpy columns gathered through
-    ``idx``, its speeds scattered back; returns the two usages and the
-    progress and speed lists aligned with ``idx``."""
-    store = engine.store
-    n = int(idx.size)
-    speeds = [0.0] * n
-    if n == 0:
-        return 0.0, 0.0, speeds, speeds
-    bottlenecks = store.bottleneck[idx].tolist()
-    progresses = store.progress[idx].tolist()
-    weights = store.solve_weight[idx].tolist()
-    cpu_demands = store.cpu_base[idx].tolist()
-    disk_demands = store.disk_demand[idx].tolist()
-    caps = store.speed_cap[idx].tolist()
-    active = []
-    for i in range(n):
-        if bottlenecks[i] <= 1e-9:
-            store.progress[idx[i]] = progresses[i] = 1.0
-            continue
-        if progresses[i] >= 1.0:
-            continue
-        cap = caps[i]
-        if cap == 0.0:
-            continue
-        active.append([i, weights[i], cpu_demands[i], disk_demands[i], cap])
-    usage_cpu = usage_disk = 0.0
-    if active:
-        fill_two_resource(active, speeds, engine._cpu_cap, engine._disk_cap)
-        for item in active:
-            speed = speeds[item[0]]
-            if speed <= 0:
-                continue
-            usage_cpu += speed * item[2]
-            usage_disk += speed * item[3]
-    store.speed[idx] = speeds
-    return usage_cpu, usage_disk, progresses, speeds
-
-
-def gather_pick_scalar(engine, idx, progresses, speeds):
-    """The scalar pick over the lists :func:`gather_solve_scalar` returned
-    and the milestone and lock columns gathered through ``idx``."""
-    if not progresses:
-        return None
-    store = engine.store
-    now = engine.sim.now
-    milestones = store.milestone[idx].tolist()
-    locks_pending = store.locks_pending[idx].tolist()
-    etas = [np.inf] * len(progresses) if True in locks_pending else None
-    best_time, best = None, -1
-    for i in range(len(progresses)):
-        progress = progresses[i]
-        if progress >= 1.0 - 1e-12 and not locks_pending[i]:
-            return now, int(store.qid[idx[i]])
-        speed = speeds[i]
-        if speed <= 0:
-            continue
-        gap = milestones[i] - progress
-        eta = now + (gap if gap > 0.0 else 0.0) / speed
-        if etas is not None:
-            etas[i] = eta
-        if best < 0 or eta < best_time:
-            best_time, best = eta, i
-    if best < 0:
-        return None
-    engine._etas = etas
-    return best_time, int(store.qid[idx[best]])
-
-
-def _gather_solve(engine, idx):
-    if idx.size >= CUTOVER:
-        return _LIVE_SOLVE_VECTORIZED(engine, idx)
-    return gather_solve_scalar(engine, idx)
-
-
-def _gather_pick(engine, idx, progresses, speeds):
-    if idx.size >= CUTOVER:
-        return _LIVE_PICK_VECTORIZED(engine, idx, progresses, speeds)
-    return gather_pick_scalar(engine, idx, progresses, speeds)
-
-
-#: ``ExecutionEngine`` attributes to patch for the gather-based step
-GATHER_STEP = {
-    "_sync_all": gather_sync_all,
-    "_solve_vectorized": _gather_solve,
-    "_pick_vectorized": _gather_pick,
-}
+#: ``RunStore`` attributes to patch for the exact-fill engine
+EXACT_STEP = {"_classify": exact_classify}

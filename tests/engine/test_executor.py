@@ -1,10 +1,13 @@
 """Unit/integration tests for the execution engine."""
 
+from unittest import mock
+
 import pytest
 
 from repro.engine.executor import CompletionOutcome, EngineConfig, ExecutionEngine
 from repro.engine.query import QueryState
 from repro.engine.resources import MachineSpec, ResourceKind
+from repro.engine.runstore import RunStore
 from repro.errors import ConfigurationError, QueryStateError
 
 from tests.conftest import submitted_query
@@ -155,26 +158,49 @@ class TestControls:
         sim.run()
         assert done == pytest.approx([14.0])
 
+    def test_a_milestone_armed_for_one_attempt_never_fires_for_the_next(self, sim):
+        engine = _engine(sim)
+        query = submitted_query(sim, cpu=1.0, io=0.0)  # due at t = 1.0
+
+        def restart():  # at t = 1.0, ahead of the milestone armed at t = 0
+            engine.abort(query.query_id)
+            query.transition(QueryState.SUBMITTED)
+            engine.start(query)
+
+        sim.schedule_at(1.0, restart)
+        engine.start(query)
+        done = []
+        engine.on_exit(lambda q, outcome: done.append((outcome, sim.now)))
+        sim.run()
+        assert done == [
+            (CompletionOutcome.ABORTED, 1.0),
+            (CompletionOutcome.COMPLETED, pytest.approx(2.0)),
+        ]
+
     def test_a_tick_throttling_three_queries_solves_once(self, sim):
         engine = _engine(sim)
         queries = [submitted_query(sim, cpu=10.0, io=0.0) for _ in range(3)]
         for query in queries:
             engine.start(query)
         sim.run_until(1.0)
-        solves = []
-        solve = engine._solve_scalar
-        engine._solve_scalar = lambda n: solves.append(n) or solve(n)
+        settles = []
+        settle = RunStore.settle
+
+        def counted(store, now):
+            settles.append(len(store))
+            return settle(store, now)
 
         def tick():  # one event: a controller throttling every query
             for query in queries:
                 engine.set_throttle(query.query_id, 0.5)
 
         sim.schedule_at(2.0, tick)
-        sim.run_until(2.0)
-        assert solves == [3]  # one solve over the three rows, not one per change
-        for query in queries:
-            assert engine.speed_of(query.query_id) == pytest.approx(0.05)
-        assert solves == [3]
+        with mock.patch.object(RunStore, "settle", counted):
+            sim.run_until(2.0)
+            assert settles == [3]  # one settle over the three rows, not one per change
+            for query in queries:
+                assert engine.speed_of(query.query_id) == pytest.approx(0.05)
+            assert settles == [3]
 
     def test_invalid_throttle_rejected(self, sim):
         engine = _engine(sim)

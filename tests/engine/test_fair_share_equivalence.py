@@ -1,11 +1,11 @@
-"""Property-based equivalence: the fills an engine runs vs the reference.
+"""Property-based equivalence: the engine's shares vs the reference.
 
-An engine solves with :func:`fill_two_resource` below its vector cutover
-and with :func:`fair_share_fill_vectorized` at or above it.  These tests
-pin both to the reference allocator in ``fills.py`` — the
-scalar fill bit for bit, the numpy fill to solver tolerance — and to the
-fair-share invariants, across generated request mixes on both sides of
-the cutover.
+An engine shares the machine by a closed form of its virtual clock (one
+round, fits) when one holds and by :func:`fill_two_resource` at a
+resync otherwise.  These tests pin both to the reference allocator in
+``fills.py`` — the exact fill bit for bit, the clock's settled speeds to
+solver tolerance — and to the fair-share invariants, across generated
+request mixes in every regime.
 """
 
 import math
@@ -17,10 +17,10 @@ from repro.engine.resources import ResourceKind
 from tests.engine.fills import (
     LIVE_FILLS,
     ShareRequest,
+    clock_speeds,
     exact_speeds,
     reference_speeds,
     usage,
-    vectorized_speeds,
 )
 
 SPEED_TOL = 1e-9
@@ -82,16 +82,16 @@ def test_optimized_matches_reference(requests, capacities):
 
 @given(requests=requests_strategy, capacities=capacity_strategy)
 @settings(max_examples=200, deadline=None)
-def test_numpy_fill_matches_reference(requests, capacities):
-    """The numpy water-fill agrees with the exact rounds to solver
-    tolerance on every request."""
-    got = vectorized_speeds(requests, capacities)
+def test_clock_shares_match_reference(requests, capacities):
+    """The clock's closed forms (and its exact fill where none holds)
+    agree with the reference rounds to solver tolerance on every request."""
+    got = clock_speeds(requests, capacities)
     want = reference_speeds(requests, capacities)
     assert set(got) == set(want)
     for key, speed in want.items():
         assert math.isclose(
             got[key], speed, rel_tol=SPEED_TOL, abs_tol=SPEED_TOL
-        ), f"request {key}: vectorized {got[key]} vs reference {speed}"
+        ), f"request {key}: clock {got[key]} vs reference {speed}"
 
 
 @given(requests=requests_strategy, capacities=capacity_strategy)
@@ -131,9 +131,9 @@ def test_fair_share_invariants(requests, capacities):
 
 
 def test_small_sets_are_bit_identical_to_reference():
-    """A fixed set of the size the scalar fill sees in an engine (below
-    the vector cutover), both resources contended and caps binding:
-    seeded trajectories depend on these bits."""
+    """A fixed set of the size the exact fill sees in an engine at a
+    resync, both resources contended and caps binding: seeded
+    trajectories depend on these bits."""
     capacities = {ResourceKind.CPU: 4.0, ResourceKind.DISK: 2.0}
     requests = [
         ShareRequest(

@@ -23,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.executor import (
-    _VECTOR_MIN_RUNNING,
     CompletionOutcome,
     EngineConfig,
     ExecutionEngine,
@@ -55,11 +54,11 @@ def eager(engine: ExecutionEngine) -> ExecutionEngine:
     return engine
 
 
-def either_side_of_the_cutover(element):
-    """Lists of 1–40: short ones run the scalar loops, long ones numpy."""
+def small_and_large(element):
+    """Lists of 1–40: short ones and crowds."""
     return st.one_of(
-        st.lists(element, min_size=1, max_size=_VECTOR_MIN_RUNNING - 1),
-        st.lists(element, min_size=_VECTOR_MIN_RUNNING, max_size=40),
+        st.lists(element, min_size=1, max_size=16),
+        st.lists(element, min_size=17, max_size=40),
     )
 
 
@@ -151,7 +150,7 @@ def _run(jobs, hot_set: int, oracle: bool):
     return exits, ratios, engine.lock_manager.stats, left, sim.events_fired
 
 
-@given(jobs=either_side_of_the_cutover(job_strategy), hot_set=hot_set_strategy)
+@given(jobs=small_and_large(job_strategy), hot_set=hot_set_strategy)
 @settings(max_examples=120, deadline=None)
 def test_quiet_transactions_run_exactly_as_the_eager_oracle(jobs, hot_set):
     exits, ratios, stats, left, events = _run(jobs, hot_set, oracle=False)
@@ -201,10 +200,11 @@ def test_a_rival_turns_a_quiet_row_loud_at_its_synced_progress():
     # the two points passed are taken now, in order, and the third is armed
     assert locks.stats.requests == 2 and locks.locks_held() == 2
     assert locks._txns[txn.query_id].acquired == locks._txns[txn.query_id].items[:2]
-    assert engine._milestone_qid == txn.query_id
+    assert engine._milestone_row.query is txn
     assert engine._milestone_handle.time == pytest.approx(0.6, rel=1e-12)
-    sim.run_until(0.9)  # both grants in place: nothing synced since the start
-    assert locks.stats.requests == 4 and engine._last_sync_time == 0.5
+    sim.run_until(0.9)  # both grants move one milestone: no row re-anchored
+    assert locks.stats.requests == 4
+    assert (engine.store.t0, engine.store.updates) == (0.0, 2)  # the two starts
     sim.run()
     assert txn.end_time == 1.0 and rival.state is QueryState.COMPLETED
     assert locks.stats.requests == 5 and locks.stats.conflicts == 0

@@ -247,7 +247,7 @@ def test_sweep_table_is_the_committed_golden(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[:-1] == GOLDEN_SWEEP.splitlines()
     assert lines[-1].startswith("4 runs in ")
-    assert lines[-1].endswith("(2 workers); sweep digest 9bd385b19e5c6544…")
+    assert lines[-1].endswith("(2 workers); sweep digest c7b7573b9859e302…")
 
 
 GOLDEN_SWEEP = """\
@@ -255,10 +255,10 @@ Sweeping 2 placement policies × 2 seeds (4 runs, 2 workers, 3 nodes, 10s horizo
 
 policy                  seed   done   rej resub oltp p95  bi mean  digest
 -------------------------------------------------------------------------
-push/cost                 42    296     0     0    0.064        -  4139fa2acfef…
-push/cost                 43    289     0     0    0.138    8.826  8fadc3a3474a…
-push/least                42    296     0     0    0.064        -  afb096d32e3b…
-push/least                43    289     0     0    0.053    8.826  958b2dcec97a…
+push/cost                 42    296     0     0    0.064        -  324479cab28b…
+push/cost                 43    289     0     0    0.138    8.826  e0950544405a…
+push/least                42    296     0     0    0.064        -  f97d0a2c513d…
+push/least                43    289     0     0    0.053    8.826  266c92e432f6…
 -------------------------------------------------------------------------
 push/cost (all)            2    585     0     0    0.138        -  worst-seed p95
 push/least (all)           2    585     0     0    0.064        -  worst-seed p95

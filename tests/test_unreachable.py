@@ -55,7 +55,12 @@ A restart re-runs the same request, so the query's clone went, and so
 did the kill rule's resubmit switch, which restated its threshold's
 action.  A node runs on the cluster's own simulator and names its one
 random stream, the engine's lock stream, so the scoped simulator view
-that renamed it went.
+that renamed it went.  The engine shares the machine in virtual time
+and no recorded instant needed the multi-round fill over a large
+running set, so the numpy fill, the vector cutover with its vectorized
+solve and pick, the per-event advance of every row, the kept ETA
+vector, and the store's array mode (its tombstones, compaction and
+live-row index, and the columns the clock replaced) went.
 Bringing one back means bringing the spec field and the measured cell
 that reach it, and editing this list.
 """
@@ -184,6 +189,27 @@ DELETED_NAMES = {
     "_ids_snapshot",
     "ScopedSimulator",
     "scoped",
+    "fair_share_fill_vectorized",
+    "_VECTOR_MIN_RUNNING",
+    "_solve_vectorized",
+    "_pick_vectorized",
+    "_sync_all",
+    "_etas",
+    "_last_sync_time",
+    "_cpu_usage",
+    "_disk_usage",
+    "_alloc_version",
+    "live_indices",
+    "slot_at",
+    "live_qids",
+    "_use_arrays",
+    "_live_cache",
+    "_COMPACT_MIN_DEAD",
+    "_ARRAY_CAPACITY",
+    "_FLOAT_COLS",
+    "locks_pending",
+    "speed_cap",
+    "solve_weight",
 }
 DELETED_MODULES = (
     "cluster/elastic.py",
