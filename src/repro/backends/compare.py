@@ -15,7 +15,7 @@ admission policy and one throttling policy through both executions:
   cap (``set_throttle(qid, 1 - sleep)``), which §4.2.2 equates with the
   sleep loop.
 
-The sim models the real runner's thread pool as a machine of ``mpl``
+The sim models the real runner's ``mpl`` workers and their FIFO as a machine of ``mpl``
 CPU units behind an FCFS dispatcher with ``max_concurrency=mpl``: at
 most ``mpl`` statements run, each at full speed — exactly one worker
 thread each.  Cost-threshold admission decisions match bit-for-bit

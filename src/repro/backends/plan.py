@@ -82,28 +82,29 @@ class StatementPlan:
         return iter(self.statements)
 
     def digest(self) -> str:
-        """SHA-256 over every planned field — the determinism gate."""
-        h = sha256()
-        h.update(struct.pack("<dqq", self.horizon, self.seed, KEY_SPACE))
+        """SHA-256 over every planned field — the determinism gate.
+
+        Each statement is one ``struct`` pack, its text fields (label,
+        statement type, operation kind) encoded once per distinct triple.
+        """
+        packers = {}
+        parts = [struct.pack("<dqq", self.horizon, self.seed, KEY_SPACE)]
         for s in self.statements:
-            h.update(struct.pack("<qd", s.index, s.submit_at))
-            h.update(s.sql_label.encode("utf-8"))
-            h.update(s.statement_type.value.encode("ascii"))
-            h.update(struct.pack("<q", s.priority))
-            for cost in (s.estimated_cost, s.true_cost):
-                h.update(
-                    struct.pack(
-                        "<dddqq",
-                        cost.cpu_seconds,
-                        cost.io_seconds,
-                        cost.memory_mb,
-                        cost.lock_count,
-                        cost.rows,
-                    )
-                )
-            h.update(s.op.kind.value.encode("ascii"))
-            h.update(struct.pack("<qq", s.op.key, s.op.span))
-        return h.hexdigest()
+            op, est, true = s.op, s.estimated_cost, s.true_cost
+            shape = (s.sql_label, s.statement_type, op.kind)
+            if shape not in packers:
+                text = s.sql_label.encode("utf-8") + s.statement_type.value.encode("ascii")
+                kind = op.kind.value.encode("ascii")
+                layout = f"<qd{len(text)}sq{'dddqq' * 2}{len(kind)}sqq"
+                packers[shape] = (struct.Struct(layout).pack, text, kind)
+            pack, text, kind = packers[shape]
+            parts.append(pack(
+                s.index, s.submit_at, text, s.priority,
+                est.cpu_seconds, est.io_seconds, est.memory_mb, est.lock_count, est.rows,
+                true.cpu_seconds, true.io_seconds, true.memory_mb, true.lock_count, true.rows,
+                kind, op.key, op.span,
+            ))
+        return sha256(b"".join(parts)).hexdigest()
 
     def workloads(self) -> Tuple[str, ...]:
         seen = []

@@ -11,12 +11,13 @@ against a real :class:`~repro.backends.base.BackendDriver`:
   reject a statement on its *estimated* cost, read at its plan instant,
   or on the outstanding count standing in for "running", before it
   ever reaches the engine.  Only a reject verdict rejects: a queue
-  verdict is admitted, because the worker pool is the wait queue;
-* a bounded worker pool (``mpl`` threads — the MPL of the real system)
-  executes admitted statements over pooled connections, with a
-  per-statement timeout, bounded exponential-backoff retry of transient
-  errors, and the :class:`~repro.backends.base.ErrorKind` taxonomy
-  deciding each failure's final :class:`~repro.engine.query.QueryState`;
+  verdict is admitted: it waits in the FIFO below;
+* one FIFO drained by ``mpl`` worker threads; the FIFO is the wait queue.
+  A worker runs each statement over a pooled connection with a timeout,
+  bounded exponential-backoff retry of transient errors and the
+  :class:`~repro.backends.base.ErrorKind` taxonomy deciding its final
+  :class:`~repro.engine.query.QueryState`; an error outside the taxonomy
+  (a driver bug) stops every worker and :meth:`BackendRunner.run` re-raises it;
 * an optional sleep throttle stretches matching statements' service
   time by ``sleep/(1-sleep)`` — precisely the paper's §4.2.2 "constant
   throttle" (many short self-imposed sleeps ≡ a speed cap of
@@ -31,9 +32,9 @@ relative to the run's start.
 
 from __future__ import annotations
 
+import queue
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Optional
 
@@ -166,6 +167,8 @@ class BackendRunner:
         self._lock = threading.Lock()
         self._outstanding = 0
         self._report: Optional[RunReport] = None
+        # the first error that escaped a worker or the pacing loop
+        self._failure: Optional[BaseException] = None
 
     # ------------------------------------------------------------------
     def _now(self) -> float:
@@ -196,13 +199,18 @@ class BackendRunner:
             else None
         )
         self.driver.setup(seed=0, rows=config.rows)
-        executor = ThreadPoolExecutor(
-            max_workers=config.mpl, thread_name_prefix="repro-backend"
-        )
-        futures = []
-        self._t0 = pacer.start()
+        self._failure = None
+        pending: "queue.SimpleQueue" = queue.SimpleQueue()
+        workers = []
         try:
+            for index in range(config.mpl):
+                workers.append(threading.Thread(target=self._work, args=(pool, pending),
+                                                name=f"repro-backend-{index}", daemon=True))
+                workers[-1].start()
+            self._t0 = pacer.start()
             for statement in self.plan:
+                if self._failure is not None:
+                    break
                 pacer.wait_until(statement.submit_at)
                 if bucket is not None:
                     bucket.acquire()
@@ -224,14 +232,19 @@ class BackendRunner:
                 query.transition(QueryState.QUEUED)
                 with self._lock:
                     self._outstanding += 1
-                futures.append(
-                    executor.submit(self._execute_one, pool, query, statement)
-                )
-            wait(futures)
+                pending.put((query, statement))
+        except BaseException as error:
+            self._fail(error)
+            raise
         finally:
-            executor.shutdown(wait=True)
+            for _ in workers:
+                pending.put(None)
+            for worker in workers:
+                worker.join()
             pool.close()
             self.driver.teardown()
+        if self._failure is not None:
+            raise self._failure
         report.wall_s = self._now()
         report.max_lateness_s = pacer.max_lateness_s
         if bucket is not None:
@@ -239,6 +252,21 @@ class BackendRunner:
         return report
 
     # ------------------------------------------------------------------
+    def _fail(self, error: BaseException) -> None:
+        with self._lock:
+            if self._failure is None:
+                self._failure = error
+
+    def _work(self, pool: ConnectionPool, pending: "queue.SimpleQueue") -> None:
+        """Worker thread: drain the FIFO until its sentinel or a failure."""
+        try:
+            for item in iter(pending.get, None):
+                if self._failure is not None:
+                    return
+                self._execute_one(pool, *item)
+        except BaseException as error:  # noqa: BLE001 - re-raised by run()
+            self._fail(error)
+
     def _execute_one(
         self, pool: ConnectionPool, query: Query, statement: PlannedStatement
     ) -> None:
@@ -246,54 +274,27 @@ class BackendRunner:
         config = self.config
         report = self._report
         attempts = 0
-        started = False
         try:
             while True:
                 conn = pool.acquire()
-                if not started:
+                if query.start_time is None:
                     query.transition(QueryState.RUNNING)
                     query.start_time = self._now()
-                    started = True
-                deadline = (
-                    self._clock() + config.statement_timeout_s
-                    if config.statement_timeout_s is not None
-                    else None
-                )
                 began = self._clock()
+                timeout = config.statement_timeout_s
+                deadline = None if timeout is None else began + timeout
+                kind: Optional[ErrorKind] = None
                 try:
                     rows = self.driver.execute(conn, statement.op, deadline)
+                    elapsed = self._clock() - began
                 except Exception as error:  # noqa: BLE001 - taxonomy below
                     kind = self.driver.classify_error(error)
+                finally:  # also when classify_error raises: never leak a connection
                     pool.release(conn, healthy=kind is not ErrorKind.FATAL)
-                    if kind.retryable and attempts < config.max_retries:
-                        attempts += 1
-                        with self._lock:
-                            report.retries += 1
-                        self._sleep(0.005 * 2 ** (attempts - 1))  # exponential backoff
-                        continue
-                    final = ERROR_FINAL_STATE[kind]
-                    query.transition(final)
-                    query.end_time = self._now()
-                    with self._lock:
-                        if final is QueryState.KILLED:
-                            report.killed += 1
-                        else:
-                            report.aborted += 1
-                        if kind is ErrorKind.TIMEOUT:
-                            report.timeouts += 1
-                        name = kind.value
-                        report.error_counts[name] = (
-                            report.error_counts.get(name, 0) + 1
-                        )
-                    self._record(query)
-                    return
-                else:
-                    elapsed = self._clock() - began
-                    pool.release(conn)
-                    if self.throttle is not None and self.throttle.applies_to(
-                        query.workload_name
-                    ):
-                        stretch = self.throttle.stretch_for(elapsed)
+                if kind is None:
+                    throttle = self.throttle
+                    if throttle is not None and throttle.applies_to(query.workload_name):
+                        stretch = throttle.stretch_for(elapsed)
                         if stretch > 0:
                             self._sleep(stretch)
                     query.progress = 1.0
@@ -304,10 +305,28 @@ class BackendRunner:
                         report.rows_touched += rows
                     self._record(query)
                     return
+                if kind.retryable and attempts < config.max_retries:
+                    attempts += 1
+                    with self._lock:
+                        report.retries += 1
+                    self._sleep(0.005 * 2 ** (attempts - 1))  # exponential backoff
+                    continue
+                final = ERROR_FINAL_STATE[kind]
+                query.transition(final)
+                query.end_time = self._now()
+                with self._lock:
+                    if final is QueryState.KILLED:
+                        report.killed += 1
+                    else:
+                        report.aborted += 1
+                    if kind is ErrorKind.TIMEOUT:
+                        report.timeouts += 1
+                    report.error_counts[kind.value] = report.error_counts.get(kind.value, 0) + 1
+                self._record(query)
+                return
         finally:
             with self._lock:
                 self._outstanding -= 1
-
 
 def run_plan(
     driver: BackendDriver,

@@ -179,8 +179,12 @@ class QueryPlan:
 
     @staticmethod
     def trivial() -> "QueryPlan":
-        """A single-operator plan for queries nobody needs to introspect."""
-        return QueryPlan(operators=(PlanOperator("scan", 1.0),))
+        """The single-operator plan for queries nobody needs to introspect.
+
+        One immutable instance, shared by every query built without a
+        plan: a plan is never mutated, only replaced.
+        """
+        return _TRIVIAL_PLAN
 
     @staticmethod
     def uniform(names: Sequence[str], state_mb: float = 0.0) -> "QueryPlan":
@@ -191,6 +195,9 @@ class QueryPlan:
         )
 
 
+_TRIVIAL_PLAN = QueryPlan(operators=(PlanOperator("scan", 1.0),))
+
+
 @dataclass(slots=True)
 class Query:
     """A request flowing through the workload-management pipeline."""
@@ -198,7 +205,7 @@ class Query:
     true_cost: CostVector
     estimated_cost: CostVector
     statement_type: StatementType = StatementType.READ
-    plan: QueryPlan = field(default_factory=QueryPlan.trivial)
+    plan: QueryPlan = _TRIVIAL_PLAN
     session_id: Optional[int] = None
     workload_name: Optional[str] = None
     priority: int = 1               # business priority: larger = more important
@@ -360,7 +367,6 @@ def split_query(query: Query, pieces: int) -> List[Query]:
             true_cost=query.true_cost.scaled(fraction),
             estimated_cost=query.estimated_cost.scaled(fraction),
             statement_type=query.statement_type,
-            plan=QueryPlan.trivial(),
             session_id=query.session_id,
             workload_name=query.workload_name,
             priority=query.priority,

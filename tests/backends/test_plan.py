@@ -1,12 +1,16 @@
 """Tests for deterministic statement planning."""
 
 import dataclasses
+import json
+import struct
+from hashlib import sha256
 
 import pytest
 
-from repro.backends.base import OpKind
-from repro.backends.plan import KEY_SPACE, plan_statements
-from repro.engine.query import StatementType
+from benchmarks.perf import gate
+from repro.backends.base import Operation, OpKind
+from repro.backends.plan import KEY_SPACE, StatementPlan, plan_statements
+from repro.engine.query import CostVector, QueryPlan, StatementType, split_query
 from repro.errors import ConfigurationError
 from repro.workloads.generator import bi_workload, oltp_workload
 from repro.workloads.models import ClosedArrivals
@@ -41,6 +45,68 @@ class TestDeterminism:
         oltp_alone = [s.true_cost for s in alone if s.workload == "oltp"]
         oltp_mixed = [s.true_cost for s in mixed if s.workload == "oltp"]
         assert oltp_alone == oltp_mixed
+
+
+def _reference_digest(plan):
+    """The digest as one ``sha256.update`` per field, the form it was
+    first written in: the packed digest must hash the same bytes."""
+    h = sha256()
+    h.update(struct.pack("<dqq", plan.horizon, plan.seed, KEY_SPACE))
+    for s in plan.statements:
+        h.update(struct.pack("<qd", s.index, s.submit_at))
+        h.update(s.sql_label.encode("utf-8"))
+        h.update(s.statement_type.value.encode("ascii"))
+        h.update(struct.pack("<q", s.priority))
+        for cost in (s.estimated_cost, s.true_cost):
+            h.update(
+                struct.pack(
+                    "<dddqq",
+                    cost.cpu_seconds,
+                    cost.io_seconds,
+                    cost.memory_mb,
+                    cost.lock_count,
+                    cost.rows,
+                )
+            )
+        h.update(s.op.kind.value.encode("ascii"))
+        h.update(struct.pack("<qq", s.op.key, s.op.span))
+    return h.hexdigest()
+
+
+class TestDigest:
+    def test_packed_digest_hashes_the_per_field_bytes(self):
+        plan = _plan(seed=4, horizon=60.0)
+        utility = dataclasses.replace(
+            plan.statements[0],
+            index=len(plan),
+            statement_type=StatementType.UTILITY,
+            sql_label="maintenance:vacuum \u00e9",
+            estimated_cost=CostVector(0.5, 0.25, 12.0, 3, 7),
+            op=Operation(OpKind.MAINTENANCE, key=9, span=1),
+        )
+        mixed = StatementPlan(
+            statements=plan.statements + (utility,), horizon=60.0, seed=4
+        )
+        kinds = {s.op.kind for s in mixed}
+        assert {OpKind.POINT_READ, OpKind.POINT_WRITE, OpKind.MAINTENANCE} <= kinds
+        assert mixed.digest() == _reference_digest(mixed)
+        assert StatementPlan((), 1.0, 0).digest() == _reference_digest(
+            StatementPlan((), 1.0, 0)
+        )
+
+    @pytest.mark.parametrize("mode", ["ci", "full"])
+    def test_the_gates_backend_plan_digest_holds(self, mode):
+        row = next(row for row in gate.ROWS if row.name == "backend")
+        committed = json.loads(gate.BASELINE_PATH.read_text())[mode]["backend"]
+        plan = plan_statements(
+            [oltp_workload(), bi_workload()],
+            horizon=row.params[mode]["horizon"],
+            seed=row.seed,
+        )
+        assert (plan.digest(), len(plan)) == (
+            committed["plan_digest"],
+            committed["statements"],
+        )
 
 
 class TestPlanShape:
@@ -124,3 +190,16 @@ class TestQueryConstruction:
     def test_make_query_returns_fresh_objects(self):
         statement = _plan().statements[0]
         assert statement.make_query().query_id != statement.make_query().query_id
+
+    def test_queries_built_without_a_plan_share_one_immutable_plan(self):
+        statement = _plan().statements[0]
+        first, second = statement.make_query(), statement.make_query()
+        shared = QueryPlan.trivial()
+        assert first.plan is second.plan is shared
+        assert all(piece.plan is shared for piece in split_query(first, 3))
+        assert isinstance(shared.operators, tuple)
+        assert [(op.name, op.work_fraction) for op in shared] == [("scan", 1.0)]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shared.operators = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shared.operators[0].work_fraction = 0.5

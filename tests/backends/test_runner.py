@@ -1,5 +1,10 @@
 """Tests for the backend runner: robustness, admission, recording."""
 
+import sys
+import threading
+import time
+import tracemalloc
+
 import pytest
 
 from repro.backends.base import BackendDriver, ErrorKind
@@ -28,15 +33,18 @@ class ScriptedDriver(BackendDriver):
         self.setup_calls = []
         self.executed = []
         self.torn_down = False
+        self.open_connections = set()  # set.add/discard are atomic
 
     def setup(self, seed=0, rows=10_000):
         self.setup_calls.append((seed, rows))
 
     def connect(self):
-        return object()
+        conn = object()
+        self.open_connections.add(conn)
+        return conn
 
     def close_connection(self, conn):
-        pass
+        self.open_connections.discard(conn)
 
     def healthcheck(self, conn):
         return True
@@ -166,7 +174,7 @@ class TestAdmission:
         assert policy.violation(0.5, running=3) is None
 
     def test_a_queue_verdict_admits(self):
-        # the worker pool is the real side's wait queue
+        # the workers' FIFO is the real side's wait queue
         plan = _plan(_statement(i, work=5.0) for i in range(4))
         report = run_plan(
             ScriptedDriver(),
@@ -324,3 +332,148 @@ class TestRateControl:
         # at 10/s the bucket holds one token: 9 waits of at most 1/10 s
         # each (loop time refills a little of each)
         assert 0.89 < report.rate_wait_s <= 0.9 + 1e-9
+
+
+class CountingDriver(ScriptedDriver):
+    """Records the most ``execute`` calls it ever saw at once."""
+
+    def __init__(self):
+        super().__init__()
+        self._guard = threading.Lock()
+        self.active = 0
+        self.peak = 0
+
+    def execute(self, conn, op, deadline=None):
+        with self._guard:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+        try:
+            time.sleep(0.002)  # long enough for the other worker to enter
+            return super().execute(conn, op, deadline)
+        finally:
+            with self._guard:
+                self.active -= 1
+
+
+class DriverBug(Exception):
+    pass
+
+
+class BrokenDriver(ScriptedDriver):
+    """Every ``execute`` fails, and so does classifying the failure."""
+
+    def execute(self, conn, op, deadline=None):
+        raise RuntimeError("statement failed")
+
+    def classify_error(self, error):
+        raise DriverBug("classify_error is broken")
+
+
+class UnrecyclableDriver(ScriptedDriver):
+    """Every statement is FATAL, and no connection after the first
+    ``connections`` can be opened, so recycling a failed one raises."""
+
+    def __init__(self, connections):
+        super().__init__({k: [ErrorKind.FATAL] for k in range(100)})
+        self.connections = connections
+
+    def connect(self):
+        if self.connections == 0:
+            raise DriverBug("cannot reconnect")
+        self.connections -= 1
+        return super().connect()
+
+
+def _run_with_watchdog(driver, plan, config, seconds=20.0):
+    """``run_plan`` on its own thread; return what it returned or raised,
+    failing (rather than hanging the suite) if it does not end in time."""
+    outcome = {}
+
+    def body():
+        try:
+            outcome["report"] = _run(driver, plan, config)
+        except BaseException as error:  # noqa: BLE001 - handed to the test
+            outcome["error"] = error
+
+    watchdog = threading.Thread(target=body, name="runner-watchdog", daemon=True)
+    watchdog.start()
+    watchdog.join(seconds)
+    assert not watchdog.is_alive(), f"run_plan did not return within {seconds}s"
+    return outcome
+
+
+class TestWaitQueue:
+    def test_one_worker_executes_in_plan_order(self):
+        driver = ScriptedDriver()
+        plan = _plan(_statement(i) for i in range(50))
+        report = _run(
+            driver, plan, RunConfig(mpl=1, time_scale=1e-6, statement_timeout_s=None)
+        )
+        assert driver.executed == list(range(50))
+        assert report.conserved
+
+    def test_at_most_mpl_statements_execute_at_once(self):
+        driver = CountingDriver()
+        plan = _plan(_statement(i) for i in range(40))
+        report = _run(driver, plan, FAST)
+        assert driver.peak == FAST.mpl == 2
+        assert sorted(driver.executed) == list(range(40))
+        ids = [record.query_id for record in report.log]
+        assert len(ids) == len(set(ids)) == report.completed == 40
+
+    def test_more_workers_than_cores_lose_no_update(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            driver = ScriptedDriver({k: [ErrorKind.TRANSIENT] for k in range(0, 600, 3)})
+            runner = BackendRunner(
+                driver,
+                _plan(_statement(i) for i in range(600)),
+                RunConfig(mpl=8, time_scale=1e-6, statement_timeout_s=None),
+                sleep=lambda _s: None,
+            )
+            report = runner.run()
+        finally:
+            sys.setswitchinterval(interval)
+        assert (report.completed, report.retries, report.recorded) == (600, 200, 600)
+        assert runner._outstanding == 0
+        assert sorted(driver.executed) == list(range(600))
+
+    def test_the_backlog_costs_a_few_hundred_bytes_a_statement(self):
+        # a waiting statement is one tuple in the FIFO: its log record
+        # and its Query are most of the ~300 B it costs (an executor
+        # future per statement would add over 2 KB)
+        count = 5_000
+        plan = _plan(_statement(i) for i in range(count))
+        tracemalloc.start()
+        try:
+            report = run_plan(ScriptedDriver(), plan, FAST)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.completed == count
+        assert peak / count < 1_000
+
+    @pytest.mark.parametrize(
+        "driver", [BrokenDriver, lambda: UnrecyclableDriver(connections=2)]
+    )
+    def test_an_error_outside_the_taxonomy_ends_the_run(self, driver):
+        # the error must reach the caller and the connection the pool:
+        # once mpl connections leak, every later acquire blocks forever
+        plan = _plan(_statement(i) for i in range(20))
+        driver = driver()
+        outcome = _run_with_watchdog(driver, plan, FAST)
+        assert isinstance(outcome.get("error"), DriverBug)
+        assert not driver.open_connections
+
+    def test_a_worker_error_stops_the_other_workers(self):
+        class FirstStatementBreaks(ScriptedDriver):
+            def classify_error(self, error):
+                raise DriverBug("classify_error is broken")
+
+        driver = FirstStatementBreaks({0: [ErrorKind.FATAL]})
+        plan = _plan(_statement(i) for i in range(400))
+        outcome = _run_with_watchdog(driver, plan, RunConfig(mpl=4, time_scale=1e-6))
+        assert isinstance(outcome.get("error"), DriverBug)
+        # the others stop at their next statement, far short of the plan
+        assert len(driver.executed) < 100

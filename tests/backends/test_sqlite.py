@@ -5,7 +5,10 @@ import sqlite3
 import pytest
 
 from repro.backends.base import ErrorKind, Operation, OpKind
+from repro.backends.plan import PlannedStatement, StatementPlan
+from repro.backends.runner import BackendRunner, RunConfig
 from repro.backends.sqlite import SQLiteBackend
+from repro.engine.query import CostVector, StatementType
 from repro.errors import ConfigurationError
 
 
@@ -132,3 +135,68 @@ class TestHealthAndTaxonomy:
     )
     def test_classification(self, backend, error, kind):
         assert backend.classify_error(error) is kind
+
+
+class HeldWriteLock(SQLiteBackend):
+    """A second connection holds a write transaction from setup on, and
+    commits it when the ``release_after``-th blocked write fails: the
+    driver, not a timer, decides when the writers get through."""
+
+    def __init__(self, release_after):
+        super().__init__(busy_timeout_s=0.0)
+        self.release_after = release_after
+        self.blocked = []
+        self._holder = None
+
+    def setup(self, seed=0, rows=10_000):
+        super().setup(seed=seed, rows=rows)
+        self._holder = self.connect()
+        self._holder.execute("BEGIN IMMEDIATE")
+
+    def execute(self, conn, op, deadline=None):
+        try:
+            return super().execute(conn, op, deadline)
+        except sqlite3.OperationalError as error:
+            # SQLITE_LOCKED_SHAREDCACHE: "database table is locked"
+            self.blocked.append((str(error), self.classify_error(error)))
+            if len(self.blocked) >= self.release_after and self._holder.in_transaction:
+                self._holder.execute("COMMIT")
+            raise
+
+    def teardown(self):
+        self._holder.close()
+        super().teardown()
+
+
+class TestContention:
+    def test_blocked_writes_are_retried_until_the_holder_commits(self):
+        cost = CostVector(cpu_seconds=0.01)
+        plan = StatementPlan(
+            statements=tuple(
+                PlannedStatement(
+                    index=i,
+                    submit_at=0.0,
+                    workload="oltp",
+                    request_class="w",
+                    statement_type=StatementType.WRITE,
+                    priority=1,
+                    estimated_cost=cost,
+                    true_cost=cost,
+                    op=Operation(OpKind.POINT_WRITE, key=i, span=2),
+                    sql_label="oltp:w",
+                )
+                for i in range(30)
+            ),
+            horizon=1.0,
+            seed=0,
+        )
+        driver = HeldWriteLock(release_after=3)
+        config = RunConfig(mpl=2, time_scale=1e-6, max_retries=8, rows=200)
+        report = BackendRunner(driver, plan, config, sleep=lambda _s: None).run()
+        assert len(driver.blocked) >= 3
+        for message, kind in driver.blocked:
+            assert "locked" in message or "busy" in message
+            assert kind is ErrorKind.TRANSIENT
+        assert report.recorded == report.planned == report.completed == 30
+        assert report.retries >= 1
+        assert report.retries == len(driver.blocked)
