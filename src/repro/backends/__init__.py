@@ -14,9 +14,9 @@ It speaks the simulator's vocabulary: admission is an
   lifecycle's terminal states;
 * :mod:`repro.backends.plan` — the determinism boundary: a digest-gated
   pre-drawn :class:`StatementPlan` both engines consume;
-* :mod:`repro.backends.pool` / :mod:`repro.backends.rate` — bounded
-  connection pooling with health checks, token-bucket max-rate control
-  and scheduled arrival pacing;
+* :mod:`repro.backends.pool` / :mod:`repro.backends.rate` — one
+  health-checked connection slot per worker, token-bucket max-rate
+  control and scheduled arrival pacing;
 * :mod:`repro.backends.runner` — paced, rate-limited execution with
   per-statement timeout, bounded retry and
   :class:`~repro.workloads.traces.QueryLog` trace capture;

@@ -99,8 +99,8 @@ class BackendDriver(abc.ABC):
     Connections are opaque to the runner — it only moves them between
     the pool and :meth:`execute`.  Drivers must be safe for concurrent
     use of *distinct* connections from multiple threads; a single
-    connection is only ever used by one worker at a time (the pool
-    guarantees exclusivity).
+    connection is only ever used by one worker (worker ``i`` owns pool
+    slot ``i``).
     """
 
     name: str = "abstract"

@@ -50,14 +50,6 @@ class ClassFit:
     def predict(self, total_work: float) -> float:
         return max(_MIN_SERVICE_S, self.intercept + self.slope * total_work)
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "label": self.label,
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "samples": self.samples,
-        }
-
 
 @dataclass(frozen=True)
 class CostModel:
@@ -88,32 +80,6 @@ class CostModel:
         """
         predicted = self.predict_seconds(label, estimated.total_work)
         return CostVector(cpu_seconds=predicted, rows=estimated.rows)
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "time_scale": self.time_scale,
-            "fallback": self.fallback.as_dict(),
-            "fits": {label: fit.as_dict() for label, fit in self.fits.items()},
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping[str, object]) -> "CostModel":
-        def _fit(raw: Mapping[str, object]) -> ClassFit:
-            return ClassFit(
-                label=str(raw["label"]),
-                slope=float(raw["slope"]),
-                intercept=float(raw["intercept"]),
-                samples=int(raw["samples"]),
-            )
-
-        return CostModel(
-            fits={
-                str(label): _fit(raw)
-                for label, raw in dict(data["fits"]).items()
-            },
-            fallback=_fit(data["fallback"]),
-            time_scale=float(data.get("time_scale", 1.0)),
-        )
 
 
 def _fit_class(label: str, work: np.ndarray, service: np.ndarray) -> ClassFit:

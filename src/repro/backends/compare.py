@@ -88,21 +88,6 @@ class MetricDelta:
     def delta(self) -> float:
         return self.sim - self.real
 
-    @property
-    def relative(self) -> Optional[float]:
-        if self.real == 0.0:
-            return None
-        return self.delta / self.real
-
-    def as_dict(self) -> Dict[str, Optional[float]]:
-        return {
-            "metric": self.metric,
-            "real": self.real,
-            "sim": self.sim,
-            "delta": self.delta,
-            "relative": self.relative,
-        }
-
 
 #: The per-metric deltas the harness reports.
 DELTA_METRICS = ("throughput", "mean_rt", "p50_rt", "p95_rt", "rejection_rate")
@@ -206,14 +191,6 @@ class PolicyComparison:
     sim: Dict[str, float]
     deltas: List[MetricDelta] = field(default_factory=list)
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "label": self.label,
-            "real": self.real,
-            "sim": self.sim,
-            "deltas": [delta.as_dict() for delta in self.deltas],
-        }
-
 
 @dataclass
 class ComparisonReport:
@@ -236,22 +213,6 @@ class ComparisonReport:
     def calibration_improved(self) -> bool:
         """The acceptance check: calibrated sim tracks real mean RT better."""
         return self.mean_rt_error_calibrated < self.mean_rt_error_uncalibrated
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "plan_digest": self.plan_digest,
-            "statements": self.statements,
-            "mpl": self.mpl,
-            "time_scale": self.time_scale,
-            "baseline_real": self.baseline_real,
-            "policies": [policy.as_dict() for policy in self.policies],
-            "mean_rt_error_uncalibrated": self.mean_rt_error_uncalibrated,
-            "mean_rt_error_calibrated": self.mean_rt_error_calibrated,
-            "service_error_uncalibrated": self.service_error_uncalibrated,
-            "service_error_calibrated": self.service_error_calibrated,
-            "calibration_improved": self.calibration_improved,
-            "cost_model": self.model.as_dict(),
-        }
 
     def render(self) -> str:
         """Human-readable per-metric delta tables."""

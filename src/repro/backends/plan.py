@@ -106,13 +106,6 @@ class StatementPlan:
             ))
         return sha256(b"".join(parts)).hexdigest()
 
-    def workloads(self) -> Tuple[str, ...]:
-        seen = []
-        for s in self.statements:
-            if s.workload not in seen:
-                seen.append(s.workload)
-        return tuple(seen)
-
 
 def _operation_for(
     statement_type: StatementType, true_cost: CostVector, key: int

@@ -1,29 +1,33 @@
-"""Bounded connection pool with periodic health checks.
+"""One connection slot per worker, with periodic health checks.
 
-The backend runner's worker threads borrow connections from a shared
-pool instead of opening one per statement: connection setup is the
-dominant cost for short OLTP statements, and real drivers (dbworkload's
-run loop, DIRAC's pilot pools) all amortize it the same way.  The pool
-is strictly bounded — at most ``size`` connections ever exist — and
-lazily grown, so a run that never reaches its MPL never pays for idle
-connections.
+The backend runner's worker threads reuse connections instead of opening
+one per statement: connection setup is the dominant cost for short OLTP
+statements, and real drivers (dbworkload's run loop, DIRAC's pilot
+pools) all amortize it the same way.  The runner starts ``mpl`` workers
+over a pool of ``mpl`` slots and worker ``i`` only ever touches slot
+``i``, so a connection is used by one thread at a time by construction:
+there is no lock, no idle queue and no waiting for a free connection.
+A slot connects on its first use, so a worker that never runs a
+statement never opens a connection.
 
-Health checking is amortized: every ``health_check_every``-th acquire of
-a given connection runs the driver's ``healthcheck``; a failing (or
-explicitly poisoned) connection is closed and replaced, which keeps a
-long run alive across server-side disconnects without a per-statement
-ping tax.
+Health checking is amortized: every :data:`HEALTH_CHECK_EVERY`-th use
+of a connection runs the driver's ``healthcheck``.  A failing
+connection, or one released after a fatal error, is closed and its slot
+emptied; the slot's next acquire reconnects.  A reconnect that raises
+raises from that acquire and leaves the slot empty, so a later acquire
+tries again.  A closed pool opens no connection.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, List
 
 from repro.backends.base import BackendDriver
 from repro.errors import ConfigurationError
+
+#: Every Nth acquire of a slot runs ``driver.healthcheck`` on its connection.
+HEALTH_CHECK_EVERY = 25
 
 
 @dataclass
@@ -31,155 +35,72 @@ class PoolStats:
     """Counters exposed for reports and tests."""
 
     created: int = 0
-    acquired: int = 0
-    released: int = 0
     recycled: int = 0
     health_checks: int = 0
     health_failures: int = 0
-    wait_timeouts: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return dict(vars(self))
-
-
-@dataclass
-class _Slot:
-    """Book-keeping for one pooled connection."""
-
-    conn: Any
-    uses: int = 0
 
 
 class ConnectionPool:
-    """A bounded, lazily-grown pool of driver connections.
+    """``size`` connection slots; slot ``i`` belongs to worker ``i``."""
 
-    Parameters
-    ----------
-    driver:
-        The backend whose connections are pooled.
-    size:
-        Hard upper bound on live connections.
-    health_check_every:
-        Run ``driver.healthcheck`` on every Nth acquire of a connection
-        (1 = every acquire, 0 = never).
-    """
-
-    def __init__(
-        self,
-        driver: BackendDriver,
-        size: int,
-        health_check_every: int = 25,
-    ) -> None:
+    def __init__(self, driver: BackendDriver, size: int) -> None:
         if size < 1:
             raise ConfigurationError(f"pool size must be >= 1, got {size}")
-        if health_check_every < 0:
-            raise ConfigurationError("health_check_every must be >= 0")
         self.driver = driver
         self.size = size
-        self.health_check_every = health_check_every
         self.stats = PoolStats()
-        self._idle: "queue.Queue[_Slot]" = queue.Queue()
-        self._lock = threading.Lock()
-        self._created = 0
+        self._conns: List[Any] = [None] * size
+        self._uses = [0] * size
         self._closed = False
-        # conn id -> slot, for releases (conns are opaque, slots are ours)
-        self._borrowed: Dict[int, _Slot] = {}
 
-    # ------------------------------------------------------------------
-    def _new_slot(self) -> _Slot:
-        conn = self.driver.connect()
-        self.stats.created += 1
-        return _Slot(conn=conn)
-
-    def acquire(self, timeout: Optional[float] = None) -> Any:
-        """Borrow a connection, blocking when the pool is exhausted.
-
-        Raises ``TimeoutError`` if no connection frees up in ``timeout``
-        seconds (None = wait forever).
-        """
-        if self._closed:
-            raise ConfigurationError("pool is closed")
-        slot: Optional[_Slot] = None
-        try:
-            slot = self._idle.get_nowait()
-        except queue.Empty:
-            with self._lock:
-                if self._created < self.size:
-                    self._created += 1
-                    grow = True
-                else:
-                    grow = False
-            if grow:
-                try:
-                    slot = self._new_slot()
-                except Exception:
-                    with self._lock:
-                        self._created -= 1
-                    raise
-            else:
-                try:
-                    slot = self._idle.get(timeout=timeout)
-                except queue.Empty:
-                    self.stats.wait_timeouts += 1
-                    raise TimeoutError(
-                        f"no pooled connection free within {timeout}s"
-                    ) from None
-        slot.uses += 1
-        every = self.health_check_every
-        if every and slot.uses % every == 0:
+    def acquire(self, slot: int) -> Any:
+        """Slot ``slot``'s connection, opened if the slot is empty."""
+        conn = self._conns[slot]
+        if conn is None:
+            conn = self._connect(slot)
+        uses = self._uses[slot] + 1
+        self._uses[slot] = uses
+        if uses % HEALTH_CHECK_EVERY == 0:
             self.stats.health_checks += 1
-            healthy = False
             try:
-                healthy = self.driver.healthcheck(slot.conn)
+                healthy = self.driver.healthcheck(conn)
             except Exception:
                 healthy = False
             if not healthy:
                 self.stats.health_failures += 1
-                slot = self._recycle(slot)
-        self.stats.acquired += 1
-        self._borrowed[id(slot.conn)] = slot
-        return slot.conn
+                self.release(slot)
+                conn = self._connect(slot)
+        return conn
 
-    def _recycle(self, slot: _Slot) -> _Slot:
-        """Replace a bad connection, preserving the pool bound."""
-        try:
-            self.driver.close_connection(slot.conn)
-        except Exception:
-            pass
-        self.stats.recycled += 1
-        fresh = self._new_slot()
-        fresh.uses = 0
-        return fresh
-
-    def release(self, conn: Any, healthy: bool = True) -> None:
-        """Return a borrowed connection; ``healthy=False`` recycles it."""
-        slot = self._borrowed.pop(id(conn), None)
-        if slot is None:
-            slot = _Slot(conn=conn)
-        if not healthy:
-            slot = self._recycle(slot)
-        self.stats.released += 1
+    def _connect(self, slot: int) -> Any:
         if self._closed:
+            raise ConfigurationError("connection pool is closed")
+        conn = self._conns[slot] = self.driver.connect()
+        self._uses[slot] = 0
+        self.stats.created += 1
+        return conn
+
+    def release(self, slot: int) -> None:
+        """Close slot ``slot``'s connection (it failed) and empty the
+        slot, so the slot's next acquire reconnects."""
+        self.stats.recycled += 1
+        self._drop(slot)
+
+    def _drop(self, slot: int) -> None:
+        conn, self._conns[slot] = self._conns[slot], None
+        if conn is not None:
             try:
-                self.driver.close_connection(slot.conn)
+                self.driver.close_connection(conn)
             except Exception:
                 pass
-            return
-        self._idle.put(slot)
 
     def close(self) -> None:
-        """Close every idle connection; borrowed ones close on release."""
+        """Close every open slot (after the workers that own them ended);
+        a later acquire raises."""
         self._closed = True
-        while True:
-            try:
-                slot = self._idle.get_nowait()
-            except queue.Empty:
-                break
-            try:
-                self.driver.close_connection(slot.conn)
-            except Exception:
-                pass
+        for slot in range(self.size):
+            self._drop(slot)
 
     @property
     def live_connections(self) -> int:
-        return self._created
+        return sum(conn is not None for conn in self._conns)

@@ -111,16 +111,6 @@ class ArrivalPacer:
         self._t0 = self._clock()
         return self._t0
 
-    @property
-    def started(self) -> bool:
-        return self._t0 is not None
-
-    def elapsed(self) -> float:
-        """Real seconds since :meth:`start`."""
-        if self._t0 is None:
-            raise ConfigurationError("pacer not started")
-        return self._clock() - self._t0
-
     def wait_until(self, scheduled: float) -> float:
         """Block until schedule instant ``scheduled``; returns lateness.
 

@@ -13,10 +13,10 @@ against a real :class:`~repro.backends.base.BackendDriver`:
   ever reaches the engine.  Only a reject verdict rejects: a queue
   verdict is admitted: it waits in the FIFO below;
 * one FIFO drained by ``mpl`` worker threads; the FIFO is the wait queue.
-  A worker runs each statement over a pooled connection with a timeout,
-  bounded exponential-backoff retry of transient errors and the
-  :class:`~repro.backends.base.ErrorKind` taxonomy deciding its final
-  :class:`~repro.engine.query.QueryState`; an error outside the taxonomy
+  Worker ``i`` runs each statement over pool slot ``i``'s connection
+  with a timeout, bounded exponential-backoff retry of transient errors
+  and the :class:`~repro.backends.base.ErrorKind` taxonomy deciding its
+  final :class:`~repro.engine.query.QueryState`; an error outside the taxonomy
   (a driver bug) stops every worker and :meth:`BackendRunner.run` re-raises it;
 * an optional sleep throttle stretches matching statements' service
   time by ``sleep/(1-sleep)`` — precisely the paper's §4.2.2 "constant
@@ -204,7 +204,7 @@ class BackendRunner:
         workers = []
         try:
             for index in range(config.mpl):
-                workers.append(threading.Thread(target=self._work, args=(pool, pending),
+                workers.append(threading.Thread(target=self._work, args=(pool, index, pending),
                                                 name=f"repro-backend-{index}", daemon=True))
                 workers[-1].start()
             self._t0 = pacer.start()
@@ -257,18 +257,19 @@ class BackendRunner:
             if self._failure is None:
                 self._failure = error
 
-    def _work(self, pool: ConnectionPool, pending: "queue.SimpleQueue") -> None:
-        """Worker thread: drain the FIFO until its sentinel or a failure."""
+    def _work(self, pool: ConnectionPool, slot: int, pending: "queue.SimpleQueue") -> None:
+        """Worker thread: drain the FIFO over pool slot ``slot`` until its
+        sentinel or a failure."""
         try:
             for item in iter(pending.get, None):
                 if self._failure is not None:
                     return
-                self._execute_one(pool, *item)
+                self._execute_one(pool, slot, *item)
         except BaseException as error:  # noqa: BLE001 - re-raised by run()
             self._fail(error)
 
     def _execute_one(
-        self, pool: ConnectionPool, query: Query, statement: PlannedStatement
+        self, pool: ConnectionPool, slot: int, query: Query, statement: PlannedStatement
     ) -> None:
         """Worker body: timeout, bounded retry, taxonomy, recording."""
         config = self.config
@@ -276,7 +277,7 @@ class BackendRunner:
         attempts = 0
         try:
             while True:
-                conn = pool.acquire()
+                conn = pool.acquire(slot)
                 if query.start_time is None:
                     query.transition(QueryState.RUNNING)
                     query.start_time = self._now()
@@ -289,8 +290,8 @@ class BackendRunner:
                     elapsed = self._clock() - began
                 except Exception as error:  # noqa: BLE001 - taxonomy below
                     kind = self.driver.classify_error(error)
-                finally:  # also when classify_error raises: never leak a connection
-                    pool.release(conn, healthy=kind is not ErrorKind.FATAL)
+                    if kind is ErrorKind.FATAL:
+                        pool.release(slot)
                 if kind is None:
                     throttle = self.throttle
                     if throttle is not None and throttle.applies_to(query.workload_name):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.backends.calibrate import (
     ClassFit,
-    CostModel,
     fit_cost_model,
     service_error,
 )
@@ -120,11 +119,6 @@ class TestPrediction:
         assert cost.io_seconds == 0.0
         assert cost.lock_count == 0
         assert cost.rows == 7
-
-    def test_round_trips_through_dict(self):
-        model = fit_cost_model(_linear_trace(0.01, 0.002))
-        clone = CostModel.from_dict(model.as_dict())
-        assert clone == model
 
 
 class TestServiceError:

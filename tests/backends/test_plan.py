@@ -125,10 +125,6 @@ class TestPlanShape:
         assert len(cut) == 10
         assert cut.statements == full.statements[:10]
 
-    def test_workloads_listed_in_first_seen_order(self):
-        plan = _plan()
-        assert set(plan.workloads()) == {"oltp", "bi"}
-
     def test_operations_match_statement_types(self):
         for statement in _plan(horizon=40.0):
             if statement.statement_type in (

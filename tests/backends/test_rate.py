@@ -72,7 +72,6 @@ class TestArrivalPacer:
         pacer.start()
         assert pacer.wait_until(2.5) == 0.0
         assert clock.now == pytest.approx(102.5)
-        assert pacer.elapsed() == pytest.approx(2.5)
 
     def test_time_scale_compresses_the_schedule(self):
         clock = FakeClock()
@@ -102,11 +101,8 @@ class TestArrivalPacer:
 
     def test_unstarted_pacer_rejected(self):
         pacer = ArrivalPacer()
-        assert not pacer.started
         with pytest.raises(ConfigurationError):
             pacer.wait_until(0.0)
-        with pytest.raises(ConfigurationError):
-            pacer.elapsed()
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -34,6 +34,7 @@ class ScriptedDriver(BackendDriver):
         self.executed = []
         self.torn_down = False
         self.open_connections = set()  # set.add/discard are atomic
+        self.users = {}  # connection -> names of the threads that executed on it
 
     def setup(self, seed=0, rows=10_000):
         self.setup_calls.append((seed, rows))
@@ -50,6 +51,7 @@ class ScriptedDriver(BackendDriver):
         return True
 
     def execute(self, conn, op, deadline=None):
+        self.users.setdefault(conn, set()).add(threading.current_thread().name)
         pending = self.script.get(op.key)
         if pending:
             raise ScriptedError(pending.pop(0))
@@ -371,7 +373,7 @@ class BrokenDriver(ScriptedDriver):
 
 class UnrecyclableDriver(ScriptedDriver):
     """Every statement is FATAL, and no connection after the first
-    ``connections`` can be opened, so recycling a failed one raises."""
+    ``connections`` can be opened, so reconnecting after a failed one raises."""
 
     def __init__(self, connections):
         super().__init__({k: [ErrorKind.FATAL] for k in range(100)})
@@ -438,6 +440,9 @@ class TestWaitQueue:
         assert (report.completed, report.retries, report.recorded) == (600, 200, 600)
         assert runner._outstanding == 0
         assert sorted(driver.executed) == list(range(600))
+        # worker i owns pool slot i: no connection is shared between threads
+        assert all(len(names) == 1 for names in driver.users.values())
+        assert report.pool.created <= 8 and len(driver.users) <= 8
 
     def test_the_backlog_costs_a_few_hundred_bytes_a_statement(self):
         # a waiting statement is one tuple in the FIFO: its log record
@@ -458,8 +463,8 @@ class TestWaitQueue:
         "driver", [BrokenDriver, lambda: UnrecyclableDriver(connections=2)]
     )
     def test_an_error_outside_the_taxonomy_ends_the_run(self, driver):
-        # the error must reach the caller and the connection the pool:
-        # once mpl connections leak, every later acquire blocks forever
+        # the error must reach the caller, and every connection opened
+        # must be closed
         plan = _plan(_statement(i) for i in range(20))
         driver = driver()
         outcome = _run_with_watchdog(driver, plan, FAST)

@@ -60,7 +60,10 @@ and no recorded instant needed the multi-round fill over a large
 running set, so the numpy fill, the vector cutover with its vectorized
 solve and pick, the per-event advance of every row, the kept ETA
 vector, and the store's array mode (its tombstones, compaction and
-live-row index, and the columns the clock replaced) went.
+live-row index, and the columns the clock replaced) went.  A backend
+worker owns its pool slot, so the pool's idle queue, lock, borrowed map,
+eager recycle, wait path and health-check knob went, with the pool
+counters, pacer reads, plan listing and dict forms no run read.
 Bringing one back means bringing the spec field and the measured cell
 that reach it, and editing this list.
 """
@@ -74,7 +77,20 @@ import pytest
 
 import repro
 from repro.admission import IndicatorAdmission
-from repro.backends import RunConfig, plan_statements, run_sim_on_plan
+from repro.backends import (
+    ArrivalPacer,
+    ClassFit,
+    ComparisonReport,
+    ConnectionPool,
+    CostModel,
+    MetricDelta,
+    PolicyComparison,
+    PoolStats,
+    RunConfig,
+    StatementPlan,
+    plan_statements,
+    run_sim_on_plan,
+)
 from repro.cli import build_parser
 from repro.cluster import ClusterDispatcher, ClusterNode, FaultKind, NodeHealth, TaskQueue
 from repro.cluster.dispatcher import BindingPolicy, PullBinding
@@ -210,6 +226,12 @@ DELETED_NAMES = {
     "locks_pending",
     "speed_cap",
     "solve_weight",
+    "_idle",
+    "_Slot",
+    "_borrowed",
+    "_recycle",
+    "health_check_every",
+    "wait_timeouts",
 }
 DELETED_MODULES = (
     "cluster/elastic.py",
@@ -334,6 +356,11 @@ def test_removed_parameters_stay_removed():
     # every context belongs to a manager
     manager_field = {f.name: f for f in dataclasses.fields(ManagerContext)}["manager"]
     assert manager_field.default is dataclasses.MISSING
+    # worker i owns pool slot i: no health-check knob, no waiting for a
+    # slot, and a release always drops the slot's connection
+    assert list(inspect.signature(ConnectionPool).parameters) == ["driver", "size"]
+    assert list(inspect.signature(ConnectionPool.acquire).parameters) == ["self", "slot"]
+    assert list(inspect.signature(ConnectionPool.release).parameters) == ["self", "slot"]
 
 
 def test_removed_readers_stay_removed():
@@ -356,6 +383,27 @@ def test_removed_readers_stay_removed():
     # phase detector's ``windows`` argument)
     assert not hasattr(WorkloadManager(sim), "query_log")
     assert not hasattr(QueryLog, "windows") and not hasattr(QueryLog, "throughput")
+    # the pool counts what a report reads; the backend keeps no dict forms
+    # (``acquired``, ``released``, ``elapsed``, ``as_dict`` live on elsewhere)
+    assert [f.name for f in dataclasses.fields(PoolStats)] == [
+        "created",
+        "recycled",
+        "health_checks",
+        "health_failures",
+    ]
+    unreached = {
+        PoolStats: ("as_dict",),
+        ArrivalPacer: ("started", "elapsed"),
+        StatementPlan: ("workloads",),
+        ClassFit: ("as_dict",),
+        CostModel: ("as_dict", "from_dict"),
+        MetricDelta: ("relative", "as_dict"),
+        PolicyComparison: ("as_dict",),
+        ComparisonReport: ("as_dict",),
+    }
+    for cls, names in unreached.items():
+        for name in names:
+            assert not hasattr(cls, name), f"{cls.__name__}.{name} is back"
 
 
 def test_the_backend_verb_has_no_driver_option(capsys):
