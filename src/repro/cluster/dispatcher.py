@@ -53,6 +53,7 @@ from repro.cluster.matcher import Matcher
 from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.node import ClusterNode
 from repro.cluster.placement import PlacementPolicy, RoundRobinPlacement
+from repro.cluster.ranked import RankedNodes
 from repro.cluster.taskqueue import TaskQueue
 from repro.core.interfaces import PartitionedQueue
 from repro.engine.query import Query, QueryState, tenant_key
@@ -69,6 +70,10 @@ UNTENANTED = "<untenanted>"
 
 #: Seconds between dispatcher ticks (queue retry / poll cadence).
 CONTROL_PERIOD = 1.0
+
+
+def _eligible_rank(node: ClusterNode) -> Optional[tuple]:
+    return () if node.accepting else None  # equal ranks: cluster order
 
 
 class FaultKind(enum.Enum):
@@ -309,10 +314,9 @@ class ClusterDispatcher:
         self._listeners: List[CompletionListener] = []
         self.arrivals = 0
         self.completions = 0
-        self._eligible_cache: Optional[List[ClusterNode]] = None
+        self._eligible: Optional[RankedNodes] = None  # built at the first read
         for node in self.nodes:
             node.manager.add_completion_listener(partial(self._on_node_exit, node))
-            node.on_accepting_change(self._on_accepting_change)
             self.metrics.record_health(self, node)
         self._ticker = sim.schedule_periodic(
             CONTROL_PERIOD, self._tick, label="cluster:tick"
@@ -360,24 +364,15 @@ class ClusterDispatcher:
         """UP, unsaturated nodes in stable cluster order."""
         return list(self._eligible_for())
 
-    def _on_accepting_change(self, node: ClusterNode) -> None:
-        self._eligible_cache = None
-
     def _eligible_for(self) -> List[ClusterNode]:
-        """The eligible set, cached between accepting-bit flips.
-
-        Returns the shared cache list; callers must treat it as
-        read-only.  Nodes notify :meth:`_on_accepting_change` whenever
-        their accepting bit flips (health transitions,
-        ``max_outstanding`` edge crossings), so the cached list is
-        always equal to a fresh scan.
-        """
-        eligible = self._eligible_cache
+        """The accepting nodes in cluster order, read off a
+        :class:`~repro.cluster.ranked.RankedNodes` index built at the first
+        read (a pull run never builds it): the index's own list, read-only
+        and valid until the next read."""
+        eligible = self._eligible
         if eligible is None:
-            eligible = self._eligible_cache = [
-                node for node in self.nodes if node.accepting
-            ]
-        return eligible
+            eligible = self._eligible = RankedNodes(self.nodes, _eligible_rank)
+        return eligible.read()
 
     # ------------------------------------------------------------------
     # placement commit + cluster rejection (shared substrate)

@@ -29,7 +29,7 @@ order is kept, not recomputed per binding: nodes with a slot sit in one
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.cluster.node import ClusterNode
 from repro.cluster.ranked import RankedNodes
@@ -50,7 +50,7 @@ class Matcher:
         self.nodes = list(nodes)
         self.queue = queue
         self._place = place
-        self._hungry = RankedNodes(self.nodes, self.has_slot, self._rank)
+        self._hungry = RankedNodes(self.nodes, self._rank)
         self.matches = 0
         self._serving = False  # re-entrancy guard: place() can call back into pull()
 
@@ -60,15 +60,18 @@ class Matcher:
     @staticmethod
     def has_slot(node: ClusterNode) -> bool:
         """A free execution slot: the node could *start* work right now."""
-        return (
-            node.health.accepts_placements
-            and node.running < node.mpl
-            and node.outstanding_work < node.max_outstanding
-        )
+        return Matcher._rank(node) is not None
 
     @staticmethod
-    def _rank(node: ClusterNode) -> tuple:
-        return (-node.speed_factor, node.outstanding_work, node.name)
+    def _rank(node: ClusterNode) -> Optional[tuple]:
+        """Serving order among nodes with a free slot, ``None`` for a node
+        without one; reads ``outstanding_work`` once for both."""
+        if not node.health.accepts_placements or node.running >= node.mpl:
+            return None
+        outstanding = node.outstanding_work
+        if outstanding >= node.max_outstanding:
+            return None
+        return (-node.speed_factor, outstanding, node.name)
 
     # ------------------------------------------------------------------
     # pull cycles
@@ -106,10 +109,10 @@ class Matcher:
         placed = 0
         try:
             while len(self.queue):
-                node = next(iter(self._hungry), None)
-                if node is None:
+                hungry = self._hungry.read()
+                if not hungry:
                     break  # no node has a free slot
-                self._serve_one(node)
+                self._serve_one(hungry[0])
                 placed += 1
         finally:
             self._serving = False
@@ -123,4 +126,4 @@ class Matcher:
 
     def hungry_nodes(self) -> List[ClusterNode]:
         """Nodes with a free slot, in serving order (introspection)."""
-        return list(self._hungry)
+        return list(self._hungry.read())

@@ -151,8 +151,6 @@ class ClusterNode:
         # on_change: the manager pings when running or queued may have
         # moved; health, speed and est-work mutations call _changed below
         self._change_listeners: List[Callable[["ClusterNode"], None]] = []
-        self._accepting_listeners: List[Callable[["ClusterNode"], None]] = []
-        self._was_accepting = self.accepting  # the bit the last ping saw
         self.manager.add_backlog_listener(self._changed)
 
     # ------------------------------------------------------------------
@@ -193,22 +191,13 @@ class ClusterNode:
         """Called after every event that may move :attr:`health`,
         :attr:`running`, :attr:`queued`, :attr:`speed_factor` or
         :attr:`outstanding_estimated_work`, before anything can read
-        them again (the :mod:`repro.cluster.ranked` contract); a ping
-        does not promise that anything changed."""
+        them again (the :mod:`repro.cluster.ranked` contract).  A ping
+        computes nothing and does not promise that anything changed."""
         self._change_listeners.append(listener)
-
-    def on_accepting_change(self, listener: Callable[["ClusterNode"], None]) -> None:
-        """:meth:`on_change` filtered to flips of :attr:`accepting`."""
-        self._accepting_listeners.append(listener)
 
     def _changed(self) -> None:
         for listener in self._change_listeners:
             listener(self)
-        accepting = self.accepting
-        if accepting != self._was_accepting:
-            self._was_accepting = accepting
-            for listener in self._accepting_listeners:
-                listener(self)
 
     # ------------------------------------------------------------------
     # placement-side intake
@@ -219,7 +208,8 @@ class ClusterNode:
         est = query.estimated_cost.total_work
         self._outstanding_est[query.query_id] = est
         self._outstanding_est_total += est
-        self._changed()
+        # no ping: the manager pings after an enqueue or a delay, and a
+        # rejection through _note_exit, each before any read of the node
         return self.manager.submit(query)
 
     def _note_exit(self, query: Query) -> None:

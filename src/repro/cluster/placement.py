@@ -30,7 +30,6 @@ in a :class:`~repro.cluster.ranked.RankedNodes` index
 from __future__ import annotations
 
 import abc
-from operator import attrgetter
 from typing import Dict, Optional, Sequence
 
 from repro.cluster.node import ClusterNode
@@ -78,11 +77,14 @@ class LoadRankedPlacement(PlacementPolicy):
     accepting nodes are kept in that order in one ranked index."""
 
     def bind(self, nodes: Sequence[ClusterNode]) -> None:
-        self._ranked = RankedNodes(nodes, attrgetter("accepting"), self.load_key)
+        self._ranked = RankedNodes(nodes, self._rank)
+
+    def _rank(self, node: ClusterNode) -> Optional[tuple]:
+        return self.load_key(node) if node.accepting else None
 
     def choose(self, query: Query, nodes: Sequence[ClusterNode]) -> ClusterNode:
         # ``nodes`` is the accepting set, which the index holds in order
-        return next(iter(self._ranked))
+        return self._ranked.read()[0]
 
 
 class LeastOutstandingPlacement(LoadRankedPlacement):

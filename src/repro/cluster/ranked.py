@@ -1,59 +1,61 @@
-"""An incrementally ranked node index: the ready-set both bindings read.
+"""An incrementally ranked node index: every view of node state the
+cluster reads (the eligible set, load-ranked placement, the matcher).
 
-``RankedNodes(nodes, member, key)`` always reads as
-``sorted(filter(member, nodes), key=key)`` but re-keys only the nodes
-touched since the previous read (``bisect``): O(changed · log n) per
-binding, not O(n log n).  It is exact because whoever mutates what
-``member``/``key`` read touches the node before anything reads the
-index (it subscribes to each node's ``on_change``, see
-:class:`~repro.cluster.node.ClusterNode`), and a refresh happens only
-at the *start* of a read, so a placement made while walking the order
-can only dirty nodes, never move them under the walk.
+``RankedNodes(nodes, rank)`` reads as the nodes whose ``rank(node)`` is
+not ``None``, sorted by it (ties in ``nodes`` order), but re-ranks only
+the nodes touched since the previous read, one ``rank`` call each
+(``bisect``: O(changed · log n) per read).  A node's ``on_change`` ping
+touches it before anything can read the index again
+(:class:`~repro.cluster.node.ClusterNode`): a ping marks, the read computes.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from bisect import bisect_left
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 
 class RankedNodes:
-    """The ``member`` nodes of ``nodes`` in ``key`` order, kept sorted."""
+    """The nodes of ``nodes`` with a ``rank``, in ``rank`` order."""
 
-    def __init__(self, nodes: Sequence, member: Callable, key: Callable) -> None:
-        self._member = member
-        self._key = key
-        # an entry is (key, position in nodes, node): the position is the
-        # stable sort's tie-break and keeps nodes out of the comparison
+    def __init__(self, nodes: Sequence, rank: Callable[..., Optional[tuple]]) -> None:
+        self._rank = rank
         self._position = {node: i for i, node in enumerate(nodes)}
-        self._order: List[Tuple[tuple, int, object]] = []
-        self._entry: Dict[object, Tuple[tuple, int, object]] = {}  # members
+        # an entry is (rank, position in nodes): the position is the stable
+        # sort's tie-break and keeps nodes out of the comparison
+        self._order: List[Tuple[tuple, int]] = []
+        self._members: List = []  # parallel to _order
+        self._entry: Dict[object, Tuple[tuple, int]] = {}  # members
         self._dirty = set(nodes)  # the first read ranks everyone
         for node in nodes:
             node.on_change(self.touch)
 
     def touch(self, node) -> None:
-        """``node``'s membership or key may have changed."""
+        """``node``'s rank may have changed."""
         self._dirty.add(node)
 
-    def _refresh(self) -> None:
-        order, entry = self._order, self._entry
-        for node in self._dirty:
-            old = entry.pop(node, None)
-            new = None
-            if self._member(node):
-                new = entry[node] = (self._key(node), self._position[node], node)
-            if new != old:
+    def read(self) -> List:
+        """The members in rank order: the index's own list, read-only and
+        valid until the next read (placing work while walking it dirties
+        nodes, it moves none)."""
+        dirty = self._dirty
+        if dirty:
+            rank, position = self._rank, self._position
+            order, members, entry = self._order, self._members, self._entry
+            for node in dirty:
+                key = rank(node)
+                new = None if key is None else (key, position[node])
+                old = entry.get(node)
+                if new == old:
+                    continue
                 if old is not None:
-                    del order[bisect_left(order, old)]
+                    del entry[node]
+                    i = bisect_left(order, old)
+                    del order[i], members[i]
                 if new is not None:
-                    insort(order, new)
-        self._dirty.clear()
-
-    def __iter__(self) -> Iterator:
-        self._refresh()
-        return (node for _, _, node in self._order)
-
-    def __len__(self) -> int:
-        self._refresh()
-        return len(self._order)
+                    entry[node] = new
+                    i = bisect_left(order, new)
+                    order.insert(i, new)
+                    members.insert(i, node)
+            dirty.clear()
+        return self._members

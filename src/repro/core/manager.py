@@ -214,11 +214,12 @@ class WorkloadManager:
         retries, queue evacuation or a :meth:`pump` (queued -> running,
         which keeps their sum), so those paths fire the listeners: once
         the instant the counts move and again after any pump that
-        follows.  A cluster node uses this to keep the dispatcher's
-        ranked node index and eligible set current without re-scanning
-        node state on every placement.  Only work a controller starts
-        on the engine from an event of its own (suspend/resume's delayed
-        restart) bypasses the manager; the next tick reports it.
+        follows.  A cluster node forwards each ping as its ``on_change``,
+        which only marks the node dirty in the cluster's ranked indexes
+        (the eligible set among them); the next read re-ranks it.  Only
+        work a controller starts on the engine from an event of its own
+        (suspend/resume's delayed restart) bypasses the manager; the
+        next tick reports it.
         """
         self._backlog_listeners.append(listener)
 

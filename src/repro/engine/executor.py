@@ -113,7 +113,7 @@ class ExecutionEngine:
         # 15 attributes: at 30, CPython 3.11 stops sharing the instance
         # dict's keys, and each engine costs ~1.3 KB more and builds
         # ~1 µs slower (a 256-node cluster builds 256 of them).
-        # tests/engine/test_hotpath.py fails at 27.  The clock's state
+        # tests/engine/test_hotpath.py fails at 16.  The clock's state
         # lives on the store, a ``__slots__`` object.
         self.sim = sim
         self.machine = machine or MachineSpec()

@@ -1,4 +1,4 @@
-"""Eligible-node caching: invalidation edges and a whole-run audit."""
+"""The eligible-node index: its edges and a whole-run audit."""
 
 from __future__ import annotations
 
@@ -28,38 +28,38 @@ class TestCacheInvalidation:
             self.sim, count=3, policy="round-robin", mpl=2, max_outstanding=2
         )
 
+    def _assert_fresh(self, names):
+        got = self.dispatcher.eligible_nodes()
+        assert got == [n for n in self.dispatcher.nodes if n.accepting]
+        assert [n.name for n in got] == names
+
     def test_cache_populated_on_first_scan_and_reused(self):
-        assert self.dispatcher._eligible_cache is None
-        first = self.dispatcher.eligible_nodes()
-        assert self.dispatcher._eligible_cache is not None
+        # the eligible index is built at the first read, then kept: a
+        # read returns the index's own list, the same object every time
+        assert self.dispatcher._eligible is None
+        first = self.dispatcher._eligible_for()
+        index = self.dispatcher._eligible
+        assert index is not None
         assert [n.name for n in first] == ["n0", "n1", "n2"]
-        # no accepting flip in between: the cached list object is reused
-        cached = self.dispatcher._eligible_cache
-        self.dispatcher.eligible_nodes()
-        assert self.dispatcher._eligible_cache is cached
+        assert self.dispatcher._eligible_for() is first
+        assert self.dispatcher._eligible is index
 
     def test_crash_and_recovery_invalidate(self):
-        self.dispatcher.eligible_nodes()
+        self._assert_fresh(["n0", "n1", "n2"])
         node = self.dispatcher.nodes[1]
         node.crash()
-        assert self.dispatcher._eligible_cache is None
-        assert [n.name for n in self.dispatcher.eligible_nodes()] == ["n0", "n2"]
+        self._assert_fresh(["n0", "n2"])
         node.activate()
-        assert [n.name for n in self.dispatcher.eligible_nodes()] == [
-            "n0",
-            "n1",
-            "n2",
-        ]
+        self._assert_fresh(["n0", "n1", "n2"])
 
     def test_saturation_and_crash_invalidate(self):
-        self.dispatcher.eligible_nodes()
-        for qid in (1, 2):  # max_outstanding=2: n0 saturates
-            self.dispatcher.nodes[0].submit(_query(qid))
-        assert self.dispatcher._eligible_cache is None
-        self.dispatcher.eligible_nodes()
+        self._assert_fresh(["n0", "n1", "n2"])
+        self.dispatcher.nodes[0].submit(_query(1))
+        self._assert_fresh(["n0", "n1", "n2"])
+        self.dispatcher.nodes[0].submit(_query(2))  # max_outstanding=2: n0 saturates
+        self._assert_fresh(["n1", "n2"])
         self.dispatcher.nodes[2].crash()
-        assert self.dispatcher._eligible_cache is None
-        assert [n.name for n in self.dispatcher.eligible_nodes()] == ["n1"]
+        self._assert_fresh(["n1"])
 
     def test_saturation_edge_crossing_invalidates(self):
         # max_outstanding=2: the second query saturates a node, which
@@ -85,7 +85,7 @@ class TestCacheInvalidation:
         # the next periodic tick instead.
         sim = Simulator(seed=5)
         dispatcher = _cluster(sim, count=1, policy="least", mpl=1, max_outstanding=1)
-        dispatcher.eligible_nodes()  # populate the cache
+        dispatcher.eligible_nodes()  # build the index
         dispatcher.submit(_query(1, cost=0.3))  # occupies the only slot
         dispatcher.submit(_query(2, cost=0.3))  # parks in the cluster queue
         assert dispatcher.cluster_queue_depth == 1
@@ -95,7 +95,7 @@ class TestCacheInvalidation:
         assert dispatcher.cluster_queue_depth == 0
 
     def test_cached_set_always_equals_fresh_scan(self):
-        # Interleave placements, faults and time; the cache must always
+        # Interleave placements, faults and time; the index must always
         # agree with a from-scratch accepting scan.
         checks = 0
         for step, action in enumerate(
@@ -128,7 +128,7 @@ def _audited_run(seed, policy, **scenario) -> int:
         got = cached_lookup(dispatcher)
         assert [node.name for node in got] == [
             node.name for node in dispatcher.nodes if node.accepting
-        ], f"cache diverged from a fresh scan at t={dispatcher.sim.now}"
+        ], f"eligible set diverged from a fresh scan at t={dispatcher.sim.now}"
         return got
 
     with mock.patch.object(ClusterDispatcher, "_eligible_for", audited):
@@ -149,3 +149,13 @@ class TestCacheAudit:
     def test_node_kill_run_matches_fresh_scan(self):
         crashes = ((0.3, "n1", 0.6),)
         assert _audited_run(seed=13, nodes=3, policy="cost", crashes=crashes) > 0
+
+    def test_pull_run_never_builds_the_eligible_index(self):
+        # only push routing reads the eligible set
+        dispatcher = run_scenario(
+            get_scenario("cluster_overload", horizon=10.0, nodes=3),
+            get_policy("pull/cost"),
+            seed=11,
+        ).dispatcher
+        assert dispatcher.completions > 0
+        assert dispatcher._eligible is None

@@ -1,14 +1,17 @@
 """The ranked node index: whole-run audits, a property, a cost guard.
 
 The fresh full sort the index replaced survives here as the oracle:
-every read of a :class:`RankedNodes` in a whole run is compared with
-``sorted(filter(member, nodes), key=key)``, and every load-ranked
-placement with the old ``min`` over the candidate list.
+every read of a :class:`RankedNodes` in a whole run (the matcher's,
+load-ranked placement's and the dispatcher's eligible set) is compared
+with a fresh sort of the nodes that have a ``rank``, and every
+load-ranked placement with the old ``min`` over the candidate list.
 """
 
 from __future__ import annotations
 
+import random
 from contextlib import contextmanager
+from functools import partial
 from types import SimpleNamespace
 from unittest import mock
 
@@ -16,7 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.admission.threshold import ThresholdAdmission
 from repro.cluster import ClusterDispatcher, ClusterNode, PullBinding, PushBinding, make_policy
+from repro.core.policy import AdmissionPolicy
 from repro.cluster.matcher import Matcher
 from repro.cluster.placement import CostBalancedPlacement, LoadRankedPlacement
 from repro.cluster.ranked import RankedNodes
@@ -27,25 +32,23 @@ from tests.conftest import make_query
 
 
 def _oracle(index: RankedNodes) -> list:
-    return sorted(filter(index._member, index._position), key=index._key)
+    ranked = [(index._rank(node), node) for node in index._position]
+    return [node for rank, node in sorted(
+        (pair for pair in ranked if pair[0] is not None), key=lambda pair: pair[0]
+    )]
 
 
 @contextmanager
 def _audit():
     """Check every index read and every load-ranked pick against a scan."""
-    real_iter, real_len = RankedNodes.__iter__, RankedNodes.__len__
+    real_read = RankedNodes.read
     real_choose = LoadRankedPlacement.choose
     seen = SimpleNamespace(reads=0, picks=0)
 
-    def audited_iter(index):
+    def audited_read(index):
         seen.reads += 1
-        got = list(real_iter(index))
+        got = real_read(index)
         assert got == _oracle(index), "ranked read diverged from a fresh sort"
-        return iter(got)
-
-    def audited_len(index):
-        got = real_len(index)
-        assert got == len(_oracle(index)), "ranked size diverged from a fresh scan"
         return got
 
     def audited_choose(policy, query, nodes):
@@ -54,9 +57,9 @@ def _audit():
         assert got is min(nodes, key=policy.load_key), "pick != min over candidates"
         return got
 
-    with mock.patch.object(RankedNodes, "__iter__", audited_iter), mock.patch.object(
-        RankedNodes, "__len__", audited_len
-    ), mock.patch.object(LoadRankedPlacement, "choose", audited_choose):
+    with mock.patch.object(RankedNodes, "read", audited_read), mock.patch.object(
+        LoadRankedPlacement, "choose", audited_choose
+    ):
         yield seen
 
 
@@ -133,7 +136,11 @@ class TestWholeRunAudit:
         binding = PullBinding() if dispatch == "pull" else PushBinding()
         nodes = [ClusterNode(sim, name=f"n{i}") for i in range(3)]
         d = ClusterDispatcher(sim, nodes, placement=make_policy(policy), binding=binding)
-        index = d.binding.matcher._hungry if dispatch == "pull" else d.placement._ranked
+        if dispatch == "pull":
+            indexes = [d.binding.matcher._hungry]
+        else:  # the eligible set is built at its first read
+            d._eligible_for()
+            indexes = [d.placement._ranked, d._eligible]
         n1 = d.node("n1")
         with _audit() as seen:
             for edge in (
@@ -147,10 +154,35 @@ class TestWholeRunAudit:
                 n1.activate,
                 lambda: n1.submit(make_query(cpu=9.0, io=0.0, sql="bi:q")),
             ):
-                list(index)
+                for index in indexes:
+                    index.read()
                 edge()
-                list(index)
-        assert seen.reads >= 18
+                for index in indexes:
+                    index.read()
+        assert seen.reads >= 18 * len(indexes)
+
+    @pytest.mark.parametrize("dispatch,policy", BINDINGS)
+    def test_node_rejections_keep_every_index_exact(self, dispatch, policy):
+        # a refused placement adds and takes back its estimate, (t+e)-e,
+        # which need not round back to t: the refusal must re-mark the node
+        sim = Simulator(seed=9)
+        policy_gate = AdmissionPolicy(reject_over_cost=1.0)
+        nodes = [
+            ClusterNode(sim, f"n{i}", mpl=2, admission=ThresholdAdmission(policy_gate))
+            for i in range(3)
+        ]
+        binding = PullBinding() if dispatch == "pull" else PushBinding()
+        d = ClusterDispatcher(sim, nodes, placement=make_policy(policy), binding=binding)
+        rng = random.Random(4)
+        for i in range(400):
+            cost = rng.choice([0.1, 0.2, 0.3, 0.7]) if i % 3 else 1.1 + rng.random()
+            query = make_query(cpu=cost, io=cost / 3, sql="q")
+            sim.schedule_at(i * 0.01, partial(d.submit, query))
+        with _audit() as seen:
+            d.run(30.0)
+        rejected = sum(node.manager.rejected_count for node in nodes)
+        assert rejected > 100 and d.completions > 200
+        assert seen.reads > rejected
 
     @pytest.mark.parametrize("policy", ["least", "cost"])
     def test_excluded_node_is_skipped_in_rank_order(self, policy):
@@ -179,6 +211,10 @@ class _Item:
         """The property below touches by hand."""
 
 
+def _item_rank(item):
+    return (item.load,) if item.member else None
+
+
 # (item, new load, new membership) | (item,) = touch without change | () = read
 _ops = st.lists(
     st.one_of(
@@ -197,11 +233,13 @@ class TestRankedNodesProperty:
         items = [_Item(f"i{i}") for i in range(6)]
         # loads collide on purpose: ties must break by position, as the
         # stable sort breaks them
-        index = RankedNodes(items, lambda i: i.member, lambda i: (i.load,))
+        index = RankedNodes(items, _item_rank)
+        members = index.read()
         for op in ops:
             if not op:
-                assert list(index) == _oracle(index)
-                assert len(index) == len(_oracle(index))
+                # every read refreshes and returns the one list it keeps
+                assert index.read() is members
+                assert members == _oracle(index)
                 continue
             item = items[op[0]]
             if len(op) == 3:
@@ -209,17 +247,39 @@ class TestRankedNodesProperty:
             index.touch(item)
             if touch_twice:
                 index.touch(item)
-        assert list(index) == _oracle(index)
+        assert index.read() == _oracle(index)
 
     def test_untouched_mutation_is_not_seen(self):
         # the contract is touch-before-read, not polling
         items = [_Item("a"), _Item("b")]
-        index = RankedNodes(items, lambda i: i.member, lambda i: (i.load,))
-        assert list(index) == items
+        index = RankedNodes(items, _item_rank)
+        assert index.read() == items
         items[0].load = 9
-        assert list(index) == items
+        assert index.read() == items
         index.touch(items[0])
-        assert list(index) == items[::-1]
+        assert index.read() == items[::-1]
+
+    def test_a_refresh_ranks_each_touched_node_once(self):
+        items = [_Item(f"i{i}") for i in range(4)]
+        calls = []
+
+        def rank(item):
+            calls.append(item)
+            return _item_rank(item)
+
+        index = RankedNodes(items, rank)
+        index.read()
+        assert sorted(calls, key=items.index) == items
+        calls.clear()
+        items[1].member = False
+        index.touch(items[1])
+        index.touch(items[1])
+        index.touch(items[3])
+        assert index.read() == [items[0], items[2], items[3]]
+        assert sorted(calls, key=items.index) == [items[1], items[3]]
+        calls.clear()
+        index.read()  # nothing touched: nothing ranked
+        assert calls == []
 
 
 class TestCostGuard:

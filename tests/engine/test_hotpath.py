@@ -1,7 +1,7 @@
 """Hot-path layout: cluster nodes run on the cluster's one simulator,
 each drawing its own lock stream, a deep copy of nodes keeps them on
-one copied clock, and an engine stays within the instance-attribute
-budget its ``__init__`` states."""
+one copied clock, and an engine and a node stay within their
+instance-attribute budgets."""
 
 from __future__ import annotations
 
@@ -12,13 +12,29 @@ from repro.engine.executor import ExecutionEngine
 from repro.engine.simulator import Simulator
 
 
+#: Each engine and node is built 256 times on the 256-node cluster rows:
+#: at 30 attributes CPython 3.11 stops sharing the instance dict's keys,
+#: which costs +1.3 KB and ~1 us per object built and +0.8 % peak RSS.
+#: The bounds are the counts today, so any new attribute is a decision.
+ENGINE_ATTRIBUTES = 15
+NODE_ATTRIBUTES = 14
+
+
 def test_engine_stays_within_its_instance_attribute_budget():
     attributes = len(vars(ExecutionEngine(Simulator(0))))
-    assert attributes <= 26, (
-        f"ExecutionEngine has {attributes} instance attributes: at 30, CPython "
-        "stops sharing the instance dict's keys, which costs +1.3 KB and ~1 us "
-        "per engine built and +0.8 % peak RSS on the 256-node cluster rows; "
-        "hand values between methods by return value instead"
+    assert attributes <= ENGINE_ATTRIBUTES, (
+        f"ExecutionEngine has {attributes} instance attributes, more than "
+        f"{ENGINE_ATTRIBUTES}: keep per-engine state on the RunStore (a "
+        "__slots__ object) or hand values between methods by return value"
+    )
+
+
+def test_node_stays_within_its_instance_attribute_budget():
+    attributes = len(vars(ClusterNode(Simulator(0), "n0")))
+    assert attributes <= NODE_ATTRIBUTES, (
+        f"ClusterNode has {attributes} instance attributes, more than "
+        f"{NODE_ATTRIBUTES}: a view of node state belongs in an index fed "
+        "by on_change, not in a field the node keeps current"
     )
 
 

@@ -30,7 +30,6 @@ KEEPS_ITS_ACTION = {
     "add_completion_listener",
     "add_backlog_listener",
     "on_change",
-    "on_accepting_change",
 }
 
 
