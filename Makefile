@@ -63,7 +63,7 @@ loc:
 	@for d in src $(dir $(wildcard src/repro/*/__init__.py)) benchmarks/perf tests tests/parallel; do \
 		printf '%7d %s\n' `find $$d -name '*.py' | xargs cat | wc -l` $$d; \
 	done
-	@wc -l src/repro/cli.py benchmarks/_scenarios.py | sed '$$d'
+	@wc -l src/repro/cli.py src/repro/core/registry.py benchmarks/_scenarios.py | sed '$$d'
 
 # The bench gate (benchmarks/perf/gate.py): every row of the table in
 # the given mode; a digest or counter that differs from the committed

@@ -12,7 +12,7 @@ Run:  python examples/taxonomy_tour.py
 
 from repro import all_tables, render_figure1
 from repro.core.classify import classify_component, classify_features
-from repro.core.registry import ApproachDescriptor, Feature
+from repro.core.registry import Feature
 from repro.execution.throttling import QueryThrottlingController
 
 
@@ -22,22 +22,17 @@ def main() -> None:
     print(all_tables())
 
     print("\n--- classifying a new technique description ---")
-    new_technique = ApproachDescriptor(
-        name="Replication-lag throttle",
-        citation="[hypothetical]",
-        mechanism="Pauses heavy analytic queries while replica lag exceeds "
-        "a threshold, resuming them when replication catches up.",
-        features=frozenset(
-            {
-                Feature.ACTS_AT_RUNTIME,
-                Feature.PAUSES_RUNNING_REQUEST,
-                Feature.USES_THRESHOLDS,
-                Feature.THRESHOLD_ON_MONITOR_METRICS,
-            }
-        ),
-    )
-    classes = classify_features(set(new_technique.features))
-    print(f"{new_technique.name!r} classifies as:")
+    # a technique is what it does: its feature set, declared once (in
+    # this library, as its class's TECHNIQUE_FEATURES)
+    name = "Replication-lag throttle"
+    features = {
+        Feature.ACTS_AT_RUNTIME,  # pauses heavy analytic queries ...
+        Feature.PAUSES_RUNNING_REQUEST,
+        Feature.USES_THRESHOLDS,  # ... while replica lag exceeds a threshold
+        Feature.THRESHOLD_ON_MONITOR_METRICS,
+    }
+    classes = classify_features(features)
+    print(f"{name!r} classifies as:")
     for technique_class in classes:
         print(f"  - {technique_class.display_name}")
 

@@ -72,10 +72,6 @@ UNTENANTED = "<untenanted>"
 CONTROL_PERIOD = 1.0
 
 
-def _eligible_rank(node: ClusterNode) -> Optional[tuple]:
-    return () if node.accepting else None  # equal ranks: cluster order
-
-
 class FaultKind(enum.Enum):
     """What happens to the node at the fault time."""
 
@@ -186,10 +182,6 @@ class PushBinding(BindingPolicy):
     def __init__(self) -> None:
         self.queue = PartitionedQueue()
         self._draining = False  # re-entrancy guard: a placement can call back
-
-    def attach(self, dispatcher: "ClusterDispatcher") -> None:
-        super().attach(dispatcher)
-        dispatcher.placement.bind(dispatcher.nodes)
 
     # -- intake --------------------------------------------------------
     def route(self, query: Query) -> None:
@@ -361,17 +353,17 @@ class ClusterDispatcher:
     # eligibility (what push placement chooses from)
     # ------------------------------------------------------------------
     def eligible_nodes(self) -> List[ClusterNode]:
-        """UP, unsaturated nodes in stable cluster order."""
+        """UP, unsaturated nodes in placement order."""
         return list(self._eligible_for())
 
     def _eligible_for(self) -> List[ClusterNode]:
-        """The accepting nodes in cluster order, read off a
-        :class:`~repro.cluster.ranked.RankedNodes` index built at the first
-        read (a pull run never builds it): the index's own list, read-only
-        and valid until the next read."""
+        """The accepting nodes in the order of ``placement.rank``, read
+        off a :class:`~repro.cluster.ranked.RankedNodes` index built at
+        the first read (a pull run never builds it): the index's own
+        list, read-only and valid until the next read."""
         eligible = self._eligible
         if eligible is None:
-            eligible = self._eligible = RankedNodes(self.nodes, _eligible_rank)
+            eligible = self._eligible = RankedNodes(self.nodes, self.placement.rank)
         return eligible.read()
 
     # ------------------------------------------------------------------

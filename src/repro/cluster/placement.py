@@ -20,11 +20,11 @@ point, one level up.  Four policies are provided:
 All policies are pure functions of the candidate list plus internal
 state — no wall clock, no RNG — so placements are bit-deterministic for
 a given arrival sequence.  Candidate lists are pre-filtered by the
-dispatcher: a policy never sees a DOWN or saturated node.  The
-load-keyed policies (``least``, ``cost``) do not scan that list per
-arrival: they keep the cluster's accepting nodes ordered by their key
-in a :class:`~repro.cluster.ranked.RankedNodes` index
-(:meth:`PlacementPolicy.bind`) and take the first ranked candidate.
+dispatcher: a policy never sees a DOWN or saturated node.  A policy
+also orders them: the dispatcher keeps its eligible set in one
+:class:`~repro.cluster.ranked.RankedNodes` index ranked by the policy's
+:meth:`PlacementPolicy.rank`, so the load-keyed policies (``least``,
+``cost``) take the first candidate and scan nothing per arrival.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import abc
 from typing import Dict, Optional, Sequence
 
 from repro.cluster.node import ClusterNode
-from repro.cluster.ranked import RankedNodes
 from repro.core.sla import ObjectiveKind, SLASet
 from repro.engine.query import Query, workload_key
 
@@ -43,15 +42,18 @@ class PlacementPolicy(abc.ABC):
 
     name: str = "abstract"
 
-    def bind(self, nodes: Sequence[ClusterNode]) -> None:
-        """The cluster's full node list, given once when the dispatcher attaches."""
+    def rank(self, node: ClusterNode) -> Optional[tuple]:
+        """``node``'s place in the eligible set, ``None`` when it is not
+        eligible (DOWN or at its saturation ceiling): equal ranks keep
+        stable cluster order."""
+        return () if node.accepting else None
 
     @abc.abstractmethod
     def choose(self, query: Query, nodes: Sequence[ClusterNode]) -> ClusterNode:
         """Return one of ``nodes``, the node ``query`` is placed on.
 
         ``nodes`` is the dispatcher's eligible set (UP, below their
-        saturation ceiling) in stable cluster order; it is never empty,
+        saturation ceiling) in :meth:`rank` order; it is never empty,
         and the dispatcher queues a request only when no node is
         eligible.
         """
@@ -73,18 +75,14 @@ class RoundRobinPlacement(PlacementPolicy):
 
 class LoadRankedPlacement(PlacementPolicy):
     """Least-loaded first: a subclass names the tuple it minimises in
-    ``load_key(node)`` (ending in the node name, the tie-break) and the
-    accepting nodes are kept in that order in one ranked index."""
+    ``load_key(node)`` (ending in the node name, the tie-break), which
+    ranks the eligible set."""
 
-    def bind(self, nodes: Sequence[ClusterNode]) -> None:
-        self._ranked = RankedNodes(nodes, self._rank)
-
-    def _rank(self, node: ClusterNode) -> Optional[tuple]:
+    def rank(self, node: ClusterNode) -> Optional[tuple]:
         return self.load_key(node) if node.accepting else None
 
     def choose(self, query: Query, nodes: Sequence[ClusterNode]) -> ClusterNode:
-        # ``nodes`` is the accepting set, which the index holds in order
-        return self._ranked.read()[0]
+        return nodes[0]
 
 
 class LeastOutstandingPlacement(LoadRankedPlacement):

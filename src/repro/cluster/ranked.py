@@ -1,5 +1,6 @@
-"""An incrementally ranked node index: every view of node state the
-cluster reads (the eligible set, load-ranked placement, the matcher).
+"""An incrementally ranked node index: both views of node state the
+cluster reads, the push dispatcher's eligible set (ranked by its
+placement policy) and the pull matcher's nodes with a free slot.
 
 ``RankedNodes(nodes, rank)`` reads as the nodes whose ``rank(node)`` is
 not ``None``, sorted by it (ties in ``nodes`` order), but re-ranks only

@@ -1,11 +1,13 @@
 """Classification engine: feature descriptors → taxonomy classes.
 
 This is the taxonomy *applied*, as in the paper's Section 4: given a
-machine-readable description of what a technique or system does (an
-:class:`~repro.core.registry.ApproachDescriptor`), derive the taxonomy
-classes it belongs to.  The reproduced Tables 4 and 5 are outputs of
-this engine over the registry, and the expected classifications from
-the paper's §4.1.4/§4.2.5 are asserted in the test suite.
+machine-readable description of what a technique or system does (the
+``TECHNIQUE_FEATURES`` of the class an
+:class:`~repro.core.registry.ApproachDescriptor` names), derive the
+taxonomy classes it belongs to.  The reproduced Tables 4 and 5 are
+outputs of this engine over the registry, and the expected
+classifications from the paper's §4.1.4/§4.2.5 are asserted in the
+test suite.
 
 Classification rules (from the taxonomy definitions of §3):
 
@@ -105,16 +107,15 @@ def major_classes_of(descriptor: ApproachDescriptor) -> List[TechniqueClass]:
 
 
 def classify_component(component: object) -> List[TechniqueClass]:
-    """Classify one of *this library's own* implementation objects.
+    """Classify one of *this library's own* implementation classes or
+    objects.
 
     Implementation classes declare a ``TECHNIQUE_FEATURES`` attribute
-    (an iterable of :class:`Feature`); this lets tests prove that, e.g.,
-    our throttling controller classifies into the throttling subclass —
-    the taxonomy applied to running code, not just to prose.
+    (an iterable of :class:`Feature`), the same set a registry row reads
+    from the class it names: the taxonomy applied to running code, not
+    just to prose.
     """
     features = getattr(component, "TECHNIQUE_FEATURES", None)
-    if features is None:
-        features = getattr(type(component), "TECHNIQUE_FEATURES", None)
     if features is None:
         return []
     return classify_features(set(features))

@@ -1,23 +1,27 @@
 """Structured registry of the surveyed approaches and systems.
 
 Each row of the paper's Tables 2–5 becomes an
-:class:`ApproachDescriptor`: a machine-readable statement of *what the
-approach does* (its :class:`Feature` set, control point, mechanism
-description, citations).  Classification into the taxonomy is **not**
-stored here — :mod:`repro.core.classify` derives it from the features,
-so the reproduced tables are outputs of the classification engine
-rather than transcriptions.
+:class:`ApproachDescriptor`: what the paper says about the approach
+(name, citations, mechanism description, threshold basis, objective)
+and the class in this library that implements it (``implementation``,
+``"module:Class"``).  What the approach *does* — its :class:`Feature`
+set — is declared once, as that class's ``TECHNIQUE_FEATURES``, and a
+row reads it from there.  Classification into the taxonomy is **not**
+stored here either — :mod:`repro.core.classify` derives it from the
+features, so the reproduced tables are outputs of the classification
+engine rather than transcriptions.
 
-Descriptors also name the module in this library that implements the
-approach (``implementation``), giving DESIGN.md's inventory a
-machine-checkable form (tests assert every implementation imports).
+A row resolves its class on the first read of ``features``: importing
+this module imports no technique module (they import :class:`Feature`
+from here).
 """
 
 from __future__ import annotations
 
 import enum
+import importlib
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.core.policy import ControlType
 
@@ -68,30 +72,21 @@ class ApproachDescriptor:
     name: str
     citation: str                       # reference keys as in the paper
     mechanism: str                      # Table "description" column text
-    features: frozenset
+    implementation: str                 # "module:Class" implementing it
     threshold_basis: str = ""           # Table 2 "type" column
     objective: str = ""                 # Table 5 "objectives" column
-    implementation: str = ""            # repro module implementing it
     kind: str = "technique"             # technique | system
 
-    def has(self, feature: Feature) -> bool:
-        return feature in self.features
+    @property
+    def implementation_class(self) -> type:
+        """The class ``implementation`` names, imported on first use."""
+        module, _, name = self.implementation.partition(":")
+        return getattr(importlib.import_module(module), name)
 
-
-def _descriptor(
-    name: str,
-    citation: str,
-    mechanism: str,
-    features: Sequence[Feature],
-    **kwargs,
-) -> ApproachDescriptor:
-    return ApproachDescriptor(
-        name=name,
-        citation=citation,
-        mechanism=mechanism,
-        features=frozenset(features),
-        **kwargs,
-    )
+    @property
+    def features(self) -> frozenset:
+        """The implementing class's ``TECHNIQUE_FEATURES``."""
+        return self.implementation_class.TECHNIQUE_FEATURES
 
 
 # ----------------------------------------------------------------------
@@ -108,86 +103,59 @@ CONTROL_TYPES: Tuple[ControlType, ...] = (
 # Table 2 — approaches used for workload admission control
 # ----------------------------------------------------------------------
 ADMISSION_APPROACHES: Tuple[ApproachDescriptor, ...] = (
-    _descriptor(
+    ApproachDescriptor(
         "Query Cost",
         "[9] [50] [72]",
         "If an arriving query's estimated cost is greater than the "
         "threshold, the query's admission is denied, otherwise, accepted.",
-        [
-            Feature.ACTS_AT_ARRIVAL,
-            Feature.USES_THRESHOLDS,
-            Feature.THRESHOLD_ON_SYSTEM_PARAMETER,
-        ],
         threshold_basis="System Parameter",
-        implementation="repro.admission.threshold",
+        implementation="repro.admission.threshold:ThresholdAdmission",
     ),
-    _descriptor(
+    ApproachDescriptor(
         "MPLs",
         "[9] [50] [72]",
         "If the number of concurrently running requests in a database "
         "system has reached the threshold, an arriving request's "
         "admission is denied, otherwise, accepted.",
-        [
-            Feature.ACTS_AT_ARRIVAL,
-            Feature.USES_THRESHOLDS,
-            Feature.THRESHOLD_ON_SYSTEM_PARAMETER,
-        ],
         threshold_basis="System Parameter",
-        implementation="repro.admission.threshold",
+        implementation="repro.admission.threshold:ThresholdAdmission",
     ),
-    _descriptor(
+    ApproachDescriptor(
         "Conflict Ratio",
         "[56]",
         "If the conflict ratio of transactions in a database system "
         "exceeds the threshold, new transactions are suspended, "
         "otherwise, admitted.",
-        [
-            Feature.ACTS_AT_ARRIVAL,
-            Feature.USES_THRESHOLDS,
-            Feature.THRESHOLD_ON_PERFORMANCE_METRIC,
-        ],
         threshold_basis="Performance Metric",
-        implementation="repro.admission.conflict_ratio",
+        implementation="repro.admission.conflict_ratio:ConflictRatioAdmission",
     ),
-    _descriptor(
+    ApproachDescriptor(
         "Transaction Throughput",
         "[26]",
         "If the system throughput in the last measurement interval has "
         "increased, more transactions are admitted, otherwise fewer "
         "transactions are admitted.",
-        [
-            Feature.ACTS_AT_ARRIVAL,
-            Feature.USES_THRESHOLDS,
-            Feature.THRESHOLD_ON_PERFORMANCE_METRIC,
-            Feature.USES_FEEDBACK_CONTROLLER,
-        ],
         threshold_basis="Performance Metric",
-        implementation="repro.admission.throughput_feedback",
+        implementation="repro.admission.throughput_feedback:ThroughputFeedbackAdmission",
     ),
-    _descriptor(
+    ApproachDescriptor(
         "Indicators",
         "[79] [80]",
         "If the actual values exceed the pre-defined thresholds, low "
         "priority requests are delayed, otherwise they are admitted.",
-        [
-            Feature.ACTS_AT_ARRIVAL,
-            Feature.USES_THRESHOLDS,
-            Feature.THRESHOLD_ON_MONITOR_METRICS,
-        ],
         threshold_basis="Monitor Metrics",
-        implementation="repro.admission.indicators",
+        implementation="repro.admission.indicators:IndicatorAdmission",
     ),
 )
 
 #: Prediction-based admission (discussed in §3.2 though not a Table 2 row).
-PREDICTION_ADMISSION: ApproachDescriptor = _descriptor(
+PREDICTION_ADMISSION: ApproachDescriptor = ApproachDescriptor(
     "Prediction-based Admission",
     "[21] [23] [42]",
     "Predict the performance behaviour characteristics of a query "
     "before the query begins running, with machine-learned models over "
     "pre-execution properties.",
-    [Feature.ACTS_AT_ARRIVAL, Feature.PREDICTS_PERFORMANCE],
-    implementation="repro.admission.prediction",
+    implementation="repro.admission.prediction:PredictionBasedAdmission",
 )
 
 
@@ -195,64 +163,45 @@ PREDICTION_ADMISSION: ApproachDescriptor = _descriptor(
 # Table 3 — approaches used for workload execution control
 # ----------------------------------------------------------------------
 EXECUTION_APPROACHES: Tuple[ApproachDescriptor, ...] = (
-    _descriptor(
+    ApproachDescriptor(
         "Priority Aging",
         "[9]",
         "Dynamically changes the priority of system resource access for "
         "a request as it runs.",
-        [
-            Feature.ACTS_AT_RUNTIME,
-            Feature.CHANGES_RUNNING_PRIORITY,
-            Feature.USES_THRESHOLDS,
-        ],
         threshold_basis="Reprioritization",
-        implementation="repro.execution.reprioritization",
+        implementation="repro.execution.reprioritization:PriorityAgingController",
     ),
-    _descriptor(
+    ApproachDescriptor(
         "Policy Driven Resource Allocation",
         "[4] [78]",
         "Amounts of shared system resources are dynamically allocated "
         "to concurrent workloads according to the levels of the "
         "workload's business importance.",
-        [
-            Feature.ACTS_AT_RUNTIME,
-            Feature.CHANGES_RUNNING_PRIORITY,
-            Feature.REALLOCATES_RESOURCES,
-            Feature.USES_UTILITY_FUNCTIONS,
-            Feature.USES_ECONOMIC_MODELS,
-        ],
         threshold_basis="Reprioritization",
-        implementation="repro.execution.economic",
+        implementation="repro.execution.economic:EconomicResourceAllocator",
     ),
-    _descriptor(
+    ApproachDescriptor(
         "Query Kill",
         "[30] [50] [61] [72]",
         "Kills the process of a request as it runs.",
-        [Feature.ACTS_AT_RUNTIME, Feature.TERMINATES_RUNNING_REQUEST],
         threshold_basis="Cancellation",
-        implementation="repro.execution.cancellation",
+        implementation="repro.execution.cancellation:QueryKillController",
     ),
-    _descriptor(
+    ApproachDescriptor(
         "Query Stop-and-Restart",
         "[10] [12]",
         "Terminates a query when it is running, stores the necessary "
         "intermediate results and restarts the query's execution at a "
         "later time.",
-        [
-            Feature.ACTS_AT_RUNTIME,
-            Feature.TERMINATES_RUNNING_REQUEST,
-            Feature.CHECKPOINTS_STATE,
-        ],
         threshold_basis="Suspend & Resume",
-        implementation="repro.execution.suspend_resume",
+        implementation="repro.execution.suspend_resume:SuspendResumeController",
     ),
-    _descriptor(
+    ApproachDescriptor(
         "Request Throttling",
         "[64] [65] [66]",
         "Pauses the process of a request as it runs.",
-        [Feature.ACTS_AT_RUNTIME, Feature.PAUSES_RUNNING_REQUEST],
         threshold_basis="Throttling",
-        implementation="repro.execution.throttling",
+        implementation="repro.execution.throttling:QueryThrottlingController",
     ),
 )
 
@@ -261,81 +210,49 @@ EXECUTION_APPROACHES: Tuple[ApproachDescriptor, ...] = (
 # Table 5 — research techniques (classified in §4.2.5)
 # ----------------------------------------------------------------------
 RESEARCH_TECHNIQUES: Tuple[ApproachDescriptor, ...] = (
-    _descriptor(
+    ApproachDescriptor(
         "Niu et al.",
         "[60]",
         "Intercepting arriving queries, acquiring their information, and "
         "determining an execution order",
-        [
-            Feature.ACTS_AT_ARRIVAL,
-            Feature.ACTS_BEFORE_EXECUTION,
-            Feature.USES_THRESHOLDS,
-            Feature.THRESHOLD_ON_SYSTEM_PARAMETER,
-            Feature.DETERMINES_EXECUTION_ORDER,
-            Feature.MANAGES_WAIT_QUEUES,
-            Feature.USES_UTILITY_FUNCTIONS,
-            Feature.PREDICTS_MPL,
-        ],
         objective="Achieving a set of service level objectives for "
         "multiple concurrent workloads",
-        implementation="repro.scheduling.utility",
+        implementation="repro.scheduling.utility:UtilityScheduler",
     ),
-    _descriptor(
+    ApproachDescriptor(
         "Parekh et al.",
         "[64]",
         "A self-imposed sleep slows down online utilities; a "
         "Proportional Integral controller determines the amount of "
         "throttling",
-        [
-            Feature.ACTS_AT_RUNTIME,
-            Feature.PAUSES_RUNNING_REQUEST,
-            Feature.USES_FEEDBACK_CONTROLLER,
-        ],
         objective="Maintaining performance of running workloads at an "
         "acceptable level",
-        implementation="repro.execution.throttling",
+        implementation="repro.execution.throttling:UtilityThrottlingController",
     ),
-    _descriptor(
+    ApproachDescriptor(
         "Powley et al.",
         "[65] [66]",
         "A self-imposed sleep slows down large queries; a step function "
         "and a black-box model determine the amount of throttling",
-        [
-            Feature.ACTS_AT_RUNTIME,
-            Feature.PAUSES_RUNNING_REQUEST,
-            Feature.USES_FEEDBACK_CONTROLLER,
-        ],
         objective="Meeting the service level objectives of high-priority "
         "requests",
-        implementation="repro.execution.throttling",
+        implementation="repro.execution.throttling:QueryThrottlingController",
     ),
-    _descriptor(
+    ApproachDescriptor(
         "Chandramouli et al.",
         "[10]",
         "Query execution is augmented with suspend and resume phases "
         "that are triggered on demand",
-        [
-            Feature.ACTS_AT_RUNTIME,
-            Feature.TERMINATES_RUNNING_REQUEST,
-            Feature.CHECKPOINTS_STATE,
-        ],
         objective="Achieving high performance for high-priority requests",
-        implementation="repro.execution.suspend_resume",
+        implementation="repro.execution.suspend_resume:SuspendResumeController",
     ),
-    _descriptor(
+    ApproachDescriptor(
         "Krompass et al.",
         "[39]",
         "Cancelling or reprioritizing low-priority and long-running "
         "queries",
-        [
-            Feature.ACTS_AT_RUNTIME,
-            Feature.TERMINATES_RUNNING_REQUEST,
-            Feature.RESUBMITS_AFTER_KILL,
-            Feature.CHANGES_RUNNING_PRIORITY,
-            Feature.REALLOCATES_RESOURCES,
-        ],
         objective="Achieving high performance for high-priority requests",
-        implementation="repro.execution.krompass",
+        implementation="repro.execution.krompass:FuzzyExecutionController",
     ),
 )
 
@@ -344,62 +261,32 @@ RESEARCH_TECHNIQUES: Tuple[ApproachDescriptor, ...] = (
 # Table 4 — commercial workload-management systems
 # ----------------------------------------------------------------------
 COMMERCIAL_SYSTEMS: Tuple[ApproachDescriptor, ...] = (
-    _descriptor(
+    ApproachDescriptor(
         "IBM DB2 Workload Manager",
         "[30]",
         "Workloads/work classes identify incoming work by source and "
         "type; service classes allocate resources; thresholds detect "
         "exceptions and trigger actions (reject, stop, priority aging).",
-        [
-            Feature.ACTS_AT_ARRIVAL,
-            Feature.ACTS_AT_RUNTIME,
-            Feature.MAPS_REQUESTS_TO_WORKLOADS,
-            Feature.PREDEFINED_WORKLOAD_RULES,
-            Feature.USES_THRESHOLDS,
-            Feature.THRESHOLD_ON_SYSTEM_PARAMETER,
-            Feature.CHANGES_RUNNING_PRIORITY,
-            Feature.REALLOCATES_RESOURCES,
-            Feature.TERMINATES_RUNNING_REQUEST,
-        ],
         kind="system",
-        implementation="repro.systems.db2",
+        implementation="repro.systems.db2:DB2WorkloadManagerConfig",
     ),
-    _descriptor(
+    ApproachDescriptor(
         "Microsoft SQL Server Resource/Query Governor",
         "[50] [51]",
         "Classification functions map sessions to workload groups backed "
         "by resource pools (MIN/MAX); the query governor rejects queries "
         "whose estimated execution time exceeds the cost limit.",
-        [
-            Feature.ACTS_AT_ARRIVAL,
-            Feature.ACTS_AT_RUNTIME,
-            Feature.MAPS_REQUESTS_TO_WORKLOADS,
-            Feature.PREDEFINED_WORKLOAD_RULES,
-            Feature.USES_THRESHOLDS,
-            Feature.THRESHOLD_ON_SYSTEM_PARAMETER,
-            Feature.REALLOCATES_RESOURCES,
-        ],
         kind="system",
-        implementation="repro.systems.sqlserver",
+        implementation="repro.systems.sqlserver:ResourceGovernorConfig",
     ),
-    _descriptor(
+    ApproachDescriptor(
         "Teradata Active System Management",
         "[71] [72]",
         "The workload analyzer recommends workload definitions; filters "
         "reject unwanted requests, throttles limit concurrency, and the "
         "regulator monitors exceptions and applies actions (abort).",
-        [
-            Feature.ACTS_AT_ARRIVAL,
-            Feature.ACTS_AT_RUNTIME,
-            Feature.MAPS_REQUESTS_TO_WORKLOADS,
-            Feature.PREDEFINED_WORKLOAD_RULES,
-            Feature.USES_THRESHOLDS,
-            Feature.THRESHOLD_ON_SYSTEM_PARAMETER,
-            Feature.TERMINATES_RUNNING_REQUEST,
-            Feature.REALLOCATES_RESOURCES,
-        ],
         kind="system",
-        implementation="repro.systems.teradata",
+        implementation="repro.systems.teradata:TeradataASMConfig",
     ),
 )
 

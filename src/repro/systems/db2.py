@@ -33,6 +33,7 @@ from repro.characterization.static import (
     WorkClassCriteria,
     WorkloadDefinition,
 )
+from repro.core.classify import Feature
 from repro.core.manager import priority_weight
 from repro.core.policy import (
     AdmissionPolicy,
@@ -138,6 +139,20 @@ def subclass_weight(weights: Dict[str, float], query: Query) -> float:
 @dataclass
 class DB2WorkloadManagerConfig:
     """A complete DB2 WLM setup, compiled by :meth:`build`."""
+
+    TECHNIQUE_FEATURES = frozenset(
+        {
+            Feature.ACTS_AT_ARRIVAL,
+            Feature.ACTS_AT_RUNTIME,
+            Feature.MAPS_REQUESTS_TO_WORKLOADS,
+            Feature.PREDEFINED_WORKLOAD_RULES,
+            Feature.USES_THRESHOLDS,
+            Feature.THRESHOLD_ON_SYSTEM_PARAMETER,
+            Feature.CHANGES_RUNNING_PRIORITY,
+            Feature.REALLOCATES_RESOURCES,
+            Feature.TERMINATES_RUNNING_REQUEST,
+        }
+    )
 
     workloads: Sequence[DB2Workload] = ()
     work_classes: Sequence[DB2WorkClass] = ()

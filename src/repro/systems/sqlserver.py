@@ -169,6 +169,18 @@ def default_group(query: Query, session: Optional[Session]) -> str:
 class ResourceGovernorConfig:
     """A full Resource Governor + Query Governor setup."""
 
+    TECHNIQUE_FEATURES = frozenset(
+        {
+            Feature.ACTS_AT_ARRIVAL,
+            Feature.ACTS_AT_RUNTIME,
+            Feature.MAPS_REQUESTS_TO_WORKLOADS,
+            Feature.PREDEFINED_WORKLOAD_RULES,
+            Feature.USES_THRESHOLDS,
+            Feature.THRESHOLD_ON_SYSTEM_PARAMETER,
+            Feature.REALLOCATES_RESOURCES,
+        }
+    )
+
     pools: Sequence[ResourcePool] = (ResourcePool("default"),)
     groups: Sequence[WorkloadGroup] = (WorkloadGroup("default", "default"),)
     classifier: Optional[ClassifierFn] = None

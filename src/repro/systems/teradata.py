@@ -35,6 +35,7 @@ from repro.characterization.static import (
     WorkClassCriteria,
     WorkloadDefinition,
 )
+from repro.core.classify import Feature
 from repro.core.interfaces import (
     AdmissionController,
     AdmissionDecision,
@@ -328,6 +329,19 @@ def workload_weight(weights: Dict[str, float], query: Query) -> float:
 @dataclass
 class TeradataASMConfig:
     """A complete Teradata ASM setup, compiled by :meth:`build`."""
+
+    TECHNIQUE_FEATURES = frozenset(
+        {
+            Feature.ACTS_AT_ARRIVAL,
+            Feature.ACTS_AT_RUNTIME,
+            Feature.MAPS_REQUESTS_TO_WORKLOADS,
+            Feature.PREDEFINED_WORKLOAD_RULES,
+            Feature.USES_THRESHOLDS,
+            Feature.THRESHOLD_ON_SYSTEM_PARAMETER,
+            Feature.TERMINATES_RUNNING_REQUEST,
+            Feature.REALLOCATES_RESOURCES,
+        }
+    )
 
     definitions: Sequence[TeradataWorkloadDefinition] = ()
     object_filters: Sequence[ObjectAccessFilter] = ()

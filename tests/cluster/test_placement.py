@@ -45,8 +45,11 @@ class FakeNode:
         self.outstanding_work = outstanding
         self.accepting = True
 
-    def on_change(self, listener):
-        """Static load: the load-ranked policies never need a re-key."""
+
+def _placement_order(policy, nodes):
+    """What the dispatcher hands ``choose``: a fresh stable sort of the
+    eligible nodes by ``policy.rank``."""
+    return sorted((node for node in nodes if policy.rank(node) is not None), key=policy.rank)
 
 
 # (cpu, io, priority, workload) per arriving query
@@ -155,8 +158,7 @@ class TestLeastOutstanding:
             FakeNode("c", outstanding=1),
         ]
         policy = LeastOutstandingPlacement()
-        policy.bind(nodes)
-        assert policy.choose(make_query(), nodes).name == "a"
+        assert policy.choose(make_query(), _placement_order(policy, nodes)).name == "a"
 
 
 class TestCostBalanced:
@@ -164,8 +166,7 @@ class TestCostBalanced:
         # 12 device-seconds on a fast node drains sooner than 8 on a slow one
         nodes = [FakeNode("fast", est=12.0, rate=12.0), FakeNode("slow", est=8.0, rate=4.0)]
         policy = CostBalancedPlacement()
-        policy.bind(nodes)
-        assert policy.choose(make_query(), nodes).name == "fast"
+        assert policy.choose(make_query(), _placement_order(policy, nodes)).name == "fast"
 
 
 class TestSLAScoring:

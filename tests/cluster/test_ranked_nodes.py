@@ -1,8 +1,8 @@
 """The ranked node index: whole-run audits, a property, a cost guard.
 
 The fresh full sort the index replaced survives here as the oracle:
-every read of a :class:`RankedNodes` in a whole run (the matcher's,
-load-ranked placement's and the dispatcher's eligible set) is compared
+every read of a :class:`RankedNodes` in a whole run (the matcher's and
+the dispatcher's eligible set, in placement order) is compared
 with a fresh sort of the nodes that have a ``rank``, and every
 load-ranked placement with the old ``min`` over the candidate list.
 """
@@ -140,7 +140,7 @@ class TestWholeRunAudit:
             indexes = [d.binding.matcher._hungry]
         else:  # the eligible set is built at its first read
             d._eligible_for()
-            indexes = [d.placement._ranked, d._eligible]
+            indexes = [d._eligible]
         n1 = d.node("n1")
         with _audit() as seen:
             for edge in (

@@ -4,7 +4,12 @@ The expected classifications below are taken verbatim from the paper's
 §4.1.4 (commercial systems) and §4.2.5/Table 5 (research techniques).
 """
 
+import dataclasses
 import importlib
+import inspect
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -21,12 +26,23 @@ from repro.core.registry import (
     EXECUTION_APPROACHES,
     PREDICTION_ADMISSION,
     RESEARCH_TECHNIQUES,
+    ApproachDescriptor,
     Feature,
     all_descriptors,
 )
 from repro.core.taxonomy import TechniqueClass
 
 T = TechniqueClass
+
+#: The packages that hold technique classes a registry row can name.
+TECHNIQUE_PACKAGES = (
+    "admission",
+    "characterization",
+    "control",
+    "execution",
+    "scheduling",
+    "systems",
+)
 
 
 def _by_name(descriptors, name):
@@ -160,11 +176,14 @@ class TestTable5Classification:
         assert T.QUERY_CANCELLATION in leaves
         assert T.QUERY_REPRIORITIZATION in leaves
 
-    def test_krompass_row_names_the_fuzzy_controllers_module(self):
+    def test_krompass_row_names_the_fuzzy_controller_class(self):
         from repro.execution.krompass import FuzzyExecutionController
 
         descriptor = _by_name(RESEARCH_TECHNIQUES, "Krompass et al.")
-        assert descriptor.implementation == FuzzyExecutionController.__module__
+        assert descriptor.implementation == (
+            "repro.execution.krompass:FuzzyExecutionController"
+        )
+        assert descriptor.implementation_class is FuzzyExecutionController
 
 
 class TestRegistryIntegrity:
@@ -172,12 +191,40 @@ class TestRegistryIntegrity:
         for descriptor in all_descriptors():
             assert classify_descriptor(descriptor), descriptor.name
 
-    def test_every_implementation_module_imports(self):
+    def test_every_implementation_names_a_class(self):
         """DESIGN.md inventory is machine-checked here."""
         for descriptor in all_descriptors():
-            assert descriptor.implementation, descriptor.name
-            module = importlib.import_module(descriptor.implementation)
-            assert module is not None
+            module, _, name = descriptor.implementation.partition(":")
+            cls = getattr(importlib.import_module(module), name)
+            assert inspect.isclass(cls), descriptor.name
+            assert descriptor.implementation_class is cls
+
+    def test_a_row_reads_its_features_off_its_class(self):
+        for descriptor in all_descriptors():
+            cls = descriptor.implementation_class
+            assert descriptor.features is cls.TECHNIQUE_FEATURES, descriptor.name
+            assert classify_features(descriptor.features) == classify_component(cls)
+
+    def test_no_row_declares_features(self):
+        fields = {field.name for field in dataclasses.fields(ApproachDescriptor)}
+        assert "features" not in fields
+
+    def test_importing_the_registry_imports_no_technique(self):
+        # the technique classes import Feature from the registry: a row
+        # resolves its class only when its features are read
+        code = (
+            "import sys, repro.core.registry; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+            f"[['repro', p] for p in {TECHNIQUE_PACKAGES!r}]))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        ).stdout
+        assert out.strip() == "[]"
 
     def test_descriptors_have_citations_and_mechanisms(self):
         for descriptor in all_descriptors():

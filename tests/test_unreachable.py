@@ -63,7 +63,10 @@ vector, and the store's array mode (its tombstones, compaction and
 live-row index, and the columns the clock replaced) went.  A backend
 worker owns its pool slot, so the pool's idle queue, lock, borrowed map,
 eager recycle, wait path and health-check knob went, with the pool
-counters, pacer reads, plan listing and dict forms no run read.
+counters, pacer reads, plan listing and dict forms no run read.  Push
+placement reads one eligible index, ranked by the placement policy, so
+the policy's own index and the hook that bound it went.  A registry row
+names its class and reads the class's features, so a row takes none.
 Bringing one back means bringing the spec field and the measured cell
 that reach it, and editing this list.
 """
@@ -95,8 +98,10 @@ from repro.cli import build_parser
 from repro.cluster import ClusterDispatcher, ClusterNode, FaultKind, NodeHealth, TaskQueue
 from repro.cluster.dispatcher import BindingPolicy, PullBinding
 from repro.cluster.matcher import Matcher
+from repro.cluster.placement import LoadRankedPlacement, PlacementPolicy
 from repro.cluster.metrics import ClusterMetrics
 from repro.core.interfaces import ManagerContext, Scheduler
+from repro.core.registry import ApproachDescriptor
 from repro.core.manager import WorkloadManager
 from repro.engine.executor import EngineConfig, ExecutionEngine
 from repro.engine.simulator import Event, Simulator
@@ -232,6 +237,7 @@ DELETED_NAMES = {
     "_recycle",
     "health_check_every",
     "wait_timeouts",
+    "_eligible_rank",
 }
 DELETED_MODULES = (
     "cluster/elastic.py",
@@ -361,6 +367,8 @@ def test_removed_parameters_stay_removed():
     assert list(inspect.signature(ConnectionPool).parameters) == ["driver", "size"]
     assert list(inspect.signature(ConnectionPool.acquire).parameters) == ["self", "slot"]
     assert list(inspect.signature(ConnectionPool.release).parameters) == ["self", "slot"]
+    # a row's features are its class's: a row declares none
+    assert "features" not in inspect.signature(ApproachDescriptor).parameters
 
 
 def test_removed_readers_stay_removed():
@@ -383,6 +391,9 @@ def test_removed_readers_stay_removed():
     # phase detector's ``windows`` argument)
     assert not hasattr(WorkloadManager(sim), "query_log")
     assert not hasattr(QueryLog, "windows") and not hasattr(QueryLog, "throughput")
+    # the dispatcher's eligible index is the only one push placement reads
+    assert not hasattr(PlacementPolicy, "bind")
+    assert not hasattr(LoadRankedPlacement, "_rank")
     # the pool counts what a report reads; the backend keeps no dict forms
     # (``acquired``, ``released``, ``elapsed``, ``as_dict`` live on elsewhere)
     assert [f.name for f in dataclasses.fields(PoolStats)] == [
