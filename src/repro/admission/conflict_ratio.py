@@ -37,7 +37,7 @@ class ConflictRatioAdmission(AdmissionController):
         if critical_ratio < 1.0:
             raise ValueError("critical_ratio must be >= 1.0")
         self.critical_ratio = critical_ratio
-        self.suspensions = 0
+        self.suspensions = 0  # delays decided; a carried-over hold adds none
 
     def decide(self, query: Query, context: ManagerContext) -> AdmissionDecision:
         if query.true_cost.lock_count == 0:
@@ -47,6 +47,6 @@ class ConflictRatioAdmission(AdmissionController):
             self.suspensions += 1
             return AdmissionDecision.delay(
                 f"conflict ratio {ratio:.2f} exceeds critical "
-                f"{self.critical_ratio:.2f}"
+                f"{self.critical_ratio:.2f}", self
             )
         return AdmissionDecision.accept(f"conflict ratio {ratio:.2f} ok")

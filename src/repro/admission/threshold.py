@@ -61,7 +61,7 @@ class ThresholdAdmission(AdmissionController):
     ) -> None:
         self.default_policy = default_policy or AdmissionPolicy()
         self.per_workload: Dict[str, AdmissionPolicy] = dict(per_workload or {})
-        # exposed for experiments
+        # exposed for experiments: decisions made (a carried-over hold adds none)
         self.cost_rejections = 0
         self.mpl_delays = 0
         self.mpl_rejections = 0
@@ -93,10 +93,12 @@ class ThresholdAdmission(AdmissionController):
         if broken is None:
             return AdmissionDecision.accept("within thresholds")
         kind, action, reason = broken
-        if action is ThresholdAction.QUEUE:
-            if kind is ThresholdKind.CONCURRENCY:
-                self.mpl_delays += 1
-            return AdmissionDecision.delay(reason)
+        if action is ThresholdAction.QUEUE:  # only the MPL queues
+            self.mpl_delays += 1
+            # its scope's MPL, unless the period can turn this hold into a reject
+            scope = query.workload_name if query.workload_name in self.per_workload else None
+            wait = None if policy.period_overrides else (self, scope)
+            return AdmissionDecision.delay(reason, wait)
         if kind is ThresholdKind.CONCURRENCY:
             self.mpl_rejections += 1
         else:

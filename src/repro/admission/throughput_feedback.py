@@ -63,7 +63,7 @@ class ThroughputFeedbackAdmission(AdmissionController):
         # the scheduler-side climber is the one implementation of the step
         self.climber = FeedbackMpl(initial_mpl, min_mpl, max_mpl, interval, step, hysteresis)
         self.climber.emitter = self
-        self.delays = 0
+        self.delays = 0  # delays decided; a carried-over hold adds none
 
     @property
     def mpl(self) -> int:
@@ -76,9 +76,7 @@ class ThroughputFeedbackAdmission(AdmissionController):
     def decide(self, query: Query, context: ManagerContext) -> AdmissionDecision:
         if context.engine.running_count >= self.mpl:
             self.delays += 1
-            return AdmissionDecision.delay(
-                f"feedback MPL {self.mpl} reached"
-            )
+            return AdmissionDecision.delay(f"feedback MPL {self.mpl} reached", self)
         return AdmissionDecision.accept(f"within feedback MPL {self.mpl}")
 
     def notify_exit(self, query: Query, context: ManagerContext) -> None:

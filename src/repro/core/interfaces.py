@@ -7,7 +7,7 @@ sockets defined here:
 * :class:`Characterizer` — workload identification (§2.2, §3.1);
 * :class:`AdmissionController` — the admission decision (§3.2);
 * :class:`Scheduler` — dispatch from a :class:`PartitionedQueue`, the
-  wait queue(s) every waiting request of either tier sits in (§3.3);
+  wait queue(s) every admitted request of either tier waits in (§3.3);
 * :class:`ExecutionController` — run-time control actions (§3.4).
 
 Controllers receive a :class:`ManagerContext` giving them monitored
@@ -40,15 +40,18 @@ class AdmissionOutcome(enum.Enum):
 
     ACCEPT = "accept"      # pass to the scheduler's wait queue(s)
     REJECT = "reject"      # deny with a returned message
-    DELAY = "delay"        # hold back; re-evaluated on the next pump
+    DELAY = "delay"        # hold back; retried at exits/ticks (see .wait)
 
 
 @dataclass(frozen=True)
 class AdmissionDecision:
-    """Outcome plus the reason used in logs/experiments."""
+    """Outcome plus the reason used in logs/experiments.  A DELAY's
+    ``wait`` is what it waits for: while one hold is delayed under it,
+    every hold under it would be too.  ``None`` promises nothing."""
 
     outcome: AdmissionOutcome
     reason: str = ""
+    wait: Any = None
 
     @staticmethod
     def accept(reason: str = "") -> "AdmissionDecision":
@@ -59,8 +62,8 @@ class AdmissionDecision:
         return AdmissionDecision(AdmissionOutcome.REJECT, reason)
 
     @staticmethod
-    def delay(reason: str = "") -> "AdmissionDecision":
-        return AdmissionDecision(AdmissionOutcome.DELAY, reason)
+    def delay(reason: str = "", wait: Any = None) -> "AdmissionDecision":
+        return AdmissionDecision(AdmissionOutcome.DELAY, reason, wait)
 
 
 @dataclass(frozen=True, slots=True)

@@ -17,7 +17,7 @@ management — the baseline of every experiment.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.interfaces import (
     AdmissionController,
@@ -172,7 +172,7 @@ class WorkloadManager:
             sessions=self.sessions,
             manager=self,
         )
-        self._delayed: List[Query] = []
+        self._delayed: List[Tuple[Query, AdmissionDecision]] = []  # holds, FIFO
         self._listeners: List[CompletionListener] = []
         self._backlog_listeners: List[Callable[[], None]] = []
         self._pumping = False
@@ -258,7 +258,7 @@ class WorkloadManager:
             self._reject(query, decision)
         elif decision.outcome is AdmissionOutcome.DELAY:
             query.transition(QueryState.QUEUED)
-            self._delayed.append(query)
+            self._delayed.append((query, decision))
             if self._backlog_listeners:
                 self._backlog_changed()
         else:
@@ -317,12 +317,15 @@ class WorkloadManager:
         # again, so listeners never observe a state they weren't told of
         if self._backlog_listeners:
             self._backlog_changed()
-        for query in pending:
-            decision = self.admission.decide(query, self.context)
+        closed = set()  # waits re-delayed this sweep: their later holds stay undecided
+        for query, decision in pending:
+            if decision.wait is None or decision.wait not in closed:
+                decision = self.admission.decide(query, self.context)
             if decision.outcome is AdmissionOutcome.REJECT:
                 self._reject(query, decision)
             elif decision.outcome is AdmissionOutcome.DELAY:
-                self._delayed.append(query)
+                closed.add(decision.wait)
+                self._delayed.append((query, decision))
                 if self._backlog_listeners:
                     self._backlog_changed()
             else:
@@ -411,11 +414,11 @@ class WorkloadManager:
         return self.queued_count + self.running_count
 
     def evacuate_queued(self) -> List[Query]:
-        """Withdraw every waiting request (wait queue, then delayed holds)
-        in one pass, still QUEUED, for a crashed node's dispatcher to
-        re-place; running work is untouched."""
+        """Withdraw every waiting request (wait queue, then delayed holds
+        in arrival order) in one pass, still QUEUED, for a crashed node's
+        dispatcher to re-place; running work is untouched."""
         evacuated = self.scheduler.queue.pop_all()
-        evacuated.extend(self._delayed)
+        evacuated.extend(query for query, _ in self._delayed)
         self._delayed.clear()
         if self._backlog_listeners:
             self._backlog_changed()

@@ -150,8 +150,8 @@ def runtime_observer(kind: ThresholdKind) -> Callable:
 class AdmissionPolicy:
     """Admission thresholds for one workload (or the whole server).
 
-    ``reject_over_cost`` and ``queue_over_cost`` are estimated-cost
-    limits; ``max_concurrency`` is the MPL; ``queue_when_full`` selects
+    ``reject_over_cost`` is the estimated-cost limit;
+    ``max_concurrency`` is the MPL; ``queue_when_full`` selects
     queueing (True) vs. rejection (False) at the MPL limit; the optional
     ``period_overrides`` map (start, end) time-of-day windows (in
     simulated seconds within a day) to alternate cost limits, per §3.2's
@@ -159,7 +159,6 @@ class AdmissionPolicy:
     """
 
     reject_over_cost: Optional[float] = None
-    queue_over_cost: Optional[float] = None
     max_concurrency: Optional[int] = None
     queue_when_full: bool = True
     period_overrides: Tuple[Tuple[float, float, float], ...] = ()
@@ -183,8 +182,8 @@ class AdmissionPolicy:
         ``estimated`` is the optimizer's total work, ``running`` what the
         MPL counts and ``time`` the schedule instant the cost limit is
         read at.  A break is ``(kind, action, reason)``: the cost limit
-        rejects, the queueing cost limit queues, and the MPL queues or
-        rejects as ``queue_when_full`` says.
+        rejects, and the MPL queues or rejects as ``queue_when_full``
+        says.
         """
         cost_limit = self.cost_limit_at(time)
         if cost_limit is not None and estimated > cost_limit:
@@ -192,12 +191,6 @@ class AdmissionPolicy:
                 ThresholdKind.ESTIMATED_COST,
                 ThresholdAction.REJECT,
                 f"estimated cost {estimated:.1f}s exceeds limit {cost_limit:.1f}s",
-            )
-        if self.queue_over_cost is not None and estimated > self.queue_over_cost:
-            return (
-                ThresholdKind.ESTIMATED_COST,
-                ThresholdAction.QUEUE,
-                "estimated cost over queueing threshold",
             )
         if self.max_concurrency is not None and running >= self.max_concurrency:
             return (

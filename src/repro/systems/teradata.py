@@ -162,7 +162,7 @@ class _ObjectThrottleAdmission(AdmissionController):
 
     def __init__(self, throttles: Sequence[ObjectThrottle]) -> None:
         self.limits = {t.object_name: t.limit for t in throttles}
-        self.delays = 0
+        self.delays = 0  # delays decided; a carried-over hold adds none
 
     def decide(self, query: Query, context: ManagerContext) -> AdmissionDecision:
         constrained = [obj for obj in query.objects if obj in self.limits]
@@ -174,7 +174,7 @@ class _ObjectThrottleAdmission(AdmissionController):
             if in_flight >= self.limits[obj]:
                 self.delays += 1
                 return AdmissionDecision.delay(
-                    f"object throttle on {obj!r}: {in_flight} running"
+                    f"object throttle on {obj!r}: {in_flight} running", (self, obj)
                 )
         return AdmissionDecision.accept("object throttles clear")
 
@@ -214,7 +214,7 @@ class _UtilityThrottleAdmission(AdmissionController):
 
     def __init__(self, throttle: UtilityThrottle) -> None:
         self.limit = throttle.limit
-        self.delays = 0
+        self.delays = 0  # delays decided; a carried-over hold adds none
 
     def decide(self, query: Query, context: ManagerContext) -> AdmissionDecision:
         if query.statement_type not in self._UTILITY_TYPES:
@@ -227,7 +227,7 @@ class _UtilityThrottleAdmission(AdmissionController):
         if running >= self.limit:
             self.delays += 1
             return AdmissionDecision.delay(
-                f"utility throttle: {running} utilities running"
+                f"utility throttle: {running} utilities running", self
             )
         return AdmissionDecision.accept("utility slot available")
 

@@ -40,14 +40,6 @@ class TestCostThreshold:
         sneaky = make_query(cpu=100.0, io=100.0, est_cpu=1.0, est_io=1.0)
         assert admission.decide(sneaky, context).outcome is AdmissionOutcome.ACCEPT
 
-    def test_queue_over_cost_delays(self, sim):
-        admission = ThresholdAdmission(
-            AdmissionPolicy(queue_over_cost=5.0)
-        )
-        _, context = _context(sim, admission)
-        decision = admission.decide(make_query(cpu=10.0, io=10.0), context)
-        assert decision.outcome is AdmissionOutcome.DELAY
-
     def test_period_override_applies_at_night(self, sim):
         policy = AdmissionPolicy(
             reject_over_cost=5.0,

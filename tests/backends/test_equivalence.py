@@ -6,8 +6,11 @@ controller's inline comparisons were replaced by one
 :meth:`AdmissionPolicy.violation` and one
 :meth:`WorkloadStats.from_log`.  Each deleted body lives on below
 verbatim, and hypothesis drives old and new through the same inputs.
+The threshold copy tracks the live gate's contract since: it lost the
+deleted queueing cost limit and names its delays' wait.
 """
 
+from dataclasses import replace
 from types import SimpleNamespace
 from typing import Optional
 
@@ -88,11 +91,6 @@ class InlineThresholdAdmission(ThresholdAdmission):
                     f"estimated cost {estimated:.1f}s exceeds limit "
                     f"{cost_limit:.1f}s"
                 )
-        if policy.queue_over_cost is not None:
-            if query.estimated_cost.total_work > policy.queue_over_cost:
-                return AdmissionDecision.delay(
-                    "estimated cost over queueing threshold"
-                )
         if policy.max_concurrency is not None:
             scoped = query.workload_name in self.per_workload
             running = (
@@ -103,8 +101,10 @@ class InlineThresholdAdmission(ThresholdAdmission):
             if running >= policy.max_concurrency:
                 if policy.queue_when_full:
                     self.mpl_delays += 1
+                    scope = query.workload_name if scoped else None
                     return AdmissionDecision.delay(
-                        f"MPL {policy.max_concurrency} reached ({running} running)"
+                        f"MPL {policy.max_concurrency} reached ({running} running)",
+                        None if policy.period_overrides else (self, scope),
                     )
                 self.mpl_rejections += 1
                 return AdmissionDecision.reject(
@@ -148,7 +148,6 @@ WORKLOADS = st.sampled_from(["oltp", "bi", "etl"])
 POLICIES = st.builds(
     AdmissionPolicy,
     reject_over_cost=LIMIT,
-    queue_over_cost=LIMIT,
     max_concurrency=st.none() | COUNT,
     queue_when_full=st.booleans(),
     period_overrides=st.lists(
@@ -175,7 +174,10 @@ def test_threshold_admission_decides_and_counts_as_before(default, per_workload,
     for estimated, workload, now in asks:
         context = SimpleNamespace(now=now, engine=engine)
         query = _query(estimated, workload)
-        assert new.decide(query, context) == old.decide(query, context)
+        decision, expected = new.decide(query, context), old.decide(query, context)
+        if expected.wait is not None:  # each gate names its own waits
+            expected = replace(expected, wait=(new, expected.wait[1]))
+        assert decision == expected
     counters = ("cost_rejections", "mpl_delays", "mpl_rejections")
     assert [getattr(new, c) for c in counters] == [getattr(old, c) for c in counters]
 

@@ -182,7 +182,7 @@ class TestAdmission:
             ScriptedDriver(),
             plan,
             FAST,
-            admission=AdmissionPolicy(queue_over_cost=1.0, max_concurrency=0),
+            admission=AdmissionPolicy(max_concurrency=0),
         )
         assert (report.completed, report.rejected) == (4, 0)
 

@@ -1,6 +1,7 @@
 """Tests for the in-process SQLite backend."""
 
 import sqlite3
+import threading
 
 import pytest
 
@@ -140,13 +141,16 @@ class TestHealthAndTaxonomy:
 class HeldWriteLock(SQLiteBackend):
     """A second connection holds a write transaction from setup on, and
     commits it when the ``release_after``-th blocked write fails: the
-    driver, not a timer, decides when the writers get through."""
+    driver, not a timer, decides when the writers get through.  The check
+    and the commit are one step under a lock: two blocked workers must
+    not both see the holder in its transaction and both commit it."""
 
     def __init__(self, release_after):
         super().__init__(busy_timeout_s=0.0)
         self.release_after = release_after
         self.blocked = []
         self._holder = None
+        self._release = threading.Lock()
 
     def setup(self, seed=0, rows=10_000):
         super().setup(seed=seed, rows=rows)
@@ -159,8 +163,9 @@ class HeldWriteLock(SQLiteBackend):
         except sqlite3.OperationalError as error:
             # SQLITE_LOCKED_SHAREDCACHE: "database table is locked"
             self.blocked.append((str(error), self.classify_error(error)))
-            if len(self.blocked) >= self.release_after and self._holder.in_transaction:
-                self._holder.execute("COMMIT")
+            with self._release:
+                if len(self.blocked) >= self.release_after and self._holder.in_transaction:
+                    self._holder.execute("COMMIT")
             raise
 
     def teardown(self):

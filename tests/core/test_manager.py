@@ -4,6 +4,7 @@ from functools import partial
 
 import pytest
 
+from repro.admission.threshold import ThresholdAdmission
 from repro.core.interfaces import (
     AdmissionController,
     AdmissionDecision,
@@ -11,6 +12,7 @@ from repro.core.interfaces import (
     ManagerContext,
 )
 from repro.core.manager import FCFSDispatcher, WorkloadManager
+from repro.core.policy import AdmissionPolicy
 from repro.core.sla import SLASet, response_time_sla
 from repro.engine.query import QueryState
 from repro.engine.resources import MachineSpec
@@ -380,4 +382,20 @@ class TestBacklogListener:
             manager.submit(make_query(cpu=5.0, io=0.0))
         check((1, 2))
         assert len(manager.evacuate_queued()) == 2
+        check((1, 0))
+
+    def test_evacuate_queued_withdraws_admission_holds(self, sim):
+        # "held" waits in admission (an MPL of 0), the rest in the queue
+        admission = ThresholdAdmission(per_workload={"held": AdmissionPolicy(max_concurrency=0)})
+        manager, check = self._watched(
+            sim, admission=admission, scheduler=FCFSDispatcher(max_concurrency=1)
+        )
+        queries = [make_query(cpu=5.0, io=0.0, sql=sql) for sql in ("wl:q", "held:q") * 3]
+        for query in queries:
+            manager.submit(query)
+        check((1, 5))
+        assert manager.evacuate_queued() == queries[2::2] + queries[1::2]
+        check((1, 0))
+        assert all(query.state is QueryState.QUEUED for query in queries[1:])
+        sim.run_until(1.0)  # the tick's retry finds no hold left to admit
         check((1, 0))

@@ -67,6 +67,8 @@ counters, pacer reads, plan listing and dict forms no run read.  Push
 placement reads one eligible index, ranked by the placement policy, so
 the policy's own index and the hook that bound it went.  A registry row
 names its class and reads the class's features, so a row takes none.
+An admission hold waits for a slot to free, so the queueing cost limit,
+a hold that no exit or tick could ever release, went.
 Bringing one back means bringing the spec field and the measured cell
 that reach it, and editing this list.
 """
@@ -238,6 +240,7 @@ DELETED_NAMES = {
     "health_check_every",
     "wait_timeouts",
     "_eligible_rank",
+    "queue_over_cost",
 }
 DELETED_MODULES = (
     "cluster/elastic.py",
