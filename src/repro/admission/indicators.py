@@ -48,8 +48,9 @@ def conflict_ratio(query: Query, context: ManagerContext) -> float:
 
 
 def queue_length(query: Query, context: ManagerContext) -> float:
-    """Requests waiting in the manager's queues."""
-    return float(context.manager.queued_count)
+    """Admitted requests waiting in the scheduler's queue, not the gate's
+    own holds: counting those would shut it for good past the threshold."""
+    return float(context.manager.scheduler.queued_count())
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,9 @@ clock.  Each :class:`~repro.cluster.node.ClusterNode` wraps a full
 engine + :class:`~repro.core.manager.WorkloadManager` stack on that
 clock and names its one random stream, the engine's lock stream; the
 :class:`~repro.cluster.dispatcher.ClusterDispatcher` is the
-cluster-level workload manager — admission (per-tenant quotas,
-:class:`~repro.cluster.dispatcher.TenantQuota`, and one bound on the
-cluster queue), placement (pluggable policies from
+cluster-level workload manager — admission (one front-door gate, such
+as :class:`~repro.cluster.dispatcher.TenantQuota`'s per-tenant quotas,
+and one bound on the cluster queue), placement (pluggable policies from
 :mod:`repro.cluster.placement`: round-robin, least-outstanding,
 cost-balanced, SLA-aware greedy), and re-placement of crash-lost work
 (faults are dispatcher actions, scheduled by

@@ -5,8 +5,9 @@ DIRAC matcher / WiSeDB advisor of this simulator.  It owns the shared
 substrate every dispatch mode uses: request intake and conservation
 counters, placement commit, the funnel of node outcomes to clients,
 crash reclaim and the cluster metrics rollup.
-Intake applies two controls: per-tenant quotas (:class:`TenantQuota`)
-on arrival, and one bound on the cluster wait structure after routing.
+Intake applies two controls: one admission gate on arrival (a node's
+``AdmissionController``, such as :class:`TenantQuota`), which admits or
+rejects, and one bound on the cluster wait structure after routing.
 *When* work binds to a node is a pluggable **binding policy** — the
 paper's §3.2/§3.3 split between where decisions happen and when work
 binds to capacity:
@@ -55,6 +56,7 @@ from repro.cluster.node import ClusterNode
 from repro.cluster.placement import PlacementPolicy, RoundRobinPlacement
 from repro.cluster.ranked import RankedNodes
 from repro.cluster.taskqueue import TaskQueue
+from repro.core.interfaces import AdmissionController, AdmissionDecision, AdmissionOutcome
 from repro.core.interfaces import PartitionedQueue
 from repro.engine.query import Query, QueryState, tenant_key
 from repro.engine.simulator import Simulator
@@ -98,13 +100,13 @@ class FaultEvent:
             )
 
 
-class TenantQuota:
+class TenantQuota(AdmissionController):
     """Cluster-tier admission quotas: a cap on each tenant's outstanding work.
 
     A request is counted against its tenant (:func:`tenant_key`) from
-    :meth:`admit` to :meth:`release` at its terminal outcome; a tenant
-    at its quota has new arrivals rejected at intake — the noisy
-    neighbor's flood bounces at the front door instead of burying every
+    the :meth:`decide` that accepts it to its :meth:`notify_exit`; a
+    tenant at its quota has new arrivals rejected at the front door —
+    the noisy neighbor's flood bounces there instead of burying every
     queue.  Untenanted work and tenants without a quota are never
     refused.
     """
@@ -119,22 +121,18 @@ class TenantQuota:
         self._outstanding: Dict[str, int] = {}
         self._counted: Dict[int, str] = {}
 
-    def admit(self, query: Query) -> Optional[str]:
-        """``None`` when ``query`` may enter (it is then counted), else
-        the reason it may not."""
+    def decide(self, query: Query, context: ClusterMetrics) -> AdmissionDecision:
         tenant = tenant_key(query)
-        if tenant is None:
-            return None
-        quota = self.quotas.get(tenant)
-        outstanding = self._outstanding.get(tenant, 0)
-        if quota is not None and outstanding >= quota:
-            return f"tenant {tenant!r} at its quota of {quota}"
-        self._counted[query.query_id] = tenant
-        self._outstanding[tenant] = outstanding + 1
-        return None
+        if tenant is not None:
+            quota = self.quotas.get(tenant)
+            outstanding = self._outstanding.get(tenant, 0)
+            if quota is not None and outstanding >= quota:
+                return AdmissionDecision.reject(f"tenant {tenant!r} at its quota of {quota}")
+            self._counted[query.query_id] = tenant
+            self._outstanding[tenant] = outstanding + 1
+        return AdmissionDecision.accept("within quota")
 
-    def release(self, query: Query) -> None:
-        """``query`` reached its terminal outcome."""
+    def notify_exit(self, query: Query, context: ClusterMetrics) -> None:
         tenant = self._counted.pop(query.query_id, None)
         if tenant is not None:
             self._outstanding[tenant] -= 1
@@ -273,9 +271,10 @@ class ClusterDispatcher:
         (never cluster-reject), ``0`` = reject the moment no node can
         take the arrival.  A routed request that leaves the structure
         over its bound is the one the cluster turns away.
-    tenant_quotas:
-        ``{tenant: max outstanding}`` cluster-tier admission quotas
-        (:class:`TenantQuota`); ``None`` (default) disables quotas.
+    admission:
+        The front door's gate (a :class:`TenantQuota`, say), decided with
+        :attr:`metrics` as its context: any verdict but ACCEPT rejects.
+        ``None`` (default) admits everything.
     """
 
     def __init__(
@@ -285,7 +284,7 @@ class ClusterDispatcher:
         placement: Optional[PlacementPolicy] = None,
         binding: Optional[BindingPolicy] = None,
         max_queue_depth: Optional[int] = None,
-        tenant_quotas: Optional[Dict[str, int]] = None,
+        admission: Optional[AdmissionController] = None,
     ) -> None:
         if not nodes:
             raise ConfigurationError("a cluster needs at least one node")
@@ -294,13 +293,13 @@ class ClusterDispatcher:
             raise ConfigurationError(f"duplicate node names: {names}")
         if max_queue_depth is not None and max_queue_depth < 0:
             raise ConfigurationError("max_queue_depth must be >= 0 or None")
-        self.quota = TenantQuota(tenant_quotas) if tenant_quotas else None
         self.sim = sim
         self.nodes = list(nodes)
         self._by_name = dict(zip(names, self.nodes))
         self.placement = placement or RoundRobinPlacement()
         self.max_queue_depth = max_queue_depth
         self.metrics = ClusterMetrics(sim, self.nodes)
+        self.admission = admission
         self.binding = binding if binding is not None else PushBinding()
         self.binding.attach(self)
         self._listeners: List[CompletionListener] = []
@@ -316,7 +315,7 @@ class ClusterDispatcher:
 
     @property
     def rejections(self) -> int:
-        """Requests refused at the cluster front end (quota or full queue)."""
+        """Requests refused at the cluster front end (gate or full queue)."""
         return self.metrics.cluster_rejections
 
     @property
@@ -333,10 +332,10 @@ class ClusterDispatcher:
         if query.submit_time is None:
             query.submit_time = self.sim.now
         self.arrivals += 1
-        if self.quota is not None:
-            reason = self.quota.admit(query)
-            if reason is not None:
-                self._cluster_reject(query, reason, self.quota)
+        if self.admission is not None:
+            decision = self.admission.decide(query, self.metrics)
+            if decision.outcome is not AdmissionOutcome.ACCEPT:
+                self._cluster_reject(query, decision.reason, self.admission)
                 return
         self._route(query)
 
@@ -372,12 +371,12 @@ class ClusterDispatcher:
     def _place(self, query: Query, node: ClusterNode) -> None:
         node.submit(query)
 
-    def _cluster_reject(self, query: Query, reason: str, emitter: object = None) -> None:
+    def _cluster_reject(self, query: Query, reason: str, gate: object = None) -> None:
         query.transition(QueryState.REJECTED)
         query.end_time = self.sim.now
         self.metrics.cluster_rejections += 1
-        self.metrics.record(emitter or self, "reject", query, reason)
-        self._notify(query)
+        self.metrics.record(gate or self, "reject", query, reason)
+        self._notify(query, refused_by=gate)
 
     # ------------------------------------------------------------------
     # node feedback
@@ -473,9 +472,10 @@ class ClusterDispatcher:
         """Called for every client-visible terminal outcome."""
         self._listeners.append(listener)
 
-    def _notify(self, query: Query) -> None:
-        if self.quota is not None:
-            self.quota.release(query)
+    def _notify(self, query: Query, refused_by: object = None) -> None:
+        # a gate hears the exit of each request it counted: none it refused
+        if self.admission is not None and self.admission is not refused_by:
+            self.admission.notify_exit(query, self.metrics)
         for listener in list(self._listeners):
             listener(query)
 

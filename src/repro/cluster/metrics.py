@@ -22,7 +22,7 @@ from repro.engine.simulator import Simulator
 
 
 class ClusterMetrics:
-    """Rollup over a set of nodes plus dispatcher-level counters."""
+    """Node rollup, dispatcher counters, and the front-door gate's context."""
 
     def __init__(self, sim: Simulator, nodes: Sequence[ClusterNode]) -> None:
         self.sim = sim
@@ -30,6 +30,10 @@ class ClusterMetrics:
         self.resubmissions = 0         # crash-lost work resubmitted
         self.cluster_rejections = 0    # refused at the cluster front end
         self.decisions: List[ControlEvent] = []
+
+    @property
+    def now(self) -> float:
+        return self.sim.now
 
     # ------------------------------------------------------------------
     # event recording (called by the dispatcher)

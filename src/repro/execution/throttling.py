@@ -90,14 +90,12 @@ class UtilityThrottlingController(ExecutionController):
         utility_workloads: Sequence[str] = ("utilities",),
         kp: float = 1.2,
         ki: float = 0.4,
-        window: float = 10.0,
     ) -> None:
         if not 0 < baseline_velocity <= 1:
             raise ConfigurationError("baseline_velocity must be in (0, 1]")
         self.degradation_target = degradation_target
         self.baseline_velocity = baseline_velocity
         self.utility_workloads = set(utility_workloads)
-        self.window = window
         # PI on degradation: setpoint is the acceptable degradation,
         # output the sleep fraction in [0, 0.95].
         self.controller = PIController(

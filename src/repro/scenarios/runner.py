@@ -5,7 +5,7 @@ runner.  :func:`arm_scenario` is the one place a cluster is assembled:
 from a :class:`ScenarioSpec` and a :class:`PolicyConfig` it builds the
 nodes (speeds, per-tenant node schedulers), the binding (push, or pull
 with tenant queue shares), the placement policy over the spec's own
-SLAs and the dispatcher (admission quotas, queue bound), attaches
+SLAs and the dispatcher (quota gate, queue bound), attaches
 every workload's arrival stream, arms the chaos timeline and returns
 the un-run :class:`ScenarioResult` (live dispatcher plus the tenant
 conservation ledger); :meth:`ScenarioResult.run` runs it to the
@@ -40,6 +40,7 @@ from repro.cluster.dispatcher import (
     ClusterDispatcher,
     PullBinding,
     PushBinding,
+    TenantQuota,
     tenant_key,
 )
 from repro.cluster.node import ClusterNode
@@ -190,7 +191,7 @@ def arm_scenario(
         placement=make_policy(policy.placement, slas=scenario_slas(spec)),
         binding=binding,
         max_queue_depth=spec.max_queue_depth,
-        tenant_quotas=spec.quotas() if policy.cluster_quotas else None,
+        admission=TenantQuota(spec.quotas()) if policy.cluster_quotas else None,
     )
     result = ScenarioResult(spec=spec, policy=policy, seed=seed, dispatcher=dispatcher)
     generator = Scenario(

@@ -17,7 +17,7 @@ from repro.admission.throughput_feedback import ThroughputFeedbackAdmission
 from repro.core.interfaces import AdmissionOutcome, decisions_by
 from repro.core.manager import WaitQueue, WorkloadManager
 from repro.core.policy import AdmissionPolicy
-from repro.engine.query import CostVector
+from repro.engine.query import CostVector, QueryState
 from repro.engine.resources import MachineSpec
 from repro.errors import ConfigurationError
 
@@ -165,6 +165,38 @@ class TestIndicators:
         assert manager.queued_count == 1
         decision = admission.decide(make_query(), manager.context)
         assert decision.outcome is AdmissionOutcome.DELAY
+
+    def test_queue_length_leaves_out_the_gates_own_holds(self, sim):
+        """Regression: the read counted the gate's holds at an arrival
+        but not at a retry, which takes them off first: the fifth arrival
+        below read 3, and the retry's first hold 2, of one backlog."""
+        reads = []
+
+        def read(query, context):
+            reads.append(queue_length(query, context))
+            return reads[-1]
+
+        admission = IndicatorAdmission([Indicator("queue_length", read, 1.5)])
+        manager = _manager(sim, admission, scheduler=WaitQueue(1))
+        for _ in range(5):  # one runs, two wait in the scheduler, two are held
+            manager.submit(make_query(cpu=0.5, io=0.0))
+        assert (manager.scheduler.queued_count(), manager.queued_count) == (2, 4)
+        assert reads == [0.0, 0.0, 1.0, 2.0, 2.0]
+        manager.run(horizon=0.0, drain=0.75)
+        # the first exit, at 0.5 s, retries before the scheduler starts
+        # the next request: both holds read the arrivals' 2 and stay held
+        assert reads[5:] == [2.0, 2.0]
+
+    def test_default_indicators_drain_a_backlog_past_their_threshold(self, sim):
+        """More holds than the ``queue_length`` threshold (50) still drain:
+        a read that counted them would admit nothing again."""
+        manager = _manager(sim, IndicatorAdmission(), scheduler=WaitQueue(1))
+        queries = [make_query(cpu=0.01, io=0.0) for _ in range(120)]
+        for query in queries:  # 1 runs, 51 wait in the scheduler, 68 are held
+            manager.submit(query)
+        assert manager.queued_count - manager.scheduler.queued_count() == 68
+        manager.run(horizon=0.0, drain=5.0)
+        assert all(query.state is QueryState.COMPLETED for query in queries)
 
     def test_empty_indicator_list_rejected(self):
         with pytest.raises(ValueError):

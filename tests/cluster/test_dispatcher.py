@@ -4,7 +4,12 @@ import pytest
 
 from repro.admission.threshold import ThresholdAdmission
 from repro.cluster import ClusterDispatcher, ClusterNode, PullBinding, PushBinding, make_policy
-from repro.core.interfaces import decisions_by
+from repro.core.interfaces import (
+    AdmissionController,
+    AdmissionDecision,
+    ControlEvent,
+    decisions_by,
+)
 from repro.core.policy import AdmissionPolicy
 from repro.engine.query import QueryState
 from repro.engine.simulator import Simulator
@@ -158,6 +163,89 @@ class TestNodeRejectionIsFinal:
         assert node.manager.rejected_count == len(backlog)
         assert len(seen) == len(backlog) + 1
         assert dispatcher.cluster_queue_depth == 0
+
+
+class DoorHold(AdmissionController):
+    """A front-door gate that delays everything."""
+
+    def decide(self, query, context):
+        return AdmissionDecision.delay("hold at the door", wait=self)
+
+
+class ExitCounting(AdmissionController):
+    """Accepts ``oltp`` and rejects ``bi``; records every exit it hears."""
+
+    def __init__(self):
+        self.exits = []
+
+    def decide(self, query, context):
+        if query.sql.startswith("bi:"):
+            return AdmissionDecision.reject("no bi at the door")
+        return AdmissionDecision.accept()
+
+    def notify_exit(self, query, context):
+        self.exits.append(query)
+
+
+class TestFrontDoor:
+    """The cluster's front door is an ``AdmissionController`` (``admission=``)."""
+
+    @pytest.mark.parametrize("dispatch", ["push", "pull"])
+    def test_a_cost_gate_rejects_at_the_door(self, dispatch):
+        policy = AdmissionPolicy(reject_over_cost=1.0)
+        sim, dispatcher = _cluster(
+            count=2, admission=ThresholdAdmission(policy), binding=BINDINGS[dispatch]()
+        )
+        cheap = [make_query(cpu=0.5, io=0.0, sql="oltp:q") for _ in range(3)]
+        dear = [make_query(cpu=5.0, io=0.0, sql="bi:q") for _ in range(2)]
+        for query in (cheap[0], dear[0], cheap[1], dear[1], cheap[2]):
+            dispatcher.submit(query)
+        dispatcher.run(10.0, drain=10.0)
+        assert all(query.state is QueryState.COMPLETED for query in cheap)
+        assert all(query.state is QueryState.REJECTED for query in dear)
+        # no node saw a dear request
+        assert sum(node.placed_count for node in dispatcher.nodes) == len(cheap)
+        assert all(not node.manager.context.decisions for node in dispatcher.nodes)
+        _, _, reason = policy.violation(dear[0].estimated_cost.total_work, 0)
+        assert decisions_by(dispatcher.metrics.decisions, action="reject") == [
+            ControlEvent(0.0, "ThresholdAdmission", "reject", query.query_id, "bi", reason)
+            for query in dear
+        ]
+        assert dispatcher.rejections == len(dear)
+
+    @pytest.mark.parametrize("dispatch", ["push", "pull"])
+    def test_a_delay_at_the_door_is_a_rejection(self, dispatch):
+        sim, dispatcher = _cluster(count=2, admission=DoorHold(), binding=BINDINGS[dispatch]())
+        seen = []
+        dispatcher.add_completion_listener(seen.append)
+        held = make_query(cpu=0.5, io=0.0, sql="oltp:q")
+        dispatcher.submit(held)
+        assert held.state is QueryState.REJECTED and seen == [held]
+        (event,) = decisions_by(dispatcher.metrics.decisions, action="reject")
+        assert (event.controller, event.query_id, event.detail) == (
+            "DoorHold", held.query_id, "hold at the door",
+        )
+        assert dispatcher.outstanding_work() == 0
+
+    @pytest.mark.parametrize("dispatch", ["push", "pull"])
+    def test_the_gate_hears_each_request_it_accepted_exit_once(self, dispatch):
+        gate = ExitCounting()
+        sim, dispatcher = _cluster(
+            count=2, admission=gate, max_queue_depth=0, binding=BINDINGS[dispatch]()
+        )
+        # two nodes of two slots take four; the fifth finds no room
+        accepted = [make_query(cpu=1.0, io=0.0, sql="oltp:q") for _ in range(5)]
+        refused = [make_query(cpu=1.0, io=0.0, sql="bi:q") for _ in range(2)]
+        for query in accepted[:3] + refused + accepted[3:]:
+            dispatcher.submit(query)
+        full = accepted[-1]
+        assert full.state is QueryState.REJECTED
+        assert gate.exits == [full]  # heard at its outcome, not at completion
+        dispatcher.run(10.0, drain=10.0)
+        assert all(query.state is QueryState.REJECTED for query in refused)
+        assert sorted(q.query_id for q in gate.exits) == [q.query_id for q in accepted]
+        reasons = [e.detail for e in decisions_by(dispatcher.metrics.decisions, action="reject")]
+        assert reasons == ["no bi at the door"] * 2 + ["cluster queue full (0)"]
 
 
 class TestHeadOfLineBlocking:

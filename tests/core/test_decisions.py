@@ -24,6 +24,7 @@ from repro.cluster import (
     PushBinding,
     make_policy,
 )
+from repro.cluster.dispatcher import TenantQuota
 from repro.control.controllers import PIController
 from repro.control.loop import AutonomicLoop
 from repro.core.interfaces import ControlEvent, decisions_by
@@ -276,7 +277,7 @@ def test_rejection_event_carries_the_admission_reason_verbatim(admission, query)
 
 
 def test_cluster_quota_rejection_names_the_tenant_and_quota():
-    dispatcher = _cluster(Simulator(seed=11), tenant_quotas={"acme": 1})
+    dispatcher = _cluster(Simulator(seed=11), admission=TenantQuota({"acme": 1}))
     dispatcher.submit(make_query(cpu=5.0, io=0.0, sql="acme/bi:q"))
     bounced = make_query(cpu=5.0, io=0.0, sql="acme/bi:q")
     dispatcher.submit(bounced)

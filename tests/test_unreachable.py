@@ -69,6 +69,9 @@ the policy's own index and the hook that bound it went.  A registry row
 names its class and reads the class's features, so a row takes none.
 An admission hold waits for a slot to free, so the queueing cost limit,
 a hold that no exit or tick could ever release, went.
+The cluster's front door takes an admission gate like a node's, so the
+quota's private admit-and-release protocol and its own dispatcher
+argument went, as did the utility throttle's window, which nothing read.
 Bringing one back means bringing the spec field and the measured cell
 that reach it, and editing this list.
 """
@@ -98,7 +101,7 @@ from repro.backends import (
 )
 from repro.cli import build_parser
 from repro.cluster import ClusterDispatcher, ClusterNode, FaultKind, NodeHealth, TaskQueue
-from repro.cluster.dispatcher import BindingPolicy, PullBinding
+from repro.cluster.dispatcher import BindingPolicy, PullBinding, TenantQuota
 from repro.cluster.matcher import Matcher
 from repro.cluster.placement import LoadRankedPlacement, PlacementPolicy
 from repro.cluster.metrics import ClusterMetrics
@@ -108,6 +111,7 @@ from repro.core.manager import WorkloadManager
 from repro.engine.executor import EngineConfig, ExecutionEngine
 from repro.engine.simulator import Event, Simulator
 from repro.execution.cancellation import KillRule
+from repro.execution.throttling import UtilityThrottlingController
 from repro.parallel import RunTask, run_tasks
 from repro.scenarios import ScenarioResult
 from repro.scheduling.queues import MultiQueueScheduler, TenantShareScheduler
@@ -241,6 +245,7 @@ DELETED_NAMES = {
     "wait_timeouts",
     "_eligible_rank",
     "queue_over_cost",
+    "tenant_quotas",
 }
 DELETED_MODULES = (
     "cluster/elastic.py",
@@ -302,7 +307,7 @@ def test_removed_parameters_stay_removed():
         "placement",
         "binding",
         "max_queue_depth",
-        "tenant_quotas",
+        "admission",
     ]
     assert "tags" not in inspect.signature(ClusterNode).parameters
     # every node is the standard machine, default engine, no node SLAs
@@ -372,6 +377,7 @@ def test_removed_parameters_stay_removed():
     assert list(inspect.signature(ConnectionPool.release).parameters) == ["self", "slot"]
     # a row's features are its class's: a row declares none
     assert "features" not in inspect.signature(ApproachDescriptor).parameters
+    assert "window" not in inspect.signature(UtilityThrottlingController).parameters
 
 
 def test_removed_readers_stay_removed():
@@ -383,8 +389,16 @@ def test_removed_readers_stay_removed():
     assert not hasattr(Simulator, "step") and not hasattr(sim, "_running")
     # a node names its lock stream: no scoped view renames it
     assert not hasattr(Simulator, "scoped")
-    dispatcher = ClusterDispatcher(sim, [ClusterNode(sim, name="n0")], tenant_quotas={"a": 1})
+    dispatcher = ClusterDispatcher(
+        sim, [ClusterNode(sim, name="n0")], admission=TenantQuota({"a": 1})
+    )
     assert not hasattr(dispatcher, "quota_rejections")
+    # the front door speaks the node tier's admission vocabulary: no
+    # quota protocol of its own beside ``decide``/``notify_exit``
+    assert not hasattr(dispatcher, "quota")
+    assert not hasattr(TenantQuota, "admit") and not hasattr(TenantQuota, "release")
+    # the utility throttle keeps no window it never read
+    assert not hasattr(UtilityThrottlingController(), "window")
     # each node counts its own placements
     assert not hasattr(ClusterMetrics(sim, []), "placements")
     # the engine keeps two usage floats, no per-resource bookkeeping
