@@ -22,8 +22,8 @@ from typing import Dict, Sequence
 
 from benchmarks._scenarios import build_manager, drive
 from repro.parallel.digest import combine, dispatcher_digest, outcome_digest
-from repro.core.interfaces import ExecutionController, ManagerContext
-from repro.core.manager import FCFSDispatcher
+from repro.core.interfaces import ExecutionController
+from repro.core.manager import FCFSDispatcher, WorkloadManager
 from repro.core.sla import SLASet, response_time_sla
 from repro.core.policy import AdmissionPolicy, Threshold, ThresholdAction, ThresholdKind
 from repro.engine.simulator import Simulator
@@ -170,7 +170,7 @@ class _SLAPoller(ExecutionController):
             struct.pack("<d", float("nan") if value is None else float(value))
         )
 
-    def control(self, context: ManagerContext) -> None:
+    def control(self, context: WorkloadManager) -> None:
         self.polls += 1
         now = context.now
         attainment = context.metrics.attainment(context.slas, now)

@@ -109,7 +109,7 @@ def run_variant(aging: bool, seed=SEEDS[0]):
         "tactical_rt": tactical.mean_response_time(),
         "tactical_n": tactical.completions,
         "demotion_events": decisions_by(
-            manager.context.decisions, "PriorityAgingController", "demote"
+            manager.decisions, "PriorityAgingController", "demote"
         ),
         "hog_weight": (
             manager.engine.weight_of(hog_query.query_id)

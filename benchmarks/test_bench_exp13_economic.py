@@ -74,7 +74,7 @@ def run_experiment(seed=131):
     def phase_ratio(start, end):
         ratios = []
         for event in decisions_by(
-            manager.context.decisions, "EconomicResourceAllocator", "allocate"
+            manager.decisions, "EconomicResourceAllocator", "allocate"
         ):
             snapshot = event.detail
             if start <= event.time < end and "alpha" in snapshot and "beta" in snapshot:

@@ -134,7 +134,7 @@ def indicator_accuracy():
     query = make_query(cpu=40.0, io=0.0, est_cpu=4.0, plan=staged_plan())
     manager.submit(query)
     sim.run_until(20.0)  # true progress 0.5, 20s remaining
-    context = manager.context
+    context = manager
     true_remaining = 20.0
     rows = {}
     for name, indicator in (

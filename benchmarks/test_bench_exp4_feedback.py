@@ -68,7 +68,7 @@ def run_feedback(initial_mpl: int, seed: int = FEEDBACK_SEED):
         "mpl_history": [
             (event.time, event.detail)
             for event in decisions_by(
-                manager.context.decisions, "ThroughputFeedbackAdmission", "set_mpl"
+                manager.decisions, "ThroughputFeedbackAdmission", "set_mpl"
             )
         ],
         "final_mpl": admission.mpl,

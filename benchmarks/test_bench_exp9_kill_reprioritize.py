@@ -97,7 +97,7 @@ def run_variant(controller=None, seed=81):
         "actions": {
             event.action
             for event in decisions_by(
-                manager.context.decisions, "FuzzyExecutionController"
+                manager.decisions, "FuzzyExecutionController"
             )
         },
     }

@@ -104,7 +104,7 @@ def main() -> None:
 
     print("\nLoop decision log (first 20 interventions):")
     shown = 0
-    for event in decisions_by(manager.context.decisions, "AutonomicLoop"):
+    for event in decisions_by(manager.decisions, "AutonomicLoop"):
         print(f"  t={event.time:6.1f}s  {event.action} -> query {event.query_id}")
         shown += 1
         if shown >= 20:

@@ -81,7 +81,7 @@ def run(name, controller, background):
 
     print(f"\n=== {name} ===")
     print(" ", manager.metrics.summary_line("prod", sim.now))
-    history = decisions_by(manager.context.decisions, action="throttle")
+    history = decisions_by(manager.decisions, action="throttle")
     if history:
         chart = ascii_line_chart(
             [event.time for event in history],

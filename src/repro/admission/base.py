@@ -10,12 +10,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.interfaces import (
-    AdmissionController,
-    AdmissionDecision,
-    AdmissionOutcome,
-    ManagerContext,
-)
+from repro.core.interfaces import AdmissionController, AdmissionDecision, AdmissionOutcome
+from repro.core.manager import WorkloadManager
 from repro.engine.query import Query
 
 
@@ -31,18 +27,18 @@ class CompositeAdmission(AdmissionController):
             raise ValueError("CompositeAdmission needs at least one gate")
         self.gates = list(gates)
 
-    def decide(self, query: Query, context: ManagerContext) -> AdmissionDecision:
+    def decide(self, query: Query, context: WorkloadManager) -> AdmissionDecision:
         for gate in self.gates:
             decision = gate.decide(query, context)
             if decision.outcome is not AdmissionOutcome.ACCEPT:
                 return decision
         return AdmissionDecision.accept("all gates passed")
 
-    def notify_exit(self, query: Query, context: ManagerContext) -> None:
+    def notify_exit(self, query: Query, context: WorkloadManager) -> None:
         for gate in self.gates:
             gate.notify_exit(query, context)
 
-    def attach(self, context: ManagerContext) -> None:
+    def attach(self, context: WorkloadManager) -> None:
         for gate in self.gates:
             gate.attach(context)
 
@@ -60,15 +56,15 @@ class PriorityExemptAdmission(AdmissionController):
         self.inner = inner
         self.exempt_priority = exempt_priority
 
-    def decide(self, query: Query, context: ManagerContext) -> AdmissionDecision:
+    def decide(self, query: Query, context: WorkloadManager) -> AdmissionDecision:
         if query.priority >= self.exempt_priority:
             return AdmissionDecision.accept(
                 f"priority {query.priority} exempt from admission control"
             )
         return self.inner.decide(query, context)
 
-    def notify_exit(self, query: Query, context: ManagerContext) -> None:
+    def notify_exit(self, query: Query, context: WorkloadManager) -> None:
         self.inner.notify_exit(query, context)
 
-    def attach(self, context: ManagerContext) -> None:
+    def attach(self, context: WorkloadManager) -> None:
         self.inner.attach(context)

@@ -14,11 +14,8 @@ contention.  Read-only requests take no locks and pass through.
 from __future__ import annotations
 
 from repro.core.classify import Feature
-from repro.core.interfaces import (
-    AdmissionController,
-    AdmissionDecision,
-    ManagerContext,
-)
+from repro.core.interfaces import AdmissionController, AdmissionDecision
+from repro.core.manager import WorkloadManager
 from repro.engine.query import Query
 
 
@@ -39,7 +36,7 @@ class ConflictRatioAdmission(AdmissionController):
         self.critical_ratio = critical_ratio
         self.suspensions = 0  # delays decided; a carried-over hold adds none
 
-    def decide(self, query: Query, context: ManagerContext) -> AdmissionDecision:
+    def decide(self, query: Query, context: WorkloadManager) -> AdmissionDecision:
         if query.true_cost.lock_count == 0:
             return AdmissionDecision.accept("read-only request takes no locks")
         ratio = context.engine.conflict_ratio()

@@ -21,20 +21,17 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from repro.core.classify import Feature
-from repro.core.interfaces import (
-    AdmissionController,
-    AdmissionDecision,
-    ManagerContext,
-)
+from repro.core.interfaces import AdmissionController, AdmissionDecision
+from repro.core.manager import WorkloadManager
 from repro.engine.query import Query
 
 
-def memory_pressure(query: Query, context: ManagerContext) -> float:
+def memory_pressure(query: Query, context: WorkloadManager) -> float:
     """Committed memory over capacity (sort/hash spill pressure)."""
     return context.engine.memory_pressure()
 
 
-def projected_memory(query: Query, context: ManagerContext) -> float:
+def projected_memory(query: Query, context: WorkloadManager) -> float:
     """Memory pressure once ``query``'s *estimated* demand is committed:
     the estimate is the only pre-execution signal a real server has."""
     engine = context.engine
@@ -42,15 +39,15 @@ def projected_memory(query: Query, context: ManagerContext) -> float:
     return committed / max(engine.machine.memory_mb, 1e-9)
 
 
-def conflict_ratio(query: Query, context: ManagerContext) -> float:
+def conflict_ratio(query: Query, context: WorkloadManager) -> float:
     """Lock contention, the critical-ratio signal of [56]."""
     return min(context.engine.conflict_ratio(), 1e6)
 
 
-def queue_length(query: Query, context: ManagerContext) -> float:
+def queue_length(query: Query, context: WorkloadManager) -> float:
     """Admitted requests waiting in the scheduler's queue, not the gate's
     own holds: counting those would shut it for good past the threshold."""
-    return float(context.manager.scheduler.queued_count())
+    return float(context.scheduler.queued_count())
 
 
 @dataclass(frozen=True)
@@ -58,7 +55,7 @@ class Indicator:
     """One monitor metric with a congestion threshold."""
 
     name: str
-    read: Callable[[Query, ManagerContext], float]
+    read: Callable[[Query, WorkloadManager], float]
     threshold: float
 
 
@@ -95,7 +92,7 @@ class IndicatorAdmission(AdmissionController):
         self.delays = 0
         self.firings = {indicator.name: 0 for indicator in self.indicators}
 
-    def decide(self, query: Query, context: ManagerContext) -> AdmissionDecision:
+    def decide(self, query: Query, context: WorkloadManager) -> AdmissionDecision:
         fired = []
         for indicator in self.indicators:
             value = indicator.read(query, context)

@@ -29,11 +29,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.classify import Feature
-from repro.core.interfaces import (
-    AdmissionController,
-    AdmissionDecision,
-    ManagerContext,
-)
+from repro.core.interfaces import AdmissionController, AdmissionDecision
+from repro.core.manager import WorkloadManager
 from repro.engine.query import Query, QueryState
 from repro.ml.tree import DecisionTreeRegressor
 from repro.workloads.traces import QueryLog, QueryLogRecord
@@ -203,7 +200,7 @@ class PredictionBasedAdmission(AdmissionController):
         self.rejections = 0
         self.fallback_decisions = 0
 
-    def decide(self, query: Query, context: ManagerContext) -> AdmissionDecision:
+    def decide(self, query: Query, context: WorkloadManager) -> AdmissionDecision:
         if self.predictor.trained:
             predicted = self.predictor.predict_total_work(query)
             source = "predicted"
@@ -219,7 +216,7 @@ class PredictionBasedAdmission(AdmissionController):
             )
         return AdmissionDecision.accept(f"{source} work {predicted:.1f}s ok")
 
-    def notify_exit(self, query: Query, context: ManagerContext) -> None:
+    def notify_exit(self, query: Query, context: WorkloadManager) -> None:
         self._completions_since_train += 1
         if query.state is QueryState.COMPLETED:
             self.log.record_query(query)

@@ -25,11 +25,8 @@ from __future__ import annotations
 from typing import Dict, Mapping, Optional
 
 from repro.core.classify import Feature
-from repro.core.interfaces import (
-    AdmissionController,
-    AdmissionDecision,
-    ManagerContext,
-)
+from repro.core.interfaces import AdmissionController, AdmissionDecision
+from repro.core.manager import WorkloadManager
 from repro.core.policy import AdmissionPolicy, ThresholdAction, ThresholdKind
 from repro.engine.query import Query
 
@@ -70,14 +67,14 @@ class ThresholdAdmission(AdmissionController):
         """Resolve the admission policy applying to this request."""
         return self.per_workload.get(query.workload_name, self.default_policy)
 
-    def _workload_running(self, workload: Optional[str], context: ManagerContext) -> int:
+    def _workload_running(self, workload: Optional[str], context: WorkloadManager) -> int:
         return sum(
             1
             for q in context.engine.running_queries()
             if q.workload_name == workload
         )
 
-    def decide(self, query: Query, context: ManagerContext) -> AdmissionDecision:
+    def decide(self, query: Query, context: WorkloadManager) -> AdmissionDecision:
         policy = self.policy_for(query)
         running = 0
         if policy.max_concurrency is not None:

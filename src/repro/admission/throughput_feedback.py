@@ -17,11 +17,8 @@ experiment EXP4 validates against the exhaustive sweep of EXP1.
 from __future__ import annotations
 
 from repro.core.classify import Feature
-from repro.core.interfaces import (
-    AdmissionController,
-    AdmissionDecision,
-    ManagerContext,
-)
+from repro.core.interfaces import AdmissionController, AdmissionDecision
+from repro.core.manager import WorkloadManager
 from repro.engine.query import Query, QueryState
 from repro.scheduling.mpl import FeedbackMpl
 
@@ -70,15 +67,15 @@ class ThroughputFeedbackAdmission(AdmissionController):
         """The current admission limit."""
         return self.climber.limit
 
-    def attach(self, context: ManagerContext) -> None:
+    def attach(self, context: WorkloadManager) -> None:
         self.climber.attach(context)
 
-    def decide(self, query: Query, context: ManagerContext) -> AdmissionDecision:
+    def decide(self, query: Query, context: WorkloadManager) -> AdmissionDecision:
         if context.engine.running_count >= self.mpl:
             self.delays += 1
             return AdmissionDecision.delay(f"feedback MPL {self.mpl} reached", self)
         return AdmissionDecision.accept(f"within feedback MPL {self.mpl}")
 
-    def notify_exit(self, query: Query, context: ManagerContext) -> None:
+    def notify_exit(self, query: Query, context: WorkloadManager) -> None:
         if query.state is QueryState.COMPLETED:
             self.climber.notify_completion()

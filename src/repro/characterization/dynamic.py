@@ -24,7 +24,8 @@ from typing import List, Optional, Sequence
 
 from repro.characterization.features import WindowFeatures, query_features
 from repro.core.classify import Feature
-from repro.core.interfaces import Characterizer, ManagerContext
+from repro.core.interfaces import Characterizer
+from repro.core.manager import WorkloadManager
 from repro.engine.query import Query
 from repro.ml.naive_bayes import GaussianNaiveBayes
 from repro.ml.tree import DecisionTreeClassifier
@@ -187,7 +188,7 @@ class DynamicCharacterizer(Characterizer):
             labels = [r.workload or self.untrained_workload for r in records]
         self.classifier.fit_records(records, labels)
 
-    def identify(self, query: Query, context: ManagerContext) -> Optional[str]:
+    def identify(self, query: Query, context: WorkloadManager) -> Optional[str]:
         if not self.classifier.trained:
             return self.untrained_workload
         label = self.classifier.predict_query(query)

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 from repro.core.classify import Feature
-from repro.core.interfaces import Characterizer, ManagerContext
+from repro.core.interfaces import Characterizer
+from repro.core.manager import WorkloadManager
 from repro.engine.query import Query, StatementType
 from repro.engine.sessions import Session
 
@@ -134,7 +135,7 @@ class StaticCharacterizer(Characterizer):
         self.matched_counts = {d.workload: 0 for d in self.definitions}
         self.default_count = 0
 
-    def identify(self, query: Query, context: ManagerContext) -> Optional[str]:
+    def identify(self, query: Query, context: WorkloadManager) -> Optional[str]:
         session = context.sessions.get(query.session_id)
         for definition in self.definitions:
             if definition.matches(query, session):
@@ -176,7 +177,7 @@ class ClassifierFunctionCharacterizer(Characterizer):
         self.priorities = dict(priorities or {})
         self.classification_failures = 0
 
-    def identify(self, query: Query, context: ManagerContext) -> Optional[str]:
+    def identify(self, query: Query, context: WorkloadManager) -> Optional[str]:
         session = context.sessions.get(query.session_id)
         try:
             group = self.function(query, session)

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.classify import Feature
-from repro.core.interfaces import ExecutionController, ManagerContext, decisions_by
+from repro.core.interfaces import ExecutionController, decisions_by
+from repro.core.manager import WorkloadManager
 from repro.engine.query import Query
 from repro.execution.progress import ProgressIndicator, SpeedAwareProgressIndicator
 
@@ -73,7 +74,7 @@ class Symptoms:
 class MonitorStage:
     """Collects SLA attainment and system-level state."""
 
-    def observe(self, context: ManagerContext) -> Observations:
+    def observe(self, context: WorkloadManager) -> Observations:
         attainment = context.metrics.attainment(context.slas, context.now)
         return Observations(
             time=context.now,
@@ -81,7 +82,7 @@ class MonitorStage:
             memory_pressure=context.engine.memory_pressure(),
             conflict_ratio=min(context.engine.conflict_ratio(), 1e6),
             running=context.engine.running_count,
-            queued=context.manager.queued_count,
+            queued=context.queued_count,
         )
 
 
@@ -101,7 +102,7 @@ class AnalyzeStage:
         self.progress = progress_indicator or SpeedAwareProgressIndicator()
 
     def analyze(
-        self, observations: Observations, context: ManagerContext
+        self, observations: Observations, context: WorkloadManager
     ) -> Symptoms:
         missing = [
             workload
@@ -109,7 +110,7 @@ class AnalyzeStage:
             if attained < 1.0
         ]
         total_importance = sum(
-            context.importance_of(workload) for workload in missing
+            context.slas.importance_of(workload) for workload in missing
         )
         overloaded = (
             observations.memory_pressure > 1.2
@@ -149,7 +150,7 @@ class PlanStage:
         self.progress = progress_indicator or SpeedAwareProgressIndicator()
 
     def action_utilities(
-        self, symptoms: Symptoms, context: ManagerContext
+        self, symptoms: Symptoms, context: WorkloadManager
     ) -> Dict[LoopAction, float]:
         """Utility of each action under the current symptoms."""
         utilities = {action: 0.0 for action in LoopAction}
@@ -178,7 +179,7 @@ class PlanStage:
             utilities[LoopAction.KILL_AND_RESUBMIT] += 0.3
         return utilities
 
-    def plan(self, symptoms: Symptoms, context: ManagerContext) -> LoopAction:
+    def plan(self, symptoms: Symptoms, context: WorkloadManager) -> LoopAction:
         utilities = self.action_utilities(symptoms, context)
         return max(utilities, key=lambda a: (utilities[a], a.value))
 
@@ -195,7 +196,7 @@ class ExecuteStage:
         self,
         action: LoopAction,
         symptoms: Symptoms,
-        context: ManagerContext,
+        context: WorkloadManager,
     ) -> Optional[Query]:
         """Apply ``action``; returns the affected query (if any)."""
         engine = context.engine
@@ -225,7 +226,7 @@ class ExecuteStage:
             engine.pause(qid)
             self._suspended.append(victim)
         elif action is LoopAction.KILL_AND_RESUBMIT:
-            context.manager.restart(victim, self.resubmit_delay)
+            context.restart(victim, self.resubmit_delay)
         return victim
 
 
@@ -256,10 +257,10 @@ class AutonomicLoop(ExecutionController):
         self.planner = planner or PlanStage()
         self.effector = effector or ExecuteStage()
 
-    def attach(self, context: ManagerContext) -> None:
+    def attach(self, context: WorkloadManager) -> None:
         self._context = context
 
-    def control(self, context: ManagerContext) -> None:
+    def control(self, context: WorkloadManager) -> None:
         observations = self.monitor.observe(context)
         symptoms = self.analyzer.analyze(observations, context)
         action = self.planner.plan(symptoms, context)

@@ -43,7 +43,6 @@ from repro.core.interfaces import (
     Scheduler,
     ExecutionController,
     Characterizer,
-    ManagerContext,
 )
 from repro.core.manager import WorkloadManager
 from repro.core.registry import (
@@ -83,7 +82,6 @@ __all__ = [
     "Scheduler",
     "ExecutionController",
     "Characterizer",
-    "ManagerContext",
     "WorkloadManager",
     "ApproachDescriptor",
     "Feature",

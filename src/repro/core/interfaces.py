@@ -10,26 +10,24 @@ sockets defined here:
   wait queue(s) every admitted request of either tier waits in (§3.3);
 * :class:`ExecutionController` — run-time control actions (§3.4).
 
-Controllers receive a :class:`ManagerContext` giving them monitored
-access to the engine, metrics, SLAs and sessions — the same information a
-commercial facility's components share.  A query log is not among it: a
-caller that wants a DBQL trace attaches one as a completion listener.
+A control is handed its tier's own object as ``context``: at a node,
+the :class:`~repro.core.manager.WorkloadManager` it is plugged into —
+its engine, metrics, SLAs, sessions, clock (``now``) and decision record
+(``record``), the same information a commercial facility's components
+share; at the cluster's front door, the cluster's ``ClusterMetrics``
+(``now`` and ``record`` only).  A query log is not among it: a caller
+that wants a DBQL trace attaches one as a completion listener.
 """
 
 from __future__ import annotations
 
 import abc
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING, Union
 
-from repro.core.metrics import MetricsCollector
-from repro.core.sla import SLASet
-from repro.engine.executor import ExecutionEngine
 from repro.engine.query import Query, workload_key
-from repro.engine.sessions import SessionRegistry
-from repro.engine.simulator import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.core.manager import WorkloadManager
@@ -103,46 +101,18 @@ def decisions_by(
     ]
 
 
-@dataclass
-class ManagerContext:
-    """Shared state handed to every controller."""
-
-    sim: Simulator
-    engine: ExecutionEngine
-    metrics: MetricsCollector
-    slas: SLASet
-    sessions: SessionRegistry
-    manager: "WorkloadManager"
-    #: append-only record of this manager's control actions (node tier)
-    decisions: List[ControlEvent] = field(default_factory=list)
-
-    @property
-    def now(self) -> float:
-        return self.sim.now
-
-    def record(
-        self, emitter: object, action: str, query: Optional[Query] = None, detail: Any = None
-    ) -> None:
-        """Append one action taken by ``emitter`` to :attr:`decisions`."""
-        self.decisions.append(ControlEvent.of(self.sim.now, emitter, action, query, detail))
-
-    def importance_of(self, workload: Optional[str], default: int = 1) -> int:
-        """Business importance for a workload (SLA, else default)."""
-        return self.slas.importance_of(workload, default=default)
-
-
 class Characterizer(abc.ABC):
     """Maps an arriving request to a workload (identification stage)."""
 
     @abc.abstractmethod
-    def identify(self, query: Query, context: ManagerContext) -> Optional[str]:
+    def identify(self, query: Query, context: WorkloadManager) -> Optional[str]:
         """Return the workload name for ``query`` (None = unclassified).
 
         Implementations may also set ``query.priority`` and
         ``query.service_class`` as commercial facilities do.
         """
 
-    def attach(self, context: ManagerContext) -> None:
+    def attach(self, context: WorkloadManager) -> None:
         """Called once when plugged into a manager (optional override)."""
 
 
@@ -150,13 +120,13 @@ class AdmissionController(abc.ABC):
     """Decides whether an identified request may enter the system."""
 
     @abc.abstractmethod
-    def decide(self, query: Query, context: ManagerContext) -> AdmissionDecision:
+    def decide(self, query: Query, context: WorkloadManager) -> AdmissionDecision:
         """Evaluate an arriving request."""
 
-    def notify_exit(self, query: Query, context: ManagerContext) -> None:
+    def notify_exit(self, query: Query, context: WorkloadManager) -> None:
         """Observe a request leaving the engine (for feedback schemes)."""
 
-    def attach(self, context: ManagerContext) -> None:
+    def attach(self, context: WorkloadManager) -> None:
         """Called once when plugged into a manager (optional override)."""
 
 
@@ -164,10 +134,10 @@ class MplController(abc.ABC):
     """Supplies the current concurrency limit to a scheduler."""
 
     @abc.abstractmethod
-    def current_limit(self, context: ManagerContext) -> Optional[int]:
+    def current_limit(self, context: WorkloadManager) -> Optional[int]:
         """Max concurrently running requests (None = unlimited)."""
 
-    def attach(self, context: ManagerContext) -> None:
+    def attach(self, context: WorkloadManager) -> None:
         """Optional hook for periodic measurement."""
 
     def notify_completion(self) -> None:
@@ -187,7 +157,7 @@ class StaticMpl(MplController):
             raise ValueError("limit must be >= 1 or None")
         self.limit = limit
 
-    def current_limit(self, context: ManagerContext) -> Optional[int]:
+    def current_limit(self, context: WorkloadManager) -> Optional[int]:
         return self.limit
 
 
@@ -270,11 +240,11 @@ class Scheduler(abc.ABC):
     queue: PartitionedQueue
 
     @abc.abstractmethod
-    def enqueue(self, query: Query, context: ManagerContext) -> None:
+    def enqueue(self, query: Query, context: WorkloadManager) -> None:
         """Accept a request into the wait queue(s)."""
 
     @abc.abstractmethod
-    def next_batch(self, context: ManagerContext) -> List[Query]:
+    def next_batch(self, context: WorkloadManager) -> List[Query]:
         """Queries to dispatch *now*, in order; [] when none should run.
 
         Called after every admission, completion and control tick; the
@@ -289,10 +259,10 @@ class Scheduler(abc.ABC):
         """Snapshot of the waiting requests (monitors, MPL models)."""
         return self.queue.queued_queries()
 
-    def notify_exit(self, query: Query, context: ManagerContext) -> None:
+    def notify_exit(self, query: Query, context: WorkloadManager) -> None:
         """Observe a request leaving the engine, whatever the outcome (dynamic MPLs)."""
 
-    def attach(self, context: ManagerContext) -> None:
+    def attach(self, context: WorkloadManager) -> None:
         """Called once when plugged into a manager (optional override)."""
 
 
@@ -300,11 +270,11 @@ class ExecutionController(abc.ABC):
     """Applies run-time control actions to running requests (§3.4)."""
 
     @abc.abstractmethod
-    def control(self, context: ManagerContext) -> None:
+    def control(self, context: WorkloadManager) -> None:
         """Inspect running work and act; called every control interval."""
 
-    def notify_exit(self, query: Query, context: ManagerContext) -> None:
+    def notify_exit(self, query: Query, context: WorkloadManager) -> None:
         """Observe a request leaving the engine (optional override)."""
 
-    def attach(self, context: ManagerContext) -> None:
+    def attach(self, context: WorkloadManager) -> None:
         """Called once when plugged into a manager (optional override)."""

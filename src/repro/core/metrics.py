@@ -221,7 +221,6 @@ class MetricsCollector:
         self._stats: Dict[str, WorkloadStats] = {}
         self._samples: List[SystemSample] = []
         self._sample_times: List[float] = []
-        self._samples_monotone = True
 
     # ------------------------------------------------------------------
     # per-workload outcomes
@@ -281,16 +280,17 @@ class MetricsCollector:
     # system samples
     # ------------------------------------------------------------------
     def record_sample(self, sample: SystemSample) -> None:
-        if self._sample_times and sample.time < self._sample_times[-1]:
-            self._samples_monotone = False
+        # The manager's tick samples at the simulator's clock, so samples
+        # arrive in time order and :meth:`samples` can bisect.
+        times = self._sample_times
+        assert not times or sample.time >= times[-1], (
+            f"sample time went backwards: {sample.time} after {times[-1]}"
+        )
         self._samples.append(sample)
-        self._sample_times.append(sample.time)
+        times.append(sample.time)
 
     def samples(self, since: float = 0.0) -> List[SystemSample]:
-        if self._samples_monotone:
-            lo = bisect.bisect_left(self._sample_times, since)
-            return self._samples[lo:]
-        return [s for s in self._samples if s.time >= since]
+        return self._samples[bisect.bisect_left(self._sample_times, since):]
 
     def latest_sample(self) -> Optional[SystemSample]:
         return self._samples[-1] if self._samples else None

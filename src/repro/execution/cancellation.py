@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from repro.core.classify import Feature
-from repro.core.interfaces import ExecutionController, ManagerContext
+from repro.core.interfaces import ExecutionController
+from repro.core.manager import WorkloadManager
 from repro.core.policy import Threshold, ThresholdAction, ThresholdKind, runtime_observer
 from repro.engine.query import Query
 from repro.errors import ConfigurationError
@@ -93,7 +94,7 @@ class QueryKillController(ExecutionController):
         self.rules = list(rules)
         self.progress_indicator = progress_indicator or SpeedAwareProgressIndicator()
 
-    def control(self, context: ManagerContext) -> None:
+    def control(self, context: WorkloadManager) -> None:
         for query in list(context.engine.running_queries()):
             rule = self._matching_rule(query, context)
             if rule is None:
@@ -101,7 +102,7 @@ class QueryKillController(ExecutionController):
             if not context.engine.is_running(query.query_id):
                 continue  # removed by an earlier kill's side effects
             if rule.threshold.action is ThresholdAction.KILL_AND_RESUBMIT:
-                context.manager.restart(query, rule.resubmit_delay)
+                context.restart(query, rule.resubmit_delay)
                 action = "kill_and_resubmit"
             else:
                 context.engine.kill(query.query_id)
@@ -109,7 +110,7 @@ class QueryKillController(ExecutionController):
             context.record(self, action, query, rule.threshold.describe())
 
     def _matching_rule(
-        self, query: Query, context: ManagerContext
+        self, query: Query, context: WorkloadManager
     ) -> Optional[KillRule]:
         for rule in self.rules:
             if rule.max_priority is not None and query.priority > rule.max_priority:

@@ -21,7 +21,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.core.classify import Feature
-from repro.core.interfaces import ExecutionController, ManagerContext, decisions_by
+from repro.core.interfaces import ExecutionController, decisions_by
+from repro.core.manager import WorkloadManager
 from repro.engine.query import Query
 
 
@@ -58,7 +59,7 @@ class EconomicResourceAllocator(ExecutionController):
         self.importance = dict(importance or {})
         self.min_weight = min_weight
 
-    def attach(self, context: ManagerContext) -> None:
+    def attach(self, context: WorkloadManager) -> None:
         self._context = context
 
     def set_importance(self, workload: str, importance: int) -> None:
@@ -67,12 +68,12 @@ class EconomicResourceAllocator(ExecutionController):
             raise ValueError("importance must be >= 1")
         self.importance[workload] = importance
 
-    def _importance_of(self, workload: Optional[str], context: ManagerContext) -> int:
+    def _importance_of(self, workload: Optional[str], context: WorkloadManager) -> int:
         if workload in self.importance:
             return self.importance[workload]
-        return context.importance_of(workload)
+        return context.slas.importance_of(workload)
 
-    def control(self, context: ManagerContext) -> None:
+    def control(self, context: WorkloadManager) -> None:
         running = context.engine.running_queries()
         if not running:
             return

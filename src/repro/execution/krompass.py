@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.core.classify import Feature
-from repro.core.interfaces import ExecutionController, ManagerContext
+from repro.core.interfaces import ExecutionController
+from repro.core.manager import WorkloadManager
 from repro.engine.query import Query
 from repro.execution.progress import ProgressIndicator, SpeedAwareProgressIndicator
 
@@ -88,7 +89,7 @@ class FuzzyExecutionController(ExecutionController):
         self._reprioritized: Dict[int, int] = {}          # qid -> times halved
 
     # ------------------------------------------------------------------
-    def assess(self, query: Query, context: ManagerContext) -> _Assessment:
+    def assess(self, query: Query, context: WorkloadManager) -> _Assessment:
         """Fuzzy assessment of one running query (exposed for tests)."""
         started = query.start_time if query.start_time is not None else context.now
         elapsed = context.now - started
@@ -118,7 +119,7 @@ class FuzzyExecutionController(ExecutionController):
             score=score,
         )
 
-    def control(self, context: ManagerContext) -> None:
+    def control(self, context: WorkloadManager) -> None:
         for query in list(context.engine.running_queries()):
             if query.priority > self.max_priority:
                 continue
@@ -134,7 +135,7 @@ class FuzzyExecutionController(ExecutionController):
                 context.engine.kill(query.query_id)
                 context.record(self, "kill", query, score)
             elif score >= self.resubmit_band[0]:
-                context.manager.restart(query, 10.0)
+                context.restart(query, 10.0)
                 context.record(self, "kill_and_resubmit", query, score)
             elif score >= self.reprioritize_band[0]:
                 halvings = self._reprioritized.get(query.query_id, 0)
@@ -144,5 +145,5 @@ class FuzzyExecutionController(ExecutionController):
                     self._reprioritized[query.query_id] = halvings + 1
                     context.record(self, "reprioritize", query, score)
 
-    def notify_exit(self, query: Query, context: ManagerContext) -> None:
+    def notify_exit(self, query: Query, context: WorkloadManager) -> None:
         self._reprioritized.pop(query.query_id, None)

@@ -29,7 +29,7 @@ import abc
 from typing import Optional
 
 from repro.core.classify import Feature
-from repro.core.interfaces import ManagerContext
+from repro.core.manager import WorkloadManager
 from repro.engine.query import Query
 
 
@@ -41,12 +41,12 @@ class ProgressIndicator(abc.ABC):
     )
 
     @abc.abstractmethod
-    def work_done(self, query: Query, context: ManagerContext) -> float:
+    def work_done(self, query: Query, context: WorkloadManager) -> float:
         """Estimated fraction of the query's work completed, in [0, 1]."""
 
     @abc.abstractmethod
     def remaining_seconds(
-        self, query: Query, context: ManagerContext
+        self, query: Query, context: WorkloadManager
     ) -> Optional[float]:
         """Estimated seconds to completion (None = cannot estimate)."""
 
@@ -54,13 +54,13 @@ class ProgressIndicator(abc.ABC):
 class SpeedAwareProgressIndicator(ProgressIndicator):
     """Fluid progress and current speed from the engine (idealized)."""
 
-    def work_done(self, query: Query, context: ManagerContext) -> float:
+    def work_done(self, query: Query, context: WorkloadManager) -> float:
         if not context.engine.is_running(query.query_id):
             return query.progress
         return context.engine.progress_of(query.query_id)
 
     def remaining_seconds(
-        self, query: Query, context: ManagerContext
+        self, query: Query, context: WorkloadManager
     ) -> Optional[float]:
         if not context.engine.is_running(query.query_id):
             return None
@@ -74,7 +74,7 @@ class SpeedAwareProgressIndicator(ProgressIndicator):
 class OperatorBoundaryProgressIndicator(ProgressIndicator):
     """Progress observed only at plan-operator boundaries."""
 
-    def work_done(self, query: Query, context: ManagerContext) -> float:
+    def work_done(self, query: Query, context: WorkloadManager) -> float:
         fluid = (
             context.engine.progress_of(query.query_id)
             if context.engine.is_running(query.query_id)
@@ -84,7 +84,7 @@ class OperatorBoundaryProgressIndicator(ProgressIndicator):
         return query.plan.progress_at_operator_start(index)
 
     def remaining_seconds(
-        self, query: Query, context: ManagerContext
+        self, query: Query, context: WorkloadManager
     ) -> Optional[float]:
         if not context.engine.is_running(query.query_id):
             return None
@@ -106,7 +106,7 @@ class OptimizerCostProgressIndicator(ProgressIndicator):
     optimizer underestimated it.
     """
 
-    def work_done(self, query: Query, context: ManagerContext) -> float:
+    def work_done(self, query: Query, context: WorkloadManager) -> float:
         estimate = query.estimated_cost.nominal_duration
         if estimate <= 0:
             return 1.0
@@ -115,7 +115,7 @@ class OptimizerCostProgressIndicator(ProgressIndicator):
         return min(1.0, elapsed / estimate)
 
     def remaining_seconds(
-        self, query: Query, context: ManagerContext
+        self, query: Query, context: WorkloadManager
     ) -> Optional[float]:
         estimate = query.estimated_cost.nominal_duration
         started = query.start_time if query.start_time is not None else context.now

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.classify import Feature
-from repro.core.interfaces import ExecutionController, ManagerContext
+from repro.core.interfaces import ExecutionController
+from repro.core.manager import WorkloadManager
 from repro.core.policy import Threshold, ThresholdAction, ThresholdKind, runtime_observer
 from repro.engine.query import Query
 from repro.errors import ConfigurationError
@@ -110,7 +111,7 @@ class PriorityAgingController(ExecutionController):
     def _has_level(self, name: str) -> bool:
         return any(level == name for level, _ in self.ladder.levels)
 
-    def control(self, context: ManagerContext) -> None:
+    def control(self, context: WorkloadManager) -> None:
         for query in context.engine.running_queries():
             level = query.service_class or self.ladder.top
             if not self._has_level(level):
@@ -142,5 +143,5 @@ class PriorityAgingController(ExecutionController):
             )
             context.record(self, "demote", query, lower)
 
-    def notify_exit(self, query: Query, context: ManagerContext) -> None:
+    def notify_exit(self, query: Query, context: WorkloadManager) -> None:
         self._last_demotion.pop(query.query_id, None)

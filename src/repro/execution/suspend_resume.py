@@ -30,7 +30,8 @@ from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.classify import Feature
-from repro.core.interfaces import ExecutionController, ManagerContext
+from repro.core.interfaces import ExecutionController
+from repro.core.manager import WorkloadManager
 from repro.engine.query import PlanOperator, Query, QueryState
 
 
@@ -185,7 +186,7 @@ class SuspendResumeController(ExecutionController):
         min_victim_work: float = 5.0,
         resume_when_idle_below: int = 1,
         velocity_floor: float = 0.8,
-        pressure: Optional[Callable[[ManagerContext], bool]] = None,
+        pressure: Optional[Callable[[WorkloadManager], bool]] = None,
     ) -> None:
         self.protected_priority = protected_priority
         self.max_victim_priority = max_victim_priority
@@ -200,8 +201,8 @@ class SuspendResumeController(ExecutionController):
         self._dumping: set = set()
 
     # ------------------------------------------------------------------
-    def _default_pressure(self, context: ManagerContext) -> bool:
-        queued = context.manager.scheduler.queued_queries()
+    def _default_pressure(self, context: WorkloadManager) -> bool:
+        queued = context.scheduler.queued_queries()
         if any(q.priority >= self.protected_priority for q in queued):
             return True
         for query in context.engine.running_queries():
@@ -220,13 +221,13 @@ class SuspendResumeController(ExecutionController):
                 return True
         return False
 
-    def control(self, context: ManagerContext) -> None:
+    def control(self, context: WorkloadManager) -> None:
         if self._pressure(context):
             self._suspend_victims(context)
         else:
             self._maybe_resume(context)
 
-    def _suspend_victims(self, context: ManagerContext) -> None:
+    def _suspend_victims(self, context: WorkloadManager) -> None:
         victims = [
             q
             for q in context.engine.running_queries()
@@ -256,7 +257,7 @@ class SuspendResumeController(ExecutionController):
             self._dumping.add(victim.query_id)
 
     def _complete_suspension(
-        self, victim: Query, plan: SuspendPlan, context: ManagerContext
+        self, victim: Query, plan: SuspendPlan, context: WorkloadManager
     ) -> None:
         self._dumping.discard(victim.query_id)
         if not context.engine.is_running(victim.query_id):
@@ -269,7 +270,7 @@ class SuspendResumeController(ExecutionController):
         self.suspended.append(record)
         context.record(self, "suspend", query, plan)
 
-    def _maybe_resume(self, context: ManagerContext) -> None:
+    def _maybe_resume(self, context: WorkloadManager) -> None:
         if not self.suspended:
             return
         if context.engine.running_count >= self.resume_when_idle_below:
@@ -290,10 +291,10 @@ class SuspendResumeController(ExecutionController):
             label=f"resume:q{query.query_id}",
         )
 
-    def _restart(self, query: Query, context: ManagerContext) -> None:
+    def _restart(self, query: Query, context: WorkloadManager) -> None:
         if query.state is not QueryState.SUSPENDED:
             return
         context.engine.start(query, weight=float(max(query.priority, 1)))
 
-    def notify_exit(self, query: Query, context: ManagerContext) -> None:
+    def notify_exit(self, query: Query, context: WorkloadManager) -> None:
         self._dumping.discard(query.query_id)

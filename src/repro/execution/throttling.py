@@ -32,12 +32,13 @@ from repro.control.controllers import (
     StepController,
 )
 from repro.core.classify import Feature
-from repro.core.interfaces import ExecutionController, ManagerContext
+from repro.core.interfaces import ExecutionController
+from repro.core.manager import WorkloadManager
 from repro.engine.query import Query, StatementType
 from repro.errors import ConfigurationError
 
 
-def _normalized_speed(query: Query, context: ManagerContext) -> Optional[float]:
+def _normalized_speed(query: Query, context: WorkloadManager) -> Optional[float]:
     """Instantaneous fraction of full speed a running query receives.
 
     A query's unloaded speed is ``1 / nominal_duration``; multiplying
@@ -49,6 +50,33 @@ def _normalized_speed(query: Query, context: ManagerContext) -> Optional[float]:
     if nominal <= 0 or not context.engine.is_running(query.query_id):
         return None
     return min(1.0, context.engine.speed_of(query.query_id) * nominal)
+
+
+#: Completion velocities per workload the feedback velocity reads, newest last.
+RECENT_VELOCITIES = 20
+
+
+def _feedback_velocity(
+    context: WorkloadManager,
+    running: Callable[[Query], bool],
+    workload: Callable[[str], bool],
+) -> Optional[float]:
+    """The controllers' feedback input: the mean of the normalized speeds
+    of the running queries ``running`` keeps and of the last
+    :data:`RECENT_VELOCITIES` completion velocities of each workload
+    ``workload`` keeps (so short transactions count); ``None`` if none."""
+    velocities = []
+    for query in context.engine.running_queries():
+        if running(query):
+            velocity = _normalized_speed(query, context)
+            if velocity is not None:
+                velocities.append(velocity)
+    for name in context.metrics.workloads():
+        if workload(name):
+            velocities.extend(context.metrics.stats_for(name).velocities[-RECENT_VELOCITIES:])
+    if not velocities:
+        return None
+    return sum(velocities) / len(velocities)
 
 
 class ThrottleMethod(enum.Enum):
@@ -109,27 +137,12 @@ class UtilityThrottlingController(ExecutionController):
             or (query.workload_name in self.utility_workloads)
         )
 
-    def _production_velocity(self, context: ManagerContext) -> Optional[float]:
-        velocities = []
-        for query in context.engine.running_queries():
-            if self._is_utility(query):
-                continue
-            velocity = _normalized_speed(query, context)
-            if velocity is not None:
-                velocities.append(velocity)
-        # include recent completions so short transactions count
-        for name in context.metrics.workloads():
-            if name in self.utility_workloads:
-                continue
-            stats = context.metrics.stats_for(name)
-            recent = stats.velocities[-20:]
-            velocities.extend(recent)
-        if not velocities:
-            return None
-        return sum(velocities) / len(velocities)
-
-    def control(self, context: ManagerContext) -> None:
-        velocity = self._production_velocity(context)
+    def control(self, context: WorkloadManager) -> None:
+        velocity = _feedback_velocity(
+            context,
+            lambda query: not self._is_utility(query),
+            lambda name: name not in self.utility_workloads,
+        )
         if velocity is None:
             return
         degradation = max(
@@ -198,26 +211,13 @@ class QueryThrottlingController(ExecutionController):
             and query.estimated_cost.total_work >= self.large_query_work
         )
 
-    def _protected_velocity(self, context: ManagerContext) -> Optional[float]:
-        velocities = []
-        for query in context.engine.running_queries():
-            if query.priority < self.protected_priority:
-                continue
-            velocity = _normalized_speed(query, context)
-            if velocity is not None:
-                velocities.append(velocity)
-        for name in context.metrics.workloads():
-            stats = context.metrics.stats_for(name)
-            if not stats.velocities:
-                continue
-            if context.importance_of(name) >= self.protected_priority:
-                velocities.extend(stats.velocities[-20:])
-        if not velocities:
-            return None
-        return sum(velocities) / len(velocities)
-
-    def control(self, context: ManagerContext) -> None:
-        velocity = self._protected_velocity(context)
+    def control(self, context: WorkloadManager) -> None:
+        protected = self.protected_priority
+        velocity = _feedback_velocity(
+            context,
+            lambda query: query.priority >= protected,
+            lambda name: context.slas.importance_of(name) >= protected,
+        )
         if velocity is None:
             return
         if self._step is not None:
@@ -231,7 +231,7 @@ class QueryThrottlingController(ExecutionController):
         context.record(self, "throttle", detail=self.throttle_level)
         self._apply(context)
 
-    def _apply(self, context: ManagerContext) -> None:
+    def _apply(self, context: WorkloadManager) -> None:
         factor = 1.0 - self.throttle_level
         for query in context.engine.running_queries():
             if not self.victim_selector(query):
@@ -245,7 +245,7 @@ class QueryThrottlingController(ExecutionController):
                 # one pause whose length realizes the sleep fraction
                 pause = (
                     self.throttle_level
-                    * context.manager.control_period
+                    * context.control_period
                     * self.pause_scale
                 )
                 context.engine.pause(qid)
@@ -256,12 +256,12 @@ class QueryThrottlingController(ExecutionController):
                 )
                 self._paused[qid] = handle
 
-    def _resume(self, qid: int, context: ManagerContext) -> None:
+    def _resume(self, qid: int, context: WorkloadManager) -> None:
         self._paused.pop(qid, None)
         if context.engine.is_running(qid):
             context.engine.resume(qid)
 
-    def notify_exit(self, query: Query, context: ManagerContext) -> None:
+    def notify_exit(self, query: Query, context: WorkloadManager) -> None:
         handle = self._paused.pop(query.query_id, None)
         if handle is not None:
             handle.cancel()

@@ -21,7 +21,8 @@ from __future__ import annotations
 from functools import partial
 from typing import List, Optional, Tuple
 
-from repro.core.interfaces import ManagerContext, MplController
+from repro.core.interfaces import MplController
+from repro.core.manager import WorkloadManager
 from repro.engine.query import Query
 from repro.errors import ConfigurationError
 
@@ -63,10 +64,10 @@ class QueueingModelMpl(MplController):
         mem = sum(q.estimated_cost.memory_mb for q in queries) / n
         return cpu, io, mem
 
-    def current_limit(self, context: ManagerContext) -> Optional[int]:
+    def current_limit(self, context: WorkloadManager) -> Optional[int]:
         sample = (
             context.engine.running_queries()
-            + context.manager.scheduler.queued_queries()
+            + context.scheduler.queued_queries()
         )
         cpu, io, mem = self._mean_costs(sample)
         if cpu <= 0 and io <= 0:
@@ -123,7 +124,7 @@ class FeedbackMpl(MplController):
         self._last_throughput: Optional[float] = None
         self.emitter: object = self
 
-    def attach(self, context: ManagerContext) -> None:
+    def attach(self, context: WorkloadManager) -> None:
         context.sim.schedule_periodic(
             self.interval, partial(self._adjust, context), label="feedback-mpl"
         )
@@ -132,10 +133,10 @@ class FeedbackMpl(MplController):
     def notify_completion(self) -> None:
         self._completions += 1
 
-    def current_limit(self, context: ManagerContext) -> Optional[int]:
+    def current_limit(self, context: WorkloadManager) -> Optional[int]:
         return self.limit
 
-    def _adjust(self, context: ManagerContext) -> None:
+    def _adjust(self, context: WorkloadManager) -> None:
         throughput = self._completions / self.interval
         self._completions = 0
         if self._last_throughput is not None:

@@ -32,13 +32,13 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.core.interfaces import (
-    ManagerContext,
     MplController,
     MplLike,
     PartitionedQueue,
     QueueKey,
     Scheduler,
 )
+from repro.core.manager import WorkloadManager
 from repro.engine.query import Query, tenant_key, workload_key
 
 
@@ -96,16 +96,16 @@ class MultiQueueScheduler(Scheduler):
         self.default_workload_mpl = default_workload_mpl
         self.queue = PartitionedQueue(_workload_bucket)
 
-    def attach(self, context: ManagerContext) -> None:
+    def attach(self, context: WorkloadManager) -> None:
         self.global_mpl.attach(context)
 
-    def notify_exit(self, query: Query, context: ManagerContext) -> None:
+    def notify_exit(self, query: Query, context: WorkloadManager) -> None:
         self.global_mpl.notify_completion()
 
-    def enqueue(self, query: Query, context: ManagerContext) -> None:
+    def enqueue(self, query: Query, context: WorkloadManager) -> None:
         self.queue.push(query)
 
-    def next_batch(self, context: ManagerContext) -> List[Query]:
+    def next_batch(self, context: WorkloadManager) -> List[Query]:
         queue = self.queue
         if not len(queue):
             return []

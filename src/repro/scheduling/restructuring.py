@@ -23,7 +23,8 @@ from functools import partial
 from typing import Dict, List
 
 from repro.core.classify import Feature
-from repro.core.interfaces import ManagerContext, Scheduler
+from repro.core.interfaces import Scheduler
+from repro.core.manager import WorkloadManager
 from repro.engine.query import Query, QueryState, split_query
 
 
@@ -64,13 +65,13 @@ class RestructuringScheduler(Scheduler):
         #: response times of restructured originals (end-to-end)
         self.original_response_times: List[float] = []
 
-    def attach(self, context: ManagerContext) -> None:
+    def attach(self, context: WorkloadManager) -> None:
         self.inner.attach(context)
-        context.manager.add_completion_listener(
+        context.add_completion_listener(
             partial(self._on_done, context=context)
         )
 
-    def enqueue(self, query: Query, context: ManagerContext) -> None:
+    def enqueue(self, query: Query, context: WorkloadManager) -> None:
         work = query.estimated_cost.total_work
         if work <= self.slice_threshold or query.true_cost.lock_count > 0:
             self.inner.enqueue(query, context)
@@ -81,7 +82,7 @@ class RestructuringScheduler(Scheduler):
         self.restructured_count += 1
         self._release_next(group, context)
 
-    def _release_next(self, group: _SliceGroup, context: ManagerContext) -> None:
+    def _release_next(self, group: _SliceGroup, context: WorkloadManager) -> None:
         if not group.pending:
             return
         piece = group.pending.pop(0)
@@ -98,7 +99,7 @@ class RestructuringScheduler(Scheduler):
         piece.transition(QueryState.QUEUED)
         self.inner.enqueue(piece, context)
 
-    def _on_done(self, query: Query, context: ManagerContext) -> None:
+    def _on_done(self, query: Query, context: WorkloadManager) -> None:
         group = self._groups.pop(query.query_id, None)
         if group is None:
             return
@@ -109,7 +110,7 @@ class RestructuringScheduler(Scheduler):
             return
         if group.pending:
             self._release_next(group, context)
-            context.manager.pump()
+            context.pump()
         elif group.finished:
             group.original.end_time = context.now
             if group.original.submit_time is not None:
@@ -120,8 +121,8 @@ class RestructuringScheduler(Scheduler):
     # ------------------------------------------------------------------
     # delegation
     # ------------------------------------------------------------------
-    def next_batch(self, context: ManagerContext) -> List[Query]:
+    def next_batch(self, context: WorkloadManager) -> List[Query]:
         return self.inner.next_batch(context)
 
-    def notify_exit(self, query: Query, context: ManagerContext) -> None:
+    def notify_exit(self, query: Query, context: WorkloadManager) -> None:
         self.inner.notify_exit(query, context)

@@ -34,7 +34,8 @@ from functools import partial
 from typing import Dict, List
 
 from repro.core.classify import Feature
-from repro.core.interfaces import ManagerContext, PartitionedQueue, Scheduler
+from repro.core.interfaces import PartitionedQueue, Scheduler
+from repro.core.manager import WorkloadManager
 from repro.engine.query import Query
 
 #: Utility saturates here: no extra utility for beating the goal.
@@ -120,7 +121,7 @@ class UtilityScheduler(Scheduler):
     # ------------------------------------------------------------------
     # Scheduler interface
     # ------------------------------------------------------------------
-    def attach(self, context: ManagerContext) -> None:
+    def attach(self, context: WorkloadManager) -> None:
         context.sim.schedule_periodic(
             self.replan_interval,
             partial(self._replan, context),
@@ -136,7 +137,7 @@ class UtilityScheduler(Scheduler):
     def _bucket(self, query: Query) -> str:
         return self._state_for(query).config.workload
 
-    def enqueue(self, query: Query, context: ManagerContext) -> None:
+    def enqueue(self, query: Query, context: WorkloadManager) -> None:
         state = self._state_for(query)
         self.queue.push(query)
         state.arrivals += 1
@@ -144,7 +145,7 @@ class UtilityScheduler(Scheduler):
         times = self._arrival_times.setdefault(state.config.workload, [])
         times.append(context.now)
 
-    def next_batch(self, context: ManagerContext) -> List[Query]:
+    def next_batch(self, context: WorkloadManager) -> List[Query]:
         queue = self.queue
         in_flight = self._in_flight_costs(context)
         batch: List[Query] = []
@@ -181,7 +182,7 @@ class UtilityScheduler(Scheduler):
     def _all_states(self) -> List[_ClassState]:
         return list(self._classes.values()) + [self._default]
 
-    def _in_flight_costs(self, context: ManagerContext) -> Dict[str, float]:
+    def _in_flight_costs(self, context: WorkloadManager) -> Dict[str, float]:
         costs: Dict[str, float] = {}
         for query in context.engine.running_queries():
             name = (
@@ -223,7 +224,7 @@ class UtilityScheduler(Scheduler):
         ratio = state.config.response_time_goal / predicted
         return state.config.importance * min(_UTILITY_CAP, ratio)
 
-    def _replan(self, context: ManagerContext) -> None:
+    def _replan(self, context: WorkloadManager) -> None:
         machine = context.engine.machine
         capacity = machine.cpu_capacity + machine.disk_capacity
         quantum = capacity / self.quanta
@@ -259,4 +260,4 @@ class UtilityScheduler(Scheduler):
         context.record(
             self, "plan", detail={n: round(a, 3) for n, a in allocations.items()}
         )
-        context.manager.pump()
+        context.pump()

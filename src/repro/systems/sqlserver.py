@@ -33,7 +33,8 @@ from repro.characterization.static import ClassifierFunctionCharacterizer
 from repro.core.policy import Threshold, ThresholdAction, ThresholdKind
 from repro.execution.cancellation import KillRule, QueryKillController
 from repro.core.classify import Feature
-from repro.core.interfaces import ExecutionController, ManagerContext
+from repro.core.interfaces import ExecutionController
+from repro.core.manager import WorkloadManager
 from repro.core.policy import AdmissionPolicy
 from repro.engine.query import Query
 from repro.engine.sessions import Session
@@ -139,7 +140,7 @@ class ResourcePoolController(ExecutionController):
                     shares[name] = 0.0
         return shares
 
-    def control(self, context: ManagerContext) -> None:
+    def control(self, context: WorkloadManager) -> None:
         running = context.engine.running_queries()
         if not running:
             return

@@ -28,7 +28,6 @@ from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.admission.base import CompositeAdmission
-from repro.admission.threshold import ThresholdAdmission
 from repro.characterization.static import (
     AttributePredicate,
     StaticCharacterizer,
@@ -36,12 +35,8 @@ from repro.characterization.static import (
     WorkloadDefinition,
 )
 from repro.core.classify import Feature
-from repro.core.interfaces import (
-    AdmissionController,
-    AdmissionDecision,
-    ManagerContext,
-)
-from repro.core.manager import priority_weight
+from repro.core.interfaces import AdmissionController, AdmissionDecision
+from repro.core.manager import WorkloadManager, priority_weight
 from repro.core.policy import Threshold, ThresholdAction, ThresholdKind
 from repro.engine.query import Query, StatementType
 from repro.errors import ConfigurationError
@@ -82,7 +77,16 @@ class QueryResourceFilter:
 
 
 class _FilterAdmission(AdmissionController):
-    """Admission gate applying Teradata filters."""
+    """Admission gate applying Teradata filters: ASM's threshold-based
+    admission, a query resource filter's limit on estimated cost."""
+
+    TECHNIQUE_FEATURES = frozenset(
+        {
+            Feature.ACTS_AT_ARRIVAL,
+            Feature.USES_THRESHOLDS,
+            Feature.THRESHOLD_ON_SYSTEM_PARAMETER,
+        }
+    )
 
     def __init__(
         self,
@@ -93,7 +97,7 @@ class _FilterAdmission(AdmissionController):
         self.resource_filters = list(resource_filters)
         self.filtered_count = 0
 
-    def decide(self, query: Query, context: ManagerContext) -> AdmissionDecision:
+    def decide(self, query: Query, context: WorkloadManager) -> AdmissionDecision:
         session = context.sessions.get(query.session_id)
         application = (
             session.attributes.application if session is not None else ""
@@ -164,7 +168,7 @@ class _ObjectThrottleAdmission(AdmissionController):
         self.limits = {t.object_name: t.limit for t in throttles}
         self.delays = 0  # delays decided; a carried-over hold adds none
 
-    def decide(self, query: Query, context: ManagerContext) -> AdmissionDecision:
+    def decide(self, query: Query, context: WorkloadManager) -> AdmissionDecision:
         constrained = [obj for obj in query.objects if obj in self.limits]
         if not constrained:
             return AdmissionDecision.accept("no throttled objects")
@@ -216,7 +220,7 @@ class _UtilityThrottleAdmission(AdmissionController):
         self.limit = throttle.limit
         self.delays = 0  # delays decided; a carried-over hold adds none
 
-    def decide(self, query: Query, context: ManagerContext) -> AdmissionDecision:
+    def decide(self, query: Query, context: WorkloadManager) -> AdmissionDecision:
         if query.statement_type not in self._UTILITY_TYPES:
             return AdmissionDecision.accept("not a utility")
         running = sum(
@@ -363,7 +367,6 @@ class TeradataASMConfig:
             gates.append(_ObjectThrottleAdmission(self.object_throttles))
         if self.utility_throttle is not None:
             gates.append(_UtilityThrottleAdmission(self.utility_throttle))
-        gates.append(ThresholdAdmission())
         admission = CompositeAdmission(gates)
 
         per_workload_mpl: Dict[str, int] = {}

@@ -35,20 +35,20 @@ class TestConflictRatio:
     def test_read_only_always_accepted(self, sim):
         admission = ConflictRatioAdmission()
         manager = _manager(sim, admission)
-        decision = admission.decide(make_query(locks=0), manager.context)
+        decision = admission.decide(make_query(locks=0), manager)
         assert decision.outcome is AdmissionOutcome.ACCEPT
 
     def test_transactions_accepted_while_ratio_low(self, sim):
         admission = ConflictRatioAdmission(critical_ratio=1.3)
         manager = _manager(sim, admission)
-        decision = admission.decide(make_query(locks=5), manager.context)
+        decision = admission.decide(make_query(locks=5), manager)
         assert decision.outcome is AdmissionOutcome.ACCEPT
 
     def test_transactions_delayed_when_ratio_critical(self, sim, monkeypatch):
         admission = ConflictRatioAdmission(critical_ratio=1.3)
         manager = _manager(sim, admission)
         monkeypatch.setattr(manager.engine, "conflict_ratio", lambda: 2.0)
-        decision = admission.decide(make_query(locks=5), manager.context)
+        decision = admission.decide(make_query(locks=5), manager)
         assert decision.outcome is AdmissionOutcome.DELAY
         assert admission.suspensions == 1
 
@@ -61,14 +61,14 @@ class TestThroughputFeedback:
     def test_accepts_under_limit(self, sim):
         admission = ThroughputFeedbackAdmission(initial_mpl=4)
         manager = _manager(sim, admission)
-        decision = admission.decide(make_query(), manager.context)
+        decision = admission.decide(make_query(), manager)
         assert decision.outcome is AdmissionOutcome.ACCEPT
 
     def test_delays_at_limit(self, sim):
         admission = ThroughputFeedbackAdmission(initial_mpl=1)
         manager = _manager(sim, admission)
         manager.submit(make_query(cpu=50.0, io=0.0))
-        decision = admission.decide(make_query(), manager.context)
+        decision = admission.decide(make_query(), manager)
         assert decision.outcome is AdmissionOutcome.DELAY
         assert admission.delays == 1
 
@@ -86,7 +86,7 @@ class TestThroughputFeedback:
         manager.run(horizon=4.0, drain=2.0)
         assert admission.mpl > 2
         history = decisions_by(
-            manager.context.decisions, "ThroughputFeedbackAdmission", "set_mpl"
+            manager.decisions, "ThroughputFeedbackAdmission", "set_mpl"
         )
         assert len(history) >= 4
 
@@ -97,7 +97,7 @@ class TestThroughputFeedback:
         manager = _manager(sim, admission)
         admission.climber._last_throughput = 10.0
         admission.climber._completions = 1  # big drop
-        admission.climber._adjust(manager.context)
+        admission.climber._adjust(manager)
         assert admission.climber._direction == -1
         assert admission.mpl == 4
 
@@ -106,7 +106,7 @@ class TestThroughputFeedback:
             initial_mpl=1, min_mpl=1, max_mpl=3, interval=1.0, step=5
         )
         manager = _manager(sim, admission)
-        admission.climber._adjust(manager.context)
+        admission.climber._adjust(manager)
         assert 1 <= admission.mpl <= 3
 
     def test_invalid_configuration(self):
@@ -120,7 +120,7 @@ class TestIndicators:
     def test_accepts_when_quiet(self, sim):
         admission = IndicatorAdmission()
         manager = _manager(sim, admission)
-        decision = admission.decide(make_query(priority=1), manager.context)
+        decision = admission.decide(make_query(priority=1), manager)
         assert decision.outcome is AdmissionOutcome.ACCEPT
 
     def test_delayed_under_pressure(self, sim):
@@ -131,7 +131,7 @@ class TestIndicators:
             machine=MachineSpec(cpu_capacity=4, disk_capacity=4, memory_mb=100),
         )
         manager.engine.buffer_pool.reserve("hog", 500.0)  # pressure 5.0
-        decision = admission.decide(make_query(priority=3), manager.context)
+        decision = admission.decide(make_query(priority=3), manager)
         assert decision.outcome is AdmissionOutcome.DELAY
         assert admission.firings["memory_pressure"] == 1
         assert "memory_pressure" in decision.reason
@@ -140,9 +140,9 @@ class TestIndicators:
         admission = PriorityExemptAdmission(IndicatorAdmission(), exempt_priority=3)
         manager = _manager(sim, admission)
         manager.engine.buffer_pool.reserve("hog", 1e6)
-        vip = admission.decide(make_query(priority=3), manager.context)
+        vip = admission.decide(make_query(priority=3), manager)
         assert vip.outcome is AdmissionOutcome.ACCEPT
-        low = admission.decide(make_query(priority=2), manager.context)
+        low = admission.decide(make_query(priority=2), manager)
         assert low.outcome is AdmissionOutcome.DELAY
         assert admission.inner.delays == 1
 
@@ -150,7 +150,7 @@ class TestIndicators:
         always = Indicator("always", lambda query, ctx: 2.0, threshold=1.0)
         admission = IndicatorAdmission([always])
         manager = _manager(sim, admission)
-        decision = admission.decide(make_query(priority=1), manager.context)
+        decision = admission.decide(make_query(priority=1), manager)
         assert decision.outcome is AdmissionOutcome.DELAY
 
     def test_default_indicator_set(self):
@@ -163,7 +163,7 @@ class TestIndicators:
         manager.submit(make_query(cpu=5.0, io=0.0))  # queue empty: admitted
         manager.submit(make_query(cpu=5.0, io=0.0))  # now one waits
         assert manager.queued_count == 1
-        decision = admission.decide(make_query(), manager.context)
+        decision = admission.decide(make_query(), manager)
         assert decision.outcome is AdmissionOutcome.DELAY
 
     def test_queue_length_leaves_out_the_gates_own_holds(self, sim):
@@ -217,7 +217,7 @@ class TestCapacityGate:
         manager = self._manager(sim)
         gate = manager.admission
         query = make_query(cpu=1.0, io=0.0, mem=100.0, priority=1)
-        decision = gate.decide(query, manager.context)
+        decision = gate.decide(query, manager)
         assert decision.outcome is AdmissionOutcome.ACCEPT
         assert gate.inner.delays == 0
 
@@ -226,7 +226,7 @@ class TestCapacityGate:
         manager.engine.buffer_pool.reserve("hog", 950.0)
         gate = manager.admission
         query = make_query(cpu=1.0, io=0.0, mem=200.0, priority=1)
-        decision = gate.decide(query, manager.context)
+        decision = gate.decide(query, manager)
         assert decision.outcome is AdmissionOutcome.DELAY
         assert gate.inner.delays == 1
         assert gate.inner.firings == {"projected_memory": 1, "conflict_ratio": 0}
@@ -237,7 +237,7 @@ class TestCapacityGate:
             manager.submit(make_query(cpu=10.0, io=0.0, mem=500.0, priority=3))
         assert manager.engine.memory_pressure() > 1.0
         tiny = make_query(cpu=1.0, io=0.0, mem=1.0, priority=1)
-        decision = manager.admission.decide(tiny, manager.context)
+        decision = manager.admission.decide(tiny, manager)
         assert decision.outcome is AdmissionOutcome.DELAY
         assert "projected_memory" in decision.reason
 
@@ -246,7 +246,7 @@ class TestCapacityGate:
         manager.engine.buffer_pool.reserve("hog", 10_000.0)
         gate = manager.admission
         vip = make_query(cpu=1.0, io=0.0, mem=500.0, priority=3)
-        assert gate.decide(vip, manager.context).outcome is AdmissionOutcome.ACCEPT
+        assert gate.decide(vip, manager).outcome is AdmissionOutcome.ACCEPT
         assert gate.inner.delays == 0
 
     def test_projected_memory_counts_the_request_estimate(self, sim):
@@ -255,8 +255,8 @@ class TestCapacityGate:
         gate = manager.admission
         small = make_query(cpu=1.0, io=0.0, mem=100.0, priority=1)
         huge = make_query(cpu=1.0, io=0.0, mem=800.0, priority=1)
-        assert gate.decide(small, manager.context).outcome is AdmissionOutcome.ACCEPT
-        decision = gate.decide(huge, manager.context)
+        assert gate.decide(small, manager).outcome is AdmissionOutcome.ACCEPT
+        decision = gate.decide(huge, manager)
         assert decision.outcome is AdmissionOutcome.DELAY
         assert "projected_memory=1.60>1" in decision.reason
 
@@ -265,15 +265,15 @@ class TestCapacityGate:
         gate = manager.admission
         liar = make_query(cpu=1.0, io=0.0, mem=100.0, priority=1)
         liar.estimated_cost = CostVector(1.0, 0.0, 5000.0)  # optimizer: 5 GB
-        assert gate.decide(liar, manager.context).outcome is AdmissionOutcome.DELAY
+        assert gate.decide(liar, manager).outcome is AdmissionOutcome.DELAY
         hidden = make_query(cpu=1.0, io=0.0, mem=5000.0, priority=1)
         hidden.estimated_cost = CostVector(1.0, 0.0, 100.0)  # optimizer: 100 MB
-        assert gate.decide(hidden, manager.context).outcome is AdmissionOutcome.ACCEPT
+        assert gate.decide(hidden, manager).outcome is AdmissionOutcome.ACCEPT
 
     def test_a_conflict_spike_delays(self, sim, monkeypatch):
         manager = self._manager(sim)
         monkeypatch.setattr(manager.engine, "conflict_ratio", lambda: 3.0)
-        decision = manager.admission.decide(make_query(priority=1), manager.context)
+        decision = manager.admission.decide(make_query(priority=1), manager)
         assert decision.outcome is AdmissionOutcome.DELAY
         assert "conflict_ratio=3.00>1.5" in decision.reason
 
@@ -298,7 +298,7 @@ class TestCombinators:
         gate = ThresholdAdmission(AdmissionPolicy(reject_over_cost=1.0))
         composite = CompositeAdmission([gate, ConflictRatioAdmission()])
         manager = _manager(sim, composite)
-        decision = composite.decide(make_query(cpu=5.0, io=5.0), manager.context)
+        decision = composite.decide(make_query(cpu=5.0, io=5.0), manager)
         assert decision.outcome is AdmissionOutcome.REJECT
 
     def test_composite_accepts_when_all_pass(self, sim):
@@ -306,7 +306,7 @@ class TestCombinators:
             [ThresholdAdmission(AdmissionPolicy()), ConflictRatioAdmission()]
         )
         manager = _manager(sim, composite)
-        decision = composite.decide(make_query(), manager.context)
+        decision = composite.decide(make_query(), manager)
         assert decision.outcome is AdmissionOutcome.ACCEPT
 
     def test_composite_needs_gates(self):
@@ -319,8 +319,8 @@ class TestCombinators:
         manager = _manager(sim, admission)
         vip = make_query(cpu=100.0, io=100.0, priority=3)
         peasant = make_query(cpu=100.0, io=100.0, priority=1)
-        assert admission.decide(vip, manager.context).outcome is AdmissionOutcome.ACCEPT
+        assert admission.decide(vip, manager).outcome is AdmissionOutcome.ACCEPT
         assert (
-            admission.decide(peasant, manager.context).outcome
+            admission.decide(peasant, manager).outcome
             is AdmissionOutcome.REJECT
         )

@@ -113,7 +113,7 @@ class TestPredictionAdmission:
             machine=MachineSpec(cpu_capacity=4, disk_capacity=4, memory_mb=4096),
             admission=admission,
         )
-        decision = admission.decide(make_query(cpu=50.0, io=0.0), manager.context)
+        decision = admission.decide(make_query(cpu=50.0, io=0.0), manager)
         assert decision.outcome is AdmissionOutcome.REJECT
         assert admission.fallback_decisions == 1
 
@@ -139,7 +139,7 @@ class TestPredictionAdmission:
         # just assert the gate now uses predictions without crashing.
         decision = admission.decide(
             make_query(cpu=0.05, io=0.0, sql="oltp:t", workload="oltp"),
-            manager.context,
+            manager,
         )
         assert decision.outcome is AdmissionOutcome.ACCEPT
 

@@ -15,7 +15,7 @@ def _context(sim, admission):
         machine=MachineSpec(cpu_capacity=4, disk_capacity=4, memory_mb=4096),
         admission=admission,
     )
-    return manager, manager.context
+    return manager, manager
 
 
 class TestCostThreshold:

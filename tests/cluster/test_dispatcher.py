@@ -136,7 +136,7 @@ class TestNodeRejectionIsFinal:
         assert seen == [heavy]
         (refuser,) = [n for n in nodes if n.manager.rejected_count]
         assert refuser.manager.rejected_count == 1
-        (event,) = decisions_by(refuser.manager.context.decisions, action="reject")
+        (event,) = decisions_by(refuser.manager.decisions, action="reject")
         _, _, reason = policy.violation(heavy.estimated_cost.total_work, 0)
         assert (event.query_id, event.detail) == (heavy.query_id, reason)
         assert dispatcher.cluster_queue_depth == 0
@@ -205,7 +205,7 @@ class TestFrontDoor:
         assert all(query.state is QueryState.REJECTED for query in dear)
         # no node saw a dear request
         assert sum(node.placed_count for node in dispatcher.nodes) == len(cheap)
-        assert all(not node.manager.context.decisions for node in dispatcher.nodes)
+        assert all(not node.manager.decisions for node in dispatcher.nodes)
         _, _, reason = policy.violation(dear[0].estimated_cost.total_work, 0)
         assert decisions_by(dispatcher.metrics.decisions, action="reject") == [
             ControlEvent(0.0, "ThresholdAdmission", "reject", query.query_id, "bi", reason)

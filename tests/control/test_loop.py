@@ -34,7 +34,7 @@ class TestMonitor:
     def test_observations_capture_state(self, sim):
         manager = _manager(sim)
         manager.submit(make_query(cpu=10.0, io=0.0, sql="gold:q"))
-        observations = MonitorStage().observe(manager.context)
+        observations = MonitorStage().observe(manager)
         assert observations.running == 1
         assert observations.attainment["gold"] == 0.0  # nothing completed
 
@@ -45,9 +45,9 @@ class TestAnalyze:
         hog = make_query(cpu=50.0, io=0.0, priority=1)
         manager.submit(hog)
         sim.run_until(6.0)
-        observations = MonitorStage().observe(manager.context)
+        observations = MonitorStage().observe(manager)
         symptoms = AnalyzeStage(problem_age=5.0).analyze(
-            observations, manager.context
+            observations, manager
         )
         assert symptoms.missing_workloads == ["gold"]
         assert [q.query_id for q in symptoms.problematic] == [hog.query_id]
@@ -57,8 +57,8 @@ class TestAnalyze:
         vip = make_query(cpu=50.0, io=0.0, priority=4)
         manager.submit(vip)
         sim.run_until(6.0)
-        observations = MonitorStage().observe(manager.context)
-        symptoms = AnalyzeStage().analyze(observations, manager.context)
+        observations = MonitorStage().observe(manager)
+        symptoms = AnalyzeStage().analyze(observations, manager)
         assert symptoms.problematic == []
 
     def test_nearly_done_excluded(self, sim):
@@ -66,9 +66,9 @@ class TestAnalyze:
         almost = make_query(cpu=10.0, io=0.0, priority=1)
         manager.submit(almost)
         sim.run_until(9.5)
-        observations = MonitorStage().observe(manager.context)
+        observations = MonitorStage().observe(manager)
         symptoms = AnalyzeStage(problem_age=1.0, problem_work=1.0).analyze(
-            observations, manager.context
+            observations, manager
         )
         assert symptoms.problematic == []
 
@@ -77,9 +77,9 @@ class TestPlan:
     def test_no_misses_means_release_or_none(self, sim):
         manager = _manager(sim, slas=SLASet([]))
         planner = PlanStage()
-        observations = MonitorStage().observe(manager.context)
-        symptoms = AnalyzeStage().analyze(observations, manager.context)
-        action = planner.plan(symptoms, manager.context)
+        observations = MonitorStage().observe(manager)
+        symptoms = AnalyzeStage().analyze(observations, manager)
+        action = planner.plan(symptoms, manager)
         assert action in (LoopAction.RELEASE, LoopAction.NONE)
 
     def test_kill_disfavoured_for_nearly_done_victims(self, sim):
@@ -87,12 +87,12 @@ class TestPlan:
         victim = make_query(cpu=30.0, io=0.0, priority=1)
         manager.submit(victim)
         sim.run_until(25.0)  # victim > 80% done
-        observations = MonitorStage().observe(manager.context)
+        observations = MonitorStage().observe(manager)
         symptoms = AnalyzeStage(problem_age=1.0).analyze(
-            observations, manager.context
+            observations, manager
         )
         if symptoms.problematic:
-            utilities = PlanStage().action_utilities(symptoms, manager.context)
+            utilities = PlanStage().action_utilities(symptoms, manager)
             assert (
                 utilities[LoopAction.KILL_AND_RESUBMIT]
                 < utilities[LoopAction.SUSPEND]
@@ -117,7 +117,7 @@ class TestLoopEndToEnd:
             )
         manager.run(horizon=30.0, drain=10.0)
         # the loop acted on the hog...
-        assert decisions_by(manager.context.decisions, "AutonomicLoop")
+        assert decisions_by(manager.decisions, "AutonomicLoop")
         actions = loop.actions_taken()
         assert any(
             action is not LoopAction.NONE for action in actions
@@ -145,10 +145,10 @@ class TestLoopEndToEnd:
         # no goals: the planner picks RELEASE every tick, and nothing is
         # suspended or throttled, so no tick is a decision
         assert loop.planner.plan(
-            loop.analyzer.analyze(loop.monitor.observe(manager.context), manager.context),
-            manager.context,
+            loop.analyzer.analyze(loop.monitor.observe(manager), manager),
+            manager,
         ) is LoopAction.RELEASE
-        assert decisions_by(manager.context.decisions, "AutonomicLoop") == []
+        assert decisions_by(manager.decisions, "AutonomicLoop") == []
         assert loop.actions_taken() == {}
 
     def test_release_of_a_throttle_is_one_decision(self, sim):
@@ -158,7 +158,7 @@ class TestLoopEndToEnd:
         manager.submit(throttled)
         manager.engine.set_throttle(throttled.query_id, 0.3)
         manager.run(horizon=5.0, drain=0.0)
-        (event,) = decisions_by(manager.context.decisions, "AutonomicLoop")
+        (event,) = decisions_by(manager.decisions, "AutonomicLoop")
         assert (event.action, event.query_id) == ("release", throttled.query_id)
         assert loop.actions_taken() == {LoopAction.RELEASE: 1}
 
@@ -167,5 +167,5 @@ class TestLoopEndToEnd:
         manager = _manager(sim, loop=loop)
         manager.submit(make_query(cpu=100.0, io=0.0, priority=1))
         manager.run(horizon=8.0, drain=0.0)
-        for event in decisions_by(manager.context.decisions, "AutonomicLoop"):
+        for event in decisions_by(manager.decisions, "AutonomicLoop"):
             assert event.action in {action.value for action in LoopAction}

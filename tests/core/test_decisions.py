@@ -1,7 +1,7 @@
 """The decision record: one ``ControlEvent`` list per manager and cluster.
 
 Every controller that used to keep a private history list appends to
-``ManagerContext.decisions`` (node tier) or ``ClusterMetrics.decisions``
+``WorkloadManager.decisions`` (node tier) or ``ClusterMetrics.decisions``
 (cluster tier) instead; a rejection that sticks keeps its reason.
 """
 
@@ -59,7 +59,7 @@ def _manager(sim, cpu=2, **kwargs):
 def _hog(manager, horizon, **query):
     manager.submit(make_query(io=0.0, **query))
     manager.run(horizon=horizon, drain=0.0)
-    return manager.context.decisions
+    return manager.decisions
 
 
 # ----------------------------------------------------------------------
@@ -116,7 +116,7 @@ def _suspend_resume(sim):
     sim.run_until(5.0)
     manager.submit(make_query(cpu=5.0, io=0.0, priority=3))  # pressure, then quiet
     manager.run(horizon=40.0, drain=0.0)
-    return controller, manager.context.decisions
+    return controller, manager.decisions
 
 
 def _suspend(sim):
@@ -166,7 +166,7 @@ def _autonomic(sim):
             ),
         )
     manager.run(horizon=20.0, drain=0.0)
-    return loop, "decisions", manager.context.decisions
+    return loop, "decisions", manager.decisions
 
 
 def _resource_pools(sim):
@@ -270,7 +270,7 @@ def test_rejection_event_carries_the_admission_reason_verbatim(admission, query)
     rejected = make_query(io=0.0, sql="bi:q", **query)
     decision = manager.submit(rejected)
     assert rejected.state is QueryState.REJECTED and decision.reason
-    (event,) = manager.context.decisions
+    (event,) = manager.decisions
     assert event == ControlEvent(
         0.0, type(gate).__name__, "reject", rejected.query_id, "bi", decision.reason
     )
@@ -315,10 +315,10 @@ def test_a_node_rejection_in_a_cluster_is_recorded_by_that_node():
     dispatcher.submit(heavy)  # round-robin places it on n0, which refuses
     assert heavy.state is QueryState.REJECTED
     _, _, reason = gate.default_policy.violation(heavy.estimated_cost.total_work, 0)
-    assert nodes[0].manager.context.decisions == [
+    assert nodes[0].manager.decisions == [
         ControlEvent(0.0, "ThresholdAdmission", "reject", heavy.query_id, "bi", reason)
     ]
-    assert nodes[1].manager.context.decisions == []
+    assert nodes[1].manager.decisions == []
     # the verdict is the node's: the cluster tier records no rejection
     assert decisions_by(dispatcher.metrics.decisions, action="reject") == []
 
@@ -382,4 +382,4 @@ def test_no_deleted_history_attribute_is_assigned_in_src():
         for path in pathlib.Path(repro.__file__).parent.rglob("*.py")
         if "decisions.append(" in path.read_text()
     ]
-    assert sorted(appenders) == ["interfaces.py", "metrics.py"]
+    assert sorted(appenders) == ["manager.py", "metrics.py"]

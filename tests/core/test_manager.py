@@ -8,10 +8,11 @@ from repro.admission.threshold import ThresholdAdmission
 from repro.core.interfaces import (
     AdmissionController,
     AdmissionDecision,
+    Characterizer,
     ExecutionController,
-    ManagerContext,
+    MplController,
 )
-from repro.core.manager import FCFSDispatcher, WorkloadManager
+from repro.core.manager import FCFSDispatcher, WaitQueue, WorkloadManager
 from repro.core.policy import AdmissionPolicy
 from repro.core.sla import SLASet, response_time_sla
 from repro.engine.query import QueryState
@@ -176,7 +177,7 @@ class TestControlTick:
         def __init__(self):
             self.ticks = []
 
-        def control(self, context: ManagerContext) -> None:
+        def control(self, context: WorkloadManager) -> None:
             self.ticks.append(context.now)
 
     def test_controllers_run_each_period(self, sim):
@@ -303,7 +304,7 @@ class TestBacklogListener:
         def __init__(self):
             self.actions = []
 
-        def control(self, context: ManagerContext) -> None:
+        def control(self, context: WorkloadManager) -> None:
             if self.actions:
                 self.actions.pop(0)(context.engine)
 
@@ -399,3 +400,82 @@ class TestBacklogListener:
         assert all(query.state is QueryState.QUEUED for query in queries[1:])
         sim.run_until(1.0)  # the tick's retry finds no hold left to admit
         check((1, 0))
+
+
+class TestEveryControlIsHandedItsManager:
+    """Each socket's every hook receives the manager it is plugged into
+    as ``context``: no second object stands between a control and it."""
+
+    def test_every_hook_sees_the_manager(self, sim):
+        seen = []
+
+        def saw(hook, context):
+            seen.append((hook, context))
+
+        class Identify(Characterizer):
+            def identify(self, query, context):
+                saw("identify", context)
+                return None
+
+            def attach(self, context):
+                saw("identify.attach", context)
+
+        class Admit(AdmissionController):
+            def decide(self, query, context):
+                saw("decide", context)
+                return AdmissionDecision.accept()
+
+            def notify_exit(self, query, context):
+                saw("decide.notify_exit", context)
+
+            def attach(self, context):
+                saw("decide.attach", context)
+
+        class Limit(MplController):
+            def current_limit(self, context):
+                saw("current_limit", context)
+                return 1
+
+            def attach(self, context):
+                saw("current_limit.attach", context)
+
+        class Queue(WaitQueue):
+            def enqueue(self, query, context):
+                saw("enqueue", context)
+                super().enqueue(query, context)
+
+            def next_batch(self, context):
+                saw("next_batch", context)
+                return super().next_batch(context)
+
+            def notify_exit(self, query, context):
+                saw("next_batch.notify_exit", context)
+                super().notify_exit(query, context)
+
+        class Control(ExecutionController):
+            def control(self, context):
+                saw("control", context)
+
+            def notify_exit(self, query, context):
+                saw("control.notify_exit", context)
+
+            def attach(self, context):
+                saw("control.attach", context)
+
+        manager = _manager(
+            sim,
+            characterizer=Identify(),
+            admission=Admit(),
+            scheduler=Queue(max_concurrency=Limit()),
+            execution_controllers=[Control()],
+        )
+        manager.submit(make_query(cpu=0.5, io=0.0))
+        manager.run(horizon=1.5)
+        assert {hook for hook, _ in seen} == {
+            "identify", "identify.attach",
+            "decide", "decide.notify_exit", "decide.attach",
+            "current_limit", "current_limit.attach",
+            "enqueue", "next_batch", "next_batch.notify_exit",
+            "control", "control.notify_exit", "control.attach",
+        }
+        assert all(context is manager for _, context in seen)

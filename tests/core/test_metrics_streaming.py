@@ -154,11 +154,9 @@ class TestSampleBisection:
             want = [s for s in collector._samples if s.time >= since]
             assert got == want
 
-    def test_non_monotone_samples_fall_back_to_linear(self):
+    def test_out_of_order_sample_raises(self):
         collector = MetricsCollector()
-        for t in (1.0, 3.0, 2.0, 4.0):  # out of order on purpose
+        for t in (1.0, 3.0):
             collector.record_sample(self._sample(t))
-        got = collector.samples(2.5)
-        want = [s for s in collector._samples if s.time >= 2.5]
-        assert got == want
-        assert len(got) == 2
+        with pytest.raises(AssertionError, match="backwards"):
+            collector.record_sample(self._sample(2.0))

@@ -114,7 +114,7 @@ class TestZeroSubmitTimeFalsiness:
         hog = make_query(cpu=100.0, io=0.0, priority=1)
         manager.submit(hog)  # starts at t=0.0 exactly
         sim.run_until(3.0)
-        assessment = controller.assess(hog, manager.context)
+        assessment = controller.assess(hog, manager)
         assert assessment.long_running == 1.0  # elapsed 3.0 >= full 2.0
 
 

@@ -35,7 +35,7 @@ class TestKillRules:
         manager.submit(hog)
         manager.run(horizon=7.0, drain=0.0)
         assert hog.state is QueryState.KILLED
-        assert decisions_by(manager.context.decisions, "QueryKillController", "kill")
+        assert decisions_by(manager.decisions, "QueryKillController", "kill")
         assert manager.metrics.stats_for(None).kills == 1
 
     def test_short_queries_spared(self, sim):
@@ -62,7 +62,7 @@ class TestKillRules:
         for query in [hog, *fillers]:
             manager.submit(query)
         manager.run(horizon=12.0, drain=0.0)
-        restarts = decisions_by(manager.context.decisions, "QueryKillController")
+        restarts = decisions_by(manager.decisions, "QueryKillController")
         assert [(e.time, e.action, e.query_id) for e in restarts] == [
             (2.0, "kill_and_resubmit", hog.query_id)
         ]
@@ -91,7 +91,7 @@ class TestKillRules:
         hog = make_query(cpu=100.0, io=0.0)
         manager.submit(hog)
         manager.run(horizon=2.5, drain=0.0)
-        first = decisions_by(manager.context.decisions, "QueryKillController")[0]
+        first = decisions_by(manager.decisions, "QueryKillController")[0]
         assert (first.action, first.query_id) == (outcome, hog.query_id)
         stats = manager.metrics.stats_for(None)
         if action is ThresholdAction.STOP_EXECUTION:
@@ -180,7 +180,7 @@ class TestFuzzyController:
         hog = make_query(cpu=200.0, io=0.0, priority=1)
         manager.submit(hog)
         sim.run_until(6.0)
-        assessment = controller.assess(hog, manager.context)
+        assessment = controller.assess(hog, manager)
         assert 0.0 < assessment.long_running < 1.0
         assert assessment.low_priority == 1.0
         assert assessment.little_progress > 0.9
@@ -193,7 +193,7 @@ class TestFuzzyController:
         manager.submit(vip)
         manager.run(horizon=30.0, drain=0.0)
         assert vip.state is QueryState.RUNNING
-        assert decisions_by(manager.context.decisions, "FuzzyExecutionController") == []
+        assert decisions_by(manager.decisions, "FuzzyExecutionController") == []
 
     def test_problem_query_is_stopped(self, sim):
         controller = self._controller()
@@ -203,7 +203,7 @@ class TestFuzzyController:
         manager.run(horizon=120.0, drain=0.0)
         stops = [
             (event.action, event.query_id)
-            for event in decisions_by(manager.context.decisions, "FuzzyExecutionController")
+            for event in decisions_by(manager.decisions, "FuzzyExecutionController")
             if event.action in ("kill", "kill_and_resubmit")
         ]
         # each restart lowers the kill edge by 0.1: the first three
@@ -222,7 +222,7 @@ class TestFuzzyController:
         hog = make_query(cpu=2000.0, io=0.0, priority=1)
         manager.submit(hog)
         manager.run(horizon=10.0, drain=0.0)
-        decisions = manager.context.decisions
+        decisions = manager.decisions
         assert decisions_by(decisions, "FuzzyExecutionController", "kill") == []
         (stop,) = decisions_by(decisions, "FuzzyExecutionController", "kill_and_resubmit")
         assert controller.resubmit_band[0] <= stop.detail < controller.resubmit_band[1]
@@ -241,7 +241,7 @@ class TestFuzzyController:
         manager.submit(hog)
         manager.run(horizon=20.0, drain=0.0)
         assert decisions_by(
-            manager.context.decisions, "FuzzyExecutionController", "reprioritize"
+            manager.decisions, "FuzzyExecutionController", "reprioritize"
         )
         assert manager.engine.weight_of(hog.query_id) < 1.0
 
@@ -257,7 +257,7 @@ class TestFuzzyController:
         manager.submit(hog)
         manager.run(horizon=30.0, drain=0.0)
         halvings = decisions_by(
-            manager.context.decisions, "FuzzyExecutionController", "reprioritize"
+            manager.decisions, "FuzzyExecutionController", "reprioritize"
         )
         assert len(halvings) <= 3
         assert manager.engine.weight_of(hog.query_id) >= 0.05

@@ -26,7 +26,7 @@ class TestSpeedAware:
         manager.submit(query)
         sim.run_until(4.0)
         indicator = SpeedAwareProgressIndicator()
-        assert indicator.work_done(query, manager.context) == pytest.approx(0.4)
+        assert indicator.work_done(query, manager) == pytest.approx(0.4)
 
     def test_remaining_seconds_from_current_speed(self, sim):
         manager = _manager(sim)
@@ -34,7 +34,7 @@ class TestSpeedAware:
         manager.submit(query)
         sim.run_until(4.0)
         indicator = SpeedAwareProgressIndicator()
-        assert indicator.remaining_seconds(query, manager.context) == pytest.approx(
+        assert indicator.remaining_seconds(query, manager) == pytest.approx(
             6.0
         )
 
@@ -45,12 +45,12 @@ class TestSpeedAware:
         sim.run_until(1.0)
         manager.engine.pause(query.query_id)
         indicator = SpeedAwareProgressIndicator()
-        assert indicator.remaining_seconds(query, manager.context) == float("inf")
+        assert indicator.remaining_seconds(query, manager) == float("inf")
 
     def test_not_running_returns_none(self, sim):
         manager = _manager(sim)
         indicator = SpeedAwareProgressIndicator()
-        assert indicator.remaining_seconds(make_query(), manager.context) is None
+        assert indicator.remaining_seconds(make_query(), manager) is None
 
 
 class TestOperatorBoundary:
@@ -60,7 +60,7 @@ class TestOperatorBoundary:
         manager.submit(query)
         sim.run_until(4.0)  # fluid progress 0.4 -> inside op 1 (0.3..0.5)
         indicator = OperatorBoundaryProgressIndicator()
-        assert indicator.work_done(query, manager.context) == pytest.approx(0.3)
+        assert indicator.work_done(query, manager) == pytest.approx(0.3)
 
     def test_remaining_extrapolates_observed_rate(self, sim):
         manager = _manager(sim)
@@ -68,7 +68,7 @@ class TestOperatorBoundary:
         manager.submit(query)
         sim.run_until(5.0)  # boundary 0.5 reached at exactly t=5
         indicator = OperatorBoundaryProgressIndicator()
-        remaining = indicator.remaining_seconds(query, manager.context)
+        remaining = indicator.remaining_seconds(query, manager)
         assert remaining == pytest.approx(5.0, rel=0.05)
 
     def test_before_first_boundary_falls_back_to_estimate(self, sim):
@@ -77,7 +77,7 @@ class TestOperatorBoundary:
         manager.submit(query)
         sim.run_until(1.0)  # inside op 0
         indicator = OperatorBoundaryProgressIndicator()
-        assert indicator.remaining_seconds(query, manager.context) == pytest.approx(
+        assert indicator.remaining_seconds(query, manager) == pytest.approx(
             10.0
         )
 
@@ -89,7 +89,7 @@ class TestOptimizerCost:
         manager.submit(query)
         sim.run_until(5.0)
         indicator = OptimizerCostProgressIndicator()
-        assert indicator.work_done(query, manager.context) == pytest.approx(0.5)
+        assert indicator.work_done(query, manager) == pytest.approx(0.5)
 
     def test_underestimated_query_reads_as_done(self, sim):
         """The classic failure: estimate 1s, reality 100s."""
@@ -98,11 +98,11 @@ class TestOptimizerCost:
         manager.submit(query)
         sim.run_until(2.0)
         indicator = OptimizerCostProgressIndicator()
-        assert indicator.work_done(query, manager.context) == 1.0
-        assert indicator.remaining_seconds(query, manager.context) == 0.0
+        assert indicator.work_done(query, manager) == 1.0
+        assert indicator.remaining_seconds(query, manager) == 0.0
         # whereas the speed-aware indicator knows better
         true_indicator = SpeedAwareProgressIndicator()
-        assert true_indicator.work_done(query, manager.context) == pytest.approx(
+        assert true_indicator.work_done(query, manager) == pytest.approx(
             0.02
         )
 
@@ -110,4 +110,4 @@ class TestOptimizerCost:
         manager = _manager(sim)
         query = make_query(cpu=1.0, io=0.0, est_cpu=0.0, est_io=0.0)
         indicator = OptimizerCostProgressIndicator()
-        assert indicator.work_done(query, manager.context) == 1.0
+        assert indicator.work_done(query, manager) == 1.0

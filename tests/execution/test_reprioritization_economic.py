@@ -66,7 +66,7 @@ class TestPriorityAging:
         assert hog.demotions == 1
         assert manager.engine.weight_of(hog.query_id) == 2.0
         demotions = decisions_by(
-            manager.context.decisions, "PriorityAgingController", "demote"
+            manager.decisions, "PriorityAgingController", "demote"
         )
         assert [(e.query_id, e.detail) for e in demotions] == [
             (hog.query_id, "medium")
@@ -241,7 +241,7 @@ class TestEconomicAllocation:
         manager.submit(make_query(cpu=10.0, io=0.0, sql="a:q"))
         manager.run(horizon=2.0, drain=0.0)
         assert decisions_by(
-            manager.context.decisions, "EconomicResourceAllocator", "allocate"
+            manager.decisions, "EconomicResourceAllocator", "allocate"
         )
         assert allocator.workload_share("a") is not None
 
@@ -254,5 +254,5 @@ class TestEconomicAllocation:
         allocator = EconomicResourceAllocator()
         manager = _manager(sim, [allocator])
         manager.run(horizon=2.0, drain=0.0)
-        assert decisions_by(manager.context.decisions, "EconomicResourceAllocator") == []
+        assert decisions_by(manager.decisions, "EconomicResourceAllocator") == []
         assert allocator.workload_share("a") is None

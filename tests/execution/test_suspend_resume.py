@@ -116,7 +116,7 @@ class TestController:
         assert victim.state in (QueryState.SUSPENDED, QueryState.RUNNING)
         # within a few ticks the suspension must have happened
         assert decisions_by(
-            manager.context.decisions, "SuspendResumeController", "suspend"
+            manager.decisions, "SuspendResumeController", "suspend"
         )
         assert victim.suspend_count >= 1
 
@@ -145,7 +145,7 @@ class TestController:
         assert vip.state is QueryState.COMPLETED
         assert victim.state is QueryState.COMPLETED
         assert decisions_by(
-            manager.context.decisions, "SuspendResumeController", "resume"
+            manager.decisions, "SuspendResumeController", "resume"
         )
 
     def test_nearly_done_victims_spared(self, sim):
@@ -158,5 +158,5 @@ class TestController:
         manager.run(horizon=12.0, drain=30.0)
         assert victim.state is QueryState.COMPLETED
         assert not decisions_by(
-            manager.context.decisions, "SuspendResumeController", "suspend"
+            manager.decisions, "SuspendResumeController", "suspend"
         )

@@ -89,7 +89,7 @@ class TestUtilityThrottling:
         manager.submit(make_query(cpu=10.0, io=0.0, sql="prod:q"))
         manager.run(horizon=3.0, drain=0.0)
         levels = decisions_by(
-            manager.context.decisions, "UtilityThrottlingController", "throttle"
+            manager.decisions, "UtilityThrottlingController", "throttle"
         )
         assert len(levels) == 3
 
@@ -159,7 +159,7 @@ class TestQueryThrottlingBlackBox:
         manager.run(horizon=40.0, drain=0.0)
         assert controller.throttle_level > 0.0
         levels = decisions_by(
-            manager.context.decisions, "QueryThrottlingController", "throttle"
+            manager.decisions, "QueryThrottlingController", "throttle"
         )
         assert len(levels) >= 30
 

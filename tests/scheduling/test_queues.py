@@ -180,7 +180,7 @@ class TestAttachIdempotency:
         scheduler = WaitQueue(mpl)
         manager = _manager(sim, scheduler)
         for _ in range(3):
-            scheduler.attach(manager.context)  # e.g. node reactivation
+            scheduler.attach(manager)  # e.g. node reactivation
         manager.submit(make_query(cpu=0.5, io=0.0))
         sim.run_until(4.0)  # before the controller's adjust interval
         assert mpl._completions == 1
@@ -189,8 +189,8 @@ class TestAttachIdempotency:
         mpl = FeedbackMpl(initial=4)
         scheduler = MultiQueueScheduler(global_mpl=mpl)
         manager = _manager(sim, scheduler)
-        scheduler.attach(manager.context)
-        scheduler.attach(manager.context)
+        scheduler.attach(manager)
+        scheduler.attach(manager)
         manager.submit(make_query(cpu=0.5, io=0.0))
         sim.run_until(4.0)  # before the controller's adjust interval
         assert mpl._completions == 1
@@ -211,8 +211,8 @@ class TestMplControllers:
     def test_static_mpl(self, sim):
         manager = _manager(sim, WaitQueue())
         controller = StaticMpl(3)
-        assert controller.current_limit(manager.context) == 3
-        assert StaticMpl(None).current_limit(manager.context) is None
+        assert controller.current_limit(manager) == 3
+        assert StaticMpl(None).current_limit(manager) is None
 
     def test_static_mpl_validation(self):
         with pytest.raises(ValueError):
@@ -248,14 +248,14 @@ class TestMplControllers:
     def test_queueing_model_empty_system_returns_ceiling(self, sim):
         controller = QueueingModelMpl(ceiling=42)
         manager = _manager(sim, WaitQueue())
-        assert controller.current_limit(manager.context) == 42
+        assert controller.current_limit(manager) == 42
 
     def test_feedback_mpl_adjusts(self, sim):
         controller = FeedbackMpl(initial=4, interval=1.0, step=1, hysteresis=0.0)
         manager = _manager(sim, WaitQueue(controller))
         controller._last_throughput = 100.0
         controller._completions = 0  # collapse -> reverse direction
-        controller._adjust(manager.context)
+        controller._adjust(manager)
         assert controller.limit == 3
 
     def test_feedback_mpl_validation(self):

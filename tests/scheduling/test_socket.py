@@ -170,7 +170,7 @@ def test_mpl_controller_hears_each_exit_once(build):
     mpl = _CountingMpl()
     sim = Simulator(seed=5)
     manager = _manager(sim, build(mpl))
-    manager.scheduler.attach(manager.context)  # a re-attach must not add a listener
+    manager.scheduler.attach(manager)  # a re-attach must not add a listener
     outcomes = []
     manager.engine.on_exit(lambda query, outcome: outcomes.append(outcome))
     done, doomed = make_query(cpu=0.5, io=0.0), make_query(cpu=50.0, io=0.0)
@@ -192,10 +192,10 @@ def _drain(scheduler, arrivals):
     for priority, work, submit in arrivals:
         query = make_query(cpu=float(work), io=0.0, priority=priority)
         query.submit_time = float(submit)
-        scheduler.enqueue(query, manager.context)
+        scheduler.enqueue(query, manager)
         queries.append(query)
     snapshot = scheduler.queued_queries()
-    popped = scheduler.next_batch(manager.context)
+    popped = scheduler.next_batch(manager)
     assert snapshot == popped  # the snapshot is in dispatch order
     return queries, popped
 

@@ -55,7 +55,7 @@ class TestUtilityScheduler:
         manager = _manager(sim, scheduler)
         manager.run(horizon=3.0, drain=0.0)
         assert scheduler.plans_generated >= 3
-        assert decisions_by(manager.context.decisions, "UtilityScheduler", "plan")
+        assert decisions_by(manager.decisions, "UtilityScheduler", "plan")
 
     def test_allocation_favours_important_loaded_class(self, sim):
         scheduler = self._scheduler()

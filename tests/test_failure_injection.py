@@ -14,7 +14,6 @@ from repro.core.interfaces import (
     AdmissionController,
     AdmissionDecision,
     ExecutionController,
-    ManagerContext,
 )
 from repro.core.manager import FCFSDispatcher, WorkloadManager
 from repro.engine.executor import EngineConfig
@@ -38,7 +37,7 @@ class ChaosKiller(ExecutionController):
     def __init__(self):
         self.kills = 0
 
-    def control(self, context: ManagerContext) -> None:
+    def control(self, context: WorkloadManager) -> None:
         running = context.engine.running_queries()
         if running:
             rng = context.sim.rng("chaos")

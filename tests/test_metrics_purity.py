@@ -37,7 +37,7 @@ MANAGER_READS = {
     "sqlserver_workload_group_stats": monitoring.sqlserver_workload_group_stats,
     "sqlserver_resource_pool_stats": monitoring.sqlserver_resource_pool_stats,
     "teradata_dashboard": lambda m: monitoring.teradata_dashboard(m, QueryLog()),
-    "decisions_by": lambda m: decisions_by(m.context.decisions, action="reject"),
+    "decisions_by": lambda m: decisions_by(m.decisions, action="reject"),
 }
 
 CLUSTER_READS = {

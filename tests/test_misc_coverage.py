@@ -58,13 +58,13 @@ class TestAdmissionDecisionHelpers:
 class TestContextHelpers:
     def test_importance_of_defaults(self, sim):
         manager = WorkloadManager(sim)
-        assert manager.context.importance_of("unknown") == 1
-        assert manager.context.importance_of(None, default=7) == 7
+        assert manager.slas.importance_of("unknown") == 1
+        assert manager.slas.importance_of(None, default=7) == 7
 
     def test_context_now_tracks_sim(self, sim):
         manager = WorkloadManager(sim)
         sim.run_until(3.5)
-        assert manager.context.now == 3.5
+        assert manager.now == 3.5
 
     def test_outstanding_work(self, sim):
         manager = WorkloadManager(

@@ -72,6 +72,9 @@ a hold that no exit or tick could ever release, went.
 The cluster's front door takes an admission gate like a node's, so the
 quota's private admit-and-release protocol and its own dispatcher
 argument went, as did the utility throttle's window, which nothing read.
+Every control is handed the manager it runs in, so the manager context,
+which copied five of the manager's references and held the manager
+itself, went with its importance forwarder.
 Bringing one back means bringing the spec field and the measured cell
 that reach it, and editing this list.
 """
@@ -105,7 +108,7 @@ from repro.cluster.dispatcher import BindingPolicy, PullBinding, TenantQuota
 from repro.cluster.matcher import Matcher
 from repro.cluster.placement import LoadRankedPlacement, PlacementPolicy
 from repro.cluster.metrics import ClusterMetrics
-from repro.core.interfaces import ManagerContext, Scheduler
+from repro.core.interfaces import Scheduler
 from repro.core.registry import ApproachDescriptor
 from repro.core.manager import WorkloadManager
 from repro.engine.executor import EngineConfig, ExecutionEngine
@@ -246,6 +249,7 @@ DELETED_NAMES = {
     "_eligible_rank",
     "queue_over_cost",
     "tenant_quotas",
+    "ManagerContext",
 }
 DELETED_MODULES = (
     "cluster/elastic.py",
@@ -281,6 +285,11 @@ def test_no_deleted_name_is_defined_or_used_in_src():
                 assert name not in DELETED_NAMES, f"{where}: {name} is back"
 
 
+def test_no_src_module_reaches_through_a_context_to_its_manager():
+    for path in SRC.rglob("*.py"):
+        assert "context.manager" not in path.read_text(), path.relative_to(SRC).as_posix()
+
+
 def test_deleted_modules_stay_deleted():
     for module in DELETED_MODULES:
         assert not (SRC / module).exists(), module
@@ -294,9 +303,10 @@ def test_removed_parameters_stay_removed():
     assert "policy" not in inspect.signature(WorkloadManager).parameters
     # the manager always builds its own engine
     assert "engine" not in inspect.signature(WorkloadManager).parameters
-    assert "policy" not in {f.name for f in dataclasses.fields(ManagerContext)}
-    # the query log is a listener a caller attaches, not a context field
-    assert "query_log" not in {f.name for f in dataclasses.fields(ManagerContext)}
+    # the query log is a listener a caller attaches, not a manager field
+    assert "query_log" not in inspect.signature(WorkloadManager).parameters
+    manager = WorkloadManager(Simulator(seed=1))
+    assert not hasattr(manager, "policy") and not hasattr(manager, "query_log")
     assert "health" not in inspect.signature(ClusterNode).parameters
     assert [health.name for health in NodeHealth] == ["UP", "DOWN"]
     assert sorted(kind.name for kind in FaultKind) == ["CRASH", "DEGRADE", "RECOVER"]
@@ -367,9 +377,8 @@ def test_removed_parameters_stay_removed():
     assert list(inspect.signature(IndicatorAdmission).parameters) == ["indicators"]
     # a kill rule's disposition is its threshold's action
     assert "resubmit" not in {f.name for f in dataclasses.fields(KillRule)}
-    # every context belongs to a manager
-    manager_field = {f.name: f for f in dataclasses.fields(ManagerContext)}["manager"]
-    assert manager_field.default is dataclasses.MISSING
+    # a control's context is the manager itself: no second object copies it
+    assert not hasattr(manager, "context")
     # worker i owns pool slot i: no health-check knob, no waiting for a
     # slot, and a release always drops the slot's connection
     assert list(inspect.signature(ConnectionPool).parameters) == ["driver", "size"]

@@ -155,7 +155,7 @@ def test_kill_and_resubmit_restarts_the_same_request():
     stats = manager.metrics.stats_for("clients")
     in_flight = sum(not query.state.is_terminal for query in made)
     assert len(made) == stats.completions + stats.rejections + stats.kills + in_flight
-    restarted = decisions_by(manager.context.decisions, "QueryKillController", "kill_and_resubmit")
+    restarted = decisions_by(manager.decisions, "QueryKillController", "kill_and_resubmit")
     assert restarted and {event.query_id for event in restarted} <= {q.query_id for q in made}
     assert stats.aborts == len(restarted) == sum(query.restarts for query in made)
     assert all(query.restarts > 1 for query in made)
@@ -188,4 +188,4 @@ def test_every_request_has_at_most_one_outcome_under_any_kill_rule(limit, restar
     stats = manager.metrics.stats_for("clients")
     assert stats.completions + stats.rejections + stats.kills == len(ended)
     if not restart:
-        assert not decisions_by(manager.context.decisions, action="kill_and_resubmit")
+        assert not decisions_by(manager.decisions, action="kill_and_resubmit")
