@@ -215,7 +215,12 @@ class ClusterNode:
     def _note_exit(self, query: Query) -> None:
         est = self._outstanding_est.pop(query.query_id, None)
         if est is not None:
-            self._outstanding_est_total -= est
+            # the running sum drifts under +=/-=: a node with nothing
+            # placed reads exactly no estimated work
+            if self._outstanding_est:
+                self._outstanding_est_total -= est
+            else:
+                self._outstanding_est_total = 0.0
             self._changed()
 
     def release(self, query: Query) -> None:

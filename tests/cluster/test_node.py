@@ -168,11 +168,6 @@ class TestHeartbeat:
 
 
 class TestOutstandingEstimate:
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the running sum drifts under +=/-=: n2 reads 2.15e-16 idle; the "
-        "reset on a node's last exit is a queued declared re-baseline",
-    )
     def test_an_idle_node_reads_exactly_no_estimated_work(self):
         # cost placement ranks idle nodes by this sum, so a drifted idle
         # node loses its name tie-break to its rounding history

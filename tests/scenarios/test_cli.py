@@ -241,13 +241,15 @@ class TestExitCodes:
 
 def test_sweep_table_is_the_committed_golden(capsys):
     """`python -m repro sweep` over the one expander prints the table the
-    deleted policy-sweep stack printed, byte for byte."""
+    deleted policy-sweep stack printed, byte for byte, but for the
+    seed-43 `push/cost` digest: a node's estimated-work sum now resets
+    to exactly 0 when it idles, which moved one placement tie-break."""
     argv = "sweep --policies cost,least --seeds 42 43 --workers 2"
     assert main([*argv.split(), "--horizon", "10", "--nodes", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[:-1] == GOLDEN_SWEEP.splitlines()
     assert lines[-1].startswith("4 runs in ")
-    assert lines[-1].endswith("(2 workers); sweep digest c7b7573b9859e302…")
+    assert lines[-1].endswith("(2 workers); sweep digest 39d4297026196250…")
 
 
 GOLDEN_SWEEP = """\
@@ -256,7 +258,7 @@ Sweeping 2 placement policies × 2 seeds (4 runs, 2 workers, 3 nodes, 10s horizo
 policy                  seed   done   rej resub oltp p95  bi mean  digest
 -------------------------------------------------------------------------
 push/cost                 42    296     0     0    0.064        -  324479cab28b…
-push/cost                 43    289     0     0    0.138    8.826  e0950544405a…
+push/cost                 43    289     0     0    0.138    8.826  32103891fc94…
 push/least                42    296     0     0    0.064        -  f97d0a2c513d…
 push/least                43    289     0     0    0.053    8.826  266c92e432f6…
 -------------------------------------------------------------------------
