@@ -86,6 +86,7 @@ bench-parallel:
 	$(BENCH) --workers 2
 
 # Re-record the committed entries after an intentional behaviour change.
+# Each mode's step skips a ROWS name that only the other mode declares.
 bench-baseline:
 	$(BENCH) --update-baseline
 	$(BENCH) --mode full --update-baseline

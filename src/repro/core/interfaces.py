@@ -248,7 +248,12 @@ class Scheduler(abc.ABC):
         """Queries to dispatch *now*, in order; [] when none should run.
 
         Called after every admission, completion and control tick; the
-        scheduler enforces its MPLs by returning an empty list.
+        scheduler enforces its MPLs by returning an empty list.  So it
+        must not scan the running set: a per-bucket cap is read against
+        a tally the scheduler keeps of what it dispatched, as
+        :class:`~repro.scheduling.queues.MultiQueueScheduler` does,
+        recounting only when the tally cannot account for the engine's
+        whole running set.
         """
 
     def queued_count(self) -> int:

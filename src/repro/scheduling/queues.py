@@ -29,6 +29,7 @@ threshold) or an :class:`~repro.core.interfaces.MplController`
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, List, Optional
 
 from repro.core.interfaces import (
@@ -39,7 +40,7 @@ from repro.core.interfaces import (
     Scheduler,
 )
 from repro.core.manager import WorkloadManager
-from repro.engine.query import Query, tenant_key, workload_key
+from repro.engine.query import Query, QueryState, tenant_key, workload_key
 
 
 def by_priority(query: Query) -> int:
@@ -67,6 +68,9 @@ def wspt(query: Query) -> float:
     return query.estimated_cost.total_work / max(query.priority, 1)
 
 
+_first = itemgetter(0)
+
+
 def _workload_bucket(query: Query) -> str:
     return query.workload_name or "<unassigned>"
 
@@ -83,6 +87,17 @@ class MultiQueueScheduler(Scheduler):
     heads, one request per workload per round; within a workload FIFO.
     This is the structure of Teradata's workload-definition concurrency
     throttles and DB2's concurrent-activities thresholds.
+
+    Caps are read against a tally, by bucket, of the requests this
+    scheduler popped and has not seen leave for good, so a sweep costs
+    one look per bucket.  Everything on the engine came through here
+    (the pump, or suspend/resume restarting a request it popped, which
+    is why a suspension keeps its place), so the tally is the running
+    set exactly when it holds ``engine.running_count`` requests.  When
+    it holds more (one scheduler under two managers, a suspension not
+    yet restarted, a pump between an exit and its :meth:`notify_exit`)
+    the sweep recounts (:meth:`_recount`).  Nothing renames a running
+    request's workload, so its bucket is fixed once it is popped.
     """
 
     def __init__(
@@ -95,53 +110,76 @@ class MultiQueueScheduler(Scheduler):
         self.per_workload_mpl = dict(per_workload_mpl or {})
         self.default_workload_mpl = default_workload_mpl
         self.queue = PartitionedQueue(_workload_bucket)
+        self._popped: Dict[int, str] = {}  # query id -> bucket, until it leaves
+        self._in_flight: Dict[str, int] = {}  # bucket -> requests in _popped
 
     def attach(self, context: WorkloadManager) -> None:
         self.global_mpl.attach(context)
 
     def notify_exit(self, query: Query, context: WorkloadManager) -> None:
         self.global_mpl.notify_completion()
+        # A suspended request keeps its place: suspend/resume restarts it
+        # on the engine itself, not through this queue.
+        if query.state is not QueryState.SUSPENDED:
+            self._release(query.query_id)
 
     def enqueue(self, query: Query, context: WorkloadManager) -> None:
+        if query.query_id in self._popped:  # a suspended request re-queued
+            self._release(query.query_id)
         self.queue.push(query)
+
+    def _release(self, query_id: int) -> None:
+        name = self._popped.pop(query_id, None)
+        if name is not None:
+            self._in_flight[name] -= 1
+
+    def _recount(self, context: WorkloadManager) -> Dict[str, int]:
+        """The engine's running requests by bucket, counted afresh."""
+        key = self.queue.key
+        running: Dict[str, int] = {}
+        for query in context.engine.running_queries():
+            name = key(query)
+            running[name] = running.get(name, 0) + 1
+        return running
 
     def next_batch(self, context: WorkloadManager) -> List[Query]:
         queue = self.queue
         if not len(queue):
             return []
+        busy = context.engine.running_count
         limit = self.global_mpl.current_limit(context)
-        room = float("inf") if limit is None else limit - context.engine.running_count
-        key = queue.key
-        running: Dict[str, int] = {}
-        for query in context.engine.running_queries():
-            name = key(query)
-            running[name] = running.get(name, 0) + 1
+        room = float("inf") if limit is None else limit - busy
+        if room <= 0:
+            return []
+        tally, popped = self._in_flight, self._popped
+        running = tally if len(popped) == busy else self._recount(context)
         caps, default = self.per_workload_mpl, self.default_workload_mpl
 
         batch: List[Query] = []
-        progressed = True
-        while progressed:
-            progressed = False
-            # non-empty buckets by head priority descending, first seen first
-            heads = sorted(
-                [
-                    (-heap[0][2].priority, index, name)
-                    for index, (name, heap) in enumerate(queue.buckets.items())
-                    if heap
-                ]
-            )
-            for _, _, name in heads:
+        while True:
+            # Buckets below their cap, by head priority descending, first
+            # seen first (the sort is stable).  Only a popped bucket's
+            # count moves in a round, so a bucket capped at the round's
+            # start stays capped.
+            heads = []
+            for name, heap in queue.buckets.items():
+                if heap:
+                    cap = caps.get(name, default)
+                    if cap is None or running.get(name, 0) < cap:
+                        heads.append((-heap[0][2].priority, name))
+            if not heads:
+                return batch
+            heads.sort(key=_first)
+            for _, name in heads:
+                query = queue.pop(name)
+                batch.append(query)
+                popped[query.query_id] = name
+                running[name] = running.get(name, 0) + 1
+                if running is not tally:
+                    tally[name] = tally.get(name, 0) + 1
+                room -= 1
                 if room <= 0:
                     return batch
-                cap = caps.get(name, default)
-                in_flight = running.get(name, 0)
-                if cap is not None and in_flight >= cap:
-                    continue
-                batch.append(queue.pop(name))
-                running[name] = in_flight + 1
-                room -= 1
-                progressed = True
-        return batch
 
 
 def tenant_mpl_caps(mpl: int, shares: Dict[str, float]) -> Dict[str, int]:

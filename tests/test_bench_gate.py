@@ -169,10 +169,25 @@ def test_describe_rerecord_names_keys_the_old_entry_did_not_gate():
     assert "polls 3 → dropped" in gate.describe_rerecord("r", dict(ENTRY, polls=3), ENTRY)
 
 
-def test_unknown_row_is_a_usage_error(fake_gate):
-    with pytest.raises(SystemExit) as excinfo:
-        gate.main(["--only", "matcher_push_256"])  # declared for full only
-    assert excinfo.value.code == 2
+def test_unknown_row_is_a_usage_error(fake_gate, capsys):
+    path, before = fake_gate
+    for argv in (
+        ["--only", "matcher_push_256"],  # declared for full only: gating it in ci
+        ["--only", "no_such_row"],
+        ["--only", "no_such_row", "--update-baseline"],
+        ["--mode", "full", "--only", "cluster,no_such_row", "--update-baseline"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            gate.main(argv)
+        assert excinfo.value.code == 2, argv
+    # re-recording skips a row only the other mode declares, so
+    # `make bench-baseline ROWS=matcher_push_256` reaches its full step
+    capsys.readouterr()
+    assert gate.main(["--only", "matcher_push_256", "--update-baseline"]) == 0
+    assert "skipping matcher_push_256: no ci row" in capsys.readouterr().out
+    assert json.loads(path.read_text()) == before
+    assert gate.main(["--only", "cluster,matcher_push_256", "--update-baseline"]) == 0
+    assert json.loads(path.read_text())["ci"]["cluster"] == dict(ENTRY, completed=7)
 
 
 def test_table_matches_the_committed_file():
