@@ -20,13 +20,13 @@ Classification rules (from the taxonomy definitions of §3):
 * acts at runtime changing priorities or reallocating resources →
   query reprioritization; terminating without checkpoints → query
   cancellation; pausing → request throttling; terminating *with*
-  checkpoints → suspend-and-resume (both suspension subclasses roll up
-  to request suspension).
+  checkpoints → suspend-and-resume (both suspension subclasses sit under
+  request suspension in the taxonomy tree).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Set
+from typing import Iterable, List, Set
 
 from repro.core.registry import ApproachDescriptor, Feature
 from repro.core.taxonomy import TAXONOMY, TechniqueClass
@@ -120,16 +120,3 @@ def classify_component(component: object) -> List[TechniqueClass]:
         return []
     return classify_features(set(features))
 
-
-def suspension_superclass(classes: Sequence[TechniqueClass]) -> List[TechniqueClass]:
-    """Roll throttling / suspend-and-resume up to Request Suspension."""
-    rolled: List[TechniqueClass] = []
-    for cls in classes:
-        if cls in (
-            TechniqueClass.REQUEST_THROTTLING,
-            TechniqueClass.SUSPEND_AND_RESUME,
-        ):
-            cls = TechniqueClass.REQUEST_SUSPENSION
-        if cls not in rolled:
-            rolled.append(cls)
-    return rolled

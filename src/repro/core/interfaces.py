@@ -247,8 +247,11 @@ class Scheduler(abc.ABC):
     def next_batch(self, context: WorkloadManager) -> List[Query]:
         """Queries to dispatch *now*, in order; [] when none should run.
 
-        Called after every admission, completion and control tick; the
-        scheduler enforces its MPLs by returning an empty list.  So it
+        A call returns *everything* dispatchable now: the manager asks
+        again in the same pump only after a re-entrant pump was
+        suppressed while the batch started.  Called after every
+        admission, completion and control tick; the scheduler enforces
+        its MPLs by returning an empty list.  So it
         must not scan the running set: a per-bucket cap is read against
         a tally the scheduler keeps of what it dispatched, as
         :class:`~repro.scheduling.queues.MultiQueueScheduler` does,

@@ -171,6 +171,7 @@ class WorkloadManager:
         self._listeners: List[CompletionListener] = []
         self._backlog_listeners: List[Callable[[], None]] = []
         self._pumping = False
+        self._pump_again = False  # a pump was suppressed while pumping
         # The query :meth:`restart` is ending: its re-entry is not a
         # wait-die victim's backoff.
         self._restarting: Optional[Query] = None
@@ -293,8 +294,14 @@ class WorkloadManager:
     # dispatch
     # ------------------------------------------------------------------
     def pump(self) -> None:
-        """Drain the scheduler's dispatchable requests into the engine."""
+        """Drain the scheduler's dispatchable requests into the engine.
+
+        A batch is everything dispatchable now, so the scheduler is asked
+        again only when a pump re-entered while the batch started (a
+        request that finished inside ``start``, a listener that
+        submitted) and was suppressed here."""
         if self._pumping:
+            self._pump_again = True
             return
         self._pumping = True
         # A dispatch burst happens at one instant: the engine solves its
@@ -302,11 +309,11 @@ class WorkloadManager:
         engine = self.engine
         try:
             for _ in range(10_000):  # safety bound against livelock
-                batch = self.scheduler.next_batch(self)
-                if not batch:
-                    break
-                for query in batch:
+                self._pump_again = False
+                for query in self.scheduler.next_batch(self):
                     engine.start(query, weight=self.weight_fn(query))
+                if not self._pump_again:
+                    break
         finally:
             self._pumping = False
 

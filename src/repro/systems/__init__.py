@@ -12,10 +12,7 @@ the system (validated by EXP16 and the Table 4 bench):
   Governor Cost Limit [50][51];
 * :mod:`repro.systems.teradata` — Teradata Active System Management:
   workload analyzer, filters, throttles, workload definitions with
-  exceptions, the regulator [71][72];
-* :mod:`repro.systems.monitoring` — each system's documented monitoring
-  surface (DB2 table functions, SQL Server DMVs/counters, Teradata
-  Manager's dashboard) projected from the simulated server's state.
+  exceptions, the regulator [71][72].
 """
 
 from repro.systems.base import SystemBundle
@@ -31,13 +28,6 @@ from repro.systems.sqlserver import (
     WorkloadGroup,
     ResourceGovernorConfig,
     ResourcePoolController,
-)
-from repro.systems.monitoring import (
-    db2_service_class_stats,
-    db2_workload_occurrences,
-    sqlserver_resource_pool_stats,
-    sqlserver_workload_group_stats,
-    teradata_dashboard,
 )
 from repro.systems.teradata import (
     ObjectAccessFilter,
@@ -71,9 +61,4 @@ __all__ = [
     "TeradataASMConfig",
     "TeradataWorkloadAnalyzer",
     "WorkloadRecommendation",
-    "db2_service_class_stats",
-    "db2_workload_occurrences",
-    "sqlserver_resource_pool_stats",
-    "sqlserver_workload_group_stats",
-    "teradata_dashboard",
 ]

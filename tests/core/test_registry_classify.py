@@ -18,7 +18,6 @@ from repro.core.classify import (
     classify_descriptor,
     classify_features,
     major_classes_of,
-    suspension_superclass,
 )
 from repro.core.registry import (
     ADMISSION_APPROACHES,
@@ -99,12 +98,6 @@ class TestTable3Classification:
     def test_throttling_is_request_throttling(self):
         descriptor = _by_name(EXECUTION_APPROACHES, "Request Throttling")
         assert classify_descriptor(descriptor) == [T.REQUEST_THROTTLING]
-
-    def test_suspension_rollup(self):
-        rolled = suspension_superclass(
-            [T.REQUEST_THROTTLING, T.SUSPEND_AND_RESUME, T.QUERY_CANCELLATION]
-        )
-        assert rolled == [T.REQUEST_SUSPENSION, T.QUERY_CANCELLATION]
 
 
 class TestTable4Classification:

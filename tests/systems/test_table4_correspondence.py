@@ -9,7 +9,7 @@ system models' compiled bundles).
 
 import pytest
 
-from repro.core.classify import classify_component, suspension_superclass
+from repro.core.classify import classify_component
 from repro.core.policy import ThresholdAction, ThresholdKind
 from repro.core.taxonomy import TechniqueClass as T
 from repro.systems.db2 import (
@@ -121,6 +121,6 @@ class TestNoSystemImplementsScheduling:
         "factory", [_db2_bundle, _sqlserver_bundle, _teradata_bundle]
     )
     def test_no_scheduling_class_anywhere(self, factory):
-        classes = suspension_superclass(_bundle_classes(factory()))
+        classes = _bundle_classes(factory())
         assert T.QUEUE_MANAGEMENT not in classes
         assert T.QUERY_RESTRUCTURING not in classes

@@ -75,6 +75,9 @@ argument went, as did the utility throttle's window, which nothing read.
 Every control is handed the manager it runs in, so the manager context,
 which copied five of the manager's references and held the manager
 itself, went with its importance forwarder.
+Monitoring is outside the paper's taxonomy and the taxonomy tree already
+holds the suspension roll-up, so the per-product monitoring facades and
+the classifier's roll-up helper went.
 Bringing one back means bringing the spec field and the measured cell
 that reach it, and editing this list.
 """
@@ -250,6 +253,12 @@ DELETED_NAMES = {
     "queue_over_cost",
     "tenant_quotas",
     "ManagerContext",
+    "db2_workload_occurrences",
+    "db2_service_class_stats",
+    "sqlserver_workload_group_stats",
+    "sqlserver_resource_pool_stats",
+    "teradata_dashboard",
+    "suspension_superclass",
 }
 DELETED_MODULES = (
     "cluster/elastic.py",
@@ -260,6 +269,7 @@ DELETED_MODULES = (
     "parallel/tasks.py",
     "cluster/failover.py",
     "core/capacity.py",
+    "systems/monitoring.py",
 )
 
 
